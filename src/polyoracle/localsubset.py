@@ -32,15 +32,16 @@ Two evaluation paths compute the same number: the literal monomial stream
 (exponentially large in alpha + beta, usable only at tiny s) and the witness
 count (the number of accepted tuples with every a in S and every b outside;
 index rows and comparison tuples are uniquely determined, so each witness
-contributes exactly one).  Their equality is part of the test suite.
+contributes exactly one).  Their equality is part of the test suite.  Each
+accepted tuple's share of the stream is the product of per-slot factor tables.
 """
 
 from __future__ import annotations
 
 import os
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import product
+from functools import cached_property, lru_cache
+from itertools import chain, product
 from typing import Callable, Iterator, Sequence
 
 from . import polynomials
@@ -238,6 +239,12 @@ class BlockVariableAssignment:
             return self.sorted_elements[i - 1]
         return self.sentinel
 
+    @cached_property
+    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
+        """Blocks of s_0 .. s_{m+1}; rows beyond m + 1 are all-zero."""
+        rows = map(self.row_value, range(self.m + 2))
+        return tuple(blocks_of(value, self.theta, self.block_len) for value in rows)
+
     def value(self, comparison: str, i: int, q: int, a: int) -> int:
         if not 0 <= i <= self.s:
             raise ValueError("row index out of range")
@@ -247,8 +254,7 @@ class BlockVariableAssignment:
             raise ValueError("block value out of range")
         if i > self.m + 1:
             return 0
-        block = blocks_of(self.row_value(i), self.theta, self.block_len)[q - 1]
-        return 1 if compare3(block, a) == comparison else 0
+        return 1 if compare3(self.row_blocks[i][q - 1], a) == comparison else 0
 
     def variable_index(self, comparison: str, i: int, q: int, a: int) -> int:
         return flat_variable_index(self.s, self.theta, self.block_len, comparison, i, q, a)
@@ -257,16 +263,14 @@ class BlockVariableAssignment:
         """Materialize the full grid; intended for small instances only."""
         out = [0] * self.num_vars
         width = 1 << self.block_len
-        for c in COMPARISONS:
-            for i in range(self.s + 1):
-                if i > self.m + 1:
-                    continue
-                blocks = blocks_of(self.row_value(i), self.theta, self.block_len)
-                for q in range(1, self.theta + 1):
-                    block = blocks[q - 1]
-                    for a in range(width):
-                        if compare3(block, a) == c:
-                            out[self.variable_index(c, i, q, a)] = 1
+        for i, blocks in enumerate(self.row_blocks):
+            for q, block in enumerate(blocks, start=1):
+                # Runs over a, clamped to the width since block 1 is unbounded.
+                runs = ((GT, 0, block), (EQ, block, block + 1), (LT, block + 1, width))
+                for comparison, low, high in runs:
+                    low, high = min(low, width), min(high, width)
+                    base = self.variable_index(comparison, i, q, 0)
+                    out[base + low : base + high] = [1] * (high - low)
         return out
 
 
@@ -296,12 +300,12 @@ def formulation_monomials(
     """Stream the literal monomials of the size-s formulation polynomial.
 
     The outer sum ranges over verifier-accepted candidate tuples from
-    [1, s**r], row choices i in [1, s] per a-slot and j in [0, s-1] per
-    b-slot, and per-b comparison tuples from C_lt (row j) and C_gt (row
-    j + 1).  Every emitted monomial has coefficient 1 and total degree
-    exactly theta * (alpha + 2 * beta); duplicates across outer terms are
-    emitted separately (canonicalization merges them into larger
-    coefficients).
+    [1, s**r]; per slot holding v, a_factors[v] lists the all-equal gadgets
+    on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
+    gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
+    and total degree exactly theta * (alpha + 2 * beta); duplicates across
+    outer terms are emitted separately (canonicalization merges them into
+    larger coefficients).
 
     The stream depends only on (spec, s, theta) -- not on any instance --
     and raises StreamTooLarge beyond the cap (default 10**7, overridable via
@@ -317,47 +321,38 @@ def formulation_monomials(
             f"candidate space {candidate_top}**{spec.alpha + spec.beta} is beyond the"
             f" literal path (cap {limit})"
         )
-    c_eq, c_lt, c_gt = comparison_tuple_sets(theta)
-    eq_tuple = next(iter(c_eq))
+    _, c_lt, c_gt = comparison_tuple_sets(theta)
+    candidates = range(1, candidate_top + 1)
+    blocks = {v: blocks_of(v, theta, length) for v in candidates}
 
-    def var_index(comparison: str, i: int, q: int, a: int) -> int:
-        return flat_variable_index(s, theta, length, comparison, i, q, a)
+    def gadget(comparisons: Sequence[str], row: int, v: int) -> tuple[int, ...]:
+        return tuple(
+            flat_variable_index(s, theta, length, c, row, q, block)
+            for q, (c, block) in enumerate(zip(comparisons, blocks[v]), start=1)
+        )
+
+    a_factors = {v: [gadget((EQ,) * theta, i, v) for i in range(1, s + 1)] for v in candidates}
+    lt_gt = list(product(sorted(c_lt), sorted(c_gt)))
+    b_factors = {
+        v: [gadget(lt, j, v) + gadget(gt, j + 1, v) for j in range(s) for lt, gt in lt_gt]
+        for v in candidates
+        if spec.beta
+    }
 
     emitted = 0
-    candidates = range(1, candidate_top + 1)
-    candidate_blocks = {v: blocks_of(v, theta, length) for v in candidates}
     verifier = spec.verifier
-    for witness in product(candidates, repeat=spec.alpha + spec.beta):
+    slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
+    for witness in product(candidates, repeat=len(slot_tables)):
         if not verifier(*witness):
             continue
-        a_part = witness[: spec.alpha]
-        b_part = witness[spec.alpha :]
-        for rows_a in product(range(1, s + 1), repeat=spec.alpha):
-            for rows_b in product(range(s), repeat=spec.beta):
-                lt_choices = product(c_lt, repeat=spec.beta)
-                for lt_tuples in lt_choices:
-                    for gt_tuples in product(c_gt, repeat=spec.beta):
-                        exponents: dict[int, int] = {}
-                        for a_value, i in zip(a_part, rows_a):
-                            for q, (c, block) in enumerate(
-                                zip(eq_tuple, candidate_blocks[a_value]), start=1
-                            ):
-                                idx = var_index(c, i, q, block)
-                                exponents[idx] = exponents.get(idx, 0) + 1
-                        for b_value, j, lt_t, gt_t in zip(b_part, rows_b, lt_tuples, gt_tuples):
-                            blocks = candidate_blocks[b_value]
-                            for q in range(1, theta + 1):
-                                idx = var_index(lt_t[q - 1], j, q, blocks[q - 1])
-                                exponents[idx] = exponents.get(idx, 0) + 1
-                                idx = var_index(gt_t[q - 1], j + 1, q, blocks[q - 1])
-                                exponents[idx] = exponents.get(idx, 0) + 1
-                        powers: Powers = tuple(sorted((i, e) for i, e in exponents.items()))
-                        emitted += 1
-                        if emitted > limit:
-                            raise StreamTooLarge(
-                                f"monomial stream exceeds cap {limit} at size {s}"
-                            )
-                        yield Monomial(1, powers)
+        for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
+            exponents: dict[int, int] = {}
+            for idx in chain.from_iterable(factors):
+                exponents[idx] = exponents.get(idx, 0) + 1
+            emitted += 1
+            if emitted > limit:
+                raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
+            yield Monomial(1, tuple(sorted(exponents.items())))
 
 
 def formulation_polynomial(

@@ -18,8 +18,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-import numpy as np
-
 from .errors import ValueOutOfRange
 from .localsubset import FormulationQuery, LSInstance, Oracle, variable_count
 from .problems import PROBLEMS
@@ -107,9 +105,12 @@ def bench_vars(problem: str, theta: int, sizes: Sequence[int], r: int | None = N
             )
         r = definition.bench_r
     rows = tuple((s, variable_count(s, r, theta)) for s in sizes)
-    logs = np.log([s for s, _ in rows])
-    logc = np.log([count for _, count in rows])
-    slope = float(np.polyfit(logs, logc, 1)[0])
+    xs = [math.log(s) for s, _ in rows]
+    ys = [math.log(count) for _, count in rows]
+    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
+    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
+        (x - x_mean) ** 2 for x in xs
+    )
     return BenchResult(problem=problem, theta=theta, rows=rows, slope=slope)
 
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import comb
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import PreconditionViolated, TooLarge, ValueOutOfRange
 
@@ -104,15 +104,19 @@ def setpartition_brute(family: SetFamily, k: int) -> int:
 
 
 class _PartitionCounter:
-    """Shared memo tables for the z-variable DP over one family."""
+    """Memo tables for the z-variable DP and the trace recursion over one family."""
 
-    def __init__(self, family: SetFamily):
-        self.nonempty = [mask for mask in family.sets if mask]
+    def __init__(self, family: SetFamily, theta: int = 1):
+        self.n, self.theta = family.n, theta
+        self.empties = family.sets.count(0)
         self.by_pivot: dict[int, list[int]] = {}
-        for mask in self.nonempty:
+        self.value_counts: dict[int, int] = {}
+        for mask in filter(None, family.sets):
             pivot = mask & -mask
             self.by_pivot.setdefault(pivot, []).append(mask)
+            self.value_counts[mask] = self.value_counts.get(mask, 0) + 1
         self.memo: dict[tuple[int, int, int], int] = {}
+        self.trace_memo: dict[tuple[int, int, int], int] = {}
 
     def z(self, a_mask: int, b_min_bit: int, count: int) -> int:
         """Partitions of A into ``count`` nonempty family sets (by index),
@@ -137,6 +141,55 @@ class _PartitionCounter:
                     result += self.z(a_mask ^ mask, b_min_bit, count - 1)
         self.memo[key] = result
         return result
+
+    def traces(self, remaining: int, blocks_used: int, k_left: int) -> int:
+        """Sum of per-trace products over partitions of ``remaining`` into
+        ``k_left`` sets, after ``blocks_used`` greedy blocks."""
+        if remaining == 0:
+            return comb(self.empties, k_left)
+        if blocks_used >= 2 * self.theta or k_left <= 0:
+            return 0
+        key = (remaining, blocks_used, k_left)
+        cached = self.trace_memo.get(key)
+        if cached is not None:
+            return cached
+        n, theta = self.n, self.theta
+        a_cap = n // theta
+        pivot = remaining & -remaining
+        total = 0
+        # Tail block with empty prefix: B alone consumes everything left.
+        count = self.value_counts.get(remaining)
+        if count:
+            total += count * comb(self.empties, k_left - 1)
+        # Blocks with a nonempty prefix A containing the pivot element.
+        rest = remaining ^ pivot
+        sub = rest
+        while True:
+            a_mask = sub | pivot
+            if bin(a_mask).count("1") <= a_cap:
+                outside = remaining ^ a_mask
+                for b_mask, count in self.value_counts.items():
+                    if b_mask & ~outside:
+                        continue
+                    after = outside ^ b_mask
+                    if after:
+                        # Non-final block: must overshoot n/theta, and the
+                        # next block's elements must all follow min(B).
+                        if theta * bin(a_mask | b_mask).count("1") <= n:
+                            continue
+                        if (b_mask & -b_mask) > (after & -after):
+                            continue
+                    max_parts = min(k_left - 1, bin(a_mask).count("1"))
+                    for parts in range(1, max_parts + 1):
+                        z = self.z(a_mask, b_mask & -b_mask, parts)
+                        if z:
+                            tail = self.traces(after, blocks_used + 1, k_left - parts - 1)
+                            total += count * z * tail
+            if sub == 0:
+                break
+            sub = (sub - 1) & rest
+        self.trace_memo[key] = total
+        return total
 
 
 def z_var_dp(family: SetFamily, a_mask: int, b_mask: int, count: int) -> int:
@@ -168,68 +221,13 @@ def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
         raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
     if k < 0:
         return 0
-    empties = sum(1 for mask in family.sets if mask == 0)
-    if n == 0:
-        return comb(empties, k)
     size_cap = n // (2 * theta)
     for mask in family.sets:
         if mask and bin(mask).count("1") > size_cap:
             raise PreconditionViolated(
                 f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
             )
-    a_cap = n // theta
-    counter = _PartitionCounter(family)
-    value_counts: dict[int, int] = {}
-    for mask in counter.nonempty:
-        value_counts[mask] = value_counts.get(mask, 0) + 1
-    max_blocks = 2 * theta
-    memo: dict[tuple[int, int, int], int] = {}
-
-    def rec(remaining: int, blocks_used: int, k_left: int) -> int:
-        if remaining == 0:
-            return comb(empties, k_left)
-        if blocks_used >= max_blocks or k_left <= 0:
-            return 0
-        key = (remaining, blocks_used, k_left)
-        cached = memo.get(key)
-        if cached is not None:
-            return cached
-        pivot = remaining & -remaining
-        total = 0
-        # Tail block with empty prefix: B alone consumes everything left.
-        count = value_counts.get(remaining)
-        if count:
-            total += count * comb(empties, k_left - 1)
-        # Blocks with a nonempty prefix A containing the pivot element.
-        rest = remaining ^ pivot
-        sub = rest
-        while True:
-            a_mask = sub | pivot
-            if bin(a_mask).count("1") <= a_cap:
-                outside = remaining ^ a_mask
-                for b_mask, count in value_counts.items():
-                    if b_mask & ~outside:
-                        continue
-                    after = outside ^ b_mask
-                    if after:
-                        # Non-final block: must overshoot n/theta, and the
-                        # next block's elements must all follow min(B).
-                        if theta * bin(a_mask | b_mask).count("1") <= n:
-                            continue
-                        if (b_mask & -b_mask) > (after & -after):
-                            continue
-                    max_parts = min(k_left - 1, bin(a_mask).count("1"))
-                    for parts in range(1, max_parts + 1):
-                        z = counter.z(a_mask, b_mask & -b_mask, parts)
-                        if z:
-                            total += count * z * rec(after, blocks_used + 1, k_left - parts - 1)
-            if sub == 0:
-                break
-            sub = (sub - 1) & rest
-        memo[key] = total
-        return total
-
-    return rec(family.full_mask, 0, k)
+    return _PartitionCounter(family, theta).traces(family.full_mask, 0, k)
 
 
 def hcv_brute(family: SetFamily, n: int, m: int, k: int) -> int:
@@ -264,22 +262,25 @@ def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, Set
 
     Branching on the top element e: dropping e from every set keeps all
     collections but forgets e's coverage; subtracting the count over sets
-    free of e leaves exactly the collections that do cover e.
+    free of e leaves exactly the collections that do cover e.  The instances
+    do not depend on k; each is counted at the caller's k.
     """
     if not 0 <= m <= n or family.n != n:
         raise ValueOutOfRange("need 0 <= m <= n = family.n")
     if n - m > HCV_BRANCH_CAP:
         raise TooLarge(f"hcv_branch capped at n - m <= {HCV_BRANCH_CAP}")
-
-    def rec(level: int, sign: int, sets: tuple[int, ...]) -> Iterator[tuple[int, SetFamily]]:
-        if level == m:
-            yield sign, SetFamily(m, sets)
-            return
+    branches = [(1, family.sets)]
+    for level in range(n, m, -1):
         bit = 1 << (level - 1)
-        yield from rec(level - 1, sign, tuple(mask & ~bit for mask in sets))
-        yield from rec(level - 1, -sign, tuple(mask for mask in sets if not mask & bit))
-
-    return list(rec(n, 1, family.sets))
+        branches = [
+            branch
+            for sign, sets in branches
+            for branch in (
+                (sign, tuple(mask & ~bit for mask in sets)),
+                (-sign, tuple(mask for mask in sets if not mask & bit)),
+            )
+        ]
+    return [(sign, SetFamily(m, sets)) for sign, sets in branches]
 
 
 def hcv_expand_setcover(family: SetFamily, m: int) -> SetFamily:
@@ -354,10 +355,11 @@ def setcover_min(
         raise PreconditionViolated(
             f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
         )
-    expanded = hcv_expand_setcover(family, m)
+    # The branch instances do not depend on k: build them once for every k.
+    branches = hcv_branch(hcv_expand_setcover(family, m), n, m, 0)
     for k in range(1, len(family.sets) + 1):
         total = 0
-        for sign, instance in hcv_branch(expanded, n, m, k):
+        for sign, instance in branches:
             total += sign * setpartition_via_traces(instance, k, theta)
         if total < 0:
             raise AssertionError("signed #HCV total came out negative")

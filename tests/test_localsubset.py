@@ -1,6 +1,7 @@
 """Local-subset framework: comparisons, assignments, formulations, oracles."""
 
 import random
+from collections import Counter
 from itertools import product
 
 import pytest
@@ -162,20 +163,18 @@ def test_assignment_full_table_rederivation():
 
 
 def test_vector_matches_value():
+    """Cell by cell; m = 0 at a power-of-two size puts the sentinel's block 1
+    past 2**L, where the runs must clamp."""
     spec = ksum_spec(k=2, w=1)
-    inst = ls.ls_instance(6, [2, 5])
-    assignment = ls.compute_assignment(spec, inst, 2)
-    vec = assignment.vector()
-    assert len(vec) == assignment.num_vars == ls.variable_count(inst.size, spec.r, 2)
-    assert set(vec) <= {0, 1}
-    width = 1 << assignment.block_len
-    for c in ls.COMPARISONS:
-        for i in range(assignment.s + 1):
-            for q in (1, 2):
-                for a in range(width):
-                    assert vec[assignment.variable_index(c, i, q, a)] == assignment.value(
-                        c, i, q, a
-                    )
+    for (n, elements), theta in product([(6, [2, 5]), (4, []), (8, [1, 8])], (1, 2, 3)):
+        assignment = ls.compute_assignment(spec, ls.ls_instance(n, elements), theta)
+        assert assignment.num_vars == ls.variable_count(assignment.s, spec.r, theta)
+        width = 1 << assignment.block_len
+        cells = product(ls.COMPARISONS, range(assignment.s + 1), range(1, theta + 1), range(width))
+        expected = [None] * assignment.num_vars
+        for c, i, q, a in cells:
+            expected[assignment.variable_index(c, i, q, a)] = assignment.value(c, i, q, a)
+        assert assignment.vector() == expected
 
 
 def comp_polynomial_value(assignment, comparison, i, value, theta):
@@ -238,11 +237,59 @@ def test_formulation_hand_enumeration_2sum():
     assert got == expected and len(got) == 9
 
 
-def test_formulation_beta_degree():
+def path3_spec():
     spec, _ = pr.encode_h_induced(
         pr.GraphInput(3, frozenset({(1, 2), (2, 3)})), pr.H_PRESETS["path3"]
     )
-    monos = list(ls.formulation_monomials(spec, 5, 2))
+    return spec
+
+
+def accepted_witnesses(spec, s, theta):
+    length = ls.block_length(s, spec.r, theta)
+    top = min(s**spec.r, 2 ** (theta * length) - 1)
+    return [
+        w
+        for w in product(range(1, top + 1), repeat=spec.alpha + spec.beta)
+        if spec.verifier(*w)
+    ]
+
+
+def test_formulation_hand_enumeration_path3():
+    """Induced path3 (alpha = 2, beta = 1) at s = 4, theta = 1: each accepted
+    (a1, a2, b) contributes x[=,i1,a1] x[=,i2,a2] x[<,j,b] x[>,j+1,b] for
+    every i1, i2 in [1, s] and j in [0, s-1], with multiplicity."""
+    spec, s, theta = path3_spec(), 4, 1
+    length = ls.block_length(s, spec.r, theta)
+
+    def x(comparison, row, value):
+        return ls.flat_variable_index(s, theta, length, comparison, row, 1, value)
+
+    expected = Counter()
+    witnesses = accepted_witnesses(spec, s, theta)
+    for a1, a2, b in witnesses:
+        for i1, i2, j in product(range(1, s + 1), range(1, s + 1), range(s)):
+            factors = Counter([x("=", i1, a1), x("=", i2, a2), x("<", j, b), x(">", j + 1, b)])
+            expected[tuple(sorted(factors.items()))] += 1
+    got = Counter(m.powers for m in ls.formulation_monomials(spec, s, theta))
+    assert witnesses and got == expected
+
+
+@pytest.mark.parametrize("theta", [1, 2])
+@pytest.mark.parametrize(
+    "spec, s",
+    [pytest.param(ksum_spec(k=2, w=1), 5, id="2-sum"), pytest.param(path3_spec(), 4, id="path3")],
+)
+def test_formulation_stream_count(spec, s, theta):
+    """#accepted * s**alpha * (s * |C_lt| * |C_gt|)**beta monomials, one per
+    row and comparison-tuple choice."""
+    _, c_lt, c_gt = ls.comparison_tuple_sets(theta)
+    per_witness = s**spec.alpha * (s * len(c_lt) * len(c_gt)) ** spec.beta
+    emitted = sum(1 for _ in ls.formulation_monomials(spec, s, theta))
+    assert emitted == len(accepted_witnesses(spec, s, theta)) * per_witness
+
+
+def test_formulation_beta_degree():
+    monos = list(ls.formulation_monomials(path3_spec(), 5, 2))
     assert monos
     assert {m.degree for m in monos} == {2 * (2 + 2 * 1)}
 

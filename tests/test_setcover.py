@@ -1,5 +1,6 @@
 """Set-cover chain: partition counting, z-variable DP, HCV branching, minima."""
 
+import gc
 import random
 from itertools import combinations
 from math import comb
@@ -277,3 +278,17 @@ def test_setcover_min_reduction_precondition():
     family = sc.family_from_lists(3, [[1, 2, 3]])
     with pytest.raises(PreconditionViolated):
         sc.setcover_min(family, method="reduction")  # needs m >= 6 > n
+
+
+def test_counting_chain_leaves_no_reference_cycles():
+    """Memo tables die with the call: nothing is left for the cycle collector."""
+    family = sc.family_from_lists(10, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [2, 3], [4, 5]])
+    gc.collect()
+    gc.disable()
+    try:
+        assert sc.setpartition_via_traces(family, 5, 2) == 1
+        assert gc.collect() == 0
+        assert sc.setcover_min(family, method="reduction", theta=2) == 5
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
