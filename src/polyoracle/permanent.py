@@ -17,6 +17,10 @@ Pipeline (desk scale throughout):
                      a trace (segment breakpoints + preimage block
                      assignment) classifies every mapping uniquely, and the
                      per-trace count is a product of segment DP counts;
+                     one DP sweep from each (start, block) gives a flagged
+                     segment's count for every end, and one sweep per block
+                     from row n down gives the unflagged final segment's
+                     count for every start;
   g_count_dp      -- the segment count: subset DP over covered S1-elements,
                      with an optional flag forcing the segment's last vertex
                      to be a preimage (which is what pins the greedy
@@ -29,7 +33,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import ceil
-from typing import Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .errors import TooLarge, ValueOutOfRange
 
@@ -92,43 +96,39 @@ def permanent_brute(matrix: BinaryMatrix) -> int:
     n = matrix.n
     if n > PERMANENT_BRUTE_CAP:
         raise TooLarge(f"permanent_brute capped at n <= {PERMANENT_BRUTE_CAP}")
-    masks = matrix.row_masks
-
-    def count(u: int, used: int) -> int:
-        if u == n:
-            return 1
-        total = 0
-        free = masks[u] & ~used
-        while free:
-            bit = free & -free
-            total += count(u + 1, used | bit)
-            free ^= bit
-        return total
-
-    return count(0, 0)
+    return _matchings_from(matrix.row_masks, 0, 0)
 
 
-def _mappings(matrix: BinaryMatrix, rows: Sequence[int]) -> Iterator[tuple[int, int]]:
-    """Yield (covered_once, covered_multi) masks over all edge-respecting mappings."""
-    masks = matrix.row_masks
-    choices = [masks[u - 1] for u in rows]
+def _matchings_from(masks: Sequence[int], u: int, used: int) -> int:
+    if u == len(masks):
+        return 1
+    total = 0
+    free = masks[u] & ~used
+    while free:
+        bit = free & -free
+        total += _matchings_from(masks, u + 1, used | bit)
+        free ^= bit
+    return total
 
-    def rec(i: int, once: int, multi: int) -> Iterator[tuple[int, int]]:
-        if i == len(choices):
-            yield once, multi
-            return
-        free = choices[i]
-        while free:
-            bit = free & -free
-            free ^= bit
-            if bit & once:
-                yield from rec(i + 1, once ^ bit, multi | bit)
-            elif bit & multi:
-                yield from rec(i + 1, once, multi)
-            else:
-                yield from rec(i + 1, once | bit, multi)
 
-    yield from rec(0, 0, 0)
+def _mappings(
+    choices: Sequence[int], i: int, once: int, multi: int
+) -> Iterator[tuple[int, int]]:
+    """Yield (covered_once, covered_multi) masks over all edge-respecting
+    mappings of rows i.. with neighbourhoods ``choices``."""
+    if i == len(choices):
+        yield once, multi
+        return
+    free = choices[i]
+    while free:
+        bit = free & -free
+        free ^= bit
+        if bit & once:
+            yield from _mappings(choices, i + 1, once ^ bit, multi | bit)
+        elif bit & multi:
+            yield from _mappings(choices, i + 1, once, multi)
+        else:
+            yield from _mappings(choices, i + 1, once | bit, multi)
 
 
 def f_count_brute(matrix: BinaryMatrix, spec: FSpec) -> int:
@@ -136,7 +136,7 @@ def f_count_brute(matrix: BinaryMatrix, spec: FSpec) -> int:
     if matrix.n > F_BRUTE_CAP:
         raise TooLarge(f"f_count_brute capped at n <= {F_BRUTE_CAP}")
     count = 0
-    for once, multi in _mappings(matrix, range(1, matrix.n + 1)):
+    for once, multi in _mappings(matrix.row_masks, 0, 0, 0):
         covered = once | multi
         if spec.eq1 & ~once:
             continue
@@ -157,13 +157,13 @@ def f_expand(matrix: BinaryMatrix, s_eq1: int, alpha: float) -> list[tuple[int, 
     """
     n = matrix.n
     expected = ceil(alpha * n)
-    if bin(s_eq1).count("1") != expected:
+    if s_eq1.bit_count() != expected:
         raise ValueOutOfRange(f"|S1| must be ceil(alpha * n) = {expected}")
     rest = ((1 << n) - 1) & ~s_eq1
     terms: list[tuple[int, FSpec]] = []
     t = rest
     while True:
-        sign = -1 if bin(t).count("1") % 2 else 1
+        sign = -1 if t.bit_count() % 2 else 1
         terms.append((sign, FSpec(eq1=s_eq1, eq0=t, ge1=0)))
         if t == 0:
             break
@@ -183,43 +183,44 @@ def g_count_dp(
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
-    t = len(bits)
-    if t > G_TARGET_CAP:
+    if (s_eq1 & ((1 << matrix.n) - 1)).bit_count() > G_TARGET_CAP:
         raise TooLarge(f"g_count_dp capped at |S1| <= {G_TARGET_CAP}")
-    if not rows:
-        if flag:
-            return 0
-        return 1 if t == 0 else 0
-    position = {b: i for i, b in enumerate(bits)}
-    full = (1 << t) - 1
-    masks = matrix.row_masks
     blocked = s_eq1 | s_eq0
+    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
+    return _segment_counts(matrix, rows, s_eq1, free, flag)[-1]
 
+
+def _segment_counts(
+    matrix: BinaryMatrix, rows: Sequence[int], w_mask: int, free: Sequence[int], flag: int
+) -> list[int]:
+    """Entry i: the segment count G_K of ``rows[:i]``, for i = 0..len(rows),
+    from one sweep of the subset DP.  Row u may map outside the blocked
+    columns in ``free[u - 1]`` ways or onto a still-uncovered element of
+    ``w_mask``; a flagged count makes the last row of its prefix do the latter.
+    """
+    bits = [b for b in range(matrix.n) if w_mask >> b & 1]
+    full = (1 << len(bits)) - 1
+    masks = matrix.row_masks
     dp = [0] * (full + 1)
     dp[0] = 1
-    last = rows[-1]
-    for u in rows[:-1]:
+    # No rows: nothing to flag, and W is covered only when empty.
+    counts = [0 if flag or full else 1]
+    for i, u in enumerate(rows, 1):
         nbr = masks[u - 1]
-        free = bin(nbr & ~blocked).count("1")
-        cov = [position[b] for b in range(matrix.n) if (nbr & s_eq1) >> b & 1]
-        new = [free * value for value in dp]
-        for cm in range(full + 1):
-            value = dp[cm]
-            if not value:
-                continue
-            for p in cov:
-                bit = 1 << p
-                if not cm & bit:
-                    new[cm | bit] += value
+        cov = [1 << p for p, b in enumerate(bits) if nbr >> b & 1]
+        row_free = free[u - 1]
+        flagged = sum(dp[full ^ bit] for bit in cov)
+        counts.append(flagged if flag else flagged + row_free * dp[full])
+        if i == len(rows):
+            break
+        new = [row_free * value for value in dp]
+        for cm, value in enumerate(dp):
+            if value:
+                for bit in cov:
+                    if not cm & bit:
+                        new[cm | bit] += value
         dp = new
-    nbr = masks[last - 1]
-    cov = [position[b] for b in range(matrix.n) if (nbr & s_eq1) >> b & 1]
-    flagged = sum(dp[full ^ (1 << p)] for p in cov if full >> p & 1)
-    if flag:
-        return flagged
-    free = bin(nbr & ~blocked).count("1")
-    return flagged + free * dp[full]
+    return counts
 
 
 def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -274,24 +275,36 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     bits = tuple(b for b in range(n) if s_eq1 >> b & 1)
     quotas, flags = preimage_quotas(len(bits), theta)
     segments = len(quotas)
-    cache: dict[tuple[int, int, int, int], int] = {}
+    # Every segment blocks all of S1 and S0 outside its own block W.
+    blocked = s_eq1 | s_eq0
+    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
+    partitions = list(_ordered_partitions(bits, quotas))
+    forward: dict[tuple[int, int, int], list[int]] = {}
+    backward: dict[int, list[int]] = {}
 
-    def segment_count(start: int, end: int, w_mask: int, flag: int) -> int:
-        key = (start, end, w_mask, flag)
-        if key not in cache:
-            rows = range(start + 1, end + 1)
-            cache[key] = g_count_dp(matrix, rows, w_mask, s_eq0 | (s_eq1 & ~w_mask), flag)
-        return cache[key]
+    def segment_count(j: int, start: int, end: int, w_mask: int) -> int:
+        if j < segments - 1:
+            # One sweep from ``start`` counts the segment for every end.
+            key = (start, w_mask, flags[j])
+            if key not in forward:
+                rows = range(start + 1, n + 1)
+                forward[key] = _segment_counts(matrix, rows, w_mask, free, flags[j])
+            return forward[key][end - start]
+        # The final segment is unflagged, so its count does not depend on
+        # row order: one sweep from row n down counts it for every start.
+        if w_mask not in backward:
+            backward[w_mask] = _segment_counts(matrix, range(n, 0, -1), w_mask, free, 0)
+        return backward[w_mask][n - start]
 
     total = 0
     for cuts in combinations(range(1, n + 1), segments - 1):
         bounds = (0, *cuts, n)
         if any(bounds[j + 1] - bounds[j] < quotas[j] for j in range(segments)):
             continue
-        for blocks in _ordered_partitions(bits, quotas):
+        for blocks in partitions:
             product = 1
             for j in range(segments):
-                product *= segment_count(bounds[j], bounds[j + 1], blocks[j], flags[j])
+                product *= segment_count(j, bounds[j], bounds[j + 1], blocks[j])
                 if not product:
                     break
             total += product
@@ -300,31 +313,38 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
 
 def permanent_via_fsets(matrix: BinaryMatrix, alpha: float = 0.5) -> int:
     """Permanent as the signed sum of direct segment-DP counts (no traces)."""
-    n = matrix.n
-    if n > PERMANENT_BRUTE_CAP:
-        raise TooLarge(f"permanent_via_fsets capped at n <= {PERMANENT_BRUTE_CAP}")
-    if n == 0:
-        return 1
-    s_eq1 = (1 << ceil(alpha * n)) - 1
-    total = 0
-    for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * g_count_dp(matrix, range(1, n + 1), spec.eq1, spec.eq0, 0)
-    if total < 0:
-        raise AssertionError("signed permanent chain produced a negative total")
-    return total
+    rows = range(1, matrix.n + 1)
+    return _signed_permanent(
+        matrix,
+        alpha,
+        "permanent_via_fsets",
+        lambda spec: g_count_dp(matrix, rows, spec.eq1, spec.eq0, 0),
+    )
 
 
 def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: int = 2) -> int:
     """Permanent as the signed sum of trace-decomposed mapping counts."""
+    return _signed_permanent(
+        matrix,
+        alpha,
+        "permanent_via_formulation",
+        lambda spec: f_count_traces(matrix, spec.eq1, spec.eq0, theta),
+    )
+
+
+def _signed_permanent(
+    matrix: BinaryMatrix, alpha: float, route: str, count: Callable[[FSpec], int]
+) -> int:
+    """The signed sum over f_expand's terms, each counted by ``count``."""
     n = matrix.n
     if n > PERMANENT_BRUTE_CAP:
-        raise TooLarge(f"permanent_via_formulation capped at n <= {PERMANENT_BRUTE_CAP}")
+        raise TooLarge(f"{route} capped at n <= {PERMANENT_BRUTE_CAP}")
     if n == 0:
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1
     total = 0
     for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * f_count_traces(matrix, spec.eq1, spec.eq0, theta)
+        total += sign * count(spec)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

@@ -23,6 +23,13 @@ The decision chain for "is there a k-cover?":
                          fall short).  Per block, y counts indices equal to
                          B_j and a min-pivot subset DP counts partitions of
                          A_j by sets whose minima precede min(B_j).
+                         One recursion gives the count for every k up to a
+                         bound: each block's y*z factor, a list over its
+                         part count, is convolved with the tail's list.
+  setcover_min        -- counts every branch instance once, for all k up to
+                         the size of a greedy cover (an upper bound on the
+                         minimum), and returns the first k whose signed
+                         total is positive.
 
 Counts are exact big integers; signed intermediate sums must come out
 nonnegative and are asserted to.
@@ -86,87 +93,87 @@ def setpartition_brute(family: SetFamily, k: int) -> int:
     """Count k-index-subsets of pairwise disjoint sets with union [n]."""
     if len(family.sets) > SETPARTITION_BRUTE_CAP:
         raise TooLarge(f"setpartition_brute capped at {SETPARTITION_BRUTE_CAP} sets")
-    sets = family.sets
-    full = family.full_mask
+    return 0 if k < 0 else _partitions_from(family.sets, family.full_mask, 0, 0, k)
 
-    def rec(index: int, used: int, left: int) -> int:
-        if left == 0:
-            return 1 if used == full else 0
-        if len(sets) - index < left:
-            return 0
-        total = rec(index + 1, used, left)
-        mask = sets[index]
-        if not mask & used:
-            total += rec(index + 1, used | mask, left - 1)
-        return total
 
-    return 0 if k < 0 else rec(0, 0, k)
+def _partitions_from(sets: Sequence[int], full: int, index: int, used: int, left: int) -> int:
+    if left == 0:
+        return 1 if used == full else 0
+    if len(sets) - index < left:
+        return 0
+    total = _partitions_from(sets, full, index + 1, used, left)
+    mask = sets[index]
+    if not mask & used:
+        total += _partitions_from(sets, full, index + 1, used | mask, left - 1)
+    return total
 
 
 class _PartitionCounter:
-    """Memo tables for the z-variable DP and the trace recursion over one family."""
+    """Memo tables for the z-variable DP and the trace recursion over one
+    family, counting partitions into every number of sets 0..k_max at once."""
 
-    def __init__(self, family: SetFamily, theta: int = 1):
-        self.n, self.theta = family.n, theta
-        self.empties = family.sets.count(0)
+    def __init__(self, family: SetFamily, theta: int = 1, k_max: int = 0):
+        self.n, self.theta, self.k_max = family.n, theta, k_max
+        empties = family.sets.count(0)
+        self.empty_choices = [comb(empties, k) for k in range(k_max + 1)]
         self.by_pivot: dict[int, list[int]] = {}
         self.value_counts: dict[int, int] = {}
         for mask in filter(None, family.sets):
             pivot = mask & -mask
             self.by_pivot.setdefault(pivot, []).append(mask)
             self.value_counts[mask] = self.value_counts.get(mask, 0) + 1
-        self.memo: dict[tuple[int, int, int], int] = {}
-        self.trace_memo: dict[tuple[int, int, int], int] = {}
+        self.memo: dict[tuple[int, int], list[int]] = {}
+        self.trace_memo: dict[tuple[int, int], list[int]] = {}
 
-    def z(self, a_mask: int, b_min_bit: int, count: int) -> int:
-        """Partitions of A into ``count`` nonempty family sets (by index),
-        each with minimum element below B's minimum."""
-        key = (a_mask, b_min_bit, count)
+    def z(self, a_mask: int, b_min_bit: int) -> list[int]:
+        """Entry c, for c = 0..|A|: partitions of A into c nonempty family
+        sets (by index), each with minimum element below B's minimum."""
+        key = (a_mask, b_min_bit)
         cached = self.memo.get(key)
         if cached is not None:
             return cached
+        result = [0] * (a_mask.bit_count() + 1)
+        pivot = a_mask & -a_mask
         if a_mask == 0:
-            result = 1 if count == 0 else 0
-        elif count == 0:
-            result = 0
-        else:
-            pivot = a_mask & -a_mask
-            if pivot >= b_min_bit:
-                result = 0
-            else:
-                result = 0
-                for mask in self.by_pivot.get(pivot, ()):
-                    if mask & ~a_mask:
-                        continue
-                    result += self.z(a_mask ^ mask, b_min_bit, count - 1)
+            result[0] = 1
+        elif pivot < b_min_bit:
+            for mask in self.by_pivot.get(pivot, ()):
+                if not mask & ~a_mask:
+                    for count, value in enumerate(self.z(a_mask ^ mask, b_min_bit)):
+                        result[count + 1] += value
         self.memo[key] = result
         return result
 
-    def traces(self, remaining: int, blocks_used: int, k_left: int) -> int:
-        """Sum of per-trace products over partitions of ``remaining`` into
-        ``k_left`` sets, after ``blocks_used`` greedy blocks."""
+    def traces(self, remaining: int, blocks_used: int) -> list[int]:
+        """Entry k, for k = 0..k_max: the sum of per-trace products over
+        partitions of ``remaining`` into k sets, after ``blocks_used`` greedy
+        blocks."""
         if remaining == 0:
-            return comb(self.empties, k_left)
-        if blocks_used >= 2 * self.theta or k_left <= 0:
-            return 0
-        key = (remaining, blocks_used, k_left)
+            return self.empty_choices
+        k_max = self.k_max
+        if blocks_used >= 2 * self.theta:
+            return [0] * (k_max + 1)
+        key = (remaining, blocks_used)
         cached = self.trace_memo.get(key)
         if cached is not None:
             return cached
-        n, theta = self.n, self.theta
+        n, theta, empty_choices = self.n, self.theta, self.empty_choices
+        total = [0] * (k_max + 1)
         a_cap = n // theta
         pivot = remaining & -remaining
-        total = 0
         # Tail block with empty prefix: B alone consumes everything left.
         count = self.value_counts.get(remaining)
         if count:
-            total += count * comb(self.empties, k_left - 1)
-        # Blocks with a nonempty prefix A containing the pivot element.
+            for k in range(1, k_max + 1):
+                total[k] += count * empty_choices[k - 1]
+        # Blocks with a nonempty prefix A containing the pivot element: the
+        # block takes parts + 1 sets, convolved with the tail's list.
         rest = remaining ^ pivot
         sub = rest
         while True:
             a_mask = sub | pivot
-            if bin(a_mask).count("1") <= a_cap:
+            a_size = a_mask.bit_count()
+            if a_size <= a_cap:
                 outside = remaining ^ a_mask
                 for b_mask, count in self.value_counts.items():
                     if b_mask & ~outside:
@@ -175,16 +182,22 @@ class _PartitionCounter:
                     if after:
                         # Non-final block: must overshoot n/theta, and the
                         # next block's elements must all follow min(B).
-                        if theta * bin(a_mask | b_mask).count("1") <= n:
+                        if theta * (a_mask | b_mask).bit_count() <= n:
                             continue
                         if (b_mask & -b_mask) > (after & -after):
                             continue
-                    max_parts = min(k_left - 1, bin(a_mask).count("1"))
-                    for parts in range(1, max_parts + 1):
-                        z = self.z(a_mask, b_mask & -b_mask, parts)
-                        if z:
-                            tail = self.traces(after, blocks_used + 1, k_left - parts - 1)
-                            total += count * z * tail
+                    tail = None
+                    zs = self.z(a_mask, b_mask & -b_mask)
+                    for parts in range(1, min(k_max - 1, a_size) + 1):
+                        z = zs[parts]
+                        if not z:
+                            continue
+                        if tail is None:
+                            tail = self.traces(after, blocks_used + 1)
+                        weight = count * z
+                        for k_tail in range(k_max - parts):
+                            if tail[k_tail]:
+                                total[parts + 1 + k_tail] += weight * tail[k_tail]
             if sub == 0:
                 break
             sub = (sub - 1) & rest
@@ -199,9 +212,29 @@ def z_var_dp(family: SetFamily, a_mask: int, b_mask: int, count: int) -> int:
         raise ValueOutOfRange("B must be nonempty")
     if a_mask & b_mask:
         raise ValueOutOfRange("A and B must be disjoint")
-    if bin(a_mask).count("1") > Z_UNIVERSE_CAP:
+    if a_mask.bit_count() > Z_UNIVERSE_CAP:
         raise TooLarge(f"z_var_dp capped at |A| <= {Z_UNIVERSE_CAP}")
-    return _PartitionCounter(family).z(a_mask, b_mask & -b_mask, count)
+    counts = _PartitionCounter(family).z(a_mask, b_mask & -b_mask)
+    return counts[count] if 0 <= count < len(counts) else 0
+
+
+def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
+    """Entry k, for k = 0..k_max: #Set Partition into k sets, from one
+    trace count; empty when k_max < 0."""
+    n = family.n
+    if n > SETPARTITION_UNIVERSE_CAP:
+        raise TooLarge(f"setpartition_via_traces capped at n <= {SETPARTITION_UNIVERSE_CAP}")
+    if theta not in SETPARTITION_THETAS:
+        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
+    if k_max < 0:
+        return []
+    size_cap = n // (2 * theta)
+    for mask in family.sets:
+        if mask and mask.bit_count() > size_cap:
+            raise PreconditionViolated(
+                f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
+            )
+    return _PartitionCounter(family, theta, k_max).traces(family.full_mask, 0)
 
 
 def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
@@ -214,20 +247,8 @@ def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
     block contributes y(B) * z(A, B, k_j - 1) and leftover multiplicity
     chooses empty sets, C(#empties, k - sum k_j).
     """
-    n = family.n
-    if n > SETPARTITION_UNIVERSE_CAP:
-        raise TooLarge(f"setpartition_via_traces capped at n <= {SETPARTITION_UNIVERSE_CAP}")
-    if theta not in SETPARTITION_THETAS:
-        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
-    if k < 0:
-        return 0
-    size_cap = n // (2 * theta)
-    for mask in family.sets:
-        if mask and bin(mask).count("1") > size_cap:
-            raise PreconditionViolated(
-                f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
-            )
-    return _PartitionCounter(family, theta).traces(family.full_mask, 0, k)
+    counts = _partition_counts(family, k, theta)
+    return counts[k] if k >= 0 else 0
 
 
 def hcv_brute(family: SetFamily, n: int, m: int, k: int) -> int:
@@ -236,25 +257,30 @@ def hcv_brute(family: SetFamily, n: int, m: int, k: int) -> int:
         raise TooLarge(f"hcv_brute capped at {HCV_BRUTE_CAP} sets")
     if not 0 <= m <= n or family.n != n:
         raise ValueOutOfRange("need 0 <= m <= n = family.n")
-    sets = family.sets
-    full = (1 << n) - 1
-    m_mask = (1 << m) - 1
+    return 0 if k < 0 else _hcv_from(family.sets, (1 << n) - 1, (1 << m) - 1, 0, 0, 0, 0, k)
 
-    def rec(index: int, union: int, once: int, multi: int, left: int) -> int:
-        if multi & m_mask:
-            return 0
-        if left == 0:
-            return 1 if union == full and (m_mask & ~once) == 0 else 0
-        if len(sets) - index < left:
-            return 0
-        total = rec(index + 1, union, once, multi, left)
-        mask = sets[index]
-        total += rec(
-            index + 1, union | mask, (once ^ mask) & ~multi, multi | (once & mask), left - 1
-        )
-        return total
 
-    return 0 if k < 0 else rec(0, 0, 0, 0, k)
+def _hcv_from(
+    sets: Sequence[int],
+    full: int,
+    m_mask: int,
+    index: int,
+    union: int,
+    once: int,
+    multi: int,
+    left: int,
+) -> int:
+    if multi & m_mask:
+        return 0
+    if left == 0:
+        return 1 if union == full and (m_mask & ~once) == 0 else 0
+    if len(sets) - index < left:
+        return 0
+    total = _hcv_from(sets, full, m_mask, index + 1, union, once, multi, left)
+    mask = sets[index]
+    once, multi = (once ^ mask) & ~multi, multi | (once & mask)
+    total += _hcv_from(sets, full, m_mask, index + 1, union | mask, once, multi, left - 1)
+    return total
 
 
 def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, SetFamily]]:
@@ -263,7 +289,7 @@ def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, Set
     Branching on the top element e: dropping e from every set keeps all
     collections but forgets e's coverage; subtracting the count over sets
     free of e leaves exactly the collections that do cover e.  The instances
-    do not depend on k; each is counted at the caller's k.
+    do not depend on k; ``setcover_min`` counts each once for every k.
     """
     if not 0 <= m <= n or family.n != n:
         raise ValueOutOfRange("need 0 <= m <= n = family.n")
@@ -291,7 +317,7 @@ def hcv_expand_setcover(family: SetFamily, m: int) -> SetFamily:
     out: list[int] = []
     for mask in family.sets:
         overlap = mask & m_mask
-        if bin(overlap).count("1") > HCV_BRANCH_CAP:
+        if overlap.bit_count() > HCV_BRANCH_CAP:
             raise TooLarge("set overlaps [m] in more than the expandable number of elements")
         sub = 0
         while True:
@@ -302,22 +328,30 @@ def hcv_expand_setcover(family: SetFamily, m: int) -> SetFamily:
     return SetFamily(family.n, tuple(out))
 
 
-def _has_cover(sets: Sequence[int], full: int, k: int) -> bool:
-    def rec(index: int, union: int, left: int) -> bool:
-        if union == full:
-            return True
-        if left == 0 or index == len(sets):
-            return False
-        rest = union
-        for mask in sets[index:]:
-            rest |= mask
-        if rest != full:
-            return False
-        if rec(index + 1, union | sets[index], left - 1):
-            return True
-        return rec(index + 1, union, left)
+def _has_cover(sets: Sequence[int], full: int, k: int, index: int = 0, union: int = 0) -> bool:
+    """Whether at most k sets from sets[index:] extend ``union`` to ``full``."""
+    if union == full:
+        return True
+    if k == 0 or index == len(sets):
+        return False
+    rest = union
+    for mask in sets[index:]:
+        rest |= mask
+    if rest != full:
+        return False
+    if _has_cover(sets, full, k - 1, index + 1, union | sets[index]):
+        return True
+    return _has_cover(sets, full, k, index + 1, union)
 
-    return rec(0, 0, k)
+
+def _greedy_cover_size(sets: Sequence[int], full: int) -> int:
+    """Size of the cover that repeatedly takes the set adding the most
+    uncovered elements; [n] must be coverable."""
+    covered = size = 0
+    while covered != full:
+        covered |= max(sets, key=lambda mask: (mask & ~covered).bit_count())
+        size += 1
+    return size
 
 
 def setcover_min(
@@ -328,10 +362,11 @@ def setcover_min(
 ) -> int | None:
     """Minimum number of sets covering [n]; None when [n] is not coverable.
 
-    The reduction route tests k = 1, 2, ... through the full chain:
-    expansion, branching down to m = max(2*theta*maxsize, n - max_branch)
-    elements, and trace-counted set partitions; the first k with a positive
-    signed total is the minimum.
+    The reduction route runs the full chain: expansion, branching down to
+    m = max(2*theta*maxsize, n - max_branch) elements, and trace-counted set
+    partitions.  Each branch instance is counted once for every k up to the
+    size of a greedy cover, which bounds the minimum from above; the first k
+    with a positive signed total is the minimum.
     """
     n = family.n
     if n == 0:
@@ -349,20 +384,20 @@ def setcover_min(
         return None
     if method != "reduction":
         raise ValueOutOfRange(f"unknown method {method!r}")
-    maxsize = max((bin(mask).count("1") for mask in family.sets), default=0)
+    maxsize = max((mask.bit_count() for mask in family.sets), default=0)
     m = max(2 * theta * maxsize, n - max_branch)
     if m > n:
         raise PreconditionViolated(
             f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
         )
-    # The branch instances do not depend on k: build them once for every k.
-    branches = hcv_branch(hcv_expand_setcover(family, m), n, m, 0)
-    for k in range(1, len(family.sets) + 1):
-        total = 0
-        for sign, instance in branches:
-            total += sign * setpartition_via_traces(instance, k, theta)
-        if total < 0:
+    k_max = _greedy_cover_size(family.sets, full)
+    totals = [0] * (k_max + 1)
+    for sign, instance in hcv_branch(hcv_expand_setcover(family, m), n, m, 0):
+        for k, count in enumerate(_partition_counts(instance, k_max, theta)):
+            totals[k] += sign * count
+    for k in range(1, k_max + 1):
+        if totals[k] < 0:
             raise AssertionError("signed #HCV total came out negative")
-        if total > 0:
+        if totals[k] > 0:
             return k
-    return None
+    raise AssertionError("signed #HCV totals vanish up to the greedy cover size")

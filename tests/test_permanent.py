@@ -199,12 +199,12 @@ def test_f_count_traces_empty_target_theta_1():
 def test_f_count_traces_matches_brute():
     rng = random.Random(5)
     for _ in range(200):
-        n = rng.randint(1, 5)
+        n = rng.randint(1, pm.F_BRUTE_CAP)
         m = random_matrix(rng, n)
         full = (1 << n) - 1
         eq1 = rng.randint(0, full)
         eq0 = rng.randint(0, full) & ~eq1
-        theta = rng.choice([1, 2, 3])
+        theta = rng.choice([1, 2, 3, 4])
         assert pm.f_count_traces(m, eq1, eq0, theta) == pm.f_count_brute(
             m, pm.FSpec(eq1, eq0, 0)
         )

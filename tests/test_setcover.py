@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyoracle.permanent as pm
 import polyoracle.setcover as sc
 from polyoracle.errors import PreconditionViolated, ValueOutOfRange
 
@@ -113,10 +114,11 @@ def test_setpartition_traces_vs_brute(theta):
     for _ in range(150):
         n = rng.randint(2 * theta, 10)
         family = random_family(rng, n, 10, n // (2 * theta))
-        k = rng.randint(0, len(family.sets))
-        assert sc.setpartition_via_traces(family, k, theta) == sc.setpartition_brute(
-            family, k
-        )
+        k_max = len(family.sets)
+        counts = sc._partition_counts(family, k_max, theta)
+        assert counts == [sc.setpartition_brute(family, k) for k in range(k_max + 1)]
+        k = rng.randint(0, k_max)
+        assert sc.setpartition_via_traces(family, k, theta) == counts[k]
 
 
 @settings(max_examples=120, deadline=None)
@@ -272,6 +274,18 @@ def test_setcover_min_methods_agree():
         brute = sc.setcover_min(family, method="brute")
         reduction = sc.setcover_min(family, method="reduction")
         assert brute == reduction
+    # Families shaped like the benchmark's, where a greedy cover can exceed
+    # the minimum that the reduction must still return.
+    rng = random.Random(5)
+    greedy_gaps = 0
+    for _ in range(6):
+        lists = [rng.sample(range(1, 11), size) for size in (5, 4, 4, 3, 3, 3, 2, 2, 2)]
+        family = sc.family_from_lists(10, lists)
+        brute = sc.setcover_min(family, method="brute")
+        assert sc.setcover_min(family, method="reduction") == brute
+        if brute is not None:
+            greedy_gaps += sc._greedy_cover_size(family.sets, family.full_mask) > brute
+    assert greedy_gaps
 
 
 def test_setcover_min_reduction_precondition():
@@ -281,14 +295,26 @@ def test_setcover_min_reduction_precondition():
 
 
 def test_counting_chain_leaves_no_reference_cycles():
-    """Memo tables die with the call: nothing is left for the cycle collector."""
+    """Memo tables and recursions die with the call: nothing is left for the
+    cycle collector."""
     family = sc.family_from_lists(10, [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10], [2, 3], [4, 5]])
+    nine = sc.SetFamily(10, family.sets + sc.family_from_lists(10, [[6, 7], [8, 9]]).sets)
+    matrix = pm.matrix_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
+    calls = [
+        (lambda: sc.setpartition_via_traces(family, 5, 2), 1),
+        (lambda: sc.setcover_min(family, method="reduction", theta=2), 5),
+        (lambda: sc.setpartition_brute(family, 5), 1),
+        (lambda: sc.hcv_brute(family, 10, 10, 5), 1),
+        (lambda: sc.setcover_min(nine, method="brute"), 5),
+        (lambda: pm.permanent_brute(matrix), 2),
+        (lambda: pm.f_count_brute(matrix, pm.FSpec(0, 0, 0)), 8),
+        (lambda: pm.permanent_via_formulation(matrix), 2),
+    ]
     gc.collect()
     gc.disable()
     try:
-        assert sc.setpartition_via_traces(family, 5, 2) == 1
-        assert gc.collect() == 0
-        assert sc.setcover_min(family, method="reduction", theta=2) == 5
-        assert gc.collect() == 0
+        for call, expected in calls:
+            assert call() == expected
+            assert gc.collect() == 0
     finally:
         gc.enable()
