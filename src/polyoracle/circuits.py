@@ -12,10 +12,14 @@ polynomial P of degree <= delta:
                                   degree-0..delta components (Strassen);
                                   components above delta are truncated, which
                                   is harmless exactly when deg(C) <= delta.
-    2. expand_to_polynomial    -- gate-by-gate symbolic expansion into
-                                  canonical sparse form, guarded by a monomial
-                                  cap so non-constant-degree circuits fail
-                                  fast instead of exhausting memory.
+                                  delta is first clamped to C's syntactic
+                                  degree, above which every component is zero.
+    2. expand_to_polynomial    -- gate-by-gate symbolic expansion, each gate
+                                  a dict of its nonzero terms; only the output
+                                  is sorted into canonical sparse form.  A cap
+                                  on each gate's nonzero monomials makes
+                                  non-constant-degree circuits fail fast
+                                  instead of exhausting memory.
     3. compare against P       -- canonical forms are equal iff the
                                   polynomials are identical.
 
@@ -31,7 +35,7 @@ from typing import Sequence, Union
 
 from . import polynomials as poly
 from .errors import ArityMismatch, CapExceeded
-from .polynomials import SparsePolynomial, is_prime
+from .polynomials import Powers, SparsePolynomial, is_prime
 
 DEFAULT_MONOMIAL_CAP = 10**6
 
@@ -149,16 +153,26 @@ class _CircuitBuilder:
             return left
         return self.emit(AddGate(left, right))
 
-    def mul(self, left: int | None, right: int | None) -> int | None:
-        if left is None or right is None:
-            return None
-        return self.emit(MulGate(left, right))
-
     def sum_all(self, parts: list[int | None]) -> int | None:
         acc: int | None = None
         for part in parts:
             acc = self.add(acc, part)
         return acc
+
+
+def _syntactic_degree(circuit: ArithmeticCircuit) -> int:
+    """Largest syntactic degree over all gates: input 1, constant 0, + max, x sum."""
+    degrees: list[int] = []
+    for gate in circuit.gates:
+        if isinstance(gate, InputGate):
+            degrees.append(1)
+        elif isinstance(gate, ConstGate):
+            degrees.append(0)
+        elif isinstance(gate, AddGate):
+            degrees.append(max(degrees[gate.left], degrees[gate.right]))
+        else:
+            degrees.append(degrees[gate.left] + degrees[gate.right])
+    return max(degrees)
 
 
 def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
@@ -174,6 +188,9 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    # Every component above a gate's syntactic degree is None, so truncating
+    # there emits the same gates and bounds the work by the circuit itself.
+    delta = min(delta, max(1, _syntactic_degree(circuit)))
     builder = _CircuitBuilder()
     components: list[list[int | None]] = []
     for gate in circuit.gates:
@@ -184,15 +201,22 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
             if gate.value != 0:
                 comps[0] = builder.emit(ConstGate(gate.value))
         elif isinstance(gate, AddGate):
-            left, right = components[gate.left], components[gate.right]
-            for d in range(delta + 1):
-                comps[d] = builder.add(left[d], right[d])
+            comps = [
+                builder.add(lg, rg)
+                for lg, rg in zip(components[gate.left], components[gate.right])
+            ]
         else:
-            left, right = components[gate.left], components[gate.right]
-            for d in range(delta + 1):
-                comps[d] = builder.sum_all(
-                    [builder.mul(left[i], right[d - i]) for i in range(d + 1)]
-                )
+            # l_i * r_j over the nonzero components only, grouped by degree
+            # i + j in ascending i, then emitted and summed degree by degree
+            left_parts = [(i, g) for i, g in enumerate(components[gate.left]) if g is not None]
+            right_parts = [(j, g) for j, g in enumerate(components[gate.right]) if g is not None]
+            pairs: dict[int, list[tuple[int, int]]] = {}
+            for i, lg in left_parts:
+                for j, rg in right_parts:
+                    if i + j <= delta:
+                        pairs.setdefault(i + j, []).append((lg, rg))
+            for d in sorted(pairs):
+                comps[d] = builder.sum_all([builder.emit(MulGate(lg, rg)) for lg, rg in pairs[d]])
         components.append(comps)
     output = builder.sum_all(components[circuit.output])
     if output is None:
@@ -203,29 +227,28 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
 def expand_to_polynomial(
     circuit: ArithmeticCircuit, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> SparsePolynomial:
-    """Symbolically expand every gate into canonical sparse form.
+    """Symbolically expand the circuit into canonical sparse form.
 
-    Raises CapExceeded as soon as any gate's expansion holds more than
-    ``monomial_cap`` monomials, signalling that the circuit is not
-    effectively constant-degree at this cap.
+    Each gate is expanded as a term dict of nonzero coefficients; only the
+    output's dict is sorted into canonical form.  Raises CapExceeded as soon
+    as any gate's expansion holds more than ``monomial_cap`` monomials,
+    signalling that the circuit is not effectively constant-degree at this
+    cap.
     """
-    n = circuit.num_inputs
-    expanded: list[SparsePolynomial] = []
+    expanded: list[dict[Powers, int]] = []
     for gate in circuit.gates:
         if isinstance(gate, InputGate):
-            p = poly.variable(n, gate.index)
+            terms = {((gate.index, 1),): 1}
         elif isinstance(gate, ConstGate):
-            p = poly.constant(n, gate.value)
+            terms = {(): gate.value} if gate.value else {}
         elif isinstance(gate, AddGate):
-            p = poly.add(expanded[gate.left], expanded[gate.right])
+            terms = poly._add_terms(expanded[gate.left], expanded[gate.right])
         else:
-            p = poly.multiply(expanded[gate.left], expanded[gate.right])
-        if len(p.monomials) > monomial_cap:
-            raise CapExceeded(
-                f"gate expansion holds {len(p.monomials)} monomials (cap {monomial_cap})"
-            )
-        expanded.append(p)
-    return expanded[circuit.output]
+            terms = poly._multiply_terms(expanded[gate.left], expanded[gate.right])
+        if len(terms) > monomial_cap:
+            raise CapExceeded(f"gate expansion holds {len(terms)} monomials (cap {monomial_cap})")
+        expanded.append(terms)
+    return poly.polynomial(circuit.num_inputs, expanded[circuit.output])
 
 
 @dataclass(frozen=True)
@@ -335,17 +358,22 @@ def to_json_dict(circuit: ArithmeticCircuit) -> dict:
 
 
 def from_json_dict(data: dict) -> ArithmeticCircuit:
+    if not isinstance(data, dict) or not isinstance(data.get("gates"), list):
+        raise ValueError("circuit JSON must be an object with a list of gates")
+    as_int = poly._json_int
     gates: list[Gate] = []
     for entry in data["gates"]:
+        if not isinstance(entry, dict):
+            raise ValueError(f"gate {entry!r} is not an object")
         op = entry["op"]
         if op == "input":
-            gates.append(InputGate(int(entry["i"])))
+            gates.append(InputGate(as_int(entry["i"])))
         elif op == "const":
-            gates.append(ConstGate(int(entry["v"])))
+            gates.append(ConstGate(as_int(entry["v"])))
         elif op == "add":
-            gates.append(AddGate(int(entry["l"]), int(entry["r"])))
+            gates.append(AddGate(as_int(entry["l"]), as_int(entry["r"])))
         elif op == "mul":
-            gates.append(MulGate(int(entry["l"]), int(entry["r"])))
+            gates.append(MulGate(as_int(entry["l"]), as_int(entry["r"])))
         else:
             raise ValueError(f"unknown gate op {op!r}")
-    return ArithmeticCircuit(int(data["num_inputs"]), tuple(gates), int(data["output"]))
+    return ArithmeticCircuit(as_int(data["num_inputs"]), tuple(gates), as_int(data["output"]))

@@ -192,13 +192,26 @@ def value_bound(p: SparsePolynomial, rho: int) -> int:
     return 1 + sum(abs(m.coefficient) * rho**m.degree for m in p.monomials)
 
 
+def _add_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[Powers, int]:
+    """Sum of two term dicts of nonzero coefficients; cancelled terms are dropped."""
+    out = dict(left)
+    for powers, coeff in right.items():
+        total = out.get(powers, 0) + coeff
+        if total:
+            out[powers] = total
+        else:
+            del out[powers]
+    return out
+
+
+def _terms(p: SparsePolynomial) -> dict[Powers, int]:
+    return {m.powers: m.coefficient for m in p.monomials}
+
+
 def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
-    merged: dict[Powers, int] = {m.powers: m.coefficient for m in p.monomials}
-    for mono in q.monomials:
-        merged[mono.powers] = merged.get(mono.powers, 0) + mono.coefficient
-    return polynomial(p.num_vars, merged)
+    return polynomial(p.num_vars, _add_terms(_terms(p), _terms(q)))
 
 
 def negate(p: SparsePolynomial) -> SparsePolynomial:
@@ -228,15 +241,20 @@ def _merge_powers(a: Powers, b: Powers) -> Powers:
     return tuple(out)
 
 
+def _multiply_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[Powers, int]:
+    """Product of two term dicts of nonzero coefficients; cancelled terms are dropped."""
+    out: dict[Powers, int] = {}
+    for a, ca in left.items():
+        for b, cb in right.items():
+            powers = _merge_powers(a, b)
+            out[powers] = out.get(powers, 0) + ca * cb
+    return {powers: coeff for powers, coeff in out.items() if coeff}
+
+
 def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
-    merged: dict[Powers, int] = {}
-    for a in p.monomials:
-        for b in q.monomials:
-            powers = _merge_powers(a.powers, b.powers)
-            merged[powers] = merged.get(powers, 0) + a.coefficient * b.coefficient
-    return polynomial(p.num_vars, merged)
+    return polynomial(p.num_vars, _multiply_terms(_terms(p), _terms(q)))
 
 
 def check_explicit(p: SparsePolynomial, params: ExplicitFamilyParams, n: int) -> bool:
@@ -267,12 +285,25 @@ def to_json_dict(p: SparsePolynomial) -> dict:
     }
 
 
+def _json_int(value: object) -> int:
+    """An int from a JSON integer or decimal string; ValueError for anything else."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueError(f"expected an integer, got {value!r}")
+    return int(value)
+
+
 def from_json_dict(data: dict) -> SparsePolynomial:
-    terms = [
-        (int(entry["coeff"]), tuple((int(i), int(e)) for i, e in entry["powers"]))
-        for entry in data["monomials"]
-    ]
-    return polynomial(int(data["num_vars"]), terms)
+    if not isinstance(data, dict) or not isinstance(data.get("monomials"), list):
+        raise ValueError("polynomial JSON must be an object with a list of monomials")
+    terms = []
+    for entry in data["monomials"]:
+        if not isinstance(entry, dict) or not isinstance(entry.get("powers"), list):
+            raise ValueError(f"monomial {entry!r} is not an object with a list of powers")
+        if not all(isinstance(pair, list) and len(pair) == 2 for pair in entry["powers"]):
+            raise ValueError(f"monomial {entry!r} has a power that is not an [index, exponent] pair")
+        powers = tuple((_json_int(i), _json_int(e)) for i, e in entry["powers"])
+        terms.append((_json_int(entry["coeff"]), powers))
+    return polynomial(_json_int(data["num_vars"]), terms)
 
 
 def dumps(p: SparsePolynomial) -> str:

@@ -71,14 +71,38 @@ def test_dag_validation():
         circuit(1, [ci.InputGate(3)])
 
 
+def with_cancellations(rng, c):
+    """c with x - x chains, AddGate(g, g) and (g + h) * (g - h), whose cross
+    terms cancel, appended over random gates and folded into the output."""
+    gates = list(c.gates)
+    minus_one = len(gates)
+    gates.append(ci.ConstGate(-1))
+    for _ in range(rng.randint(1, 4)):
+        g, h = rng.randrange(len(gates)), rng.randrange(len(gates))
+        kind = rng.randrange(3)
+        if kind == 0:
+            gates.append(ci.MulGate(minus_one, g))
+            gates.append(ci.AddGate(g, len(gates) - 1))
+        elif kind == 1:
+            gates.append(ci.AddGate(g, g))
+        else:
+            gates.append(ci.MulGate(minus_one, h))
+            gates.append(ci.AddGate(g, len(gates) - 1))
+            gates.append(ci.AddGate(g, h))
+            gates.append(ci.MulGate(len(gates) - 1, len(gates) - 2))
+        gates.append(ci.AddGate(rng.randrange(len(gates)), len(gates) - 1))
+    return circuit(c.num_inputs, gates)
+
+
 def test_evaluation_matches_expansion():
     rng = random.Random(0)
     for _ in range(100):
-        c = random_circuit(rng, rng.randint(1, 4), 9, max_syntactic_degree=5)
-        p = ci.expand_to_polynomial(c)
-        for _ in range(10):
-            x = [rng.randint(-9, 9) for _ in range(c.num_inputs)]
-            assert ci.evaluate_circuit(c, x) == poly.eval_over_integers(p, x)
+        base = random_circuit(rng, rng.randint(1, 4), 9, max_syntactic_degree=5)
+        for c in (base, with_cancellations(rng, base)):
+            p = ci.expand_to_polynomial(c)
+            for _ in range(10):
+                x = [rng.randint(-9, 9) for _ in range(c.num_inputs)]
+                assert ci.evaluate_circuit(c, x) == poly.eval_over_integers(p, x)
 
 
 def test_homogenize_input_semantics():
@@ -129,8 +153,38 @@ def test_homogenized_evaluation_agrees_mod_p():
             assert ci.evaluate_circuit(h, x, p) == ci.evaluate_circuit(c, x) % p
 
 
+def syntactic_degree(c):
+    degrees = []
+    for g in c.gates:
+        if isinstance(g, ci.InputGate):
+            degrees.append(1)
+        elif isinstance(g, ci.ConstGate):
+            degrees.append(0)
+        elif isinstance(g, ci.AddGate):
+            degrees.append(max(degrees[g.left], degrees[g.right]))
+        else:
+            degrees.append(degrees[g.left] + degrees[g.right])
+    return max(degrees)
+
+
+def test_homogenize_clamps_delta_to_syntactic_degree():
+    rng = random.Random(9)
+    for _ in range(100):
+        c = random_circuit(rng, rng.randint(1, 4), 10)
+        degree = max(1, syntactic_degree(c))
+        h = ci.homogenize(c, 10**9)
+        assert h == ci.homogenize(c, degree) == ci.homogenize(c, degree + 3)
+        assert ci.expand_to_polynomial(h) == ci.expand_to_polynomial(c)
+    with pytest.raises(ValueError):
+        ci.homogenize(circuit(1, [ci.InputGate(0)]), 0)
+
+
 def test_expand_known_values():
     assert ci.expand_to_polynomial(circuit(0, [ci.ConstGate(5)])) == poly.constant(0, 5)
+    x_minus_x = [ci.InputGate(0), ci.ConstGate(-1), ci.MulGate(1, 0), ci.AddGate(0, 2)]
+    assert ci.expand_to_polynomial(circuit(1, x_minus_x)).is_zero
+    doubled = [ci.InputGate(0), ci.AddGate(0, 0), ci.AddGate(1, 1)]
+    assert ci.expand_to_polynomial(circuit(1, doubled)) == poly.polynomial(1, {((0, 1),): 4})
     gates = [ci.InputGate(0), ci.InputGate(1), ci.AddGate(0, 1), ci.MulGate(2, 2)]
     assert ci.expand_to_polynomial(circuit(2, gates)) == poly.polynomial(
         2, {((0, 2),): 1, ((0, 1), (1, 1)): 2, ((1, 2),): 1}
@@ -147,6 +201,22 @@ def test_expand_cap():
     c = circuit(3, gates, acc)
     with pytest.raises(CapExceeded):
         ci.expand_to_polynomial(c, monomial_cap=10)
+    # (x0 + x1) * (x0 - x1) merges four products into x0**2 - x1**2; the cap
+    # counts the two nonzero monomials, not the cancelled x0*x1 terms
+    gates = [
+        ci.InputGate(0), ci.InputGate(1), ci.ConstGate(-1), ci.MulGate(2, 1),
+        ci.AddGate(0, 1), ci.AddGate(0, 3), ci.MulGate(4, 5),
+    ]
+    squares = ci.expand_to_polynomial(circuit(2, gates), monomial_cap=2)
+    assert squares == poly.polynomial(2, {((0, 2),): 1, ((1, 2),): -1})
+    with pytest.raises(CapExceeded, match=r"gate expansion holds 2 monomials \(cap 1\)"):
+        ci.expand_to_polynomial(circuit(2, gates), monomial_cap=1)
+    # (x0 - x0) + x1 holds one monomial at every gate once x0 cancels
+    gates = [
+        ci.InputGate(0), ci.InputGate(1), ci.ConstGate(-1), ci.MulGate(2, 0),
+        ci.AddGate(0, 3), ci.AddGate(4, 1),
+    ]
+    assert ci.expand_to_polynomial(circuit(2, gates), monomial_cap=1) == poly.variable(2, 1)
 
 
 def test_builder_round_trip_and_verify():

@@ -1,6 +1,7 @@
 """Harness: call logging, reports, benchmarks, and the CLI surface."""
 
 import json
+import time
 
 import pytest
 
@@ -186,6 +187,50 @@ def test_cli_verify_circuit(tmp_path):
     assert run_cli(
         ["verify-circuit", "--circuit", bad_path, "--poly", poly_path, "--delta", "3"]
     ) == 1
+
+
+def test_cli_verify_circuit_clamps_delta(tmp_path):
+    target = poly.polynomial(1, {((0, 2),): 1})
+    circuit_path = write_json(
+        tmp_path / "c.json", ci.to_json_dict(ci.build_circuit_from_polynomial(target))
+    )
+    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(target))
+    start = time.perf_counter()
+    code = run_cli(
+        ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path,
+         "--delta", "1000000000"]
+    )
+    assert code == 0
+    assert time.perf_counter() - start < 2
+
+
+GOOD_CIRCUIT = {"num_inputs": 1, "gates": [{"op": "input", "i": 0}], "output": 0}
+GOOD_POLY = {"num_vars": 1, "monomials": [{"coeff": "1", "powers": [[0, 1]]}]}
+
+
+@pytest.mark.parametrize(
+    "circuit_data, poly_data",
+    [
+        ({**GOOD_CIRCUIT, "gates": 5}, GOOD_POLY),
+        ([GOOD_CIRCUIT], GOOD_POLY),
+        ({**GOOD_CIRCUIT, "gates": [None]}, GOOD_POLY),
+        (GOOD_CIRCUIT, {**GOOD_POLY, "monomials": 5}),
+        (GOOD_CIRCUIT, [GOOD_POLY]),
+        (GOOD_CIRCUIT, {**GOOD_POLY, "monomials": [None]}),
+        ({**GOOD_CIRCUIT, "gates": [{"op": "input", "i": None}]}, GOOD_POLY),
+        (GOOD_CIRCUIT, {**GOOD_POLY, "monomials": [{"coeff": "1", "powers": [5]}]}),
+    ],
+)
+def test_cli_verify_circuit_malformed_json(tmp_path, circuit_data, poly_data):
+    def verify(circuit_payload, poly_payload):
+        circuit_path = write_json(tmp_path / "c.json", circuit_payload)
+        poly_path = write_json(tmp_path / "p.json", poly_payload)
+        return run_cli(
+            ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "1"]
+        )
+
+    assert verify(GOOD_CIRCUIT, GOOD_POLY) == 0
+    assert verify(circuit_data, poly_data) == 2
 
 
 def test_cli_permanent(tmp_path, capsys):
