@@ -34,6 +34,13 @@ count (the number of accepted tuples with every a in S and every b outside;
 index rows and comparison tuples are uniquely determined, so each witness
 contributes exactly one).  Their equality is part of the test suite.  Each
 accepted tuple's share of the stream is the product of per-slot factor tables.
+
+Every tuple loop goes through one enumerator, ``accepted_tuples``: a
+lexicographic backtracking walk over per-slot candidate pools that yields the
+verifier-accepted tuples in ``itertools.product`` order.  A spec may carry a
+sound ``prefix`` predicate; the witness count and the literal stream pass it
+so that a partial tuple with no accepted completion is never extended.  The
+reference ``brute_solve`` passes none, so it stays an unpruned enumeration.
 """
 
 from __future__ import annotations
@@ -62,6 +69,12 @@ class LSProblemSpec:
 
     The verifier is a pure total predicate on alpha + beta universe codes and
     must interpret a code the same way at every instance size.
+
+    ``prefix``, when given, must be sound: it returns False for a nonempty
+    prefix of codes only if no completion of that prefix is accepted by the
+    verifier.  It may be called on any nonempty prefix, the full tuple
+    included, and may assume that every shorter prefix of its argument
+    passed.  Like the verifier, it must not depend on the instance size.
     """
 
     name: str
@@ -69,6 +82,7 @@ class LSProblemSpec:
     beta: int
     r: int
     verifier: Callable[..., bool]
+    prefix: Callable[[tuple[int, ...]], bool] | None = None
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -116,20 +130,39 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 
 
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
-    """Reference decision: enumerate all witness tuples over S and its complement."""
+    """Reference decision: enumerate witness tuples over S and its complement,
+    unpruned (``spec.prefix`` is never consulted), stopping at the first hit."""
     u = universe_size(spec, inst)
     if u > BRUTE_UNIVERSE_CAP:
         raise UniverseTooLarge(f"universe size {u} exceeds cap {BRUTE_UNIVERSE_CAP}")
     member = set(inst.elements)
-    verifier = spec.verifier
-    if spec.beta == 0:
-        return any(verifier(*a) for a in product(inst.elements, repeat=spec.alpha))
-    outside = [v for v in range(1, u + 1) if v not in member]
-    for a in product(inst.elements, repeat=spec.alpha):
-        for b in product(outside, repeat=spec.beta):
-            if verifier(*a, *b):
-                return True
-    return False
+    outside = [v for v in range(1, u + 1) if v not in member] if spec.beta else []
+    pools = [inst.elements] * spec.alpha + [outside] * spec.beta
+    return next(accepted_tuples(pools, spec.verifier), None) is not None
+
+
+def accepted_tuples(
+    pools: Sequence[Sequence[int]],
+    verifier: Callable[..., bool],
+    prefix: Callable[[tuple[int, ...]], bool] | None = None,
+) -> Iterator[tuple[int, ...]]:
+    """Yield the tuples of ``product(*pools)`` that the verifier accepts, in
+    product order.  A tuple (partial or full) rejected by ``prefix`` is
+    dropped with all its extensions; the verifier is the final check."""
+    return _extend(pools, verifier, prefix, ())
+
+
+def _extend(pools, verifier, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    depth = len(head)
+    last = depth + 1 == len(pools)
+    for value in pools[depth]:
+        extended = head + (value,)
+        if prefix is not None and not prefix(extended):
+            continue
+        if not last:
+            yield from _extend(pools, verifier, prefix, extended)
+        elif verifier(*extended):
+            yield extended
 
 
 # --- block comparison machinery ------------------------------------------
@@ -340,11 +373,9 @@ def formulation_monomials(
     }
 
     emitted = 0
-    verifier = spec.verifier
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
-    for witness in product(candidates, repeat=len(slot_tables)):
-        if not verifier(*witness):
-            continue
+    pools = [candidates] * len(slot_tables)
+    for witness in accepted_tuples(pools, spec.verifier, spec.prefix):
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
             exponents: dict[int, int] = {}
             for idx in chain.from_iterable(factors):
@@ -380,20 +411,10 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
     u = universe_size(spec, inst)
     top = min(u, (1 << (theta * block_length(s, spec.r, theta))) - 1)
     member = set(inst.elements)
-    verifier = spec.verifier
-    count = 0
     a_pool = [v for v in inst.elements if v <= top]
-    if spec.beta == 0:
-        for a in product(a_pool, repeat=spec.alpha):
-            if verifier(*a):
-                count += 1
-        return count
-    outside = [v for v in range(1, top + 1) if v not in member]
-    for a in product(a_pool, repeat=spec.alpha):
-        for b in product(outside, repeat=spec.beta):
-            if verifier(*a, *b):
-                count += 1
-    return count
+    outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
+    pools = [a_pool] * spec.alpha + [outside] * spec.beta
+    return sum(1 for _ in accepted_tuples(pools, spec.verifier, spec.prefix))
 
 
 # LS instance wire format: {"problem": "<name>", "n": N, "elements": [codes...]}

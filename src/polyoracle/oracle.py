@@ -6,7 +6,8 @@ reported separately and never conflated with the charge.  Argument
 magnitudes above a configurable bound of the call size are flagged, not
 rejected (formulation assignments are 0/1, so the flag can only fire for
 user-supplied oracles); the default bound 2**ceil(s**0.9) is a documented
-finite stand-in for the family's asymptotic magnitude discipline.
+finite stand-in for the family's asymptotic magnitude discipline, decided by
+bit length so the bound itself is never built.
 """
 
 from __future__ import annotations
@@ -23,22 +24,24 @@ from .localsubset import FormulationQuery, LSInstance, Oracle, variable_count
 from .problems import PROBLEMS
 
 
-def magnitude_bound(size: int) -> int:
-    """2**ceil(s**0.9); finite stand-in for the oracle magnitude discipline."""
-    return 1 << math.ceil(size**0.9)
+def exceeds_magnitude_bound(magnitude: int, size: int) -> bool:
+    """magnitude > 2**ceil(s**0.9), the finite stand-in for the oracle
+    magnitude discipline, compared by bit length: for magnitude >= 1,
+    magnitude > 2**e iff magnitude - 1 needs more than e bits."""
+    return magnitude > 0 and (magnitude - 1).bit_length() > math.ceil(size**0.9)
 
 
 @dataclass(frozen=True)
 class OracleCallRecord:
     size: int
-    charged_cost: int
     max_arg_magnitude: int
     result_nonzero: bool
     magnitude_flagged: bool = False
 
-    def __post_init__(self) -> None:
-        if self.charged_cost != self.size:
-            raise ValueOutOfRange("charged cost must equal call size")
+    @property
+    def charged_cost(self) -> int:
+        """Each size-s call is charged exactly s."""
+        return self.size
 
 
 @dataclass
@@ -59,9 +62,13 @@ class OracleCallLog:
 def logging_oracle(
     inner: Oracle,
     log: OracleCallLog,
-    bound: Callable[[int], int] = magnitude_bound,
+    exceeds: Callable[[int, int], bool] = exceeds_magnitude_bound,
 ) -> Oracle:
-    """Wrap an oracle so every call lands in the log with its POTIME charge."""
+    """Wrap an oracle so every call lands in the log with its POTIME charge.
+
+    A call is flagged when ``exceeds(max argument magnitude, size)`` holds;
+    by default, when the magnitude exceeds 2**ceil(size**0.9).
+    """
 
     def wrapped(query: FormulationQuery) -> int:
         result = inner(query)
@@ -69,10 +76,9 @@ def logging_oracle(
         log.records.append(
             OracleCallRecord(
                 size=query.size,
-                charged_cost=query.size,
                 max_arg_magnitude=magnitude,
                 result_nonzero=result != 0,
-                magnitude_flagged=magnitude > bound(query.size),
+                magnitude_flagged=exceeds(magnitude, query.size),
             )
         )
         return result
@@ -149,21 +155,24 @@ class RunReport:
 
     @staticmethod
     def from_json_dict(data: dict) -> "RunReport":
+        calls = []
+        for c in data["calls"]:
+            if int(c["charged_cost"]) != int(c["size"]):
+                raise ValueOutOfRange("charged cost must equal call size")
+            calls.append(
+                OracleCallRecord(
+                    size=int(c["size"]),
+                    max_arg_magnitude=int(c["max_arg_magnitude"]),
+                    result_nonzero=bool(c["result_nonzero"]),
+                    magnitude_flagged=bool(c["magnitude_flagged"]),
+                )
+            )
         return RunReport(
             problem=data["problem"],
             instance_digest=data["instance_digest"],
             answer=bool(data["answer"]),
             total_oracle_cost=int(data["total_oracle_cost"]),
-            calls=[
-                OracleCallRecord(
-                    size=int(c["size"]),
-                    charged_cost=int(c["charged_cost"]),
-                    max_arg_magnitude=int(c["max_arg_magnitude"]),
-                    result_nonzero=bool(c["result_nonzero"]),
-                    magnitude_flagged=bool(c["magnitude_flagged"]),
-                )
-                for c in data["calls"]
-            ],
+            calls=calls,
             wall_time_seconds=float(data["wall_time_seconds"]),
         )
 

@@ -17,6 +17,10 @@ The one construction that needs a reserved element (the pattern-family
 encoder, whose instances must keep both S and its complement nonempty) puts
 a loop at vertex 1 and shifts real vertices up by one, so "the witness avoids
 the reserved vertex" is a size-independent check.
+
+Each encoder also supplies the spec's sound ``prefix`` predicate, built only
+from checks its verifier makes on codes alone: slot tags, canonical pairs,
+distinct pairs, and at most |V(H)| (or k) vertices spanned.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from itertools import combinations, permutations
 from math import isqrt
 from typing import Callable, Iterable, Literal, Sequence
 
+from . import polynomials
 from .errors import ValueOutOfRange
 from .localsubset import LSInstance, LSProblemSpec, ls_instance
 
@@ -141,6 +146,12 @@ def _spans_pattern(
     return False
 
 
+def _pairs_fit(pairs: Sequence[tuple[int, int]], budget: int) -> bool:
+    """Distinct pairs spanning at most ``budget`` vertices: a necessary
+    condition for ``_spans_pattern`` on any superset of these pairs."""
+    return len(set(pairs)) == len(pairs) and len({x for p in pairs for x in p}) <= budget
+
+
 # --- natural inputs -------------------------------------------------------
 
 
@@ -246,7 +257,10 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
             total += (code - tag) // k - w
         return total == 0
 
-    spec = LSProblemSpec(name=f"{k}-sum", alpha=k, beta=0, r=1, verifier=verifier)
+    def prefix(codes: tuple[int, ...]) -> bool:
+        return (codes[-1] - 1) % k + 1 == len(codes)
+
+    spec = LSProblemSpec(name=f"{k}-sum", alpha=k, beta=0, r=1, verifier=verifier, prefix=prefix)
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -256,6 +270,7 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
     w = inp.magnitude
     shift = w + 1
 
+    @lru_cache(maxsize=None)
     def decode_point(code: int) -> tuple[int, int]:
         a, b = decode_pair(code)
         return a - shift, b - shift
@@ -266,7 +281,12 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
         return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
 
-    spec = LSProblemSpec(name="collinearity", alpha=3, beta=0, r=2, verifier=verifier)
+    def prefix(codes: tuple[int, ...]) -> bool:
+        return codes[-1] not in codes[:-1]
+
+    spec = LSProblemSpec(
+        name="collinearity", alpha=3, beta=0, r=2, verifier=verifier, prefix=prefix
+    )
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
 
@@ -293,8 +313,18 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
             return False
         return _spans_pattern(pairs[:alpha], pairs[alpha:], pattern)
 
+    def prefix(codes: tuple[int, ...]) -> bool:
+        pairs = [decode_pair(c) for c in codes]
+        u, v = pairs[-1]
+        return u < v and _pairs_fit(pairs, pattern.num_vertices)
+
     spec = LSProblemSpec(
-        name=f"induced-{pattern.name}", alpha=alpha, beta=beta, r=2, verifier=verifier
+        name=f"induced-{pattern.name}",
+        alpha=alpha,
+        beta=beta,
+        r=2,
+        verifier=verifier,
+        prefix=prefix,
     )
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -329,12 +359,21 @@ def encode_family_induced(
                 return True
         return False
 
+    def prefix(codes: tuple[int, ...]) -> bool:
+        pairs = [decode_pair(c) for c in codes]
+        for pattern in members:
+            chosen = pairs[: pattern.num_edges] + pairs[alpha : alpha + pattern.num_nonedges]
+            if all(1 < u < v for u, v in chosen) and _pairs_fit(chosen, pattern.num_vertices):
+                return True
+        return False
+
     spec = LSProblemSpec(
         name="family-induced-" + "+".join(p.name for p in members),
         alpha=alpha,
         beta=beta,
         r=2,
         verifier=verifier,
+        prefix=prefix,
     )
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n + 1, elements=elements)
@@ -376,6 +415,32 @@ def _tagged_universe_exponent(n: int, num_tags: int, span: int) -> int:
     return r
 
 
+def _record_prefix(
+    decode: Callable[[int], tuple[int, int, int, int]],
+    threshold_slot: int,
+    fits_slot: Callable[[int, int, int, int, int], bool],
+    budget: int,
+) -> Callable[[tuple[int, ...]], bool]:
+    """Prefix predicate for tagged-record witnesses.
+
+    The newest record must pass ``fits_slot(slot, tag, u, v, w)``, the
+    verifier's own per-slot check; the (u, v) of every record outside the
+    threshold slot must be distinct and span at most ``budget`` vertices.
+    """
+
+    def prefix(codes: tuple[int, ...]) -> bool:
+        slot = len(codes) - 1
+        tag, u, v, w = decode(codes[-1])
+        if not fits_slot(slot, tag, u, v, w):
+            return False
+        if slot == threshold_slot:
+            return True
+        pairs = [decode(c)[1:3] for i, c in enumerate(codes) if i != threshold_slot]
+        return _pairs_fit(pairs, budget)
+
+    return prefix
+
+
 def encode_min_weight_kclique(
     inp: WeightedGraphInput, k: int, threshold: int
 ) -> tuple[LSProblemSpec, LSInstance]:
@@ -413,8 +478,18 @@ def encode_min_weight_kclique(
         vertices = {x for pair in pairs for x in pair}
         return len(vertices) == k
 
+    def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
+        if slot == pair_count:
+            return tag == 2 and u == 1 and v == 1
+        return tag == 1 and u < v
+
     spec = LSProblemSpec(
-        name=f"min-weight-{k}-clique", alpha=pair_count + 1, beta=0, r=r, verifier=verifier
+        name=f"min-weight-{k}-clique",
+        alpha=pair_count + 1,
+        beta=0,
+        r=r,
+        verifier=verifier,
+        prefix=_record_prefix(decode, pair_count, fits_slot, k),
     )
     elements = [codec.encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(codec.encode(2, 1, 1, threshold + shift))
@@ -514,13 +589,24 @@ def encode_max_h_subgraph(
             return False
         return _spans_pattern(edge_pairs, nonedge_pairs, pattern)
 
-    alpha = ne + 1 if edge_mode else ne + nv + 1
+    threshold_slot = ne if edge_mode else ne + nv
+
+    def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
+        if slot == threshold_slot:
+            return tag == 3 and u == 1 and v == 1
+        if edge_mode:
+            return (tag == 1 and u < v) if slot < ne else (tag == 2 and u < v and w == 1)
+        if ne <= slot < threshold_slot:
+            return tag == 2 and u == v
+        return tag == 1 and u < v and w == 1
+
     spec = LSProblemSpec(
         name=f"max-{pattern.name}-subgraph-{mode}",
-        alpha=alpha,
+        alpha=threshold_slot + 1,
         beta=beta,
         r=r,
         verifier=verify_edge_mode if edge_mode else verify_vertex_mode,
+        prefix=_record_prefix(decode, threshold_slot, fits_slot, nv),
     )
     elements = []
     for (u, v), w in inp.edge_weights:
@@ -537,24 +623,56 @@ def encode_max_h_subgraph(
 # --- natural-input JSON and the problem registry ---------------------------
 
 
+def _json_object(data: object) -> dict:
+    if not isinstance(data, dict):
+        raise ValueOutOfRange("input must be a JSON object")
+    return data
+
+
+def _json_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise ValueOutOfRange(f"expected a list, got {value!r}")
+    return value
+
+
+def _json_int(value: object) -> int:
+    """An int from a JSON integer or decimal string."""
+    try:
+        return polynomials._json_int(value)
+    except ValueError as exc:
+        raise ValueOutOfRange(str(exc)) from None
+
+
+def _int_list(value: object, shortest: int = 0, longest: int | None = None) -> list[int]:
+    """A JSON list of ``shortest`` to ``longest`` integers."""
+    items = _json_list(value)
+    if len(items) < shortest or (longest is not None and len(items) > longest):
+        raise ValueOutOfRange(f"wrong number of integers in {value!r}")
+    return [_json_int(item) for item in items]
+
+
 def graph_from_json(data: dict) -> GraphInput:
-    edges = frozenset(tuple(sorted((int(u), int(v)))) for u, v, *_ in data["edges"])
-    return GraphInput(n=int(data["n"]), edges=edges)
+    data = _json_object(data)
+    edges = frozenset(
+        tuple(sorted(_int_list(entry, 2)[:2])) for entry in _json_list(data["edges"])
+    )
+    return GraphInput(n=_json_int(data["n"]), edges=edges)
 
 
 def weighted_graph_from_json(data: dict) -> WeightedGraphInput:
+    data = _json_object(data)
     edge_weights = []
-    magnitude = int(data.get("magnitude", 0))
+    magnitude = _json_int(data.get("magnitude", 0))
     implied = 0
-    for entry in data["edges"]:
-        u, v = int(entry[0]), int(entry[1])
-        w = int(entry[2]) if len(entry) > 2 else 0
+    for entry in _json_list(data["edges"]):
+        u, v, *rest = _int_list(entry, 2)
+        w = rest[0] if rest else 0
         implied = max(implied, abs(w))
         edge_weights.append(((min(u, v), max(u, v)), w))
-    vertex_weights = tuple(int(w) for w in data.get("vertex_weights", ()))
+    vertex_weights = tuple(_int_list(data.get("vertex_weights", [])))
     implied = max([implied, *(abs(w) for w in vertex_weights)], default=implied)
     return WeightedGraphInput(
-        n=int(data["n"]),
+        n=_json_int(data["n"]),
         edge_weights=tuple(edge_weights),
         magnitude=max(magnitude, implied),
         vertex_weights=vertex_weights,
@@ -562,17 +680,19 @@ def weighted_graph_from_json(data: dict) -> WeightedGraphInput:
 
 
 def points_from_json(data: dict) -> PointSetInput:
-    points = tuple((int(x), int(y)) for x, y in data["points"])
+    data = _json_object(data)
+    points = tuple(tuple(_int_list(entry, 2, 2)) for entry in _json_list(data["points"]))
     implied = max((max(abs(x), abs(y)) for x, y in points), default=0)
-    return PointSetInput(points=points, magnitude=max(int(data.get("magnitude", 0)), implied))
+    magnitude = _json_int(data.get("magnitude", 0))
+    return PointSetInput(points=points, magnitude=max(magnitude, implied))
 
 
 def ksum_from_json(data: dict) -> KSumInput:
-    sets = tuple(tuple(int(v) for v in values) for values in data["sets"])
+    data = _json_object(data)
+    sets = tuple(tuple(_int_list(values)) for values in _json_list(data["sets"]))
     implied = max((abs(v) for values in sets for v in values), default=0)
-    return KSumInput(
-        k=int(data["k"]), sets=sets, magnitude=max(int(data.get("magnitude", 0)), implied)
-    )
+    magnitude = _json_int(data.get("magnitude", 0))
+    return KSumInput(k=_json_int(data["k"]), sets=sets, magnitude=max(magnitude, implied))
 
 
 def pattern_from_json(value) -> PatternGraph:
@@ -581,7 +701,9 @@ def pattern_from_json(value) -> PatternGraph:
             return H_PRESETS[value]
         except KeyError:
             raise ValueOutOfRange(f"unknown pattern preset {value!r}") from None
-    return _pattern(value.get("name", "custom"), int(value["n"]), [tuple(e) for e in value["edges"]])
+    value = _json_object(value)
+    edges = [tuple(_int_list(entry, 2, 2)) for entry in _json_list(value["edges"])]
+    return _pattern(str(value.get("name", "custom")), _json_int(value["n"]), edges)
 
 
 @dataclass(frozen=True)
@@ -618,14 +740,14 @@ PROBLEMS: dict[str, ProblemDefinition] = {
     "family-induced": ProblemDefinition(
         "family-induced",
         lambda d: encode_family_induced(
-            graph_from_json(d), [pattern_from_json(p) for p in d["family"]]
+            graph_from_json(d), [pattern_from_json(p) for p in _json_list(d["family"])]
         ),
         bench_r=2,
     ),
     "min-weight-clique": ProblemDefinition(
         "min-weight-clique",
         lambda d: encode_min_weight_kclique(
-            weighted_graph_from_json(d), int(d["k"]), int(d["threshold"])
+            weighted_graph_from_json(d), _json_int(d["k"]), _json_int(d["threshold"])
         ),
         bench_r=None,
     ),
@@ -634,7 +756,7 @@ PROBLEMS: dict[str, ProblemDefinition] = {
         lambda d: encode_max_h_subgraph(
             weighted_graph_from_json(d),
             pattern_from_json(d["H"]),
-            int(d["threshold"]),
+            _json_int(d["threshold"]),
             d.get("mode", "edge-weights"),
         ),
         bench_r=None,

@@ -2,7 +2,8 @@
 
 import random
 from collections import Counter
-from itertools import product
+from dataclasses import replace
+from itertools import product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +12,9 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
+from oracles import random_graph, random_weighted_graph
 from polyoracle.errors import StreamTooLarge, UniverseTooLarge
+from test_acceptance import SEED, _small_instances_for_streams
 
 
 def ksum_spec(k=3, w=20):
@@ -411,3 +414,98 @@ def test_degenerate_full_and_empty_sets():
     # m = 0 is legal and never a yes-instance for alpha >= 1
     empty = ls.ls_instance(2, [])
     assert ls.evaluate_formulation(spec, empty, 1) == 0
+
+
+def random_encoding(name, rng):
+    """A small random instance of one encoder, sized so that the unpruned
+    product of its witness pools stays below about 10**5 tuples."""
+    if name == "ksum":
+        w = rng.randint(0, 6)
+        size = rng.randint(1, min(4, 2 * w + 1))
+        sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(rng.choice([2, 3])))
+        return pr.encode_ksum(pr.KSumInput(len(sets), sets, w))
+    if name == "collinearity":
+        w = rng.randint(1, 4)
+        points = {(rng.randint(-w, w), rng.randint(-w, w)) for _ in range(rng.randint(3, 9))}
+        return pr.encode_collinearity(pr.PointSetInput(tuple(points), w))
+    if name == "h-induced":
+        pattern = pr.H_PRESETS[rng.choice(["edge", "path3", "triangle"])]
+        return pr.encode_h_induced(random_graph(rng, rng.randint(3, 6), 8), pattern)
+    if name == "family-induced":
+        family = [pr.H_PRESETS["path3"], pr.H_PRESETS[rng.choice(["edge", "triangle"])]]
+        return pr.encode_family_induced(random_graph(rng, rng.randint(2, 5), 6), family)
+    if name == "min-weight-clique":
+        graph = random_weighted_graph(rng, rng.randint(3, 6), 4, 8)
+        return pr.encode_min_weight_kclique(graph, 3, rng.randint(-8, 8))
+    mode = rng.choice(["edge-weights", "vertex-weights"])
+    presets = ["edge", "path3", "triangle"] if mode == "edge-weights" else ["edge"]
+    pattern = pr.H_PRESETS[rng.choice(presets)]
+    graph = random_weighted_graph(rng, rng.randint(3, 5), 3, 5, with_vertex_weights=True)
+    return pr.encode_max_h_subgraph(graph, pattern, rng.randint(-8, 8), mode)
+
+
+def unpruned_count(spec, inst, theta):
+    """Accepted tuples over evaluate_formulation's pools, by a plain product loop."""
+    top = min(inst.n**spec.r, 2 ** (theta * ls.block_length(inst.size, spec.r, theta)) - 1)
+    a_pool = [v for v in inst.elements if v <= top]
+    outside = [v for v in range(1, top + 1) if v not in inst.elements] if spec.beta else []
+    pools = [a_pool] * spec.alpha + [outside] * spec.beta
+    return sum(1 for t in product(*pools) if spec.verifier(*t))
+
+
+ENCODER_NAMES = (
+    "ksum", "collinearity", "h-induced", "family-induced", "min-weight-clique", "max-h-subgraph"
+)
+
+
+@settings(max_examples=240, deadline=None)
+@given(st.sampled_from(ENCODER_NAMES), st.integers(0, 2**32), st.integers(1, 3))
+def test_pruned_count_equals_unpruned_count(name, seed, theta):
+    spec, inst = random_encoding(name, random.Random(seed))
+    if inst.size < 2:
+        return
+    assert spec.prefix is not None
+    assert ls.evaluate_formulation(spec, inst, theta) == unpruned_count(spec, inst, theta)
+
+
+def test_brute_solve_never_consults_prefix():
+    spec, inst = pr.encode_h_induced(
+        pr.GraphInput(3, frozenset({(1, 2), (1, 3), (2, 3)})), pr.H_PRESETS["triangle"]
+    )
+
+    def refuse(codes):
+        raise AssertionError("brute_solve consulted the prefix")
+
+    assert ls.brute_solve(replace(spec, prefix=refuse), inst)
+
+
+def test_accepted_tuples_in_product_order():
+    pools = [[3, 1, 2], [2, 1], [1, 3, 2]]
+    accept = lambda a, b, c: (a + b + c) % 2 == 0  # noqa: E731
+    expected = [t for t in product(*pools) if accept(*t)]
+    assert list(ls.accepted_tuples(pools, accept)) == expected
+    # a prefix that drops first slots holding 1 removes exactly those tuples
+    pruned = ls.accepted_tuples(pools, accept, prefix=lambda t: t[0] != 1)
+    assert list(pruned) == [t for t in expected if t[0] != 1]
+
+
+def test_stream_unchanged_by_pruning():
+    """On the (spec, s, theta) of acceptance criteria 2 and 3, the pruned
+    literal stream emits the unpruned stream's monomials in the same order."""
+    cases = {}
+    probes = _small_instances_for_streams(random.Random(SEED + 1))
+    for (spec, inst), theta in product(probes, (1, 2)):
+        cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
+    path3 = pr.H_PRESETS["path3"]
+    criterion_3 = [
+        (pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1)), (1, 2, 3)),
+        (pr.encode_h_induced(pr.GraphInput(3, frozenset({(1, 2), (2, 3)})), path3), (1, 2)),
+    ]
+    for (spec, inst), thetas in criterion_3:
+        for theta in thetas:
+            cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
+    assert len(cases) == 27
+    for (_, _, s, theta), spec in sorted(cases.items()):
+        pruned = ls.formulation_monomials(spec, s, theta)
+        unpruned = ls.formulation_monomials(replace(spec, prefix=None), s, theta)
+        assert all(a == b for a, b in zip_longest(pruned, unpruned))

@@ -1,7 +1,9 @@
 """Harness: call logging, reports, benchmarks, and the CLI surface."""
 
 import json
+import math
 import time
+from types import SimpleNamespace
 
 import pytest
 
@@ -9,6 +11,7 @@ import polyoracle.localsubset as ls
 import polyoracle.oracle as orc
 import polyoracle.problems as pr
 from polyoracle.cli import run_cli
+from polyoracle.errors import ValueOutOfRange
 from polyoracle import circuits as ci, polynomials as poly
 
 
@@ -41,9 +44,24 @@ def test_logging_oracle_empty_log():
 def test_magnitude_flagging():
     spec, inst = triangle_instance()
     log = orc.OracleCallLog()
-    wrapped = orc.logging_oracle(ls.exact_evaluation_oracle, log, bound=lambda s: 0)
+    zero_bound = lambda magnitude, size: magnitude > 0  # noqa: E731
+    wrapped = orc.logging_oracle(ls.exact_evaluation_oracle, log, exceeds=zero_bound)
     ls.solve_via_oracle(spec, inst, 1, wrapped)
     assert log.records[0].magnitude_flagged
+
+
+def test_default_magnitude_flag_is_the_power_of_two_bound():
+    """Flagged iff magnitude > 2**ceil(size**0.9), at and around every power of two."""
+    size = 5
+    bound = 2 ** math.ceil(size**0.9)
+    magnitudes = [0] + [2**k + d for k in range(12) for d in (-1, 0, 1)]
+    for magnitude in magnitudes:
+        log = orc.OracleCallLog()
+        query = SimpleNamespace(size=size, max_abs_value=magnitude)
+        orc.logging_oracle(lambda q: 0, log)(query)
+        assert log.records[0].magnitude_flagged == (magnitude > bound), magnitude
+    # a benchmark-sized call: the 2**(2.4e8) bound is never built
+    assert not orc.exceeds_magnitude_bound(1, 2_013_265_920)
 
 
 def test_cost_example_size_18():
@@ -84,6 +102,11 @@ def test_report_round_trip():
     parsed = orc.RunReport.from_json_dict(json.loads(report.dumps()))
     assert parsed == orc.RunReport.from_json_dict(json.loads(parsed.dumps()))
     assert parsed.total_oracle_cost == sum(c.size for c in parsed.calls)
+    assert all(c.charged_cost == c.size for c in parsed.calls)
+    tampered = json.loads(report.dumps())
+    tampered["calls"][0]["charged_cost"] += 1
+    with pytest.raises(ValueOutOfRange):
+        orc.RunReport.from_json_dict(tampered)
 
 
 def test_bench_slope_theta_8():
@@ -148,6 +171,41 @@ def test_cli_usage_errors(tmp_path):
     bad.write_text("{not json")
     assert run_cli(["solve", "--problem", "triangle", "--input", str(bad)]) == 2
     assert run_cli(["unknown-subcommand"]) == 2
+
+
+GRAPH = {"n": 4, "edges": [[1, 2], [2, 3]]}
+WEIGHTED = {"n": 4, "edges": [[1, 2, 1], [2, 3, -1]], "k": 3, "threshold": 0}
+POINTS = {"points": [[0, 0], [1, 1], [2, 2]]}
+KSUM = {"k": 2, "sets": [[1, -1], [1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "problem, good, bad",
+    [
+        pytest.param("triangle", GRAPH, {"n": 4, "edges": 5}, id="graph-edges-5"),
+        pytest.param("triangle", GRAPH, [GRAPH], id="graph-list"),
+        pytest.param("triangle", GRAPH, {"n": 4, "edges": [[None, 2]]}, id="graph-null"),
+        pytest.param("min-weight-clique", WEIGHTED, {**WEIGHTED, "edges": 5}, id="weighted-5"),
+        pytest.param("min-weight-clique", WEIGHTED, [WEIGHTED], id="weighted-list"),
+        pytest.param(
+            "min-weight-clique", WEIGHTED, {**WEIGHTED, "edges": [[1, None, 2]]}, id="weighted-null"
+        ),
+        pytest.param("min-weight-clique", WEIGHTED, {**WEIGHTED, "k": None}, id="weighted-null-k"),
+        pytest.param("collinearity", POINTS, {"points": 5}, id="points-5"),
+        pytest.param("collinearity", POINTS, [POINTS], id="points-list"),
+        pytest.param("collinearity", POINTS, {"points": [[0, None]]}, id="points-null"),
+        pytest.param("ksum", KSUM, {**KSUM, "sets": 5}, id="ksum-sets-5"),
+        pytest.param("ksum", KSUM, [KSUM], id="ksum-list"),
+        pytest.param("ksum", KSUM, {**KSUM, "sets": [[1, None], [1, 2]]}, id="ksum-null"),
+    ],
+)
+def test_cli_solve_malformed_json(tmp_path, problem, good, bad):
+    def solve(payload):
+        path = write_json(tmp_path / "input.json", payload)
+        return run_cli(["solve", "--problem", problem, "--input", path])
+
+    assert solve(good) in (0, 1)
+    assert solve(bad) == 2
 
 
 def test_cli_cap_errors(tmp_path):

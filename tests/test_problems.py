@@ -1,7 +1,7 @@
 """Encoders: codec round trips, spec examples, equivalence with direct solvers."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -234,3 +234,40 @@ def test_build_problem_registry():
     assert spec.alpha == 4
     with pytest.raises(ValueOutOfRange):
         pr.build_problem("nonsense", {})
+
+
+def _tiny_encodings():
+    """Every encoder at a size whose whole candidate product [1, n**r]**(alpha + beta)
+    has at most 2**20 tuples.  Max-H records with more than one pair or vertex
+    slot need 64**4 tuples at the least; the random pruned-vs-unpruned count
+    test in test_localsubset covers them."""
+    graph = lambda n: pr.GraphInput(n, frozenset())  # noqa: E731
+    weighted = lambda n: pr.WeightedGraphInput(n, (), 1, (0,) * n)  # noqa: E731
+    single = pr.PatternGraph("vertex", 1, frozenset())
+    return [
+        pr.encode_ksum(pr.KSumInput(3, ((0,),) * 3, 1)),
+        pr.encode_ksum(pr.KSumInput(2, ((0,),) * 2, 2)),
+        pr.encode_collinearity(pr.PointSetInput((), 2)),
+        pr.encode_h_induced(graph(4), pr.H_PRESETS["triangle"]),
+        pr.encode_h_induced(graph(4), pr.H_PRESETS["path3"]),
+        pr.encode_family_induced(graph(3), [pr.H_PRESETS["path3"], pr.H_PRESETS["triangle"]]),
+        pr.encode_family_induced(graph(3), [pr.H_PRESETS["path3"], pr.H_PRESETS["edge"]]),
+        pr.encode_min_weight_kclique(weighted(3), 2, 0),
+        pr.encode_min_weight_kclique(weighted(2), 3, 0),
+        pr.encode_max_h_subgraph(weighted(2), pr.H_PRESETS["edge"], 0, "edge-weights"),
+        pr.encode_max_h_subgraph(weighted(2), single, 0, "vertex-weights"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in _tiny_encodings()]
+)
+def test_prefix_is_sound_exhaustively(spec, inst):
+    """Every prefix of every verifier-accepted tuple over the whole candidate
+    range passes ``spec.prefix``: the predicate never rejects a completable prefix."""
+    codes = range(1, inst.n**spec.r + 1)
+    accepted = [t for t in product(codes, repeat=spec.alpha + spec.beta) if spec.verifier(*t)]
+    assert accepted and spec.prefix is not None
+    for witness in accepted:
+        for length in range(1, len(witness) + 1):
+            assert spec.prefix(witness[:length]), witness[:length]
