@@ -21,7 +21,7 @@ from .errors import (
     TooLarge,
     UniverseTooLarge,
 )
-from .problems import PROBLEMS, build_problem
+from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, build_problem
 
 _CAP_ERRORS = (CapExceeded, UniverseTooLarge, StreamTooLarge, TooLarge, PreconditionViolated)
 
@@ -99,8 +99,9 @@ def _cmd_permanent(args: argparse.Namespace) -> int:
 
 
 def _cmd_setcover(args: argparse.Namespace) -> int:
-    data = _load_json(args.input)
-    family = setcover.family_from_lists(int(data["n"]), data["sets"])
+    data = _json_object(_load_json(args.input))
+    sets = [_int_list(elements) for elements in _json_list(data["sets"])]
+    family = setcover.family_from_lists(_json_int(data["n"]), sets)
     minimum = setcover.setcover_min(family, method=args.method, theta=args.theta)
     if minimum is None:
         print("uncoverable")

@@ -35,12 +35,15 @@ index rows and comparison tuples are uniquely determined, so each witness
 contributes exactly one).  Their equality is part of the test suite.  Each
 accepted tuple's share of the stream is the product of per-slot factor tables.
 
-Every tuple loop goes through one enumerator, ``accepted_tuples``: a
-lexicographic backtracking walk over per-slot candidate pools that yields the
-verifier-accepted tuples in ``itertools.product`` order.  A spec may carry a
-sound ``prefix`` predicate; the witness count and the literal stream pass it
-so that a partial tuple with no accepted completion is never extended.  The
-reference ``brute_solve`` passes none, so it stays an unpruned enumeration.
+A spec defines acceptance in two parts: an optional ``prefix`` predicate,
+which every nonempty prefix of an accepted tuple must pass (the per-slot
+checks), and a global ``accept`` check on the full tuple.  Every tuple loop
+goes through one enumerator, ``accepted_tuples``: a lexicographic
+backtracking walk over per-slot candidate pools that yields the accepted
+tuples in ``itertools.product`` order.  The witness count and the literal
+stream hand it ``prefix`` and ``accept``, so a prefix that fails is never
+extended.  The reference ``brute_solve`` hands it the derived full predicate
+``spec.verifier`` alone, so it stays an unpruned filter over the product.
 """
 
 from __future__ import annotations
@@ -65,23 +68,22 @@ COMPARISONS = (LT, EQ, GT)
 
 @dataclass(frozen=True)
 class LSProblemSpec:
-    """A local-subset problem: (alpha, beta, universe exponent r, verifier).
+    """A local-subset problem: (alpha, beta, universe exponent r, acceptance).
 
-    The verifier is a pure total predicate on alpha + beta universe codes and
-    must interpret a code the same way at every instance size.
-
-    ``prefix``, when given, must be sound: it returns False for a nonempty
-    prefix of codes only if no completion of that prefix is accepted by the
-    verifier.  It may be called on any nonempty prefix, the full tuple
-    included, and may assume that every shorter prefix of its argument
-    passed.  Like the verifier, it must not depend on the instance size.
+    A tuple of alpha + beta universe codes is accepted iff each of its
+    nonempty prefixes, the full tuple included, passes ``prefix`` (when
+    given) and the full tuple passes ``accept``.  ``prefix`` is called on
+    ``codes[:1]``, ``codes[:2]``, ... in order and may assume every shorter
+    prefix passed; ``accept`` is called only on full tuples whose every
+    prefix passed.  Both are pure and must interpret a code the same way at
+    every instance size.
     """
 
     name: str
     alpha: int
     beta: int
     r: int
-    verifier: Callable[..., bool]
+    accept: Callable[..., bool]
     prefix: Callable[[tuple[int, ...]], bool] | None = None
 
     def __post_init__(self) -> None:
@@ -91,6 +93,14 @@ class LSProblemSpec:
             raise ValueError("beta must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+
+    def verifier(self, *codes: int) -> bool:
+        """The full acceptance predicate on alpha + beta codes."""
+        if self.prefix is not None:
+            for length in range(1, len(codes) + 1):
+                if not self.prefix(codes[:length]):
+                    return False
+        return self.accept(*codes)
 
 
 @dataclass(frozen=True)
@@ -135,24 +145,31 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     u = universe_size(spec, inst)
     if u > BRUTE_UNIVERSE_CAP:
         raise UniverseTooLarge(f"universe size {u} exceeds cap {BRUTE_UNIVERSE_CAP}")
-    member = set(inst.elements)
-    outside = [v for v in range(1, u + 1) if v not in member] if spec.beta else []
-    pools = [inst.elements] * spec.alpha + [outside] * spec.beta
+    pools = _witness_pools(spec, inst, u)
     return next(accepted_tuples(pools, spec.verifier), None) is not None
+
+
+def _witness_pools(spec: LSProblemSpec, inst: LSInstance, top: int) -> list[list[int]]:
+    """Per-slot candidates up to ``top``: the elements of S for each a-slot and
+    the rest of [1, top] for each b-slot."""
+    inside = [v for v in inst.elements if v <= top]
+    member = set(inside)
+    outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
+    return [inside] * spec.alpha + [outside] * spec.beta
 
 
 def accepted_tuples(
     pools: Sequence[Sequence[int]],
-    verifier: Callable[..., bool],
+    accept: Callable[..., bool],
     prefix: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the tuples of ``product(*pools)`` that the verifier accepts, in
-    product order.  A tuple (partial or full) rejected by ``prefix`` is
-    dropped with all its extensions; the verifier is the final check."""
-    return _extend(pools, verifier, prefix, ())
+    """Yield the tuples of ``product(*pools)`` whose every nonempty prefix
+    passes ``prefix`` and which ``accept`` accepts, in product order.  A
+    failing prefix is dropped with all its extensions."""
+    return _extend(pools, accept, prefix, ())
 
 
-def _extend(pools, verifier, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _extend(pools, accept, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     depth = len(head)
     last = depth + 1 == len(pools)
     for value in pools[depth]:
@@ -160,8 +177,8 @@ def _extend(pools, verifier, prefix, head: tuple[int, ...]) -> Iterator[tuple[in
         if prefix is not None and not prefix(extended):
             continue
         if not last:
-            yield from _extend(pools, verifier, prefix, extended)
-        elif verifier(*extended):
+            yield from _extend(pools, accept, prefix, extended)
+        elif accept(*extended):
             yield extended
 
 
@@ -332,7 +349,7 @@ def formulation_monomials(
 ) -> Iterator[Monomial]:
     """Stream the literal monomials of the size-s formulation polynomial.
 
-    The outer sum ranges over verifier-accepted candidate tuples from
+    The outer sum ranges over accepted candidate tuples from
     [1, s**r]; per slot holding v, a_factors[v] lists the all-equal gadgets
     on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
     gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
@@ -375,7 +392,7 @@ def formulation_monomials(
     emitted = 0
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
     pools = [candidates] * len(slot_tables)
-    for witness in accepted_tuples(pools, spec.verifier, spec.prefix):
+    for witness in accepted_tuples(pools, spec.accept, spec.prefix):
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
             exponents: dict[int, int] = {}
             for idx in chain.from_iterable(factors):
@@ -399,7 +416,7 @@ def formulation_polynomial(
 def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> int:
     """Exact formulation value at the instance encoding, via witness counting.
 
-    Equals the number of verifier-accepted tuples with every a-slot drawn
+    Equals the number of accepted tuples with every a-slot drawn
     from S and every b-slot drawn from the universe complement: sortedness of
     S makes the row choices unique and the actual comparison outcomes select
     exactly one comparison tuple per polynomial factor, so each witness
@@ -408,13 +425,9 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
     s = inst.size
     if s < 2:
         raise ValueError("instance size must be >= 2")
-    u = universe_size(spec, inst)
-    top = min(u, (1 << (theta * block_length(s, spec.r, theta))) - 1)
-    member = set(inst.elements)
-    a_pool = [v for v in inst.elements if v <= top]
-    outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
-    pools = [a_pool] * spec.alpha + [outside] * spec.beta
-    return sum(1 for _ in accepted_tuples(pools, spec.verifier, spec.prefix))
+    top = min(universe_size(spec, inst), (1 << (theta * block_length(s, spec.r, theta))) - 1)
+    pools = _witness_pools(spec, inst, top)
+    return sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix))
 
 
 # LS instance wire format: {"problem": "<name>", "n": N, "elements": [codes...]}

@@ -12,15 +12,20 @@ positive integers, so a tuple valid at size n-1 keeps its code at size n:
 * values from a range [-W, W] are shifted by W + 1 before encoding so codes
   stay positive.
 
-Verifiers are pure predicates on codes and never consult the instance size.
-The one construction that needs a reserved element (the pattern-family
-encoder, whose instances must keep both S and its complement nonempty) puts
-a loop at vertex 1 and shifts real vertices up by one, so "the witness avoids
-the reserved vertex" is a size-independent check.
+Acceptance predicates are pure functions of codes and never consult the
+instance size.  The one construction that needs a reserved element (the
+pattern-family encoder, whose instances must keep both S and its complement
+nonempty) puts a loop at vertex 1 and shifts real vertices up by one, so
+"the witness avoids the reserved vertex" is a size-independent check.
 
-Each encoder also supplies the spec's sound ``prefix`` predicate, built only
-from checks its verifier makes on codes alone: slot tags, canonical pairs,
-distinct pairs, and at most |V(H)| (or k) vertices spanned.
+Each encoder writes every per-slot check once, in the spec's ``prefix``:
+slot tags, canonical pairs, w == 1, distinct pairs and at most |V(H)| (or k)
+vertices spanned.  Its ``accept`` keeps only the global check: the value
+sum, the cross product, the pattern isomorphism or the weight threshold.  A
+pattern on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
+canonical pairs on at most t vertices are all the pairs of exactly t
+vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
+the declared vertices are the spanned ones.
 """
 
 from __future__ import annotations
@@ -29,7 +34,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, permutations
 from math import isqrt
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Iterator, Literal, Sequence
 
 from . import polynomials
 from .errors import ValueOutOfRange
@@ -118,28 +123,22 @@ H_PRESETS: dict[str, PatternGraph] = {
 }
 
 
-def _spans_pattern(
-    edge_pairs: Sequence[tuple[int, int]],
-    nonedge_pairs: Sequence[tuple[int, int]],
-    pattern: PatternGraph,
-) -> bool:
-    """True iff the given edges plus declared non-edges realize the pattern.
+def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> bool:
+    """True iff the vertices of ``pairs``, joined by its first |E(H)| pairs,
+    form a copy of the pattern: a brute-force bijection check.
 
-    The caller supplies exactly |E(H)| edges and |nonedges(H)| non-edges, so
-    distinctness plus a vertex count of |V(H)| means every vertex pair is
-    covered; isomorphism is then a brute-force bijection check.
+    The caller's prefix has made the pairs distinct on at most |V(H)|
+    vertices, and all but the self-pairs (v, v) canonical, so the canonical
+    pairs after the first |E(H)| are exactly the copy's non-edges.
     """
-    pairs = tuple(edge_pairs) + tuple(nonedge_pairs)
-    if len(set(pairs)) != len(pairs):
-        return False
     vertices = sorted({x for pair in pairs for x in pair})
     if len(vertices) != pattern.num_vertices:
         return False
+    edge_pairs = pairs[: pattern.num_edges]
     for image in permutations(range(1, pattern.num_vertices + 1)):
         mapping = dict(zip(vertices, image))
         mapped = {
-            (min(mapping[u], mapping[v]), max(mapping[u], mapping[v]))
-            for u, v in edge_pairs
+            (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edge_pairs
         }
         if mapped == pattern.edges:
             return True
@@ -147,8 +146,8 @@ def _spans_pattern(
 
 
 def _pairs_fit(pairs: Sequence[tuple[int, int]], budget: int) -> bool:
-    """Distinct pairs spanning at most ``budget`` vertices: a necessary
-    condition for ``_spans_pattern`` on any superset of these pairs."""
+    """Distinct pairs spanning at most ``budget`` vertices: the pair check of
+    every graph encoder's prefix."""
     return len(set(pairs)) == len(pairs) and len({x for p in pairs for x in p}) <= budget
 
 
@@ -240,7 +239,7 @@ class WeightedGraphInput:
 def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     """k-SUM: universe [k] x [-W, W]; a witness picks one value per set index.
 
-    The verifier demands set indices exactly 1..k in order, so every solution
+    The prefix demands set indices exactly 1..k in order, so every solution
     corresponds to exactly one witness tuple.
     """
     k, w = inp.k, inp.magnitude
@@ -248,19 +247,17 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     def encode(tag: int, value: int) -> int:
         return (value + w) * k + tag
 
-    def verifier(*codes: int) -> bool:
-        total = 0
-        for position, code in enumerate(codes, start=1):
-            tag = (code - 1) % k + 1
-            if tag != position:
-                return False
-            total += (code - tag) // k - w
-        return total == 0
-
     def prefix(codes: tuple[int, ...]) -> bool:
         return (codes[-1] - 1) % k + 1 == len(codes)
 
-    spec = LSProblemSpec(name=f"{k}-sum", alpha=k, beta=0, r=1, verifier=verifier, prefix=prefix)
+    # The prefix puts tag i in slot i, so code i is (value_i + w) * k + i and
+    # the values sum to zero iff the codes sum to this.
+    zero_sum = k * k * w + k * (k + 1) // 2
+
+    def accept(*codes: int) -> bool:
+        return sum(codes) == zero_sum
+
+    spec = LSProblemSpec(name=f"{k}-sum", alpha=k, beta=0, r=1, accept=accept, prefix=prefix)
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -275,55 +272,42 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         a, b = decode_pair(code)
         return a - shift, b - shift
 
-    def verifier(c1: int, c2: int, c3: int) -> bool:
-        if c1 == c2 or c1 == c3 or c2 == c3:
-            return False
-        (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
-        return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
-
     def prefix(codes: tuple[int, ...]) -> bool:
         return codes[-1] not in codes[:-1]
 
-    spec = LSProblemSpec(
-        name="collinearity", alpha=3, beta=0, r=2, verifier=verifier, prefix=prefix
-    )
+    def accept(c1: int, c2: int, c3: int) -> bool:
+        (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
+        return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
+
+    spec = LSProblemSpec(name="collinearity", alpha=3, beta=0, r=2, accept=accept, prefix=prefix)
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
-
-
-def _decode_canonical_pair(code: int) -> tuple[int, int] | None:
-    u, v = decode_pair(code)
-    return (u, v) if u < v else None
 
 
 def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemSpec, LSInstance]:
     """H-induced subgraph: universe [n]^2, witnesses = |E(H)| edges plus
     |nonedges(H)| non-edges spanning an H-isomorph.
 
-    Edges are stored canonically (u < v); the verifier rejects any code whose
+    Edges are stored canonically (u < v); the prefix rejects any code whose
     pair is not canonical, so each edge or non-edge has exactly one code.
     """
     if pattern.num_edges < 1:
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
-    alpha, beta = pattern.num_edges, pattern.num_nonedges
-
-    def verifier(*codes: int) -> bool:
-        pairs = [_decode_canonical_pair(c) for c in codes]
-        if any(p is None for p in pairs):
-            return False
-        return _spans_pattern(pairs[:alpha], pairs[alpha:], pattern)
 
     def prefix(codes: tuple[int, ...]) -> bool:
         pairs = [decode_pair(c) for c in codes]
         u, v = pairs[-1]
         return u < v and _pairs_fit(pairs, pattern.num_vertices)
 
+    def accept(*codes: int) -> bool:
+        return _spans_pattern([decode_pair(c) for c in codes], pattern)
+
     spec = LSProblemSpec(
         name=f"induced-{pattern.name}",
-        alpha=alpha,
-        beta=beta,
+        alpha=pattern.num_edges,
+        beta=pattern.num_nonedges,
         r=2,
-        verifier=verifier,
+        accept=accept,
         prefix=prefix,
     )
     elements = [encode_pair(u, v) for u, v in inp.edges]
@@ -346,33 +330,29 @@ def encode_family_induced(
     beta = max(p.num_nonedges for p in family)
     if alpha < 1:
         raise ValueOutOfRange("family needs a member with at least one edge")
-    members = tuple(family)
+    members = tuple((p, p.num_edges, alpha + p.num_nonedges, p.num_vertices) for p in family)
 
-    def verifier(*codes: int) -> bool:
+    def fitting_members(codes: Sequence[int]) -> Iterator[tuple[PatternGraph, list]]:
+        """Each member whose slots among ``codes`` pass its per-slot checks,
+        with the pairs in those slots."""
         pairs = [decode_pair(c) for c in codes]
-        for pattern in members:
-            ne, nn = pattern.num_edges, pattern.num_nonedges
-            chosen = pairs[:ne] + pairs[alpha : alpha + nn]
-            if any(u >= v or u == 1 for u, v in chosen):
-                continue
-            if _spans_pattern(chosen[:ne], chosen[ne:], pattern):
-                return True
-        return False
+        for pattern, edges_end, nonedges_end, budget in members:
+            chosen = pairs[:edges_end] + pairs[alpha:nonedges_end]
+            if all(1 < u < v for u, v in chosen) and _pairs_fit(chosen, budget):
+                yield pattern, chosen
 
     def prefix(codes: tuple[int, ...]) -> bool:
-        pairs = [decode_pair(c) for c in codes]
-        for pattern in members:
-            chosen = pairs[: pattern.num_edges] + pairs[alpha : alpha + pattern.num_nonedges]
-            if all(1 < u < v for u, v in chosen) and _pairs_fit(chosen, pattern.num_vertices):
-                return True
-        return False
+        return next(fitting_members(codes), None) is not None
+
+    def accept(*codes: int) -> bool:
+        return any(_spans_pattern(chosen, pattern) for pattern, chosen in fitting_members(codes))
 
     spec = LSProblemSpec(
-        name="family-induced-" + "+".join(p.name for p in members),
+        name="family-induced-" + "+".join(p.name for p in family),
         alpha=alpha,
         beta=beta,
         r=2,
-        verifier=verifier,
+        accept=accept,
         prefix=prefix,
     )
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
@@ -424,8 +404,8 @@ def _record_prefix(
     """Prefix predicate for tagged-record witnesses.
 
     The newest record must pass ``fits_slot(slot, tag, u, v, w)``, the
-    verifier's own per-slot check; the (u, v) of every record outside the
-    threshold slot must be distinct and span at most ``budget`` vertices.
+    encoder's per-slot tag and pair check; the (u, v) of every record outside
+    the threshold slot must be distinct and span at most ``budget`` vertices.
     """
 
     def prefix(codes: tuple[int, ...]) -> bool:
@@ -447,7 +427,7 @@ def encode_min_weight_kclique(
     """Minimum-weight k-clique, decision form: some k-clique of weight <= threshold.
 
     Records are (1, u, v, weight) for edges and (2, 1, 1, threshold); the tag
-    pattern lets the verifier tell edges from the threshold record.
+    pattern lets the prefix tell edges from the threshold record.
     """
     if k < 2:
         raise ValueOutOfRange("k must be >= 2")
@@ -460,23 +440,9 @@ def encode_min_weight_kclique(
 
     decode = codec.decode
 
-    def verifier(*codes: int) -> bool:
-        tag, u, v, w = decode(codes[-1])
-        if tag != 2 or u != 1 or v != 1:
-            return False
-        bound = w - shift
-        pairs = set()
-        total = 0
-        for code in codes[:-1]:
-            tag, u, v, w = decode(code)
-            if tag != 1 or u >= v or (u, v) in pairs:
-                return False
-            pairs.add((u, v))
-            total += w - shift
-        if total > bound:
-            return False
-        vertices = {x for pair in pairs for x in pair}
-        return len(vertices) == k
+    def accept(*codes: int) -> bool:
+        total = sum(decode(code)[3] - shift for code in codes[:-1])
+        return total <= decode(codes[-1])[3] - shift
 
     def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
         if slot == pair_count:
@@ -488,7 +454,7 @@ def encode_min_weight_kclique(
         alpha=pair_count + 1,
         beta=0,
         r=r,
-        verifier=verifier,
+        accept=accept,
         prefix=_record_prefix(decode, pair_count, fits_slot, k),
     )
     elements = [codec.encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
@@ -532,63 +498,6 @@ def encode_max_h_subgraph(
 
     decode = codec.decode
 
-    def verify_edge_mode(*codes: int) -> bool:
-        tag, u, v, w = decode(codes[ne])
-        if tag != 3 or u != 1 or v != 1:
-            return False
-        bound = w - shift
-        edge_pairs = []
-        total = 0
-        for code in codes[:ne]:
-            tag, u, v, w = decode(code)
-            if tag != 1 or u >= v:
-                return False
-            edge_pairs.append((u, v))
-            total += w - shift
-        if total < bound:
-            return False
-        nonedge_pairs = []
-        for code in codes[ne + 1 :]:
-            tag, u, v, w = decode(code)
-            if tag != 2 or u >= v or w != 1:
-                return False
-            nonedge_pairs.append((u, v))
-        return _spans_pattern(edge_pairs, nonedge_pairs, pattern)
-
-    def verify_vertex_mode(*codes: int) -> bool:
-        tag, u, v, w = decode(codes[ne + nv])
-        if tag != 3 or u != 1 or v != 1:
-            return False
-        bound = w - shift
-        edge_pairs = []
-        for code in codes[:ne]:
-            tag, u, v, w = decode(code)
-            if tag != 1 or u >= v or w != 1:
-                return False
-            edge_pairs.append((u, v))
-        declared = set()
-        total = 0
-        for code in codes[ne : ne + nv]:
-            tag, u, v, w = decode(code)
-            if tag != 2 or u != v or u in declared:
-                return False
-            declared.add(u)
-            total += w - shift
-        if total < bound:
-            return False
-        if nv == 1:
-            return True
-        nonedge_pairs = []
-        for code in codes[ne + nv + 1 :]:
-            tag, u, v, w = decode(code)
-            if tag != 1 or u >= v or w != 1:
-                return False
-            nonedge_pairs.append((u, v))
-        spanned = {x for pair in edge_pairs + nonedge_pairs for x in pair}
-        if spanned != declared:
-            return False
-        return _spans_pattern(edge_pairs, nonedge_pairs, pattern)
-
     threshold_slot = ne if edge_mode else ne + nv
 
     def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
@@ -600,12 +509,22 @@ def encode_max_h_subgraph(
             return tag == 2 and u == v
         return tag == 1 and u < v and w == 1
 
+    weighted_slots = range(ne) if edge_mode else range(ne, threshold_slot)
+
+    def accept(*codes: int) -> bool:
+        records = [decode(code) for code in codes]
+        total = sum(records[slot][3] - shift for slot in weighted_slots)
+        if total < records[threshold_slot][3] - shift:
+            return False
+        pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
+        return _spans_pattern(pairs, pattern)
+
     spec = LSProblemSpec(
         name=f"max-{pattern.name}-subgraph-{mode}",
         alpha=threshold_slot + 1,
         beta=beta,
         r=r,
-        verifier=verify_edge_mode if edge_mode else verify_vertex_mode,
+        accept=accept,
         prefix=_record_prefix(decode, threshold_slot, fits_slot, nv),
     )
     elements = []

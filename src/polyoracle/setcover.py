@@ -38,7 +38,9 @@ nonnegative and are asserted to.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 from math import comb
+from operator import or_
 from typing import Sequence
 
 from .errors import PreconditionViolated, TooLarge, ValueOutOfRange
@@ -328,20 +330,18 @@ def hcv_expand_setcover(family: SetFamily, m: int) -> SetFamily:
     return SetFamily(family.n, tuple(out))
 
 
-def _has_cover(sets: Sequence[int], full: int, k: int, index: int = 0, union: int = 0) -> bool:
-    """Whether at most k sets from sets[index:] extend ``union`` to ``full``."""
+def _has_cover(
+    sets: Sequence[int], unions: Sequence[int], full: int, k: int, index: int = 0, union: int = 0
+) -> bool:
+    """Whether at most k sets from sets[index:] extend ``union`` to ``full``;
+    ``unions[i]`` is the union of sets[i:]."""
     if union == full:
         return True
-    if k == 0 or index == len(sets):
+    if k == 0 or index == len(sets) or union | unions[index] != full:
         return False
-    rest = union
-    for mask in sets[index:]:
-        rest |= mask
-    if rest != full:
-        return False
-    if _has_cover(sets, full, k - 1, index + 1, union | sets[index]):
+    if _has_cover(sets, unions, full, k - 1, index + 1, union | sets[index]):
         return True
-    return _has_cover(sets, full, k, index + 1, union)
+    return _has_cover(sets, unions, full, k, index + 1, union)
 
 
 def _greedy_cover_size(sets: Sequence[int], full: int) -> int:
@@ -378,8 +378,9 @@ def setcover_min(
     if union != full:
         return None
     if method == "brute":
+        unions = list(accumulate(reversed(family.sets), or_))[::-1]
         for k in range(1, len(family.sets) + 1):
-            if _has_cover(family.sets, full, k):
+            if _has_cover(family.sets, unions, full, k):
                 return k
         return None
     if method != "reduction":

@@ -469,14 +469,31 @@ def test_pruned_count_equals_unpruned_count(name, seed, theta):
 
 
 def test_brute_solve_never_consults_prefix():
-    spec, inst = pr.encode_h_induced(
-        pr.GraphInput(3, frozenset({(1, 2), (1, 3), (2, 3)})), pr.H_PRESETS["triangle"]
-    )
+    """``brute_solve`` never prunes: it calls ``spec.verifier`` once per
+    product tuple, in product order, up to the first accepted one."""
+    calls = []
 
-    def refuse(codes):
-        raise AssertionError("brute_solve consulted the prefix")
+    class RecordingSpec(ls.LSProblemSpec):
+        def verifier(self, *codes):
+            calls.append(codes)
+            return super().verifier(*codes)
 
-    assert ls.brute_solve(replace(spec, prefix=refuse), inst)
+    triangle = pr.H_PRESETS["triangle"]
+    for edges in ({(1, 2), (1, 3), (2, 3), (3, 4)}, {(1, 2), (2, 3), (3, 4), (1, 4)}):
+        spec, inst = pr.encode_h_induced(pr.GraphInput(4, frozenset(edges)), triangle)
+        tuples = list(product(inst.elements, repeat=spec.alpha))
+        hits = [i for i, t in enumerate(tuples) if spec.verifier(*t)]
+        calls.clear()
+        answer = ls.brute_solve(RecordingSpec(**vars(spec)), inst)
+        assert answer == bool(hits)
+        assert calls == tuples[: hits[0] + 1 if hits else len(tuples)]
+    # the prefix is part of the definition: the reversed pairs of a triangle
+    # pass ``accept`` alone but fail the canonical-pair prefix
+    reversed_codes = [pr.encode_pair(v, u) for u, v in sorted(triangle.edges)]
+    assert spec.accept(*reversed_codes) and not spec.verifier(*reversed_codes)
+    inst = ls.ls_instance(3, reversed_codes)
+    assert not ls.brute_solve(spec, inst)
+    assert ls.brute_solve(replace(spec, prefix=None), inst)
 
 
 def test_accepted_tuples_in_product_order():
@@ -507,5 +524,6 @@ def test_stream_unchanged_by_pruning():
     assert len(cases) == 27
     for (_, _, s, theta), spec in sorted(cases.items()):
         pruned = ls.formulation_monomials(spec, s, theta)
-        unpruned = ls.formulation_monomials(replace(spec, prefix=None), s, theta)
+        unpruned_spec = replace(spec, accept=spec.verifier, prefix=None)
+        unpruned = ls.formulation_monomials(unpruned_spec, s, theta)
         assert all(a == b for a, b in zip_longest(pruned, unpruned))

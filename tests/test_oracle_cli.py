@@ -307,6 +307,27 @@ def test_cli_setcover(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
     gap = write_json(tmp_path / "g.json", {"n": 3, "sets": [[1], [2]]})
     assert run_cli(["setcover", "--input", gap, "--method", "brute"]) == 1
+    assert capsys.readouterr().out.strip() == "uncoverable"
+    strings = write_json(tmp_path / "s.json", {"n": "2", "sets": [["1", 2], ["2"]]})
+    assert run_cli(["setcover", "--input", strings, "--method", "brute"]) == 0
+    assert capsys.readouterr().out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"n": 4, "sets": 5},
+        [{"n": 4, "sets": [[1]]}],
+        {"n": 4, "sets": [[None]]},
+        {"n": None, "sets": [[1]]},
+        {"n": 4, "sets": [[True]]},
+        {"n": 4, "sets": [["x"]]},
+        {"n": 4},
+    ],
+)
+def test_cli_setcover_malformed_json(tmp_path, payload):
+    path = write_json(tmp_path / "f.json", payload)
+    assert run_cli(["setcover", "--input", path]) == 2
 
 
 def test_cli_bench_vars(tmp_path, capsys):

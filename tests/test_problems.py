@@ -236,11 +236,28 @@ def test_build_problem_registry():
         pr.build_problem("nonsense", {})
 
 
+def test_multi_slot_records_vs_direct():
+    """Min-weight 4-cliques and vertex-mode max-H for path3 and the triangle
+    (six and seven record slots, too many for ``brute_solve``), through the
+    pruned witness count against the direct solvers."""
+    rng = random.Random(27)
+    for _ in range(20):
+        graph = random_weighted_graph(rng, rng.randint(3, 5), 3, 10, with_vertex_weights=True)
+        threshold = rng.randint(-6, 6)
+        spec, inst = pr.encode_min_weight_kclique(graph, 4, threshold)
+        assert ls.solve_via_oracle(spec, inst, 2) == min_weight_clique_direct(graph, 4, threshold)
+        for name in ("path3", "triangle"):
+            pattern = pr.H_PRESETS[name]
+            spec, inst = pr.encode_max_h_subgraph(graph, pattern, threshold, "vertex-weights")
+            expected = max_h_subgraph_direct(graph, pattern, threshold, "vertex-weights")
+            assert ls.solve_via_oracle(spec, inst, 2) == expected
+
+
 def _tiny_encodings():
     """Every encoder at a size whose whole candidate product [1, n**r]**(alpha + beta)
     has at most 2**20 tuples.  Max-H records with more than one pair or vertex
     slot need 64**4 tuples at the least; the random pruned-vs-unpruned count
-    test in test_localsubset covers them."""
+    test in test_localsubset and ``test_multi_slot_records_vs_direct`` cover them."""
     graph = lambda n: pr.GraphInput(n, frozenset())  # noqa: E731
     weighted = lambda n: pr.WeightedGraphInput(n, (), 1, (0,) * n)  # noqa: E731
     single = pr.PatternGraph("vertex", 1, frozenset())
@@ -263,11 +280,10 @@ def _tiny_encodings():
     "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in _tiny_encodings()]
 )
 def test_prefix_is_sound_exhaustively(spec, inst):
-    """Every prefix of every verifier-accepted tuple over the whole candidate
-    range passes ``spec.prefix``: the predicate never rejects a completable prefix."""
-    codes = range(1, inst.n**spec.r + 1)
-    accepted = [t for t in product(codes, repeat=spec.alpha + spec.beta) if spec.verifier(*t)]
+    """Over the whole candidate range, the pruned walk on ``accept`` and
+    ``prefix`` yields exactly the product tuples ``spec.verifier`` accepts,
+    in product order."""
+    pools = [range(1, inst.n**spec.r + 1)] * (spec.alpha + spec.beta)
+    accepted = [t for t in product(*pools) if spec.verifier(*t)]
     assert accepted and spec.prefix is not None
-    for witness in accepted:
-        for length in range(1, len(witness) + 1):
-            assert spec.prefix(witness[:length]), witness[:length]
+    assert list(ls.accepted_tuples(pools, spec.accept, spec.prefix)) == accepted

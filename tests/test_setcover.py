@@ -255,8 +255,8 @@ def test_hcv_expand_positivity_matches_coverability():
         positive = sc.hcv_brute(expanded, n, m, k) > 0 if len(expanded.sets) <= 18 else None
         if positive is None:
             continue
-        coverable = sc._has_cover(family.sets, family.full_mask, k)
-        assert positive == coverable
+        minimum = sc.setcover_min(family, method="brute")
+        assert positive == (minimum is not None and minimum <= k)
 
 
 def test_setcover_min_known_values():
