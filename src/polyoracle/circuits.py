@@ -15,13 +15,13 @@ polynomial P of degree <= delta:
                                   delta is first clamped to C's syntactic
                                   degree, above which every component is zero.
     2. expand_to_polynomial    -- gate-by-gate symbolic expansion, each gate
-                                  a dict of its nonzero terms; only the output
-                                  is sorted into canonical sparse form.  A cap
+                                  a dict of its nonzero terms; the output's
+                                  dict is the polynomial's term map.  A cap
                                   on each gate's nonzero monomials makes
                                   non-constant-degree circuits fail fast
                                   instead of exhausting memory.
-    3. compare against P       -- canonical forms are equal iff the
-                                  polynomials are identical.
+    3. compare against P       -- term maps are equal iff the polynomials
+                                  are identical.
 
 Prime selection for modular evaluation picks the smallest prime in [2M, 4M]
 (one exists by Bertrand's postulate); smallest rather than arbitrary keeps
@@ -227,10 +227,10 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
 def expand_to_polynomial(
     circuit: ArithmeticCircuit, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> SparsePolynomial:
-    """Symbolically expand the circuit into canonical sparse form.
+    """Symbolically expand the circuit into a sparse polynomial.
 
-    Each gate is expanded as a term dict of nonzero coefficients; only the
-    output's dict is sorted into canonical form.  Raises CapExceeded as soon
+    Each gate is expanded as a term dict of nonzero coefficients; the
+    output's dict becomes the polynomial's term map.  Raises CapExceeded as soon
     as any gate's expansion holds more than ``monomial_cap`` monomials,
     signalling that the circuit is not effectively constant-degree at this
     cap.
@@ -248,7 +248,7 @@ def expand_to_polynomial(
         if len(terms) > monomial_cap:
             raise CapExceeded(f"gate expansion holds {len(terms)} monomials (cap {monomial_cap})")
         expanded.append(terms)
-    return poly.polynomial(circuit.num_inputs, expanded[circuit.output])
+    return SparsePolynomial(circuit.num_inputs, expanded[circuit.output])
 
 
 @dataclass(frozen=True)
@@ -268,18 +268,16 @@ def verify_circuit(
 ) -> VerificationResult:
     """Check that ``circuit`` computes exactly ``target`` (degree <= delta).
 
-    Expansion happens on the homogenized circuit; acceptance means the two
-    canonical monomial sequences are identical, so there are no false
-    accepts.  A cap overflow is reported as a rejection with its own reason
-    code rather than an exception.
+    Expansion happens on the homogenized circuit; acceptance means the
+    expansion equals the target (same variable count and term map), so there
+    are no false accepts.  A cap overflow is reported as a rejection with its
+    own reason code rather than an exception.
     """
     try:
         expansion = expand_to_polynomial(homogenize(circuit, delta), monomial_cap)
     except CapExceeded:
         return VerificationResult(False, "cap_exceeded")
-    if expansion.num_vars != target.num_vars:
-        return VerificationResult(False, "mismatch")
-    if expansion.monomials != target.monomials:
+    if expansion != target:
         return VerificationResult(False, "mismatch")
     return VerificationResult(True, "match")
 

@@ -73,7 +73,7 @@ def _cmd_formulate(args: argparse.Namespace) -> int:
     with open(args.out, "w", encoding="utf-8") as handle:
         json.dump(payload, handle, sort_keys=True)
         handle.write("\n")
-    print(f"wrote {len(poly.monomials)} monomials over {poly.num_vars} variables to {args.out}")
+    print(f"wrote {len(poly.terms)} monomials over {poly.num_vars} variables to {args.out}")
     return 0
 
 

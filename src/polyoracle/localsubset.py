@@ -354,8 +354,8 @@ def formulation_monomials(
     on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
     gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
     and total degree exactly theta * (alpha + 2 * beta); duplicates across
-    outer terms are emitted separately (canonicalization merges them into
-    larger coefficients).
+    outer terms are emitted separately (formulation_polynomial merges them
+    into larger coefficients).
 
     The stream depends only on (spec, s, theta) -- not on any instance --
     and raises StreamTooLarge beyond the cap (default 10**7, overridable via
@@ -406,7 +406,7 @@ def formulation_monomials(
 def formulation_polynomial(
     spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
 ) -> SparsePolynomial:
-    """Collect the literal stream into canonical sparse form."""
+    """Collect the literal stream into a sparse polynomial."""
     terms: dict[Powers, int] = {}
     for mono in formulation_monomials(spec, s, theta, cap):
         terms[mono.powers] = terms.get(mono.powers, 0) + mono.coefficient

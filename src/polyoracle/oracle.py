@@ -3,7 +3,7 @@
 The cost model charges each size-s oracle call exactly s, the declared
 evaluation price of the size-s member of the polynomial family; wall time is
 reported separately and never conflated with the charge.  Argument
-magnitudes above a configurable bound of the call size are flagged, not
+magnitudes above a fixed bound of the call size are flagged, not
 rejected (formulation assignments are 0/1, so the flag can only fire for
 user-supplied oracles); the default bound 2**ceil(s**0.9) is a documented
 finite stand-in for the family's asymptotic magnitude discipline, decided by
@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 from .errors import ValueOutOfRange
-from .localsubset import FormulationQuery, LSInstance, Oracle, variable_count
+from .localsubset import FormulationQuery, LSInstance, Oracle, instance_to_json_dict, variable_count
 from .problems import PROBLEMS
 
 
@@ -59,15 +59,11 @@ class OracleCallLog:
         return sum(record.size for record in self.records)
 
 
-def logging_oracle(
-    inner: Oracle,
-    log: OracleCallLog,
-    exceeds: Callable[[int, int], bool] = exceeds_magnitude_bound,
-) -> Oracle:
+def logging_oracle(inner: Oracle, log: OracleCallLog) -> Oracle:
     """Wrap an oracle so every call lands in the log with its POTIME charge.
 
-    A call is flagged when ``exceeds(max argument magnitude, size)`` holds;
-    by default, when the magnitude exceeds 2**ceil(size**0.9).
+    A call is flagged when its max argument magnitude exceeds
+    2**ceil(size**0.9).
     """
 
     def wrapped(query: FormulationQuery) -> int:
@@ -78,7 +74,7 @@ def logging_oracle(
                 size=query.size,
                 max_arg_magnitude=magnitude,
                 result_nonzero=result != 0,
-                magnitude_flagged=exceeds(magnitude, query.size),
+                magnitude_flagged=exceeds_magnitude_bound(magnitude, query.size),
             )
         )
         return result
@@ -178,9 +174,7 @@ class RunReport:
 
 
 def instance_digest(problem: str, inst: LSInstance) -> str:
-    payload = json.dumps(
-        {"problem": problem, "n": inst.n, "elements": list(inst.elements)}, sort_keys=True
-    )
+    payload = json.dumps(instance_to_json_dict(problem, inst), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -1,16 +1,22 @@
 """Sparse multivariate polynomials over Z with exact big-integer arithmetic.
 
-A polynomial is a sequence of monomials, each storing an arbitrary-precision
-integer coefficient and a sparse power vector:
+A polynomial is stored as its term map: a read-only mapping from sparse power
+vector to nonzero arbitrary-precision integer coefficient,
 
     Powers = ((variable_index, exponent), ...)   indices strictly increasing,
                                                  every exponent >= 1
 
-The zero polynomial has an empty monomial sequence.  Monomials are kept in a
-fixed canonical order (graded lexicographic: ascending total degree, then
-descending dense-lexicographic on the exponent vector), and no two monomials
-share a power vector.  This makes equality a plain tuple comparison and a
-monomial-by-monomial diff of two polynomials a single merge pass.
+validated once when the polynomial is built.  The zero polynomial has an
+empty map.  Each power vector appears once, so two polynomials are equal
+exactly when their variable counts and term maps are; the order in which the
+terms were inserted plays no part.  Polynomials are not hashable.
+
+Evaluation, bounds, arithmetic and identity checks do not depend on term
+order.  Order is a derived view: ``monomials`` lists the terms in
+canonical graded lexicographic order (ascending total degree, then
+descending dense-lexicographic on the exponent vector).  Within the package
+only the JSON wire format (and so ``formulate``'s output) and the gate order
+of ``circuits.build_circuit_from_polynomial`` read that view.
 
 All arithmetic is exact.  Evaluation never densifies the power vector, so the
 number of declared variables may be large (formulations routinely declare
@@ -21,18 +27,33 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping, Sequence
 
-from .errors import ArityMismatch, NotPrime
+from .errors import ArityMismatch, NotPrime, TooLarge
 
 Powers = tuple[tuple[int, int], ...]
+
+
+def _degree(powers: Powers) -> int:
+    return sum(e for _, e in powers)
 
 
 def _powers_key(powers: Powers) -> tuple:
     # Ascending degree first; (index, -exponent) pairs linearize descending
     # dense-lexicographic order within a degree class.
-    degree = sum(e for _, e in powers)
-    return (degree, tuple((i, -e) for i, e in powers))
+    return (_degree(powers), tuple((i, -e) for i, e in powers))
+
+
+def _check_powers(powers: Powers) -> None:
+    last = -1
+    for index, exponent in powers:
+        if index <= last:
+            raise ValueError("power indices must be strictly increasing")
+        if exponent < 1:
+            raise ValueError("exponents must be positive")
+        last = index
 
 
 @dataclass(frozen=True)
@@ -45,44 +66,45 @@ class Monomial:
     def __post_init__(self) -> None:
         if self.coefficient == 0:
             raise ValueError("monomial coefficient must be nonzero")
-        last = -1
-        for index, exponent in self.powers:
-            if index <= last:
-                raise ValueError("power indices must be strictly increasing")
-            if exponent < 1:
-                raise ValueError("exponents must be positive")
-            last = index
+        _check_powers(self.powers)
 
     @property
     def degree(self) -> int:
-        return sum(e for _, e in self.powers)
-
-    def sort_key(self) -> tuple:
-        return _powers_key(self.powers)
+        return _degree(self.powers)
 
 
 @dataclass(frozen=True)
 class SparsePolynomial:
-    """Canonical sparse polynomial in ``num_vars`` variables."""
+    """Sparse polynomial in ``num_vars`` variables.
+
+    ``terms`` maps each power vector to its nonzero coefficient; it is copied
+    into a read-only map on construction.
+    """
 
     num_vars: int
-    monomials: tuple[Monomial, ...]
+    terms: Mapping[Powers, int]
 
     def __post_init__(self) -> None:
         if self.num_vars < 0:
             raise ValueError("num_vars must be nonnegative")
-        previous = None
-        for mono in self.monomials:
-            if mono.powers and mono.powers[-1][0] >= self.num_vars:
+        for powers, coeff in self.terms.items():
+            if coeff == 0:
+                raise ValueError("coefficients must be nonzero")
+            _check_powers(powers)
+            if powers and powers[-1][0] >= self.num_vars:
                 raise ValueError("variable index out of range")
-            key = mono.sort_key()
-            if previous is not None and key <= previous:
-                raise ValueError("monomials not in strict canonical order")
-            previous = key
+        object.__setattr__(self, "terms", MappingProxyType(dict(self.terms)))
+
+    @cached_property
+    def monomials(self) -> tuple[Monomial, ...]:
+        """The terms in canonical graded lexicographic order."""
+        return tuple(
+            Monomial(self.terms[powers], powers) for powers in sorted(self.terms, key=_powers_key)
+        )
 
     @property
     def is_zero(self) -> bool:
-        return not self.monomials
+        return not self.terms
 
 
 @dataclass(frozen=True)
@@ -104,48 +126,28 @@ class ExplicitFamilyParams:
             raise ValueError("coeff_scale must be >= 1")
 
 
-def polynomial(num_vars: int, terms: Mapping[Powers, int] | Iterable[tuple[int, Powers]]) -> SparsePolynomial:
-    """Build a canonical polynomial from (coefficient, powers) terms.
-
-    Terms with equal power vectors are merged; zero coefficients are dropped.
-    """
-    merged: dict[Powers, int] = {}
-    items = terms.items() if isinstance(terms, Mapping) else None
-    if items is not None:
-        for powers, coeff in items:
-            merged[powers] = merged.get(powers, 0) + coeff
-    else:
-        for coeff, powers in terms:  # type: ignore[union-attr]
-            merged[powers] = merged.get(powers, 0) + coeff
-    monomials = tuple(
-        Monomial(coeff, powers)
-        for powers, coeff in sorted(merged.items(), key=lambda kv: _powers_key(kv[0]))
-        if coeff != 0
-    )
-    return SparsePolynomial(num_vars, monomials)
+def polynomial(num_vars: int, terms: Mapping[Powers, int]) -> SparsePolynomial:
+    """Build a polynomial from a power vector -> coefficient map; zeros are dropped."""
+    return SparsePolynomial(num_vars, {powers: coeff for powers, coeff in terms.items() if coeff})
 
 
 def zero(num_vars: int) -> SparsePolynomial:
-    return SparsePolynomial(num_vars, ())
+    return SparsePolynomial(num_vars, {})
 
 
 def constant(num_vars: int, value: int) -> SparsePolynomial:
-    if value == 0:
-        return zero(num_vars)
-    return SparsePolynomial(num_vars, (Monomial(value, ()),))
+    return polynomial(num_vars, {(): value})
 
 
 def variable(num_vars: int, index: int) -> SparsePolynomial:
     if not 0 <= index < num_vars:
         raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-    return SparsePolynomial(num_vars, (Monomial(1, ((index, 1),)),))
+    return SparsePolynomial(num_vars, {((index, 1),): 1})
 
 
 def total_degree(p: SparsePolynomial) -> int:
     """Maximum monomial degree; 0 for the zero polynomial by convention."""
-    if p.is_zero:
-        return 0
-    return max(mono.degree for mono in p.monomials)
+    return max(map(_degree, p.terms), default=0)
 
 
 def eval_over_integers(p: SparsePolynomial, point: Sequence[int]) -> int:
@@ -153,9 +155,9 @@ def eval_over_integers(p: SparsePolynomial, point: Sequence[int]) -> int:
     if len(point) != p.num_vars:
         raise ArityMismatch(f"expected {p.num_vars} values, got {len(point)}")
     total = 0
-    for mono in p.monomials:
-        term = mono.coefficient
-        for index, exponent in mono.powers:
+    for powers, coeff in p.terms.items():
+        term = coeff
+        for index, exponent in powers:
             base = point[index]
             if base == 0:
                 term = 0
@@ -172,9 +174,9 @@ def eval_mod(p: SparsePolynomial, point: Sequence[int], modulus: int) -> int:
     if not is_prime(modulus):
         raise NotPrime(f"{modulus} is not prime")
     total = 0
-    for mono in p.monomials:
-        term = mono.coefficient % modulus
-        for index, exponent in mono.powers:
+    for powers, coeff in p.terms.items():
+        term = coeff % modulus
+        for index, exponent in powers:
             term = term * pow(point[index], exponent, modulus) % modulus
         total = (total + term) % modulus
     return total
@@ -189,11 +191,11 @@ def value_bound(p: SparsePolynomial, rho: int) -> int:
     """
     if rho < 1:
         raise ValueError("rho must be >= 1")
-    return 1 + sum(abs(m.coefficient) * rho**m.degree for m in p.monomials)
+    return 1 + sum(abs(coeff) * rho ** _degree(powers) for powers, coeff in p.terms.items())
 
 
-def _add_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[Powers, int]:
-    """Sum of two term dicts of nonzero coefficients; cancelled terms are dropped."""
+def _add_terms(left: Mapping[Powers, int], right: Mapping[Powers, int]) -> dict[Powers, int]:
+    """Sum of two term maps of nonzero coefficients; cancelled terms are dropped."""
     out = dict(left)
     for powers, coeff in right.items():
         total = out.get(powers, 0) + coeff
@@ -204,20 +206,14 @@ def _add_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[Powers
     return out
 
 
-def _terms(p: SparsePolynomial) -> dict[Powers, int]:
-    return {m.powers: m.coefficient for m in p.monomials}
-
-
 def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
-    return polynomial(p.num_vars, _add_terms(_terms(p), _terms(q)))
+    return SparsePolynomial(p.num_vars, _add_terms(p.terms, q.terms))
 
 
 def negate(p: SparsePolynomial) -> SparsePolynomial:
-    return SparsePolynomial(
-        p.num_vars, tuple(Monomial(-m.coefficient, m.powers) for m in p.monomials)
-    )
+    return SparsePolynomial(p.num_vars, {powers: -coeff for powers, coeff in p.terms.items()})
 
 
 def _merge_powers(a: Powers, b: Powers) -> Powers:
@@ -241,8 +237,8 @@ def _merge_powers(a: Powers, b: Powers) -> Powers:
     return tuple(out)
 
 
-def _multiply_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[Powers, int]:
-    """Product of two term dicts of nonzero coefficients; cancelled terms are dropped."""
+def _multiply_terms(left: Mapping[Powers, int], right: Mapping[Powers, int]) -> dict[Powers, int]:
+    """Product of two term maps of nonzero coefficients; cancelled terms are dropped."""
     out: dict[Powers, int] = {}
     for a, ca in left.items():
         for b, cb in right.items():
@@ -254,7 +250,7 @@ def _multiply_terms(left: dict[Powers, int], right: dict[Powers, int]) -> dict[P
 def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
-    return polynomial(p.num_vars, _multiply_terms(_terms(p), _terms(q)))
+    return SparsePolynomial(p.num_vars, _multiply_terms(p.terms, q.terms))
 
 
 def check_explicit(p: SparsePolynomial, params: ExplicitFamilyParams, n: int) -> bool:
@@ -264,7 +260,7 @@ def check_explicit(p: SparsePolynomial, params: ExplicitFamilyParams, n: int) ->
     if total_degree(p) > params.delta:
         return False
     bound = params.coeff_scale * n**params.delta
-    return all(abs(m.coefficient) <= bound for m in p.monomials)
+    return all(abs(coeff) <= bound for coeff in p.terms.values())
 
 
 # --- JSON wire format ---------------------------------------------------
@@ -293,16 +289,17 @@ def _json_int(value: object) -> int:
 
 
 def from_json_dict(data: dict) -> SparsePolynomial:
+    """Parse the wire format; entries sharing a power vector are summed."""
     if not isinstance(data, dict) or not isinstance(data.get("monomials"), list):
         raise ValueError("polynomial JSON must be an object with a list of monomials")
-    terms = []
+    terms: dict[Powers, int] = {}
     for entry in data["monomials"]:
         if not isinstance(entry, dict) or not isinstance(entry.get("powers"), list):
             raise ValueError(f"monomial {entry!r} is not an object with a list of powers")
         if not all(isinstance(pair, list) and len(pair) == 2 for pair in entry["powers"]):
             raise ValueError(f"monomial {entry!r} has a power that is not an [index, exponent] pair")
         powers = tuple((_json_int(i), _json_int(e)) for i, e in entry["powers"])
-        terms.append((_json_int(entry["coeff"]), powers))
+        terms[powers] = terms.get(powers, 0) + _json_int(entry["coeff"])
     return polynomial(_json_int(data["num_vars"]), terms)
 
 
@@ -324,7 +321,7 @@ _MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test for n < 3.3e24."""
+    """Deterministic primality test; TooLarge for n >= 3.317e24."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -340,7 +337,7 @@ def is_prime(n: int) -> bool:
             d += 6
         return True
     if n >= _MILLER_RABIN_LIMIT:
-        raise ValueError("modulus beyond the deterministic witness range")
+        raise TooLarge(f"{n} is beyond the deterministic Miller-Rabin range (< 3.317e24)")
     d = n - 1
     r = 0
     while d % 2 == 0:

@@ -51,6 +51,7 @@ SETPARTITION_THETAS = (1, 2, 3)
 Z_UNIVERSE_CAP = 20
 HCV_BRUTE_CAP = 18
 HCV_BRANCH_CAP = 20
+MAX_BRANCH = 6
 
 
 @dataclass(frozen=True)
@@ -358,12 +359,11 @@ def setcover_min(
     family: SetFamily,
     method: str = "brute",
     theta: int = 1,
-    max_branch: int = 6,
 ) -> int | None:
     """Minimum number of sets covering [n]; None when [n] is not coverable.
 
     The reduction route runs the full chain: expansion, branching down to
-    m = max(2*theta*maxsize, n - max_branch) elements, and trace-counted set
+    m = max(2*theta*maxsize, n - MAX_BRANCH) elements, and trace-counted set
     partitions.  Each branch instance is counted once for every k up to the
     size of a greedy cover, which bounds the minimum from above; the first k
     with a positive signed total is the minimum.
@@ -386,7 +386,7 @@ def setcover_min(
     if method != "reduction":
         raise ValueOutOfRange(f"unknown method {method!r}")
     maxsize = max((mask.bit_count() for mask in family.sets), default=0)
-    m = max(2 * theta * maxsize, n - max_branch)
+    m = max(2 * theta * maxsize, n - MAX_BRANCH)
     if m > n:
         raise PreconditionViolated(
             f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"

@@ -229,12 +229,27 @@ def test_builder_round_trip_and_verify():
         assert ci.verify_circuit(built, target, delta).reason == "match"
 
 
+def test_built_circuit_gates_are_pinned():
+    """Terms fold in canonical order, whatever order the target was built in."""
+    target = poly.polynomial(3, {((0, 2),): 2, ((2, 1),): -1, (): 5, ((0, 1),): 3})
+    built = ci.build_circuit_from_polynomial(target)
+    assert built.gates == (
+        ci.ConstGate(5), ci.ConstGate(3), ci.InputGate(0), ci.MulGate(1, 2),
+        ci.ConstGate(-1), ci.InputGate(2), ci.MulGate(4, 5),
+        ci.ConstGate(2), ci.MulGate(7, 2), ci.MulGate(8, 2),
+        ci.AddGate(0, 3), ci.AddGate(10, 6), ci.AddGate(11, 9),
+    )
+    assert built.output == 12
+
+
 def test_verify_rejects_distinct_polynomial():
     x_plus_y = poly.polynomial(2, {((0, 1),): 1, ((1, 1),): 1})
     x_times_y = poly.polynomial(2, {((0, 1), (1, 1)): 1})
     c = ci.build_circuit_from_polynomial(x_plus_y)
     result = ci.verify_circuit(c, x_times_y, 2)
     assert not result and result.reason == "mismatch"
+    wider = poly.polynomial(3, {((0, 1),): 1, ((1, 1),): 1})
+    assert ci.verify_circuit(c, wider, 2).reason == "mismatch"
 
 
 def test_verify_rejects_mutants():

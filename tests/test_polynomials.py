@@ -1,11 +1,14 @@
-"""Sparse polynomial core: canonical form, exact arithmetic, bounds, JSON."""
+"""Sparse polynomial core: term maps, exact arithmetic, bounds, JSON."""
+
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
-from polyoracle.errors import ArityMismatch, NotPrime
+from polyoracle.errors import ArityMismatch, NotPrime, TooLarge
 
 
 def P(num_vars, terms):
@@ -79,10 +82,76 @@ def test_monomial_validation():
         poly.Monomial(1, ((0, 0),))
 
 
+@pytest.mark.parametrize(
+    "num_vars, terms",
+    [
+        (-1, {}),
+        (2, {((0, 1),): 0}),
+        (2, {((1, 1), (0, 1)): 1}),
+        (2, {((0, 1), (0, 2)): 1}),
+        (2, {((0, 0),): 1}),
+        (2, {((2, 1),): 1}),
+    ],
+    ids=[
+        "negative-arity", "zero-coeff", "unsorted", "repeated-index", "zero-exponent",
+        "out-of-range",
+    ],
+)
+def test_sparse_polynomial_validation(num_vars, terms):
+    with pytest.raises(ValueError):
+        poly.SparsePolynomial(num_vars, terms)
+
+
+def test_polynomial_drops_zero_coefficients():
+    p = P(2, {((0, 1),): 0, (): 4})
+    assert p.terms == {(): 4}
+    assert P(2, {((1, 2),): 0}) == poly.zero(2) and poly.zero(2).is_zero
+
+
+def test_equality_ignores_insertion_order():
+    a = P(3, {(): 1, ((0, 1),): -2, ((1, 1), (2, 3)): 7})
+    b = P(3, {((1, 1), (2, 3)): 7, ((0, 1),): -2, (): 1})
+    assert a == b and a.monomials == b.monomials
+    assert a != P(4, dict(a.terms))
+    assert a != P(3, {(): 1, ((0, 1),): -2})
+
+
+def test_terms_are_read_only():
+    source = {((0, 1),): 3}
+    p = P(2, source)
+    source[((1, 1),)] = 5
+    assert p.terms == {((0, 1),): 3}
+    with pytest.raises(TypeError):
+        p.terms[((1, 1),)] = 5  # type: ignore[index]
+    with pytest.raises(FrozenInstanceError):
+        p.terms = {}  # type: ignore[misc]
+    with pytest.raises(TypeError):
+        hash(p)
+
+
+def test_from_json_dict_merges_duplicate_powers():
+    def entry(coeff, powers):
+        return {"coeff": coeff, "powers": powers}
+
+    data = {
+        "num_vars": 2,
+        "monomials": [
+            entry("2", [[0, 1]]), entry("-1", []), entry("3", [[0, 1]]),
+            entry(1, []), entry("4", [[1, 2]]),
+        ],
+    }
+    assert poly.from_json_dict(data) == P(2, {((0, 1),): 5, ((1, 2),): 4})
+
+
 def test_canonical_order_is_graded_lex():
     p = P(3, {((2, 1),): 1, ((0, 1),): 1, ((0, 2),): 1, ((0, 1), (1, 1)): 1, (): 1})
     keys = [m.powers for m in p.monomials]
     assert keys == [(), ((0, 1),), ((2, 1),), ((0, 2),), ((0, 1), (1, 1))]
+    assert poly.dumps(p) == (
+        '{"monomials": [{"coeff": "1", "powers": []}, {"coeff": "1", "powers": [[0, 1]]},'
+        ' {"coeff": "1", "powers": [[2, 1]]}, {"coeff": "1", "powers": [[0, 2]]},'
+        ' {"coeff": "1", "powers": [[0, 1], [1, 1]]}], "num_vars": 3}'
+    )
 
 
 # --- randomized properties -------------------------------------------------
@@ -183,3 +252,10 @@ def test_is_prime_agrees_with_trial_division():
 
     for n in range(0, 700):
         assert poly.is_prime(n) == slow(n), n
+
+
+def test_moduli_beyond_miller_rabin_range_are_too_large():
+    with pytest.raises(TooLarge):
+        ci.find_prime(2 * 10**24)
+    with pytest.raises(TooLarge):
+        poly.eval_mod(P(1, {((0, 1),): 1}), [1], 2**89 - 1)
