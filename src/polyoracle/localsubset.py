@@ -28,12 +28,18 @@ not fit in theta*L bits, and enumerated candidate values are capped at
 2**(theta*L) - 1 (the cap only ever excludes the top shell code when m = 0
 and s is a power of two; shipped encoders never place a witness there).
 
-Two evaluation paths compute the same number: the literal monomial stream
+Two evaluation paths compute the same number: the literal polynomial
 (exponentially large in alpha + beta, usable only at tiny s) and the witness
 count (the number of accepted tuples with every a in S and every b outside;
 index rows and comparison tuples are uniquely determined, so each witness
 contributes exactly one).  Their equality is part of the test suite.  Each
-accepted tuple's share of the stream is the product of per-slot factor tables.
+accepted tuple's share of the literal polynomial is the product of per-slot
+factor tables.  All a-slots share one table and all b-slots another, so
+witnesses that differ only by a permutation within the a-slots or within the
+b-slots contribute the same product: ``formulation_polynomial`` expands each
+such witness multiset once and weights it by its multiplicity.  The literal
+monomial stream ``formulation_monomials`` emits every product term one by
+one and is the reference the collected polynomial is tested against.
 
 A spec defines acceptance in two parts: an optional ``prefix`` predicate,
 which every nonempty prefix of an accepted tuple must pass (the per-slot
@@ -49,12 +55,13 @@ extended.  The reference ``brute_solve`` hands it the derived full predicate
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, product
+from itertools import chain, groupby, product
+from math import prod
 from typing import Callable, Iterator, Sequence
 
-from . import polynomials
 from .errors import StreamTooLarge, UniverseTooLarge
 from .polynomials import Monomial, Powers, SparsePolynomial
 
@@ -344,23 +351,12 @@ def _stream_cap(cap: int | None) -> int:
     return int(os.environ.get(STREAM_CAP_ENV, DEFAULT_STREAM_CAP))
 
 
-def formulation_monomials(
-    spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
-) -> Iterator[Monomial]:
-    """Stream the literal monomials of the size-s formulation polynomial.
-
-    The outer sum ranges over accepted candidate tuples from
-    [1, s**r]; per slot holding v, a_factors[v] lists the all-equal gadgets
-    on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
-    gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
-    and total degree exactly theta * (alpha + 2 * beta); duplicates across
-    outer terms are emitted separately (formulation_polynomial merges them
-    into larger coefficients).
-
-    The stream depends only on (spec, s, theta) -- not on any instance --
-    and raises StreamTooLarge beyond the cap (default 10**7, overridable via
-    the POLYORACLE_CAP environment variable).
-    """
+def _literal_tables(
+    spec: LSProblemSpec, s: int, theta: int, cap: int | None
+) -> tuple[int, range, dict[int, list[tuple[int, ...]]], dict[int, list[tuple[int, ...]]]]:
+    """The cap, candidate codes and per-code factor tables of the size-s
+    literal formulation; raises StreamTooLarge when the candidate product is
+    beyond ten times the cap."""
     if s < 2:
         raise ValueError("size must be >= 2")
     limit = _stream_cap(cap)
@@ -388,7 +384,27 @@ def formulation_monomials(
         for v in candidates
         if spec.beta
     }
+    return limit, candidates, a_factors, b_factors
 
+
+def formulation_monomials(
+    spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
+) -> Iterator[Monomial]:
+    """Stream the literal monomials of the size-s formulation polynomial.
+
+    The outer sum ranges over accepted candidate tuples from
+    [1, s**r]; per slot holding v, a_factors[v] lists the all-equal gadgets
+    on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
+    gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
+    and total degree exactly theta * (alpha + 2 * beta); duplicates across
+    outer terms are emitted separately, one validated Monomial each.  This
+    stream is the reference that formulation_polynomial is tested against.
+
+    The stream depends only on (spec, s, theta) -- not on any instance --
+    and raises StreamTooLarge beyond the cap (default 10**7, overridable via
+    the POLYORACLE_CAP environment variable).
+    """
+    limit, candidates, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
     emitted = 0
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
     pools = [candidates] * len(slot_tables)
@@ -406,11 +422,47 @@ def formulation_monomials(
 def formulation_polynomial(
     spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
 ) -> SparsePolynomial:
-    """Collect the literal stream into a sparse polynomial."""
+    """The size-s formulation polynomial: formulation_monomials summed per
+    power vector, collected once per witness multiset.
+
+    All a-slots share one factor table and all b-slots another, so witnesses
+    that differ only by a permutation within the a-slots or within the
+    b-slots contribute the same monomials.  Each multiset (sorted a-values,
+    sorted b-values) is expanded once and weighted by its multiplicity, one
+    multiplicity class at a time.  An expanded monomial is counted under its
+    sorted tuple of variable indices, which becomes a power vector once per
+    class.  The cap counts literal monomials, multiplicity included, so this
+    raises StreamTooLarge on exactly the inputs on which draining the stream
+    does.  The stream is the reference this collection is tested against.
+    """
+    limit, candidates, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
+    alpha = spec.alpha
+    witnesses = accepted_tuples([candidates] * (alpha + spec.beta), spec.accept, spec.prefix)
+    multisets = Counter((tuple(sorted(w[:alpha])), tuple(sorted(w[alpha:]))) for w in witnesses)
+    by_weight: dict[int, list] = {}
+    for key, weight in multisets.items():
+        by_weight.setdefault(weight, []).append(key)
+
+    num_vars = variable_count(s, spec.r, theta)
+    # Shared (index, 1) pairs for the common term with no repeated variable.
+    unit_powers = [(i, 1) for i in range(num_vars)]
+    emitted = 0
     terms: dict[Powers, int] = {}
-    for mono in formulation_monomials(spec, s, theta, cap):
-        terms[mono.powers] = terms.get(mono.powers, 0) + mono.coefficient
-    return polynomials.polynomial(variable_count(s, spec.r, theta), terms)
+    for weight, keys in by_weight.items():
+        counts: Counter[tuple[int, ...]] = Counter()
+        for a_values, b_values in keys:
+            tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
+            emitted += weight * prod(map(len, tables))
+            if emitted > limit:
+                raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
+            counts.update(map(tuple, map(sorted, map(chain.from_iterable, product(*tables)))))
+        for indices, count in counts.items():
+            if len(set(indices)) == len(indices):
+                powers = tuple(map(unit_powers.__getitem__, indices))
+            else:
+                powers = tuple((i, len(list(run))) for i, run in groupby(indices))
+            terms[powers] = terms.get(powers, 0) + weight * count
+    return SparsePolynomial(num_vars, terms)
 
 
 def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> int:

@@ -1,5 +1,6 @@
 """Local-subset framework: comparisons, assignments, formulations, oracles."""
 
+import hashlib
 import random
 from collections import Counter
 from dataclasses import replace
@@ -15,6 +16,7 @@ import polyoracle.problems as pr
 from oracles import random_graph, random_weighted_graph
 from polyoracle.errors import StreamTooLarge, UniverseTooLarge
 from test_acceptance import SEED, _small_instances_for_streams
+from test_problems import _tiny_encodings
 
 
 def ksum_spec(k=3, w=20):
@@ -527,3 +529,101 @@ def test_stream_unchanged_by_pruning():
         unpruned_spec = replace(spec, accept=spec.verifier, prefix=None)
         unpruned = ls.formulation_monomials(unpruned_spec, s, theta)
         assert all(a == b for a, b in zip_longest(pruned, unpruned))
+
+
+def stream_sum(spec, s, theta):
+    """The literal stream summed per power vector, one monomial at a time."""
+    terms = Counter()
+    for mono in ls.formulation_monomials(spec, s, theta):
+        terms[mono.powers] += mono.coefficient
+    return dict(terms)
+
+
+def triangle_spec():
+    spec, _ = pr.encode_h_induced(pr.GraphInput(3, frozenset()), pr.H_PRESETS["triangle"])
+    return spec
+
+
+def edge_and_vertex_spec():
+    """Induced edge plus an isolated vertex: alpha = 1, beta = 2."""
+    pattern = pr.PatternGraph("edge-and-vertex", 3, frozenset({(1, 2)}))
+    spec, _ = pr.encode_h_induced(pr.GraphInput(3, frozenset()), pattern)
+    return spec
+
+
+# Sizes below the encoding's own at which the literal stream is nonempty and
+# at most about 10**6 monomials long.
+LITERAL_SIZES = {
+    "collinearity": 4,
+    "family-induced-path3+triangle": 4,
+    "family-induced-path3+edge": 3,
+    "min-weight-3-clique": 2,
+    "max-vertex-subgraph-vertex-weights": 3,
+}
+
+
+@pytest.mark.parametrize("theta", [1, 2])
+@pytest.mark.parametrize(
+    "spec, s",
+    [
+        *(
+            pytest.param(spec, LITERAL_SIZES.get(spec.name, inst.size), id=spec.name)
+            for spec, inst in _tiny_encodings()
+        ),
+        *(pytest.param(triangle_spec(), s, id=f"triangle-s{s}") for s in (5, 6)),
+        *(pytest.param(path3_spec(), s, id=f"path3-s{s}") for s in (5, 6)),
+        pytest.param(edge_and_vertex_spec(), 3, id="edge-and-vertex"),
+    ],
+)
+def test_collected_polynomial_equals_stream_sum(spec, s, theta):
+    """Grouping witnesses by multiset and counting sorted index tuples gives
+    the plain per-power-vector sum of the literal stream."""
+    expected = stream_sum(spec, s, theta)
+    collected = ls.formulation_polynomial(spec, s, theta)
+    assert expected
+    assert collected.num_vars == ls.variable_count(s, spec.r, theta)
+    assert collected.terms == expected
+
+
+def criteria_stream_cases():
+    """The 27 (s, theta, spec) of acceptance criteria 2 and 3, in a fixed order."""
+    cases = {}
+    probes = _small_instances_for_streams(random.Random(SEED + 1))
+    for (spec, inst), theta in product(probes, (1, 2)):
+        cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
+    path3 = pr.H_PRESETS["path3"]
+    criterion_3 = [
+        (pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1)), (1, 2, 3)),
+        (pr.encode_h_induced(pr.GraphInput(3, frozenset({(1, 2), (2, 3)})), path3), (1, 2)),
+    ]
+    for (spec, inst), thetas in criterion_3:
+        for theta in thetas:
+            cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
+    return [(s, theta, spec) for (_, _, s, theta), spec in sorted(cases.items())]
+
+
+def test_collected_polynomials_are_pinned():
+    """One sha256 over the JSON of the 27 criteria polynomials; the value is
+    the one the stream-summing collection produced."""
+    cases = criteria_stream_cases()
+    digest = hashlib.sha256()
+    for s, theta, spec in cases:
+        digest.update(poly.dumps(ls.formulation_polynomial(spec, s, theta)).encode())
+    assert len(cases) == 27
+    assert digest.hexdigest() == "40ec8f685b4a61fe9385d54ee79bac179c34ab051dd0cbb08e8b9f920e0c5d4e"
+
+
+def test_collection_cap_counts_literal_monomials(monkeypatch):
+    """Every witness multiset of this triangle spec has multiplicity 6, and
+    the cap still counts literal monomials: the collection succeeds at the
+    stream length N and raises at N - 1, from cap= and POLYORACLE_CAP."""
+    spec, s, theta = triangle_spec(), 4, 1
+    multisets = Counter(tuple(sorted(w)) for w in accepted_witnesses(spec, s, theta))
+    assert set(multisets.values()) == {6}
+    length = sum(1 for _ in ls.formulation_monomials(spec, s, theta))
+    assert ls.formulation_polynomial(spec, s, theta, cap=length).terms == stream_sum(spec, s, theta)
+    with pytest.raises(StreamTooLarge):
+        ls.formulation_polynomial(spec, s, theta, cap=length - 1)
+    monkeypatch.setenv(ls.STREAM_CAP_ENV, str(length - 1))
+    with pytest.raises(StreamTooLarge):
+        ls.formulation_polynomial(spec, s, theta)
