@@ -1,8 +1,9 @@
 """Binary permanent three ways: permutations, signed F-counts, trace products.
 
 The expansion step rewrites the permanent as 2**(n - |S1|) signed
-mapping-count terms; each term is then either a single subset DP (fsets) or
-a sum over traces of per-segment DP products (the formulation route).
+mapping-count terms; the formulation route counts each term as a sum over
+traces of per-segment DP products, and at theta = 1 a trace is a single
+subset DP over all rows.
 """
 
 import random
@@ -33,10 +34,10 @@ for sign, spec in terms:
 signed = sum(sign * pm.f_count_brute(matrix, spec) for sign, spec in terms)
 print(f"signed sum: {signed}")
 
-fsets = pm.permanent_via_fsets(matrix, alpha=0.5)
+one_segment = pm.permanent_via_formulation(matrix, alpha=0.5, theta=1)
 traced = pm.permanent_via_formulation(matrix, alpha=0.5, theta=2)
-print(f"fsets route: {fsets}, trace route (theta=2): {traced}")
-assert brute == signed == fsets == traced
+print(f"trace route: theta=1 (one segment) {one_segment}, theta=2 {traced}")
+assert brute == signed == one_segment == traced
 
 rng = random.Random(1)
 print("\nrandom cross-check (n <= 6):")

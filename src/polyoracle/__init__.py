@@ -61,7 +61,6 @@ from .permanent import (
     matrix_from_text,
     permanent_brute,
     permanent_via_formulation,
-    permanent_via_fsets,
 )
 from .polynomials import (
     ExplicitFamilyParams,

@@ -5,13 +5,13 @@ leaves and integer constants.  Its size is the number of edges, i.e. two per
 binary gate.  A circuit *computes* a polynomial; verification below means
 identity of polynomials (monomial by monomial), never pointwise agreement.
 
-The verification pipeline for a candidate circuit C against a target
-polynomial P of degree <= delta:
+The verification pipeline accepts a candidate circuit C against a target
+polynomial P iff the degree-<=delta truncation of C is identical to P:
 
     1. homogenize(C, delta)    -- every gate split into its homogeneous
                                   degree-0..delta components (Strassen);
-                                  components above delta are truncated, which
-                                  is harmless exactly when deg(C) <= delta.
+                                  components above delta are dropped, so the
+                                  truncation is C exactly when deg(C) <= delta.
                                   delta is first clamped to C's syntactic
                                   degree, above which every component is zero.
     2. expand_to_polynomial    -- gate-by-gate symbolic expansion, each gate
@@ -183,8 +183,7 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     becomes the truncated convolution sum_{i+j=d} l_i * r_j.  The returned
     circuit computes the degree-<=delta truncation of the original polynomial,
     hence the identical polynomial whenever that degree bound holds.  The
-    precondition is deliberately unchecked; a violation surfaces as a
-    verification mismatch downstream.
+    bound is not checked: terms above delta are dropped without notice.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
@@ -266,12 +265,12 @@ def verify_circuit(
     delta: int,
     monomial_cap: int = DEFAULT_MONOMIAL_CAP,
 ) -> VerificationResult:
-    """Check that ``circuit`` computes exactly ``target`` (degree <= delta).
+    """Check that the degree-<=delta truncation of ``circuit`` is ``target``.
 
-    Expansion happens on the homogenized circuit; acceptance means the
-    expansion equals the target (same variable count and term map), so there
-    are no false accepts.  A cap overflow is reported as a rejection with its
-    own reason code rather than an exception.
+    Acceptance means the homogenized circuit's expansion equals the target
+    (same variable count and term map), so a circuit for x**3 + x is accepted
+    against x at delta = 1 and rejected at delta = 3.  A cap overflow is
+    reported as a rejection with its own reason code rather than an exception.
     """
     try:
         expansion = expand_to_polynomial(homogenize(circuit, delta), monomial_cap)

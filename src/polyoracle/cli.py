@@ -13,17 +13,10 @@ import sys
 from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
-from .errors import (
-    CapExceeded,
-    PolyOracleError,
-    PreconditionViolated,
-    StreamTooLarge,
-    TooLarge,
-    UniverseTooLarge,
-)
+from .errors import PolyOracleError, PreconditionViolated, TooLarge
 from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, build_problem
 
-_CAP_ERRORS = (CapExceeded, UniverseTooLarge, StreamTooLarge, TooLarge, PreconditionViolated)
+_CAP_ERRORS = (TooLarge, PreconditionViolated)
 
 
 def _load_json(path: str) -> dict:
@@ -90,8 +83,6 @@ def _cmd_permanent(args: argparse.Namespace) -> int:
         matrix = permanent.matrix_from_text(handle.read())
     if args.method == "brute":
         value = permanent.permanent_brute(matrix)
-    elif args.method == "fsets":
-        value = permanent.permanent_via_fsets(matrix, args.alpha)
     else:
         value = permanent.permanent_via_formulation(matrix, args.alpha, args.theta)
     print(value)
@@ -196,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     perm = sub.add_parser("permanent", help="binary permanent")
     perm.add_argument("--matrix", required=True)
-    perm.add_argument("--method", choices=["brute", "fsets", "formulation"], default="formulation")
+    perm.add_argument("--method", choices=["brute", "formulation"], default="formulation")
     perm.add_argument("--alpha", type=float, default=0.5)
     perm.add_argument("--theta", type=int, default=2)
     perm.set_defaults(fn=_cmd_permanent)

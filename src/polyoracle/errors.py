@@ -15,24 +15,24 @@ class NotPrime(PolyOracleError):
     """A modulus that must be prime failed the primality test."""
 
 
-class CapExceeded(PolyOracleError):
-    """An intermediate object grew past its configured cap."""
-
-
-class UniverseTooLarge(PolyOracleError):
-    """The instance universe exceeds the desk-scale enumeration cap."""
-
-
-class StreamTooLarge(PolyOracleError):
-    """The literal monomial stream exceeds the enumeration cap."""
-
-
 class ValueOutOfRange(PolyOracleError):
     """An input value lies outside its declared range."""
 
 
 class TooLarge(PolyOracleError):
     """An exact-counting routine was called beyond its size cap."""
+
+
+class CapExceeded(TooLarge):
+    """An intermediate object grew past its configured cap."""
+
+
+class UniverseTooLarge(TooLarge):
+    """The instance universe exceeds the desk-scale enumeration cap."""
+
+
+class StreamTooLarge(TooLarge):
+    """The literal monomial stream exceeds the enumeration cap."""
 
 
 class PreconditionViolated(PolyOracleError):

@@ -59,7 +59,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
-from math import prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import StreamTooLarge, UniverseTooLarge
@@ -158,8 +157,13 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
 
 def _witness_pools(spec: LSProblemSpec, inst: LSInstance, top: int) -> list[list[int]]:
     """Per-slot candidates up to ``top``: the elements of S for each a-slot and
-    the rest of [1, top] for each b-slot."""
+    the rest of [1, top] for each b-slot.  Raises UniverseTooLarge rather than
+    build a b-slot pool longer than BRUTE_UNIVERSE_CAP."""
     inside = [v for v in inst.elements if v <= top]
+    if spec.beta and top - len(inside) > BRUTE_UNIVERSE_CAP:
+        raise UniverseTooLarge(
+            f"b-slot pool of {top - len(inside)} codes exceeds cap {BRUTE_UNIVERSE_CAP}"
+        )
     member = set(inside)
     outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
     return [inside] * spec.alpha + [outside] * spec.beta
@@ -351,25 +355,56 @@ def _stream_cap(cap: int | None) -> int:
     return int(os.environ.get(STREAM_CAP_ENV, DEFAULT_STREAM_CAP))
 
 
+def _candidate_top(bound: int, theta: int, length: int) -> int:
+    """min(bound, 2**(theta*length) - 1), the largest enumerated candidate code;
+    a shift longer than the bound's bit length cannot cap it and is skipped."""
+    if theta * length > bound.bit_length():
+        return bound
+    return min(bound, (1 << (theta * length)) - 1)
+
+
+def _capped_power(base: int, exponent: int, cap: int) -> int:
+    """min(base**exponent, cap + 1), deciding a huge power by bit length
+    instead of computing it."""
+    if base > 1 and (base.bit_length() - 1) * exponent > cap.bit_length():
+        return cap + 1
+    return min(base**exponent, cap + 1)
+
+
 def _literal_tables(
     spec: LSProblemSpec, s: int, theta: int, cap: int | None
-) -> tuple[int, range, dict[int, list[tuple[int, ...]]], dict[int, list[tuple[int, ...]]]]:
-    """The cap, candidate codes and per-code factor tables of the size-s
-    literal formulation; raises StreamTooLarge when the candidate product is
-    beyond ten times the cap."""
+) -> tuple[list[tuple[int, ...]], dict[int, list], dict[int, list]]:
+    """The accepted candidate tuples of the size-s literal formulation and the
+    factor tables of the codes they hold, a-tables for codes in an a-slot and
+    b-tables for codes in a b-slot.
+
+    Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
+    literal monomials, |C_lt| = |C_gt| = (3**theta - 1) / 2, so StreamTooLarge
+    is raised from the witness count before any table is built, and at once
+    when the candidate product is beyond ten times the cap.
+    """
     if s < 2:
         raise ValueError("size must be >= 2")
     limit = _stream_cap(cap)
     length = block_length(s, spec.r, theta)
-    candidate_top = min(s**spec.r, (1 << (theta * length)) - 1)
-    if candidate_top ** (spec.alpha + spec.beta) > 10 * limit:
+    top = _candidate_top(s**spec.r, theta, length)
+    slots = spec.alpha + spec.beta
+    if _capped_power(top, slots, 10 * limit) > 10 * limit:
         raise StreamTooLarge(
-            f"candidate space {candidate_top}**{spec.alpha + spec.beta} is beyond the"
-            f" literal path (cap {limit})"
+            f"candidate space {top}**{slots} is beyond the literal path (cap {limit})"
         )
-    _, c_lt, c_gt = comparison_tuple_sets(theta)
-    candidates = range(1, candidate_top + 1)
-    blocks = {v: blocks_of(v, theta, length) for v in candidates}
+    # |C_lt| >= 3**(theta - 1) > limit once theta exceeds the cap's bit length.
+    half = limit + 1 if theta > limit.bit_length() else (3**theta - 1) // 2
+    a_part = _capped_power(s, spec.alpha, limit)
+    per_witness = a_part * _capped_power(s * half * half, spec.beta, limit)
+    witnesses = []
+    for witness in accepted_tuples([range(1, top + 1)] * slots, spec.accept, spec.prefix):
+        witnesses.append(witness)
+        if len(witnesses) * per_witness > limit:
+            raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
+    a_values = {v for w in witnesses for v in w[: spec.alpha]}
+    b_values = {v for w in witnesses for v in w[spec.alpha :]}
+    blocks = {v: blocks_of(v, theta, length) for v in a_values | b_values}
 
     def gadget(comparisons: Sequence[str], row: int, v: int) -> tuple[int, ...]:
         return tuple(
@@ -377,14 +412,16 @@ def _literal_tables(
             for q, (c, block) in enumerate(zip(comparisons, blocks[v]), start=1)
         )
 
-    a_factors = {v: [gadget((EQ,) * theta, i, v) for i in range(1, s + 1)] for v in candidates}
-    lt_gt = list(product(sorted(c_lt), sorted(c_gt)))
-    b_factors = {
-        v: [gadget(lt, j, v) + gadget(gt, j + 1, v) for j in range(s) for lt, gt in lt_gt]
-        for v in candidates
-        if spec.beta
-    }
-    return limit, candidates, a_factors, b_factors
+    a_factors = {v: [gadget((EQ,) * theta, i, v) for i in range(1, s + 1)] for v in a_values}
+    b_factors = {}
+    if b_values:
+        _, c_lt, c_gt = comparison_tuple_sets(theta)
+        lt_gt = list(product(sorted(c_lt), sorted(c_gt)))
+        b_factors = {
+            v: [gadget(lt, j, v) + gadget(gt, j + 1, v) for j in range(s) for lt, gt in lt_gt]
+            for v in b_values
+        }
+    return witnesses, a_factors, b_factors
 
 
 def formulation_monomials(
@@ -401,21 +438,17 @@ def formulation_monomials(
     stream is the reference that formulation_polynomial is tested against.
 
     The stream depends only on (spec, s, theta) -- not on any instance --
-    and raises StreamTooLarge beyond the cap (default 10**7, overridable via
-    the POLYORACLE_CAP environment variable).
+    and raises StreamTooLarge, before its first monomial, when it would
+    exceed the cap (default 10**7, overridable via the POLYORACLE_CAP
+    environment variable).
     """
-    limit, candidates, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
-    emitted = 0
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
-    pools = [candidates] * len(slot_tables)
-    for witness in accepted_tuples(pools, spec.accept, spec.prefix):
+    for witness in witnesses:
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
             exponents: dict[int, int] = {}
             for idx in chain.from_iterable(factors):
                 exponents[idx] = exponents.get(idx, 0) + 1
-            emitted += 1
-            if emitted > limit:
-                raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
             yield Monomial(1, tuple(sorted(exponents.items())))
 
 
@@ -435,26 +468,21 @@ def formulation_polynomial(
     raises StreamTooLarge on exactly the inputs on which draining the stream
     does.  The stream is the reference this collection is tested against.
     """
-    limit, candidates, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
     alpha = spec.alpha
-    witnesses = accepted_tuples([candidates] * (alpha + spec.beta), spec.accept, spec.prefix)
     multisets = Counter((tuple(sorted(w[:alpha])), tuple(sorted(w[alpha:]))) for w in witnesses)
     by_weight: dict[int, list] = {}
     for key, weight in multisets.items():
         by_weight.setdefault(weight, []).append(key)
 
-    num_vars = variable_count(s, spec.r, theta)
     # Shared (index, 1) pairs for the common term with no repeated variable.
-    unit_powers = [(i, 1) for i in range(num_vars)]
-    emitted = 0
+    gadgets = chain(*a_factors.values(), *b_factors.values())
+    unit_powers = {i: (i, 1) for i in chain.from_iterable(gadgets)}
     terms: dict[Powers, int] = {}
     for weight, keys in by_weight.items():
         counts: Counter[tuple[int, ...]] = Counter()
         for a_values, b_values in keys:
             tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
-            emitted += weight * prod(map(len, tables))
-            if emitted > limit:
-                raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
             counts.update(map(tuple, map(sorted, map(chain.from_iterable, product(*tables)))))
         for indices, count in counts.items():
             if len(set(indices)) == len(indices):
@@ -462,7 +490,7 @@ def formulation_polynomial(
             else:
                 powers = tuple((i, len(list(run))) for i, run in groupby(indices))
             terms[powers] = terms.get(powers, 0) + weight * count
-    return SparsePolynomial(num_vars, terms)
+    return SparsePolynomial(variable_count(s, spec.r, theta), terms)
 
 
 def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> int:
@@ -477,7 +505,7 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
     s = inst.size
     if s < 2:
         raise ValueError("instance size must be >= 2")
-    top = min(universe_size(spec, inst), (1 << (theta * block_length(s, spec.r, theta))) - 1)
+    top = _candidate_top(universe_size(spec, inst), theta, block_length(s, spec.r, theta))
     pools = _witness_pools(spec, inst, top)
     return sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix))
 

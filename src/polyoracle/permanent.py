@@ -25,6 +25,10 @@ Pipeline (desk scale throughout):
                      with an optional flag forcing the segment's last vertex
                      to be a preimage (which is what pins the greedy
                      breakpoints and makes traces disjoint).
+
+permanent_via_formulation is the whole chain: the signed sum of f_expand's
+terms, each counted by f_count_traces.  At theta = 1 a trace is one unflagged
+segment over all rows, so each term costs a single subset DP.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import ceil
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .errors import TooLarge, ValueOutOfRange
 
@@ -311,40 +315,17 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     return total
 
 
-def permanent_via_fsets(matrix: BinaryMatrix, alpha: float = 0.5) -> int:
-    """Permanent as the signed sum of direct segment-DP counts (no traces)."""
-    rows = range(1, matrix.n + 1)
-    return _signed_permanent(
-        matrix,
-        alpha,
-        "permanent_via_fsets",
-        lambda spec: g_count_dp(matrix, rows, spec.eq1, spec.eq0, 0),
-    )
-
-
 def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: int = 2) -> int:
     """Permanent as the signed sum of trace-decomposed mapping counts."""
-    return _signed_permanent(
-        matrix,
-        alpha,
-        "permanent_via_formulation",
-        lambda spec: f_count_traces(matrix, spec.eq1, spec.eq0, theta),
-    )
-
-
-def _signed_permanent(
-    matrix: BinaryMatrix, alpha: float, route: str, count: Callable[[FSpec], int]
-) -> int:
-    """The signed sum over f_expand's terms, each counted by ``count``."""
     n = matrix.n
     if n > PERMANENT_BRUTE_CAP:
-        raise TooLarge(f"{route} capped at n <= {PERMANENT_BRUTE_CAP}")
+        raise TooLarge(f"permanent_via_formulation capped at n <= {PERMANENT_BRUTE_CAP}")
     if n == 0:
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1
     total = 0
     for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * count(spec)
+        total += sign * f_count_traces(matrix, spec.eq1, spec.eq0, theta)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

@@ -64,9 +64,8 @@ class SetFamily:
     def __post_init__(self) -> None:
         if self.n < 0:
             raise ValueOutOfRange("universe size must be nonnegative")
-        full = (1 << self.n) - 1
         for mask in self.sets:
-            if mask & ~full:
+            if mask >> self.n:
                 raise ValueOutOfRange("set exceeds the universe")
 
     @property
@@ -371,12 +370,13 @@ def setcover_min(
     n = family.n
     if n == 0:
         return 0
-    full = family.full_mask
     union = 0
     for mask in family.sets:
         union |= mask
-    if union != full:
+    # Every mask lies inside [n], so the union covers [n] iff it has n bits.
+    if union.bit_count() != n:
         return None
+    full = family.full_mask
     if method == "brute":
         unions = list(accumulate(reversed(family.sets), or_))[::-1]
         for k in range(1, len(family.sets) + 1):

@@ -252,6 +252,16 @@ def test_verify_rejects_distinct_polynomial():
     assert ci.verify_circuit(c, wider, 2).reason == "mismatch"
 
 
+def test_verify_accepts_the_degree_delta_truncation():
+    """x**3 + x is accepted as x at delta = 1 and rejected at delta = 3."""
+    x_cubed_plus_x = poly.polynomial(1, {((0, 3),): 1, ((0, 1),): 1})
+    c = ci.build_circuit_from_polynomial(x_cubed_plus_x)
+    x = poly.variable(1, 0)
+    assert ci.verify_circuit(c, x, 1).reason == "match"
+    assert ci.verify_circuit(c, x, 3).reason == "mismatch"
+    assert ci.verify_circuit(c, x_cubed_plus_x, 3).reason == "match"
+
+
 def test_verify_rejects_mutants():
     rng = random.Random(4)
     rejected = 0

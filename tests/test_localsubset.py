@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+import time
 from collections import Counter
 from dataclasses import replace
 from itertools import product, zip_longest
@@ -627,3 +628,39 @@ def test_collection_cap_counts_literal_monomials(monkeypatch):
     monkeypatch.setenv(ls.STREAM_CAP_ENV, str(length - 1))
     with pytest.raises(StreamTooLarge):
         ls.formulation_polynomial(spec, s, theta)
+
+
+def timed(fn):
+    start = time.perf_counter()
+    result = fn()
+    assert time.perf_counter() - start < 2
+    return result
+
+
+def test_literal_tables_skip_unused_comparison_tuples():
+    """beta = 0 needs no C_lt x C_gt table: 3**12 comparison tuples per block
+    would not fit, but the triangle's 256 terms come at once."""
+    polynomial = timed(lambda: ls.formulation_polynomial(triangle_spec(), 4, 12))
+    assert len(polynomial.terms) == 256
+
+
+def test_literal_cap_decided_from_witness_count():
+    """path3 at theta = 10 has s * |C_lt| * |C_gt| = 4 * 29524**2 monomials
+    per b-slot: refused before any factor table is built."""
+    with pytest.raises(StreamTooLarge):
+        timed(lambda: ls.formulation_polynomial(path3_spec(), 4, 10))
+
+
+def test_literal_tables_only_for_witness_codes():
+    """1-SUM over {0} has one witness code; its 2 000 terms need neither the
+    other candidates' tables nor an (i, 1) pair per grid variable."""
+    polynomial = timed(lambda: ls.formulation_polynomial(ksum_spec(k=1, w=0), 2000, 1))
+    assert len(polynomial.terms) == 2000
+
+
+def test_literal_precheck_decides_huge_powers_by_bit_length():
+    """A pattern on 10**12 vertices has about 5 * 10**23 b-slots."""
+    pattern = pr.pattern_from_json({"n": 10**12, "edges": [[1, 2]]})
+    spec, _ = pr.encode_h_induced(pr.GraphInput(2, frozenset()), pattern)
+    with pytest.raises(StreamTooLarge, match="beyond the literal path"):
+        timed(lambda: ls.formulation_polynomial(spec, 4, 1))

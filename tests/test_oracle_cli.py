@@ -11,8 +11,15 @@ import polyoracle.localsubset as ls
 import polyoracle.oracle as orc
 import polyoracle.problems as pr
 from polyoracle.cli import run_cli
-from polyoracle.errors import ValueOutOfRange
+from polyoracle.errors import (
+    CapExceeded,
+    StreamTooLarge,
+    TooLarge,
+    UniverseTooLarge,
+    ValueOutOfRange,
+)
 from polyoracle import circuits as ci, polynomials as poly
+from test_localsubset import timed
 
 
 def triangle_instance():
@@ -206,11 +213,37 @@ def test_cli_solve_malformed_json(tmp_path, problem, good, bad):
     assert solve(bad) == 2
 
 
+def test_size_errors_are_one_family():
+    assert all(issubclass(e, TooLarge) for e in (CapExceeded, UniverseTooLarge, StreamTooLarge))
+
+
 def test_cli_cap_errors(tmp_path):
     huge = write_json(
         tmp_path / "huge.json", {"k": 2, "sets": [[0], [0]], "magnitude": 10**6}
     )
     assert run_cli(["solve", "--problem", "ksum", "--input", huge, "--method", "brute"]) == 3
+
+
+def test_cli_solve_huge_theta(tmp_path, capsys):
+    """The candidate top is decided without building 2**(theta * L)."""
+    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
+    argv = ["solve", "--problem", "triangle", "--input", k3, "--theta", "1000000000000"]
+    assert timed(lambda: run_cli(argv)) == 0
+    assert "yes" in capsys.readouterr().out
+
+
+def test_cli_solve_b_pool_cap(tmp_path, capsys):
+    """path3's b-slots range over the n**2 - 2 codes outside S: at n = 3000
+    that pool passes BRUTE_UNIVERSE_CAP and is refused before it is built."""
+    path = write_json(tmp_path / "path.json", {"n": 3000, "edges": [[1, 2], [2, 3]]})
+    assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 3
+    assert "b-slot pool" in capsys.readouterr().err
+
+
+def test_cli_setcover_huge_universe(tmp_path, capsys):
+    path = write_json(tmp_path / "f.json", {"n": 10**12, "sets": [[1]]})
+    assert timed(lambda: run_cli(["setcover", "--input", path])) == 1
+    assert capsys.readouterr().out.strip() == "uncoverable"
 
 
 def test_cli_formulate(tmp_path):
@@ -292,9 +325,12 @@ def test_cli_verify_circuit_malformed_json(tmp_path, circuit_data, poly_data):
 def test_cli_permanent(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
     matrix.write_text("110\n011\n101\n")
-    for method in ("brute", "fsets", "formulation"):
+    for method in ("brute", "formulation"):
         assert run_cli(["permanent", "--matrix", str(matrix), "--method", method]) == 0
         assert capsys.readouterr().out.strip() == "2"
+    assert run_cli(["permanent", "--matrix", str(matrix), "--theta", "1"]) == 0
+    assert capsys.readouterr().out.strip() == "2"
+    assert run_cli(["permanent", "--matrix", str(matrix), "--method", "fsets"]) == 2
 
 
 def test_cli_setcover(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Permanent chain: brute oracle, F-counts, expansion identity, traces, DP."""
 
+import math
 import random
 from itertools import product
 
@@ -290,7 +291,22 @@ def test_permanent_chain_random():
         m = random_matrix(rng, n)
         expected = pm.permanent_brute(m)
         assert pm.permanent_via_formulation(m, 0.5, 2) == expected
-        assert pm.permanent_via_fsets(m, 0.5) == expected
+        assert pm.permanent_via_formulation(m, 0.5, 1) == expected
+
+
+def test_one_segment_trace_count_is_the_subset_dp():
+    """At theta = 1 the trace count of every f_expand term is the single
+    unflagged subset DP over rows 1..n."""
+    rng = random.Random(19)
+    for _ in range(80):
+        n = rng.randint(1, 7)
+        m = random_matrix(rng, n)
+        for alpha in (0, 0.25, 0.5, 0.75, 1):
+            s_eq1 = (1 << math.ceil(alpha * n)) - 1
+            for _, spec in pm.f_expand(m, s_eq1, alpha):
+                assert pm.f_count_traces(m, spec.eq1, spec.eq0, 1) == pm.g_count_dp(
+                    m, range(1, n + 1), spec.eq1, spec.eq0, 0
+                )
 
 
 def test_permanent_alpha_theta_variants():
