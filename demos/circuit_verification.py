@@ -1,10 +1,12 @@
-"""Deterministic circuit verification: build, homogenize, expand, compare.
+"""Deterministic circuit verification: build, expand truncated, compare.
 
-The verifier accepts a circuit only when its homogenized expansion is the
-target polynomial monomial for monomial, so a one-off constant perturbation
-is always caught.  Modular evaluation with a prime from [2M, 4M] recovers
-exact integer values through centered residues.
-"""
+The verifier expands each gate of a circuit straight into its degree-<=delta
+truncation and accepts only when the output's truncation is the target
+polynomial monomial for monomial, so a one-off constant perturbation is
+always caught; a monomial cap on each original gate's truncated expansion
+bounds the work.  Strassen homogenization, printed below for its size, builds
+the same truncation as an explicit circuit.  Modular evaluation with a prime
+from [2M, 4M] recovers exact integer values through centered residues."""
 
 import random
 

@@ -1,4 +1,4 @@
-"""Arithmetic circuits over Z (or Z_p): evaluation, homogenization, verification.
+"""Arithmetic circuits over Z (or Z_p): evaluation, verification, homogenization.
 
 A circuit is a topologically ordered gate list over binary +/x gates, input
 leaves and integer constants.  Its size is the number of edges, i.e. two per
@@ -8,20 +8,20 @@ identity of polynomials (monomial by monomial), never pointwise agreement.
 The verification pipeline accepts a candidate circuit C against a target
 polynomial P iff the degree-<=delta truncation of C is identical to P:
 
-    1. homogenize(C, delta)    -- every gate split into its homogeneous
-                                  degree-0..delta components (Strassen);
-                                  components above delta are dropped, so the
-                                  truncation is C exactly when deg(C) <= delta.
-                                  delta is first clamped to C's syntactic
-                                  degree, above which every component is zero.
-    2. expand_to_polynomial    -- gate-by-gate symbolic expansion, each gate
-                                  a dict of its nonzero terms; the output's
-                                  dict is the polynomial's term map.  A cap
-                                  on each gate's nonzero monomials makes
+    1. truncated expansion     -- gate-by-gate symbolic expansion, each gate
+                                  a dict of its nonzero terms of degree
+                                  <= delta; a product drops the pairs above
+                                  delta, which truncation allows since it
+                                  commutes with + and x.  A cap on each
+                                  original gate's nonzero monomials makes
                                   non-constant-degree circuits fail fast
                                   instead of exhausting memory.
-    3. compare against P       -- term maps are equal iff the polynomials
+    2. compare against P       -- term maps are equal iff the polynomials
                                   are identical.
+
+homogenize(C, delta) is the explicit Strassen construction of the same
+truncation as a circuit; expanding it is the reference the pipeline is
+tested against.
 
 Prime selection for modular evaluation picks the smallest prime in [2M, 4M]
 (one exists by Bertrand's postulate); smallest rather than arbitrary keeps
@@ -160,19 +160,19 @@ class _CircuitBuilder:
         return acc
 
 
-def _syntactic_degree(circuit: ArithmeticCircuit) -> int:
-    """Largest syntactic degree over all gates: input 1, constant 0, + max, x sum."""
+def _gate_degrees(circuit: ArithmeticCircuit, ceiling: int) -> list[int]:
+    """Syntactic degree of every gate, saturated at ``ceiling``: input 1,
+    constant 0, + max, x sum.  Saturation keeps each entry a small int, where
+    exact degrees double along a chain of squarings."""
     degrees: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, InputGate):
-            degrees.append(1)
-        elif isinstance(gate, ConstGate):
-            degrees.append(0)
+        if isinstance(gate, MulGate):
+            degrees.append(min(ceiling, degrees[gate.left] + degrees[gate.right]))
         elif isinstance(gate, AddGate):
             degrees.append(max(degrees[gate.left], degrees[gate.right]))
         else:
-            degrees.append(degrees[gate.left] + degrees[gate.right])
-    return max(degrees)
+            degrees.append(1 if isinstance(gate, InputGate) else 0)
+    return degrees
 
 
 def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
@@ -184,12 +184,15 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     circuit computes the degree-<=delta truncation of the original polynomial,
     hence the identical polynomial whenever that degree bound holds.  The
     bound is not checked: terms above delta are dropped without notice.
+    verify_circuit expands the same truncation without building this
+    circuit; expanding it is the independent reference for that route.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
     # Every component above a gate's syntactic degree is None, so truncating
     # there emits the same gates and bounds the work by the circuit itself.
-    delta = min(delta, max(1, _syntactic_degree(circuit)))
+    # Degrees saturated at delta + 1 give the same min(delta, max(1, D)).
+    delta = min(delta, max(1, max(_gate_degrees(circuit, delta + 1))))
     builder = _CircuitBuilder()
     components: list[list[int | None]] = []
     for gate in circuit.gates:
@@ -223,31 +226,62 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     return ArithmeticCircuit(circuit.num_inputs, tuple(builder.gates), output)
 
 
+def _expand_terms(
+    circuit: ArithmeticCircuit, delta: int | None, monomial_cap: int
+) -> dict[Powers, int]:
+    """The output's term map, expanded gate by gate and, when ``delta`` is
+    given, truncated at degree delta.
+
+    Each gate is a dict of its nonzero terms.  Truncation T commutes with the
+    gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
+    nonnegative, so only a product whose operands' syntactic degrees sum above
+    delta drops pairs.  Raises CapExceeded as soon as any gate's map holds
+    more than ``monomial_cap`` monomials.
+    """
+    degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
+    # A map is dropped after its last reader, and a sum extends its left
+    # operand's map in place when that reader is the sum itself, so a folded
+    # sum of n terms holds O(n) entries rather than O(n**2).
+    last_read = [-1] * len(circuit.gates)
+    for gate_id, gate in enumerate(circuit.gates):
+        if isinstance(gate, (AddGate, MulGate)):
+            last_read[gate.left] = last_read[gate.right] = gate_id
+    last_read[circuit.output] = len(circuit.gates)
+    expanded: list[dict[Powers, int] | None] = []
+    for gate_id, gate in enumerate(circuit.gates):
+        if isinstance(gate, InputGate):
+            terms = {((gate.index, 1),): 1}
+        elif isinstance(gate, ConstGate):
+            terms = {(): gate.value} if gate.value else {}
+        else:
+            left, right = expanded[gate.left], expanded[gate.right]
+            for operand in (gate.left, gate.right):
+                if last_read[operand] == gate_id:
+                    expanded[operand] = None
+            if isinstance(gate, MulGate):
+                bound = delta if degrees is not None and degrees[gate_id] > delta else None
+                terms = poly._multiply_terms(left, right, bound)
+            elif last_read[gate.left] == gate_id and gate.left != gate.right:
+                terms = poly._add_into(left, right)
+            else:
+                terms = poly._add_into(dict(left), right)
+        if len(terms) > monomial_cap:
+            raise CapExceeded(f"gate expansion holds {len(terms)} monomials (cap {monomial_cap})")
+        expanded.append(terms)
+    return expanded[circuit.output]
+
+
 def expand_to_polynomial(
     circuit: ArithmeticCircuit, monomial_cap: int = DEFAULT_MONOMIAL_CAP
 ) -> SparsePolynomial:
     """Symbolically expand the circuit into a sparse polynomial.
 
-    Each gate is expanded as a term dict of nonzero coefficients; the
-    output's dict becomes the polynomial's term map.  Raises CapExceeded as soon
-    as any gate's expansion holds more than ``monomial_cap`` monomials,
-    signalling that the circuit is not effectively constant-degree at this
-    cap.
+    Shares the gate-by-gate loop of verify_circuit, with no degree bound.
+    Raises CapExceeded as soon as any of the circuit's own gates expands to
+    more than ``monomial_cap`` monomials, signalling that the circuit is not
+    effectively constant-degree at this cap.
     """
-    expanded: list[dict[Powers, int]] = []
-    for gate in circuit.gates:
-        if isinstance(gate, InputGate):
-            terms = {((gate.index, 1),): 1}
-        elif isinstance(gate, ConstGate):
-            terms = {(): gate.value} if gate.value else {}
-        elif isinstance(gate, AddGate):
-            terms = poly._add_terms(expanded[gate.left], expanded[gate.right])
-        else:
-            terms = poly._multiply_terms(expanded[gate.left], expanded[gate.right])
-        if len(terms) > monomial_cap:
-            raise CapExceeded(f"gate expansion holds {len(terms)} monomials (cap {monomial_cap})")
-        expanded.append(terms)
-    return SparsePolynomial(circuit.num_inputs, expanded[circuit.output])
+    return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None, monomial_cap))
 
 
 @dataclass(frozen=True)
@@ -267,16 +301,20 @@ def verify_circuit(
 ) -> VerificationResult:
     """Check that the degree-<=delta truncation of ``circuit`` is ``target``.
 
-    Acceptance means the homogenized circuit's expansion equals the target
-    (same variable count and term map), so a circuit for x**3 + x is accepted
-    against x at delta = 1 and rejected at delta = 3.  A cap overflow is
-    reported as a rejection with its own reason code rather than an exception.
+    Acceptance means the circuit's expansion truncated at delta equals the
+    target (same variable count and term map), so a circuit for x**3 + x is
+    accepted against x at delta = 1 and rejected at delta = 3.  The cap
+    bounds each original gate's degree-<=delta expansion, as in
+    expand_to_polynomial; an overflow is reported as a rejection with its own
+    reason code rather than an exception.
     """
+    if delta < 1:
+        raise ValueError("delta must be >= 1")
     try:
-        expansion = expand_to_polynomial(homogenize(circuit, delta), monomial_cap)
+        terms = _expand_terms(circuit, delta, monomial_cap)
     except CapExceeded:
         return VerificationResult(False, "cap_exceeded")
-    if expansion != target:
+    if circuit.num_inputs != target.num_vars or terms != target.terms:
         return VerificationResult(False, "mismatch")
     return VerificationResult(True, "match")
 

@@ -151,6 +151,27 @@ def _cmd_selftest(args: argparse.Namespace) -> int:
         perm_ok = perm_ok and permanent.permanent_via_formulation(mat) == permanent.permanent_brute(mat)
     checks.append((f"seeded permanent equivalence (seed {args.seed})", perm_ok))
 
+    truncation_ok = True
+    for _ in range(10):
+        gates: list = [circuits.InputGate(i) for i in range(3)]
+        gates.append(circuits.ConstGate(rng.randint(-3, 3)))
+        degrees = [1, 1, 1, 0]
+        while len(gates) < 16 or degrees[-1] < 3:
+            left, right = rng.randrange(len(gates)), rng.randrange(len(gates))
+            if rng.random() < 0.5 and degrees[left] + degrees[right] <= 6:
+                gates.append(circuits.MulGate(left, right))
+                degrees.append(degrees[left] + degrees[right])
+            else:
+                gates.append(circuits.AddGate(left, right))
+                degrees.append(max(degrees[left], degrees[right]))
+        c = circuits.ArithmeticCircuit(3, tuple(gates), len(gates) - 1)
+        delta = rng.randint(1, degrees[-1] - 1)
+        reference = circuits.expand_to_polynomial(circuits.homogenize(c, delta))
+        for target in (reference, circuits.expand_to_polynomial(c)):
+            verdict = circuits.verify_circuit(c, target, delta)
+            truncation_ok = truncation_ok and verdict.accepted == (target == reference)
+    checks.append((f"seeded circuit truncation vs homogenize (seed {args.seed})", truncation_ok))
+
     ok = True
     for name, passed in checks:
         print(f"{name}: {'ok' if passed else 'FAIL'}")

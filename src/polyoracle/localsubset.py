@@ -65,6 +65,9 @@ from .errors import StreamTooLarge, UniverseTooLarge
 from .polynomials import Monomial, Powers, SparsePolynomial
 
 BRUTE_UNIVERSE_CAP = 10**6
+# The witness walk recurses once per slot; this keeps it far below CPython's
+# default recursion limit of 1000, whatever the caller's own depth.
+MAX_WITNESS_SLOTS = 256
 DEFAULT_STREAM_CAP = 10**7
 STREAM_CAP_ENV = "POLYORACLE_CAP"
 
@@ -158,7 +161,9 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
 def _witness_pools(spec: LSProblemSpec, inst: LSInstance, top: int) -> list[list[int]]:
     """Per-slot candidates up to ``top``: the elements of S for each a-slot and
     the rest of [1, top] for each b-slot.  Raises UniverseTooLarge rather than
-    build a b-slot pool longer than BRUTE_UNIVERSE_CAP."""
+    build more than MAX_WITNESS_SLOTS pools or a b-slot pool longer than
+    BRUTE_UNIVERSE_CAP."""
+    _check_slot_count(spec.alpha + spec.beta)
     inside = [v for v in inst.elements if v <= top]
     if spec.beta and top - len(inside) > BRUTE_UNIVERSE_CAP:
         raise UniverseTooLarge(
@@ -176,8 +181,15 @@ def accepted_tuples(
 ) -> Iterator[tuple[int, ...]]:
     """Yield the tuples of ``product(*pools)`` whose every nonempty prefix
     passes ``prefix`` and which ``accept`` accepts, in product order.  A
-    failing prefix is dropped with all its extensions."""
+    failing prefix is dropped with all its extensions.  Raises
+    UniverseTooLarge for more than MAX_WITNESS_SLOTS pools."""
+    _check_slot_count(len(pools))
     return _extend(pools, accept, prefix, ())
+
+
+def _check_slot_count(slots: int) -> None:
+    if slots > MAX_WITNESS_SLOTS:
+        raise UniverseTooLarge(f"{slots} witness slots exceed the walk's limit {MAX_WITNESS_SLOTS}")
 
 
 def _extend(pools, accept, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:

@@ -194,9 +194,9 @@ def value_bound(p: SparsePolynomial, rho: int) -> int:
     return 1 + sum(abs(coeff) * rho ** _degree(powers) for powers, coeff in p.terms.items())
 
 
-def _add_terms(left: Mapping[Powers, int], right: Mapping[Powers, int]) -> dict[Powers, int]:
-    """Sum of two term maps of nonzero coefficients; cancelled terms are dropped."""
-    out = dict(left)
+def _add_into(out: dict[Powers, int], right: Mapping[Powers, int]) -> dict[Powers, int]:
+    """Add a term map of nonzero coefficients into ``out`` in place and return
+    it; cancelled terms are dropped."""
     for powers, coeff in right.items():
         total = out.get(powers, 0) + coeff
         if total:
@@ -209,7 +209,7 @@ def _add_terms(left: Mapping[Powers, int], right: Mapping[Powers, int]) -> dict[
 def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
-    return SparsePolynomial(p.num_vars, _add_terms(p.terms, q.terms))
+    return SparsePolynomial(p.num_vars, _add_into(dict(p.terms), q.terms))
 
 
 def negate(p: SparsePolynomial) -> SparsePolynomial:
@@ -237,11 +237,20 @@ def _merge_powers(a: Powers, b: Powers) -> Powers:
     return tuple(out)
 
 
-def _multiply_terms(left: Mapping[Powers, int], right: Mapping[Powers, int]) -> dict[Powers, int]:
-    """Product of two term maps of nonzero coefficients; cancelled terms are dropped."""
+def _multiply_terms(
+    left: Mapping[Powers, int], right: Mapping[Powers, int], max_degree: int | None = None
+) -> dict[Powers, int]:
+    """Product of two term maps of nonzero coefficients; cancelled terms are
+    dropped, and so is every pair whose degrees sum above ``max_degree``."""
     out: dict[Powers, int] = {}
+    partners = right.items()
+    if max_degree is not None:
+        graded = [(b, cb, sum(e for _, e in b)) for b, cb in partners]
     for a, ca in left.items():
-        for b, cb in right.items():
+        if max_degree is not None:
+            room = max_degree - sum(e for _, e in a)
+            partners = [(b, cb) for b, cb, degree in graded if degree <= room]
+        for b, cb in partners:
             powers = _merge_powers(a, b)
             out[powers] = out.get(powers, 0) + ca * cb
     return {powers: coeff for powers, coeff in out.items() if coeff}

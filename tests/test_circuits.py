@@ -1,13 +1,21 @@
 """Circuit IR: evaluation, homogenization, expansion, verification, primes."""
 
 import json
+import os
 import random
+import subprocess
+import sys
+import tracemalloc
+from itertools import combinations_with_replacement
+from pathlib import Path
 
 import pytest
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
 from polyoracle.errors import ArityMismatch, CapExceeded
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def circuit(num_inputs, gates, output=None):
@@ -289,6 +297,129 @@ def test_verify_cap_reason():
     c = circuit(2, gates)
     result = ci.verify_circuit(c, poly.zero(2), 16, monomial_cap=5)
     assert not result and result.reason == "cap_exceeded"
+
+
+def reference_verdict(c, target, delta, cap=ci.DEFAULT_MONOMIAL_CAP):
+    """The Strassen route: expand the homogenized circuit, then compare."""
+    try:
+        expansion = ci.expand_to_polynomial(ci.homogenize(c, delta), cap)
+    except CapExceeded:
+        return False, "cap_exceeded"
+    return (True, "match") if expansion == target else (False, "mismatch")
+
+
+def test_truncated_expansion_matches_homogenize_reference():
+    """Random circuits, many above degree delta: the truncated expansion is
+    the homogenized circuit's expansion, and both routes give one verdict."""
+    rng = random.Random(11)
+    above = 0
+    for _ in range(300):
+        c = random_circuit(rng, rng.randint(3, 6), 20)
+        delta = rng.randint(1, 5)
+        above += syntactic_degree(c) > delta
+        reference = ci.expand_to_polynomial(ci.homogenize(c, delta))
+        assert ci._expand_terms(c, delta, ci.DEFAULT_MONOMIAL_CAP) == reference.terms
+        changed = dict(reference.terms)
+        changed[()] = changed.get((), 0) + 1
+        targets = [reference, poly.polynomial(c.num_inputs, changed)]
+        targets.append(random_polynomial(rng, c.num_inputs))
+        for target in targets:
+            result = ci.verify_circuit(c, target, delta)
+            assert (result.accepted, result.reason) == reference_verdict(c, target, delta)
+    assert above >= 100
+
+
+def test_verify_matches_reference_on_benchmark_ops():
+    """Every circuit-verify op of seeds 1-3, built by the benchmark itself."""
+    bench = str(ROOT / "perfbench")
+    sys.path.insert(0, bench)
+    try:
+        from bench_workloads import WORKLOADS
+    finally:
+        sys.path.remove(bench)
+    workload = WORKLOADS["circuit-verify"]
+    checked = 0
+    for seed in (1, 2, 3):
+        for op in workload.make_ops(random.Random(seed), False):
+            source, target, delta, _ = op.data
+            c = ci.build_circuit_from_polynomial(source)
+            result = ci.verify_circuit(c, target, delta)
+            assert (result.accepted, result.reason) == reference_verdict(c, target, delta)
+            assert result.accepted == op.expected["accepted"]
+            checked += 1
+    assert checked == 72
+
+
+def test_verify_cap_bounds_each_original_gate():
+    """g = (x0 + x1 + 1)**2 has 6 monomials, but each of its homogeneous
+    parts has at most 3; (g * x2) truncated at delta = 2 is x2 + 2x0x2 + 2x1x2.
+    The cap bounds g's own degree-<=2 expansion, so cap 3 rejects what the
+    homogenized circuit's expansion accepts."""
+    gates = [
+        ci.InputGate(0), ci.InputGate(1), ci.InputGate(2), ci.ConstGate(1),
+        ci.AddGate(0, 1), ci.AddGate(4, 3), ci.MulGate(5, 5), ci.MulGate(6, 2),
+    ]
+    c = circuit(3, gates)
+    target = poly.polynomial(3, {((2, 1),): 1, ((0, 1), (2, 1)): 2, ((1, 1), (2, 1)): 2})
+    assert reference_verdict(c, target, 2, cap=3) == (True, "match")
+    assert ci.verify_circuit(c, target, 2, monomial_cap=3).reason == "cap_exceeded"
+    assert ci.verify_circuit(c, target, 2, monomial_cap=6).reason == "match"
+    with pytest.raises(CapExceeded, match=r"holds 6 monomials \(cap 5\)"):
+        ci._expand_terms(c, 2, 5)
+
+
+def test_verify_rejects_delta_below_one():
+    with pytest.raises(ValueError):
+        ci.verify_circuit(circuit(1, [ci.InputGate(0)]), poly.variable(1, 0), 0)
+
+
+def test_folded_sum_expands_in_linear_memory():
+    """The built circuit of all 1 820 monomials of degree <= 4 in 12
+    variables folds its terms into one running sum.  Keeping every partial
+    sum's map would hold about 1.7 million entries (over 60 MB); each map is
+    released after its last reader and the running sum grows in place."""
+    terms = {}
+    for degree in range(5):
+        for combo in combinations_with_replacement(range(12), degree):
+            terms[tuple((v, combo.count(v)) for v in sorted(set(combo)))] = len(terms) + 1
+    target = poly.polynomial(12, terms)
+    c = ci.build_circuit_from_polynomial(target)
+    tracemalloc.start()
+    try:
+        assert ci.expand_to_polynomial(c) == target
+        assert ci.verify_circuit(c, target, 4).reason == "match"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(terms) == 1820 and peak < 8 * 2**20
+
+
+def test_verify_long_squaring_chain_in_bounded_memory(tmp_path):
+    """x**(2**199998) + x at delta = 2 is x.  Exact syntactic degrees along
+    the chain would hold about 2 * 10**10 bits; the child process runs under
+    a 1 GB address-space limit."""
+    size = 200_000
+    gates = [{"op": "input", "i": 0}]
+    gates += [{"op": "mul", "l": i, "r": i} for i in range(size - 2)]
+    gates.append({"op": "add", "l": size - 2, "r": 0})
+    circuit_path = tmp_path / "chain.json"
+    circuit_path.write_text(json.dumps({"num_inputs": 1, "gates": gates, "output": size - 1}))
+    poly_path = tmp_path / "x.json"
+    poly_path.write_text(json.dumps(poly.to_json_dict(poly.variable(1, 0))))
+    child = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+        "from polyoracle.cli import run_cli\n"
+        "sys.exit(run_cli(sys.argv[1:]))\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    argv = ["verify-circuit", "--circuit", str(circuit_path), "--poly", str(poly_path)]
+    result = subprocess.run(
+        [sys.executable, "-c", child, *argv, "--delta", "2"],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert (result.returncode, result.stdout.strip()) == (0, "verify: match"), result.stderr
 
 
 def test_find_prime_known_values():

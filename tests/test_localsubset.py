@@ -509,6 +509,16 @@ def test_accepted_tuples_in_product_order():
     assert list(pruned) == [t for t in expected if t[0] != 1]
 
 
+def test_walk_depth_is_capped():
+    """The walk recurses once per slot: MAX_WITNESS_SLOTS pools are walked,
+    one more is refused before the first step."""
+    accept = lambda *codes: True  # noqa: E731
+    deepest = [[1]] * ls.MAX_WITNESS_SLOTS
+    assert list(ls.accepted_tuples(deepest, accept)) == [(1,) * ls.MAX_WITNESS_SLOTS]
+    with pytest.raises(UniverseTooLarge, match="witness slots exceed"):
+        ls.accepted_tuples(deepest + [[1]], accept)
+
+
 def test_stream_unchanged_by_pruning():
     """On the (spec, s, theta) of acceptance criteria 2 and 3, the pruned
     literal stream emits the unpruned stream's monomials in the same order."""

@@ -240,6 +240,41 @@ def test_cli_solve_b_pool_cap(tmp_path, capsys):
     assert "b-slot pool" in capsys.readouterr().err
 
 
+SLOT_HEAVY = [
+    pytest.param("ksum", {"k": 1500, "sets": [[0]] * 1500}, id="ksum-1500"),
+    pytest.param(
+        "min-weight-clique",
+        {"n": 3, "edges": [[1, 2, 1], [2, 3, 1], [1, 3, 1]], "k": 10**12, "threshold": 5},
+        id="clique-k-1e12",
+    ),
+    pytest.param(
+        "h-induced", {"n": 3, "edges": [[1, 2]], "H": {"n": 10**12, "edges": [[1, 2]]}},
+        id="pattern-1e12-vertices",
+    ),
+]
+
+
+@pytest.mark.parametrize("method", ["formulation", "brute"])
+@pytest.mark.parametrize("problem, payload", SLOT_HEAVY)
+def test_cli_solve_slot_count_cap(tmp_path, capsys, problem, payload, method):
+    """More witness slots than the walk allows is refused before any pool is
+    built, instead of an OverflowError or a RecursionError."""
+    path = write_json(tmp_path / "input.json", payload)
+    argv = ["solve", "--problem", problem, "--input", path, "--method", method]
+    assert timed(lambda: run_cli(argv)) == 3
+    assert "witness slots exceed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("last_set, answer", [([0], 0), ([1], 1)])
+def test_cli_solve_at_slot_count_cap(tmp_path, capsys, last_set, answer):
+    k = ls.MAX_WITNESS_SLOTS
+    path = write_json(tmp_path / "ksum.json", {"k": k, "sets": [[0]] * (k - 1) + [last_set]})
+    assert timed(lambda: run_cli(["solve", "--problem", "ksum", "--input", path])) == answer
+    assert capsys.readouterr().out.startswith(f"{k}-sum: {'no' if answer else 'yes'}")
+    too_many = write_json(tmp_path / "more.json", {"k": k + 1, "sets": [[0]] * (k + 1)})
+    assert run_cli(["solve", "--problem", "ksum", "--input", too_many]) == 3
+
+
 def test_cli_setcover_huge_universe(tmp_path, capsys):
     path = write_json(tmp_path / "f.json", {"n": 10**12, "sets": [[1]]})
     assert timed(lambda: run_cli(["setcover", "--input", path])) == 1
