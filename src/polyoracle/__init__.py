@@ -53,7 +53,6 @@ from .oracle import (
 from .permanent import (
     BinaryMatrix,
     FSpec,
-    f_count_brute,
     f_count_traces,
     f_expand,
     g_count_dp,
@@ -63,11 +62,9 @@ from .permanent import (
     permanent_via_formulation,
 )
 from .polynomials import (
-    ExplicitFamilyParams,
     Monomial,
     SparsePolynomial,
     add,
-    check_explicit,
     eval_mod,
     eval_over_integers,
     is_prime,
@@ -95,10 +92,8 @@ from .setcover import (
     SetFamily,
     family_from_lists,
     hcv_branch,
-    hcv_brute,
     hcv_expand_setcover,
     setcover_min,
-    setpartition_brute,
     setpartition_via_traces,
     z_var_dp,
 )

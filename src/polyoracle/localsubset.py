@@ -150,11 +150,21 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: enumerate witness tuples over S and its complement,
-    unpruned (``spec.prefix`` is never consulted), stopping at the first hit."""
+    unpruned (``spec.prefix`` is never consulted), stopping at the first hit.
+    Raises UniverseTooLarge when the universe or the walk's |S|**alpha *
+    |S-bar|**beta tuples pass BRUTE_UNIVERSE_CAP."""
     u = universe_size(spec, inst)
     if u > BRUTE_UNIVERSE_CAP:
         raise UniverseTooLarge(f"universe size {u} exceeds cap {BRUTE_UNIVERSE_CAP}")
     pools = _witness_pools(spec, inst, u)
+    walk = _capped_power(inst.m, spec.alpha, BRUTE_UNIVERSE_CAP) * _capped_power(
+        u - inst.m, spec.beta, BRUTE_UNIVERSE_CAP
+    )
+    if walk > BRUTE_UNIVERSE_CAP:
+        raise UniverseTooLarge(
+            f"brute walk of {inst.m}**{spec.alpha} * {u - inst.m}**{spec.beta} tuples"
+            f" exceeds cap {BRUTE_UNIVERSE_CAP}"
+        )
     return next(accepted_tuples(pools, spec.verifier), None) is not None
 
 
@@ -528,10 +538,6 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
 
 def instance_to_json_dict(problem: str, inst: LSInstance) -> dict:
     return {"problem": problem, "n": inst.n, "elements": list(inst.elements)}
-
-
-def instance_from_json_dict(data: dict) -> tuple[str, LSInstance]:
-    return str(data["problem"]), ls_instance(int(data["n"]), [int(e) for e in data["elements"]])
 
 
 @dataclass(frozen=True)

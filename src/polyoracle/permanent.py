@@ -42,7 +42,6 @@ from typing import Iterator, Sequence
 from .errors import TooLarge, ValueOutOfRange
 
 PERMANENT_BRUTE_CAP = 10
-F_BRUTE_CAP = 6
 G_TARGET_CAP = 20
 
 
@@ -113,43 +112,6 @@ def _matchings_from(masks: Sequence[int], u: int, used: int) -> int:
         total += _matchings_from(masks, u + 1, used | bit)
         free ^= bit
     return total
-
-
-def _mappings(
-    choices: Sequence[int], i: int, once: int, multi: int
-) -> Iterator[tuple[int, int]]:
-    """Yield (covered_once, covered_multi) masks over all edge-respecting
-    mappings of rows i.. with neighbourhoods ``choices``."""
-    if i == len(choices):
-        yield once, multi
-        return
-    free = choices[i]
-    while free:
-        bit = free & -free
-        free ^= bit
-        if bit & once:
-            yield from _mappings(choices, i + 1, once ^ bit, multi | bit)
-        elif bit & multi:
-            yield from _mappings(choices, i + 1, once, multi)
-        else:
-            yield from _mappings(choices, i + 1, once | bit, multi)
-
-
-def f_count_brute(matrix: BinaryMatrix, spec: FSpec) -> int:
-    """Enumerate all mappings L -> R and count those meeting the constraints."""
-    if matrix.n > F_BRUTE_CAP:
-        raise TooLarge(f"f_count_brute capped at n <= {F_BRUTE_CAP}")
-    count = 0
-    for once, multi in _mappings(matrix.row_masks, 0, 0, 0):
-        covered = once | multi
-        if spec.eq1 & ~once:
-            continue
-        if spec.eq0 & covered:
-            continue
-        if spec.ge1 & ~covered:
-            continue
-        count += 1
-    return count
 
 
 def f_expand(matrix: BinaryMatrix, s_eq1: int, alpha: float) -> list[tuple[int, FSpec]]:

@@ -107,25 +107,6 @@ class SparsePolynomial:
         return not self.terms
 
 
-@dataclass(frozen=True)
-class ExplicitFamilyParams:
-    """Degree bound and coefficient scale of an explicit polynomial family.
-
-    A member on n variables qualifies when its total degree is at most
-    ``delta`` and every coefficient magnitude is at most
-    ``coeff_scale * n**delta``.
-    """
-
-    delta: int
-    coeff_scale: int
-
-    def __post_init__(self) -> None:
-        if self.delta < 1:
-            raise ValueError("delta must be >= 1")
-        if self.coeff_scale < 1:
-            raise ValueError("coeff_scale must be >= 1")
-
-
 def polynomial(num_vars: int, terms: Mapping[Powers, int]) -> SparsePolynomial:
     """Build a polynomial from a power vector -> coefficient map; zeros are dropped."""
     return SparsePolynomial(num_vars, {powers: coeff for powers, coeff in terms.items() if coeff})
@@ -260,16 +241,6 @@ def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
     if p.num_vars != q.num_vars:
         raise ArityMismatch("polynomials have different variable counts")
     return SparsePolynomial(p.num_vars, _multiply_terms(p.terms, q.terms))
-
-
-def check_explicit(p: SparsePolynomial, params: ExplicitFamilyParams, n: int) -> bool:
-    """Check membership in the explicit family described by ``params``."""
-    if p.num_vars != n:
-        raise ArityMismatch(f"polynomial has {p.num_vars} variables, expected {n}")
-    if total_degree(p) > params.delta:
-        return False
-    bound = params.coeff_scale * n**params.delta
-    return all(abs(coeff) <= bound for coeff in p.terms.values())
 
 
 # --- JSON wire format ---------------------------------------------------

@@ -45,11 +45,9 @@ from typing import Sequence
 
 from .errors import PreconditionViolated, TooLarge, ValueOutOfRange
 
-SETPARTITION_BRUTE_CAP = 20
 SETPARTITION_UNIVERSE_CAP = 12
 SETPARTITION_THETAS = (1, 2, 3)
 Z_UNIVERSE_CAP = 20
-HCV_BRUTE_CAP = 18
 HCV_BRANCH_CAP = 20
 MAX_BRANCH = 6
 
@@ -83,31 +81,6 @@ def family_from_lists(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
             mask |= 1 << (e - 1)
         masks.append(mask)
     return SetFamily(n, tuple(masks))
-
-
-def family_to_lists(family: SetFamily) -> list[list[int]]:
-    return [
-        [e for e in range(1, family.n + 1) if mask >> (e - 1) & 1] for mask in family.sets
-    ]
-
-
-def setpartition_brute(family: SetFamily, k: int) -> int:
-    """Count k-index-subsets of pairwise disjoint sets with union [n]."""
-    if len(family.sets) > SETPARTITION_BRUTE_CAP:
-        raise TooLarge(f"setpartition_brute capped at {SETPARTITION_BRUTE_CAP} sets")
-    return 0 if k < 0 else _partitions_from(family.sets, family.full_mask, 0, 0, k)
-
-
-def _partitions_from(sets: Sequence[int], full: int, index: int, used: int, left: int) -> int:
-    if left == 0:
-        return 1 if used == full else 0
-    if len(sets) - index < left:
-        return 0
-    total = _partitions_from(sets, full, index + 1, used, left)
-    mask = sets[index]
-    if not mask & used:
-        total += _partitions_from(sets, full, index + 1, used | mask, left - 1)
-    return total
 
 
 class _PartitionCounter:
@@ -251,38 +224,6 @@ def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
     """
     counts = _partition_counts(family, k, theta)
     return counts[k] if k >= 0 else 0
-
-
-def hcv_brute(family: SetFamily, n: int, m: int, k: int) -> int:
-    """#HCV reference: k-index-subsets covering [n] with [m] covered exactly once."""
-    if len(family.sets) > HCV_BRUTE_CAP:
-        raise TooLarge(f"hcv_brute capped at {HCV_BRUTE_CAP} sets")
-    if not 0 <= m <= n or family.n != n:
-        raise ValueOutOfRange("need 0 <= m <= n = family.n")
-    return 0 if k < 0 else _hcv_from(family.sets, (1 << n) - 1, (1 << m) - 1, 0, 0, 0, 0, k)
-
-
-def _hcv_from(
-    sets: Sequence[int],
-    full: int,
-    m_mask: int,
-    index: int,
-    union: int,
-    once: int,
-    multi: int,
-    left: int,
-) -> int:
-    if multi & m_mask:
-        return 0
-    if left == 0:
-        return 1 if union == full and (m_mask & ~once) == 0 else 0
-    if len(sets) - index < left:
-        return 0
-    total = _hcv_from(sets, full, m_mask, index + 1, union, once, multi, left)
-    mask = sets[index]
-    once, multi = (once ^ mask) & ~multi, multi | (once & mask)
-    total += _hcv_from(sets, full, m_mask, index + 1, union | mask, once, multi, left - 1)
-    return total
 
 
 def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, SetFamily]]:

@@ -8,9 +8,12 @@ package's evaluation paths.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from itertools import combinations, permutations, product
 
+from polyoracle.permanent import BinaryMatrix, FSpec
 from polyoracle.problems import GraphInput, PatternGraph, WeightedGraphInput
+from polyoracle.setcover import SetFamily
 
 
 def has_induced_pattern(graph: GraphInput, pattern: PatternGraph) -> bool:
@@ -90,3 +93,58 @@ def random_weighted_graph(
     return WeightedGraphInput(
         n, edge_weights, max(magnitude, 1), vertex_weights=vertex_weights
     )
+
+
+def mapping_coverages(matrix: BinaryMatrix) -> Counter[tuple[int, ...]]:
+    """How many edge-respecting mappings L -> R give each coverage vector:
+    entry v of a vector is the number of rows mapped to column v + 1."""
+    choices = [[v for v, entry in enumerate(row) if entry] for row in matrix.entries]
+    coverages: Counter[tuple[int, ...]] = Counter()
+    for mapping in product(*choices):
+        coverage = [0] * len(choices)
+        for v in mapping:
+            coverage[v] += 1
+        coverages[tuple(coverage)] += 1
+    return coverages
+
+
+def f_count(coverages: Counter[tuple[int, ...]], spec: FSpec) -> int:
+    """|F(eq1, eq0, ge1)| from ``mapping_coverages``: mappings covering each
+    eq1 column exactly once, no eq0 column, and each ge1 column at least once."""
+
+    def meets(coverage: tuple[int, ...]) -> bool:
+        for v, times in enumerate(coverage):
+            bit = 1 << v
+            if spec.eq1 & bit and times != 1:
+                return False
+            if spec.eq0 & bit and times:
+                return False
+            if spec.ge1 & bit and not times:
+                return False
+        return True
+
+    return sum(count for coverage, count in coverages.items() if meets(coverage))
+
+
+def setpartition_count(family: SetFamily, k: int) -> int:
+    """k-index-subsets of the family whose sets are pairwise disjoint with union [n]."""
+    count = 0
+    for indices in combinations(range(len(family.sets)), k):
+        union = 0
+        for i in indices:
+            if family.sets[i] & union:
+                break
+            union |= family.sets[i]
+        else:
+            count += union == family.full_mask
+    return count
+
+
+def hcv_count(family: SetFamily, m: int, k: int) -> int:
+    """#HCV: k-index-subsets covering every element of [n] and each of [m]
+    exactly once."""
+    count = 0
+    for indices in combinations(range(len(family.sets)), k):
+        coverage = [sum(family.sets[i] >> e & 1 for i in indices) for e in range(family.n)]
+        count += all(coverage) and all(times == 1 for times in coverage[:m])
+    return count

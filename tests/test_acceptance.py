@@ -16,7 +16,14 @@ import polyoracle.permanent as pm
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
 import polyoracle.setcover as sc
-from oracles import random_graph, random_weighted_graph
+from oracles import (
+    f_count,
+    hcv_count,
+    mapping_coverages,
+    random_graph,
+    random_weighted_graph,
+    setpartition_count,
+)
 
 SEED = 20240817
 
@@ -203,6 +210,7 @@ def test_criterion_4_permanent_chain():
             matrix = pm.matrix_from_rows(
                 [[1 if rng.random() < 0.6 else 0 for _ in range(n)] for _ in range(n)]
             )
+            coverages = mapping_coverages(matrix)
             counts = {}
             for assignment in product(range(4), repeat=n):
                 eq1 = eq0 = ge1 = 0
@@ -214,7 +222,7 @@ def test_criterion_4_permanent_chain():
                         eq0 |= bit
                     elif kind == 3:
                         ge1 |= bit
-                counts[(eq1, eq0, ge1)] = pm.f_count_brute(matrix, pm.FSpec(eq1, eq0, ge1))
+                counts[(eq1, eq0, ge1)] = f_count(coverages, pm.FSpec(eq1, eq0, ge1))
             for (eq1, eq0, ge1), value in counts.items():
                 bits = [b for b in range(n) if ge1 >> b & 1]
                 for b in bits:
@@ -256,9 +264,9 @@ def test_criterion_5_set_cover_chain():
         family = sc.SetFamily(n, sets)
         k = rng.randint(0, len(sets))
         total = sum(
-            sign * sc.setpartition_brute(inst, k) for sign, inst in sc.hcv_branch(family, n, m, k)
+            sign * setpartition_count(inst, k) for sign, inst in sc.hcv_branch(family, n, m, k)
         )
-        ok = ok and total == sc.hcv_brute(family, n, m, k)
+        ok = ok and total == hcv_count(family, m, k)
     # trace-counted partitions against the brute oracle at theta = 2
     for _ in range(200):
         n = rng.randint(4, 8)
@@ -271,7 +279,7 @@ def test_criterion_5_set_cover_chain():
                 sets.append(rng.sample(range(1, n + 1), rng.randint(1, max(1, size_cap))))
         family = sc.family_from_lists(n, sets)
         k = rng.randint(0, len(sets))
-        ok = ok and sc.setpartition_via_traces(family, k, 2) == sc.setpartition_brute(family, k)
+        ok = ok and sc.setpartition_via_traces(family, k, 2) == setpartition_count(family, k)
     elapsed = time.perf_counter() - start
     _report(5, "set cover chain (200 + 100 + 200 seeded cases)", ok, elapsed, 120)
 

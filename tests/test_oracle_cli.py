@@ -217,11 +217,16 @@ def test_size_errors_are_one_family():
     assert all(issubclass(e, TooLarge) for e in (CapExceeded, UniverseTooLarge, StreamTooLarge))
 
 
-def test_cli_cap_errors(tmp_path):
+def test_cli_cap_errors(tmp_path, capsys):
     huge = write_json(
         tmp_path / "huge.json", {"k": 2, "sets": [[0], [0]], "magnitude": 10**6}
     )
     assert run_cli(["solve", "--problem", "ksum", "--input", huge, "--method", "brute"]) == 3
+    # A small universe, but 256**256 tuples for the unpruned brute walk.
+    wide = write_json(tmp_path / "wide.json", {"k": 256, "sets": [[0]] * 256})
+    argv = ["solve", "--problem", "ksum", "--input", wide, "--method", "brute"]
+    assert timed(lambda: run_cli(argv)) == 3
+    assert "brute walk" in capsys.readouterr().err
 
 
 def test_cli_solve_huge_theta(tmp_path, capsys):

@@ -61,18 +61,6 @@ def test_total_degree_conventions():
     assert poly.total_degree(P(2, {((0, 2), (1, 3)): 5, (): 7})) == 5
 
 
-def test_check_explicit_known_values():
-    params = poly.ExplicitFamilyParams(delta=2, coeff_scale=1)
-    assert poly.check_explicit(P(2, {((0, 1), (1, 1)): 1}), params, 2)
-    assert not poly.check_explicit(P(1, {((0, 3),): 1}), params, 1)
-
-
-def test_check_explicit_coefficient_bound():
-    params = poly.ExplicitFamilyParams(delta=2, coeff_scale=1)
-    assert poly.check_explicit(P(3, {((0, 1),): 9}), params, 3)
-    assert not poly.check_explicit(P(3, {((0, 1),): 10}), params, 3)
-
-
 def test_monomial_validation():
     with pytest.raises(ValueError):
         poly.Monomial(0, ())

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import polyoracle.permanent as pm
 import polyoracle.setcover as sc
 from polyoracle.errors import PreconditionViolated, ValueOutOfRange
+from oracles import hcv_count, setpartition_count
 
 
 def random_family(rng, n, max_sets, size_cap, empty_rate=0.15):
@@ -26,35 +27,11 @@ def random_family(rng, n, max_sets, size_cap, empty_rate=0.15):
     return sc.SetFamily(n, tuple(sets))
 
 
-def partition_reference(family, k):
-    count = 0
-    for indices in combinations(range(len(family.sets)), k):
-        union = 0
-        ok = True
-        for i in indices:
-            if family.sets[i] & union:
-                ok = False
-                break
-            union |= family.sets[i]
-        if ok and union == family.full_mask:
-            count += 1
-    return count
-
-
 def test_setpartition_brute_known_values():
-    assert sc.setpartition_brute(sc.family_from_lists(2, [[1], [2]]), 2) == 1
-    assert sc.setpartition_brute(sc.family_from_lists(2, [[1, 2]]), 1) == 1
+    assert setpartition_count(sc.family_from_lists(2, [[1], [2]]), 2) == 1
+    assert setpartition_count(sc.family_from_lists(2, [[1, 2]]), 1) == 1
     # duplicate values are distinct indices
-    assert sc.setpartition_brute(sc.family_from_lists(2, [[1], [1], [2]]), 2) == 2
-
-
-def test_setpartition_brute_vs_reference():
-    rng = random.Random(0)
-    for _ in range(100):
-        n = rng.randint(1, 6)
-        family = random_family(rng, n, 8, n)
-        k = rng.randint(0, len(family.sets))
-        assert sc.setpartition_brute(family, k) == partition_reference(family, k)
+    assert setpartition_count(sc.family_from_lists(2, [[1], [1], [2]]), 2) == 2
 
 
 def test_z_var_dp_base_cases():
@@ -116,7 +93,7 @@ def test_setpartition_traces_vs_brute(theta):
         family = random_family(rng, n, 10, n // (2 * theta))
         k_max = len(family.sets)
         counts = sc._partition_counts(family, k_max, theta)
-        assert counts == [sc.setpartition_brute(family, k) for k in range(k_max + 1)]
+        assert counts == [setpartition_count(family, k) for k in range(k_max + 1)]
         k = rng.randint(0, k_max)
         assert sc.setpartition_via_traces(family, k, theta) == counts[k]
 
@@ -130,7 +107,7 @@ def test_setpartition_traces_vs_brute(theta):
 def test_setpartition_traces_hypothesis(n, raw_sets, k):
     lists = [[e for e in s if e <= n][: n // 4] for s in raw_sets]
     family = sc.family_from_lists(n, [sorted(set(s)) for s in lists])
-    assert sc.setpartition_via_traces(family, k, 2) == sc.setpartition_brute(family, k)
+    assert sc.setpartition_via_traces(family, k, 2) == setpartition_count(family, k)
 
 
 def greedy_partition_trace(masks, n, theta):
@@ -193,10 +170,10 @@ def test_partition_trace_uniqueness_audit():
 
 
 def test_hcv_brute_known_values():
-    assert sc.hcv_brute(sc.family_from_lists(1, [[1]]), 1, 1, 1) == 1
-    assert sc.hcv_brute(sc.family_from_lists(1, [[1], [1]]), 1, 1, 2) == 0
+    assert hcv_count(sc.family_from_lists(1, [[1]]), 1, 1) == 1
+    assert hcv_count(sc.family_from_lists(1, [[1], [1]]), 1, 2) == 0
     # with m = 0, HCV counts covers: {1}+{2}, {1}+{1,2}, {2}+{1,2}
-    assert sc.hcv_brute(sc.family_from_lists(2, [[1], [2], [1, 2]]), 2, 0, 2) == 3
+    assert hcv_count(sc.family_from_lists(2, [[1], [2], [1, 2]]), 0, 2) == 3
 
 
 def test_hcv_is_setpartition_when_m_equals_n():
@@ -205,7 +182,7 @@ def test_hcv_is_setpartition_when_m_equals_n():
         n = rng.randint(1, 6)
         family = random_family(rng, n, 8, n)
         k = rng.randint(0, len(family.sets))
-        assert sc.hcv_brute(family, n, n, k) == sc.setpartition_brute(family, k)
+        assert hcv_count(family, n, k) == setpartition_count(family, k)
 
 
 def test_hcv_branch_structure():
@@ -224,10 +201,10 @@ def test_hcv_branch_signed_sums_match_brute():
         m = rng.randint(0, n)
         family = random_family(rng, n, 8, n)
         k = rng.randint(0, len(family.sets))
-        expected = sc.hcv_brute(family, n, m, k)
+        expected = hcv_count(family, m, k)
         terms = sc.hcv_branch(family, n, m, k)
         assert len(terms) == 2 ** (n - m)
-        assert sum(sign * sc.setpartition_brute(inst, k) for sign, inst in terms) == expected
+        assert sum(sign * setpartition_count(inst, k) for sign, inst in terms) == expected
 
 
 def test_hcv_expand_known_values():
@@ -252,7 +229,7 @@ def test_hcv_expand_positivity_matches_coverability():
         assert len(expanded.sets) == sum(
             2 ** bin(mask & m_mask).count("1") for mask in family.sets
         )
-        positive = sc.hcv_brute(expanded, n, m, k) > 0 if len(expanded.sets) <= 18 else None
+        positive = hcv_count(expanded, m, k) > 0 if len(expanded.sets) <= 18 else None
         if positive is None:
             continue
         minimum = sc.setcover_min(family, method="brute")
@@ -303,11 +280,8 @@ def test_counting_chain_leaves_no_reference_cycles():
     calls = [
         (lambda: sc.setpartition_via_traces(family, 5, 2), 1),
         (lambda: sc.setcover_min(family, method="reduction", theta=2), 5),
-        (lambda: sc.setpartition_brute(family, 5), 1),
-        (lambda: sc.hcv_brute(family, 10, 10, 5), 1),
         (lambda: sc.setcover_min(nine, method="brute"), 5),
         (lambda: pm.permanent_brute(matrix), 2),
-        (lambda: pm.f_count_brute(matrix, pm.FSpec(0, 0, 0)), 8),
         (lambda: pm.permanent_via_formulation(matrix), 2),
     ]
     gc.collect()
