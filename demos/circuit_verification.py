@@ -3,7 +3,7 @@
 The verifier expands each gate of a circuit straight into its degree-<=delta
 truncation and accepts only when the output's truncation is the target
 polynomial monomial for monomial, so a one-off constant perturbation is
-always caught; a monomial cap on each original gate's truncated expansion
+always caught; the gate_terms cap on each original gate's truncated expansion
 bounds the work.  Strassen homogenization, printed below for its size, builds
 the same truncation as an explicit circuit.  Modular evaluation with a prime
 from [2M, 4M] recovers exact integer values through centered residues."""

@@ -34,10 +34,8 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import polynomials as poly
-from .errors import ArityMismatch, CapExceeded
+from .errors import ArityMismatch, CapExceeded, cap_limit, check
 from .polynomials import Powers, SparsePolynomial, is_prime
-
-DEFAULT_MONOMIAL_CAP = 10**6
 
 # Homogenization emits at most this factor times delta**2 times the original
 # size; asserted by the test suite on random circuits.
@@ -226,18 +224,17 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     return ArithmeticCircuit(circuit.num_inputs, tuple(builder.gates), output)
 
 
-def _expand_terms(
-    circuit: ArithmeticCircuit, delta: int | None, monomial_cap: int
-) -> dict[Powers, int]:
+def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers, int]:
     """The output's term map, expanded gate by gate and, when ``delta`` is
     given, truncated at degree delta.
 
     Each gate is a dict of its nonzero terms.  Truncation T commutes with the
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
-    delta drops pairs.  Raises CapExceeded as soon as any gate's map holds
-    more than ``monomial_cap`` monomials.
+    delta drops pairs.  Raises CapExceeded as soon as any gate's map passes
+    the gate_terms cap.
     """
+    limit = cap_limit("gate_terms")
     degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
     # A map is dropped after its last reader, and a sum extends its left
     # operand's map in place when that reader is the sum itself, so a folded
@@ -265,23 +262,21 @@ def _expand_terms(
                 terms = poly._add_into(left, right)
             else:
                 terms = poly._add_into(dict(left), right)
-        if len(terms) > monomial_cap:
-            raise CapExceeded(f"gate expansion holds {len(terms)} monomials (cap {monomial_cap})")
+        if len(terms) > limit:
+            check("gate_terms", len(terms))
         expanded.append(terms)
     return expanded[circuit.output]
 
 
-def expand_to_polynomial(
-    circuit: ArithmeticCircuit, monomial_cap: int = DEFAULT_MONOMIAL_CAP
-) -> SparsePolynomial:
+def expand_to_polynomial(circuit: ArithmeticCircuit) -> SparsePolynomial:
     """Symbolically expand the circuit into a sparse polynomial.
 
     Shares the gate-by-gate loop of verify_circuit, with no degree bound.
-    Raises CapExceeded as soon as any of the circuit's own gates expands to
-    more than ``monomial_cap`` monomials, signalling that the circuit is not
-    effectively constant-degree at this cap.
+    Raises CapExceeded as soon as any of the circuit's own gates expands past
+    the gate_terms cap, signalling that the circuit is not effectively
+    constant-degree at this cap.
     """
-    return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None, monomial_cap))
+    return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None))
 
 
 @dataclass(frozen=True)
@@ -294,24 +289,21 @@ class VerificationResult:
 
 
 def verify_circuit(
-    circuit: ArithmeticCircuit,
-    target: SparsePolynomial,
-    delta: int,
-    monomial_cap: int = DEFAULT_MONOMIAL_CAP,
+    circuit: ArithmeticCircuit, target: SparsePolynomial, delta: int
 ) -> VerificationResult:
     """Check that the degree-<=delta truncation of ``circuit`` is ``target``.
 
     Acceptance means the circuit's expansion truncated at delta equals the
     target (same variable count and term map), so a circuit for x**3 + x is
-    accepted against x at delta = 1 and rejected at delta = 3.  The cap
-    bounds each original gate's degree-<=delta expansion, as in
+    accepted against x at delta = 1 and rejected at delta = 3.  The
+    gate_terms cap bounds each original gate's degree-<=delta expansion, as in
     expand_to_polynomial; an overflow is reported as a rejection with its own
     reason code rather than an exception.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
     try:
-        terms = _expand_terms(circuit, delta, monomial_cap)
+        terms = _expand_terms(circuit, delta)
     except CapExceeded:
         return VerificationResult(False, "cap_exceeded")
     if circuit.num_inputs != target.num_vars or terms != target.terms:

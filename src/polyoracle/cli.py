@@ -16,8 +16,6 @@ from . import circuits, localsubset, oracle, permanent, polynomials, setcover
 from .errors import PolyOracleError, PreconditionViolated, TooLarge
 from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, build_problem
 
-_CAP_ERRORS = (TooLarge, PreconditionViolated)
-
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
@@ -73,7 +71,7 @@ def _cmd_formulate(args: argparse.Namespace) -> int:
 def _cmd_verify_circuit(args: argparse.Namespace) -> int:
     circuit = circuits.from_json_dict(_load_json(args.circuit))
     target = polynomials.from_json_dict(_load_json(args.poly))
-    result = circuits.verify_circuit(circuit, target, args.delta, args.cap)
+    result = circuits.verify_circuit(circuit, target, args.delta)
     print(f"verify: {result.reason}")
     return 0 if result.accepted else 1
 
@@ -203,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--circuit", required=True)
     verify.add_argument("--poly", required=True)
     verify.add_argument("--delta", type=int, required=True)
-    verify.add_argument("--cap", type=int, default=circuits.DEFAULT_MONOMIAL_CAP)
     verify.set_defaults(fn=_cmd_verify_circuit)
 
     perm = sub.add_parser("permanent", help="binary permanent")
@@ -241,7 +238,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except _CAP_ERRORS as exc:
+    except (TooLarge, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PolyOracleError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:

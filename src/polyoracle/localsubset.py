@@ -54,22 +54,14 @@ extended.  The reference ``brute_solve`` hands it the derived full predicate
 
 from __future__ import annotations
 
-import os
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
 from typing import Callable, Iterator, Sequence
 
-from .errors import StreamTooLarge, UniverseTooLarge
+from .errors import cap_limit, check
 from .polynomials import Monomial, Powers, SparsePolynomial
-
-BRUTE_UNIVERSE_CAP = 10**6
-# The witness walk recurses once per slot; this keeps it far below CPython's
-# default recursion limit of 1000, whatever the caller's own depth.
-MAX_WITNESS_SLOTS = 256
-DEFAULT_STREAM_CAP = 10**7
-STREAM_CAP_ENV = "POLYORACLE_CAP"
 
 LT, EQ, GT = "<", "=", ">"
 COMPARISONS = (LT, EQ, GT)
@@ -151,34 +143,23 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: enumerate witness tuples over S and its complement,
     unpruned (``spec.prefix`` is never consulted), stopping at the first hit.
-    Raises UniverseTooLarge when the universe or the walk's |S|**alpha *
-    |S-bar|**beta tuples pass BRUTE_UNIVERSE_CAP."""
+    Raises UniverseTooLarge past the brute_universe or brute_walk cap."""
     u = universe_size(spec, inst)
-    if u > BRUTE_UNIVERSE_CAP:
-        raise UniverseTooLarge(f"universe size {u} exceeds cap {BRUTE_UNIVERSE_CAP}")
+    check("brute_universe", u)
     pools = _witness_pools(spec, inst, u)
-    walk = _capped_power(inst.m, spec.alpha, BRUTE_UNIVERSE_CAP) * _capped_power(
-        u - inst.m, spec.beta, BRUTE_UNIVERSE_CAP
-    )
-    if walk > BRUTE_UNIVERSE_CAP:
-        raise UniverseTooLarge(
-            f"brute walk of {inst.m}**{spec.alpha} * {u - inst.m}**{spec.beta} tuples"
-            f" exceeds cap {BRUTE_UNIVERSE_CAP}"
-        )
+    limit = cap_limit("brute_walk")
+    walk = _capped_power(inst.m, spec.alpha, limit) * _capped_power(u - inst.m, spec.beta, limit)
+    check("brute_walk", walk)
     return next(accepted_tuples(pools, spec.verifier), None) is not None
 
 
 def _witness_pools(spec: LSProblemSpec, inst: LSInstance, top: int) -> list[list[int]]:
     """Per-slot candidates up to ``top``: the elements of S for each a-slot and
     the rest of [1, top] for each b-slot.  Raises UniverseTooLarge rather than
-    build more than MAX_WITNESS_SLOTS pools or a b-slot pool longer than
-    BRUTE_UNIVERSE_CAP."""
-    _check_slot_count(spec.alpha + spec.beta)
+    build pools past the witness_slots or b_pool cap."""
+    check("witness_slots", spec.alpha + spec.beta)
     inside = [v for v in inst.elements if v <= top]
-    if spec.beta and top - len(inside) > BRUTE_UNIVERSE_CAP:
-        raise UniverseTooLarge(
-            f"b-slot pool of {top - len(inside)} codes exceeds cap {BRUTE_UNIVERSE_CAP}"
-        )
+    check("b_pool", top - len(inside) if spec.beta else 0)
     member = set(inside)
     outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
     return [inside] * spec.alpha + [outside] * spec.beta
@@ -192,14 +173,9 @@ def accepted_tuples(
     """Yield the tuples of ``product(*pools)`` whose every nonempty prefix
     passes ``prefix`` and which ``accept`` accepts, in product order.  A
     failing prefix is dropped with all its extensions.  Raises
-    UniverseTooLarge for more than MAX_WITNESS_SLOTS pools."""
-    _check_slot_count(len(pools))
+    UniverseTooLarge past the witness_slots cap."""
+    check("witness_slots", len(pools))
     return _extend(pools, accept, prefix, ())
-
-
-def _check_slot_count(slots: int) -> None:
-    if slots > MAX_WITNESS_SLOTS:
-        raise UniverseTooLarge(f"{slots} witness slots exceed the walk's limit {MAX_WITNESS_SLOTS}")
 
 
 def _extend(pools, accept, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
@@ -225,11 +201,12 @@ def ceil_log2(s: int) -> int:
 
 
 def block_length(s: int, r: int, theta: int) -> int:
-    """L = ceil(r * ceil(log2 s) / theta)."""
+    """L = ceil(r * ceil(log2 s) / theta), within the grid_bits cap."""
     if theta < 1:
         raise ValueError("theta must be >= 1")
-    bits = r * ceil_log2(s)
-    return -(-bits // theta)
+    length = -(-r * ceil_log2(s) // theta)
+    check("grid_bits", length)
+    return length
 
 
 def variable_count(s: int, r: int, theta: int) -> int:
@@ -371,12 +348,6 @@ def compute_assignment(spec: LSProblemSpec, inst: LSInstance, theta: int) -> Blo
     )
 
 
-def _stream_cap(cap: int | None) -> int:
-    if cap is not None:
-        return cap
-    return int(os.environ.get(STREAM_CAP_ENV, DEFAULT_STREAM_CAP))
-
-
 def _candidate_top(bound: int, theta: int, length: int) -> int:
     """min(bound, 2**(theta*length) - 1), the largest enumerated candidate code;
     a shift longer than the bound's bit length cannot cap it and is skipped."""
@@ -394,36 +365,33 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
 
 
 def _literal_tables(
-    spec: LSProblemSpec, s: int, theta: int, cap: int | None
+    spec: LSProblemSpec, s: int, theta: int
 ) -> tuple[list[tuple[int, ...]], dict[int, list], dict[int, list]]:
     """The accepted candidate tuples of the size-s literal formulation and the
     factor tables of the codes they hold, a-tables for codes in an a-slot and
     b-tables for codes in a b-slot.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
-    literal monomials, |C_lt| = |C_gt| = (3**theta - 1) / 2, so StreamTooLarge
-    is raised from the witness count before any table is built, and at once
-    when the candidate product is beyond ten times the cap.
+    literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
+    (3**theta - 1) / 2, so the literal cap is checked from the witness count
+    before any table is built, and literal_candidates before the walk.
     """
     if s < 2:
         raise ValueError("size must be >= 2")
-    limit = _stream_cap(cap)
     length = block_length(s, spec.r, theta)
     top = _candidate_top(s**spec.r, theta, length)
     slots = spec.alpha + spec.beta
-    if _capped_power(top, slots, 10 * limit) > 10 * limit:
-        raise StreamTooLarge(
-            f"candidate space {top}**{slots} is beyond the literal path (cap {limit})"
-        )
+    check("literal_candidates", _capped_power(top, slots, cap_limit("literal_candidates")))
+    limit = cap_limit("literal")
     # |C_lt| >= 3**(theta - 1) > limit once theta exceeds the cap's bit length.
     half = limit + 1 if theta > limit.bit_length() else (3**theta - 1) // 2
-    a_part = _capped_power(s, spec.alpha, limit)
-    per_witness = a_part * _capped_power(s * half * half, spec.beta, limit)
+    per_witness = theta * (spec.alpha + 2 * spec.beta) * _capped_power(s, spec.alpha, limit)
+    per_witness *= _capped_power(s * half * half, spec.beta, limit)
     witnesses = []
     for witness in accepted_tuples([range(1, top + 1)] * slots, spec.accept, spec.prefix):
         witnesses.append(witness)
         if len(witnesses) * per_witness > limit:
-            raise StreamTooLarge(f"monomial stream exceeds cap {limit} at size {s}")
+            check("literal", len(witnesses) * per_witness)
     a_values = {v for w in witnesses for v in w[: spec.alpha]}
     b_values = {v for w in witnesses for v in w[spec.alpha :]}
     blocks = {v: blocks_of(v, theta, length) for v in a_values | b_values}
@@ -446,9 +414,7 @@ def _literal_tables(
     return witnesses, a_factors, b_factors
 
 
-def formulation_monomials(
-    spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
-) -> Iterator[Monomial]:
+def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[Monomial]:
     """Stream the literal monomials of the size-s formulation polynomial.
 
     The outer sum ranges over accepted candidate tuples from
@@ -460,11 +426,10 @@ def formulation_monomials(
     stream is the reference that formulation_polynomial is tested against.
 
     The stream depends only on (spec, s, theta) -- not on any instance --
-    and raises StreamTooLarge, before its first monomial, when it would
-    exceed the cap (default 10**7, overridable via the POLYORACLE_CAP
-    environment variable).
+    and raises StreamTooLarge, before its first monomial, when its variable
+    occurrences would pass the literal cap (see errors.CAPS).
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
     for witness in witnesses:
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
@@ -474,9 +439,7 @@ def formulation_monomials(
             yield Monomial(1, tuple(sorted(exponents.items())))
 
 
-def formulation_polynomial(
-    spec: LSProblemSpec, s: int, theta: int, cap: int | None = None
-) -> SparsePolynomial:
+def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePolynomial:
     """The size-s formulation polynomial: formulation_monomials summed per
     power vector, collected once per witness multiset.
 
@@ -486,11 +449,11 @@ def formulation_polynomial(
     sorted b-values) is expanded once and weighted by its multiplicity, one
     multiplicity class at a time.  An expanded monomial is counted under its
     sorted tuple of variable indices, which becomes a power vector once per
-    class.  The cap counts literal monomials, multiplicity included, so this
+    class.  The literal cap counts the stream's variable occurrences, so this
     raises StreamTooLarge on exactly the inputs on which draining the stream
     does.  The stream is the reference this collection is tested against.
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, cap)
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
     alpha = spec.alpha
     multisets = Counter((tuple(sorted(w[:alpha])), tuple(sorted(w[alpha:]))) for w in witnesses)
     by_weight: dict[int, list] = {}

@@ -39,10 +39,7 @@ from itertools import combinations
 from math import ceil
 from typing import Iterator, Sequence
 
-from .errors import TooLarge, ValueOutOfRange
-
-PERMANENT_BRUTE_CAP = 10
-G_TARGET_CAP = 20
+from .errors import ValueOutOfRange, check
 
 
 @dataclass(frozen=True)
@@ -96,9 +93,7 @@ class FSpec:
 
 def permanent_brute(matrix: BinaryMatrix) -> int:
     """Permutation enumeration with dead-branch pruning; the reference oracle."""
-    n = matrix.n
-    if n > PERMANENT_BRUTE_CAP:
-        raise TooLarge(f"permanent_brute capped at n <= {PERMANENT_BRUTE_CAP}")
+    check("permanent_brute", matrix.n)
     return _matchings_from(matrix.row_masks, 0, 0)
 
 
@@ -149,8 +144,7 @@ def g_count_dp(
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    if (s_eq1 & ((1 << matrix.n) - 1)).bit_count() > G_TARGET_CAP:
-        raise TooLarge(f"g_count_dp capped at |S1| <= {G_TARGET_CAP}")
+    check("g_target", (s_eq1 & ((1 << matrix.n) - 1)).bit_count())
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
     return _segment_counts(matrix, rows, s_eq1, free, flag)[-1]
@@ -279,9 +273,10 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
 
 def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: int = 2) -> int:
     """Permanent as the signed sum of trace-decomposed mapping counts."""
+    if not 0 <= alpha <= 1:
+        raise ValueOutOfRange("alpha must lie in [0, 1]")
     n = matrix.n
-    if n > PERMANENT_BRUTE_CAP:
-        raise TooLarge(f"permanent_via_formulation capped at n <= {PERMANENT_BRUTE_CAP}")
+    check("permanent_formulation", n)
     if n == 0:
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1

@@ -31,7 +31,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence
 
-from .errors import ArityMismatch, NotPrime, TooLarge
+from .errors import ArityMismatch, NotPrime, check
 
 Powers = tuple[tuple[int, int], ...]
 
@@ -294,14 +294,12 @@ def loads(text: str) -> SparsePolynomial:
 # --- deterministic primality --------------------------------------------
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
-_TRIAL_DIVISION_LIMIT = 10**7
-# The fixed witness set below decides primality for all n < 3.317e24
-# (Sorenson & Webster); beyond that we refuse rather than guess.
-_MILLER_RABIN_LIMIT = 3_317_044_064_679_887_385_961_981
+_TRIAL_DIVISION_BELOW = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; TooLarge for n >= 3.317e24."""
+    """Deterministic primality test; TooLarge for n >= 3.317e24, where the
+    fixed Miller-Rabin witness set stops deciding (the miller_rabin cap)."""
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -309,15 +307,14 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _TRIAL_DIVISION_LIMIT:
+    if n < _TRIAL_DIVISION_BELOW:
         d = 41
         while d * d <= n:
             if n % d == 0 or n % (d + 2) == 0:
                 return False
             d += 6
         return True
-    if n >= _MILLER_RABIN_LIMIT:
-        raise TooLarge(f"{n} is beyond the deterministic Miller-Rabin range (< 3.317e24)")
+    check("miller_rabin", n)
     d = n - 1
     r = 0
     while d % 2 == 0:

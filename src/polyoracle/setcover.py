@@ -43,12 +43,9 @@ from math import comb
 from operator import or_
 from typing import Sequence
 
-from .errors import PreconditionViolated, TooLarge, ValueOutOfRange
+from .errors import PreconditionViolated, ValueOutOfRange, cap_limit, check
 
-SETPARTITION_UNIVERSE_CAP = 12
 SETPARTITION_THETAS = (1, 2, 3)
-Z_UNIVERSE_CAP = 20
-HCV_BRANCH_CAP = 20
 MAX_BRANCH = 6
 
 
@@ -187,8 +184,7 @@ def z_var_dp(family: SetFamily, a_mask: int, b_mask: int, count: int) -> int:
         raise ValueOutOfRange("B must be nonempty")
     if a_mask & b_mask:
         raise ValueOutOfRange("A and B must be disjoint")
-    if a_mask.bit_count() > Z_UNIVERSE_CAP:
-        raise TooLarge(f"z_var_dp capped at |A| <= {Z_UNIVERSE_CAP}")
+    check("z_universe", a_mask.bit_count())
     counts = _PartitionCounter(family).z(a_mask, b_mask & -b_mask)
     return counts[count] if 0 <= count < len(counts) else 0
 
@@ -197,8 +193,7 @@ def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
     """Entry k, for k = 0..k_max: #Set Partition into k sets, from one
     trace count; empty when k_max < 0."""
     n = family.n
-    if n > SETPARTITION_UNIVERSE_CAP:
-        raise TooLarge(f"setpartition_via_traces capped at n <= {SETPARTITION_UNIVERSE_CAP}")
+    check("setpartition_universe", n)
     if theta not in SETPARTITION_THETAS:
         raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
     if k_max < 0:
@@ -236,8 +231,7 @@ def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, Set
     """
     if not 0 <= m <= n or family.n != n:
         raise ValueOutOfRange("need 0 <= m <= n = family.n")
-    if n - m > HCV_BRANCH_CAP:
-        raise TooLarge(f"hcv_branch capped at n - m <= {HCV_BRANCH_CAP}")
+    check("hcv_branch", n - m)
     branches = [(1, family.sets)]
     for level in range(n, m, -1):
         bit = 1 << (level - 1)
@@ -257,11 +251,12 @@ def hcv_expand_setcover(family: SetFamily, m: int) -> SetFamily:
     if not 0 <= m <= family.n:
         raise ValueOutOfRange("need 0 <= m <= n")
     m_mask = (1 << m) - 1
+    limit = cap_limit("hcv_overlap")
     out: list[int] = []
     for mask in family.sets:
         overlap = mask & m_mask
-        if overlap.bit_count() > HCV_BRANCH_CAP:
-            raise TooLarge("set overlaps [m] in more than the expandable number of elements")
+        if overlap.bit_count() > limit:
+            check("hcv_overlap", overlap.bit_count())
         sub = 0
         while True:
             out.append(mask & ~sub)

@@ -199,7 +199,7 @@ def test_expand_known_values():
     )
 
 
-def test_expand_cap():
+def test_expand_cap(set_cap):
     # (x0 + x1 + x2)**8 has 45 monomials; a tiny cap trips
     gates = [ci.InputGate(0), ci.InputGate(1), ci.InputGate(2), ci.AddGate(0, 1), ci.AddGate(3, 2)]
     acc = 4
@@ -207,24 +207,27 @@ def test_expand_cap():
         gates.append(ci.MulGate(acc, acc))
         acc = len(gates) - 1
     c = circuit(3, gates, acc)
+    set_cap("gate_terms", 10)
     with pytest.raises(CapExceeded):
-        ci.expand_to_polynomial(c, monomial_cap=10)
+        ci.expand_to_polynomial(c)
     # (x0 + x1) * (x0 - x1) merges four products into x0**2 - x1**2; the cap
     # counts the two nonzero monomials, not the cancelled x0*x1 terms
     gates = [
         ci.InputGate(0), ci.InputGate(1), ci.ConstGate(-1), ci.MulGate(2, 1),
         ci.AddGate(0, 1), ci.AddGate(0, 3), ci.MulGate(4, 5),
     ]
-    squares = ci.expand_to_polynomial(circuit(2, gates), monomial_cap=2)
+    set_cap("gate_terms", 2)
+    squares = ci.expand_to_polynomial(circuit(2, gates))
     assert squares == poly.polynomial(2, {((0, 2),): 1, ((1, 2),): -1})
-    with pytest.raises(CapExceeded, match=r"gate expansion holds 2 monomials \(cap 1\)"):
-        ci.expand_to_polynomial(circuit(2, gates), monomial_cap=1)
+    set_cap("gate_terms", 1)
+    with pytest.raises(CapExceeded, match=r"cap gate_terms exceeded: 2 > 1"):
+        ci.expand_to_polynomial(circuit(2, gates))
     # (x0 - x0) + x1 holds one monomial at every gate once x0 cancels
     gates = [
         ci.InputGate(0), ci.InputGate(1), ci.ConstGate(-1), ci.MulGate(2, 0),
         ci.AddGate(0, 3), ci.AddGate(4, 1),
     ]
-    assert ci.expand_to_polynomial(circuit(2, gates), monomial_cap=1) == poly.variable(2, 1)
+    assert ci.expand_to_polynomial(circuit(2, gates)) == poly.variable(2, 1)
 
 
 def test_builder_round_trip_and_verify():
@@ -290,19 +293,20 @@ def test_verify_rejects_mutants():
     assert rejected >= 80
 
 
-def test_verify_cap_reason():
+def test_verify_cap_reason(set_cap):
     gates = [ci.InputGate(0), ci.InputGate(1), ci.AddGate(0, 1)]
     for _ in range(4):
         gates.append(ci.MulGate(len(gates) - 1, len(gates) - 1))
     c = circuit(2, gates)
-    result = ci.verify_circuit(c, poly.zero(2), 16, monomial_cap=5)
+    set_cap("gate_terms", 5)
+    result = ci.verify_circuit(c, poly.zero(2), 16)
     assert not result and result.reason == "cap_exceeded"
 
 
-def reference_verdict(c, target, delta, cap=ci.DEFAULT_MONOMIAL_CAP):
+def reference_verdict(c, target, delta):
     """The Strassen route: expand the homogenized circuit, then compare."""
     try:
-        expansion = ci.expand_to_polynomial(ci.homogenize(c, delta), cap)
+        expansion = ci.expand_to_polynomial(ci.homogenize(c, delta))
     except CapExceeded:
         return False, "cap_exceeded"
     return (True, "match") if expansion == target else (False, "mismatch")
@@ -318,7 +322,7 @@ def test_truncated_expansion_matches_homogenize_reference():
         delta = rng.randint(1, 5)
         above += syntactic_degree(c) > delta
         reference = ci.expand_to_polynomial(ci.homogenize(c, delta))
-        assert ci._expand_terms(c, delta, ci.DEFAULT_MONOMIAL_CAP) == reference.terms
+        assert ci._expand_terms(c, delta) == reference.terms
         changed = dict(reference.terms)
         changed[()] = changed.get((), 0) + 1
         targets = [reference, poly.polynomial(c.num_inputs, changed)]
@@ -350,7 +354,7 @@ def test_verify_matches_reference_on_benchmark_ops():
     assert checked == 72
 
 
-def test_verify_cap_bounds_each_original_gate():
+def test_verify_cap_bounds_each_original_gate(set_cap):
     """g = (x0 + x1 + 1)**2 has 6 monomials, but each of its homogeneous
     parts has at most 3; (g * x2) truncated at delta = 2 is x2 + 2x0x2 + 2x1x2.
     The cap bounds g's own degree-<=2 expansion, so cap 3 rejects what the
@@ -361,11 +365,14 @@ def test_verify_cap_bounds_each_original_gate():
     ]
     c = circuit(3, gates)
     target = poly.polynomial(3, {((2, 1),): 1, ((0, 1), (2, 1)): 2, ((1, 1), (2, 1)): 2})
-    assert reference_verdict(c, target, 2, cap=3) == (True, "match")
-    assert ci.verify_circuit(c, target, 2, monomial_cap=3).reason == "cap_exceeded"
-    assert ci.verify_circuit(c, target, 2, monomial_cap=6).reason == "match"
-    with pytest.raises(CapExceeded, match=r"holds 6 monomials \(cap 5\)"):
-        ci._expand_terms(c, 2, 5)
+    set_cap("gate_terms", 3)
+    assert reference_verdict(c, target, 2) == (True, "match")
+    assert ci.verify_circuit(c, target, 2).reason == "cap_exceeded"
+    set_cap("gate_terms", 6)
+    assert ci.verify_circuit(c, target, 2).reason == "match"
+    set_cap("gate_terms", 5)
+    with pytest.raises(CapExceeded, match=r"cap gate_terms exceeded: 6 > 5"):
+        ci._expand_terms(c, 2)
 
 
 def test_verify_rejects_delta_below_one():

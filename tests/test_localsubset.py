@@ -300,15 +300,9 @@ def test_formulation_beta_degree():
     assert {m.degree for m in monos} == {2 * (2 + 2 * 1)}
 
 
-def test_stream_cap():
-    spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1))
-    with pytest.raises(StreamTooLarge):
-        list(ls.formulation_monomials(spec, inst.size, 1, cap=1))
-
-
 def test_stream_cap_environment(monkeypatch):
     spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1))
-    monkeypatch.setenv(ls.STREAM_CAP_ENV, "1")
+    monkeypatch.setenv("POLYORACLE_CAP", "1")
     with pytest.raises(StreamTooLarge):
         list(ls.formulation_monomials(spec, inst.size, 1))
 
@@ -510,12 +504,12 @@ def test_accepted_tuples_in_product_order():
 
 
 def test_walk_depth_is_capped():
-    """The walk recurses once per slot: MAX_WITNESS_SLOTS pools are walked,
-    one more is refused before the first step."""
+    """The walk recurses once per slot: 256 pools are walked, one more is
+    refused before the first step."""
     accept = lambda *codes: True  # noqa: E731
-    deepest = [[1]] * ls.MAX_WITNESS_SLOTS
-    assert list(ls.accepted_tuples(deepest, accept)) == [(1,) * ls.MAX_WITNESS_SLOTS]
-    with pytest.raises(UniverseTooLarge, match="witness slots exceed"):
+    deepest = [[1]] * 256
+    assert list(ls.accepted_tuples(deepest, accept)) == [(1,) * 256]
+    with pytest.raises(UniverseTooLarge, match="cap witness_slots exceeded: 257 > 256"):
         ls.accepted_tuples(deepest + [[1]], accept)
 
 
@@ -626,17 +620,18 @@ def test_collected_polynomials_are_pinned():
 
 def test_collection_cap_counts_literal_monomials(monkeypatch):
     """Every witness multiset of this triangle spec has multiplicity 6, and
-    the cap still counts literal monomials: the collection succeeds at the
-    stream length N and raises at N - 1, from cap= and POLYORACLE_CAP."""
+    the cap counts the stream's variable occurrences: the collection succeeds
+    at N * d, for N monomials of degree d, and raises at N * d - 1."""
     spec, s, theta = triangle_spec(), 4, 1
     multisets = Counter(tuple(sorted(w)) for w in accepted_witnesses(spec, s, theta))
     assert set(multisets.values()) == {6}
-    length = sum(1 for _ in ls.formulation_monomials(spec, s, theta))
-    assert ls.formulation_polynomial(spec, s, theta, cap=length).terms == stream_sum(spec, s, theta)
-    with pytest.raises(StreamTooLarge):
-        ls.formulation_polynomial(spec, s, theta, cap=length - 1)
-    monkeypatch.setenv(ls.STREAM_CAP_ENV, str(length - 1))
-    with pytest.raises(StreamTooLarge):
+    degrees = [m.degree for m in ls.formulation_monomials(spec, s, theta)]
+    assert set(degrees) == {3}
+    occurrences = sum(degrees)
+    monkeypatch.setenv("POLYORACLE_CAP", str(occurrences))
+    assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
+    monkeypatch.setenv("POLYORACLE_CAP", str(occurrences - 1))
+    with pytest.raises(StreamTooLarge, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
 
 
@@ -672,5 +667,5 @@ def test_literal_precheck_decides_huge_powers_by_bit_length():
     """A pattern on 10**12 vertices has about 5 * 10**23 b-slots."""
     pattern = pr.pattern_from_json({"n": 10**12, "edges": [[1, 2]]})
     spec, _ = pr.encode_h_induced(pr.GraphInput(2, frozenset()), pattern)
-    with pytest.raises(StreamTooLarge, match="beyond the literal path"):
+    with pytest.raises(StreamTooLarge, match="cap literal_candidates exceeded"):
         timed(lambda: ls.formulation_polynomial(spec, 4, 1))

@@ -226,7 +226,7 @@ def test_cli_cap_errors(tmp_path, capsys):
     wide = write_json(tmp_path / "wide.json", {"k": 256, "sets": [[0]] * 256})
     argv = ["solve", "--problem", "ksum", "--input", wide, "--method", "brute"]
     assert timed(lambda: run_cli(argv)) == 3
-    assert "brute walk" in capsys.readouterr().err
+    assert "cap brute_walk exceeded" in capsys.readouterr().err
 
 
 def test_cli_solve_huge_theta(tmp_path, capsys):
@@ -239,10 +239,10 @@ def test_cli_solve_huge_theta(tmp_path, capsys):
 
 def test_cli_solve_b_pool_cap(tmp_path, capsys):
     """path3's b-slots range over the n**2 - 2 codes outside S: at n = 3000
-    that pool passes BRUTE_UNIVERSE_CAP and is refused before it is built."""
+    that pool passes the b_pool cap and is refused before it is built."""
     path = write_json(tmp_path / "path.json", {"n": 3000, "edges": [[1, 2], [2, 3]]})
     assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 3
-    assert "b-slot pool" in capsys.readouterr().err
+    assert "cap b_pool exceeded" in capsys.readouterr().err
 
 
 SLOT_HEAVY = [
@@ -267,12 +267,12 @@ def test_cli_solve_slot_count_cap(tmp_path, capsys, problem, payload, method):
     path = write_json(tmp_path / "input.json", payload)
     argv = ["solve", "--problem", problem, "--input", path, "--method", method]
     assert timed(lambda: run_cli(argv)) == 3
-    assert "witness slots exceed" in capsys.readouterr().err
+    assert "cap witness_slots exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("last_set, answer", [([0], 0), ([1], 1)])
 def test_cli_solve_at_slot_count_cap(tmp_path, capsys, last_set, answer):
-    k = ls.MAX_WITNESS_SLOTS
+    k = 256
     path = write_json(tmp_path / "ksum.json", {"k": k, "sets": [[0]] * (k - 1) + [last_set]})
     assert timed(lambda: run_cli(["solve", "--problem", "ksum", "--input", path])) == answer
     assert capsys.readouterr().out.startswith(f"{k}-sum: {'no' if answer else 'yes'}")

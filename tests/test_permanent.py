@@ -28,6 +28,15 @@ def test_permanent_brute_cap():
         pm.permanent_brute(pm.matrix_from_rows([[0] * 11 for _ in range(11)]))
 
 
+def test_permanent_caps_are_separate(set_cap):
+    """The formulation route has its own cap, not the brute route's."""
+    ones = pm.matrix_from_rows([[1] * 6 for _ in range(6)])
+    set_cap("permanent_brute", 5)
+    with pytest.raises(TooLarge, match="cap permanent_brute exceeded"):
+        pm.permanent_brute(ones)
+    assert pm.permanent_via_formulation(ones) == 720
+
+
 def test_matrix_text_round_trip():
     m = pm.matrix_from_text("110\n011\n101\n")
     assert m.entries == ((1, 1, 0), (0, 1, 1), (1, 0, 1))
