@@ -241,7 +241,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except (TooLarge, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PolyOracleError, OSError, KeyError, ValueError, json.JSONDecodeError) as exc:
+    except (PolyOracleError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

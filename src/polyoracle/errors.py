@@ -49,8 +49,6 @@ class PreconditionViolated(PolyOracleError):
 # name: (limit, error it raises, what it bounds).  Each comment names the test pinning
 # the limit; tests/test_caps.py::test_cap_boundary exercises every entry.
 CAPS: dict[str, tuple[int, type[TooLarge], str]] = {
-    # test_localsubset.py::test_brute_solve_universe_cap
-    "brute_universe": (10**6, UniverseTooLarge, "universe n**r of brute_solve"),
     # test_oracle_cli.py::test_cli_cap_errors
     "brute_walk": (10**6, UniverseTooLarge, "|S|**alpha * |S-bar|**beta brute walk tuples"),
     # test_oracle_cli.py::test_cli_solve_b_pool_cap
@@ -76,7 +74,8 @@ CAPS: dict[str, tuple[int, type[TooLarge], str]] = {
     "hcv_overlap": (20, TooLarge, "|S & [m]| of an expanded set"),  # test_cap_boundary[hcv_overlap]
     # test_circuits.py::test_expand_cap
     "gate_terms": (10**6, CapExceeded, "nonzero monomials of one gate's expansion"),
-    # is_prime's witness set decides n < 3.317e24 (Sorenson & Webster).
+    # is_prime's 13 witnesses, the primes 2..41, decide n < psi_13 = 3.317e24
+    # (Sorenson & Webster, Math. Comp. 2017).
     # test_polynomials.py::test_moduli_beyond_miller_rabin_range_are_too_large
     "miller_rabin": (3_317_044_064_679_887_385_961_980, TooLarge, "n of Miller-Rabin"),
 }

@@ -143,9 +143,8 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: enumerate witness tuples over S and its complement,
     unpruned (``spec.prefix`` is never consulted), stopping at the first hit.
-    Raises UniverseTooLarge past the brute_universe or brute_walk cap."""
+    Raises UniverseTooLarge past the witness_slots, b_pool or brute_walk cap."""
     u = universe_size(spec, inst)
-    check("brute_universe", u)
     pools = _witness_pools(spec, inst, u)
     limit = cap_limit("brute_walk")
     walk = _capped_power(inst.m, spec.alpha, limit) * _capped_power(u - inst.m, spec.beta, limit)

@@ -293,7 +293,7 @@ def loads(text: str) -> SparsePolynomial:
 
 # --- deterministic primality --------------------------------------------
 
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _TRIAL_DIVISION_BELOW = 10**7
 
 

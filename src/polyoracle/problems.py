@@ -32,7 +32,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import permutations
 from math import isqrt
 from typing import Callable, Iterable, Iterator, Literal, Sequence
 
@@ -99,11 +99,6 @@ class PatternGraph:
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    @property
-    def nonedges(self) -> frozenset[tuple[int, int]]:
-        every = {(u, v) for u, v in combinations(range(1, self.num_vertices + 1), 2)}
-        return frozenset(every - self.edges)
 
     @property
     def num_nonedges(self) -> int:

@@ -68,7 +68,6 @@ def _one_witness(alpha, beta):
 
 # name -> (a call that checks exactly ``value`` against that cap, value)
 BOUNDARIES = {
-    "brute_universe": (lambda: ls.brute_solve(_one_witness(1, 0), ls.ls_instance(5, [1])), 5),
     "brute_walk": (lambda: ls.brute_solve(_one_witness(1, 1), ls.ls_instance(5, [1])), 4),
     "b_pool": (lambda: ls.brute_solve(_one_witness(1, 1), ls.ls_instance(5, [1])), 4),
     "witness_slots": (lambda: list(ls.accepted_tuples([[1]] * 3, lambda *codes: True)), 3),

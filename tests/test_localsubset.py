@@ -98,8 +98,16 @@ def test_brute_solve_triangle_path():
 
 
 def test_brute_solve_universe_cap():
+    """A beta = 0 walk never touches the universe, so W = 10**6 is answered;
+    a beta > 0 complement past 10**6 is refused before its pool is built."""
     spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 10**6))
-    with pytest.raises(UniverseTooLarge):
+    start = time.perf_counter()
+    assert ls.brute_solve(spec, inst) is True
+    assert time.perf_counter() - start < 2.0
+    assert ls.solve_via_oracle(spec, inst, theta=1) is True
+    path = pr.GraphInput(1001, frozenset({(1, 2), (2, 3)}))
+    spec, inst = pr.encode_h_induced(path, pr.H_PRESETS["path3"])
+    with pytest.raises(UniverseTooLarge, match="cap b_pool exceeded"):
         ls.brute_solve(spec, inst)
 
 

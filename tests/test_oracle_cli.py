@@ -221,7 +221,8 @@ def test_cli_cap_errors(tmp_path, capsys):
     huge = write_json(
         tmp_path / "huge.json", {"k": 2, "sets": [[0], [0]], "magnitude": 10**6}
     )
-    assert run_cli(["solve", "--problem", "ksum", "--input", huge, "--method", "brute"]) == 3
+    assert run_cli(["solve", "--problem", "ksum", "--input", huge, "--method", "brute"]) == 0
+    assert "yes" in capsys.readouterr().out
     # A small universe, but 256**256 tuples for the unpruned brute walk.
     wide = write_json(tmp_path / "wide.json", {"k": 256, "sets": [[0]] * 256})
     argv = ["solve", "--problem", "ksum", "--input", wide, "--method", "brute"]

@@ -242,6 +242,24 @@ def test_is_prime_agrees_with_trial_division():
         assert poly.is_prime(n) == slow(n), n
 
 
+# psi_k, the least strong pseudoprime to the first k prime bases (OEIS A014233).
+STRONG_PSEUDOPRIMES = {
+    4: 3_215_031_751,
+    5: 2_152_302_898_747,
+    6: 3_474_749_660_383,
+    7: 341_550_071_728_321,
+    9: 3_825_123_056_546_413_051,
+    12: 318_665_857_834_031_151_167_461,  # 399 165 290 221 * 798 330 580 441
+}
+
+
+def test_is_prime_rejects_strong_pseudoprimes():
+    for k, n in STRONG_PSEUDOPRIMES.items():
+        assert not poly.is_prime(n), k
+    assert poly.is_prime(10_000_019)
+    assert poly.is_prime(2**61 - 1)
+
+
 def test_moduli_beyond_miller_rabin_range_are_too_large():
     with pytest.raises(TooLarge):
         ci.find_prime(2 * 10**24)
