@@ -60,10 +60,8 @@ def _cmd_formulate(args: argparse.Namespace) -> int:
             return 2
     spec, _ = build_problem(args.problem, data)
     poly = localsubset.formulation_polynomial(spec, args.size, args.theta)
-    payload = polynomials.to_json_dict(poly)
     with open(args.out, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, sort_keys=True)
-        handle.write("\n")
+        handle.write(polynomials.dumps(poly) + "\n")
     print(f"wrote {len(poly.terms)} monomials over {poly.num_vars} variables to {args.out}")
     return 0
 

@@ -28,18 +28,18 @@ not fit in theta*L bits, and enumerated candidate values are capped at
 2**(theta*L) - 1 (the cap only ever excludes the top shell code when m = 0
 and s is a power of two; shipped encoders never place a witness there).
 
-Two evaluation paths compute the same number: the literal polynomial
+An oracle query is (spec, x), x = phi(inst) from ``compute_assignment``.  Two
+evaluation paths compute the same number at x: the literal polynomial
 (exponentially large in alpha + beta, usable only at tiny s) and the witness
-count (the number of accepted tuples with every a in S and every b outside;
-index rows and comparison tuples are uniquely determined, so each witness
-contributes exactly one).  Their equality is part of the test suite.  Each
-accepted tuple's share of the literal polynomial is the product of per-slot
-factor tables.  All a-slots share one table and all b-slots another, so
-witnesses that differ only by a permutation within the a-slots or within the
-b-slots contribute the same product: ``formulation_polynomial`` expands each
-such witness multiset once and weights it by its multiplicity.  The literal
-monomial stream ``formulation_monomials`` emits every product term one by
-one and is the reference the collected polynomial is tested against.
+count ``exact_evaluation_oracle``, which reads S and its complement from x's
+rows.  Their equality is part of the test suite.  Each accepted tuple's share
+of the literal polynomial is the product of per-slot factor tables.  All
+a-slots share one table and all b-slots another, so witnesses that differ
+only by a permutation within the a-slots or within the b-slots contribute the
+same product: ``formulation_polynomial`` expands each such witness multiset
+once and weights it by its multiplicity.  The literal monomial stream
+``formulation_monomials`` emits every product term one by one and is the
+reference the collected polynomial is tested against.
 
 A spec defines acceptance in two parts: an optional ``prefix`` predicate,
 which every nonempty prefix of an accepted tuple must pass (the per-slot
@@ -145,19 +145,19 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     unpruned (``spec.prefix`` is never consulted), stopping at the first hit.
     Raises UniverseTooLarge past the witness_slots, b_pool or brute_walk cap."""
     u = universe_size(spec, inst)
-    pools = _witness_pools(spec, inst, u)
+    pools = _witness_pools(spec, inst.elements, u)
     limit = cap_limit("brute_walk")
     walk = _capped_power(inst.m, spec.alpha, limit) * _capped_power(u - inst.m, spec.beta, limit)
     check("brute_walk", walk)
     return next(accepted_tuples(pools, spec.verifier), None) is not None
 
 
-def _witness_pools(spec: LSProblemSpec, inst: LSInstance, top: int) -> list[list[int]]:
+def _witness_pools(spec: LSProblemSpec, elements: Sequence[int], top: int) -> list[list[int]]:
     """Per-slot candidates up to ``top``: the elements of S for each a-slot and
     the rest of [1, top] for each b-slot.  Raises UniverseTooLarge rather than
     build pools past the witness_slots or b_pool cap."""
     check("witness_slots", spec.alpha + spec.beta)
-    inside = [v for v in inst.elements if v <= top]
+    inside = [v for v in elements if v <= top]
     check("b_pool", top - len(inside) if spec.beta else 0)
     member = set(inside)
     outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
@@ -269,19 +269,21 @@ def comparison_tuple_sets(
 
 @dataclass(frozen=True)
 class BlockVariableAssignment:
-    """The 0/1 table x[c][i][q][a] produced by the encoding map.
+    """The point x = phi(inst): the 0/1 table x[c][i][q][a] of the encoding map.
 
-    The table is queryable rather than materialized: entry (c, i, q, a) is 1
-    iff i <= m + 1 and comparing block q of s_i against a yields c, where
-    s_0 = 0, s_1..s_m are the instance elements and s_{m+1} = n**r + 1.
+    x is defined by ``rows`` = (s_0, ..., s_{m+1}) = (0, sorted S, n**r + 1)
+    and queried rather than materialized: entry (c, i, q, a) is 1 iff i <=
+    m + 1 and comparing block q of s_i against a yields c.
     """
 
     s: int
-    m: int
     theta: int
     block_len: int
-    sorted_elements: tuple[int, ...]
-    sentinel: int
+    rows: tuple[int, ...]
+
+    @property
+    def m(self) -> int:
+        return len(self.rows) - 2
 
     @property
     def num_vars(self) -> int:
@@ -291,18 +293,10 @@ class BlockVariableAssignment:
     def max_abs_value(self) -> int:
         return 1
 
-    def row_value(self, i: int) -> int:
-        if i == 0:
-            return 0
-        if i <= self.m:
-            return self.sorted_elements[i - 1]
-        return self.sentinel
-
     @cached_property
     def row_blocks(self) -> tuple[tuple[int, ...], ...]:
         """Blocks of s_0 .. s_{m+1}; rows beyond m + 1 are all-zero."""
-        rows = map(self.row_value, range(self.m + 2))
-        return tuple(blocks_of(value, self.theta, self.block_len) for value in rows)
+        return tuple(blocks_of(value, self.theta, self.block_len) for value in self.rows)
 
     def value(self, comparison: str, i: int, q: int, a: int) -> int:
         if not 0 <= i <= self.s:
@@ -311,7 +305,7 @@ class BlockVariableAssignment:
             raise ValueError("block index out of range")
         if not 0 <= a < (1 << self.block_len):
             raise ValueError("block value out of range")
-        if i > self.m + 1:
+        if i >= len(self.rows):
             return 0
         return 1 if compare3(self.row_blocks[i][q - 1], a) == comparison else 0
 
@@ -339,11 +333,9 @@ def compute_assignment(spec: LSProblemSpec, inst: LSInstance, theta: int) -> Blo
         raise ValueError("instance size must be >= 2")
     return BlockVariableAssignment(
         s=s,
-        m=inst.m,
         theta=theta,
         block_len=block_length(s, spec.r, theta),
-        sorted_elements=inst.elements,
-        sentinel=universe_size(spec, inst) + 1,
+        rows=(0, *inst.elements, universe_size(spec, inst) + 1),
     )
 
 
@@ -478,20 +470,9 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
 
 
 def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> int:
-    """Exact formulation value at the instance encoding, via witness counting.
-
-    Equals the number of accepted tuples with every a-slot drawn
-    from S and every b-slot drawn from the universe complement: sortedness of
-    S makes the row choices unique and the actual comparison outcomes select
-    exactly one comparison tuple per polynomial factor, so each witness
-    contributes 1.  Positive iff the instance is a yes-instance.
-    """
-    s = inst.size
-    if s < 2:
-        raise ValueError("instance size must be >= 2")
-    top = _candidate_top(universe_size(spec, inst), theta, block_length(s, spec.r, theta))
-    pools = _witness_pools(spec, inst, top)
-    return sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix))
+    """The exact oracle at x = compute_assignment(spec, inst, theta); positive
+    iff the instance is a yes-instance."""
+    return exact_evaluation_oracle(FormulationQuery(spec, compute_assignment(spec, inst, theta)))
 
 
 # LS instance wire format: {"problem": "<name>", "n": N, "elements": [codes...]}
@@ -504,13 +485,15 @@ def instance_to_json_dict(problem: str, inst: LSInstance) -> dict:
 
 @dataclass(frozen=True)
 class FormulationQuery:
-    """One oracle query: evaluate the size-``size`` formulation at phi(inst)."""
+    """One oracle query (spec, x): evaluate the size-``size`` member of spec's
+    formulation family at the point x = ``assignment``."""
 
     spec: LSProblemSpec
-    instance: LSInstance
-    theta: int
-    size: int
     assignment: BlockVariableAssignment
+
+    @property
+    def size(self) -> int:
+        return self.assignment.num_vars
 
     @property
     def max_abs_value(self) -> int:
@@ -521,7 +504,16 @@ Oracle = Callable[[FormulationQuery], int]
 
 
 def exact_evaluation_oracle(query: FormulationQuery) -> int:
-    return evaluate_formulation(query.spec, query.instance, query.theta)
+    """P(x) by witness counting: the accepted tuples whose a-slots draw from
+    x's rows s_1..s_m and whose b-slots draw from the rest of [1, top], top the
+    largest candidate code below the sentinel s_{m+1}.  Sortedness of S makes
+    the row choices unique and the actual comparison outcomes select exactly
+    one comparison tuple per polynomial factor, so each witness contributes
+    exactly 1."""
+    spec, x = query.spec, query.assignment
+    top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
+    pools = _witness_pools(spec, x.rows[1:-1], top)
+    return sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix))
 
 
 def solve_via_oracle(
@@ -530,13 +522,5 @@ def solve_via_oracle(
     theta: int,
     oracle: Oracle = exact_evaluation_oracle,
 ) -> bool:
-    """Decide the instance with exactly one size-variable_count oracle call."""
-    s = inst.size
-    query = FormulationQuery(
-        spec=spec,
-        instance=inst,
-        theta=theta,
-        size=variable_count(s, spec.r, theta),
-        assignment=compute_assignment(spec, inst, theta),
-    )
-    return oracle(query) != 0
+    """Decide the instance with exactly one oracle call, at x = phi(inst)."""
+    return oracle(FormulationQuery(spec, compute_assignment(spec, inst, theta))) != 0

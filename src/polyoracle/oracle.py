@@ -3,11 +3,12 @@
 The cost model charges each size-s oracle call exactly s, the declared
 evaluation price of the size-s member of the polynomial family; wall time is
 reported separately and never conflated with the charge.  Argument
-magnitudes above a fixed bound of the call size are flagged, not
-rejected (formulation assignments are 0/1, so the flag can only fire for
-user-supplied oracles); the default bound 2**ceil(s**0.9) is a documented
-finite stand-in for the family's asymptotic magnitude discipline, decided by
-bit length so the bound itself is never built.
+magnitudes, read from the query's point x, above a fixed bound of the call
+size are flagged, not rejected.  Every query ``solve_via_oracle`` builds is
+the 0/1 point phi(inst), so the flag fires only for a query built by hand.
+The default bound 2**ceil(s**0.9) is a documented finite stand-in for the
+family's asymptotic magnitude discipline, decided by bit length so the bound
+itself is never built.
 """
 
 from __future__ import annotations

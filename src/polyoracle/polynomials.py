@@ -255,8 +255,8 @@ def to_json_dict(p: SparsePolynomial) -> dict:
     return {
         "num_vars": p.num_vars,
         "monomials": [
-            {"coeff": str(m.coefficient), "powers": [[i, e] for i, e in m.powers]}
-            for m in p.monomials
+            {"coeff": str(p.terms[powers]), "powers": [[i, e] for i, e in powers]}
+            for powers in sorted(p.terms, key=_powers_key)
         ],
     }
 

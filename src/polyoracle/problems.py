@@ -626,7 +626,6 @@ class ProblemDefinition:
     and (when the problem spec needs no instance parameters) a default input
     that pins down the spec alone."""
 
-    name: str
     build: Callable[[dict], tuple[LSProblemSpec, LSInstance]]
     bench_r: int | None
     default_input: dict | None = None
@@ -634,7 +633,6 @@ class ProblemDefinition:
 
 def _h_induced_definition(preset: str) -> ProblemDefinition:
     return ProblemDefinition(
-        name=preset,
         build=lambda data: encode_h_induced(graph_from_json(data), H_PRESETS[preset]),
         bench_r=2,
         default_input={"n": 2, "edges": []},
@@ -642,31 +640,27 @@ def _h_induced_definition(preset: str) -> ProblemDefinition:
 
 
 PROBLEMS: dict[str, ProblemDefinition] = {
-    "ksum": ProblemDefinition("ksum", lambda d: encode_ksum(ksum_from_json(d)), bench_r=1),
+    "ksum": ProblemDefinition(lambda d: encode_ksum(ksum_from_json(d)), bench_r=1),
     "collinearity": ProblemDefinition(
-        "collinearity", lambda d: encode_collinearity(points_from_json(d)), bench_r=2
+        lambda d: encode_collinearity(points_from_json(d)), bench_r=2
     ),
     "h-induced": ProblemDefinition(
-        "h-induced",
         lambda d: encode_h_induced(graph_from_json(d), pattern_from_json(d["H"])),
         bench_r=2,
     ),
     "family-induced": ProblemDefinition(
-        "family-induced",
         lambda d: encode_family_induced(
             graph_from_json(d), [pattern_from_json(p) for p in _json_list(d["family"])]
         ),
         bench_r=2,
     ),
     "min-weight-clique": ProblemDefinition(
-        "min-weight-clique",
         lambda d: encode_min_weight_kclique(
             weighted_graph_from_json(d), _json_int(d["k"]), _json_int(d["threshold"])
         ),
         bench_r=None,
     ),
     "max-h-subgraph": ProblemDefinition(
-        "max-h-subgraph",
         lambda d: encode_max_h_subgraph(
             weighted_graph_from_json(d),
             pattern_from_json(d["H"]),

@@ -4,7 +4,7 @@ import hashlib
 import random
 import time
 from collections import Counter
-from dataclasses import replace
+from dataclasses import fields, replace
 from itertools import product, zip_longest
 
 import pytest
@@ -383,6 +383,22 @@ def test_solve_via_oracle_contract():
     assert len(calls) == 1
     assert calls[0].size == ls.variable_count(inst.size, spec.r, 2)
     assert calls[0].assignment.max_abs_value == 1
+
+
+def test_formulation_query_holds_only_spec_and_x():
+    assert [f.name for f in fields(ls.FormulationQuery)] == ["spec", "assignment"]
+
+
+def test_oracle_is_evaluate_at_phi():
+    """The exact oracle reads only (spec, x): at x = phi(inst) it gives the
+    formulation value, positive exactly on yes-instances."""
+    for spec, inst in _tiny_encodings():
+        answer = ls.brute_solve(spec, inst)
+        for theta in (1, 2, 3):
+            query = ls.FormulationQuery(spec, ls.compute_assignment(spec, inst, theta))
+            value = ls.exact_evaluation_oracle(query)
+            assert value == ls.evaluate_formulation(spec, inst, theta)
+            assert (value > 0) == answer
 
 
 def test_witness_identity_counts_tuples():

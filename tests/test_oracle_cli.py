@@ -288,7 +288,8 @@ def test_cli_setcover_huge_universe(tmp_path, capsys):
 
 
 def test_cli_formulate(tmp_path):
-    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
+    graph = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
+    k3 = write_json(tmp_path / "k3.json", graph)
     out = tmp_path / "poly.json"
     code = run_cli(
         ["formulate", "--problem", "triangle", "--input", k3, "--size", "4",
@@ -297,6 +298,8 @@ def test_cli_formulate(tmp_path):
     assert code == 0
     parsed = poly.from_json_dict(json.loads(out.read_text()))
     assert parsed.num_vars == ls.variable_count(4, 2, 1)
+    spec, _ = pr.build_problem("triangle", graph)
+    assert out.read_text() == poly.dumps(ls.formulation_polynomial(spec, 4, 1)) + "\n"
 
 
 def test_cli_verify_circuit(tmp_path):
