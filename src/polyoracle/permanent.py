@@ -16,19 +16,26 @@ Pipeline (desk scale throughout):
                      segments, each owning a fixed quota of S1-preimages;
                      a trace (segment breakpoints + preimage block
                      assignment) classifies every mapping uniquely, and the
-                     per-trace count is a product of segment DP counts;
-                     one DP sweep from each (start, block) gives a flagged
-                     segment's count for every end, and one sweep per block
-                     from row n down gives the unflagged final segment's
-                     count for every start;
+                     per-trace count is a product of segment counts, each
+                     read as one lane of a packed sweep: one flagged sweep
+                     per distinct start of a non-final segment, plus one
+                     unflagged sweep from row n down for the final segment
+                     (two sweeps in all at theta = 2);
   g_count_dp      -- the segment count: subset DP over covered S1-elements,
                      with an optional flag forcing the segment's last vertex
                      to be a preimage (which is what pins the greedy
                      breakpoints and makes traces disjoint).
 
+The sweep (``_sweep``) runs the subset DP over every subset C of S1 at once,
+in one Python int: lane C, a fixed width of w bits, counts the mappings of
+the rows swept so far that cover exactly C once.  A lane never exceeds the
+product of the swept rows' choice counts (each at most the row's degree),
+and w is that product's bit length, so no lane carries into the next and
+every count stays exact.
+
 permanent_via_formulation is the whole chain: the signed sum of f_expand's
 terms, each counted by f_count_traces.  At theta = 1 a trace is one unflagged
-segment over all rows, so each term costs a single subset DP.
+segment over all rows, so each term costs a single sweep.
 """
 
 from __future__ import annotations
@@ -138,49 +145,73 @@ def g_count_dp(
 ) -> int:
     """Segment count G_K: mappings from ``rows`` covering s_eq1 exactly once,
     avoiding s_eq0 and everything else in S1, with the flag forcing the last
-    (maximum) row to map into s_eq1.
+    (maximum) row to map into s_eq1.  ``rows`` must increase strictly
+    within 1..n.
 
-    Subset DP over covered S1-elements: O(2**|S1|) states per row.
+    The full lane of one packed sweep over the subsets of S1 (see
+    ``_sweep``): O(2**|S1|) lanes per row, in a few big-integer operations.
     """
+    n = matrix.n
+    rows = list(rows)
+    if any(not 1 <= u <= n for u in rows) or any(a >= b for a, b in zip(rows, rows[1:])):
+        raise ValueOutOfRange(f"rows must increase strictly within 1..{n}")
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    check("g_target", (s_eq1 & ((1 << matrix.n) - 1)).bit_count())
+    s_eq1 &= (1 << n) - 1
+    check("g_target", s_eq1.bit_count())
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    return _segment_counts(matrix, rows, s_eq1, free, flag)[-1]
+    width, counts = _sweep(matrix, rows, s_eq1, free, flag)
+    # The full lane is the top one: nothing lies above it.
+    return counts[-1] >> (((1 << s_eq1.bit_count()) - 1) * width)
 
 
-def _segment_counts(
-    matrix: BinaryMatrix, rows: Sequence[int], w_mask: int, free: Sequence[int], flag: int
-) -> list[int]:
-    """Entry i: the segment count G_K of ``rows[:i]``, for i = 0..len(rows),
-    from one sweep of the subset DP.  Row u may map outside the blocked
-    columns in ``free[u - 1]`` ways or onto a still-uncovered element of
-    ``w_mask``; a flagged count makes the last row of its prefix do the latter.
+def _sweep(
+    matrix: BinaryMatrix, rows: Sequence[int], s_eq1: int, free: Sequence[int], flag: int
+) -> tuple[int, list[int]]:
+    """One subset DP over all of S1 = s_eq1 along ``rows``, packed into ints.
+
+    Returns (w, counts).  Lane C of counts[i] -- bits C*w up to (C+1)*w,
+    where C is a subset of the positions 0..|S1|-1 of S1's columns in
+    increasing order -- is the segment count G_K of ``rows[:i]`` with block
+    C: mappings covering C exactly once and otherwise only the ``free[u - 1]``
+    columns open to row u; flagged, the last row of the prefix maps into C.
+    Per row, ``moved`` shifts every lane lacking a position p the row covers
+    up by 2**p lanes, and ``dp = dp * free + moved``; the flagged count is
+    ``moved`` alone.
+
+    A row's choice count is its free columns plus its columns in S1, at most
+    its degree (taken as 1 when zero: every lane is 0 after such a row).  No
+    lane exceeds the product of the rows' choice counts, and w is that
+    product's bit length, so lanes never carry into each other.
     """
-    bits = [b for b in range(matrix.n) if w_mask >> b & 1]
-    full = (1 << len(bits)) - 1
     masks = matrix.row_masks
-    dp = [0] * (full + 1)
-    dp[0] = 1
-    # No rows: nothing to flag, and W is covered only when empty.
-    counts = [0 if flag or full else 1]
-    for i, u in enumerate(rows, 1):
-        nbr = masks[u - 1]
-        cov = [1 << p for p, b in enumerate(bits) if nbr >> b & 1]
-        row_free = free[u - 1]
-        flagged = sum(dp[full ^ bit] for bit in cov)
-        counts.append(flagged if flag else flagged + row_free * dp[full])
-        if i == len(rows):
-            break
-        new = [row_free * value for value in dp]
-        for cm, value in enumerate(dp):
-            if value:
-                for bit in cov:
-                    if not cm & bit:
-                        new[cm | bit] += value
-        dp = new
-    return counts
+    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
+    covs = [[p for p, b in enumerate(bits) if masks[u - 1] >> b & 1] for u in rows]
+    bound = 1
+    for u, cov in zip(rows, covs):
+        bound *= free[u - 1] + len(cov) or 1
+    width = bound.bit_length()
+    total = width << len(bits)
+    # lack[p]: all-ones lanes where position p is uncovered, built by doubling.
+    lack = {}
+    for p in {p for cov in covs for p in cov}:
+        period = width << p
+        mask, span = (1 << period) - 1, 2 * period
+        while span < total:
+            mask |= mask << span
+            span *= 2
+        lack[p] = mask
+    # No rows: nothing to flag, and only the empty block is covered.
+    dp = 1
+    counts = [0 if flag else dp]
+    for u, cov in zip(rows, covs):
+        moved = 0
+        for p in cov:
+            moved += (dp & lack[p]) << (width << p)
+        dp = dp * free[u - 1] + moved
+        counts.append(moved if flag else dp)
+    return width, counts
 
 
 def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
@@ -208,17 +239,17 @@ def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, 
 
 
 def _ordered_partitions(bits: tuple[int, ...], sizes: Sequence[int]) -> Iterator[list[int]]:
-    """Ordered partitions of ``bits`` into parts of the given sizes, as masks."""
-    if not sizes:
-        yield []
-        return
+    """Ordered partitions of ``bits`` into parts of the given sizes, as masks;
+    the sizes sum to len(bits), so the last part is whatever is left."""
     head, *tail = sizes
-    pool = set(bits)
+    if not tail:
+        yield [sum(1 << b for b in bits)]
+        return
     for chosen in combinations(bits, head):
         mask = sum(1 << b for b in chosen)
-        rest = tuple(sorted(pool - set(chosen)))
+        rest = tuple(b for b in bits if not mask >> b & 1)
         for others in _ordered_partitions(rest, tail):
-            yield [mask] + others
+            yield [mask, *others]
 
 
 def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> int:
@@ -228,43 +259,47 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     assignment of S1 into per-segment blocks W(j) matching the quotas.  Each
     mapping has exactly one trace (greedy minimal breakpoints, enforced by
     the endpoint flag), so the per-trace products sum to the total.
+
+    Every segment count is a lane of a packed sweep (``_sweep``): one flagged
+    sweep from each distinct start of a non-final segment counts it for every
+    end and block, and the final segment is unflagged, so its count does not
+    depend on row order and one sweep from row n down counts it for every
+    start and block.  At theta = 2 that is two sweeps in all.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
     n = matrix.n
-    bits = tuple(b for b in range(n) if s_eq1 >> b & 1)
-    quotas, flags = preimage_quotas(len(bits), theta)
+    size = (s_eq1 & ((1 << n) - 1)).bit_count()
+    quotas, flags = preimage_quotas(size, theta)
     segments = len(quotas)
     # Every segment blocks all of S1 and S0 outside its own block W.
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    partitions = list(_ordered_partitions(bits, quotas))
-    forward: dict[tuple[int, int, int], list[int]] = {}
-    backward: dict[int, list[int]] = {}
+    partitions = list(_ordered_partitions(tuple(range(size)), quotas))
 
-    def segment_count(j: int, start: int, end: int, w_mask: int) -> int:
-        if j < segments - 1:
-            # One sweep from ``start`` counts the segment for every end.
-            key = (start, w_mask, flags[j])
-            if key not in forward:
-                rows = range(start + 1, n + 1)
-                forward[key] = _segment_counts(matrix, rows, w_mask, free, flags[j])
-            return forward[key][end - start]
-        # The final segment is unflagged, so its count does not depend on
-        # row order: one sweep from row n down counts it for every start.
-        if w_mask not in backward:
-            backward[w_mask] = _segment_counts(matrix, range(n, 0, -1), w_mask, free, 0)
-        return backward[w_mask][n - start]
-
+    backward = _sweep(matrix, range(n, 0, -1), s_eq1, free, 0)
+    forward: dict[int, tuple[int, list[int]]] = {}
     total = 0
     for cuts in combinations(range(1, n + 1), segments - 1):
         bounds = (0, *cuts, n)
         if any(bounds[j + 1] - bounds[j] < quotas[j] for j in range(segments)):
             continue
+        # Segment j's packed counts over every block, and their lane width.
+        tables = []
+        for j in range(segments - 1):
+            start = bounds[j]
+            if start not in forward:
+                forward[start] = _sweep(matrix, range(start + 1, n + 1), s_eq1, free, flags[j])
+            width, counts = forward[start]
+            tables.append((counts[bounds[j + 1] - start], width))
+        width, counts = backward
+        tables.append((counts[n - bounds[-2]], width))
+        if not all(packed for packed, _ in tables):
+            continue
         for blocks in partitions:
             product = 1
-            for j in range(segments):
-                product *= segment_count(j, bounds[j], bounds[j + 1], blocks[j])
+            for (packed, width), block in zip(tables, blocks):
+                product *= (packed >> block * width) & ((1 << width) - 1)
                 if not product:
                     break
             total += product

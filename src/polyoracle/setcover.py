@@ -22,7 +22,13 @@ The decision chain for "is there a k-cover?":
                          running union past n/theta (the final block may
                          fall short).  Per block, y counts indices equal to
                          B_j and a min-pivot subset DP counts partitions of
-                         A_j by sets whose minima precede min(B_j).
+                         A_j by sets whose minima precede min(B_j).  B_j is
+                         looked up only among the sets whose minimum is the
+                         least element left outside A_j: any other B_j
+                         would leave that element to a later block, whose
+                         elements must all follow min(B_j).  One table, the
+                         distinct set values with their multiplicities by
+                         minimum, serves both y and z.
                          One recursion gives the count for every k up to a
                          bound: each block's y*z factor, a list over its
                          part count, is convolved with the tail's list.
@@ -37,6 +43,7 @@ nonnegative and are asserted to.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from itertools import accumulate
 from math import comb
@@ -88,18 +95,21 @@ class _PartitionCounter:
         self.n, self.theta, self.k_max = family.n, theta, k_max
         empties = family.sets.count(0)
         self.empty_choices = [comb(empties, k) for k in range(k_max + 1)]
-        self.by_pivot: dict[int, list[int]] = {}
-        self.value_counts: dict[int, int] = {}
-        for mask in filter(None, family.sets):
-            pivot = mask & -mask
-            self.by_pivot.setdefault(pivot, []).append(mask)
-            self.value_counts[mask] = self.value_counts.get(mask, 0) + 1
+        # Each distinct nonempty set value with its multiplicity, by minimum.
+        self.by_pivot: dict[int, list[tuple[int, int]]] = {}
+        for mask, count in Counter(filter(None, family.sets)).items():
+            self.by_pivot.setdefault(mask & -mask, []).append((mask, count))
         self.memo: dict[tuple[int, int], list[int]] = {}
         self.trace_memo: dict[tuple[int, int], list[int]] = {}
 
     def z(self, a_mask: int, b_min_bit: int) -> list[int]:
         """Entry c, for c = 0..|A|: partitions of A into c nonempty family
         sets (by index), each with minimum element below B's minimum."""
+        # Only A's elements are compared with min(B), so min(B) may stand for
+        # the least element of A above it, which lets more calls share a memo
+        # entry; 0 when there is none, and then every part qualifies.
+        above = a_mask & -b_min_bit
+        b_min_bit = above & -above
         key = (a_mask, b_min_bit)
         cached = self.memo.get(key)
         if cached is not None:
@@ -108,11 +118,11 @@ class _PartitionCounter:
         pivot = a_mask & -a_mask
         if a_mask == 0:
             result[0] = 1
-        elif pivot < b_min_bit:
-            for mask in self.by_pivot.get(pivot, ()):
+        elif pivot != b_min_bit:  # that is, pivot < min(B)
+            for mask, count in self.by_pivot.get(pivot, ()):
                 if not mask & ~a_mask:
-                    for count, value in enumerate(self.z(a_mask ^ mask, b_min_bit)):
-                        result[count + 1] += value
+                    for parts, value in enumerate(self.z(a_mask ^ mask, b_min_bit)):
+                        result[parts + 1] += count * value
         self.memo[key] = result
         return result
 
@@ -134,32 +144,31 @@ class _PartitionCounter:
         a_cap = n // theta
         pivot = remaining & -remaining
         # Tail block with empty prefix: B alone consumes everything left.
-        count = self.value_counts.get(remaining)
-        if count:
-            for k in range(1, k_max + 1):
-                total[k] += count * empty_choices[k - 1]
+        for b_mask, count in self.by_pivot.get(pivot, ()):
+            if b_mask == remaining:
+                for k in range(1, k_max + 1):
+                    total[k] += count * empty_choices[k - 1]
         # Blocks with a nonempty prefix A containing the pivot element: the
-        # block takes parts + 1 sets, convolved with the tail's list.
+        # block takes parts + 1 sets, convolved with the tail's list.  B's
+        # minimum is the least element outside A: any other B would leave that
+        # element to a later block, whose elements must all follow min(B).
         rest = remaining ^ pivot
         sub = rest
         while True:
             a_mask = sub | pivot
             a_size = a_mask.bit_count()
-            if a_size <= a_cap:
-                outside = remaining ^ a_mask
-                for b_mask, count in self.value_counts.items():
+            outside = remaining ^ a_mask
+            if a_size <= a_cap and outside:
+                b_min_bit = outside & -outside
+                for b_mask, count in self.by_pivot.get(b_min_bit, ()):
                     if b_mask & ~outside:
                         continue
                     after = outside ^ b_mask
-                    if after:
-                        # Non-final block: must overshoot n/theta, and the
-                        # next block's elements must all follow min(B).
-                        if theta * (a_mask | b_mask).bit_count() <= n:
-                            continue
-                        if (b_mask & -b_mask) > (after & -after):
-                            continue
+                    # A non-final block must overshoot n/theta.
+                    if after and theta * (a_mask | b_mask).bit_count() <= n:
+                        continue
                     tail = None
-                    zs = self.z(a_mask, b_mask & -b_mask)
+                    zs = self.z(a_mask, b_min_bit)
                     for parts in range(1, min(k_max - 1, a_size) + 1):
                         z = zs[parts]
                         if not z:

@@ -126,6 +126,26 @@ def f_count(coverages: Counter[tuple[int, ...]], spec: FSpec) -> int:
     return sum(count for coverage, count in coverages.items() if meets(coverage))
 
 
+def permanent_ryser(matrix: BinaryMatrix) -> int:
+    """Ryser's formula, perm A = (-1)**n * sum over column sets S of
+    (-1)**|S| * prod_i sum_{j in S} a_ij (Ryser, Combinatorial Mathematics,
+    1963).  S runs through Gray-code order, so each step adds or removes one
+    column and updates the n row sums: O(2**n * n)."""
+    n = matrix.n
+    sums = [0] * n
+    total = 0 if n else 1  # S = {} contributes the empty product only at n = 0
+    for step in range(1, 1 << n):
+        j = (step & -step).bit_length() - 1
+        gray = step ^ step >> 1  # the columns of S
+        delta = 1 if gray >> j & 1 else -1
+        product = 1
+        for i, row in enumerate(matrix.entries):
+            sums[i] += delta * row[j]
+            product *= sums[i]
+        total += -product if gray.bit_count() % 2 else product
+    return -total if n % 2 else total
+
+
 def setpartition_count(family: SetFamily, k: int) -> int:
     """k-index-subsets of the family whose sets are pairwise disjoint with union [n]."""
     count = 0

@@ -77,7 +77,7 @@ BOUNDARIES = {
     "grid_bits": (lambda: ls.block_length(4, 3, 1), 6),
     "permanent_brute": (lambda: pm.permanent_brute(_matrix(3)), 3),
     "permanent_formulation": (lambda: pm.permanent_via_formulation(_matrix(3)), 3),
-    "g_target": (lambda: pm.g_count_dp(_matrix(3), [0, 1, 2], 0b111, 0, 0), 3),
+    "g_target": (lambda: pm.g_count_dp(_matrix(3), [1, 2, 3], 0b111, 0, 0), 3),
     "setpartition_universe": (
         lambda: sc.setpartition_via_traces(sc.family_from_lists(4, [[1, 2], [3, 4]]), 2, 1),
         4,

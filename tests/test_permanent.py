@@ -2,13 +2,14 @@
 
 import math
 import random
+import time
 from itertools import product
 
 import pytest
 
 import polyoracle.permanent as pm
 from polyoracle.errors import TooLarge, ValueOutOfRange
-from oracles import f_count, mapping_coverages
+from oracles import f_count, mapping_coverages, permanent_ryser
 
 
 def random_matrix(rng, n, density=0.5):
@@ -151,6 +152,23 @@ def test_g_count_dp_vs_restricted_enumeration():
                 continue
             expected += 1
         assert pm.g_count_dp(m, rows, eq1, eq0, flag) == expected
+
+
+@pytest.mark.parametrize("rows", [[0, 1, 2], [1, 2, 4], [2, 1, 3], [1, 1, 2]])
+def test_g_count_dp_rejects_rows_outside_or_unordered(rows):
+    with pytest.raises(ValueOutOfRange, match="rows must increase strictly"):
+        pm.g_count_dp(pm.matrix_from_rows([[1] * 3 for _ in range(3)]), rows, 0b111, 0, 0)
+
+
+def test_g_count_dp_band_at_the_g_target_cap():
+    """All 20 columns as S1: the packed sweep holds 2**20 lanes, and the
+    count is the band's two perfect matchings."""
+    band = pm.matrix_from_rows(
+        [[1 if v in (u, (u + 1) % 20) else 0 for v in range(20)] for u in range(20)]
+    )
+    start = time.perf_counter()
+    assert pm.g_count_dp(band, range(1, 21), (1 << 20) - 1, 0, 0) == 2
+    assert time.perf_counter() - start < 2
 
 
 def test_preimage_quotas():
@@ -302,3 +320,57 @@ def test_permanent_alpha_theta_variants():
         expected = pm.permanent_brute(m)
         for alpha, theta in ((0.25, 2), (0.5, 3), (0.75, 1), (1.0, 2)):
             assert pm.permanent_via_formulation(m, alpha, theta) == expected
+
+
+def test_all_ones_lane_width_boundary():
+    """On the all-ones matrix with S1 empty, lane 0 ends at n**n, exactly
+    the product of the row degrees that fixes the lane width."""
+    for n in range(1, 11):
+        ones = pm.matrix_from_rows([[1] * n for _ in range(n)])
+        for theta in range(1, 5):
+            assert pm.f_count_traces(ones, 0, 0, theta) == n**n
+            assert pm.permanent_via_formulation(ones, 0.5, theta) == math.factorial(n)
+
+
+def test_sweeps_per_f_count_traces(monkeypatch):
+    """One backward sweep plus one forward sweep per distinct start of a
+    non-final segment: two at theta = 2, at most n + 1 at theta = 3."""
+    calls = []
+    sweep = pm._sweep
+
+    def counted(*args):
+        calls.append(args)
+        return sweep(*args)
+
+    monkeypatch.setattr(pm, "_sweep", counted)
+    rng = random.Random(20)
+    for n in range(2, 9):
+        m = random_matrix(rng, n, density=0.6)
+        for _, spec in pm.f_expand(m, (1 << -(-n // 2)) - 1, 0.5):
+            calls.clear()
+            pm.f_count_traces(m, spec.eq1, spec.eq0, 2)
+            assert len(calls) == 2
+            calls.clear()
+            pm.f_count_traces(m, spec.eq1, spec.eq0, 3)
+            assert len(calls) <= n + 1
+
+
+def test_ryser_matches_brute():
+    rng = random.Random(21)
+    for n in range(9):
+        for _ in range(10):
+            m = random_matrix(rng, n, density=rng.choice([0.3, 0.6, 0.9]))
+            assert permanent_ryser(m) == pm.permanent_brute(m)
+
+
+def test_formulation_matches_ryser_past_the_cap(set_cap):
+    """Past the library cap, checked against Ryser's formula, which shares
+    no code with the signed coverage chain."""
+    set_cap("permanent_formulation", 13)
+    rng = random.Random(22)
+    for n in (11, 12, 13):
+        for theta in (1, 2, 3):
+            m = random_matrix(rng, n, density=0.6)
+            expected = permanent_ryser(m)
+            assert expected > 0
+            assert pm.permanent_via_formulation(m, 0.5, theta) == expected
