@@ -32,15 +32,15 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         answer, wall = oracle.timed(
             lambda: localsubset.solve_via_oracle(spec, inst, args.theta, wrapped)
         )
-    report = oracle.RunReport(
-        problem=spec.name,
-        instance_digest=oracle.instance_digest(spec.name, inst),
-        answer=answer,
-        total_oracle_cost=log.total_cost,
-        calls=list(log.records),
-        wall_time_seconds=wall,
-    )
     if args.report:
+        report = oracle.RunReport(
+            problem=spec.name,
+            instance_digest=oracle.instance_digest(spec.name, inst),
+            answer=answer,
+            total_oracle_cost=log.total_cost,
+            calls=list(log.records),
+            wall_time_seconds=wall,
+        )
         with open(args.report, "w", encoding="utf-8") as handle:
             handle.write(report.dumps())
     print(f"{spec.name}: {'yes' if answer else 'no'} (oracle cost {log.total_cost})")
@@ -107,74 +107,6 @@ def _cmd_bench_vars(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_selftest(args: argparse.Namespace) -> int:
-    import random
-
-    rng = random.Random(args.seed)
-    checks: list[tuple[str, bool]] = []
-    p = polynomials.polynomial(2, {((0, 1), (1, 1)): 1})
-    checks.append(("poly eval", polynomials.eval_over_integers(p, [3, 5]) == 15))
-    checks.append(("prime window", circuits.find_prime(10).p == 23))
-    built = circuits.build_circuit_from_polynomial(p)
-    checks.append(("circuit verify", bool(circuits.verify_circuit(built, p, 2))))
-    m = permanent.matrix_from_rows([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
-    checks.append(("permanent", permanent.permanent_via_formulation(m) == 2))
-    family = setcover.family_from_lists(6, [[1, 2, 3], [4, 5, 6], [1, 4]])
-    checks.append(("setcover", setcover.setcover_min(family, method="reduction") == 2))
-
-    from itertools import combinations
-
-    from .problems import GraphInput, H_PRESETS, encode_h_induced
-
-    agreed = True
-    for _ in range(25):
-        n = rng.randint(3, 7)
-        pairs = list(combinations(range(1, n + 1), 2))
-        rng.shuffle(pairs)
-        graph = GraphInput(n, frozenset(pairs[: rng.randint(0, min(10, len(pairs)))]))
-        spec, inst = encode_h_induced(graph, H_PRESETS["triangle"])
-        expected = localsubset.brute_solve(spec, inst)
-        agreed = agreed and all(
-            localsubset.solve_via_oracle(spec, inst, theta) == expected for theta in (1, 2)
-        )
-    checks.append((f"seeded LS equivalence (seed {args.seed})", agreed))
-
-    perm_ok = True
-    for _ in range(15):
-        n = rng.randint(1, 5)
-        rows = [[rng.randint(0, 1) for _ in range(n)] for _ in range(n)]
-        mat = permanent.matrix_from_rows(rows)
-        perm_ok = perm_ok and permanent.permanent_via_formulation(mat) == permanent.permanent_brute(mat)
-    checks.append((f"seeded permanent equivalence (seed {args.seed})", perm_ok))
-
-    truncation_ok = True
-    for _ in range(10):
-        gates: list = [circuits.InputGate(i) for i in range(3)]
-        gates.append(circuits.ConstGate(rng.randint(-3, 3)))
-        degrees = [1, 1, 1, 0]
-        while len(gates) < 16 or degrees[-1] < 3:
-            left, right = rng.randrange(len(gates)), rng.randrange(len(gates))
-            if rng.random() < 0.5 and degrees[left] + degrees[right] <= 6:
-                gates.append(circuits.MulGate(left, right))
-                degrees.append(degrees[left] + degrees[right])
-            else:
-                gates.append(circuits.AddGate(left, right))
-                degrees.append(max(degrees[left], degrees[right]))
-        c = circuits.ArithmeticCircuit(3, tuple(gates), len(gates) - 1)
-        delta = rng.randint(1, degrees[-1] - 1)
-        reference = circuits.expand_to_polynomial(circuits.homogenize(c, delta))
-        for target in (reference, circuits.expand_to_polynomial(c)):
-            verdict = circuits.verify_circuit(c, target, delta)
-            truncation_ok = truncation_ok and verdict.accepted == (target == reference)
-    checks.append((f"seeded circuit truncation vs homogenize (seed {args.seed})", truncation_ok))
-
-    ok = True
-    for name, passed in checks:
-        print(f"{name}: {'ok' if passed else 'FAIL'}")
-        ok = ok and passed
-    return 0 if ok else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="polyoracle")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -222,9 +154,6 @@ def build_parser() -> argparse.ArgumentParser:
     bench.add_argument("--out")
     bench.set_defaults(fn=_cmd_bench_vars)
 
-    selftest = sub.add_parser("selftest", help="smoke checks plus a seeded random suite")
-    selftest.add_argument("--seed", type=int, default=0)
-    selftest.set_defaults(fn=_cmd_selftest)
     return parser
 
 

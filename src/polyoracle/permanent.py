@@ -310,6 +310,8 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
     """Permanent as the signed sum of trace-decomposed mapping counts."""
     if not 0 <= alpha <= 1:
         raise ValueOutOfRange("alpha must lie in [0, 1]")
+    if theta < 1:
+        raise ValueOutOfRange("theta must be >= 1")
     n = matrix.n
     check("permanent_formulation", n)
     if n == 0:

@@ -11,12 +11,12 @@ empty map.  Each power vector appears once, so two polynomials are equal
 exactly when their variable counts and term maps are; the order in which the
 terms were inserted plays no part.  Polynomials are not hashable.
 
-Evaluation, bounds, arithmetic and identity checks do not depend on term
-order.  Order is a derived view: ``monomials`` lists the terms in
-canonical graded lexicographic order (ascending total degree, then
-descending dense-lexicographic on the exponent vector).  Within the package
-only the JSON wire format (and so ``formulate``'s output) and the gate order
-of ``circuits.build_circuit_from_polynomial`` read that view.
+Evaluation, bounds and identity checks do not depend on term order.  Order
+is a derived view: ``monomials`` lists the terms in canonical graded
+lexicographic order (ascending total degree, then descending
+dense-lexicographic on the exponent vector).  Within the package only the
+JSON wire format (and so ``formulate``'s output) and the gate order of
+``circuits.build_circuit_from_polynomial`` read that view.
 
 All arithmetic is exact.  Evaluation never densifies the power vector, so the
 number of declared variables may be large (formulations routinely declare
@@ -102,33 +102,10 @@ class SparsePolynomial:
             Monomial(self.terms[powers], powers) for powers in sorted(self.terms, key=_powers_key)
         )
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.terms
-
 
 def polynomial(num_vars: int, terms: Mapping[Powers, int]) -> SparsePolynomial:
     """Build a polynomial from a power vector -> coefficient map; zeros are dropped."""
     return SparsePolynomial(num_vars, {powers: coeff for powers, coeff in terms.items() if coeff})
-
-
-def zero(num_vars: int) -> SparsePolynomial:
-    return SparsePolynomial(num_vars, {})
-
-
-def constant(num_vars: int, value: int) -> SparsePolynomial:
-    return polynomial(num_vars, {(): value})
-
-
-def variable(num_vars: int, index: int) -> SparsePolynomial:
-    if not 0 <= index < num_vars:
-        raise ValueError(f"variable index {index} out of range for {num_vars} variables")
-    return SparsePolynomial(num_vars, {((index, 1),): 1})
-
-
-def total_degree(p: SparsePolynomial) -> int:
-    """Maximum monomial degree; 0 for the zero polynomial by convention."""
-    return max(map(_degree, p.terms), default=0)
 
 
 def eval_over_integers(p: SparsePolynomial, point: Sequence[int]) -> int:
@@ -187,16 +164,6 @@ def _add_into(out: dict[Powers, int], right: Mapping[Powers, int]) -> dict[Power
     return out
 
 
-def add(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    if p.num_vars != q.num_vars:
-        raise ArityMismatch("polynomials have different variable counts")
-    return SparsePolynomial(p.num_vars, _add_into(dict(p.terms), q.terms))
-
-
-def negate(p: SparsePolynomial) -> SparsePolynomial:
-    return SparsePolynomial(p.num_vars, {powers: -coeff for powers, coeff in p.terms.items()})
-
-
 def _merge_powers(a: Powers, b: Powers) -> Powers:
     out: list[tuple[int, int]] = []
     i = j = 0
@@ -235,12 +202,6 @@ def _multiply_terms(
             powers = _merge_powers(a, b)
             out[powers] = out.get(powers, 0) + ca * cb
     return {powers: coeff for powers, coeff in out.items() if coeff}
-
-
-def multiply(p: SparsePolynomial, q: SparsePolynomial) -> SparsePolynomial:
-    if p.num_vars != q.num_vars:
-        raise ArityMismatch("polynomials have different variable counts")
-    return SparsePolynomial(p.num_vars, _multiply_terms(p.terms, q.terms))
 
 
 # --- JSON wire format ---------------------------------------------------
@@ -285,10 +246,6 @@ def from_json_dict(data: dict) -> SparsePolynomial:
 
 def dumps(p: SparsePolynomial) -> str:
     return json.dumps(to_json_dict(p), sort_keys=True)
-
-
-def loads(text: str) -> SparsePolynomial:
-    return from_json_dict(json.loads(text))
 
 
 # --- deterministic primality --------------------------------------------

@@ -312,6 +312,10 @@ def setcover_min(
     size of a greedy cover, which bounds the minimum from above; the first k
     with a positive signed total is the minimum.
     """
+    if method not in ("brute", "reduction"):
+        raise ValueOutOfRange(f"unknown method {method!r}")
+    if method == "reduction" and theta not in SETPARTITION_THETAS:
+        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
     n = family.n
     if n == 0:
         return 0
@@ -328,8 +332,6 @@ def setcover_min(
             if _has_cover(family.sets, unions, full, k):
                 return k
         return None
-    if method != "reduction":
-        raise ValueOutOfRange(f"unknown method {method!r}")
     maxsize = max((mask.bit_count() for mask in family.sets), default=0)
     m = max(2 * theta * maxsize, n - MAX_BRANCH)
     if m > n:

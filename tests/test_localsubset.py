@@ -416,7 +416,7 @@ def test_generated_formulation_is_explicit():
     generated = ls.formulation_polynomial(spec, 6, 2)
     # degree theta * (alpha + beta), coefficients within num_vars**degree
     degree = 2 * (3 + 0)
-    assert poly.total_degree(generated) == degree
+    assert max(map(poly._degree, generated.terms), default=0) == degree
     bound = generated.num_vars**degree
     assert all(abs(coeff) <= bound for coeff in generated.terms.values())
 

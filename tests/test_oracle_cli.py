@@ -389,6 +389,10 @@ def test_cli_setcover(tmp_path, capsys):
     strings = write_json(tmp_path / "s.json", {"n": "2", "sets": [["1", 2], ["2"]]})
     assert run_cli(["setcover", "--input", strings, "--method", "brute"]) == 0
     assert capsys.readouterr().out.strip() == "1"
+    # A bad theta is a usage error even where the family cannot be covered.
+    assert run_cli(["setcover", "--input", gap, "--theta", "0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "theta must be one of" in captured.err
 
 
 @pytest.mark.parametrize(
@@ -422,6 +426,10 @@ def test_cli_bench_vars(tmp_path, capsys):
     assert lines[1] == f"64,{ls.variable_count(64, 2, 8)}"
 
 
-def test_cli_selftest(capsys):
-    assert run_cli(["selftest"]) == 0
-    assert "FAIL" not in capsys.readouterr().out
+def test_cli_lists_its_subcommands(capsys):
+    assert run_cli(["--help"]) == 0
+    out = capsys.readouterr().out
+    for name in ("solve", "formulate", "verify-circuit", "permanent", "setcover", "bench-vars"):
+        assert name in out
+    assert "selftest" not in out
+    assert run_cli(["selftest"]) == 2

@@ -38,6 +38,14 @@ def test_permanent_caps_are_separate(set_cap):
     assert pm.permanent_via_formulation(ones) == 720
 
 
+def test_permanent_via_formulation_checks_theta_on_the_empty_matrix():
+    empty = pm.matrix_from_rows([])
+    assert pm.permanent_via_formulation(empty, 0.5, 1) == 1
+    for theta in (0, -1):
+        with pytest.raises(ValueOutOfRange, match="theta must be >= 1"):
+            pm.permanent_via_formulation(empty, 0.5, theta)
+
+
 def test_matrix_text_round_trip():
     m = pm.matrix_from_text("110\n011\n101\n")
     assert m.entries == ((1, 1, 0), (0, 1, 1), (1, 0, 1))

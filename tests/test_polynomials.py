@@ -1,5 +1,6 @@
-"""Sparse polynomial core: term maps, exact arithmetic, bounds, JSON."""
+"""Sparse polynomial core: term maps, the sum and product kernels, bounds, JSON."""
 
+import json
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -40,25 +41,23 @@ def test_eval_mod_rejects_composite():
 
 
 def test_value_bound_known_values():
-    assert poly.value_bound(poly.zero(3), 10) == 1
+    assert poly.value_bound(P(3, {}), 10) == 1
     assert poly.value_bound(P(2, {((0, 1), (1, 1)): 2}), 3) == 19
 
 
 def test_add_cancellation():
-    x0 = poly.variable(1, 0)
-    assert poly.add(x0, poly.negate(x0)).is_zero
+    out = {((0, 1),): 1, (): 2}
+    assert poly._add_into(out, {((0, 1),): -1}) is out
+    assert out == {(): 2}
+    assert poly._add_into(out, {(): -2}) == {}
 
 
 def test_multiply_difference_of_squares():
-    one = poly.constant(1, 1)
-    x0 = poly.variable(1, 0)
-    got = poly.multiply(poly.add(x0, one), poly.add(x0, poly.negate(one)))
-    assert got == P(1, {((0, 2),): 1, (): -1})
-
-
-def test_total_degree_conventions():
-    assert poly.total_degree(poly.zero(4)) == 0
-    assert poly.total_degree(P(2, {((0, 2), (1, 3)): 5, (): 7})) == 5
+    x_plus_one = {((0, 1),): 1, (): 1}
+    x_minus_one = {((0, 1),): 1, (): -1}
+    assert poly._multiply_terms(x_plus_one, x_minus_one) == {((0, 2),): 1, (): -1}
+    # At max_degree 1 the x**2 pair is skipped and the two x terms cancel.
+    assert poly._multiply_terms(x_plus_one, x_minus_one, 1) == {(): -1}
 
 
 def test_monomial_validation():
@@ -93,7 +92,7 @@ def test_sparse_polynomial_validation(num_vars, terms):
 def test_polynomial_drops_zero_coefficients():
     p = P(2, {((0, 1),): 0, (): 4})
     assert p.terms == {(): 4}
-    assert P(2, {((1, 2),): 0}) == poly.zero(2) and poly.zero(2).is_zero
+    assert P(2, {((1, 2),): 0}) == P(2, {}) and not P(2, {}).terms
 
 
 def test_equality_ignores_insertion_order():
@@ -165,15 +164,39 @@ def polynomials_(draw, num_vars=4):
 points = st.lists(st.integers(-15, 15), min_size=4, max_size=4)
 
 
+def graded_values(p, x):
+    """Value at x of each homogeneous part of p, by degree."""
+    values = {}
+    for powers, coeff in p.terms.items():
+        degree = poly._degree(powers)
+        values[degree] = values.get(degree, 0) + poly.eval_over_integers(
+            P(p.num_vars, {powers: coeff}), x
+        )
+    return values
+
+
+def truncated_product_value(p, q, x, max_degree):
+    """Value at x of the degree <= max_degree part of p * q, from the
+    homogeneous parts of p and q alone."""
+    graded_q = graded_values(q, x)
+    return sum(
+        value_p * value_q
+        for degree_p, value_p in graded_values(p, x).items()
+        for degree_q, value_q in graded_q.items()
+        if degree_p + degree_q <= max_degree
+    )
+
+
 @settings(max_examples=200, deadline=None)
-@given(polynomials_(), polynomials_(), points)
-def test_evaluation_homomorphism(p, q, x):
-    assert poly.eval_over_integers(poly.add(p, q), x) == poly.eval_over_integers(
-        p, x
-    ) + poly.eval_over_integers(q, x)
-    assert poly.eval_over_integers(poly.multiply(p, q), x) == poly.eval_over_integers(
-        p, x
-    ) * poly.eval_over_integers(q, x)
+@given(polynomials_(), polynomials_(), points, st.integers(0, 12))
+def test_evaluation_homomorphism(p, q, x, max_degree):
+    ev_p, ev_q = poly.eval_over_integers(p, x), poly.eval_over_integers(q, x)
+    total = P(4, poly._add_into(dict(p.terms), q.terms))
+    assert poly.eval_over_integers(total, x) == ev_p + ev_q
+    product = P(4, poly._multiply_terms(p.terms, q.terms))
+    assert poly.eval_over_integers(product, x) == ev_p * ev_q
+    truncated = P(4, poly._multiply_terms(p.terms, q.terms, max_degree))
+    assert poly.eval_over_integers(truncated, x) == truncated_product_value(p, q, x, max_degree)
 
 
 @settings(max_examples=200, deadline=None)
@@ -190,9 +213,16 @@ def test_eval_mod_matches_integer_evaluation(p, x, prime):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polynomials_(), polynomials_())
-def test_arithmetic_stays_canonical(p, q):
-    for result in (poly.add(p, q), poly.multiply(p, q)):
+@given(polynomials_(), polynomials_(), st.integers(0, 12))
+def test_arithmetic_stays_canonical(p, q, max_degree):
+    for terms in (
+        poly._add_into(dict(p.terms), q.terms),
+        poly._multiply_terms(p.terms, q.terms),
+        poly._multiply_terms(p.terms, q.terms, max_degree),
+    ):
+        # The strict constructor rejects a cancelled (zero) coefficient and
+        # any power vector out of canonical form.
+        result = poly.SparsePolynomial(4, terms)
         rebuilt = poly.polynomial(
             result.num_vars, {m.powers: m.coefficient for m in result.monomials}
         )
@@ -202,11 +232,12 @@ def test_arithmetic_stays_canonical(p, q):
 @settings(max_examples=100, deadline=None)
 @given(polynomials_())
 def test_json_round_trip(p):
-    assert poly.loads(poly.dumps(p)) == p
+    assert poly.from_json_dict(json.loads(poly.dumps(p))) == p
 
 
 def test_invariants_on_1000_seeded_cases():
-    """Homomorphism, value-bound soundness, and modular agreement, 1000 times."""
+    """Homomorphism, value-bound soundness, and modular agreement, 1000 times;
+    the truncated product cycles max_degree through 0..6."""
     import random
 
     rng = random.Random(99)
@@ -221,13 +252,18 @@ def test_invariants_on_1000_seeded_cases():
             terms[key] = terms.get(key, 0) + rng.randint(-30, 30)
         return poly.polynomial(4, terms)
 
-    for _ in range(1000):
+    for case in range(1000):
         p, q = rand_poly(), rand_poly()
         rho = rng.randint(1, 20)
         x = [rng.randint(-rho, rho) for _ in range(4)]
         ev_p, ev_q = poly.eval_over_integers(p, x), poly.eval_over_integers(q, x)
-        assert poly.eval_over_integers(poly.add(p, q), x) == ev_p + ev_q
-        assert poly.eval_over_integers(poly.multiply(p, q), x) == ev_p * ev_q
+        total = P(4, poly._add_into(dict(p.terms), q.terms))
+        assert poly.eval_over_integers(total, x) == ev_p + ev_q
+        product = P(4, poly._multiply_terms(p.terms, q.terms))
+        assert poly.eval_over_integers(product, x) == ev_p * ev_q
+        max_degree = case % 7
+        truncated = P(4, poly._multiply_terms(p.terms, q.terms, max_degree))
+        assert poly.eval_over_integers(truncated, x) == truncated_product_value(p, q, x, max_degree)
         assert abs(ev_p) < poly.value_bound(p, rho)
         assert poly.eval_mod(p, x, 10007) == ev_p % 10007
 

@@ -265,6 +265,22 @@ def test_setcover_min_methods_agree():
     assert greedy_gaps
 
 
+def test_setcover_min_checks_arguments_before_early_returns():
+    """A bad method, or a bad theta for the reduction, is refused even when
+    the answer needs no counting: an empty universe or an uncoverable one."""
+    empty = sc.SetFamily(0, ())
+    uncoverable = sc.family_from_lists(3, [[1, 2]])
+    for family in (empty, uncoverable):
+        with pytest.raises(ValueOutOfRange, match="unknown method"):
+            sc.setcover_min(family, method="bogus")
+        for theta in (0, 4, -1):
+            with pytest.raises(ValueOutOfRange, match="theta must be one of"):
+                sc.setcover_min(family, method="reduction", theta=theta)
+    # The brute route does not read theta.
+    assert sc.setcover_min(empty, method="brute", theta=0) == 0
+    assert sc.setcover_min(uncoverable, method="brute", theta=0) is None
+
+
 def test_setcover_min_reduction_precondition():
     family = sc.family_from_lists(3, [[1, 2, 3]])
     with pytest.raises(PreconditionViolated):
