@@ -41,6 +41,11 @@ once and weights it by its multiplicity.  The literal monomial stream
 ``formulation_monomials`` emits every product term one by one and is the
 reference the collected polynomial is tested against.
 
+The witness count walks one representative per orbit.  A spec may declare
+``groups`` of slots whose order acceptance ignores; the count then walks each
+group in strictly increasing order and multiplies by the groups' factorials.
+The literal path and ``brute_solve`` ignore groups and walk every ordering.
+
 A spec defines acceptance in two parts: an optional ``prefix`` predicate,
 which every nonempty prefix of an accepted tuple must pass (the per-slot
 checks), and a global ``accept`` check on the full tuple.  Every tuple loop
@@ -54,10 +59,12 @@ extended.  The reference ``brute_solve`` hands it the derived full predicate
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
+from math import factorial, prod
 from typing import Callable, Iterator, Sequence
 
 from .errors import cap_limit, check
@@ -78,6 +85,16 @@ class LSProblemSpec:
     prefix passed; ``accept`` is called only on full tuples whose every
     prefix passed.  Both are pure and must interpret a code the same way at
     every instance size.
+
+    ``groups`` lists half-open slot ranges (start, stop), each of at least
+    two slots inside the a-slots or inside the b-slots, whose order
+    acceptance ignores.  ``exact_evaluation_oracle`` counts one increasing
+    representative per group and multiplies by the groups' factorials, which
+    is exact only when both of these hold:
+
+    * every accepted tuple has distinct values within each group;
+    * reordering a group never changes whether each prefix passes or whether
+      ``accept`` passes.
     """
 
     name: str
@@ -86,6 +103,7 @@ class LSProblemSpec:
     r: int
     accept: Callable[..., bool]
     prefix: Callable[[tuple[int, ...]], bool] | None = None
+    groups: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -94,6 +112,17 @@ class LSProblemSpec:
             raise ValueError("beta must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
+        previous_stop = 0
+        for start, stop in sorted(self.groups):
+            if stop - start < 2:
+                raise ValueError(f"slot group {(start, stop)} has fewer than 2 slots")
+            if start < 0 or stop > self.alpha + self.beta:
+                raise ValueError(f"slot group {(start, stop)} leaves [0, alpha + beta)")
+            if start < previous_stop:
+                raise ValueError(f"slot group {(start, stop)} overlaps another group")
+            if start < self.alpha < stop:
+                raise ValueError(f"slot group {(start, stop)} straddles alpha")
+            previous_stop = stop
 
     def verifier(self, *codes: int) -> bool:
         """The full acceptance predicate on alpha + beta codes."""
@@ -168,24 +197,33 @@ def accepted_tuples(
     pools: Sequence[Sequence[int]],
     accept: Callable[..., bool],
     prefix: Callable[[tuple[int, ...]], bool] | None = None,
+    groups: Sequence[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, ...]]:
     """Yield the tuples of ``product(*pools)`` whose every nonempty prefix
     passes ``prefix`` and which ``accept`` accepts, in product order.  A
-    failing prefix is dropped with all its extensions.  Raises
-    UniverseTooLarge past the witness_slots cap."""
+    failing prefix is dropped with all its extensions.  Within each (start,
+    stop) of ``groups`` only strictly increasing values are walked, which
+    needs those slots' pools ascending.  Raises UniverseTooLarge past the
+    witness_slots cap."""
     check("witness_slots", len(pools))
-    return _extend(pools, accept, prefix, ())
+    chained = [False] * len(pools)
+    for start, stop in groups:
+        chained[start + 1 : stop] = [True] * (stop - start - 1)
+    return _extend(pools, accept, prefix, chained, ())
 
 
-def _extend(pools, accept, prefix, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _extend(pools, accept, prefix, chained, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
     depth = len(head)
     last = depth + 1 == len(pools)
-    for value in pools[depth]:
+    pool = pools[depth]
+    if chained[depth]:
+        pool = pool[bisect_right(pool, head[-1]) :]
+    for value in pool:
         extended = head + (value,)
         if prefix is not None and not prefix(extended):
             continue
         if not last:
-            yield from _extend(pools, accept, prefix, extended)
+            yield from _extend(pools, accept, prefix, chained, extended)
         elif accept(*extended):
             yield extended
 
@@ -509,11 +547,14 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     largest candidate code below the sentinel s_{m+1}.  Sortedness of S makes
     the row choices unique and the actual comparison outcomes select exactly
     one comparison tuple per polynomial factor, so each witness contributes
-    exactly 1."""
+    exactly 1.  Within each of ``spec.groups`` the walk takes only increasing
+    values, one ordering of each witness's group, so the count is multiplied
+    by every group's factorial."""
     spec, x = query.spec, query.assignment
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
     pools = _witness_pools(spec, x.rows[1:-1], top)
-    return sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix))
+    count = sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix, spec.groups))
+    return count * prod(factorial(stop - start) for start, stop in spec.groups)
 
 
 def solve_via_oracle(

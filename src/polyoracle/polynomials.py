@@ -25,6 +25,7 @@ millions of variables while each monomial touches only a handful).
 
 from __future__ import annotations
 
+import gc
 import json
 from dataclasses import dataclass
 from functools import cached_property
@@ -41,9 +42,9 @@ def _degree(powers: Powers) -> int:
 
 
 def _powers_key(powers: Powers) -> tuple:
-    # Ascending degree first; (index, -exponent) pairs linearize descending
-    # dense-lexicographic order within a degree class.
-    return (_degree(powers), tuple((i, -e) for i, e in powers))
+    # Ascending degree first; the flattened (index, -exponent) pairs linearize
+    # descending dense-lexicographic order within a degree class.
+    return (_degree(powers), *[x for i, e in powers for x in (i, -e)])
 
 
 def _check_powers(powers: Powers) -> None:
@@ -213,13 +214,20 @@ def _multiply_terms(
 
 
 def to_json_dict(p: SparsePolynomial) -> dict:
-    return {
-        "num_vars": p.num_vars,
-        "monomials": [
+    # Sorting and listing allocate a few small containers per term, none in a
+    # cycle; with the cyclic collector running they trigger repeated passes
+    # over the live term map, so it is paused here and restored after.
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        monomials = [
             {"coeff": str(p.terms[powers]), "powers": [[i, e] for i, e in powers]}
             for powers in sorted(p.terms, key=_powers_key)
-        ],
-    }
+        ]
+    finally:
+        if enabled:
+            gc.enable()
+    return {"num_vars": p.num_vars, "monomials": monomials}
 
 
 def _json_int(value: object) -> int:

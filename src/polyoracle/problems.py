@@ -26,6 +26,13 @@ pattern on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
 canonical pairs on at most t vertices are all the pairs of exactly t
 vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
 the declared vertices are the spanned ones.
+
+Where those checks read a run of slots as a set, the encoder declares the
+run in the spec's ``groups``, and the prefix makes the run's values
+distinct: the three collinear points, a pattern's edge slots and its
+non-edge slots, and a weighted pattern's or clique's edge, vertex and
+non-edge records.  k-SUM pins one tag per slot and a family's members read
+its slots in different roles, so those two declare none.
 """
 
 from __future__ import annotations
@@ -144,6 +151,12 @@ def _pairs_fit(pairs: Sequence[tuple[int, int]], budget: int) -> bool:
     """Distinct pairs spanning at most ``budget`` vertices: the pair check of
     every graph encoder's prefix."""
     return len(set(pairs)) == len(pairs) and len({x for p in pairs for x in p}) <= budget
+
+
+def _slot_groups(*ranges: tuple[int, int]) -> tuple[tuple[int, int], ...]:
+    """The (start, stop) slot ranges holding at least two slots: a spec's
+    ``groups``, for ranges of slots its checks read as a set."""
+    return tuple((start, stop) for start, stop in ranges if stop - start >= 2)
 
 
 # --- natural inputs -------------------------------------------------------
@@ -274,7 +287,9 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
         return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
 
-    spec = LSProblemSpec(name="collinearity", alpha=3, beta=0, r=2, accept=accept, prefix=prefix)
+    spec = LSProblemSpec(
+        name="collinearity", alpha=3, beta=0, r=2, accept=accept, prefix=prefix, groups=((0, 3),)
+    )
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
 
@@ -290,20 +305,21 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
 
     def prefix(codes: tuple[int, ...]) -> bool:
-        pairs = [decode_pair(c) for c in codes]
-        u, v = pairs[-1]
-        return u < v and _pairs_fit(pairs, pattern.num_vertices)
+        u, v = decode_pair(codes[-1])
+        return u < v and _pairs_fit([decode_pair(c) for c in codes], pattern.num_vertices)
 
     def accept(*codes: int) -> bool:
         return _spans_pattern([decode_pair(c) for c in codes], pattern)
 
+    alpha, beta = pattern.num_edges, pattern.num_nonedges
     spec = LSProblemSpec(
         name=f"induced-{pattern.name}",
-        alpha=pattern.num_edges,
-        beta=pattern.num_nonedges,
+        alpha=alpha,
+        beta=beta,
         r=2,
         accept=accept,
         prefix=prefix,
+        groups=_slot_groups((0, alpha), (alpha, alpha + beta)),
     )
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -451,6 +467,7 @@ def encode_min_weight_kclique(
         r=r,
         accept=accept,
         prefix=_record_prefix(decode, pair_count, fits_slot, k),
+        groups=_slot_groups((0, pair_count)),
     )
     elements = [codec.encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(codec.encode(2, 1, 1, threshold + shift))
@@ -521,6 +538,11 @@ def encode_max_h_subgraph(
         r=r,
         accept=accept,
         prefix=_record_prefix(decode, threshold_slot, fits_slot, nv),
+        groups=_slot_groups(
+            (0, ne),
+            (ne, threshold_slot),
+            (threshold_slot + 1, threshold_slot + 1 + beta),
+        ),
     )
     elements = []
     for (u, v), w in inp.edge_weights:

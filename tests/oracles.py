@@ -10,14 +10,15 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
+from typing import Iterator
 
 from polyoracle.permanent import BinaryMatrix, FSpec
 from polyoracle.problems import GraphInput, PatternGraph, WeightedGraphInput
 from polyoracle.setcover import SetFamily
 
 
-def has_induced_pattern(graph: GraphInput, pattern: PatternGraph) -> bool:
-    """Direct induced-subgraph check by vertex-subset and bijection enumeration."""
+def _induced_vertex_sets(graph: GraphInput, pattern: PatternGraph) -> Iterator[tuple[int, ...]]:
+    """Vertex subsets inducing a copy of the pattern, by bijection enumeration."""
     for vs in combinations(range(1, graph.n + 1), pattern.num_vertices):
         actual = {p for p in combinations(sorted(vs), 2) if p in graph.edges}
         for perm in permutations(vs):
@@ -25,8 +26,18 @@ def has_induced_pattern(graph: GraphInput, pattern: PatternGraph) -> bool:
                 tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in pattern.edges
             }
             if mapped == actual:
-                return True
-    return False
+                yield vs
+                break
+
+
+def has_induced_pattern(graph: GraphInput, pattern: PatternGraph) -> bool:
+    """Direct induced-subgraph check by vertex-subset and bijection enumeration."""
+    return next(_induced_vertex_sets(graph, pattern), None) is not None
+
+
+def induced_copies(graph: GraphInput, pattern: PatternGraph) -> int:
+    """The number of vertex subsets whose induced subgraph is a copy of the pattern."""
+    return sum(1 for _ in _induced_vertex_sets(graph, pattern))
 
 
 def ksum_direct(sets: tuple[tuple[int, ...], ...]) -> bool:

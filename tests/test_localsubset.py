@@ -5,7 +5,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import product, zip_longest
+from itertools import permutations, product, zip_longest
 
 import pytest
 from hypothesis import given, settings
@@ -487,6 +487,80 @@ def test_pruned_count_equals_unpruned_count(name, seed, theta):
         return
     assert spec.prefix is not None
     assert ls.evaluate_formulation(spec, inst, theta) == unpruned_count(spec, inst, theta)
+
+
+@pytest.mark.parametrize(
+    "groups, message",
+    [
+        pytest.param(((0, 1),), "fewer than 2 slots", id="short"),
+        pytest.param(((3, 6),), "leaves", id="past-the-end"),
+        pytest.param(((-1, 1),), "leaves", id="before-the-start"),
+        pytest.param(((0, 2), (1, 3)), "overlaps", id="overlap"),
+        pytest.param(((2, 4),), "straddles alpha", id="straddle"),
+    ],
+)
+def test_spec_rejects_bad_groups(groups, message):
+    def make(groups):
+        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, accept=lambda *c: True, groups=groups)
+
+    assert make(((0, 3), (3, 5))).groups == ((0, 3), (3, 5))
+    with pytest.raises(ValueError, match=message):
+        make(groups)
+
+
+ONE_EDGE_3 = pr.PatternGraph("one-edge-3", 3, frozenset({(1, 2)}))
+ONE_EDGE_4 = pr.PatternGraph("one-edge-4", 4, frozenset({(1, 2)}))
+
+
+def declaring_encoding(name, rng):
+    """random_encoding's inputs for an encoder that declares groups, and
+    patterns with two or more non-edges, whose non-edge slots form a group."""
+    if name == "h-induced-nonedges":
+        pattern = rng.choice([pr.H_PRESETS["c4"], ONE_EDGE_3, ONE_EDGE_4])
+        return pr.encode_h_induced(random_graph(rng, rng.randint(3, 5), 5), pattern)
+    if name == "max-h-nonedges":
+        # edge mode needs a pattern without isolated vertices
+        mode, pattern = rng.choice(
+            [("edge-weights", pr.H_PRESETS["c4"]), ("vertex-weights", ONE_EDGE_3)]
+        )
+        graph = random_weighted_graph(rng, rng.randint(4, 5), 2, 6, with_vertex_weights=True)
+        return pr.encode_max_h_subgraph(graph, pattern, rng.randint(-4, 4), mode)
+    return random_encoding(name, rng)
+
+
+DECLARING_NAMES = (
+    "collinearity",
+    "h-induced",
+    "min-weight-clique",
+    "max-h-subgraph",
+    "h-induced-nonedges",
+    "max-h-nonedges",
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(DECLARING_NAMES), st.integers(0, 2**32), st.integers(1, 3))
+def test_grouped_count_equals_ungrouped_count(name, seed, theta):
+    """Both exactness conditions of ``groups``: the reorderings of the
+    grouped walk's witnesses are exactly the ungrouped walk's witnesses, each
+    once, and every one of them passes ``spec.verifier``."""
+    spec, inst = declaring_encoding(name, random.Random(seed))
+    if inst.size < 2:
+        return
+    x = ls.compute_assignment(spec, inst, theta)
+    top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
+    pools = ls._witness_pools(spec, x.rows[1:-1], top)
+    ungrouped = list(ls.accepted_tuples(pools, spec.accept, spec.prefix))
+    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
+    orbits = []
+    for witness in ls.accepted_tuples(pools, spec.accept, spec.prefix, spec.groups):
+        for orders in product(*(permutations(witness[a:b]) for a, b in spec.groups)):
+            reordered = list(witness)
+            for (a, b), order in zip(spec.groups, orders):
+                reordered[a:b] = order
+            assert spec.verifier(*reordered)
+            orbits.append(tuple(reordered))
+    assert sorted(orbits) == ungrouped
 
 
 def test_brute_solve_never_consults_prefix():

@@ -19,6 +19,7 @@ from polyoracle.errors import (
     ValueOutOfRange,
 )
 from polyoracle import circuits as ci, polynomials as poly
+from oracles import induced_copies
 from test_localsubset import timed
 
 
@@ -244,6 +245,32 @@ def test_cli_solve_b_pool_cap(tmp_path, capsys):
     path = write_json(tmp_path / "path.json", {"n": 3000, "edges": [[1, 2], [2, 3]]})
     assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 3
     assert "cap b_pool exceeded" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [5, 8])
+def test_cli_solve_sparse_pattern_walks_one_ordering(tmp_path, capsys, monkeypatch, n):
+    """A one-edge pattern on 5 vertices has 9 interchangeable non-edge slots:
+    the count walks one ordering of them instead of all 9! and multiplies."""
+    path = write_json(
+        tmp_path / "input.json", {"n": n, "edges": [[1, 2]], "H": {"n": 5, "edges": [[1, 2]]}}
+    )
+    counts = []
+    inner = ls.exact_evaluation_oracle
+
+    def recording(query):
+        counts.append(inner(query))
+        return counts[-1]
+
+    monkeypatch.setattr(ls, "exact_evaluation_oracle", recording)
+    start = time.perf_counter()
+    argv = ["solve", "--problem", "h-induced", "--input", path, "--method", "formulation"]
+    assert run_cli(argv) == 0
+    assert time.perf_counter() - start < 1
+    assert "yes" in capsys.readouterr().out
+    graph = pr.GraphInput(n, frozenset({(1, 2)}))
+    copies = induced_copies(graph, pr.PatternGraph("one-edge", 5, frozenset({(1, 2)})))
+    assert copies == math.comb(n - 2, 3)
+    assert counts == [copies * math.factorial(1) * math.factorial(9)]
 
 
 SLOT_HEAVY = [

@@ -1,7 +1,9 @@
 """Encoders: codec round trips, spec examples, equivalence with direct solvers."""
 
 import random
+import time
 from itertools import combinations, product
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -13,6 +15,7 @@ from polyoracle.errors import ValueOutOfRange
 from oracles import (
     collinear_direct,
     has_induced_pattern,
+    induced_copies,
     ksum_direct,
     max_h_subgraph_direct,
     min_weight_clique_direct,
@@ -156,6 +159,22 @@ def test_h_induced_random_vs_direct():
             pattern = pr.H_PRESETS[name]
             spec, inst = pr.encode_h_induced(graph, pattern)
             assert ls.brute_solve(spec, inst) == has_induced_pattern(graph, pattern)
+
+
+@pytest.mark.parametrize("name, edge_count", [("c4", 53), ("k4", 56)])
+def test_induced_counts_on_20_vertices(name, edge_count):
+    """The grouped witness count is the induced-copy count times alpha! *
+    beta!, one ordering of the edge slots and of the non-edge slots each."""
+    rng = random.Random(17)
+    edges = frozenset(rng.sample(list(combinations(range(1, 21), 2)), edge_count))
+    graph, pattern = pr.GraphInput(20, edges), pr.H_PRESETS[name]
+    spec, inst = pr.encode_h_induced(graph, pattern)
+    start = time.perf_counter()
+    count = ls.evaluate_formulation(spec, inst, 2)
+    assert time.perf_counter() - start < 5
+    copies = induced_copies(graph, pattern)
+    assert copies > 0
+    assert count == copies * factorial(spec.alpha) * factorial(spec.beta)
 
 
 def test_family_random_vs_direct():
