@@ -44,7 +44,12 @@ reference the collected polynomial is tested against.
 The witness count walks one representative per orbit.  A spec may declare
 ``groups`` of slots whose order acceptance ignores; the count then walks each
 group in strictly increasing order and multiplies by the groups' factorials.
-The literal path and ``brute_solve`` ignore groups and walk every ordering.
+A spec may also declare ``members``, checks that each read a fixed subset of
+the slots and whose union is the accepted set; the count then sums, by
+inclusion-exclusion over the member sets, the tuples that every member of a
+set accepts, walking only the slots those members read and multiplying by
+the pool size of every other slot.  The literal path and ``brute_solve``
+ignore groups and members and walk every ordering of every slot.
 
 A spec defines acceptance in two parts: an optional ``prefix`` predicate,
 which every nonempty prefix of an accepted tuple must pass (the per-slot
@@ -59,7 +64,7 @@ extended.  The reference ``brute_solve`` hands it the derived full predicate
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -72,6 +77,25 @@ from .polynomials import Monomial, Powers, SparsePolynomial
 
 LT, EQ, GT = "<", "=", ">"
 COMPARISONS = (LT, EQ, GT)
+
+# One of LSProblemSpec.members: (slots, prefix, accept, groups).
+_Member = tuple[tuple[int, ...], Callable | None, Callable[..., bool], tuple[tuple[int, int], ...]]
+
+
+def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int, what: str) -> None:
+    """Raise ValueError unless ``groups`` are disjoint (start, stop) ranges of
+    at least two of the positions [0, size), none straddling ``alpha``."""
+    previous_stop = 0
+    for start, stop in sorted(groups):
+        if stop - start < 2:
+            raise ValueError(f"{what} {(start, stop)} has fewer than 2 slots")
+        if start < 0 or stop > size:
+            raise ValueError(f"{what} {(start, stop)} leaves [0, {size})")
+        if start < previous_stop:
+            raise ValueError(f"{what} {(start, stop)} overlaps another group")
+        if start < alpha < stop:
+            raise ValueError(f"{what} {(start, stop)} straddles alpha")
+        previous_stop = stop
 
 
 @dataclass(frozen=True)
@@ -95,6 +119,17 @@ class LSProblemSpec:
     * every accepted tuple has distinct values within each group;
     * reordering a group never changes whether each prefix passes or whether
       ``accept`` passes.
+
+    ``members``, when nonempty, lists checks (slots, prefix, accept, groups)
+    whose union is the accepted set: a tuple is accepted iff some member
+    accepts its projection onto that member's ``slots``, a strictly
+    increasing tuple of slot indices.  Each member's ``prefix`` (or None),
+    ``accept`` and ``groups`` obey the contract above, applied to its
+    projection, with ``groups`` in member-local indices.  ``prefix`` and
+    ``accept`` must still define the same accepted set on full tuples.
+    ``exact_evaluation_oracle`` then counts by inclusion-exclusion over the
+    distinct members, one walk per member set, so at most 2**k - 1 walks for
+    k distinct members, fewer since a set no tuple fits is never extended.
     """
 
     name: str
@@ -104,6 +139,7 @@ class LSProblemSpec:
     accept: Callable[..., bool]
     prefix: Callable[[tuple[int, ...]], bool] | None = None
     groups: tuple[tuple[int, int], ...] = ()
+    members: tuple[_Member, ...] = ()
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -112,17 +148,13 @@ class LSProblemSpec:
             raise ValueError("beta must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        previous_stop = 0
-        for start, stop in sorted(self.groups):
-            if stop - start < 2:
-                raise ValueError(f"slot group {(start, stop)} has fewer than 2 slots")
-            if start < 0 or stop > self.alpha + self.beta:
-                raise ValueError(f"slot group {(start, stop)} leaves [0, alpha + beta)")
-            if start < previous_stop:
-                raise ValueError(f"slot group {(start, stop)} overlaps another group")
-            if start < self.alpha < stop:
-                raise ValueError(f"slot group {(start, stop)} straddles alpha")
-            previous_stop = stop
+        _check_groups(self.groups, self.alpha + self.beta, self.alpha, "slot group")
+        for slots, _, _, groups in self.members:
+            if any(not 0 <= slot < self.alpha + self.beta for slot in slots):
+                raise ValueError(f"member slots {slots} leave [0, alpha + beta)")
+            if any(left >= right for left, right in zip(slots, slots[1:])):
+                raise ValueError(f"member slots {slots} are not strictly increasing")
+            _check_groups(groups, len(slots), bisect_left(slots, self.alpha), "member group")
 
     def verifier(self, *codes: int) -> bool:
         """The full acceptance predicate on alpha + beta codes."""
@@ -549,12 +581,97 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     one comparison tuple per polynomial factor, so each witness contributes
     exactly 1.  Within each of ``spec.groups`` the walk takes only increasing
     values, one ordering of each witness's group, so the count is multiplied
-    by every group's factorial."""
+    by every group's factorial.  A spec with ``members`` is counted as the
+    union of its members' accepted sets instead (``_union_count``)."""
     spec, x = query.spec, query.assignment
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
     pools = _witness_pools(spec, x.rows[1:-1], top)
-    count = sum(1 for _ in accepted_tuples(pools, spec.accept, spec.prefix, spec.groups))
-    return count * prod(factorial(stop - start) for start, stop in spec.groups)
+    if spec.members:
+        return _union_count(spec.members, pools)
+    return _walk_count(pools, spec.accept, spec.prefix, spec.groups)
+
+
+def _walk_count(pools, accept, prefix, groups) -> int:
+    """The tuples over ``pools`` that ``prefix`` and ``accept`` accept,
+    walking one increasing ordering per group."""
+    count = sum(1 for _ in accepted_tuples(pools, accept, prefix, groups))
+    return count * prod(factorial(stop - start) for start, stop in groups)
+
+
+def _union_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
+    """The tuples over ``pools`` that some member accepts, by inclusion-exclusion:
+    the sum over nonempty sets M of distinct members of (-1)**(|M| + 1) * N(M),
+    N(M) the tuples that every member of M accepts (``_common_count``).
+
+    A tuple accepted by exactly j >= 1 members is counted sum_i (-1)**(i + 1)
+    * C(j, i) = 1 times.  N only shrinks as M grows, so a set whose N is 0 is
+    not extended: each of its supersets counts 0 too."""
+    members = list(dict.fromkeys(members))
+
+    def terms(chosen: list[_Member], start: int, sign: int) -> int:
+        total = 0
+        for i in range(start, len(members)):
+            grown = chosen + [members[i]]
+            count = _common_count(grown, pools)
+            if count:
+                total += sign * count + terms(grown, i + 1, -sign)
+        return total
+
+    return terms([], 0, 1)
+
+
+def _common_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
+    """N(M): the tuples over ``pools`` whose projection every member accepts.
+
+    Only U, the slots some member reads, is walked: a member that reads the
+    newest slot checks its ``prefix`` on its projection, and every member
+    checks ``accept`` on the full one.  Each other slot is free, so the count
+    is multiplied by its pool size.  With U empty, the members' ``accept()``
+    decides between the whole pool product and 0."""
+    used = sorted({slot for slots, _, _, _ in members for slot in slots})
+    place = {slot: at for at, slot in enumerate(used)}
+    free = prod(len(pool) for slot, pool in enumerate(pools) if slot not in place)
+    views = [(tuple(map(place.__getitem__, slots)), *rest) for slots, *rest in members]
+    if not used:
+        return free if all(accept() for _, _, accept, _ in views) else 0
+    checks: list[list] = [[] for _ in used]
+    for places, member_prefix, _, _ in views:
+        if member_prefix is not None:
+            for length, at in enumerate(places, start=1):
+                checks[at].append((member_prefix, places[:length]))
+
+    def prefix(codes: tuple[int, ...]) -> bool:
+        return all(test(tuple(codes[at] for at in places)) for test, places in checks[len(codes) - 1])
+
+    def accept(*codes: int) -> bool:
+        return all(test(*(codes[at] for at in places)) for places, _, test, _ in views)
+
+    groups = _shared_groups(views, len(used))
+    return free * _walk_count([pools[slot] for slot in used], accept, prefix, groups)
+
+
+def _shared_groups(views, size: int) -> tuple[tuple[int, int], ...]:
+    """The maximal runs of at least two of the ``size`` walk positions that
+    every member either does not read or reads inside one of its own groups.
+    Reordering such a run reorders part of one group of each member that
+    reads it, so acceptance ignores the run's order, and the reading members
+    make its values distinct: the groups' contract holds.  Some member reads
+    each run, so the run lies inside one of that member's groups, which
+    never straddles alpha: the run's slots share one ascending pool."""
+
+    def label(at: int) -> list:
+        key = []
+        for places, _, _, member_groups in views:
+            if at not in places:
+                key.append(None)
+                continue
+            local = places.index(at)
+            # A read slot outside every group of its member is a run of its own.
+            key.append(next((g for g in member_groups if g[0] <= local < g[1]), ("alone", at)))
+        return key
+
+    runs = (list(run) for _, run in groupby(range(size), key=label))
+    return tuple((run[0], run[-1] + 1) for run in runs if len(run) >= 2)
 
 
 def solve_via_oracle(

@@ -31,12 +31,14 @@ Where those checks read a run of slots as a set, the encoder declares the
 run in the spec's ``groups``, and the prefix makes the run's values
 distinct: the three collinear points, a pattern's edge slots and its
 non-edge slots, and a weighted pattern's or clique's edge, vertex and
-non-edge records.  k-SUM pins one tag per slot and a family's members read
-its slots in different roles, so those two declare none.
+non-edge records.  k-SUM pins one tag per slot, so it declares none.  A
+family's members read its slots in different roles, so the family spec
+declares none either; each member declares its own edge and non-edge runs.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
@@ -151,6 +153,24 @@ def _pairs_fit(pairs: Sequence[tuple[int, int]], budget: int) -> bool:
     """Distinct pairs spanning at most ``budget`` vertices: the pair check of
     every graph encoder's prefix."""
     return len(set(pairs)) == len(pairs) and len({x for p in pairs for x in p}) <= budget
+
+
+def _induced_checks(
+    pattern: PatternGraph, lowest: int = 1
+) -> tuple[Callable[[tuple[int, ...]], bool], Callable[..., bool]]:
+    """The prefix and accept of an induced copy of the pattern on |E(H)| edge
+    slots followed by |nonedges(H)| non-edge slots: every pair canonical with
+    both vertices at least ``lowest``, the pairs distinct on at most |V(H)|
+    vertices, and the edge slots' pairs spanning a copy of H."""
+
+    def prefix(codes: tuple[int, ...]) -> bool:
+        u, v = decode_pair(codes[-1])
+        return lowest <= u < v and _pairs_fit([decode_pair(c) for c in codes], pattern.num_vertices)
+
+    def accept(*codes: int) -> bool:
+        return _spans_pattern([decode_pair(c) for c in codes], pattern)
+
+    return prefix, accept
 
 
 def _slot_groups(*ranges: tuple[int, int]) -> tuple[tuple[int, int], ...]:
@@ -303,14 +323,7 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
     """
     if pattern.num_edges < 1:
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
-
-    def prefix(codes: tuple[int, ...]) -> bool:
-        u, v = decode_pair(codes[-1])
-        return u < v and _pairs_fit([decode_pair(c) for c in codes], pattern.num_vertices)
-
-    def accept(*codes: int) -> bool:
-        return _spans_pattern([decode_pair(c) for c in codes], pattern)
-
+    prefix, accept = _induced_checks(pattern)
     alpha, beta = pattern.num_edges, pattern.num_nonedges
     spec = LSProblemSpec(
         name=f"induced-{pattern.name}",
@@ -331,9 +344,14 @@ def encode_family_induced(
     """Family-induced subgraph: some member of a finite pattern family occurs.
 
     Vertex 1 is reserved and carries a loop so that S and its complement are
-    both nonempty; real vertices shift up by one.  A witness uses the leading
-    |E(H)| edge slots and |nonedges(H)| non-edge slots for some member H and
-    must avoid the reserved vertex; trailing slots are unconstrained.
+    both nonempty; real vertices shift up by one.  Each pattern H is one of
+    the spec's ``members``: it reads the leading |E(H)| edge slots and the
+    leading |nonedges(H)| non-edge slots, makes the h-induced checks there
+    and avoids the reserved vertex.  A tuple is a witness iff some member
+    accepts the slots it reads.  The witness count walks only the slots that
+    the members of each inclusion-exclusion term read, and counts every
+    other slot by its pool size, since any value there leaves the tuple a
+    witness.
     """
     if not family:
         raise ValueOutOfRange("family must be nonempty")
@@ -341,22 +359,30 @@ def encode_family_induced(
     beta = max(p.num_nonedges for p in family)
     if alpha < 1:
         raise ValueOutOfRange("family needs a member with at least one edge")
-    members = tuple((p, p.num_edges, alpha + p.num_nonedges, p.num_vertices) for p in family)
 
-    def fitting_members(codes: Sequence[int]) -> Iterator[tuple[PatternGraph, list]]:
-        """Each member whose slots among ``codes`` pass its per-slot checks,
-        with the pairs in those slots."""
-        pairs = [decode_pair(c) for c in codes]
-        for pattern, edges_end, nonedges_end, budget in members:
-            chosen = pairs[:edges_end] + pairs[alpha:nonedges_end]
-            if all(1 < u < v for u, v in chosen) and _pairs_fit(chosen, budget):
-                yield pattern, chosen
+    def member(pattern: PatternGraph) -> tuple:
+        edges, nonedges = pattern.num_edges, pattern.num_nonedges
+        slots = (*range(edges), *range(alpha, alpha + nonedges))
+        groups = _slot_groups((0, edges), (edges, edges + nonedges))
+        return (slots, *_induced_checks(pattern, lowest=2), groups)
+
+    # A repeated pattern reuses its member, so the count can drop the copy.
+    built = {pattern: member(pattern) for pattern in family}
+    members = tuple(built[pattern] for pattern in family)
+
+    def fitting_members(codes: Sequence[int]) -> Iterator[tuple[Callable[..., bool], tuple]]:
+        """Each member whose slots among ``codes`` pass its prefix at every
+        length, with its ``accept`` and the codes in those slots."""
+        for slots, member_prefix, member_accept, _ in members:
+            chosen = tuple(codes[i] for i in slots[: bisect_left(slots, len(codes))])
+            if all(member_prefix(chosen[:length]) for length in range(1, len(chosen) + 1)):
+                yield member_accept, chosen
 
     def prefix(codes: tuple[int, ...]) -> bool:
         return next(fitting_members(codes), None) is not None
 
     def accept(*codes: int) -> bool:
-        return any(_spans_pattern(chosen, pattern) for pattern, chosen in fitting_members(codes))
+        return any(member_accept(*chosen) for member_accept, chosen in fitting_members(codes))
 
     spec = LSProblemSpec(
         name="family-induced-" + "+".join(p.name for p in family),
@@ -365,6 +391,7 @@ def encode_family_induced(
         r=2,
         accept=accept,
         prefix=prefix,
+        members=members,
     )
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n + 1, elements=elements)

@@ -1,6 +1,7 @@
 """Local-subset framework: comparisons, assignments, formulations, oracles."""
 
 import hashlib
+import math
 import random
 import time
 from collections import Counter
@@ -61,8 +62,6 @@ def test_variable_count_known_values():
 
 
 def test_variable_count_slope():
-    import math
-
     sizes = [2**t for t in range(6, 13)]
     xs = [math.log(s) for s in sizes]
     ys = [math.log(ls.variable_count(s, 2, 8)) for s in sizes]
@@ -508,6 +507,79 @@ def test_spec_rejects_bad_groups(groups, message):
         make(groups)
 
 
+def accept_all(*codes):
+    return True
+
+
+@pytest.mark.parametrize(
+    "member, message",
+    [
+        pytest.param(((3, 5), None, accept_all, ()), "slots .* leave", id="slot-past-the-end"),
+        pytest.param(((-1, 0), None, accept_all, ()), "slots .* leave", id="slot-before-the-start"),
+        pytest.param(((1, 0), None, accept_all, ()), "not strictly increasing", id="unsorted"),
+        pytest.param(((1, 1), None, accept_all, ()), "not strictly increasing", id="repeated"),
+        pytest.param(((0, 1), None, accept_all, ((1, 3),)), "group .* leaves", id="group-outside"),
+        pytest.param(((1, 3), None, accept_all, ((0, 2),)), "straddles alpha", id="group-straddle"),
+    ],
+)
+def test_spec_rejects_bad_members(member, message):
+    def make(members):
+        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, accept=accept_all, members=members)
+
+    good = ((0, 1, 3, 4), None, accept_all, ((0, 2), (2, 4)))
+    assert make((good,)).members == (good,)
+    with pytest.raises(ValueError, match=message):
+        make((good, member))
+
+
+def test_member_reading_no_slots_counts_every_tuple_or_none():
+    """A member that reads no slots accepts every tuple or none, as its
+    ``accept()`` says; the union count then reads the pool product or
+    leaves the other members' count alone."""
+    spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0, 1), (0, -1)), 1))
+    x = ls.compute_assignment(spec, inst, 1)
+    pools = inst.m**spec.alpha
+    solutions = ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x))
+    assert solutions == 2
+    ksum = ((0, 1), spec.prefix, spec.accept, ())
+    for nothing, expected in ((accept_all, pools), (lambda: False, solutions)):
+        with_members = replace(spec, members=(ksum, ((), None, nothing, ()), ksum))
+        assert ls.exact_evaluation_oracle(ls.FormulationQuery(with_members, x)) == expected
+
+
+def member_accepts(member, codes):
+    slots, prefix, accept, _ = member
+    chosen = tuple(codes[i] for i in slots)
+    passes = prefix is None or all(prefix(chosen[:k]) for k in range(1, len(chosen) + 1))
+    return passes and accept(*chosen)
+
+
+def test_union_count_equals_product_filter_on_hand_built_members():
+    """Overlapping members on a- and b-slots, two of them order-sensitive
+    without groups, one with a group of b-slots, a repeat and a member that
+    reads nothing: the union count equals a filter over the whole product."""
+    increasing = ((0, 1), None, lambda a, b: a < b, ())
+    even_sum = (
+        (1, 2, 3),
+        lambda codes: codes[-1] not in codes[:-1],
+        lambda a, b, c: (a + b + c) % 2 == 0,
+        ((1, 3),),
+    )
+    above = ((0, 2), None, lambda a, b: a > b, ())
+    members = (increasing, even_sum, above, increasing, ((), None, lambda: False, ()))
+
+    def accept(*codes):
+        return any(member_accepts(member, codes) for member in members)
+
+    spec = ls.LSProblemSpec("t", alpha=2, beta=2, r=1, accept=accept, members=members)
+    inst = ls.ls_instance(8, [2, 3, 5, 7])
+    x = ls.compute_assignment(spec, inst, 1)
+    a_pool, b_pool = [2, 3, 5, 7], [1, 4, 6, 8]
+    expected = sum(1 for codes in product(a_pool, a_pool, b_pool, b_pool) if accept(*codes))
+    assert 0 < expected < 4**4
+    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == expected
+
+
 ONE_EDGE_3 = pr.PatternGraph("one-edge-3", 3, frozenset({(1, 2)}))
 ONE_EDGE_4 = pr.PatternGraph("one-edge-4", 4, frozenset({(1, 2)}))
 
@@ -561,6 +633,57 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
             assert spec.verifier(*reordered)
             orbits.append(tuple(reordered))
     assert sorted(orbits) == ungrouped
+
+
+EDGELESS_3 = pr.PatternGraph("edgeless-3", 3, frozenset())
+# A member on one vertex reads no slots: its accept() fails, so it adds nothing.
+VERTEX_1 = pr.PatternGraph("vertex", 1, frozenset())
+FAMILY_PATTERNS = (*pr.H_PRESETS.values(), ONE_EDGE_4, EDGELESS_3, VERTEX_1)
+
+
+class WalkTooLong(Exception):
+    """A reference walk called its prefix more often than its budget."""
+
+
+def budgeted(prefix, calls):
+    def counted(codes):
+        nonlocal calls
+        calls -= 1
+        if calls < 0:
+            raise WalkTooLong
+        return prefix(codes)
+
+    return counted
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(0, 2**32), st.integers(1, 3))
+def test_family_union_count_equals_member_free_counts(seed, theta):
+    """The inclusion-exclusion count of a family equals the plain product
+    filter ``unpruned_count`` and the walk over every slot that ignores
+    ``members``.  Families hold 1-3 patterns, sometimes one of them twice;
+    graphs have 3-5 vertices.  Both references enumerate every slot, so each
+    runs only where it stays small: the product filter up to 2 * 10**4
+    tuples, the member-free walk up to 5 000 prefix calls."""
+    rng = random.Random(seed)
+    family = rng.choices(FAMILY_PATTERNS, k=rng.randint(1, 3))
+    if len(family) > 1 and rng.random() < 0.3:
+        family[-1] = family[0]
+    if all(pattern.num_edges == 0 for pattern in family):
+        family[-1] = rng.choice(list(pr.H_PRESETS.values()))
+    spec, inst = pr.encode_family_induced(random_graph(rng, rng.randint(3, 5)), family)
+    count = ls.evaluate_formulation(spec, inst, theta)
+    x = ls.compute_assignment(spec, inst, theta)
+    top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
+    pools = ls._witness_pools(spec, x.rows[1:-1], top)
+    if math.prod(map(len, pools)) <= 2 * 10**4:
+        assert count == unpruned_count(spec, inst, theta)
+    member_free = replace(spec, members=(), prefix=budgeted(spec.prefix, 5000))
+    try:
+        walked = ls.evaluate_formulation(member_free, inst, theta)
+    except WalkTooLong:
+        return
+    assert count == walked
 
 
 def test_brute_solve_never_consults_prefix():

@@ -19,7 +19,7 @@ from polyoracle.errors import (
     ValueOutOfRange,
 )
 from polyoracle import circuits as ci, polynomials as poly
-from oracles import induced_copies
+from oracles import has_induced_pattern, induced_copies
 from test_localsubset import timed
 
 
@@ -271,6 +271,34 @@ def test_cli_solve_sparse_pattern_walks_one_ordering(tmp_path, capsys, monkeypat
     copies = induced_copies(graph, pr.PatternGraph("one-edge", 5, frozenset({(1, 2)})))
     assert copies == math.comb(n - 2, 3)
     assert counts == [copies * math.factorial(1) * math.factorial(9)]
+
+
+FOUND_FAMILY = ["k4", {"n": 4, "edges": [[1, 2]]}]
+K4 = [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        pytest.param([[1, 2]], id="one-edge"),
+        pytest.param(K4 + [[5, 6]], id="k4-and-edge"),
+        pytest.param([], id="edgeless"),
+    ],
+)
+def test_cli_solve_family_walks_only_the_slots_members_read(tmp_path, capsys, edges):
+    """The family [k4, a one-edge 4-vertex pattern] on 6 vertices: k4 reads
+    six edge slots, the other member one edge and five non-edge slots.  The
+    count walks only the slots each inclusion-exclusion term reads."""
+    data = {"n": 6, "edges": edges, "family": FOUND_FAMILY}
+    path = write_json(tmp_path / "input.json", data)
+    start = time.perf_counter()
+    argv = ["solve", "--problem", "family-induced", "--input", path, "--method", "formulation"]
+    code = run_cli(argv)
+    assert time.perf_counter() - start < 1
+    graph = pr.graph_from_json(data)
+    expected = any(has_induced_pattern(graph, pr.pattern_from_json(p)) for p in FOUND_FAMILY)
+    assert code == (0 if expected else 1)
+    assert ("yes" if expected else "no") in capsys.readouterr().out
 
 
 SLOT_HEAVY = [
