@@ -30,8 +30,10 @@ The decision chain for "is there a k-cover?":
                          distinct set values with their multiplicities by
                          minimum, serves both y and z.
                          One recursion gives the count for every k up to a
-                         bound: each block's y*z factor, a list over its
-                         part count, is convolved with the tail's list.
+                         bound, packed into one int with a fixed-width lane
+                         per number of sets: multiplying a block's y*z
+                         factor by the tail's packed count convolves them
+                         over part counts in one big-integer product.
   setcover_min        -- counts every branch instance once, for all k up to
                          the size of a greedy cover (an upper bound on the
                          minimum), and returns the first k whose signed
@@ -89,21 +91,32 @@ def family_from_lists(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
 
 class _PartitionCounter:
     """Memo tables for the z-variable DP and the trace recursion over one
-    family, counting partitions into every number of sets 0..k_max at once."""
+    family, counting partitions into every number of sets 0..k_max at once.
+
+    Both return one int whose lane c, bits c*w up to (c+1)*w, counts c sets.
+    Every lane, also one above k_max before it is masked off, counts distinct
+    index subsets of the family (trace decompositions are unique), so it stays
+    below 2**len(family.sets) and w = len(family.sets) + 1 never carries."""
 
     def __init__(self, family: SetFamily, theta: int = 1, k_max: int = 0):
-        self.n, self.theta, self.k_max = family.n, theta, k_max
+        self.n, self.theta = family.n, theta
+        self.width = width = len(family.sets) + 1
+        self.lane_mask = (1 << width) - 1
+        self.k_mask = (1 << (k_max + 1) * width) - 1
         empties = family.sets.count(0)
-        self.empty_choices = [comb(empties, k) for k in range(k_max + 1)]
+        self.empty_choices = sum(comb(empties, k) << k * width for k in range(k_max + 1))
         # Each distinct nonempty set value with its multiplicity, by minimum.
         self.by_pivot: dict[int, list[tuple[int, int]]] = {}
         for mask, count in Counter(filter(None, family.sets)).items():
             self.by_pivot.setdefault(mask & -mask, []).append((mask, count))
-        self.memo: dict[tuple[int, int], list[int]] = {}
-        self.trace_memo: dict[tuple[int, int], list[int]] = {}
+        self.memo: dict[tuple[int, int], int] = {}
+        self.trace_memo: dict[tuple[int, int], int] = {}
 
-    def z(self, a_mask: int, b_min_bit: int) -> list[int]:
-        """Entry c, for c = 0..|A|: partitions of A into c nonempty family
+    def lane(self, packed: int, index: int) -> int:
+        return packed >> index * self.width & self.lane_mask
+
+    def z(self, a_mask: int, b_min_bit: int) -> int:
+        """Lane c, for c = 0..|A|: partitions of A into c nonempty family
         sets (by index), each with minimum element below B's minimum."""
         # Only A's elements are compared with min(B), so min(B) may stand for
         # the least element of A above it, which lets more calls share a memo
@@ -114,51 +127,50 @@ class _PartitionCounter:
         cached = self.memo.get(key)
         if cached is not None:
             return cached
-        result = [0] * (a_mask.bit_count() + 1)
+        result = 0
         pivot = a_mask & -a_mask
         if a_mask == 0:
-            result[0] = 1
+            result = 1
         elif pivot != b_min_bit:  # that is, pivot < min(B)
             for mask, count in self.by_pivot.get(pivot, ()):
                 if not mask & ~a_mask:
-                    for parts, value in enumerate(self.z(a_mask ^ mask, b_min_bit)):
-                        result[parts + 1] += count * value
+                    result += count * self.z(a_mask ^ mask, b_min_bit)
+            result <<= self.width  # the part containing the pivot
         self.memo[key] = result
         return result
 
-    def traces(self, remaining: int, blocks_used: int) -> list[int]:
-        """Entry k, for k = 0..k_max: the sum of per-trace products over
+    def traces(self, remaining: int, blocks_used: int) -> int:
+        """Lane k, for k = 0..k_max: the sum of per-trace products over
         partitions of ``remaining`` into k sets, after ``blocks_used`` greedy
         blocks."""
         if remaining == 0:
             return self.empty_choices
-        k_max = self.k_max
         if blocks_used >= 2 * self.theta:
-            return [0] * (k_max + 1)
+            return 0
         key = (remaining, blocks_used)
         cached = self.trace_memo.get(key)
         if cached is not None:
             return cached
-        n, theta, empty_choices = self.n, self.theta, self.empty_choices
-        total = [0] * (k_max + 1)
+        n, theta = self.n, self.theta
         a_cap = n // theta
         pivot = remaining & -remaining
+        # Lanes count the sets other than B until one shift adds B at the end.
         # Tail block with empty prefix: B alone consumes everything left.
-        for b_mask, count in self.by_pivot.get(pivot, ()):
-            if b_mask == remaining:
-                for k in range(1, k_max + 1):
-                    total[k] += count * empty_choices[k - 1]
-        # Blocks with a nonempty prefix A containing the pivot element: the
-        # block takes parts + 1 sets, convolved with the tail's list.  B's
-        # minimum is the least element outside A: any other B would leave that
-        # element to a later block, whose elements must all follow min(B).
+        total = sum(
+            count * self.empty_choices
+            for b_mask, count in self.by_pivot.get(pivot, ())
+            if b_mask == remaining
+        )
+        # Blocks with a nonempty prefix A containing the pivot element: A's
+        # partition times the tail's.  B's minimum is the least element
+        # outside A: any other B would leave that element to a later block,
+        # whose elements must all follow min(B).
         rest = remaining ^ pivot
         sub = rest
         while True:
             a_mask = sub | pivot
-            a_size = a_mask.bit_count()
             outside = remaining ^ a_mask
-            if a_size <= a_cap and outside:
+            if a_mask.bit_count() <= a_cap and outside:
                 b_min_bit = outside & -outside
                 for b_mask, count in self.by_pivot.get(b_min_bit, ()):
                     if b_mask & ~outside:
@@ -167,21 +179,13 @@ class _PartitionCounter:
                     # A non-final block must overshoot n/theta.
                     if after and theta * (a_mask | b_mask).bit_count() <= n:
                         continue
-                    tail = None
                     zs = self.z(a_mask, b_min_bit)
-                    for parts in range(1, min(k_max - 1, a_size) + 1):
-                        z = zs[parts]
-                        if not z:
-                            continue
-                        if tail is None:
-                            tail = self.traces(after, blocks_used + 1)
-                        weight = count * z
-                        for k_tail in range(k_max - parts):
-                            if tail[k_tail]:
-                                total[parts + 1 + k_tail] += weight * tail[k_tail]
+                    if zs:
+                        total += count * zs * self.traces(after, blocks_used + 1)
             if sub == 0:
                 break
             sub = (sub - 1) & rest
+        total = (total << self.width) & self.k_mask
         self.trace_memo[key] = total
         return total
 
@@ -194,8 +198,8 @@ def z_var_dp(family: SetFamily, a_mask: int, b_mask: int, count: int) -> int:
     if a_mask & b_mask:
         raise ValueOutOfRange("A and B must be disjoint")
     check("z_universe", a_mask.bit_count())
-    counts = _PartitionCounter(family).z(a_mask, b_mask & -b_mask)
-    return counts[count] if 0 <= count < len(counts) else 0
+    counter = _PartitionCounter(family)
+    return counter.lane(counter.z(a_mask, b_mask & -b_mask), count) if count >= 0 else 0
 
 
 def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
@@ -213,7 +217,9 @@ def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
             raise PreconditionViolated(
                 f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
             )
-    return _PartitionCounter(family, theta, k_max).traces(family.full_mask, 0)
+    counter = _PartitionCounter(family, theta, k_max)
+    counts = counter.traces(family.full_mask, 0)
+    return [counter.lane(counts, k) for k in range(k_max + 1)]
 
 
 def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:

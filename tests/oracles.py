@@ -10,6 +10,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from itertools import combinations, permutations, product
+from math import comb, factorial
 from typing import Iterator
 
 from polyoracle.permanent import BinaryMatrix, FSpec
@@ -179,3 +180,72 @@ def hcv_count(family: SetFamily, m: int, k: int) -> int:
         coverage = [sum(family.sets[i] >> e & 1 for i in indices) for e in range(family.n)]
         count += all(coverage) and all(times == 1 for times in coverage[:m])
     return count
+
+
+def _signed_subset_sums(values: list[int], n: int) -> Counter[int]:
+    """Zeta-transform ``values`` (indexed by subsets of [n]) in place, so entry
+    X sums the entries of X's subsets, and return each transformed value with
+    the sum of (-1)**|[n] - X| over the subsets X where it occurs."""
+    for bit in range(n):
+        step = 1 << bit
+        for x in range(1 << n):
+            if x & step:
+                values[x] += values[x ^ step]
+    weights: Counter[int] = Counter()
+    for x, value in enumerate(values):
+        weights[value] += -1 if (n - x.bit_count()) % 2 else 1
+    return weights
+
+
+def setpartition_counts_bhk(family: SetFamily, k_max: int) -> list[int]:
+    """Entry k, for k = 0..k_max: index subsets of size k whose sets are
+    pairwise disjoint with union [n], by inclusion-exclusion (Bjorklund,
+    Husfeldt and Koivisto, "Set partitioning via inclusion-exclusion", SIAM
+    J. Comput. 39(2), 2009).
+
+    The ranked zeta transform gives, for every X inside [n], the polynomial
+    f_X(t) = sum of t**|S| over the nonempty family sets S inside X.  The
+    ordered j-tuples of nonempty sets with sizes summing to n and union [n]
+    are disjoint, so sum_X (-1)**|[n] - X| [t**n] f_X(t)**j is j! times the
+    partitions into j nonempty sets; each then takes k - j empty sets.  A
+    polynomial is one int with one lane per degree, wide enough for the
+    largest coefficient of a power, the number of j-tuples."""
+    n = family.n
+    nonempty = [mask for mask in family.sets if mask]
+    empties = len(family.sets) - len(nonempty)
+    j_max = max(0, min(k_max, n))
+    width = (len(nonempty) ** j_max).bit_length() + 1
+    ranked = [0] * (1 << n)
+    for mask in nonempty:
+        ranked[mask] += 1 << mask.bit_count() * width
+    lane_n, low_lanes = n * width, (1 << (n + 1) * width) - 1
+    ordered = [0] * (j_max + 1)
+    for poly, weight in _signed_subset_sums(ranked, n).items():
+        if weight:
+            power = 1
+            for j in range(j_max + 1):
+                ordered[j] += weight * (power >> lane_n)
+                power = power * poly & low_lanes
+    partitions = []
+    for j, count in enumerate(ordered):
+        assert count % factorial(j) == 0
+        partitions.append(count // factorial(j))
+    return [
+        sum(partitions[j] * comb(empties, k - j) for j in range(min(k, j_max) + 1))
+        for k in range(k_max + 1)
+    ]
+
+
+def setcover_min_bhk(family: SetFamily) -> int | None:
+    """The least k for which some k sets cover [n], or None: the least k with
+    a positive count of ordered k-tuples of family sets (repeats allowed)
+    covering [n], sum_X (-1)**|[n] - X| a(X)**k with a(X) the number of family
+    sets inside X (Bjorklund, Husfeldt and Koivisto, SIAM J. Comput. 2009)."""
+    inside = [0] * (1 << family.n)
+    for mask in family.sets:
+        inside[mask] += 1
+    weights = _signed_subset_sums(inside, family.n)
+    for k in range(len(family.sets) + 1):
+        if sum(weight * a**k for a, weight in weights.items()) > 0:
+            return k
+    return None

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import polyoracle.permanent as pm
 import polyoracle.setcover as sc
 from polyoracle.errors import PreconditionViolated, ValueOutOfRange
-from oracles import hcv_count, setpartition_count
+from oracles import hcv_count, setcover_min_bhk, setpartition_count, setpartition_counts_bhk
 
 
 def random_family(rng, n, max_sets, size_cap, empty_rate=0.15):
@@ -25,6 +25,21 @@ def random_family(rng, n, max_sets, size_cap, empty_rate=0.15):
             mask = sum(1 << (e - 1) for e in rng.sample(range(1, n + 1), min(size, n)))
             sets.append(mask)
     return sc.SetFamily(n, tuple(sets))
+
+
+def planted_lists(rng, n, size_cap, partitions, extra):
+    """The blocks of ``partitions`` random partitions of [n] into sets of size
+    at most ``size_cap``, plus ``extra`` random sets of such sizes, shuffled."""
+    lists = []
+    for _ in range(partitions):
+        elements = rng.sample(range(1, n + 1), n)
+        while elements:
+            size = rng.randint(1, size_cap)
+            lists.append(elements[:size])
+            elements = elements[size:]
+    lists += [rng.sample(range(1, n + 1), rng.randint(1, size_cap)) for _ in range(extra)]
+    rng.shuffle(lists)
+    return lists
 
 
 def test_setpartition_brute_known_values():
@@ -108,6 +123,49 @@ def test_setpartition_traces_hypothesis(n, raw_sets, k):
     lists = [[e for e in s if e <= n][: n // 4] for s in raw_sets]
     family = sc.family_from_lists(n, [sorted(set(s)) for s in lists])
     assert sc.setpartition_via_traces(family, k, 2) == setpartition_count(family, k)
+
+
+def test_bhk_references_match_enumeration():
+    """The inclusion-exclusion references agree with direct enumeration."""
+    rng = random.Random(19)
+    for _ in range(200):
+        n = rng.randint(0, 7)
+        family = random_family(rng, n, 9, max(1, n // 2))
+        k_max = rng.randint(-1, 6)
+        assert setpartition_counts_bhk(family, k_max) == [
+            setpartition_count(family, k) for k in range(k_max + 1)
+        ]
+        assert setcover_min_bhk(family) == sc.setcover_min(family, method="brute")
+
+
+def test_partition_lanes_hold_counts_near_the_width():
+    """Many copies of two disjoint sets and many empty sets: the count for k
+    sets is a*b*C(e, k - 2), far wider than any multiplicity, and every lane
+    must still come out whole."""
+    a, b, e = 40, 40, 30
+    family = sc.SetFamily(4, (0b0011,) * a + (0b1100,) * b + (0,) * e)
+    k_max = e + 3
+    expected = [a * b * comb(e, k - 2) if k >= 2 else 0 for k in range(k_max + 1)]
+    assert sc._partition_counts(family, k_max, 1) == expected
+    for k in range(k_max + 1):
+        assert sc.setpartition_via_traces(family, k, 1) == expected[k]
+
+
+def test_partition_counts_match_bhk_past_the_cap(set_cap):
+    """Past the library cap, checked against the inclusion-exclusion count,
+    which shares no code with the trace recursion.  Per n, one family with
+    sets of size <= n/6 serves every theta, and one with sets of size <= n/2
+    serves theta = 1."""
+    set_cap("setpartition_universe", 16)
+    rng = random.Random(23)
+    for n in (13, 14, 15, 16):
+        for size_cap, thetas in ((n // 6, (1, 2, 3)), (n // 2, (1,))):
+            lists = planted_lists(rng, n, size_cap, partitions=3, extra=n)
+            family = sc.family_from_lists(n, lists + [[], []])
+            expected = setpartition_counts_bhk(family, n + 2)
+            assert any(expected)
+            for theta in thetas:
+                assert sc._partition_counts(family, n + 2, theta) == expected
 
 
 def greedy_partition_trace(masks, n, theta):
@@ -263,6 +321,27 @@ def test_setcover_min_methods_agree():
         if brute is not None:
             greedy_gaps += sc._greedy_cover_size(family.sets, family.full_mask) > brute
     assert greedy_gaps
+
+
+def test_setcover_min_reduction_matches_bhk_cover_count():
+    """At n = 13-14, above the universes test_setcover_min_methods_agree
+    draws, the reduction agrees with the least k whose inclusion-exclusion
+    k-cover count is positive."""
+    rng = random.Random(19)
+    minima = set()
+    for n in (13, 14):
+        for theta in (1, 2, 3):
+            for _ in range(3):
+                lists = planted_lists(rng, n, min(5, n // (2 * theta)), partitions=1, extra=n // 2)
+                family = sc.family_from_lists(n, lists)
+                expected = setcover_min_bhk(family)
+                assert sc.setcover_min(family, method="reduction", theta=theta) == expected
+                minima.add(expected)
+            # Without element n nothing covers [n].
+            uncoverable = sc.SetFamily(n, tuple(mask & ~(1 << (n - 1)) for mask in family.sets))
+            assert setcover_min_bhk(uncoverable) is None
+            assert sc.setcover_min(uncoverable, method="reduction", theta=theta) is None
+    assert len(minima) > 2
 
 
 def test_setcover_min_checks_arguments_before_early_returns():
