@@ -41,25 +41,23 @@ once and weights it by its multiplicity.  The literal monomial stream
 ``formulation_monomials`` emits every product term one by one and is the
 reference the collected polynomial is tested against.
 
-The witness count walks one representative per orbit.  A spec may declare
-``groups`` of slots whose order acceptance ignores; the count then walks each
-group in strictly increasing order and multiplies by the groups' factorials.
-A spec may also declare ``members``, checks that each read a fixed subset of
-the slots and whose union is the accepted set; the count then sums, by
-inclusion-exclusion over the member sets, the tuples that every member of a
-set accepts, walking only the slots those members read and multiplying by
-the pool size of every other slot.  The literal path and ``brute_solve``
-ignore groups and members and walk every ordering of every slot.
+A spec states acceptance as its ``members``: checks that each read a fixed,
+strictly increasing subset of the slots, whose union is the accepted set (one
+member reading every slot for a plain problem, one per pattern for a family).
+A member's ``prefix`` is the per-slot check every nonempty prefix of its
+projection must pass, its ``accept`` the global check on the full projection,
+and its ``groups`` the runs of its positions whose order acceptance ignores.
 
-A spec defines acceptance in two parts: an optional ``prefix`` predicate,
-which every nonempty prefix of an accepted tuple must pass (the per-slot
-checks), and a global ``accept`` check on the full tuple.  Every tuple loop
-goes through one enumerator, ``accepted_tuples``: a lexicographic
-backtracking walk over per-slot candidate pools that yields the accepted
-tuples in ``itertools.product`` order.  The witness count and the literal
-stream hand it ``prefix`` and ``accept``, so a prefix that fails is never
-extended.  The reference ``brute_solve`` hands it the derived full predicate
-``spec.verifier`` alone, so it stays an unpruned filter over the product.
+Every tuple loop goes through one enumerator, ``accepted_tuples``: a
+lexicographic backtracking walk over per-slot candidate pools that yields the
+accepted tuples in ``itertools.product`` order, never extending a prefix that
+fails.  The witness count sums, by inclusion-exclusion over the member sets,
+the tuples that every member of a set accepts: it walks only the slots those
+members read, one increasing ordering per group times the groups'
+factorials, and multiplies by the pool size of every other slot.  The
+literal stream walks the spec's derived ``prefix`` and ``accept`` over every
+ordering of every slot; the reference ``brute_solve`` hands the derived full
+predicate ``spec.verifier`` alone to the enumerator, an unpruned filter.
 """
 
 from __future__ import annotations
@@ -70,7 +68,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
 from math import factorial, prod
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .errors import cap_limit, check
 from .polynomials import Monomial, Powers, SparsePolynomial
@@ -78,68 +76,69 @@ from .polynomials import Monomial, Powers, SparsePolynomial
 LT, EQ, GT = "<", "=", ">"
 COMPARISONS = (LT, EQ, GT)
 
-# One of LSProblemSpec.members: (slots, prefix, accept, groups).
-_Member = tuple[tuple[int, ...], Callable | None, Callable[..., bool], tuple[tuple[int, int], ...]]
+
+class Member(NamedTuple):
+    """One check of an ``LSProblemSpec``: the strictly increasing slot indices
+    it reads, its per-slot ``prefix`` (or None), its global ``accept`` and the
+    ``groups`` of its own positions whose order it ignores."""
+
+    slots: Sequence[int]
+    prefix: Callable[[tuple[int, ...]], bool] | None
+    accept: Callable[..., bool]
+    groups: tuple[tuple[int, int], ...] = ()
 
 
-def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int, what: str) -> None:
+def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int) -> None:
     """Raise ValueError unless ``groups`` are disjoint (start, stop) ranges of
     at least two of the positions [0, size), none straddling ``alpha``."""
     previous_stop = 0
     for start, stop in sorted(groups):
         if stop - start < 2:
-            raise ValueError(f"{what} {(start, stop)} has fewer than 2 slots")
+            raise ValueError(f"member group {(start, stop)} has fewer than 2 slots")
         if start < 0 or stop > size:
-            raise ValueError(f"{what} {(start, stop)} leaves [0, {size})")
+            raise ValueError(f"member group {(start, stop)} leaves [0, {size})")
         if start < previous_stop:
-            raise ValueError(f"{what} {(start, stop)} overlaps another group")
+            raise ValueError(f"member group {(start, stop)} overlaps another group")
         if start < alpha < stop:
-            raise ValueError(f"{what} {(start, stop)} straddles alpha")
+            raise ValueError(f"member group {(start, stop)} straddles alpha")
         previous_stop = stop
 
 
 @dataclass(frozen=True)
 class LSProblemSpec:
-    """A local-subset problem: (alpha, beta, universe exponent r, acceptance).
+    """A local-subset problem: (alpha, beta, universe exponent r, members).
 
-    A tuple of alpha + beta universe codes is accepted iff each of its
-    nonempty prefixes, the full tuple included, passes ``prefix`` (when
-    given) and the full tuple passes ``accept``.  ``prefix`` is called on
-    ``codes[:1]``, ``codes[:2]``, ... in order and may assume every shorter
-    prefix passed; ``accept`` is called only on full tuples whose every
-    prefix passed.  Both are pure and must interpret a code the same way at
-    every instance size.
+    A tuple of alpha + beta universe codes is accepted iff some ``Member``
+    accepts its projection onto that member's ``slots``: each nonempty prefix
+    of the projection, the full one included, passes the member's ``prefix``
+    (when given) and the full projection passes its ``accept``.  ``prefix``
+    is called on ``codes[:1]``, ``codes[:2]``, ... in order and may assume
+    every shorter prefix passed; ``accept`` is called only on full
+    projections whose every prefix passed.  Both are pure and must interpret
+    a code the same way at every instance size.  A plain problem has one
+    member whose slots are range(alpha + beta).
 
-    ``groups`` lists half-open slot ranges (start, stop), each of at least
-    two slots inside the a-slots or inside the b-slots, whose order
-    acceptance ignores.  ``exact_evaluation_oracle`` counts one increasing
-    representative per group and multiplies by the groups' factorials, which
-    is exact only when both of these hold:
+    A member's ``groups`` lists half-open ranges (start, stop) of its
+    positions, each of at least two inside the a-slots or inside the
+    b-slots, whose order acceptance ignores.  ``exact_evaluation_oracle``
+    counts one increasing representative per group and multiplies by the
+    groups' factorials, which is exact only when both of these hold:
 
-    * every accepted tuple has distinct values within each group;
+    * every accepted projection has distinct values within each group;
     * reordering a group never changes whether each prefix passes or whether
       ``accept`` passes.
 
-    ``members``, when nonempty, lists checks (slots, prefix, accept, groups)
-    whose union is the accepted set: a tuple is accepted iff some member
-    accepts its projection onto that member's ``slots``, a strictly
-    increasing tuple of slot indices.  Each member's ``prefix`` (or None),
-    ``accept`` and ``groups`` obey the contract above, applied to its
-    projection, with ``groups`` in member-local indices.  ``prefix`` and
-    ``accept`` must still define the same accepted set on full tuples.
-    ``exact_evaluation_oracle`` then counts by inclusion-exclusion over the
-    distinct members, one walk per member set, so at most 2**k - 1 walks for
-    k distinct members, fewer since a set no tuple fits is never extended.
+    ``exact_evaluation_oracle`` sums by inclusion-exclusion over the
+    distinct members, at most 2**k - 1 walks for k of them, fewer since a
+    set no tuple fits is never extended.  The spec's ``prefix``, ``accept``
+    and ``verifier`` derive the same acceptance on full tuples.
     """
 
     name: str
     alpha: int
     beta: int
     r: int
-    accept: Callable[..., bool]
-    prefix: Callable[[tuple[int, ...]], bool] | None = None
-    groups: tuple[tuple[int, int], ...] = ()
-    members: tuple[_Member, ...] = ()
+    members: tuple[Member, ...]
 
     def __post_init__(self) -> None:
         if self.alpha < 1:
@@ -148,21 +147,62 @@ class LSProblemSpec:
             raise ValueError("beta must be >= 0")
         if self.r < 1:
             raise ValueError("r must be >= 1")
-        _check_groups(self.groups, self.alpha + self.beta, self.alpha, "slot group")
+        if not self.members:
+            raise ValueError("a spec needs at least one member")
+        size = self.alpha + self.beta
         for slots, _, _, groups in self.members:
-            if any(not 0 <= slot < self.alpha + self.beta for slot in slots):
+            # Not listed slot by slot: size may be far past the witness_slots cap.
+            if slots == range(size):
+                _check_groups(groups, size, self.alpha)
+                continue
+            if any(not 0 <= slot < size for slot in slots):
                 raise ValueError(f"member slots {slots} leave [0, alpha + beta)")
             if any(left >= right for left, right in zip(slots, slots[1:])):
                 raise ValueError(f"member slots {slots} are not strictly increasing")
-            _check_groups(groups, len(slots), bisect_left(slots, self.alpha), "member group")
+            _check_groups(groups, len(slots), bisect_left(slots, self.alpha))
+
+    @cached_property
+    def _checks(self) -> tuple[Callable[[tuple[int, ...]], bool] | None, Callable[..., bool]]:
+        """(prefix, accept) on full tuples: a lone member reading range(alpha +
+        beta) gives its own; else a prefix passes while some member's
+        projection of it passes that member's prefix at every length, and
+        ``accept`` asks each such member's ``accept``."""
+        first = self.members[0]
+        if set(self.members) == {first} and first.slots == range(self.alpha + self.beta):
+            return first.prefix, first.accept
+
+        def fitting(codes: Sequence[int]) -> Iterator[tuple[Callable[..., bool], tuple]]:
+            for slots, prefix, accept, _ in self.members:
+                chosen = tuple(codes[i] for i in slots[: bisect_left(slots, len(codes))])
+                if prefix is None or all(prefix(chosen[:k]) for k in range(1, len(chosen) + 1)):
+                    yield accept, chosen
+
+        def prefix(codes: tuple[int, ...]) -> bool:
+            return next(fitting(codes), None) is not None
+
+        def accept(*codes: int) -> bool:
+            return any(member_accept(*chosen) for member_accept, chosen in fitting(codes))
+
+        return prefix, accept
+
+    @property
+    def prefix(self) -> Callable[[tuple[int, ...]], bool] | None:
+        """The per-slot check every nonempty prefix of an accepted tuple passes."""
+        return self._checks[0]
+
+    @property
+    def accept(self) -> Callable[..., bool]:
+        """The global check on full tuples whose every prefix passed."""
+        return self._checks[1]
 
     def verifier(self, *codes: int) -> bool:
         """The full acceptance predicate on alpha + beta codes."""
-        if self.prefix is not None:
+        prefix, accept = self._checks
+        if prefix is not None:
             for length in range(1, len(codes) + 1):
-                if not self.prefix(codes[:length]):
+                if not prefix(codes[:length]):
                     return False
-        return self.accept(*codes)
+        return accept(*codes)
 
 
 @dataclass(frozen=True)
@@ -202,8 +242,9 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 
 
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
-    """Reference decision: enumerate witness tuples over S and its complement,
-    unpruned (``spec.prefix`` is never consulted), stopping at the first hit.
+    """Reference decision: filter every witness tuple over S and its complement
+    through ``spec.verifier``, unpruned and ignoring groups and members'
+    slots, stopping at the first hit.
     Raises UniverseTooLarge past the witness_slots, b_pool or brute_walk cap."""
     u = universe_size(spec, inst)
     pools = _witness_pools(spec, inst.elements, u)
@@ -579,26 +620,14 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     largest candidate code below the sentinel s_{m+1}.  Sortedness of S makes
     the row choices unique and the actual comparison outcomes select exactly
     one comparison tuple per polynomial factor, so each witness contributes
-    exactly 1.  Within each of ``spec.groups`` the walk takes only increasing
-    values, one ordering of each witness's group, so the count is multiplied
-    by every group's factorial.  A spec with ``members`` is counted as the
-    union of its members' accepted sets instead (``_union_count``)."""
+    exactly 1.  The count is that of the union of the members' accepted sets
+    (``_union_count``)."""
     spec, x = query.spec, query.assignment
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
-    pools = _witness_pools(spec, x.rows[1:-1], top)
-    if spec.members:
-        return _union_count(spec.members, pools)
-    return _walk_count(pools, spec.accept, spec.prefix, spec.groups)
+    return _union_count(spec.members, _witness_pools(spec, x.rows[1:-1], top))
 
 
-def _walk_count(pools, accept, prefix, groups) -> int:
-    """The tuples over ``pools`` that ``prefix`` and ``accept`` accept,
-    walking one increasing ordering per group."""
-    count = sum(1 for _ in accepted_tuples(pools, accept, prefix, groups))
-    return count * prod(factorial(stop - start) for start, stop in groups)
-
-
-def _union_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
+def _union_count(members: Sequence[Member], pools: list[list[int]]) -> int:
     """The tuples over ``pools`` that some member accepts, by inclusion-exclusion:
     the sum over nonempty sets M of distinct members of (-1)**(|M| + 1) * N(M),
     N(M) the tuples that every member of M accepts (``_common_count``).
@@ -608,7 +637,7 @@ def _union_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
     not extended: each of its supersets counts 0 too."""
     members = list(dict.fromkeys(members))
 
-    def terms(chosen: list[_Member], start: int, sign: int) -> int:
+    def terms(chosen: list[Member], start: int, sign: int) -> int:
         total = 0
         for i in range(start, len(members)):
             grown = chosen + [members[i]]
@@ -620,34 +649,41 @@ def _union_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
     return terms([], 0, 1)
 
 
-def _common_count(members: Sequence[_Member], pools: list[list[int]]) -> int:
+def _common_count(members: Sequence[Member], pools: list[list[int]]) -> int:
     """N(M): the tuples over ``pools`` whose projection every member accepts.
 
-    Only U, the slots some member reads, is walked: a member that reads the
-    newest slot checks its ``prefix`` on its projection, and every member
-    checks ``accept`` on the full one.  Each other slot is free, so the count
-    is multiplied by its pool size.  With U empty, the members' ``accept()``
+    Only U, the slots some member reads, is walked, one increasing ordering
+    per group, times the groups' factorials.  A lone member walks its own
+    checks.  Otherwise a member that reads the newest slot checks its
+    ``prefix`` on its projection, every member checks ``accept`` on the full
+    one, and ``_shared_groups`` gives the groups.  Each other slot is free,
+    so the count is multiplied by its pool size.  With U empty, ``accept()``
     decides between the whole pool product and 0."""
-    used = sorted({slot for slots, _, _, _ in members for slot in slots})
-    place = {slot: at for at, slot in enumerate(used)}
-    free = prod(len(pool) for slot, pool in enumerate(pools) if slot not in place)
-    views = [(tuple(map(place.__getitem__, slots)), *rest) for slots, *rest in members]
+    if len(members) == 1:
+        ((used, prefix, accept, groups),) = members
+    else:
+        used = sorted({slot for slots, _, _, _ in members for slot in slots})
+        place = {slot: at for at, slot in enumerate(used)}
+        views = [m._replace(slots=tuple(map(place.__getitem__, m.slots))) for m in members]
+        checks: list[list] = [[] for _ in used]
+        for places, member_prefix, _, _ in views:
+            if member_prefix is not None:
+                for length, at in enumerate(places, start=1):
+                    checks[at].append((member_prefix, places[:length]))
+
+        def prefix(codes: tuple[int, ...]) -> bool:
+            tests = checks[len(codes) - 1]
+            return all(test(tuple(codes[at] for at in places)) for test, places in tests)
+
+        def accept(*codes: int) -> bool:
+            return all(test(*(codes[at] for at in places)) for places, _, test, _ in views)
+
+        groups = _shared_groups(views, len(used))
+    free = prod(len(pool) for slot, pool in enumerate(pools) if slot not in used)
     if not used:
-        return free if all(accept() for _, _, accept, _ in views) else 0
-    checks: list[list] = [[] for _ in used]
-    for places, member_prefix, _, _ in views:
-        if member_prefix is not None:
-            for length, at in enumerate(places, start=1):
-                checks[at].append((member_prefix, places[:length]))
-
-    def prefix(codes: tuple[int, ...]) -> bool:
-        return all(test(tuple(codes[at] for at in places)) for test, places in checks[len(codes) - 1])
-
-    def accept(*codes: int) -> bool:
-        return all(test(*(codes[at] for at in places)) for places, _, test, _ in views)
-
-    groups = _shared_groups(views, len(used))
-    return free * _walk_count([pools[slot] for slot in used], accept, prefix, groups)
+        return free if accept() else 0
+    walked = sum(1 for _ in accepted_tuples([pools[slot] for slot in used], accept, prefix, groups))
+    return free * walked * prod(factorial(stop - start) for start, stop in groups)
 
 
 def _shared_groups(views, size: int) -> tuple[tuple[int, int], ...]:

@@ -18,36 +18,35 @@ pattern-family encoder, whose instances must keep both S and its complement
 nonempty) puts a loop at vertex 1 and shifts real vertices up by one, so
 "the witness avoids the reserved vertex" is a size-independent check.
 
-Each encoder writes every per-slot check once, in the spec's ``prefix``:
-slot tags, canonical pairs, w == 1, distinct pairs and at most |V(H)| (or k)
-vertices spanned.  Its ``accept`` keeps only the global check: the value
-sum, the cross product, the pattern isomorphism or the weight threshold.  A
-pattern on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
-canonical pairs on at most t vertices are all the pairs of exactly t
-vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
-the declared vertices are the spanned ones.
+Each encoder states acceptance as the spec's ``members``: one ``Member``
+reading every slot, or, for a pattern family, one per pattern.  A member
+writes every per-slot check once, in its ``prefix``: slot tags, canonical
+pairs, w == 1, distinct pairs and at most |V(H)| (or k) vertices spanned.
+Its ``accept`` keeps only the global check: the value sum, the cross
+product, the pattern isomorphism or the weight threshold.  A pattern on
+t >= 2 vertices fills C(t, 2) pair slots, and that many distinct canonical
+pairs on at most t vertices are all the pairs of exactly t vertices; so a
+clique's ``accept`` needs no vertex count, and in vertex mode the declared
+vertices are the spanned ones.
 
-Where those checks read a run of slots as a set, the encoder declares the
-run in the spec's ``groups``, and the prefix makes the run's values
-distinct: the three collinear points, a pattern's edge slots and its
-non-edge slots, and a weighted pattern's or clique's edge, vertex and
-non-edge records.  k-SUM pins one tag per slot, so it declares none.  A
-family's members read its slots in different roles, so the family spec
-declares none either; each member declares its own edge and non-edge runs.
+Where those checks read a run of slots as a set, the member declares the run
+in its ``groups``, and the prefix makes the run's values distinct: the three
+collinear points, a pattern's edge slots and its non-edge slots, and a
+weighted pattern's or clique's edge, vertex and non-edge records.  k-SUM
+pins one tag per slot, so it declares none.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from math import isqrt
-from typing import Callable, Iterable, Iterator, Literal, Sequence
+from typing import Callable, Iterable, Literal, Sequence
 
 from . import polynomials
-from .errors import ValueOutOfRange
-from .localsubset import LSInstance, LSProblemSpec, ls_instance
+from .errors import ValueOutOfRange, check
+from .localsubset import LSInstance, LSProblemSpec, Member, ls_instance
 
 
 # --- shell pair codec -----------------------------------------------------
@@ -285,7 +284,7 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     def accept(*codes: int) -> bool:
         return sum(codes) == zero_sum
 
-    spec = LSProblemSpec(name=f"{k}-sum", alpha=k, beta=0, r=1, accept=accept, prefix=prefix)
+    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(range(k), prefix, accept),))
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -307,9 +306,8 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
         return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
 
-    spec = LSProblemSpec(
-        name="collinearity", alpha=3, beta=0, r=2, accept=accept, prefix=prefix, groups=((0, 3),)
-    )
+    member = Member(range(3), prefix, accept, groups=((0, 3),))
+    spec = LSProblemSpec("collinearity", alpha=3, beta=0, r=2, members=(member,))
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
 
@@ -325,15 +323,9 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
     prefix, accept = _induced_checks(pattern)
     alpha, beta = pattern.num_edges, pattern.num_nonedges
-    spec = LSProblemSpec(
-        name=f"induced-{pattern.name}",
-        alpha=alpha,
-        beta=beta,
-        r=2,
-        accept=accept,
-        prefix=prefix,
-        groups=_slot_groups((0, alpha), (alpha, alpha + beta)),
-    )
+    groups = _slot_groups((0, alpha), (alpha, alpha + beta))
+    member = Member(range(alpha + beta), prefix, accept, groups)
+    spec = LSProblemSpec(f"induced-{pattern.name}", alpha, beta, r=2, members=(member,))
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
 
@@ -359,40 +351,19 @@ def encode_family_induced(
     beta = max(p.num_nonedges for p in family)
     if alpha < 1:
         raise ValueOutOfRange("family needs a member with at least one edge")
+    # Refused before the members list their slots, as many as alpha + beta.
+    check("witness_slots", alpha + beta)
 
-    def member(pattern: PatternGraph) -> tuple:
+    def member(pattern: PatternGraph) -> Member:
         edges, nonedges = pattern.num_edges, pattern.num_nonedges
         slots = (*range(edges), *range(alpha, alpha + nonedges))
         groups = _slot_groups((0, edges), (edges, edges + nonedges))
-        return (slots, *_induced_checks(pattern, lowest=2), groups)
+        return Member(slots, *_induced_checks(pattern, lowest=2), groups)
 
     # A repeated pattern reuses its member, so the count can drop the copy.
     built = {pattern: member(pattern) for pattern in family}
-    members = tuple(built[pattern] for pattern in family)
-
-    def fitting_members(codes: Sequence[int]) -> Iterator[tuple[Callable[..., bool], tuple]]:
-        """Each member whose slots among ``codes`` pass its prefix at every
-        length, with its ``accept`` and the codes in those slots."""
-        for slots, member_prefix, member_accept, _ in members:
-            chosen = tuple(codes[i] for i in slots[: bisect_left(slots, len(codes))])
-            if all(member_prefix(chosen[:length]) for length in range(1, len(chosen) + 1)):
-                yield member_accept, chosen
-
-    def prefix(codes: tuple[int, ...]) -> bool:
-        return next(fitting_members(codes), None) is not None
-
-    def accept(*codes: int) -> bool:
-        return any(member_accept(*chosen) for member_accept, chosen in fitting_members(codes))
-
-    spec = LSProblemSpec(
-        name="family-induced-" + "+".join(p.name for p in family),
-        alpha=alpha,
-        beta=beta,
-        r=2,
-        accept=accept,
-        prefix=prefix,
-        members=members,
-    )
+    name = "family-induced-" + "+".join(p.name for p in family)
+    spec = LSProblemSpec(name, alpha, beta, r=2, members=tuple(built[p] for p in family))
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n + 1, elements=elements)
 
@@ -487,15 +458,9 @@ def encode_min_weight_kclique(
             return tag == 2 and u == 1 and v == 1
         return tag == 1 and u < v
 
-    spec = LSProblemSpec(
-        name=f"min-weight-{k}-clique",
-        alpha=pair_count + 1,
-        beta=0,
-        r=r,
-        accept=accept,
-        prefix=_record_prefix(decode, pair_count, fits_slot, k),
-        groups=_slot_groups((0, pair_count)),
-    )
+    prefix = _record_prefix(decode, pair_count, fits_slot, k)
+    member = Member(range(pair_count + 1), prefix, accept, _slot_groups((0, pair_count)))
+    spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [codec.encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(codec.encode(2, 1, 1, threshold + shift))
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -558,19 +523,11 @@ def encode_max_h_subgraph(
         pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
         return _spans_pattern(pairs, pattern)
 
-    spec = LSProblemSpec(
-        name=f"max-{pattern.name}-subgraph-{mode}",
-        alpha=threshold_slot + 1,
-        beta=beta,
-        r=r,
-        accept=accept,
-        prefix=_record_prefix(decode, threshold_slot, fits_slot, nv),
-        groups=_slot_groups(
-            (0, ne),
-            (ne, threshold_slot),
-            (threshold_slot + 1, threshold_slot + 1 + beta),
-        ),
-    )
+    alpha = threshold_slot + 1
+    groups = _slot_groups((0, ne), (ne, threshold_slot), (alpha, alpha + beta))
+    prefix = _record_prefix(decode, threshold_slot, fits_slot, nv)
+    member = Member(range(alpha + beta), prefix, accept, groups)
+    spec = LSProblemSpec(f"max-{pattern.name}-subgraph-{mode}", alpha, beta, r, members=(member,))
     elements = []
     for (u, v), w in inp.edge_weights:
         if edge_mode:

@@ -63,7 +63,8 @@ def _matrix(n):
 
 
 def _one_witness(alpha, beta):
-    return ls.LSProblemSpec("one", alpha, beta, 1, accept=lambda *codes: codes[0] == 1)
+    member = ls.Member(range(alpha + beta), None, lambda *codes: codes[0] == 1)
+    return ls.LSProblemSpec("one", alpha, beta, 1, members=(member,))
 
 
 # name -> (a call that checks exactly ``value`` against that cap, value)

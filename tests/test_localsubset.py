@@ -500,9 +500,10 @@ def test_pruned_count_equals_unpruned_count(name, seed, theta):
 )
 def test_spec_rejects_bad_groups(groups, message):
     def make(groups):
-        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, accept=lambda *c: True, groups=groups)
+        member = ls.Member(range(5), None, lambda *c: True, groups)
+        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, members=(member,))
 
-    assert make(((0, 3), (3, 5))).groups == ((0, 3), (3, 5))
+    assert make(((0, 3), (3, 5))).members[0].groups == ((0, 3), (3, 5))
     with pytest.raises(ValueError, match=message):
         make(groups)
 
@@ -514,22 +515,30 @@ def accept_all(*codes):
 @pytest.mark.parametrize(
     "member, message",
     [
-        pytest.param(((3, 5), None, accept_all, ()), "slots .* leave", id="slot-past-the-end"),
-        pytest.param(((-1, 0), None, accept_all, ()), "slots .* leave", id="slot-before-the-start"),
-        pytest.param(((1, 0), None, accept_all, ()), "not strictly increasing", id="unsorted"),
-        pytest.param(((1, 1), None, accept_all, ()), "not strictly increasing", id="repeated"),
-        pytest.param(((0, 1), None, accept_all, ((1, 3),)), "group .* leaves", id="group-outside"),
-        pytest.param(((1, 3), None, accept_all, ((0, 2),)), "straddles alpha", id="group-straddle"),
+        pytest.param(ls.Member((3, 5), None, accept_all), "slots .* leave", id="slot-past-the-end"),
+        pytest.param(
+            ls.Member((-1, 0), None, accept_all), "slots .* leave", id="slot-before-the-start"
+        ),
+        pytest.param(ls.Member((1, 0), None, accept_all), "not strictly increasing", id="unsorted"),
+        pytest.param(ls.Member((1, 1), None, accept_all), "not strictly increasing", id="repeated"),
+        pytest.param(
+            ls.Member((0, 1), None, accept_all, ((1, 3),)), "group .* leaves", id="group-outside"
+        ),
+        pytest.param(
+            ls.Member((1, 3), None, accept_all, ((0, 2),)), "straddles alpha", id="group-straddle"
+        ),
     ],
 )
 def test_spec_rejects_bad_members(member, message):
     def make(members):
-        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, accept=accept_all, members=members)
+        return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, members=members)
 
-    good = ((0, 1, 3, 4), None, accept_all, ((0, 2), (2, 4)))
+    good = ls.Member((0, 1, 3, 4), None, accept_all, ((0, 2), (2, 4)))
     assert make((good,)).members == (good,)
     with pytest.raises(ValueError, match=message):
         make((good, member))
+    with pytest.raises(ValueError, match="at least one member"):
+        make(())
 
 
 def test_member_reading_no_slots_counts_every_tuple_or_none():
@@ -541,9 +550,9 @@ def test_member_reading_no_slots_counts_every_tuple_or_none():
     pools = inst.m**spec.alpha
     solutions = ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x))
     assert solutions == 2
-    ksum = ((0, 1), spec.prefix, spec.accept, ())
+    ksum = ls.Member((0, 1), spec.prefix, spec.accept)
     for nothing, expected in ((accept_all, pools), (lambda: False, solutions)):
-        with_members = replace(spec, members=(ksum, ((), None, nothing, ()), ksum))
+        with_members = replace(spec, members=(ksum, ls.Member((), None, nothing), ksum))
         assert ls.exact_evaluation_oracle(ls.FormulationQuery(with_members, x)) == expected
 
 
@@ -557,27 +566,31 @@ def member_accepts(member, codes):
 def test_union_count_equals_product_filter_on_hand_built_members():
     """Overlapping members on a- and b-slots, two of them order-sensitive
     without groups, one with a group of b-slots, a repeat and a member that
-    reads nothing: the union count equals a filter over the whole product."""
-    increasing = ((0, 1), None, lambda a, b: a < b, ())
-    even_sum = (
+    reads nothing: the union count equals a filter over the whole product,
+    and so do the derived ``spec.verifier`` on each tuple and ``brute_solve``."""
+    increasing = ls.Member((0, 1), None, lambda a, b: a < b)
+    even_sum = ls.Member(
         (1, 2, 3),
         lambda codes: codes[-1] not in codes[:-1],
         lambda a, b, c: (a + b + c) % 2 == 0,
         ((1, 3),),
     )
-    above = ((0, 2), None, lambda a, b: a > b, ())
-    members = (increasing, even_sum, above, increasing, ((), None, lambda: False, ()))
+    above = ls.Member((0, 2), None, lambda a, b: a > b)
+    members = (increasing, even_sum, above, increasing, ls.Member((), None, lambda: False))
 
     def accept(*codes):
         return any(member_accepts(member, codes) for member in members)
 
-    spec = ls.LSProblemSpec("t", alpha=2, beta=2, r=1, accept=accept, members=members)
+    spec = ls.LSProblemSpec("t", alpha=2, beta=2, r=1, members=members)
     inst = ls.ls_instance(8, [2, 3, 5, 7])
     x = ls.compute_assignment(spec, inst, 1)
     a_pool, b_pool = [2, 3, 5, 7], [1, 4, 6, 8]
-    expected = sum(1 for codes in product(a_pool, a_pool, b_pool, b_pool) if accept(*codes))
+    tuples = list(product(a_pool, a_pool, b_pool, b_pool))
+    assert [spec.verifier(*codes) for codes in tuples] == [accept(*codes) for codes in tuples]
+    expected = sum(1 for codes in tuples if accept(*codes))
     assert 0 < expected < 4**4
     assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == expected
+    assert ls.brute_solve(spec, inst)
 
 
 ONE_EDGE_3 = pr.PatternGraph("one-edge-3", 3, frozenset({(1, 2)}))
@@ -613,7 +626,7 @@ DECLARING_NAMES = (
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DECLARING_NAMES), st.integers(0, 2**32), st.integers(1, 3))
 def test_grouped_count_equals_ungrouped_count(name, seed, theta):
-    """Both exactness conditions of ``groups``: the reorderings of the
+    """Both exactness conditions of a member's ``groups``: the reorderings of the
     grouped walk's witnesses are exactly the ungrouped walk's witnesses, each
     once, and every one of them passes ``spec.verifier``."""
     spec, inst = declaring_encoding(name, random.Random(seed))
@@ -624,11 +637,12 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
     ungrouped = list(ls.accepted_tuples(pools, spec.accept, spec.prefix))
     assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
+    (member,) = spec.members
     orbits = []
-    for witness in ls.accepted_tuples(pools, spec.accept, spec.prefix, spec.groups):
-        for orders in product(*(permutations(witness[a:b]) for a, b in spec.groups)):
+    for witness in ls.accepted_tuples(pools, spec.accept, spec.prefix, member.groups):
+        for orders in product(*(permutations(witness[a:b]) for a, b in member.groups)):
             reordered = list(witness)
-            for (a, b), order in zip(spec.groups, orders):
+            for (a, b), order in zip(member.groups, orders):
                 reordered[a:b] = order
             assert spec.verifier(*reordered)
             orbits.append(tuple(reordered))
@@ -660,11 +674,12 @@ def budgeted(prefix, calls):
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_family_union_count_equals_member_free_counts(seed, theta):
     """The inclusion-exclusion count of a family equals the plain product
-    filter ``unpruned_count`` and the walk over every slot that ignores
-    ``members``.  Families hold 1-3 patterns, sometimes one of them twice;
-    graphs have 3-5 vertices.  Both references enumerate every slot, so each
-    runs only where it stays small: the product filter up to 2 * 10**4
-    tuples, the member-free walk up to 5 000 prefix calls."""
+    filter ``unpruned_count`` and the walk of one member that reads every
+    slot with the family's derived ``prefix`` and ``accept``.  Families hold
+    1-3 patterns, sometimes one of them twice; graphs have 3-5 vertices.
+    Both references enumerate every slot, so each runs only where it stays
+    small: the product filter up to 2 * 10**4 tuples, the one-member walk up
+    to 5 000 prefix calls."""
     rng = random.Random(seed)
     family = rng.choices(FAMILY_PATTERNS, k=rng.randint(1, 3))
     if len(family) > 1 and rng.random() < 0.3:
@@ -678,9 +693,9 @@ def test_family_union_count_equals_member_free_counts(seed, theta):
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
     if math.prod(map(len, pools)) <= 2 * 10**4:
         assert count == unpruned_count(spec, inst, theta)
-    member_free = replace(spec, members=(), prefix=budgeted(spec.prefix, 5000))
+    whole = ls.Member(range(spec.alpha + spec.beta), budgeted(spec.prefix, 5000), spec.accept)
     try:
-        walked = ls.evaluate_formulation(member_free, inst, theta)
+        walked = ls.evaluate_formulation(replace(spec, members=(whole,)), inst, theta)
     except WalkTooLong:
         return
     assert count == walked
@@ -702,7 +717,8 @@ def test_brute_solve_never_consults_prefix():
         tuples = list(product(inst.elements, repeat=spec.alpha))
         hits = [i for i, t in enumerate(tuples) if spec.verifier(*t)]
         calls.clear()
-        answer = ls.brute_solve(RecordingSpec(**vars(spec)), inst)
+        recording = RecordingSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+        answer = ls.brute_solve(recording, inst)
         assert answer == bool(hits)
         assert calls == tuples[: hits[0] + 1 if hits else len(tuples)]
     # the prefix is part of the definition: the reversed pairs of a triangle
@@ -711,7 +727,8 @@ def test_brute_solve_never_consults_prefix():
     assert spec.accept(*reversed_codes) and not spec.verifier(*reversed_codes)
     inst = ls.ls_instance(3, reversed_codes)
     assert not ls.brute_solve(spec, inst)
-    assert ls.brute_solve(replace(spec, prefix=None), inst)
+    (member,) = spec.members
+    assert ls.brute_solve(replace(spec, members=(member._replace(prefix=None),)), inst)
 
 
 def test_accepted_tuples_in_product_order():
@@ -752,7 +769,8 @@ def test_stream_unchanged_by_pruning():
     assert len(cases) == 27
     for (_, _, s, theta), spec in sorted(cases.items()):
         pruned = ls.formulation_monomials(spec, s, theta)
-        unpruned_spec = replace(spec, accept=spec.verifier, prefix=None)
+        whole = ls.Member(range(spec.alpha + spec.beta), None, spec.verifier)
+        unpruned_spec = replace(spec, members=(whole,))
         unpruned = ls.formulation_monomials(unpruned_spec, s, theta)
         assert all(a == b for a, b in zip_longest(pruned, unpruned))
 

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import polyoracle.localsubset as ls
 import polyoracle.problems as pr
-from polyoracle.errors import ValueOutOfRange
+from polyoracle.errors import UniverseTooLarge, ValueOutOfRange
 from oracles import (
     collinear_direct,
     has_induced_pattern,
@@ -100,6 +100,17 @@ def test_family_examples():
     k3 = pr.GraphInput(3, frozenset({(1, 2), (1, 3), (2, 3)}))
     spec, inst = pr.encode_family_induced(k3, [pr.H_PRESETS["triangle"]])
     assert ls.brute_solve(spec, inst)
+
+
+def test_family_with_a_huge_pattern_is_refused_before_listing_slots():
+    """A member on 10**12 vertices reads about 5 * 10**23 non-edge slots: the
+    encoder refuses the family by the witness_slots cap, fast, instead of
+    listing that member's slots."""
+    huge = pr.pattern_from_json({"n": 10**12, "edges": [[1, 2]]})
+    start = time.perf_counter()
+    with pytest.raises(UniverseTooLarge, match="cap witness_slots exceeded"):
+        pr.encode_family_induced(pr.GraphInput(3, frozenset()), [pr.H_PRESETS["edge"], huge])
+    assert time.perf_counter() - start < 1
 
 
 def test_family_loop_never_in_witness():

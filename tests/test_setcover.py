@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import polyoracle.permanent as pm
 import polyoracle.setcover as sc
-from polyoracle.errors import PreconditionViolated, ValueOutOfRange
+from polyoracle.errors import PreconditionViolated, TooLarge, ValueOutOfRange
 from oracles import hcv_count, setcover_min_bhk, setpartition_count, setpartition_counts_bhk
 
 
@@ -342,6 +342,21 @@ def test_setcover_min_reduction_matches_bhk_cover_count():
             assert setcover_min_bhk(uncoverable) is None
             assert sc.setcover_min(uncoverable, method="reduction", theta=theta) is None
     assert len(minima) > 2
+
+
+def test_setcover_reduction_cap_bounds_the_branched_universe():
+    """setpartition_universe bounds the branched universe m = max(2*theta*maxsize,
+    n - 6), not n: with triples at theta = 1, n = 18 branches down to m = 12
+    and is answered, while n = 19 needs m = 13 and is refused."""
+    rng = random.Random(20)
+    disjoint = [[i, i + 1, i + 2] for i in range(1, 19, 3)]
+    for extra in (4, 8, 12):
+        lists = disjoint + [rng.sample(range(1, 19), 3) for _ in range(extra)]
+        family = sc.family_from_lists(18, lists)
+        assert sc.setcover_min(family, method="reduction") == sc.setcover_min(family) == 6
+    wider = sc.family_from_lists(19, disjoint + [[17, 18, 19]])
+    with pytest.raises(TooLarge, match=r"cap setpartition_universe exceeded: 13 > 12"):
+        sc.setcover_min(wider, method="reduction")
 
 
 def test_setcover_min_checks_arguments_before_early_returns():
