@@ -2,12 +2,10 @@
 
 Every size limit is an entry of ``CAPS``, and ``check`` is the one place that
 raises for a cap, naming its entry.  Code that needs a limit itself reads it
-through ``cap_limit``; ``POLYORACLE_CAP`` overrides the literal cap only.
+through ``cap_limit``.
 """
 
 from __future__ import annotations
-
-import os
 
 
 class PolyOracleError(Exception):
@@ -56,7 +54,7 @@ CAPS: dict[str, tuple[int, type[TooLarge], str]] = {
     # Far below CPython's recursion limit of 1000: the walk recurses once per slot.
     # test_localsubset.py::test_walk_depth_is_capped
     "witness_slots": (256, UniverseTooLarge, "alpha + beta slots of the witness walk"),
-    # Overridden by POLYORACLE_CAP.
+    # Counts variable occurrences, alike for the stream and the collected polynomial.
     # test_localsubset.py::test_collection_cap_counts_literal_monomials
     "literal": (10**7, StreamTooLarge, "literal variable occurrences, monomials * degree"),
     # test_localsubset.py::test_literal_precheck_decides_huge_powers_by_bit_length
@@ -82,9 +80,7 @@ CAPS: dict[str, tuple[int, type[TooLarge], str]] = {
 
 
 def cap_limit(name: str) -> int:
-    """The limit of cap ``name``; POLYORACLE_CAP overrides the literal cap."""
-    if name == "literal" and "POLYORACLE_CAP" in os.environ:
-        return int(os.environ["POLYORACLE_CAP"])
+    """The limit of cap ``name``."""
     return CAPS[name][0]
 
 

@@ -13,15 +13,17 @@ from itertools import combinations, permutations, product
 from math import comb, factorial
 from typing import Iterator
 
+from polyoracle.circuits import ArithmeticCircuit, ConstGate, InputGate, MulGate
 from polyoracle.permanent import BinaryMatrix, FSpec
 from polyoracle.problems import GraphInput, PatternGraph, WeightedGraphInput
 from polyoracle.setcover import SetFamily
 
 
-def _induced_vertex_sets(graph: GraphInput, pattern: PatternGraph) -> Iterator[tuple[int, ...]]:
-    """Vertex subsets inducing a copy of the pattern, by bijection enumeration."""
-    for vs in combinations(range(1, graph.n + 1), pattern.num_vertices):
-        actual = {p for p in combinations(sorted(vs), 2) if p in graph.edges}
+def _induced_vertex_sets(n: int, edges, pattern: PatternGraph) -> Iterator[tuple[int, ...]]:
+    """Vertex subsets of [n] inducing a copy of the pattern under ``edges``,
+    by bijection enumeration."""
+    for vs in combinations(range(1, n + 1), pattern.num_vertices):
+        actual = {p for p in combinations(vs, 2) if p in edges}
         for perm in permutations(vs):
             mapped = {
                 tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in pattern.edges
@@ -33,54 +35,87 @@ def _induced_vertex_sets(graph: GraphInput, pattern: PatternGraph) -> Iterator[t
 
 def has_induced_pattern(graph: GraphInput, pattern: PatternGraph) -> bool:
     """Direct induced-subgraph check by vertex-subset and bijection enumeration."""
-    return next(_induced_vertex_sets(graph, pattern), None) is not None
+    return next(_induced_vertex_sets(graph.n, graph.edges, pattern), None) is not None
 
 
 def induced_copies(graph: GraphInput, pattern: PatternGraph) -> int:
     """The number of vertex subsets whose induced subgraph is a copy of the pattern."""
-    return sum(1 for _ in _induced_vertex_sets(graph, pattern))
+    return sum(1 for _ in _induced_vertex_sets(graph.n, graph.edges, pattern))
 
 
-def ksum_direct(sets: tuple[tuple[int, ...], ...]) -> bool:
-    return any(sum(choice) == 0 for choice in product(*sets))
+# The LS witness counts below are each solution times the orderings of its
+# interchangeable witness slots: the edge slots, the non-edge slots and the
+# vertex-record slots of a pattern, or the points of a triple.
 
 
-def collinear_direct(points) -> bool:
-    for a, b, c in combinations(points, 3):
-        if (b[0] - a[0]) * (c[1] - a[1]) - (c[0] - a[0]) * (b[1] - a[1]) == 0:
-            return True
-    return False
+def _slot_orders(pattern: PatternGraph) -> int:
+    return factorial(pattern.num_edges) * factorial(pattern.num_nonedges)
 
 
-def min_weight_clique_direct(inp: WeightedGraphInput, k: int, threshold: int) -> bool:
+def induced_witnesses(graph: GraphInput, pattern: PatternGraph) -> int:
+    return induced_copies(graph, pattern) * _slot_orders(pattern)
+
+
+def ksum_witnesses(sets: tuple[tuple[int, ...], ...]) -> int:
+    """Choices of one value per set that sum to 0."""
+    return sum(1 for choice in product(*sets) if sum(choice) == 0)
+
+
+def collinear_witnesses(points) -> int:
+    return factorial(3) * sum(
+        1
+        for a, b, c in combinations(points, 3)
+        if (b[0] - a[0]) * (c[1] - a[1]) == (c[0] - a[0]) * (b[1] - a[1])
+    )
+
+
+def light_clique_witnesses(inp: WeightedGraphInput, k: int, threshold: int) -> int:
+    """k-cliques of total edge weight <= threshold."""
     weights = dict(inp.edge_weights)
+    cliques = 0
     for vs in combinations(range(1, inp.n + 1), k):
         pairs = list(combinations(vs, 2))
-        if all(p in weights for p in pairs):
-            if sum(weights[p] for p in pairs) <= threshold:
-                return True
-    return False
+        cliques += all(p in weights for p in pairs) and sum(weights[p] for p in pairs) <= threshold
+    return factorial(comb(k, 2)) * cliques
 
 
-def max_h_subgraph_direct(
+def heavy_pattern_witnesses(
     inp: WeightedGraphInput, pattern: PatternGraph, threshold: int, mode: str
-) -> bool:
-    edges = {p for p, _ in inp.edge_weights}
+) -> int:
+    """Vertex sets inducing the pattern with weight >= threshold: the weights
+    of their edges, or of their vertices in vertex mode."""
     weights = dict(inp.edge_weights)
-    for vs in combinations(range(1, inp.n + 1), pattern.num_vertices):
-        actual = {p for p in combinations(sorted(vs), 2) if p in edges}
-        if not any(
-            {tuple(sorted((perm[u - 1], perm[v - 1]))) for u, v in pattern.edges} == actual
-            for perm in permutations(vs)
-        ):
-            continue
+    heavy = 0
+    for vs in _induced_vertex_sets(inp.n, weights, pattern):
         if mode == "edge-weights":
-            total = sum(weights[p] for p in actual)
+            total = sum(weights[p] for p in combinations(vs, 2) if p in weights)
         else:
             total = sum(inp.vertex_weights[v - 1] for v in vs)
-        if total >= threshold:
-            return True
-    return False
+        heavy += total >= threshold
+    records = factorial(pattern.num_vertices) if mode == "vertex-weights" else 1
+    return _slot_orders(pattern) * records * heavy
+
+
+LS_WITNESSES = {
+    "ksum": ksum_witnesses,
+    "collinearity": collinear_witnesses,
+    "h-induced": induced_witnesses,
+    "min-weight-clique": light_clique_witnesses,
+    "max-h-subgraph": heavy_pattern_witnesses,
+}
+
+
+def ls_witnesses(problem: str, *args) -> int:
+    """The LS witness count of a natural input of ``problem``."""
+    return LS_WITNESSES[problem](*args)
+
+
+def ls_decision(problem: str, *args) -> bool:
+    """Whether a natural input of ``problem`` has a solution."""
+    if problem == "family-induced":
+        graph, family = args
+        return any(has_induced_pattern(graph, pattern) for pattern in family)
+    return ls_witnesses(problem, *args) > 0
 
 
 def random_graph(rng: random.Random, n: int, max_edges: int | None = None) -> GraphInput:
@@ -136,6 +171,12 @@ def f_count(coverages: Counter[tuple[int, ...]], spec: FSpec) -> int:
         return True
 
     return sum(count for coverage, count in coverages.items() if meets(coverage))
+
+
+def f_counts(matrix: BinaryMatrix, specs) -> list[int]:
+    """``f_count`` of each spec, over one table of mapping coverages."""
+    coverages = mapping_coverages(matrix)
+    return [f_count(coverages, spec) for spec in specs]
 
 
 def permanent_ryser(matrix: BinaryMatrix) -> int:
@@ -249,3 +290,35 @@ def setcover_min_bhk(family: SetFamily) -> int | None:
         if sum(weight * a**k for a, weight in weights.items()) > 0:
             return k
     return None
+
+
+def circuit_values(circuit: ArithmeticCircuit, points, modulus: int | None = None) -> list[int]:
+    """The circuit's output at each point over Z, then reduced mod ``modulus``."""
+    out = []
+    for point in points:
+        values: list[int] = []
+        for gate in circuit.gates:
+            if isinstance(gate, InputGate):
+                values.append(point[gate.index])
+            elif isinstance(gate, ConstGate):
+                values.append(gate.value)
+            elif isinstance(gate, MulGate):
+                values.append(values[gate.left] * values[gate.right])
+            else:
+                values.append(values[gate.left] + values[gate.right])
+        out.append(values[circuit.output] % modulus if modulus else values[circuit.output])
+    return out
+
+
+def independent_prime(n: int) -> bool:
+    """Primality by trial division."""
+    if n < 2:
+        return False
+    if n % 2 == 0:
+        return n == 2
+    d = 3
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 2
+    return True

@@ -19,13 +19,18 @@ import polyoracle.setcover as sc
 from oracles import (
     f_count,
     hcv_count,
+    independent_prime,
     mapping_coverages,
     random_graph,
     random_weighted_graph,
     setpartition_count,
 )
-
-SEED = 20240817
+from routes import (
+    SEED,
+    random_circuit as _random_circuit,
+    random_polynomial as _random_polynomial,
+    small_stream_instances as _small_instances_for_streams,
+)
 
 
 def _report(number, name, passed, elapsed, budget):
@@ -114,25 +119,6 @@ def test_criterion_1_ls_oracle_equivalence():
         elapsed,
         60,
     )
-
-
-def _small_instances_for_streams(rng):
-    """Instances with s <= 8 whose literal streams fit the cap."""
-    cases = []
-    for k, w in ((1, 0), (1, 1), (2, 0), (2, 1)):
-        for _ in range(4):
-            size = rng.randint(1, 2 * w + 1)
-            sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(k))
-            spec, inst = pr.encode_ksum(pr.KSumInput(k, sets, w))
-            if inst.size <= 8:
-                cases.append((spec, inst))
-    for name in ("triangle", "path3"):
-        for _ in range(8):
-            graph = random_graph(rng, 3, 5)
-            spec, inst = pr.encode_h_induced(graph, pr.H_PRESETS[name])
-            if inst.size <= 8:
-                cases.append((spec, inst))
-    return cases
 
 
 def test_criterion_2_witness_identity():
@@ -284,33 +270,6 @@ def test_criterion_5_set_cover_chain():
     _report(5, "set cover chain (200 + 100 + 200 seeded cases)", ok, elapsed, 120)
 
 
-def _random_polynomial(rng, num_vars, max_terms=6, max_degree=3):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        powers = {}
-        for v in rng.choices(range(num_vars), k=rng.randint(0, max_degree)):
-            powers[v] = powers.get(v, 0) + 1
-        key = tuple(sorted(powers.items()))
-        terms[key] = terms.get(key, 0) + rng.randint(-8, 8)
-    return poly.polynomial(num_vars, terms)
-
-
-def _random_circuit(rng, num_inputs, max_binary, max_syntactic_degree):
-    gates = [ci.InputGate(i) for i in range(num_inputs)]
-    degrees = [1] * num_inputs
-    gates.append(ci.ConstGate(rng.randint(-5, 5)))
-    degrees.append(0)
-    for _ in range(rng.randint(1, max_binary)):
-        a, b = rng.randrange(len(gates)), rng.randrange(len(gates))
-        if rng.random() < 0.5 and degrees[a] + degrees[b] <= max_syntactic_degree:
-            gates.append(ci.MulGate(a, b))
-            degrees.append(degrees[a] + degrees[b])
-        else:
-            gates.append(ci.AddGate(a, b))
-            degrees.append(max(degrees[a], degrees[b]))
-    return ci.ArithmeticCircuit(num_inputs, tuple(gates), len(gates) - 1)
-
-
 def test_criterion_6_circuit_pipeline():
     start = time.perf_counter()
     rng = random.Random(SEED + 4)
@@ -343,18 +302,6 @@ def test_criterion_6_circuit_pipeline():
                 circuit, x
             ) % prime
     # deterministic primes in [2M, 4M] for 1000 random M <= 10**6
-    def independent_prime(n):
-        if n < 2:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-
     for _ in range(1000):
         m = rng.randint(1, 10**6)
         found = ci.find_prime(m)

@@ -104,10 +104,9 @@ def test_boundaries_cover_the_table():
 
 
 @pytest.mark.parametrize("name", sorted(BOUNDARIES))
-def test_cap_boundary(monkeypatch, set_cap, name):
+def test_cap_boundary(set_cap, name):
     """Each cap admits its limit and refuses one more, with its own error
     class and a message that names it."""
-    monkeypatch.delenv("POLYORACLE_CAP", raising=False)
     call, value = BOUNDARIES[name]
     set_cap(name, value)
     call()

@@ -13,7 +13,9 @@ import pytest
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
+from oracles import independent_prime
 from polyoracle.errors import ArityMismatch, CapExceeded
+from routes import random_circuit, random_polynomial, reference_verdict, syntactic_degree
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -22,36 +24,6 @@ def circuit(num_inputs, gates, output=None):
     return ci.ArithmeticCircuit(
         num_inputs, tuple(gates), len(gates) - 1 if output is None else output
     )
-
-
-def random_circuit(rng, num_inputs, max_binary, max_syntactic_degree=None):
-    gates = [ci.InputGate(i) for i in range(num_inputs)]
-    degrees = [1] * num_inputs
-    gates.append(ci.ConstGate(rng.randint(-5, 5)))
-    degrees.append(0)
-    for _ in range(rng.randint(1, max_binary)):
-        a, b = rng.randrange(len(gates)), rng.randrange(len(gates))
-        mul_ok = (
-            max_syntactic_degree is None or degrees[a] + degrees[b] <= max_syntactic_degree
-        )
-        if rng.random() < 0.5 and mul_ok:
-            gates.append(ci.MulGate(a, b))
-            degrees.append(degrees[a] + degrees[b])
-        else:
-            gates.append(ci.AddGate(a, b))
-            degrees.append(max(degrees[a], degrees[b]))
-    return ci.ArithmeticCircuit(num_inputs, tuple(gates), len(gates) - 1)
-
-
-def random_polynomial(rng, num_vars, max_terms=6, max_degree=3):
-    terms = {}
-    for _ in range(rng.randint(0, max_terms)):
-        powers = {}
-        for v in rng.choices(range(num_vars), k=rng.randint(0, max_degree)):
-            powers[v] = powers.get(v, 0) + 1
-        key = tuple(sorted(powers.items()))
-        terms[key] = terms.get(key, 0) + rng.randint(-8, 8)
-    return poly.polynomial(num_vars, terms)
 
 
 def test_size_counts_edges():
@@ -77,40 +49,6 @@ def test_dag_validation():
         circuit(1, [ci.AddGate(0, 1), ci.InputGate(0)])
     with pytest.raises(ValueError):
         circuit(1, [ci.InputGate(3)])
-
-
-def with_cancellations(rng, c):
-    """c with x - x chains, AddGate(g, g) and (g + h) * (g - h), whose cross
-    terms cancel, appended over random gates and folded into the output."""
-    gates = list(c.gates)
-    minus_one = len(gates)
-    gates.append(ci.ConstGate(-1))
-    for _ in range(rng.randint(1, 4)):
-        g, h = rng.randrange(len(gates)), rng.randrange(len(gates))
-        kind = rng.randrange(3)
-        if kind == 0:
-            gates.append(ci.MulGate(minus_one, g))
-            gates.append(ci.AddGate(g, len(gates) - 1))
-        elif kind == 1:
-            gates.append(ci.AddGate(g, g))
-        else:
-            gates.append(ci.MulGate(minus_one, h))
-            gates.append(ci.AddGate(g, len(gates) - 1))
-            gates.append(ci.AddGate(g, h))
-            gates.append(ci.MulGate(len(gates) - 1, len(gates) - 2))
-        gates.append(ci.AddGate(rng.randrange(len(gates)), len(gates) - 1))
-    return circuit(c.num_inputs, gates)
-
-
-def test_evaluation_matches_expansion():
-    rng = random.Random(0)
-    for _ in range(100):
-        base = random_circuit(rng, rng.randint(1, 4), 9, max_syntactic_degree=5)
-        for c in (base, with_cancellations(rng, base)):
-            p = ci.expand_to_polynomial(c)
-            for _ in range(10):
-                x = [rng.randint(-9, 9) for _ in range(c.num_inputs)]
-                assert ci.evaluate_circuit(c, x) == poly.eval_over_integers(p, x)
 
 
 def test_homogenize_input_semantics():
@@ -148,31 +86,6 @@ def test_homogenize_preserves_polynomial_and_size_bound():
         assert ci.expand_to_polynomial(h) == ci.expand_to_polynomial(c)
         if ci.circuit_size(c):
             assert ci.circuit_size(h) <= ci.HOMOGENIZE_SIZE_FACTOR * delta**2 * ci.circuit_size(c)
-
-
-def test_homogenized_evaluation_agrees_mod_p():
-    rng = random.Random(2)
-    for _ in range(100):
-        c = random_circuit(rng, rng.randint(1, 4), 8, max_syntactic_degree=4)
-        h = ci.homogenize(c, 4)
-        p = ci.find_prime(10**6 + rng.randint(0, 10**4)).p
-        for _ in range(100):
-            x = [rng.randint(-50, 50) for _ in range(c.num_inputs)]
-            assert ci.evaluate_circuit(h, x, p) == ci.evaluate_circuit(c, x) % p
-
-
-def syntactic_degree(c):
-    degrees = []
-    for g in c.gates:
-        if isinstance(g, ci.InputGate):
-            degrees.append(1)
-        elif isinstance(g, ci.ConstGate):
-            degrees.append(0)
-        elif isinstance(g, ci.AddGate):
-            degrees.append(max(degrees[g.left], degrees[g.right]))
-        else:
-            degrees.append(degrees[g.left] + degrees[g.right])
-    return max(degrees)
 
 
 def test_homogenize_clamps_delta_to_syntactic_degree():
@@ -304,57 +217,6 @@ def test_verify_cap_reason(set_cap):
     assert not result and result.reason == "cap_exceeded"
 
 
-def reference_verdict(c, target, delta):
-    """The Strassen route: expand the homogenized circuit, then compare."""
-    try:
-        expansion = ci.expand_to_polynomial(ci.homogenize(c, delta))
-    except CapExceeded:
-        return False, "cap_exceeded"
-    return (True, "match") if expansion == target else (False, "mismatch")
-
-
-def test_truncated_expansion_matches_homogenize_reference():
-    """Random circuits, many above degree delta: the truncated expansion is
-    the homogenized circuit's expansion, and both routes give one verdict."""
-    rng = random.Random(11)
-    above = 0
-    for _ in range(300):
-        c = random_circuit(rng, rng.randint(3, 6), 20)
-        delta = rng.randint(1, 5)
-        above += syntactic_degree(c) > delta
-        reference = ci.expand_to_polynomial(ci.homogenize(c, delta))
-        assert ci._expand_terms(c, delta) == reference.terms
-        changed = dict(reference.terms)
-        changed[()] = changed.get((), 0) + 1
-        targets = [reference, poly.polynomial(c.num_inputs, changed)]
-        targets.append(random_polynomial(rng, c.num_inputs))
-        for target in targets:
-            result = ci.verify_circuit(c, target, delta)
-            assert (result.accepted, result.reason) == reference_verdict(c, target, delta)
-    assert above >= 100
-
-
-def test_verify_matches_reference_on_benchmark_ops():
-    """Every circuit-verify op of seeds 1-3, built by the benchmark itself."""
-    bench = str(ROOT / "perfbench")
-    sys.path.insert(0, bench)
-    try:
-        from bench_workloads import WORKLOADS
-    finally:
-        sys.path.remove(bench)
-    workload = WORKLOADS["circuit-verify"]
-    checked = 0
-    for seed in (1, 2, 3):
-        for op in workload.make_ops(random.Random(seed), False):
-            source, target, delta, _ = op.data
-            c = ci.build_circuit_from_polynomial(source)
-            result = ci.verify_circuit(c, target, delta)
-            assert (result.accepted, result.reason) == reference_verdict(c, target, delta)
-            assert result.accepted == op.expected["accepted"]
-            checked += 1
-    assert checked == 72
-
-
 def test_verify_cap_bounds_each_original_gate(set_cap):
     """g = (x0 + x1 + 1)**2 has 6 monomials, but each of its homogeneous
     parts has at most 3; (g * x2) truncated at delta = 2 is x2 + 2x0x2 + 2x1x2.
@@ -437,18 +299,6 @@ def test_find_prime_known_values():
 
 
 def test_find_prime_window_and_primality():
-    def independent_prime(n):
-        if n < 2:
-            return False
-        if n % 2 == 0:
-            return n == 2
-        d = 3
-        while d * d <= n:
-            if n % d == 0:
-                return False
-            d += 2
-        return True
-
     rng = random.Random(5)
     for _ in range(300):
         m = rng.randint(1, 10**6)

@@ -17,8 +17,14 @@ import polyoracle.polynomials as poly
 import polyoracle.problems as pr
 from oracles import random_graph, random_weighted_graph
 from polyoracle.errors import StreamTooLarge, UniverseTooLarge
-from test_acceptance import SEED, _small_instances_for_streams
-from test_problems import _tiny_encodings
+from routes import (
+    SEED,
+    random_encoding,
+    small_stream_instances,
+    timed,
+    tiny_encodings,
+    unpruned_count,
+)
 
 
 def ksum_spec(k=3, w=20):
@@ -307,49 +313,11 @@ def test_formulation_beta_degree():
     assert {m.degree for m in monos} == {2 * (2 + 2 * 1)}
 
 
-def test_stream_cap_environment(monkeypatch):
+def test_stream_cap_environment(set_cap):
     spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1))
-    monkeypatch.setenv("POLYORACLE_CAP", "1")
+    set_cap("literal", 1)
     with pytest.raises(StreamTooLarge):
         list(ls.formulation_monomials(spec, inst.size, 1))
-
-
-def literal_value(spec, inst, theta):
-    polynomial = ls.formulation_polynomial(spec, inst.size, theta)
-    vector = ls.compute_assignment(spec, inst, theta).vector()
-    return poly.eval_over_integers(polynomial, vector)
-
-
-def test_literal_stream_equals_witness_count_ksum():
-    rng = random.Random(0)
-    for _ in range(20):
-        w = rng.randint(0, 1)
-        count = rng.randint(1, 2 * w + 1)
-        values = lambda: tuple(sorted(rng.sample(range(-w, w + 1), count)))
-        spec, inst = pr.encode_ksum(pr.KSumInput(2, (values(), values()), w))
-        for theta in (1, 2, 3):
-            assert literal_value(spec, inst, theta) == ls.evaluate_formulation(
-                spec, inst, theta
-            )
-
-
-def test_literal_stream_equals_witness_count_graphs():
-    cases = [
-        ("triangle", 3, [(1, 2), (1, 3), (2, 3)]),
-        ("triangle", 3, [(1, 2), (2, 3)]),
-        ("path3", 3, [(1, 2), (2, 3)]),
-        ("path3", 3, [(1, 2)]),
-        ("path3", 3, [(1, 2), (1, 3), (2, 3)]),
-    ]
-    for name, n, edges in cases:
-        spec, inst = pr.encode_h_induced(
-            pr.GraphInput(n, frozenset(edges)), pr.H_PRESETS[name]
-        )
-        for theta in (1, 2):
-            literal = literal_value(spec, inst, theta)
-            witness = ls.evaluate_formulation(spec, inst, theta)
-            assert literal == witness
-            assert (witness > 0) == ls.brute_solve(spec, inst)
 
 
 def test_literal_stream_theta_3_with_nonedges():
@@ -391,7 +359,7 @@ def test_formulation_query_holds_only_spec_and_x():
 def test_oracle_is_evaluate_at_phi():
     """The exact oracle reads only (spec, x): at x = phi(inst) it gives the
     formulation value, positive exactly on yes-instances."""
-    for spec, inst in _tiny_encodings():
+    for spec, inst in tiny_encodings():
         answer = ls.brute_solve(spec, inst)
         for theta in (1, 2, 3):
             query = ls.FormulationQuery(spec, ls.compute_assignment(spec, inst, theta))
@@ -434,58 +402,6 @@ def test_degenerate_full_and_empty_sets():
     # m = 0 is legal and never a yes-instance for alpha >= 1
     empty = ls.ls_instance(2, [])
     assert ls.evaluate_formulation(spec, empty, 1) == 0
-
-
-def random_encoding(name, rng):
-    """A small random instance of one encoder, sized so that the unpruned
-    product of its witness pools stays below about 10**5 tuples."""
-    if name == "ksum":
-        w = rng.randint(0, 6)
-        size = rng.randint(1, min(4, 2 * w + 1))
-        sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(rng.choice([2, 3])))
-        return pr.encode_ksum(pr.KSumInput(len(sets), sets, w))
-    if name == "collinearity":
-        w = rng.randint(1, 4)
-        points = {(rng.randint(-w, w), rng.randint(-w, w)) for _ in range(rng.randint(3, 9))}
-        return pr.encode_collinearity(pr.PointSetInput(tuple(points), w))
-    if name == "h-induced":
-        pattern = pr.H_PRESETS[rng.choice(["edge", "path3", "triangle"])]
-        return pr.encode_h_induced(random_graph(rng, rng.randint(3, 6), 8), pattern)
-    if name == "family-induced":
-        family = [pr.H_PRESETS["path3"], pr.H_PRESETS[rng.choice(["edge", "triangle"])]]
-        return pr.encode_family_induced(random_graph(rng, rng.randint(2, 5), 6), family)
-    if name == "min-weight-clique":
-        graph = random_weighted_graph(rng, rng.randint(3, 6), 4, 8)
-        return pr.encode_min_weight_kclique(graph, 3, rng.randint(-8, 8))
-    mode = rng.choice(["edge-weights", "vertex-weights"])
-    presets = ["edge", "path3", "triangle"] if mode == "edge-weights" else ["edge"]
-    pattern = pr.H_PRESETS[rng.choice(presets)]
-    graph = random_weighted_graph(rng, rng.randint(3, 5), 3, 5, with_vertex_weights=True)
-    return pr.encode_max_h_subgraph(graph, pattern, rng.randint(-8, 8), mode)
-
-
-def unpruned_count(spec, inst, theta):
-    """Accepted tuples over evaluate_formulation's pools, by a plain product loop."""
-    top = min(inst.n**spec.r, 2 ** (theta * ls.block_length(inst.size, spec.r, theta)) - 1)
-    a_pool = [v for v in inst.elements if v <= top]
-    outside = [v for v in range(1, top + 1) if v not in inst.elements] if spec.beta else []
-    pools = [a_pool] * spec.alpha + [outside] * spec.beta
-    return sum(1 for t in product(*pools) if spec.verifier(*t))
-
-
-ENCODER_NAMES = (
-    "ksum", "collinearity", "h-induced", "family-induced", "min-weight-clique", "max-h-subgraph"
-)
-
-
-@settings(max_examples=240, deadline=None)
-@given(st.sampled_from(ENCODER_NAMES), st.integers(0, 2**32), st.integers(1, 3))
-def test_pruned_count_equals_unpruned_count(name, seed, theta):
-    spec, inst = random_encoding(name, random.Random(seed))
-    if inst.size < 2:
-        return
-    assert spec.prefix is not None
-    assert ls.evaluate_formulation(spec, inst, theta) == unpruned_count(spec, inst, theta)
 
 
 @pytest.mark.parametrize(
@@ -610,7 +526,8 @@ def declaring_encoding(name, rng):
         )
         graph = random_weighted_graph(rng, rng.randint(4, 5), 2, 6, with_vertex_weights=True)
         return pr.encode_max_h_subgraph(graph, pattern, rng.randint(-4, 4), mode)
-    return random_encoding(name, rng)
+    case = random_encoding(name, rng)
+    return case.spec, case.inst
 
 
 DECLARING_NAMES = (
@@ -754,20 +671,9 @@ def test_walk_depth_is_capped():
 def test_stream_unchanged_by_pruning():
     """On the (spec, s, theta) of acceptance criteria 2 and 3, the pruned
     literal stream emits the unpruned stream's monomials in the same order."""
-    cases = {}
-    probes = _small_instances_for_streams(random.Random(SEED + 1))
-    for (spec, inst), theta in product(probes, (1, 2)):
-        cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
-    path3 = pr.H_PRESETS["path3"]
-    criterion_3 = [
-        (pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1)), (1, 2, 3)),
-        (pr.encode_h_induced(pr.GraphInput(3, frozenset({(1, 2), (2, 3)})), path3), (1, 2)),
-    ]
-    for (spec, inst), thetas in criterion_3:
-        for theta in thetas:
-            cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
+    cases = criteria_stream_cases()
     assert len(cases) == 27
-    for (_, _, s, theta), spec in sorted(cases.items()):
+    for s, theta, spec in cases:
         pruned = ls.formulation_monomials(spec, s, theta)
         whole = ls.Member(range(spec.alpha + spec.beta), None, spec.verifier)
         unpruned_spec = replace(spec, members=(whole,))
@@ -812,7 +718,7 @@ LITERAL_SIZES = {
     [
         *(
             pytest.param(spec, LITERAL_SIZES.get(spec.name, inst.size), id=spec.name)
-            for spec, inst in _tiny_encodings()
+            for spec, inst in tiny_encodings()
         ),
         *(pytest.param(triangle_spec(), s, id=f"triangle-s{s}") for s in (5, 6)),
         *(pytest.param(path3_spec(), s, id=f"path3-s{s}") for s in (5, 6)),
@@ -832,7 +738,7 @@ def test_collected_polynomial_equals_stream_sum(spec, s, theta):
 def criteria_stream_cases():
     """The 27 (s, theta, spec) of acceptance criteria 2 and 3, in a fixed order."""
     cases = {}
-    probes = _small_instances_for_streams(random.Random(SEED + 1))
+    probes = small_stream_instances(random.Random(SEED + 1))
     for (spec, inst), theta in product(probes, (1, 2)):
         cases.setdefault((spec.name, inst.n, inst.size, theta), spec)
     path3 = pr.H_PRESETS["path3"]
@@ -857,7 +763,7 @@ def test_collected_polynomials_are_pinned():
     assert digest.hexdigest() == "40ec8f685b4a61fe9385d54ee79bac179c34ab051dd0cbb08e8b9f920e0c5d4e"
 
 
-def test_collection_cap_counts_literal_monomials(monkeypatch):
+def test_collection_cap_counts_literal_monomials(set_cap):
     """Every witness multiset of this triangle spec has multiplicity 6, and
     the cap counts the stream's variable occurrences: the collection succeeds
     at N * d, for N monomials of degree d, and raises at N * d - 1."""
@@ -867,18 +773,11 @@ def test_collection_cap_counts_literal_monomials(monkeypatch):
     degrees = [m.degree for m in ls.formulation_monomials(spec, s, theta)]
     assert set(degrees) == {3}
     occurrences = sum(degrees)
-    monkeypatch.setenv("POLYORACLE_CAP", str(occurrences))
+    set_cap("literal", occurrences)
     assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
-    monkeypatch.setenv("POLYORACLE_CAP", str(occurrences - 1))
+    set_cap("literal", occurrences - 1)
     with pytest.raises(StreamTooLarge, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
-
-
-def timed(fn):
-    start = time.perf_counter()
-    result = fn()
-    assert time.perf_counter() - start < 2
-    return result
 
 
 def test_literal_tables_skip_unused_comparison_tuples():

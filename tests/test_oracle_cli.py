@@ -20,7 +20,7 @@ from polyoracle.errors import (
 )
 from polyoracle import circuits as ci, polynomials as poly
 from oracles import has_induced_pattern, induced_copies
-from test_localsubset import timed
+from routes import timed
 
 
 def triangle_instance():

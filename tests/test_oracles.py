@@ -6,6 +6,10 @@ from pathlib import Path
 ORACLES = Path(__file__).with_name("oracles.py")
 # Input types only: a reference may read an instance, never compute with the library.
 INPUT_TYPES = {
+    "ArithmeticCircuit",
+    "ConstGate",
+    "InputGate",
+    "MulGate",
     "GraphInput",
     "PatternGraph",
     "WeightedGraphInput",

@@ -9,13 +9,8 @@ import pytest
 
 import polyoracle.permanent as pm
 from polyoracle.errors import TooLarge, ValueOutOfRange
-from oracles import f_count, mapping_coverages, permanent_ryser
-
-
-def random_matrix(rng, n, density=0.5):
-    return pm.matrix_from_rows(
-        [[1 if rng.random() < density else 0 for _ in range(n)] for _ in range(n)]
-    )
+from oracles import f_count, mapping_coverages
+from routes import random_matrix
 
 
 def test_permanent_brute_known_values():
@@ -110,19 +105,6 @@ def test_f_expand_term_counts():
         pm.f_expand(m, 0b001, 0.5)  # ceil(0.5 * 3) = 2 bits required
 
 
-def test_f_expand_signed_sum_is_permanent():
-    rng = random.Random(2)
-    for _ in range(60):
-        n = rng.randint(1, 5)
-        m = random_matrix(rng, n)
-        t = -(-n // 2)
-        coverages = mapping_coverages(m)
-        total = sum(
-            sign * f_count(coverages, spec) for sign, spec in pm.f_expand(m, (1 << t) - 1, 0.5)
-        )
-        assert total == pm.permanent_brute(m)
-
-
 def test_g_count_dp_base_cases():
     m = pm.matrix_from_rows([[1, 1], [1, 1]])
     assert pm.g_count_dp(m, [], 0, 0, 0) == 1
@@ -208,20 +190,6 @@ def test_f_count_traces_empty_target_theta_1():
         )
 
 
-def test_f_count_traces_matches_brute():
-    rng = random.Random(5)
-    for _ in range(200):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n)
-        full = (1 << n) - 1
-        eq1 = rng.randint(0, full)
-        eq0 = rng.randint(0, full) & ~eq1
-        theta = rng.choice([1, 2, 3, 4])
-        assert pm.f_count_traces(m, eq1, eq0, theta) == f_count(
-            mapping_coverages(m), pm.FSpec(eq1, eq0, 0)
-        )
-
-
 def greedy_trace(choice, n, eq1_mask, quotas):
     """The unique trace of an exactly-once mapping: breakpoints + blocks."""
     is_preimage = [bool(bit & eq1_mask) for bit in choice]
@@ -295,41 +263,6 @@ def test_permanent_via_formulation_known_values():
     assert pm.permanent_via_formulation(ones4, 0.5, 2) == 24
 
 
-def test_permanent_chain_random():
-    rng = random.Random(7)
-    for _ in range(120):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n)
-        expected = pm.permanent_brute(m)
-        assert pm.permanent_via_formulation(m, 0.5, 2) == expected
-        assert pm.permanent_via_formulation(m, 0.5, 1) == expected
-
-
-def test_one_segment_trace_count_is_the_subset_dp():
-    """At theta = 1 the trace count of every f_expand term is the single
-    unflagged subset DP over rows 1..n."""
-    rng = random.Random(19)
-    for _ in range(80):
-        n = rng.randint(1, 7)
-        m = random_matrix(rng, n)
-        for alpha in (0, 0.25, 0.5, 0.75, 1):
-            s_eq1 = (1 << math.ceil(alpha * n)) - 1
-            for _, spec in pm.f_expand(m, s_eq1, alpha):
-                assert pm.f_count_traces(m, spec.eq1, spec.eq0, 1) == pm.g_count_dp(
-                    m, range(1, n + 1), spec.eq1, spec.eq0, 0
-                )
-
-
-def test_permanent_alpha_theta_variants():
-    rng = random.Random(8)
-    for _ in range(40):
-        n = rng.randint(1, 6)
-        m = random_matrix(rng, n)
-        expected = pm.permanent_brute(m)
-        for alpha, theta in ((0.25, 2), (0.5, 3), (0.75, 1), (1.0, 2)):
-            assert pm.permanent_via_formulation(m, alpha, theta) == expected
-
-
 def test_all_ones_lane_width_boundary():
     """On the all-ones matrix with S1 empty, lane 0 ends at n**n, exactly
     the product of the row degrees that fixes the lane width."""
@@ -362,23 +295,3 @@ def test_sweeps_per_f_count_traces(monkeypatch):
             pm.f_count_traces(m, spec.eq1, spec.eq0, 3)
             assert len(calls) <= n + 1
 
-
-def test_ryser_matches_brute():
-    rng = random.Random(21)
-    for n in range(9):
-        for _ in range(10):
-            m = random_matrix(rng, n, density=rng.choice([0.3, 0.6, 0.9]))
-            assert permanent_ryser(m) == pm.permanent_brute(m)
-
-
-def test_formulation_matches_ryser_past_the_cap(set_cap):
-    """Past the library cap, checked against Ryser's formula, which shares
-    no code with the signed coverage chain."""
-    set_cap("permanent_formulation", 13)
-    rng = random.Random(22)
-    for n in (11, 12, 13):
-        for theta in (1, 2, 3):
-            m = random_matrix(rng, n, density=0.6)
-            expected = permanent_ryser(m)
-            assert expected > 0
-            assert pm.permanent_via_formulation(m, 0.5, theta) == expected

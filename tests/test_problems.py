@@ -1,9 +1,7 @@
 """Encoders: codec round trips, spec examples, equivalence with direct solvers."""
 
-import random
 import time
 from itertools import combinations, product
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,16 +10,7 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.problems as pr
 from polyoracle.errors import UniverseTooLarge, ValueOutOfRange
-from oracles import (
-    collinear_direct,
-    has_induced_pattern,
-    induced_copies,
-    ksum_direct,
-    max_h_subgraph_direct,
-    min_weight_clique_direct,
-    random_graph,
-    random_weighted_graph,
-)
+from routes import tiny_encodings
 
 
 def test_pair_codec_round_trip_exhaustive():
@@ -162,94 +151,6 @@ def test_negative_values_never_reach_codes():
     assert ls.brute_solve(spec, inst)
 
 
-def test_h_induced_random_vs_direct():
-    rng = random.Random(20)
-    for _ in range(100):
-        for name, nmax, mmax in (("path3", 7, 12), ("triangle", 8, 12), ("c4", 5, 6)):
-            graph = random_graph(rng, rng.randint(2, nmax), mmax)
-            pattern = pr.H_PRESETS[name]
-            spec, inst = pr.encode_h_induced(graph, pattern)
-            assert ls.brute_solve(spec, inst) == has_induced_pattern(graph, pattern)
-
-
-@pytest.mark.parametrize("name, edge_count", [("c4", 53), ("k4", 56)])
-def test_induced_counts_on_20_vertices(name, edge_count):
-    """The grouped witness count is the induced-copy count times alpha! *
-    beta!, one ordering of the edge slots and of the non-edge slots each."""
-    rng = random.Random(17)
-    edges = frozenset(rng.sample(list(combinations(range(1, 21), 2)), edge_count))
-    graph, pattern = pr.GraphInput(20, edges), pr.H_PRESETS[name]
-    spec, inst = pr.encode_h_induced(graph, pattern)
-    start = time.perf_counter()
-    count = ls.evaluate_formulation(spec, inst, 2)
-    assert time.perf_counter() - start < 5
-    copies = induced_copies(graph, pattern)
-    assert copies > 0
-    assert count == copies * factorial(spec.alpha) * factorial(spec.beta)
-
-
-def test_family_random_vs_direct():
-    rng = random.Random(21)
-    family = [pr.H_PRESETS["path3"], pr.H_PRESETS["edge"]]
-    for _ in range(120):
-        graph = random_graph(rng, rng.randint(1, 5), 8)
-        spec, inst = pr.encode_family_induced(graph, family)
-        expected = any(has_induced_pattern(graph, p) for p in family)
-        assert ls.brute_solve(spec, inst) == expected
-
-
-def test_ksum_random_vs_direct():
-    rng = random.Random(22)
-    for _ in range(200):
-        k = rng.choice([2, 3])
-        w = rng.randint(0, 20)
-        count = rng.randint(1, min(4, 2 * w + 1))
-        sets = tuple(
-            tuple(rng.sample(range(-w, w + 1), count)) for _ in range(k)
-        )
-        spec, inst = pr.encode_ksum(pr.KSumInput(k, sets, w))
-        assert ls.brute_solve(spec, inst) == ksum_direct(sets)
-
-
-def test_collinearity_random_vs_direct():
-    rng = random.Random(23)
-    for _ in range(200):
-        w = rng.randint(1, 15)
-        points = tuple(
-            {(rng.randint(-w, w), rng.randint(-w, w)) for _ in range(rng.randint(3, 8))}
-        )
-        spec, inst = pr.encode_collinearity(pr.PointSetInput(points, w))
-        assert ls.brute_solve(spec, inst) == collinear_direct(points)
-
-
-def test_min_weight_clique_random_vs_direct():
-    rng = random.Random(24)
-    for _ in range(150):
-        graph = random_weighted_graph(rng, rng.randint(3, 7), rng.randint(0, 15), 6)
-        threshold = rng.randint(-20, 20)
-        spec, inst = pr.encode_min_weight_kclique(graph, 3, threshold)
-        assert ls.brute_solve(spec, inst) == min_weight_clique_direct(graph, 3, threshold)
-
-
-def test_max_h_random_vs_direct():
-    rng = random.Random(25)
-    for _ in range(150):
-        mode = rng.choice(["edge-weights", "vertex-weights"])
-        name = rng.choice(["edge", "triangle"]) if mode == "edge-weights" else "edge"
-        pattern = pr.H_PRESETS[name]
-        graph = random_weighted_graph(
-            rng,
-            rng.randint(pattern.num_vertices, 6),
-            rng.randint(0, 10),
-            4 if mode == "edge-weights" else 3,
-            with_vertex_weights=True,
-        )
-        threshold = rng.randint(-15, 15)
-        spec, inst = pr.encode_max_h_subgraph(graph, pattern, threshold, mode)
-        expected = max_h_subgraph_direct(graph, pattern, threshold, mode)
-        assert ls.brute_solve(spec, inst) == expected
-
-
 def test_build_problem_registry():
     spec, inst = pr.build_problem(
         "triangle", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
@@ -266,48 +167,8 @@ def test_build_problem_registry():
         pr.build_problem("nonsense", {})
 
 
-def test_multi_slot_records_vs_direct():
-    """Min-weight 4-cliques and vertex-mode max-H for path3 and the triangle
-    (six and seven record slots, too many for ``brute_solve``), through the
-    pruned witness count against the direct solvers."""
-    rng = random.Random(27)
-    for _ in range(20):
-        graph = random_weighted_graph(rng, rng.randint(3, 5), 3, 10, with_vertex_weights=True)
-        threshold = rng.randint(-6, 6)
-        spec, inst = pr.encode_min_weight_kclique(graph, 4, threshold)
-        assert ls.solve_via_oracle(spec, inst, 2) == min_weight_clique_direct(graph, 4, threshold)
-        for name in ("path3", "triangle"):
-            pattern = pr.H_PRESETS[name]
-            spec, inst = pr.encode_max_h_subgraph(graph, pattern, threshold, "vertex-weights")
-            expected = max_h_subgraph_direct(graph, pattern, threshold, "vertex-weights")
-            assert ls.solve_via_oracle(spec, inst, 2) == expected
-
-
-def _tiny_encodings():
-    """Every encoder at a size whose whole candidate product [1, n**r]**(alpha + beta)
-    has at most 2**20 tuples.  Max-H records with more than one pair or vertex
-    slot need 64**4 tuples at the least; the random pruned-vs-unpruned count
-    test in test_localsubset and ``test_multi_slot_records_vs_direct`` cover them."""
-    graph = lambda n: pr.GraphInput(n, frozenset())  # noqa: E731
-    weighted = lambda n: pr.WeightedGraphInput(n, (), 1, (0,) * n)  # noqa: E731
-    single = pr.PatternGraph("vertex", 1, frozenset())
-    return [
-        pr.encode_ksum(pr.KSumInput(3, ((0,),) * 3, 1)),
-        pr.encode_ksum(pr.KSumInput(2, ((0,),) * 2, 2)),
-        pr.encode_collinearity(pr.PointSetInput((), 2)),
-        pr.encode_h_induced(graph(4), pr.H_PRESETS["triangle"]),
-        pr.encode_h_induced(graph(4), pr.H_PRESETS["path3"]),
-        pr.encode_family_induced(graph(3), [pr.H_PRESETS["path3"], pr.H_PRESETS["triangle"]]),
-        pr.encode_family_induced(graph(3), [pr.H_PRESETS["path3"], pr.H_PRESETS["edge"]]),
-        pr.encode_min_weight_kclique(weighted(3), 2, 0),
-        pr.encode_min_weight_kclique(weighted(2), 3, 0),
-        pr.encode_max_h_subgraph(weighted(2), pr.H_PRESETS["edge"], 0, "edge-weights"),
-        pr.encode_max_h_subgraph(weighted(2), single, 0, "vertex-weights"),
-    ]
-
-
 @pytest.mark.parametrize(
-    "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in _tiny_encodings()]
+    "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in tiny_encodings()]
 )
 def test_prefix_is_sound_exhaustively(spec, inst):
     """Over the whole candidate range, the pruned walk on ``accept`` and

@@ -6,40 +6,12 @@ from itertools import combinations
 from math import comb
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 import polyoracle.permanent as pm
 import polyoracle.setcover as sc
 from polyoracle.errors import PreconditionViolated, TooLarge, ValueOutOfRange
-from oracles import hcv_count, setcover_min_bhk, setpartition_count, setpartition_counts_bhk
-
-
-def random_family(rng, n, max_sets, size_cap, empty_rate=0.15):
-    sets = []
-    for _ in range(rng.randint(0, max_sets)):
-        if rng.random() < empty_rate:
-            sets.append(0)
-        else:
-            size = rng.randint(1, max(1, size_cap))
-            mask = sum(1 << (e - 1) for e in rng.sample(range(1, n + 1), min(size, n)))
-            sets.append(mask)
-    return sc.SetFamily(n, tuple(sets))
-
-
-def planted_lists(rng, n, size_cap, partitions, extra):
-    """The blocks of ``partitions`` random partitions of [n] into sets of size
-    at most ``size_cap``, plus ``extra`` random sets of such sizes, shuffled."""
-    lists = []
-    for _ in range(partitions):
-        elements = rng.sample(range(1, n + 1), n)
-        while elements:
-            size = rng.randint(1, size_cap)
-            lists.append(elements[:size])
-            elements = elements[size:]
-    lists += [rng.sample(range(1, n + 1), rng.randint(1, size_cap)) for _ in range(extra)]
-    rng.shuffle(lists)
-    return lists
+from oracles import hcv_count, setpartition_count
+from routes import random_family
 
 
 def test_setpartition_brute_known_values():
@@ -100,44 +72,6 @@ def test_setpartition_traces_precondition():
         sc.setpartition_via_traces(family, 1, 1)  # size 3 > floor(4/2)
 
 
-@pytest.mark.parametrize("theta", [1, 2, 3])
-def test_setpartition_traces_vs_brute(theta):
-    rng = random.Random(theta)
-    for _ in range(150):
-        n = rng.randint(2 * theta, 10)
-        family = random_family(rng, n, 10, n // (2 * theta))
-        k_max = len(family.sets)
-        counts = sc._partition_counts(family, k_max, theta)
-        assert counts == [setpartition_count(family, k) for k in range(k_max + 1)]
-        k = rng.randint(0, k_max)
-        assert sc.setpartition_via_traces(family, k, theta) == counts[k]
-
-
-@settings(max_examples=120, deadline=None)
-@given(
-    st.integers(4, 9),
-    st.lists(st.lists(st.integers(1, 9), min_size=0, max_size=2), max_size=9),
-    st.integers(0, 9),
-)
-def test_setpartition_traces_hypothesis(n, raw_sets, k):
-    lists = [[e for e in s if e <= n][: n // 4] for s in raw_sets]
-    family = sc.family_from_lists(n, [sorted(set(s)) for s in lists])
-    assert sc.setpartition_via_traces(family, k, 2) == setpartition_count(family, k)
-
-
-def test_bhk_references_match_enumeration():
-    """The inclusion-exclusion references agree with direct enumeration."""
-    rng = random.Random(19)
-    for _ in range(200):
-        n = rng.randint(0, 7)
-        family = random_family(rng, n, 9, max(1, n // 2))
-        k_max = rng.randint(-1, 6)
-        assert setpartition_counts_bhk(family, k_max) == [
-            setpartition_count(family, k) for k in range(k_max + 1)
-        ]
-        assert setcover_min_bhk(family) == sc.setcover_min(family, method="brute")
-
-
 def test_partition_lanes_hold_counts_near_the_width():
     """Many copies of two disjoint sets and many empty sets: the count for k
     sets is a*b*C(e, k - 2), far wider than any multiplicity, and every lane
@@ -149,23 +83,6 @@ def test_partition_lanes_hold_counts_near_the_width():
     assert sc._partition_counts(family, k_max, 1) == expected
     for k in range(k_max + 1):
         assert sc.setpartition_via_traces(family, k, 1) == expected[k]
-
-
-def test_partition_counts_match_bhk_past_the_cap(set_cap):
-    """Past the library cap, checked against the inclusion-exclusion count,
-    which shares no code with the trace recursion.  Per n, one family with
-    sets of size <= n/6 serves every theta, and one with sets of size <= n/2
-    serves theta = 1."""
-    set_cap("setpartition_universe", 16)
-    rng = random.Random(23)
-    for n in (13, 14, 15, 16):
-        for size_cap, thetas in ((n // 6, (1, 2, 3)), (n // 2, (1,))):
-            lists = planted_lists(rng, n, size_cap, partitions=3, extra=n)
-            family = sc.family_from_lists(n, lists + [[], []])
-            expected = setpartition_counts_bhk(family, n + 2)
-            assert any(expected)
-            for theta in thetas:
-                assert sc._partition_counts(family, n + 2, theta) == expected
 
 
 def greedy_partition_trace(masks, n, theta):
@@ -252,19 +169,6 @@ def test_hcv_branch_structure():
     assert all(inst.n == 2 for _, inst in two)
 
 
-def test_hcv_branch_signed_sums_match_brute():
-    rng = random.Random(3)
-    for _ in range(150):
-        n = rng.randint(1, 7)
-        m = rng.randint(0, n)
-        family = random_family(rng, n, 8, n)
-        k = rng.randint(0, len(family.sets))
-        expected = hcv_count(family, m, k)
-        terms = sc.hcv_branch(family, n, m, k)
-        assert len(terms) == 2 ** (n - m)
-        assert sum(sign * setpartition_count(inst, k) for sign, inst in terms) == expected
-
-
 def test_hcv_expand_known_values():
     family = sc.family_from_lists(2, [[1, 2]])
     expanded = sc.hcv_expand_setcover(family, 1)
@@ -299,49 +203,6 @@ def test_setcover_min_known_values():
     assert sc.setcover_min(sc.family_from_lists(3, [[1], [2], [3]])) == 3
     assert sc.setcover_min(sc.family_from_lists(3, [[1], [2]])) is None
     assert sc.setcover_min(sc.SetFamily(0, ())) == 0
-
-
-def test_setcover_min_methods_agree():
-    rng = random.Random(5)
-    for _ in range(120):
-        n = rng.randint(2, 8)
-        family = random_family(rng, n, 9, min(3, n // 2), empty_rate=0.1)
-        brute = sc.setcover_min(family, method="brute")
-        reduction = sc.setcover_min(family, method="reduction")
-        assert brute == reduction
-    # Families shaped like the benchmark's, where a greedy cover can exceed
-    # the minimum that the reduction must still return.
-    rng = random.Random(5)
-    greedy_gaps = 0
-    for _ in range(6):
-        lists = [rng.sample(range(1, 11), size) for size in (5, 4, 4, 3, 3, 3, 2, 2, 2)]
-        family = sc.family_from_lists(10, lists)
-        brute = sc.setcover_min(family, method="brute")
-        assert sc.setcover_min(family, method="reduction") == brute
-        if brute is not None:
-            greedy_gaps += sc._greedy_cover_size(family.sets, family.full_mask) > brute
-    assert greedy_gaps
-
-
-def test_setcover_min_reduction_matches_bhk_cover_count():
-    """At n = 13-14, above the universes test_setcover_min_methods_agree
-    draws, the reduction agrees with the least k whose inclusion-exclusion
-    k-cover count is positive."""
-    rng = random.Random(19)
-    minima = set()
-    for n in (13, 14):
-        for theta in (1, 2, 3):
-            for _ in range(3):
-                lists = planted_lists(rng, n, min(5, n // (2 * theta)), partitions=1, extra=n // 2)
-                family = sc.family_from_lists(n, lists)
-                expected = setcover_min_bhk(family)
-                assert sc.setcover_min(family, method="reduction", theta=theta) == expected
-                minima.add(expected)
-            # Without element n nothing covers [n].
-            uncoverable = sc.SetFamily(n, tuple(mask & ~(1 << (n - 1)) for mask in family.sets))
-            assert setcover_min_bhk(uncoverable) is None
-            assert sc.setcover_min(uncoverable, method="reduction", theta=theta) is None
-    assert len(minima) > 2
 
 
 def test_setcover_reduction_cap_bounds_the_branched_universe():
