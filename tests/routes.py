@@ -14,7 +14,7 @@ import math
 import random
 import sys
 import time
-from itertools import combinations, product
+from itertools import product
 from pathlib import Path
 from typing import Any, Callable, NamedTuple
 
@@ -219,7 +219,6 @@ class Inputs(NamedTuple):
     routes: tuple | None = None  # the reference first; None runs every route
     check: Callable = lambda cases, values: True  # a side assertion on cases and references
     caps: dict = {}  # cap limits lifted for the row
-    budget: float = 0  # seconds a non-reference route may take on one case; 0: no limit
     max_examples: int = 0  # for a strategy
 
 
@@ -397,13 +396,6 @@ def literal_ksum_draws():
         yield (ls_case("ksum", (values(), values()), w=w),), (1, 2, 3)
 
 
-def twenty_vertex_draws():
-    for name, edge_count in (("c4", 53), ("k4", 56)):
-        rng = random.Random(17)
-        edges = frozenset(rng.sample(list(combinations(range(1, 21), 2)), edge_count))
-        yield (ls_case("h-induced", pr.GraphInput(20, edges), pr.H_PRESETS[name]),), (2,)
-
-
 def has_prefix(cases, _):
     return all(case.spec.prefix is not None for (case,), _ in cases)
 
@@ -463,12 +455,6 @@ LS_COUNT = Quantity(
             ("evaluate_formulation", "unpruned product"),
             has_prefix,
             max_examples=40,
-        ),
-        "h-induced on 20 vertices": Inputs(
-            twenty_vertex_draws,
-            ("direct", "evaluate_formulation"),
-            lambda cases, counts: all(count > 0 for count in counts),
-            budget=5,
         ),
         "literal-stream 2-sum": Inputs(literal_ksum_draws, LITERAL),
         "literal-stream graphs": Inputs(literal_graph_draws, LITERAL),

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis.strategies import SearchStrategy
 
 import routes
-from routes import NO_INDEPENDENT_ROUTE, QUANTITIES, SKIP, timed
+from routes import NO_INDEPENDENT_ROUTE, QUANTITIES, SKIP
 
 
 def compare(quantity, row, set_cap):
@@ -25,8 +25,7 @@ def compare(quantity, row, set_cap):
         expected = table[reference].fn(*args, case_settings[0])
         for name in others:
             for setting in case_settings:
-                run = lambda: table[name].fn(*args, setting)  # noqa: E731
-                value = timed(run, rows.budget) if rows.budget else run()
+                value = table[name].fn(*args, setting)
                 assert value is SKIP or value == expected, f"{name} at {setting} on {args}"
         return expected
 
