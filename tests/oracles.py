@@ -96,26 +96,9 @@ def heavy_pattern_witnesses(
     return _slot_orders(pattern) * records * heavy
 
 
-LS_WITNESSES = {
-    "ksum": ksum_witnesses,
-    "collinearity": collinear_witnesses,
-    "h-induced": induced_witnesses,
-    "min-weight-clique": light_clique_witnesses,
-    "max-h-subgraph": heavy_pattern_witnesses,
-}
-
-
-def ls_witnesses(problem: str, *args) -> int:
-    """The LS witness count of a natural input of ``problem``."""
-    return LS_WITNESSES[problem](*args)
-
-
-def ls_decision(problem: str, *args) -> bool:
-    """Whether a natural input of ``problem`` has a solution."""
-    if problem == "family-induced":
-        graph, family = args
-        return any(has_induced_pattern(graph, pattern) for pattern in family)
-    return ls_witnesses(problem, *args) > 0
+def has_family_member(graph: GraphInput, family) -> bool:
+    """Whether the graph has an induced copy of some pattern of the family."""
+    return any(has_induced_pattern(graph, pattern) for pattern in family)
 
 
 def random_graph(rng: random.Random, n: int, max_edges: int | None = None) -> GraphInput:

@@ -3,7 +3,6 @@
 import random
 import time
 from itertools import combinations, product
-from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -12,7 +11,7 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.problems as pr
 from polyoracle.errors import UniverseTooLarge, ValueOutOfRange
-from oracles import induced_copies
+from oracles import induced_witnesses
 from routes import tiny_encodings
 
 
@@ -157,7 +156,7 @@ def test_negative_values_never_reach_codes():
 @pytest.mark.parametrize("name, edge_count", [("c4", 53), ("k4", 56)])
 def test_induced_counts_on_20_vertices(name, edge_count):
     """The grouped witness count is the induced-copy count times alpha! *
-    beta!, one ordering of the edge slots and of the non-edge slots each."""
+    beta!, the orderings of the edge slots and of the non-edge slots."""
     rng = random.Random(17)
     edges = frozenset(rng.sample(list(combinations(range(1, 21), 2)), edge_count))
     graph, pattern = pr.GraphInput(20, edges), pr.H_PRESETS[name]
@@ -165,9 +164,7 @@ def test_induced_counts_on_20_vertices(name, edge_count):
     start = time.perf_counter()
     count = ls.evaluate_formulation(spec, inst, 2)
     assert time.perf_counter() - start < 5
-    copies = induced_copies(graph, pattern)
-    assert copies > 0
-    assert count == copies * factorial(spec.alpha) * factorial(spec.beta)
+    assert count == induced_witnesses(graph, pattern) > 0
 
 
 def test_build_problem_registry():

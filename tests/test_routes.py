@@ -14,7 +14,8 @@ from routes import NO_INDEPENDENT_ROUTE, QUANTITIES, SKIP
 
 def compare(quantity, row, set_cap):
     """Compute the row's first route once per case and compare every other
-    route with it at each of the case's settings."""
+    route with it at each of the case's settings; some route must reach the
+    case."""
     table, inputs = QUANTITIES[quantity]
     rows = inputs[row]
     for name, limit in rows.caps.items():
@@ -23,10 +24,13 @@ def compare(quantity, row, set_cap):
 
     def check(args, case_settings):
         expected = table[reference].fn(*args, case_settings[0])
+        reached = False
         for name in others:
             for setting in case_settings:
                 value = table[name].fn(*args, setting)
                 assert value is SKIP or value == expected, f"{name} at {setting} on {args}"
+                reached |= value is not SKIP
+        assert reached, f"every route but {reference} skipped {args}"
         return expected
 
     if isinstance(rows.cases, SearchStrategy):
@@ -100,16 +104,20 @@ def _global_names(code):
 
 def reads_only_oracles(fn):
     """Whether every module-level name of routes.py that ``fn`` reads is
-    defined in oracles.py."""
+    defined in oracles.py, and ``fn`` reads no encoding of an LS case."""
     module = vars(routes)
-    names = [name for name in _global_names(fn.__code__) if name in module]
-    return all(getattr(module[name], "__module__", None) == "oracles" for name in names)
+    names = set(_global_names(fn.__code__))
+    return not names & {"spec", "inst"} and all(
+        getattr(module[name], "__module__", None) == "oracles" for name in names & module.keys()
+    )
 
 
 def test_every_row_has_an_independent_reference():
-    """A route marked independent reads only oracles.py.  Each row's first
-    route is independent, or the row has none and is allowlisted."""
+    """A route marked independent reads only oracles.py and the natural input
+    (an LS case's ``direct`` function comes from oracles.py).  Each row's
+    first route is independent, or the row has none and is allowlisted."""
     assert not reads_only_oracles(routes.PERMANENT.routes["permanent_brute"].fn)
+    assert not reads_only_oracles(lambda c, _: sum(map(c.spec.verifier, c.inst.elements)))
     rows = set()
     for quantity, (table, inputs) in QUANTITIES.items():
         for name, route in table.items():
