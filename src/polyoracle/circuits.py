@@ -13,9 +13,10 @@ polynomial P iff the degree-<=delta truncation of C is identical to P:
                                   <= delta; a product drops the pairs above
                                   delta, which truncation allows since it
                                   commutes with + and x.  A cap on each
-                                  original gate's nonzero monomials makes
+                                  original gate's nonzero monomials, and
+                                  one on a product's operand pairs, make
                                   non-constant-degree circuits fail fast
-                                  instead of exhausting memory.
+                                  instead of exhausting memory or time.
     2. compare against P       -- term maps are equal iff the polynomials
                                   are identical.
 
@@ -89,15 +90,11 @@ class ArithmeticCircuit:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p together with the window [2M, 4M] it was drawn from."""
+    """A prime p, checked prime on construction."""
 
     p: int
-    lower: int
-    upper: int
 
     def __post_init__(self) -> None:
-        if not self.lower <= self.p <= self.upper:
-            raise ValueError("prime outside its declared window")
         if not is_prime(self.p):
             raise ValueError("modulus is not prime")
 
@@ -232,9 +229,10 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
     delta drops pairs.  Raises CapExceeded as soon as any gate's map passes
-    the gate_terms cap.
+    the gate_terms cap, and before a product whose operands' term counts
+    multiply past the gate_pairs cap forms any pair.
     """
-    limit = cap_limit("gate_terms")
+    limit, pair_limit = cap_limit("gate_terms"), cap_limit("gate_pairs")
     degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
     # A map is dropped after its last reader, and a sum extends its left
     # operand's map in place when that reader is the sum itself, so a folded
@@ -256,6 +254,8 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
                 if last_read[operand] == gate_id:
                     expanded[operand] = None
             if isinstance(gate, MulGate):
+                if len(left) * len(right) > pair_limit:
+                    check("gate_pairs", len(left) * len(right))
                 bound = delta if degrees is not None and degrees[gate_id] > delta else None
                 terms = poly._multiply_terms(left, right, bound)
             elif last_read[gate.left] == gate_id and gate.left != gate.right:
@@ -272,9 +272,9 @@ def expand_to_polynomial(circuit: ArithmeticCircuit) -> SparsePolynomial:
     """Symbolically expand the circuit into a sparse polynomial.
 
     Shares the gate-by-gate loop of verify_circuit, with no degree bound.
-    Raises CapExceeded as soon as any of the circuit's own gates expands past
-    the gate_terms cap, signalling that the circuit is not effectively
-    constant-degree at this cap.
+    Raises CapExceeded as soon as any of the circuit's own gates passes the
+    gate_terms or gate_pairs cap, signalling that the circuit is not
+    effectively constant-degree at this cap.
     """
     return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None))
 
@@ -296,7 +296,8 @@ def verify_circuit(
     Acceptance means the circuit's expansion truncated at delta equals the
     target (same variable count and term map), so a circuit for x**3 + x is
     accepted against x at delta = 1 and rejected at delta = 3.  The
-    gate_terms cap bounds each original gate's degree-<=delta expansion, as in
+    gate_terms cap bounds each original gate's degree-<=delta expansion and
+    the gate_pairs cap each product's operand pairs, as in
     expand_to_polynomial; an overflow is reported as a rejection with its own
     reason code rather than an exception.
     """
@@ -319,7 +320,7 @@ def find_prime(bound: int) -> PrimeModulus:
     candidate = lower
     while candidate <= upper:
         if is_prime(candidate):
-            return PrimeModulus(candidate, lower, upper)
+            return PrimeModulus(candidate)
         candidate += 1
     raise AssertionError("no prime in [2M, 4M]; Bertrand's postulate violated")
 

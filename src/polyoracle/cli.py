@@ -13,7 +13,7 @@ import sys
 from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
-from .errors import PolyOracleError, PreconditionViolated, TooLarge
+from .errors import CapExceeded, PolyOracleError, PreconditionViolated
 from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, build_problem
 
 
@@ -165,7 +165,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.fn(args)
-    except (TooLarge, PreconditionViolated) as exc:
+    except (CapExceeded, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except (PolyOracleError, OSError, KeyError, ValueError) as exc:

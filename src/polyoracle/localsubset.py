@@ -245,7 +245,7 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: filter every witness tuple over S and its complement
     through ``spec.verifier``, unpruned and ignoring groups and members'
     slots, stopping at the first hit.
-    Raises UniverseTooLarge past the witness_slots, b_pool or brute_walk cap."""
+    Raises CapExceeded past the witness_slots, b_pool or brute_walk cap."""
     u = universe_size(spec, inst)
     pools = _witness_pools(spec, inst.elements, u)
     limit = cap_limit("brute_walk")
@@ -256,7 +256,7 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
 
 def _witness_pools(spec: LSProblemSpec, elements: Sequence[int], top: int) -> list[list[int]]:
     """Per-slot candidates up to ``top``: the elements of S for each a-slot and
-    the rest of [1, top] for each b-slot.  Raises UniverseTooLarge rather than
+    the rest of [1, top] for each b-slot.  Raises CapExceeded rather than
     build pools past the witness_slots or b_pool cap."""
     check("witness_slots", spec.alpha + spec.beta)
     inside = [v for v in elements if v <= top]
@@ -276,7 +276,7 @@ def accepted_tuples(
     passes ``prefix`` and which ``accept`` accepts, in product order.  A
     failing prefix is dropped with all its extensions.  Within each (start,
     stop) of ``groups`` only strictly increasing values are walked, which
-    needs those slots' pools ascending.  Raises UniverseTooLarge past the
+    needs those slots' pools ascending.  Raises CapExceeded past the
     witness_slots cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
@@ -391,10 +391,6 @@ class BlockVariableAssignment:
     theta: int
     block_len: int
     rows: tuple[int, ...]
-
-    @property
-    def m(self) -> int:
-        return len(self.rows) - 2
 
     @property
     def num_vars(self) -> int:
@@ -528,7 +524,7 @@ def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[M
     stream is the reference that formulation_polynomial is tested against.
 
     The stream depends only on (spec, s, theta) -- not on any instance --
-    and raises StreamTooLarge, before its first monomial, when its variable
+    and raises CapExceeded, before its first monomial, when its variable
     occurrences would pass the literal cap (see errors.CAPS).
     """
     witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
@@ -552,7 +548,7 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     multiplicity class at a time.  An expanded monomial is counted under its
     sorted tuple of variable indices, which becomes a power vector once per
     class.  The literal cap counts the stream's variable occurrences, so this
-    raises StreamTooLarge on exactly the inputs on which draining the stream
+    raises CapExceeded on exactly the inputs on which draining the stream
     does.  The stream is the reference this collection is tested against.
     """
     witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)

@@ -20,11 +20,10 @@ Pipeline (desk scale throughout):
                      read as one lane of a packed sweep: one flagged sweep
                      per distinct start of a non-final segment, plus one
                      unflagged sweep from row n down for the final segment
-                     (two sweeps in all at theta = 2);
-  g_count_dp      -- the segment count: subset DP over covered S1-elements,
-                     with an optional flag forcing the segment's last vertex
-                     to be a preimage (which is what pins the greedy
-                     breakpoints and makes traces disjoint).
+                     (two sweeps in all at theta = 2).  A non-final
+                     segment's flag forces its last vertex to be a
+                     preimage, which pins the greedy breakpoints and makes
+                     traces disjoint.
 
 The sweep (``_sweep``) runs the subset DP over every subset C of S1 at once,
 in one Python int: lane C, a fixed width of w bits, counts the mappings of
@@ -140,32 +139,6 @@ def f_expand(matrix: BinaryMatrix, s_eq1: int, alpha: float) -> list[tuple[int, 
     return terms
 
 
-def g_count_dp(
-    matrix: BinaryMatrix, rows: Sequence[int], s_eq1: int, s_eq0: int, flag: int
-) -> int:
-    """Segment count G_K: mappings from ``rows`` covering s_eq1 exactly once,
-    avoiding s_eq0 and everything else in S1, with the flag forcing the last
-    (maximum) row to map into s_eq1.  ``rows`` must increase strictly
-    within 1..n.
-
-    The full lane of one packed sweep over the subsets of S1 (see
-    ``_sweep``): O(2**|S1|) lanes per row, in a few big-integer operations.
-    """
-    n = matrix.n
-    rows = list(rows)
-    if any(not 1 <= u <= n for u in rows) or any(a >= b for a, b in zip(rows, rows[1:])):
-        raise ValueOutOfRange(f"rows must increase strictly within 1..{n}")
-    if s_eq1 & s_eq0:
-        raise ValueOutOfRange("constraint masks must be disjoint")
-    s_eq1 &= (1 << n) - 1
-    check("g_target", s_eq1.bit_count())
-    blocked = s_eq1 | s_eq0
-    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    width, counts = _sweep(matrix, rows, s_eq1, free, flag)
-    # The full lane is the top one: nothing lies above it.
-    return counts[-1] >> (((1 << s_eq1.bit_count()) - 1) * width)
-
-
 def _sweep(
     matrix: BinaryMatrix, rows: Sequence[int], s_eq1: int, free: Sequence[int], flag: int
 ) -> tuple[int, list[int]]:
@@ -264,12 +237,14 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     sweep from each distinct start of a non-final segment counts it for every
     end and block, and the final segment is unflagged, so its count does not
     depend on row order and one sweep from row n down counts it for every
-    start and block.  At theta = 2 that is two sweeps in all.
+    start and block.  At theta = 2 that is two sweeps in all.  A sweep holds
+    2**|S1| lanes, so |S1| is bounded by the g_target cap.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
     n = matrix.n
     size = (s_eq1 & ((1 << n) - 1)).bit_count()
+    check("g_target", size)
     quotas, flags = preimage_quotas(size, theta)
     segments = len(quotas)
     # Every segment blocks all of S1 and S0 outside its own block W.

@@ -263,7 +263,7 @@ _TRIAL_DIVISION_BELOW = 10**7
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality test; TooLarge for n >= 3.317e24, where the
+    """Deterministic primality test; CapExceeded for n >= 3.317e24, where the
     fixed Miller-Rabin witness set stops deciding (the miller_rabin cap)."""
     if n < 2:
         return False

@@ -79,15 +79,6 @@ def decode_pair(code: int) -> tuple[int, int]:
     return k, k
 
 
-@dataclass(frozen=True)
-class UniverseCodec:
-    """A size-stable bijection between natural tuples and [1, n**r]."""
-
-    r: int
-    encode: Callable[..., int]
-    decode: Callable[[int], tuple]
-
-
 # --- pattern graphs -------------------------------------------------------
 
 
@@ -368,8 +359,9 @@ def encode_family_induced(
     return spec, ls_instance(n=inp.n + 1, elements=elements)
 
 
-def tagged_codec(n: int, num_tags: int, span: int) -> UniverseCodec:
-    """Codec for records (tag, u, v, w') with tag in [num_tags], w' in [span].
+def tagged_codec(n: int, num_tags: int, span: int) -> tuple[int, Callable[..., int], Callable]:
+    """(r, encode, decode): a size-stable bijection between records (tag, u,
+    v, w'), tag in [num_tags] and w' in [span], and codes in [1, n**r].
 
     The exponent r is the smallest one with n**r >= num_tags * span * n**2,
     the top record code; the code function itself never consults n.
@@ -390,7 +382,7 @@ def tagged_codec(n: int, num_tags: int, span: int) -> UniverseCodec:
         u, v = decode_pair(rest // span + 1)
         return tag, u, v, w
 
-    return UniverseCodec(r=_tagged_universe_exponent(n, num_tags, span), encode=encode, decode=decode)
+    return _tagged_universe_exponent(n, num_tags, span), encode, decode
 
 
 def _tagged_universe_exponent(n: int, num_tags: int, span: int) -> int:
@@ -444,10 +436,7 @@ def encode_min_weight_kclique(
     wcap = max(inp.magnitude, abs(threshold), 1)
     span = 2 * wcap + 1
     shift = wcap + 1
-    codec = tagged_codec(inp.n, 2, span)
-    r = codec.r
-
-    decode = codec.decode
+    r, encode, decode = tagged_codec(inp.n, 2, span)
 
     def accept(*codes: int) -> bool:
         total = sum(decode(code)[3] - shift for code in codes[:-1])
@@ -461,8 +450,8 @@ def encode_min_weight_kclique(
     prefix = _record_prefix(decode, pair_count, fits_slot, k)
     member = Member(range(pair_count + 1), prefix, accept, _slot_groups((0, pair_count)))
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
-    elements = [codec.encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
-    elements.append(codec.encode(2, 1, 1, threshold + shift))
+    elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
+    elements.append(encode(2, 1, 1, threshold + shift))
     return spec, ls_instance(n=inp.n, elements=elements)
 
 
@@ -495,12 +484,9 @@ def encode_max_h_subgraph(
     wcap = max(inp.magnitude, abs(threshold), 1)
     span = 2 * wcap + 1
     shift = wcap + 1
-    codec = tagged_codec(inp.n, 3, span)
-    r = codec.r
+    r, encode, decode = tagged_codec(inp.n, 3, span)
     ne, nv = pattern.num_edges, pattern.num_vertices
     beta = pattern.num_nonedges
-
-    decode = codec.decode
 
     threshold_slot = ne if edge_mode else ne + nv
 
@@ -531,12 +517,12 @@ def encode_max_h_subgraph(
     elements = []
     for (u, v), w in inp.edge_weights:
         if edge_mode:
-            elements.append(codec.encode(1, u, v, w + shift))
-        elements.append(codec.encode(2, u, v, 1) if edge_mode else codec.encode(1, u, v, 1))
+            elements.append(encode(1, u, v, w + shift))
+        elements.append(encode(2, u, v, 1) if edge_mode else encode(1, u, v, 1))
     if not edge_mode:
         for vertex, w in enumerate(inp.vertex_weights, start=1):
-            elements.append(codec.encode(2, vertex, vertex, w + shift))
-    elements.append(codec.encode(3, 1, 1, threshold + shift))
+            elements.append(encode(2, vertex, vertex, w + shift))
+    elements.append(encode(3, 1, 1, threshold + shift))
     return spec, ls_instance(n=inp.n, elements=elements)
 
 

@@ -37,7 +37,9 @@ The decision chain for "is there a k-cover?":
   setcover_min        -- counts every branch instance once, for all k up to
                          the size of a greedy cover (an upper bound on the
                          minimum), and returns the first k whose signed
-                         total is positive.
+                         total is positive.  The branched universe m is
+                         held to the setpartition_universe cap before the
+                         expansion runs.
 
 Counts are exact big integers; signed intermediate sums must come out
 nonnegative and are asserted to.
@@ -98,7 +100,7 @@ class _PartitionCounter:
     index subsets of the family (trace decompositions are unique), so it stays
     below 2**len(family.sets) and w = len(family.sets) + 1 never carries."""
 
-    def __init__(self, family: SetFamily, theta: int = 1, k_max: int = 0):
+    def __init__(self, family: SetFamily, theta: int, k_max: int):
         self.n, self.theta = family.n, theta
         self.width = width = len(family.sets) + 1
         self.lane_mask = (1 << width) - 1
@@ -188,18 +190,6 @@ class _PartitionCounter:
         total = (total << self.width) & self.k_mask
         self.trace_memo[key] = total
         return total
-
-
-def z_var_dp(family: SetFamily, a_mask: int, b_mask: int, count: int) -> int:
-    """The z variable: partitions of A into ``count`` family sets whose minima
-    precede min(B).  Empty family sets are never usable here."""
-    if b_mask == 0:
-        raise ValueOutOfRange("B must be nonempty")
-    if a_mask & b_mask:
-        raise ValueOutOfRange("A and B must be disjoint")
-    check("z_universe", a_mask.bit_count())
-    counter = _PartitionCounter(family)
-    return counter.lane(counter.z(a_mask, b_mask & -b_mask), count) if count >= 0 else 0
 
 
 def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
@@ -344,6 +334,8 @@ def setcover_min(
         raise PreconditionViolated(
             f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
         )
+    # Before the expansion splits each set into up to 2**|S & [m]| sets.
+    check("setpartition_universe", m)
     k_max = _greedy_cover_size(family.sets, full)
     totals = [0] * (k_max + 1)
     for sign, instance in hcv_branch(hcv_expand_setcover(family, m), n, m, 0):

@@ -535,6 +535,16 @@ PERMANENT = Quantity(
 )
 
 
+def g_count_dp(matrix, rows, s_eq1, s_eq0, flag):
+    """Segment count G_K, the full lane of one packed sweep: mappings from
+    ``rows`` covering s_eq1 exactly once and avoiding s_eq0, flagged with
+    the last row mapped into s_eq1."""
+    blocked = s_eq1 | s_eq0
+    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
+    width, counts = pm._sweep(matrix, rows, s_eq1, free, flag)
+    return counts[-1] >> ((1 << s_eq1.bit_count()) - 1) * width
+
+
 # f-count cases are ((matrix, FSpecs), thetas); each value lists |F(eq1, eq0, {})| per FSpec.
 
 
@@ -569,9 +579,7 @@ F_COUNTS = Quantity(
             lambda m, specs, theta: [pm.f_count_traces(m, s.eq1, s.eq0, theta) for s in specs]
         ),
         "subset DP": Route(
-            lambda m, specs, _: [
-                pm.g_count_dp(m, range(1, m.n + 1), s.eq1, s.eq0, 0) for s in specs
-            ]
+            lambda m, specs, _: [g_count_dp(m, range(1, m.n + 1), s.eq1, s.eq0, 0) for s in specs]
         ),
     },
     inputs={
@@ -579,6 +587,13 @@ F_COUNTS = Quantity(
         "one-segment f_expand terms": Inputs(one_segment_draws),
     },
 )
+
+
+def z_var_dp(family, a_mask, b_mask, count):
+    """The z variable, one lane of the trace counter's z table: partitions of
+    A into ``count`` family sets whose minima precede min(B)."""
+    counter = sc._PartitionCounter(family, 1, 0)
+    return counter.lane(counter.z(a_mask, b_mask & -b_mask), count)
 
 
 # Set-partition cases are ((family, k_max), thetas); each value lists the

@@ -1,6 +1,7 @@
 """The cap table in errors.py is the one place where size limits live."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -12,12 +13,8 @@ import polyoracle.polynomials as poly
 import polyoracle.setcover as sc
 from polyoracle import errors
 
-SOURCES = Path(__file__).resolve().parents[1] / "src" / "polyoracle"
-SIZE_ERRORS = {
-    name
-    for name, value in vars(errors).items()
-    if isinstance(value, type) and issubclass(value, errors.TooLarge)
-}
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = ROOT / "src" / "polyoracle"
 
 
 def _constructed(node):
@@ -32,8 +29,8 @@ def _constructed(node):
 
 
 def test_only_the_cap_table_raises_size_errors():
-    """No module but errors.py constructs a TooLarge-family exception or
-    defines a module-level *_CAP / *_LIMIT constant."""
+    """No module but errors.py constructs CapExceeded or defines a
+    module-level *_CAP / *_LIMIT constant."""
     modules = sorted(SOURCES.glob("*.py"))
     assert len(modules) > 5
     found = []
@@ -42,8 +39,8 @@ def test_only_the_cap_table_raises_size_errors():
             continue
         tree = ast.parse(path.read_text())
         for node in ast.walk(tree):
-            if _constructed(node) in SIZE_ERRORS:
-                found.append(f"{path.name}:{node.lineno} constructs {_constructed(node)}")
+            if _constructed(node) == "CapExceeded":
+                found.append(f"{path.name}:{node.lineno} constructs CapExceeded")
         for node in tree.body:
             targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", 0)]
             for target in targets:
@@ -53,9 +50,17 @@ def test_only_the_cap_table_raises_size_errors():
 
 
 def test_every_cap_names_a_size_error():
-    for name, (limit, error, bounds) in errors.CAPS.items():
+    for name, (limit, bounds) in errors.CAPS.items():
         assert isinstance(limit, int) and limit > 0, name
-        assert issubclass(error, errors.TooLarge) and bounds, name
+        assert isinstance(bounds, str) and bounds, name
+
+
+def test_readme_cap_table_lists_every_cap():
+    """The README's table under "Exit 3 means a size cap fired" names the
+    entries of CAPS, no more and no fewer."""
+    section = (ROOT / "README.md").read_text().split("Exit 3 means a size cap fired", 1)[1]
+    table = section.split("\n\n", 2)[1]
+    assert set(re.findall(r"^\| `(\w+)` \|", table, re.MULTILINE)) == set(errors.CAPS)
 
 
 def _matrix(n):
@@ -78,12 +83,11 @@ BOUNDARIES = {
     "grid_bits": (lambda: ls.block_length(4, 3, 1), 6),
     "permanent_brute": (lambda: pm.permanent_brute(_matrix(3)), 3),
     "permanent_formulation": (lambda: pm.permanent_via_formulation(_matrix(3)), 3),
-    "g_target": (lambda: pm.g_count_dp(_matrix(3), [1, 2, 3], 0b111, 0, 0), 3),
+    "g_target": (lambda: pm.f_count_traces(_matrix(3), 0b111, 0, 1), 3),
     "setpartition_universe": (
         lambda: sc.setpartition_via_traces(sc.family_from_lists(4, [[1, 2], [3, 4]]), 2, 1),
         4,
     ),
-    "z_universe": (lambda: sc.z_var_dp(sc.family_from_lists(3, [[1, 2]]), 0b011, 0b100, 1), 2),
     "hcv_branch": (lambda: sc.hcv_branch(sc.family_from_lists(4, [[1, 4]]), 4, 1, 1), 3),
     "hcv_overlap": (
         lambda: sc.hcv_expand_setcover(sc.family_from_lists(4, [[1, 2, 3]]), 3),
@@ -95,6 +99,15 @@ BOUNDARIES = {
         ),
         2,
     ),
+    # (x0 + x1) * (x0 + x1): two operand terms each.
+    "gate_pairs": (
+        lambda: ci.expand_to_polynomial(
+            ci.ArithmeticCircuit(
+                2, (ci.InputGate(0), ci.InputGate(1), ci.AddGate(0, 1), ci.MulGate(2, 2)), 3
+            )
+        ),
+        4,
+    ),
     "miller_rabin": (lambda: poly.is_prime(10_000_019), 10_000_019),
 }
 
@@ -105,12 +118,11 @@ def test_boundaries_cover_the_table():
 
 @pytest.mark.parametrize("name", sorted(BOUNDARIES))
 def test_cap_boundary(set_cap, name):
-    """Each cap admits its limit and refuses one more, with its own error
-    class and a message that names it."""
+    """Each cap admits its limit and refuses one more with CapExceeded, whose
+    message names it."""
     call, value = BOUNDARIES[name]
     set_cap(name, value)
     call()
     set_cap(name, value - 1)
-    with pytest.raises(errors.TooLarge, match=f"cap {name} exceeded: ") as caught:
+    with pytest.raises(errors.CapExceeded, match=f"cap {name} exceeded: {value} > {value - 1} "):
         call()
-    assert type(caught.value) is errors.CAPS[name][1]

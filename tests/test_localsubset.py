@@ -16,7 +16,7 @@ import polyoracle.localsubset as ls
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
 from oracles import random_graph, random_weighted_graph
-from polyoracle.errors import StreamTooLarge, UniverseTooLarge
+from polyoracle.errors import CapExceeded
 from routes import (
     SEED,
     random_encoding,
@@ -112,7 +112,7 @@ def test_brute_solve_universe_cap():
     assert ls.solve_via_oracle(spec, inst, theta=1) is True
     path = pr.GraphInput(1001, frozenset({(1, 2), (2, 3)}))
     spec, inst = pr.encode_h_induced(path, pr.H_PRESETS["path3"])
-    with pytest.raises(UniverseTooLarge, match="cap b_pool exceeded"):
+    with pytest.raises(CapExceeded, match="cap b_pool exceeded"):
         ls.brute_solve(spec, inst)
 
 
@@ -316,7 +316,7 @@ def test_formulation_beta_degree():
 def test_stream_cap_environment(set_cap):
     spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1))
     set_cap("literal", 1)
-    with pytest.raises(StreamTooLarge):
+    with pytest.raises(CapExceeded):
         list(ls.formulation_monomials(spec, inst.size, 1))
 
 
@@ -664,7 +664,7 @@ def test_walk_depth_is_capped():
     accept = lambda *codes: True  # noqa: E731
     deepest = [[1]] * 256
     assert list(ls.accepted_tuples(deepest, accept)) == [(1,) * 256]
-    with pytest.raises(UniverseTooLarge, match="cap witness_slots exceeded: 257 > 256"):
+    with pytest.raises(CapExceeded, match="cap witness_slots exceeded: 257 > 256"):
         ls.accepted_tuples(deepest + [[1]], accept)
 
 
@@ -776,7 +776,7 @@ def test_collection_cap_counts_literal_monomials(set_cap):
     set_cap("literal", occurrences)
     assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
     set_cap("literal", occurrences - 1)
-    with pytest.raises(StreamTooLarge, match="cap literal exceeded"):
+    with pytest.raises(CapExceeded, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
 
 
@@ -790,7 +790,7 @@ def test_literal_tables_skip_unused_comparison_tuples():
 def test_literal_cap_decided_from_witness_count():
     """path3 at theta = 10 has s * |C_lt| * |C_gt| = 4 * 29524**2 monomials
     per b-slot: refused before any factor table is built."""
-    with pytest.raises(StreamTooLarge):
+    with pytest.raises(CapExceeded):
         timed(lambda: ls.formulation_polynomial(path3_spec(), 4, 10))
 
 
@@ -805,5 +805,5 @@ def test_literal_precheck_decides_huge_powers_by_bit_length():
     """A pattern on 10**12 vertices has about 5 * 10**23 b-slots."""
     pattern = pr.pattern_from_json({"n": 10**12, "edges": [[1, 2]]})
     spec, _ = pr.encode_h_induced(pr.GraphInput(2, frozenset()), pattern)
-    with pytest.raises(StreamTooLarge, match="cap literal_candidates exceeded"):
+    with pytest.raises(CapExceeded, match="cap literal_candidates exceeded"):
         timed(lambda: ls.formulation_polynomial(spec, 4, 1))

@@ -2,6 +2,7 @@
 
 import json
 import math
+import random
 import time
 from types import SimpleNamespace
 
@@ -11,14 +12,8 @@ import polyoracle.localsubset as ls
 import polyoracle.oracle as orc
 import polyoracle.problems as pr
 from polyoracle.cli import run_cli
-from polyoracle.errors import (
-    CapExceeded,
-    StreamTooLarge,
-    TooLarge,
-    UniverseTooLarge,
-    ValueOutOfRange,
-)
-from polyoracle import circuits as ci, polynomials as poly
+from polyoracle.errors import CapExceeded, PolyOracleError, ValueOutOfRange
+from polyoracle import circuits as ci, errors, polynomials as poly
 from oracles import has_induced_pattern, induced_copies
 from routes import timed
 
@@ -215,7 +210,9 @@ def test_cli_solve_malformed_json(tmp_path, problem, good, bad):
 
 
 def test_size_errors_are_one_family():
-    assert all(issubclass(e, TooLarge) for e in (CapExceeded, UniverseTooLarge, StreamTooLarge))
+    """Every cap raises the one size error, a package error."""
+    sizes = [name for name in vars(errors) if name.endswith(("TooLarge", "Exceeded"))]
+    assert sizes == ["CapExceeded"] and issubclass(CapExceeded, PolyOracleError)
 
 
 def test_cli_cap_errors(tmp_path, capsys):
@@ -342,6 +339,17 @@ def test_cli_setcover_huge_universe(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "uncoverable"
 
 
+def test_cli_setcover_refuses_a_wide_branched_universe_before_expanding(tmp_path, capsys):
+    """Ten 20-element sets over n = 40 branch down to m = 40 > 12 elements:
+    refused before the expansion splits each set into up to 2**20 sets."""
+    rng = random.Random(1)
+    sets = [rng.sample(range(1, 41), 20) for _ in range(8)]
+    sets += [list(range(1, 21)), list(range(21, 41))]
+    path = write_json(tmp_path / "f.json", {"n": 40, "sets": sets})
+    assert timed(lambda: run_cli(["setcover", "--input", path])) == 3
+    assert "cap setpartition_universe exceeded: 40 > 12" in capsys.readouterr().err
+
+
 def test_cli_formulate(tmp_path):
     graph = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
     k3 = write_json(tmp_path / "k3.json", graph)
@@ -390,6 +398,24 @@ def test_cli_verify_circuit_clamps_delta(tmp_path):
     )
     assert code == 0
     assert time.perf_counter() - start < 2
+
+
+def test_cli_verify_circuit_bounds_a_product_before_forming_it(tmp_path, capsys):
+    """(x0 + ... + x99)**4 as the square of a square: the last product would
+    pair 5 050 terms with 5 050, past the gate_pairs cap, and is refused
+    before its first pair."""
+    gates = [ci.InputGate(i) for i in range(100)]
+    total = 0
+    for i in range(1, 100):
+        gates.append(ci.AddGate(total, i))
+        total = len(gates) - 1
+    gates += [ci.MulGate(total, total), ci.MulGate(total + 1, total + 1)]
+    circuit = ci.ArithmeticCircuit(100, tuple(gates), total + 2)
+    circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
+    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(100, {})))
+    argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "4"]
+    assert timed(lambda: run_cli(argv)) == 1
+    assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
 
 
 GOOD_CIRCUIT = {"num_inputs": 1, "gates": [{"op": "input", "i": 0}], "output": 0}

@@ -14,8 +14,6 @@ INIT = PACKAGE / "__init__.py"
 TEST_ONLY_ALLOWED = {
     "circuits.evaluate_circuit": "acceptance criterion 6 reads it; ROADMAP items 2 and 6 will",
     "circuits.to_json_dict": "writes the circuit wire format that the tests feed to the CLI",
-    "permanent.g_count_dp": "the segment count that test_trace_uniqueness_audit multiplies",
-    "setcover.z_var_dp": "the z factor that test_partition_trace_uniqueness_audit multiplies",
 }
 
 

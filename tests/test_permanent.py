@@ -8,9 +8,9 @@ from itertools import product
 import pytest
 
 import polyoracle.permanent as pm
-from polyoracle.errors import TooLarge, ValueOutOfRange
+from polyoracle.errors import CapExceeded, ValueOutOfRange
 from oracles import f_count, mapping_coverages
-from routes import random_matrix
+from routes import g_count_dp, random_matrix
 
 
 def test_permanent_brute_known_values():
@@ -20,7 +20,7 @@ def test_permanent_brute_known_values():
 
 
 def test_permanent_brute_cap():
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         pm.permanent_brute(pm.matrix_from_rows([[0] * 11 for _ in range(11)]))
 
 
@@ -28,7 +28,7 @@ def test_permanent_caps_are_separate(set_cap):
     """The formulation route has its own cap, not the brute route's."""
     ones = pm.matrix_from_rows([[1] * 6 for _ in range(6)])
     set_cap("permanent_brute", 5)
-    with pytest.raises(TooLarge, match="cap permanent_brute exceeded"):
+    with pytest.raises(CapExceeded, match="cap permanent_brute exceeded"):
         pm.permanent_brute(ones)
     assert pm.permanent_via_formulation(ones) == 720
 
@@ -107,9 +107,9 @@ def test_f_expand_term_counts():
 
 def test_g_count_dp_base_cases():
     m = pm.matrix_from_rows([[1, 1], [1, 1]])
-    assert pm.g_count_dp(m, [], 0, 0, 0) == 1
-    assert pm.g_count_dp(m, [], 0, 0, 1) == 0
-    assert pm.g_count_dp(m, [], 0b01, 0, 0) == 0
+    assert g_count_dp(m, [], 0, 0, 0) == 1
+    assert g_count_dp(m, [], 0, 0, 1) == 0
+    assert g_count_dp(m, [], 0b01, 0, 0) == 0
 
 
 def test_g_count_dp_vs_restricted_enumeration():
@@ -141,23 +141,19 @@ def test_g_count_dp_vs_restricted_enumeration():
             if flag and (not choice or not choice[-1] & eq1):
                 continue
             expected += 1
-        assert pm.g_count_dp(m, rows, eq1, eq0, flag) == expected
-
-
-@pytest.mark.parametrize("rows", [[0, 1, 2], [1, 2, 4], [2, 1, 3], [1, 1, 2]])
-def test_g_count_dp_rejects_rows_outside_or_unordered(rows):
-    with pytest.raises(ValueOutOfRange, match="rows must increase strictly"):
-        pm.g_count_dp(pm.matrix_from_rows([[1] * 3 for _ in range(3)]), rows, 0b111, 0, 0)
+        assert g_count_dp(m, rows, eq1, eq0, flag) == expected
 
 
 def test_g_count_dp_band_at_the_g_target_cap():
-    """All 20 columns as S1: the packed sweep holds 2**20 lanes, and the
-    count is the band's two perfect matchings."""
+    """All 20 columns as S1, the g_target cap: the packed sweep holds 2**20
+    lanes, and the count is the band's two perfect matchings, as one sweep
+    and through f_count_traces at theta = 1."""
     band = pm.matrix_from_rows(
         [[1 if v in (u, (u + 1) % 20) else 0 for v in range(20)] for u in range(20)]
     )
     start = time.perf_counter()
-    assert pm.g_count_dp(band, range(1, 21), (1 << 20) - 1, 0, 0) == 2
+    assert g_count_dp(band, range(1, 21), (1 << 20) - 1, 0, 0) == 2
+    assert pm.f_count_traces(band, (1 << 20) - 1, 0, 1) == 2
     assert time.perf_counter() - start < 2
 
 
@@ -185,7 +181,7 @@ def test_f_count_traces_empty_target_theta_1():
         n = rng.randint(1, 5)
         m = random_matrix(rng, n)
         eq0 = rng.randint(0, (1 << n) - 1)
-        assert pm.f_count_traces(m, 0, eq0, 1) == pm.g_count_dp(
+        assert pm.f_count_traces(m, 0, eq0, 1) == g_count_dp(
             m, range(1, n + 1), 0, eq0, 0
         )
 
@@ -248,7 +244,7 @@ def test_trace_uniqueness_audit():
         for (segments, blocks), expected in histogram.items():
             got = 1
             for (start, end), block, flag in zip(segments, blocks, flags):
-                got *= pm.g_count_dp(
+                got *= g_count_dp(
                     m, range(start + 1, end + 1), block, eq0 | (eq1 & ~block), flag
                 )
             assert got == expected

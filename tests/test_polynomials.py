@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
-from polyoracle.errors import ArityMismatch, NotPrime, TooLarge
+from polyoracle.errors import ArityMismatch, CapExceeded, NotPrime
 
 
 def P(num_vars, terms):
@@ -297,7 +297,7 @@ def test_is_prime_rejects_strong_pseudoprimes():
 
 
 def test_moduli_beyond_miller_rabin_range_are_too_large():
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         ci.find_prime(2 * 10**24)
-    with pytest.raises(TooLarge):
+    with pytest.raises(CapExceeded):
         poly.eval_mod(P(1, {((0, 1),): 1}), [1], 2**89 - 1)
