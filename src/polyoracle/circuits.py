@@ -14,9 +14,10 @@ polynomial P iff the degree-<=delta truncation of C is identical to P:
                                   delta, which truncation allows since it
                                   commutes with + and x.  A cap on each
                                   original gate's nonzero monomials, and
-                                  one on a product's operand pairs, make
-                                  non-constant-degree circuits fail fast
-                                  instead of exhausting memory or time.
+                                  one on the operand pairs of all products
+                                  together, make non-constant-degree
+                                  circuits fail fast instead of exhausting
+                                  memory or time.
     2. compare against P       -- term maps are equal iff the polynomials
                                   are identical.
 
@@ -229,10 +230,12 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
     delta drops pairs.  Raises CapExceeded as soon as any gate's map passes
-    the gate_terms cap, and before a product whose operands' term counts
-    multiply past the gate_pairs cap forms any pair.
+    the gate_terms cap, and before the product that takes the running total
+    of operand term pairs, over all products so far, past the gate_pairs cap
+    forms any pair.
     """
     limit, pair_limit = cap_limit("gate_terms"), cap_limit("gate_pairs")
+    pairs = 0
     degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
     # A map is dropped after its last reader, and a sum extends its left
     # operand's map in place when that reader is the sum itself, so a folded
@@ -254,8 +257,9 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
                 if last_read[operand] == gate_id:
                     expanded[operand] = None
             if isinstance(gate, MulGate):
-                if len(left) * len(right) > pair_limit:
-                    check("gate_pairs", len(left) * len(right))
+                pairs += len(left) * len(right)
+                if pairs > pair_limit:
+                    check("gate_pairs", pairs)
                 bound = delta if degrees is not None and degrees[gate_id] > delta else None
                 terms = poly._multiply_terms(left, right, bound)
             elif last_read[gate.left] == gate_id and gate.left != gate.right:
@@ -273,8 +277,9 @@ def expand_to_polynomial(circuit: ArithmeticCircuit) -> SparsePolynomial:
 
     Shares the gate-by-gate loop of verify_circuit, with no degree bound.
     Raises CapExceeded as soon as any of the circuit's own gates passes the
-    gate_terms or gate_pairs cap, signalling that the circuit is not
-    effectively constant-degree at this cap.
+    gate_terms cap, or its products together pass the gate_pairs cap,
+    signalling that the circuit is not effectively constant-degree at
+    these caps.
     """
     return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None))
 
@@ -297,7 +302,7 @@ def verify_circuit(
     target (same variable count and term map), so a circuit for x**3 + x is
     accepted against x at delta = 1 and rejected at delta = 3.  The
     gate_terms cap bounds each original gate's degree-<=delta expansion and
-    the gate_pairs cap each product's operand pairs, as in
+    the gate_pairs cap the operand pairs of all its products together, as in
     expand_to_polynomial; an overflow is reported as a rejection with its own
     reason code rather than an exception.
     """

@@ -41,28 +41,26 @@ once and weights it by its multiplicity.  The literal monomial stream
 ``formulation_monomials`` emits every product term one by one and is the
 reference the collected polynomial is tested against.
 
-A spec states acceptance as its ``members``: checks that each read a fixed,
-strictly increasing subset of the slots, whose union is the accepted set (one
-member reading every slot for a plain problem, one per pattern for a family).
-A member's ``prefix`` is the per-slot check every nonempty prefix of its
-projection must pass, its ``accept`` the global check on the full projection,
-and its ``groups`` the runs of its positions whose order acceptance ignores.
+A spec states acceptance as its ``members``: checks that each read every
+slot, one for a plain problem and one per distinct pattern for a family.  A
+tuple is a witness iff some member accepts it, and the formulation value sums
+the members' counts.  A member's ``prefix`` is the per-slot check every
+nonempty prefix of an accepted tuple passes, its ``accept`` the global check
+on the full tuple, and its ``groups`` the runs of slots whose order
+acceptance ignores.
 
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
 lexicographic backtracking walk over per-slot candidate pools that yields the
 accepted tuples in ``itertools.product`` order, never extending a prefix that
-fails.  The witness count sums, by inclusion-exclusion over the member sets,
-the tuples that every member of a set accepts: it walks only the slots those
-members read, one increasing ordering per group times the groups'
-factorials, and multiplies by the pool size of every other slot.  The
-literal stream walks the spec's derived ``prefix`` and ``accept`` over every
-ordering of every slot; the reference ``brute_solve`` hands the derived full
-predicate ``spec.verifier`` alone to the enumerator, an unpruned filter.
+fails.  The witness count walks each member once, one increasing ordering per
+group times the groups' factorials; the literal stream walks each member
+over every ordering of every slot; the reference ``brute_solve`` hands the
+full predicate ``spec.verifier`` alone to the enumerator, an unpruned filter.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -78,11 +76,10 @@ COMPARISONS = (LT, EQ, GT)
 
 
 class Member(NamedTuple):
-    """One check of an ``LSProblemSpec``: the strictly increasing slot indices
-    it reads, its per-slot ``prefix`` (or None), its global ``accept`` and the
-    ``groups`` of its own positions whose order it ignores."""
+    """One check of an ``LSProblemSpec`` on all alpha + beta slots: its
+    per-slot ``prefix`` (or None), its global ``accept`` and the ``groups``
+    of slots whose order it ignores."""
 
-    slots: Sequence[int]
     prefix: Callable[[tuple[int, ...]], bool] | None
     accept: Callable[..., bool]
     groups: tuple[tuple[int, int], ...] = ()
@@ -90,7 +87,7 @@ class Member(NamedTuple):
 
 def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int) -> None:
     """Raise ValueError unless ``groups`` are disjoint (start, stop) ranges of
-    at least two of the positions [0, size), none straddling ``alpha``."""
+    at least two of the slots [0, size), none straddling ``alpha``."""
     previous_stop = 0
     for start, stop in sorted(groups):
         if stop - start < 2:
@@ -108,30 +105,25 @@ def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int) -> N
 class LSProblemSpec:
     """A local-subset problem: (alpha, beta, universe exponent r, members).
 
-    A tuple of alpha + beta universe codes is accepted iff some ``Member``
-    accepts its projection onto that member's ``slots``: each nonempty prefix
-    of the projection, the full one included, passes the member's ``prefix``
-    (when given) and the full projection passes its ``accept``.  ``prefix``
-    is called on ``codes[:1]``, ``codes[:2]``, ... in order and may assume
-    every shorter prefix passed; ``accept`` is called only on full
-    projections whose every prefix passed.  Both are pure and must interpret
-    a code the same way at every instance size.  A plain problem has one
-    member whose slots are range(alpha + beta).
+    A ``Member`` accepts a tuple of alpha + beta universe codes when each
+    nonempty prefix, the full tuple included, passes its ``prefix`` (when
+    given) and the full tuple passes its ``accept``.  ``prefix`` is called on
+    ``codes[:1]``, ``codes[:2]``, ... in order and may assume every shorter
+    prefix passed; ``accept`` is called only on full tuples whose every
+    prefix passed.  Both are pure and must interpret a code the same way at
+    every instance size.  A tuple is a witness iff some member accepts it,
+    and the formulation value is the sum of the members' counts: a plain
+    problem has one member, a pattern family one per distinct pattern.
 
-    A member's ``groups`` lists half-open ranges (start, stop) of its
-    positions, each of at least two inside the a-slots or inside the
-    b-slots, whose order acceptance ignores.  ``exact_evaluation_oracle``
-    counts one increasing representative per group and multiplies by the
-    groups' factorials, which is exact only when both of these hold:
+    A member's ``groups`` lists half-open ranges (start, stop) of slots, each
+    of at least two inside the a-slots or inside the b-slots, whose order
+    acceptance ignores.  ``exact_evaluation_oracle`` counts one increasing
+    representative per group and multiplies by the groups' factorials, which
+    is exact only when both of these hold:
 
-    * every accepted projection has distinct values within each group;
+    * every accepted tuple has distinct values within each group;
     * reordering a group never changes whether each prefix passes or whether
       ``accept`` passes.
-
-    ``exact_evaluation_oracle`` sums by inclusion-exclusion over the
-    distinct members, at most 2**k - 1 walks for k of them, fewer since a
-    set no tuple fits is never extended.  The spec's ``prefix``, ``accept``
-    and ``verifier`` derive the same acceptance on full tuples.
     """
 
     name: str
@@ -149,60 +141,17 @@ class LSProblemSpec:
             raise ValueError("r must be >= 1")
         if not self.members:
             raise ValueError("a spec needs at least one member")
-        size = self.alpha + self.beta
-        for slots, _, _, groups in self.members:
-            # Not listed slot by slot: size may be far past the witness_slots cap.
-            if slots == range(size):
-                _check_groups(groups, size, self.alpha)
-                continue
-            if any(not 0 <= slot < size for slot in slots):
-                raise ValueError(f"member slots {slots} leave [0, alpha + beta)")
-            if any(left >= right for left, right in zip(slots, slots[1:])):
-                raise ValueError(f"member slots {slots} are not strictly increasing")
-            _check_groups(groups, len(slots), bisect_left(slots, self.alpha))
-
-    @cached_property
-    def _checks(self) -> tuple[Callable[[tuple[int, ...]], bool] | None, Callable[..., bool]]:
-        """(prefix, accept) on full tuples: a lone member reading range(alpha +
-        beta) gives its own; else a prefix passes while some member's
-        projection of it passes that member's prefix at every length, and
-        ``accept`` asks each such member's ``accept``."""
-        first = self.members[0]
-        if set(self.members) == {first} and first.slots == range(self.alpha + self.beta):
-            return first.prefix, first.accept
-
-        def fitting(codes: Sequence[int]) -> Iterator[tuple[Callable[..., bool], tuple]]:
-            for slots, prefix, accept, _ in self.members:
-                chosen = tuple(codes[i] for i in slots[: bisect_left(slots, len(codes))])
-                if prefix is None or all(prefix(chosen[:k]) for k in range(1, len(chosen) + 1)):
-                    yield accept, chosen
-
-        def prefix(codes: tuple[int, ...]) -> bool:
-            return next(fitting(codes), None) is not None
-
-        def accept(*codes: int) -> bool:
-            return any(member_accept(*chosen) for member_accept, chosen in fitting(codes))
-
-        return prefix, accept
-
-    @property
-    def prefix(self) -> Callable[[tuple[int, ...]], bool] | None:
-        """The per-slot check every nonempty prefix of an accepted tuple passes."""
-        return self._checks[0]
-
-    @property
-    def accept(self) -> Callable[..., bool]:
-        """The global check on full tuples whose every prefix passed."""
-        return self._checks[1]
+        for member in self.members:
+            _check_groups(member.groups, self.alpha + self.beta, self.alpha)
 
     def verifier(self, *codes: int) -> bool:
-        """The full acceptance predicate on alpha + beta codes."""
-        prefix, accept = self._checks
-        if prefix is not None:
-            for length in range(1, len(codes) + 1):
-                if not prefix(codes[:length]):
-                    return False
-        return accept(*codes)
+        """The full acceptance predicate on alpha + beta codes: some member
+        accepts them."""
+        return any(
+            (prefix is None or all(prefix(codes[:k]) for k in range(1, len(codes) + 1)))
+            and accept(*codes)
+            for prefix, accept, _ in self.members
+        )
 
 
 @dataclass(frozen=True)
@@ -243,8 +192,8 @@ def universe_size(spec: LSProblemSpec, inst: LSInstance) -> int:
 
 def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: filter every witness tuple over S and its complement
-    through ``spec.verifier``, unpruned and ignoring groups and members'
-    slots, stopping at the first hit.
+    through ``spec.verifier``, unpruned and ignoring groups, stopping at the
+    first hit.
     Raises CapExceeded past the witness_slots, b_pool or brute_walk cap."""
     u = universe_size(spec, inst)
     pools = _witness_pools(spec, inst.elements, u)
@@ -465,9 +414,9 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
 def _literal_tables(
     spec: LSProblemSpec, s: int, theta: int
 ) -> tuple[list[tuple[int, ...]], dict[int, list], dict[int, list]]:
-    """The accepted candidate tuples of the size-s literal formulation and the
-    factor tables of the codes they hold, a-tables for codes in an a-slot and
-    b-tables for codes in a b-slot.
+    """The accepted candidate tuples of the size-s literal formulation, one
+    walk per member, and the factor tables of the codes they hold, a-tables
+    for codes in an a-slot and b-tables for codes in a b-slot.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
     literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
@@ -485,8 +434,10 @@ def _literal_tables(
     half = limit + 1 if theta > limit.bit_length() else (3**theta - 1) // 2
     per_witness = theta * (spec.alpha + 2 * spec.beta) * _capped_power(s, spec.alpha, limit)
     per_witness *= _capped_power(s * half * half, spec.beta, limit)
+    candidates = [range(1, top + 1)] * slots
+    walks = (accepted_tuples(candidates, accept, prefix) for prefix, accept, _ in spec.members)
     witnesses = []
-    for witness in accepted_tuples([range(1, top + 1)] * slots, spec.accept, spec.prefix):
+    for witness in chain.from_iterable(walks):
         witnesses.append(witness)
         if len(witnesses) * per_witness > limit:
             check("literal", len(witnesses) * per_witness)
@@ -616,94 +567,16 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     largest candidate code below the sentinel s_{m+1}.  Sortedness of S makes
     the row choices unique and the actual comparison outcomes select exactly
     one comparison tuple per polynomial factor, so each witness contributes
-    exactly 1.  The count is that of the union of the members' accepted sets
-    (``_union_count``)."""
+    exactly 1 per member accepting it.  Each member is one walk, one
+    increasing ordering per group, times the groups' factorials."""
     spec, x = query.spec, query.assignment
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
-    return _union_count(spec.members, _witness_pools(spec, x.rows[1:-1], top))
-
-
-def _union_count(members: Sequence[Member], pools: list[list[int]]) -> int:
-    """The tuples over ``pools`` that some member accepts, by inclusion-exclusion:
-    the sum over nonempty sets M of distinct members of (-1)**(|M| + 1) * N(M),
-    N(M) the tuples that every member of M accepts (``_common_count``).
-
-    A tuple accepted by exactly j >= 1 members is counted sum_i (-1)**(i + 1)
-    * C(j, i) = 1 times.  N only shrinks as M grows, so a set whose N is 0 is
-    not extended: each of its supersets counts 0 too."""
-    members = list(dict.fromkeys(members))
-
-    def terms(chosen: list[Member], start: int, sign: int) -> int:
-        total = 0
-        for i in range(start, len(members)):
-            grown = chosen + [members[i]]
-            count = _common_count(grown, pools)
-            if count:
-                total += sign * count + terms(grown, i + 1, -sign)
-        return total
-
-    return terms([], 0, 1)
-
-
-def _common_count(members: Sequence[Member], pools: list[list[int]]) -> int:
-    """N(M): the tuples over ``pools`` whose projection every member accepts.
-
-    Only U, the slots some member reads, is walked, one increasing ordering
-    per group, times the groups' factorials.  A lone member walks its own
-    checks.  Otherwise a member that reads the newest slot checks its
-    ``prefix`` on its projection, every member checks ``accept`` on the full
-    one, and ``_shared_groups`` gives the groups.  Each other slot is free,
-    so the count is multiplied by its pool size.  With U empty, ``accept()``
-    decides between the whole pool product and 0."""
-    if len(members) == 1:
-        ((used, prefix, accept, groups),) = members
-    else:
-        used = sorted({slot for slots, _, _, _ in members for slot in slots})
-        place = {slot: at for at, slot in enumerate(used)}
-        views = [m._replace(slots=tuple(map(place.__getitem__, m.slots))) for m in members]
-        checks: list[list] = [[] for _ in used]
-        for places, member_prefix, _, _ in views:
-            if member_prefix is not None:
-                for length, at in enumerate(places, start=1):
-                    checks[at].append((member_prefix, places[:length]))
-
-        def prefix(codes: tuple[int, ...]) -> bool:
-            tests = checks[len(codes) - 1]
-            return all(test(tuple(codes[at] for at in places)) for test, places in tests)
-
-        def accept(*codes: int) -> bool:
-            return all(test(*(codes[at] for at in places)) for places, _, test, _ in views)
-
-        groups = _shared_groups(views, len(used))
-    free = prod(len(pool) for slot, pool in enumerate(pools) if slot not in used)
-    if not used:
-        return free if accept() else 0
-    walked = sum(1 for _ in accepted_tuples([pools[slot] for slot in used], accept, prefix, groups))
-    return free * walked * prod(factorial(stop - start) for start, stop in groups)
-
-
-def _shared_groups(views, size: int) -> tuple[tuple[int, int], ...]:
-    """The maximal runs of at least two of the ``size`` walk positions that
-    every member either does not read or reads inside one of its own groups.
-    Reordering such a run reorders part of one group of each member that
-    reads it, so acceptance ignores the run's order, and the reading members
-    make its values distinct: the groups' contract holds.  Some member reads
-    each run, so the run lies inside one of that member's groups, which
-    never straddles alpha: the run's slots share one ascending pool."""
-
-    def label(at: int) -> list:
-        key = []
-        for places, _, _, member_groups in views:
-            if at not in places:
-                key.append(None)
-                continue
-            local = places.index(at)
-            # A read slot outside every group of its member is a run of its own.
-            key.append(next((g for g in member_groups if g[0] <= local < g[1]), ("alone", at)))
-        return key
-
-    runs = (list(run) for _, run in groupby(range(size), key=label))
-    return tuple((run[0], run[-1] + 1) for run in runs if len(run) >= 2)
+    pools = _witness_pools(spec, x.rows[1:-1], top)
+    return sum(
+        sum(1 for _ in accepted_tuples(pools, accept, prefix, groups))
+        * prod(factorial(stop - start) for start, stop in groups)
+        for prefix, accept, groups in spec.members
+    )
 
 
 def solve_via_oracle(

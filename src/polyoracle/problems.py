@@ -18,16 +18,16 @@ pattern-family encoder, whose instances must keep both S and its complement
 nonempty) puts a loop at vertex 1 and shifts real vertices up by one, so
 "the witness avoids the reserved vertex" is a size-independent check.
 
-Each encoder states acceptance as the spec's ``members``: one ``Member``
-reading every slot, or, for a pattern family, one per pattern.  A member
-writes every per-slot check once, in its ``prefix``: slot tags, canonical
-pairs, w == 1, distinct pairs and at most |V(H)| (or k) vertices spanned.
-Its ``accept`` keeps only the global check: the value sum, the cross
-product, the pattern isomorphism or the weight threshold.  A pattern on
-t >= 2 vertices fills C(t, 2) pair slots, and that many distinct canonical
-pairs on at most t vertices are all the pairs of exactly t vertices; so a
-clique's ``accept`` needs no vertex count, and in vertex mode the declared
-vertices are the spanned ones.
+Each encoder states acceptance as the spec's ``members``, each reading
+every slot: one ``Member``, or one per distinct pattern of a family.  A
+member writes every per-slot check once, in its ``prefix``: slot tags,
+canonical pairs, w == 1, distinct pairs and at most |V(H)| (or k) vertices
+spanned.  Its ``accept`` keeps only the global check: the value sum, the
+cross product, the pattern isomorphism or the weight threshold.  A pattern
+on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
+canonical pairs on at most t vertices are all the pairs of exactly t
+vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
+the declared vertices are the spanned ones.
 
 Where those checks read a run of slots as a set, the member declares the run
 in its ``groups``, and the prefix makes the run's values distinct: the three
@@ -275,7 +275,7 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     def accept(*codes: int) -> bool:
         return sum(codes) == zero_sum
 
-    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(range(k), prefix, accept),))
+    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(prefix, accept),))
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -297,7 +297,7 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
         return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
 
-    member = Member(range(3), prefix, accept, groups=((0, 3),))
+    member = Member(prefix, accept, groups=((0, 3),))
     spec = LSProblemSpec("collinearity", alpha=3, beta=0, r=2, members=(member,))
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
@@ -315,7 +315,7 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
     prefix, accept = _induced_checks(pattern)
     alpha, beta = pattern.num_edges, pattern.num_nonedges
     groups = _slot_groups((0, alpha), (alpha, alpha + beta))
-    member = Member(range(alpha + beta), prefix, accept, groups)
+    member = Member(prefix, accept, groups)
     spec = LSProblemSpec(f"induced-{pattern.name}", alpha, beta, r=2, members=(member,))
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -327,34 +327,41 @@ def encode_family_induced(
     """Family-induced subgraph: some member of a finite pattern family occurs.
 
     Vertex 1 is reserved and carries a loop so that S and its complement are
-    both nonempty; real vertices shift up by one.  Each pattern H is one of
-    the spec's ``members``: it reads the leading |E(H)| edge slots and the
-    leading |nonedges(H)| non-edge slots, makes the h-induced checks there
-    and avoids the reserved vertex.  A tuple is a witness iff some member
-    accepts the slots it reads.  The witness count walks only the slots that
-    the members of each inclusion-exclusion term read, and counts every
-    other slot by its pool size, since any value there leaves the tuple a
-    witness.
+    both nonempty; real vertices shift up by one.  Each distinct pattern H is
+    a member: its leading |E(H)| edge and |nonedges(H)| non-edge slots make
+    the h-induced checks and avoid vertex 1, its other edge slots hold the
+    loop, always in S, and its other non-edge slots the pair (1, 2), never in
+    S.  So the count sums the distinct patterns' h-induced counts.  Patterns
+    on fewer than two vertices fill no pair slot and are refused.
     """
-    if not family:
-        raise ValueOutOfRange("family must be nonempty")
+    if not family or any(p.num_vertices < 2 for p in family):
+        raise ValueOutOfRange("family must be nonempty, each pattern on two or more vertices")
     alpha = max(p.num_edges for p in family)
     beta = max(p.num_nonedges for p in family)
     if alpha < 1:
         raise ValueOutOfRange("family needs a member with at least one edge")
-    # Refused before the members list their slots, as many as alpha + beta.
+    # Refused before the members list their filler slots, as many as alpha + beta.
     check("witness_slots", alpha + beta)
 
     def member(pattern: PatternGraph) -> Member:
         edges, nonedges = pattern.num_edges, pattern.num_nonedges
-        slots = (*range(edges), *range(alpha, alpha + nonedges))
-        groups = _slot_groups((0, edges), (edges, edges + nonedges))
-        return Member(slots, *_induced_checks(pattern, lowest=2), groups)
+        filler = dict.fromkeys(range(edges, alpha), encode_pair(1, 1))
+        filler.update(dict.fromkeys(range(alpha + nonedges, alpha + beta), encode_pair(1, 2)))
+        induced_prefix, induced_accept = _induced_checks(pattern, lowest=2)
 
-    # A repeated pattern reuses its member, so the count can drop the copy.
-    built = {pattern: member(pattern) for pattern in family}
+        def prefix(codes: tuple[int, ...]) -> bool:
+            if len(codes) - 1 in filler:
+                return codes[-1] == filler[len(codes) - 1]
+            return induced_prefix(tuple(c for i, c in enumerate(codes) if i not in filler))
+
+        def accept(*codes: int) -> bool:
+            return induced_accept(*(c for i, c in enumerate(codes) if i not in filler))
+
+        return Member(prefix, accept, _slot_groups((0, edges), (alpha, alpha + nonedges)))
+
     name = "family-induced-" + "+".join(p.name for p in family)
-    spec = LSProblemSpec(name, alpha, beta, r=2, members=tuple(built[p] for p in family))
+    members = tuple(map(member, dict.fromkeys(family)))
+    spec = LSProblemSpec(name, alpha, beta, r=2, members=members)
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n + 1, elements=elements)
 
@@ -448,7 +455,7 @@ def encode_min_weight_kclique(
         return tag == 1 and u < v
 
     prefix = _record_prefix(decode, pair_count, fits_slot, k)
-    member = Member(range(pair_count + 1), prefix, accept, _slot_groups((0, pair_count)))
+    member = Member(prefix, accept, _slot_groups((0, pair_count)))
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -512,7 +519,7 @@ def encode_max_h_subgraph(
     alpha = threshold_slot + 1
     groups = _slot_groups((0, ne), (ne, threshold_slot), (alpha, alpha + beta))
     prefix = _record_prefix(decode, threshold_slot, fits_slot, nv)
-    member = Member(range(alpha + beta), prefix, accept, groups)
+    member = Member(prefix, accept, groups)
     spec = LSProblemSpec(f"max-{pattern.name}-subgraph-{mode}", alpha, beta, r, members=(member,))
     elements = []
     for (u, v), w in inp.edge_weights:

@@ -213,15 +213,9 @@ def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
 
 
 def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
-    """#Set Partition by summing per-trace products.
-
-    Enumerates the greedy block structure directly: blocks are built in
-    increasing order of minimum element; a non-final block must overshoot
-    n/theta once its pivot set B is added while its prefix A stays within
-    n/theta; the final block only needs its prefix within n/theta.  Each
-    block contributes y(B) * z(A, B, k_j - 1) and leftover multiplicity
-    chooses empty sets, C(#empties, k - sum k_j).
-    """
+    """#Set Partition into k sets: entry k of ``_partition_counts``, whose one
+    trace recursion counts every number of sets up to k at once (see the
+    module docstring); 0 when k < 0."""
     counts = _partition_counts(family, k, theta)
     return counts[k] if k >= 0 else 0
 

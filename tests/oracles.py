@@ -96,9 +96,9 @@ def heavy_pattern_witnesses(
     return _slot_orders(pattern) * records * heavy
 
 
-def has_family_member(graph: GraphInput, family) -> bool:
-    """Whether the graph has an induced copy of some pattern of the family."""
-    return any(has_induced_pattern(graph, pattern) for pattern in family)
+def family_witnesses(graph: GraphInput, family) -> int:
+    """The induced witnesses of each distinct pattern of the family, summed."""
+    return sum(induced_witnesses(graph, pattern) for pattern in dict.fromkeys(family))
 
 
 def random_graph(rng: random.Random, n: int, max_edges: int | None = None) -> GraphInput:

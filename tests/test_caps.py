@@ -68,7 +68,7 @@ def _matrix(n):
 
 
 def _one_witness(alpha, beta):
-    member = ls.Member(range(alpha + beta), None, lambda *codes: codes[0] == 1)
+    member = ls.Member(None, lambda *codes: codes[0] == 1)
     return ls.LSProblemSpec("one", alpha, beta, 1, members=(member,))
 
 
@@ -99,14 +99,17 @@ BOUNDARIES = {
         ),
         2,
     ),
-    # (x0 + x1) * (x0 + x1): two operand terms each.
+    # (x0 + x1) * (x0 + x1) in two product gates, then summed: 4 pairs each.
     "gate_pairs": (
         lambda: ci.expand_to_polynomial(
             ci.ArithmeticCircuit(
-                2, (ci.InputGate(0), ci.InputGate(1), ci.AddGate(0, 1), ci.MulGate(2, 2)), 3
+                2,
+                (ci.InputGate(0), ci.InputGate(1), ci.AddGate(0, 1))
+                + (ci.MulGate(2, 2), ci.MulGate(2, 2), ci.AddGate(3, 4)),
+                5,
             )
         ),
-        4,
+        8,
     ),
     "miller_rabin": (lambda: poly.is_prime(10_000_019), 10_000_019),
 }

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
-from oracles import random_graph, random_weighted_graph
+from oracles import family_witnesses, induced_witnesses, random_graph, random_weighted_graph
 from polyoracle.errors import CapExceeded
 from routes import (
     SEED,
@@ -416,7 +416,7 @@ def test_degenerate_full_and_empty_sets():
 )
 def test_spec_rejects_bad_groups(groups, message):
     def make(groups):
-        member = ls.Member(range(5), None, lambda *c: True, groups)
+        member = ls.Member(None, lambda *c: True, groups)
         return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, members=(member,))
 
     assert make(((0, 3), (3, 5))).members[0].groups == ((0, 3), (3, 5))
@@ -431,25 +431,19 @@ def accept_all(*codes):
 @pytest.mark.parametrize(
     "member, message",
     [
-        pytest.param(ls.Member((3, 5), None, accept_all), "slots .* leave", id="slot-past-the-end"),
+        pytest.param(ls.Member(None, accept_all, ((4, 6),)), "group .* leaves", id="group-outside"),
         pytest.param(
-            ls.Member((-1, 0), None, accept_all), "slots .* leave", id="slot-before-the-start"
-        ),
-        pytest.param(ls.Member((1, 0), None, accept_all), "not strictly increasing", id="unsorted"),
-        pytest.param(ls.Member((1, 1), None, accept_all), "not strictly increasing", id="repeated"),
-        pytest.param(
-            ls.Member((0, 1), None, accept_all, ((1, 3),)), "group .* leaves", id="group-outside"
-        ),
-        pytest.param(
-            ls.Member((1, 3), None, accept_all, ((0, 2),)), "straddles alpha", id="group-straddle"
+            ls.Member(None, accept_all, ((2, 4),)), "straddles alpha", id="group-straddle"
         ),
     ],
 )
 def test_spec_rejects_bad_members(member, message):
+    """Every member's groups are checked, not only the first member's."""
+
     def make(members):
         return ls.LSProblemSpec("t", alpha=3, beta=2, r=1, members=members)
 
-    good = ls.Member((0, 1, 3, 4), None, accept_all, ((0, 2), (2, 4)))
+    good = ls.Member(None, accept_all, ((0, 2), (3, 5)))
     assert make((good,)).members == (good,)
     with pytest.raises(ValueError, match=message):
         make((good, member))
@@ -457,54 +451,29 @@ def test_spec_rejects_bad_members(member, message):
         make(())
 
 
-def test_member_reading_no_slots_counts_every_tuple_or_none():
-    """A member that reads no slots accepts every tuple or none, as its
-    ``accept()`` says; the union count then reads the pool product or
-    leaves the other members' count alone."""
-    spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0, 1), (0, -1)), 1))
-    x = ls.compute_assignment(spec, inst, 1)
-    pools = inst.m**spec.alpha
-    solutions = ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x))
-    assert solutions == 2
-    ksum = ls.Member((0, 1), spec.prefix, spec.accept)
-    for nothing, expected in ((accept_all, pools), (lambda: False, solutions)):
-        with_members = replace(spec, members=(ksum, ls.Member((), None, nothing), ksum))
-        assert ls.exact_evaluation_oracle(ls.FormulationQuery(with_members, x)) == expected
-
-
-def member_accepts(member, codes):
-    slots, prefix, accept, _ = member
-    chosen = tuple(codes[i] for i in slots)
-    passes = prefix is None or all(prefix(chosen[:k]) for k in range(1, len(chosen) + 1))
-    return passes and accept(*chosen)
-
-
 def test_union_count_equals_product_filter_on_hand_built_members():
-    """Overlapping members on a- and b-slots, two of them order-sensitive
-    without groups, one with a group of b-slots, a repeat and a member that
-    reads nothing: the union count equals a filter over the whole product,
-    and so do the derived ``spec.verifier`` on each tuple and ``brute_solve``."""
-    increasing = ls.Member((0, 1), None, lambda a, b: a < b)
+    """Members on a- and b-slots, two of them order-sensitive without groups,
+    one with a group of b-slots, a repeat and one that accepts nothing: the
+    count is the sum of the members' product filters, ``spec.verifier``
+    accepts a tuple iff some member does, and ``brute_solve`` agrees."""
+    increasing = ls.Member(None, lambda a, b, c, d: a < b)
     even_sum = ls.Member(
-        (1, 2, 3),
-        lambda codes: codes[-1] not in codes[:-1],
-        lambda a, b, c: (a + b + c) % 2 == 0,
-        ((1, 3),),
+        lambda codes: len(codes) == 1 or codes[-1] not in codes[1:-1],
+        lambda a, b, c, d: (b + c + d) % 2 == 0,
+        ((2, 4),),
     )
-    above = ls.Member((0, 2), None, lambda a, b: a > b)
-    members = (increasing, even_sum, above, increasing, ls.Member((), None, lambda: False))
-
-    def accept(*codes):
-        return any(member_accepts(member, codes) for member in members)
-
+    above = ls.Member(None, lambda a, b, c, d: a > c)
+    members = (increasing, even_sum, above, increasing, ls.Member(None, lambda *codes: False))
     spec = ls.LSProblemSpec("t", alpha=2, beta=2, r=1, members=members)
     inst = ls.ls_instance(8, [2, 3, 5, 7])
     x = ls.compute_assignment(spec, inst, 1)
     a_pool, b_pool = [2, 3, 5, 7], [1, 4, 6, 8]
     tuples = list(product(a_pool, a_pool, b_pool, b_pool))
-    assert [spec.verifier(*codes) for codes in tuples] == [accept(*codes) for codes in tuples]
-    expected = sum(1 for codes in tuples if accept(*codes))
-    assert 0 < expected < 4**4
+    alone = [replace(spec, members=(member,)) for member in members]
+    accepted = [[one.verifier(*codes) for one in alone] for codes in tuples]
+    assert [spec.verifier(*codes) for codes in tuples] == list(map(any, accepted))
+    expected = sum(map(sum, accepted))
+    assert 0 < sum(map(any, accepted)) < 4**4 < expected
     assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == expected
     assert ls.brute_solve(spec, inst)
 
@@ -552,11 +521,11 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
     x = ls.compute_assignment(spec, inst, theta)
     top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
-    ungrouped = list(ls.accepted_tuples(pools, spec.accept, spec.prefix))
-    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
     (member,) = spec.members
+    ungrouped = list(ls.accepted_tuples(pools, member.accept, member.prefix))
+    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
     orbits = []
-    for witness in ls.accepted_tuples(pools, spec.accept, spec.prefix, member.groups):
+    for witness in ls.accepted_tuples(pools, member.accept, member.prefix, member.groups):
         for orders in product(*(permutations(witness[a:b]) for a, b in member.groups)):
             reordered = list(witness)
             for (a, b), order in zip(member.groups, orders):
@@ -567,55 +536,48 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
 
 
 EDGELESS_3 = pr.PatternGraph("edgeless-3", 3, frozenset())
-# A member on one vertex reads no slots: its accept() fails, so it adds nothing.
-VERTEX_1 = pr.PatternGraph("vertex", 1, frozenset())
-FAMILY_PATTERNS = (*pr.H_PRESETS.values(), ONE_EDGE_4, EDGELESS_3, VERTEX_1)
-
-
-class WalkTooLong(Exception):
-    """A reference walk called its prefix more often than its budget."""
-
-
-def budgeted(prefix, calls):
-    def counted(codes):
-        nonlocal calls
-        calls -= 1
-        if calls < 0:
-            raise WalkTooLong
-        return prefix(codes)
-
-    return counted
+FAMILY_PATTERNS = (*pr.H_PRESETS.values(), ONE_EDGE_4, EDGELESS_3)
 
 
 @settings(max_examples=120, deadline=None)
 @given(st.integers(0, 2**32), st.integers(1, 3))
 def test_family_union_count_equals_member_free_counts(seed, theta):
-    """The inclusion-exclusion count of a family equals the plain product
-    filter ``unpruned_count`` and the walk of one member that reads every
-    slot with the family's derived ``prefix`` and ``accept``.  Families hold
-    1-3 patterns, sometimes one of them twice; graphs have 3-5 vertices.
-    Both references enumerate every slot, so each runs only where it stays
-    small: the product filter up to 2 * 10**4 tuples, the one-member walk up
-    to 5 000 prefix calls."""
+    """A family's count equals ``family_witnesses``, read off the graph, and,
+    as its patterns are pairwise non-isomorphic, the plain product filter
+    ``unpruned_count`` where that has at most 2 * 10**4 tuples.  Families
+    hold 1-3 patterns, sometimes one of them twice; graphs have 3-5
+    vertices."""
     rng = random.Random(seed)
     family = rng.choices(FAMILY_PATTERNS, k=rng.randint(1, 3))
     if len(family) > 1 and rng.random() < 0.3:
         family[-1] = family[0]
     if all(pattern.num_edges == 0 for pattern in family):
         family[-1] = rng.choice(list(pr.H_PRESETS.values()))
-    spec, inst = pr.encode_family_induced(random_graph(rng, rng.randint(3, 5)), family)
+    graph = random_graph(rng, rng.randint(3, 5))
+    spec, inst = pr.encode_family_induced(graph, family)
     count = ls.evaluate_formulation(spec, inst, theta)
+    assert count == family_witnesses(graph, family)
     x = ls.compute_assignment(spec, inst, theta)
     top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
     if math.prod(map(len, pools)) <= 2 * 10**4:
         assert count == unpruned_count(spec, inst, theta)
-    whole = ls.Member(range(spec.alpha + spec.beta), budgeted(spec.prefix, 5000), spec.accept)
-    try:
-        walked = ls.evaluate_formulation(replace(spec, members=(whole,)), inst, theta)
-    except WalkTooLong:
-        return
-    assert count == walked
+
+
+def test_family_count_sums_its_distinct_patterns():
+    """Two isomorphic patterns count a copy twice, the same pattern listed
+    twice counts it once, and each family decides as ``brute_solve`` does."""
+    path3 = pr.H_PRESETS["path3"]
+    other_path3 = pr.PatternGraph("other-path3", 3, frozenset({(1, 3), (2, 3)}))
+    rng = random.Random(SEED)
+    for _ in range(40):
+        graph = random_graph(rng, rng.randint(2, 5))
+        for family, copies in (([path3, other_path3], 2), ([path3, path3], 1)):
+            spec, inst = pr.encode_family_induced(graph, family)
+            theta = rng.randint(1, 2)
+            count = ls.evaluate_formulation(spec, inst, theta)
+            assert count == copies * induced_witnesses(graph, path3)
+            assert ls.solve_via_oracle(spec, inst, theta) == ls.brute_solve(spec, inst)
 
 
 def test_brute_solve_never_consults_prefix():
@@ -641,10 +603,10 @@ def test_brute_solve_never_consults_prefix():
     # the prefix is part of the definition: the reversed pairs of a triangle
     # pass ``accept`` alone but fail the canonical-pair prefix
     reversed_codes = [pr.encode_pair(v, u) for u, v in sorted(triangle.edges)]
-    assert spec.accept(*reversed_codes) and not spec.verifier(*reversed_codes)
+    (member,) = spec.members
+    assert member.accept(*reversed_codes) and not spec.verifier(*reversed_codes)
     inst = ls.ls_instance(3, reversed_codes)
     assert not ls.brute_solve(spec, inst)
-    (member,) = spec.members
     assert ls.brute_solve(replace(spec, members=(member._replace(prefix=None),)), inst)
 
 
@@ -675,7 +637,7 @@ def test_stream_unchanged_by_pruning():
     assert len(cases) == 27
     for s, theta, spec in cases:
         pruned = ls.formulation_monomials(spec, s, theta)
-        whole = ls.Member(range(spec.alpha + spec.beta), None, spec.verifier)
+        whole = ls.Member(None, spec.verifier)
         unpruned_spec = replace(spec, members=(whole,))
         unpruned = ls.formulation_monomials(unpruned_spec, s, theta)
         assert all(a == b for a, b in zip_longest(pruned, unpruned))

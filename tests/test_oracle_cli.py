@@ -283,9 +283,10 @@ K4 = [[u, v] for u in range(1, 5) for v in range(u + 1, 5)]
     ],
 )
 def test_cli_solve_family_walks_only_the_slots_members_read(tmp_path, capsys, edges):
-    """The family [k4, a one-edge 4-vertex pattern] on 6 vertices: k4 reads
-    six edge slots, the other member one edge and five non-edge slots.  The
-    count walks only the slots each inclusion-exclusion term reads."""
+    """The family [k4, a one-edge 4-vertex pattern] on 6 vertices: k4 fills
+    six edge slots, the other member one edge and five non-edge slots.  Each
+    member walks only its own slots freely; every other slot holds one
+    filler code, so the count stays fast."""
     data = {"n": 6, "edges": edges, "family": FOUND_FAMILY}
     path = write_json(tmp_path / "input.json", data)
     start = time.perf_counter()
@@ -296,6 +297,15 @@ def test_cli_solve_family_walks_only_the_slots_members_read(tmp_path, capsys, ed
     expected = any(has_induced_pattern(graph, pr.pattern_from_json(p)) for p in FOUND_FAMILY)
     assert code == (0 if expected else 1)
     assert ("yes" if expected else "no") in capsys.readouterr().out
+
+
+def test_cli_solve_family_refuses_a_pattern_on_one_vertex(tmp_path, capsys):
+    """No pair slot can witness a one-vertex pattern, so a family holding
+    one is a usage error rather than a "no" on a graph with five copies."""
+    data = {"n": 5, "edges": [], "family": ["k4", {"n": 1, "edges": []}]}
+    path = write_json(tmp_path / "input.json", data)
+    assert run_cli(["solve", "--problem", "family-induced", "--input", path]) == 2
+    assert "two or more vertices" in capsys.readouterr().err
 
 
 SLOT_HEAVY = [
@@ -413,6 +423,33 @@ def test_cli_verify_circuit_bounds_a_product_before_forming_it(tmp_path, capsys)
     circuit = ci.ArithmeticCircuit(100, tuple(gates), total + 2)
     circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
     poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(100, {})))
+    argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "4"]
+    assert timed(lambda: run_cli(argv)) == 1
+    assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
+
+
+@pytest.mark.parametrize("inputs", [32, 42])
+def test_cli_verify_circuit_bounds_the_pairs_of_all_products(tmp_path, capsys, inputs):
+    """Five product gates each square s**2, s = x0 + ... + x_{inputs-1}, then
+    are summed.  With 32 inputs each forms 528 * 528 pairs, under the
+    gate_pairs cap, and the second takes the expansion's running total past
+    it; with 42 the first does, at 903 * 903.  Either is refused before its
+    first pair."""
+    gates = [ci.InputGate(i) for i in range(inputs)]
+    total = 0
+    for i in range(1, inputs):
+        gates.append(ci.AddGate(total, i))
+        total = len(gates) - 1
+    gates.append(ci.MulGate(total, total))
+    products = range(len(gates), len(gates) + 5)
+    gates += [ci.MulGate(len(gates) - 1, len(gates) - 1)] * 5
+    total = products[0]
+    for product in products[1:]:
+        gates.append(ci.AddGate(total, product))
+        total = len(gates) - 1
+    circuit = ci.ArithmeticCircuit(inputs, tuple(gates), total)
+    circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
+    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(inputs, {})))
     argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "4"]
     assert timed(lambda: run_cli(argv)) == 1
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"

@@ -2,6 +2,7 @@
 
 import random
 import time
+from dataclasses import replace
 from itertools import combinations, product
 
 import pytest
@@ -187,10 +188,16 @@ def test_build_problem_registry():
     "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in tiny_encodings()]
 )
 def test_prefix_is_sound_exhaustively(spec, inst):
-    """Over the whole candidate range, the pruned walk on ``accept`` and
-    ``prefix`` yields exactly the product tuples ``spec.verifier`` accepts,
-    in product order."""
+    """Over the whole candidate range, each member's pruned walk on its
+    ``accept`` and ``prefix`` yields exactly the product tuples it accepts, in
+    product order, and together they are the tuples ``spec.verifier`` accepts."""
     pools = [range(1, inst.n**spec.r + 1)] * (spec.alpha + spec.beta)
     accepted = [t for t in product(*pools) if spec.verifier(*t)]
-    assert accepted and spec.prefix is not None
-    assert list(ls.accepted_tuples(pools, spec.accept, spec.prefix)) == accepted
+    walked = set()
+    for member in spec.members:
+        alone = replace(spec, members=(member,))
+        assert member.prefix is not None
+        walk = list(ls.accepted_tuples(pools, member.accept, member.prefix))
+        assert walk == [t for t in accepted if alone.verifier(*t)]
+        walked.update(walk)
+    assert accepted and sorted(walked) == accepted
