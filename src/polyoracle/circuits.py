@@ -230,12 +230,12 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
     delta drops pairs.  Raises CapExceeded as soon as any gate's map passes
-    the gate_terms cap, and before the product that takes the running total
-    of operand term pairs, over all products so far, past the gate_pairs cap
-    forms any pair.
+    the gate_terms cap, and before the gate that takes the running total of
+    term pairs formed by products plus terms copied by sums, over all gates
+    so far, past the gate_pairs cap forms a pair or copies a term.
     """
     limit, pair_limit = cap_limit("gate_terms"), cap_limit("gate_pairs")
-    pairs = 0
+    work = 0
     degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
     # A map is dropped after its last reader, and a sum extends its left
     # operand's map in place when that reader is the sum itself, so a folded
@@ -257,14 +257,17 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
                 if last_read[operand] == gate_id:
                     expanded[operand] = None
             if isinstance(gate, MulGate):
-                pairs += len(left) * len(right)
-                if pairs > pair_limit:
-                    check("gate_pairs", pairs)
+                work += len(left) * len(right)
+                if work > pair_limit:
+                    check("gate_pairs", work)
                 bound = delta if degrees is not None and degrees[gate_id] > delta else None
                 terms = poly._multiply_terms(left, right, bound)
             elif last_read[gate.left] == gate_id and gate.left != gate.right:
                 terms = poly._add_into(left, right)
             else:
+                work += len(left)
+                if work > pair_limit:
+                    check("gate_pairs", work)
                 terms = poly._add_into(dict(left), right)
         if len(terms) > limit:
             check("gate_terms", len(terms))
@@ -277,9 +280,9 @@ def expand_to_polynomial(circuit: ArithmeticCircuit) -> SparsePolynomial:
 
     Shares the gate-by-gate loop of verify_circuit, with no degree bound.
     Raises CapExceeded as soon as any of the circuit's own gates passes the
-    gate_terms cap, or its products together pass the gate_pairs cap,
-    signalling that the circuit is not effectively constant-degree at
-    these caps.
+    gate_terms cap, or its gates together form and copy more terms than the
+    gate_pairs cap admits, signalling that the circuit is not effectively
+    constant-degree at these caps.
     """
     return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None))
 
@@ -302,9 +305,10 @@ def verify_circuit(
     target (same variable count and term map), so a circuit for x**3 + x is
     accepted against x at delta = 1 and rejected at delta = 3.  The
     gate_terms cap bounds each original gate's degree-<=delta expansion and
-    the gate_pairs cap the operand pairs of all its products together, as in
-    expand_to_polynomial; an overflow is reported as a rejection with its own
-    reason code rather than an exception.
+    the gate_pairs cap the term pairs its products form plus the terms its
+    sums copy, all gates together, as in expand_to_polynomial; an overflow
+    is reported as a rejection with its own reason code rather than an
+    exception.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")

@@ -60,10 +60,11 @@ CAPS: dict[str, tuple[int, str]] = {
     # test_circuits.py::test_expand_cap
     "gate_terms": (10**6, "nonzero monomials of one gate's expansion"),
     # Below gate_terms, so no product forms more terms than a gate may hold;
-    # pairs form at about 5 * 10**5 a second.  Tier-1 expansions and the
-    # circuit-verify benchmark form at most 6 720 in all.
+    # pairs form at about 5 * 10**5 a second.  Tier-1 expansions reach at
+    # most 6 720 in all and copy at most 19 terms; circuit-verify benchmark
+    # ops reach 988 and copy none.
     # test_oracle_cli.py::test_cli_verify_circuit_bounds_the_pairs_of_all_products
-    "gate_pairs": (5 * 10**5, "operand term pairs of all product gates of one expansion"),
+    "gate_pairs": (5 * 10**5, "term pairs formed plus terms copied in one expansion"),
     # is_prime's 13 witnesses, the primes 2..41, decide n < psi_13 = 3.317e24
     # (Sorenson & Webster, Math. Comp. 2017).
     # test_polynomials.py::test_moduli_beyond_miller_rabin_range_are_too_large

@@ -36,10 +36,12 @@ rows.  Their equality is part of the test suite.  Each accepted tuple's share
 of the literal polynomial is the product of per-slot factor tables.  All
 a-slots share one table and all b-slots another, so witnesses that differ
 only by a permutation within the a-slots or within the b-slots contribute the
-same product: ``formulation_polynomial`` expands each such witness multiset
-once and weights it by its multiplicity.  The literal monomial stream
-``formulation_monomials`` emits every product term one by one and is the
-reference the collected polynomial is tested against.
+same product: ``formulation_polynomial`` walks one ordering per group,
+weights each walked tuple by the orderings it stands for, and expands each
+witness multiset once with its summed weight.  The literal monomial stream
+``formulation_monomials`` still walks every ordering, emits every product
+term one by one and is the reference the collected polynomial is tested
+against.
 
 A spec states acceptance as its ``members``: checks that each read every
 slot, one for a plain problem and one per distinct pattern for a family.  A
@@ -52,10 +54,11 @@ acceptance ignores.
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
 lexicographic backtracking walk over per-slot candidate pools that yields the
 accepted tuples in ``itertools.product`` order, never extending a prefix that
-fails.  The witness count walks each member once, one increasing ordering per
-group times the groups' factorials; the literal stream walks each member
-over every ordering of every slot; the reference ``brute_solve`` hands the
-full predicate ``spec.verifier`` alone to the enumerator, an unpruned filter.
+fails.  The witness count and the collected literal polynomial walk each
+member once, one increasing ordering per group times the groups' factorials;
+the literal stream walks each member over every ordering of every slot; the
+reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone to
+the enumerator, an unpruned filter.
 """
 
 from __future__ import annotations
@@ -117,9 +120,11 @@ class LSProblemSpec:
 
     A member's ``groups`` lists half-open ranges (start, stop) of slots, each
     of at least two inside the a-slots or inside the b-slots, whose order
-    acceptance ignores.  ``exact_evaluation_oracle`` counts one increasing
-    representative per group and multiplies by the groups' factorials, which
-    is exact only when both of these hold:
+    acceptance ignores.  ``exact_evaluation_oracle`` and
+    ``formulation_polynomial`` walk one increasing representative per group
+    and weigh it by the groups' factorials, which is exact only when both of
+    these hold for every candidate code, over S and its complement for the
+    count and over all of [1, top] for the literal polynomial:
 
     * every accepted tuple has distinct values within each group;
     * reordering a group never changes whether each prefix passes or whether
@@ -412,16 +417,20 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
 
 
 def _literal_tables(
-    spec: LSProblemSpec, s: int, theta: int
-) -> tuple[list[tuple[int, ...]], dict[int, list], dict[int, list]]:
+    spec: LSProblemSpec, s: int, theta: int, grouped: bool = False
+) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, list], dict[int, list]]:
     """The accepted candidate tuples of the size-s literal formulation, one
-    walk per member, and the factor tables of the codes they hold, a-tables
-    for codes in an a-slot and b-tables for codes in a b-slot.
+    walk per member, each with its weight, and the factor tables of the codes
+    they hold, a-tables for codes in an a-slot and b-tables for codes in a
+    b-slot.  Unless ``grouped``, every ordering is walked with weight 1; when
+    ``grouped``, one increasing ordering per member group, weighted by the
+    groups' factorials.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
     literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
-    (3**theta - 1) / 2, so the literal cap is checked from the witness count
-    before any table is built, and literal_candidates before the walk.
+    (3**theta - 1) / 2, so the literal cap is checked from the weighted
+    witness count before any table is built, and literal_candidates before
+    the walk.
     """
     if s < 2:
         raise ValueError("size must be >= 2")
@@ -435,14 +444,19 @@ def _literal_tables(
     per_witness = theta * (spec.alpha + 2 * spec.beta) * _capped_power(s, spec.alpha, limit)
     per_witness *= _capped_power(s * half * half, spec.beta, limit)
     candidates = [range(1, top + 1)] * slots
-    walks = (accepted_tuples(candidates, accept, prefix) for prefix, accept, _ in spec.members)
     witnesses = []
-    for witness in chain.from_iterable(walks):
-        witnesses.append(witness)
-        if len(witnesses) * per_witness > limit:
-            check("literal", len(witnesses) * per_witness)
-    a_values = {v for w in witnesses for v in w[: spec.alpha]}
-    b_values = {v for w in witnesses for v in w[spec.alpha :]}
+    walked = 0
+    for prefix, accept, groups in spec.members:
+        if not grouped:
+            groups = ()
+        weight = prod(factorial(stop - start) for start, stop in groups)
+        for witness in accepted_tuples(candidates, accept, prefix, groups):
+            witnesses.append((witness, weight))
+            walked += weight
+            if walked * per_witness > limit:
+                check("literal", walked * per_witness)
+    a_values = {v for w, _ in witnesses for v in w[: spec.alpha]}
+    b_values = {v for w, _ in witnesses for v in w[spec.alpha :]}
     blocks = {v: blocks_of(v, theta, length) for v in a_values | b_values}
 
     def gadget(comparisons: Sequence[str], row: int, v: int) -> tuple[int, ...]:
@@ -455,9 +469,15 @@ def _literal_tables(
     b_factors = {}
     if b_values:
         _, c_lt, c_gt = comparison_tuple_sets(theta)
-        lt_gt = list(product(sorted(c_lt), sorted(c_gt)))
+        lts, gts = sorted(c_lt), sorted(c_gt)
         b_factors = {
-            v: [gadget(lt, j, v) + gadget(gt, j + 1, v) for j in range(s) for lt, gt in lt_gt]
+            v: [
+                lt + gt
+                for j in range(s)
+                for lt, gt in product(
+                    [gadget(c, j, v) for c in lts], [gadget(c, j + 1, v) for c in gts]
+                )
+            ]
             for v in b_values
         }
     return witnesses, a_factors, b_factors
@@ -467,12 +487,13 @@ def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[M
     """Stream the literal monomials of the size-s formulation polynomial.
 
     The outer sum ranges over accepted candidate tuples from
-    [1, s**r]; per slot holding v, a_factors[v] lists the all-equal gadgets
-    on rows i in [1, s] and b_factors[v] the C_lt(row j) * C_gt(row j + 1)
-    gadgets over j in [0, s-1].  Every emitted monomial has coefficient 1
-    and total degree exactly theta * (alpha + 2 * beta); duplicates across
-    outer terms are emitted separately, one validated Monomial each.  This
-    stream is the reference that formulation_polynomial is tested against.
+    [1, s**r], every ordering of every slot; per slot holding v, a_factors[v]
+    lists the all-equal gadgets on rows i in [1, s] and b_factors[v] the
+    C_lt(row j) * C_gt(row j + 1) gadgets over j in [0, s-1].  Every emitted
+    monomial has coefficient 1 and total degree exactly theta * (alpha + 2 *
+    beta); duplicates across outer terms are emitted separately, one
+    validated Monomial each.  This stream is the reference that
+    formulation_polynomial is tested against.
 
     The stream depends only on (spec, s, theta) -- not on any instance --
     and raises CapExceeded, before its first monomial, when its variable
@@ -480,7 +501,7 @@ def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[M
     """
     witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
     slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
-    for witness in witnesses:
+    for witness, _ in witnesses:
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
             exponents: dict[int, int] = {}
             for idx in chain.from_iterable(factors):
@@ -492,37 +513,55 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     """The size-s formulation polynomial: formulation_monomials summed per
     power vector, collected once per witness multiset.
 
-    All a-slots share one factor table and all b-slots another, so witnesses
-    that differ only by a permutation within the a-slots or within the
-    b-slots contribute the same monomials.  Each multiset (sorted a-values,
-    sorted b-values) is expanded once and weighted by its multiplicity, one
-    multiplicity class at a time.  An expanded monomial is counted under its
-    sorted tuple of variable indices, which becomes a power vector once per
-    class.  The literal cap counts the stream's variable occurrences, so this
-    raises CapExceeded on exactly the inputs on which draining the stream
-    does.  The stream is the reference this collection is tested against.
+    Each member is walked in one increasing ordering per group, and each
+    representative weighs the product of its groups' factorials: the
+    orderings it stands for.  All a-slots share one factor table and all
+    b-slots another, so witnesses that differ only by a permutation within
+    the a-slots or within the b-slots contribute the same monomials.  The
+    weights are summed per multiset (sorted a-values, sorted b-values), and
+    each multiset is expanded once, one weight class at a time.  When no two
+    of a multiset's slot tables share a variable every product is
+    squarefree, and its power vector is the sorted concatenation of
+    (index, 1) pairs; otherwise a product is counted under its sorted tuple
+    of variable indices, which becomes a power vector once per class.  The
+    literal cap counts walked witnesses times their weights, the stream's
+    variable occurrences, so this raises CapExceeded on exactly the inputs
+    on which draining the stream does.  The stream is the reference this
+    collection is tested against.
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, grouped=True)
     alpha = spec.alpha
-    multisets = Counter((tuple(sorted(w[:alpha])), tuple(sorted(w[alpha:]))) for w in witnesses)
+    multisets: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
+    for witness, weight in witnesses:
+        multisets[tuple(sorted(witness[:alpha])), tuple(sorted(witness[alpha:]))] += weight
     by_weight: dict[int, list] = {}
     for key, weight in multisets.items():
         by_weight.setdefault(weight, []).append(key)
 
-    # Shared (index, 1) pairs for the common term with no repeated variable.
+    # Shared (index, 1) pairs for the terms with no repeated variable.
     gadgets = chain(*a_factors.values(), *b_factors.values())
     unit_powers = {i: (i, 1) for i in chain.from_iterable(gadgets)}
     terms: dict[Powers, int] = {}
     for weight, keys in by_weight.items():
+        squarefree: Counter[Powers] = Counter()
         counts: Counter[tuple[int, ...]] = Counter()
         for a_values, b_values in keys:
             tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
-            counts.update(map(tuple, map(sorted, map(chain.from_iterable, product(*tables)))))
+            reads = [set(chain.from_iterable(table)) for table in tables]
+            if len(set().union(*reads)) == sum(map(len, reads)):
+                pairs = [[tuple(map(unit_powers.__getitem__, g)) for g in t] for t in tables]
+                products = product(*pairs)
+                squarefree.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
+            else:
+                products = product(*tables)
+                counts.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
         for indices, count in counts.items():
             if len(set(indices)) == len(indices):
                 powers = tuple(map(unit_powers.__getitem__, indices))
             else:
                 powers = tuple((i, len(list(run))) for i, run in groupby(indices))
+            terms[powers] = terms.get(powers, 0) + weight * count
+        for powers, count in squarefree.items():
             terms[powers] = terms.get(powers, 0) + weight * count
     return SparsePolynomial(variable_count(s, spec.r, theta), terms)
 

@@ -697,6 +697,36 @@ def test_collected_polynomial_equals_stream_sum(spec, s, theta):
     assert collected.terms == expected
 
 
+# The (spec, s) cases of test_collected_polynomial_equals_stream_sum.
+LITERAL_CASES = next(
+    mark.args[1]
+    for mark in test_collected_polynomial_equals_stream_sum.pytestmark
+    if mark.args[0] == "spec, s"
+)
+
+
+@pytest.mark.parametrize("theta", [1, 2])
+@pytest.mark.parametrize("spec, s", LITERAL_CASES)
+def test_grouped_literal_walk_weighs_each_multiset_by_its_orderings(spec, s, theta):
+    """The collection's walk, one increasing ordering per group weighted by
+    the groups' factorials, sums per (sorted a-values, sorted b-values) to
+    the multiset counts of the stream's walk over every ordering: each
+    encoder's group contract holds over every candidate code in [1, top],
+    not only over S and its complement."""
+
+    def multisets(grouped):
+        witnesses, _, _ = ls._literal_tables(spec, s, theta, grouped=grouped)
+        counts = Counter()
+        for witness, weight in witnesses:
+            a_values, b_values = witness[: spec.alpha], witness[spec.alpha :]
+            counts[tuple(sorted(a_values)), tuple(sorted(b_values))] += weight
+        return counts
+
+    every_ordering = multisets(False)
+    assert every_ordering
+    assert multisets(True) == every_ordering
+
+
 def criteria_stream_cases():
     """The 27 (s, theta, spec) of acceptance criteria 2 and 3, in a fixed order."""
     cases = {}
@@ -740,6 +770,28 @@ def test_collection_cap_counts_literal_monomials(set_cap):
     set_cap("literal", occurrences - 1)
     with pytest.raises(CapExceeded, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
+
+
+def test_collection_cap_counts_literal_monomials_with_b_slots(set_cap):
+    """path3 walks one ordering of its two edge slots, so every witness
+    multiset has multiplicity 2, and it has one b-slot.  The cap still
+    counts the stream's variable occurrences: the collection succeeds at
+    their number and, like the drained stream, raises one below it."""
+    spec, s, theta = path3_spec(), 4, 1
+    assert [member.groups for member in spec.members] == [((0, 2),)] and spec.beta == 1
+    multisets = Counter(
+        (tuple(sorted(w[: spec.alpha])), w[spec.alpha :])
+        for w in accepted_witnesses(spec, s, theta)
+    )
+    assert set(multisets.values()) == {2}
+    occurrences = sum(m.degree for m in ls.formulation_monomials(spec, s, theta))
+    set_cap("literal", occurrences)
+    assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
+    set_cap("literal", occurrences - 1)
+    with pytest.raises(CapExceeded, match="cap literal exceeded"):
+        ls.formulation_polynomial(spec, s, theta)
+    with pytest.raises(CapExceeded, match="cap literal exceeded"):
+        list(ls.formulation_monomials(spec, s, theta))
 
 
 def test_literal_tables_skip_unused_comparison_tuples():

@@ -455,6 +455,25 @@ def test_cli_verify_circuit_bounds_the_pairs_of_all_products(tmp_path, capsys, i
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
 
 
+def test_cli_verify_circuit_bounds_the_terms_sums_copy(tmp_path, capsys):
+    """s = x0 + ... + x9999, then s + x_i in 10 000 further sum gates: each
+    but the last copies s's 10 000 terms, so the sums copy 99 990 001 terms
+    in all, and the copies count toward the gate_pairs cap."""
+    inputs = 10_000
+    gates = [ci.InputGate(i) for i in range(inputs)]
+    total = 0
+    for i in range(1, inputs):
+        gates.append(ci.AddGate(total, i))
+        total = len(gates) - 1
+    gates += [ci.AddGate(total, i) for i in range(inputs)]
+    circuit = ci.ArithmeticCircuit(inputs, tuple(gates), len(gates) - 1)
+    circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
+    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(inputs, {})))
+    argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "2"]
+    assert timed(lambda: run_cli(argv)) == 1
+    assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
+
+
 GOOD_CIRCUIT = {"num_inputs": 1, "gates": [{"op": "input", "i": 0}], "output": 0}
 GOOD_POLY = {"num_vars": 1, "monomials": [{"coeff": "1", "powers": [[0, 1]]}]}
 
