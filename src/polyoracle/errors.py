@@ -42,6 +42,11 @@ CAPS: dict[str, tuple[int, str]] = {
     # Far below CPython's recursion limit of 1000: the walk recurses once per slot.
     # test_localsubset.py::test_walk_depth_is_capped
     "witness_slots": (256, "alpha + beta slots of the witness walk"),
+    # Checked per node of accepted_tuples's walk, a whole pool at a time.
+    # Tier-1 library walks try at most 266 801 candidates, the ls-decide and
+    # ls-literal benchmark ops at most 3 330.
+    # test_oracle_cli.py::test_cli_ls_walks_are_bounded
+    "ls_walk": (5 * 10**5, "candidates tried by one LS walk"),
     # Counts variable occurrences, alike for the stream and the collected polynomial.
     # test_localsubset.py::test_collection_cap_counts_literal_monomials
     "literal": (10**7, "literal variable occurrences, monomials * degree"),

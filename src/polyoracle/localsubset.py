@@ -33,15 +33,16 @@ evaluation paths compute the same number at x: the literal polynomial
 (exponentially large in alpha + beta, usable only at tiny s) and the witness
 count ``exact_evaluation_oracle``, which reads S and its complement from x's
 rows.  Their equality is part of the test suite.  Each accepted tuple's share
-of the literal polynomial is the product of per-slot factor tables.  All
-a-slots share one table and all b-slots another, so witnesses that differ
-only by a permutation within the a-slots or within the b-slots contribute the
-same product: ``formulation_polynomial`` walks one ordering per group,
-weights each walked tuple by the orderings it stands for, and expands each
-witness multiset once with its summed weight.  The literal monomial stream
-``formulation_monomials`` still walks every ordering, emits every product
-term one by one and is the reference the collected polynomial is tested
-against.
+of the literal polynomial is the product of per-slot factor tables, whose
+entries are gadgets held as (index, 1) power pairs.  All a-slots share one
+table and all b-slots another, so witnesses that differ only by a
+permutation within the a-slots or within the b-slots contribute the same
+product: ``formulation_polynomial`` walks one ordering per group, weights
+each walked tuple by the orderings it stands for, and expands each witness
+multiset once with its summed weight, collapsing repeated pairs into powers.
+The literal monomial stream ``formulation_monomials`` still walks every
+ordering, emits every product term one by one and is the reference the
+collected polynomial is tested against.
 
 A spec states acceptance as its ``members``: checks that each read every
 slot, one for a plain problem and one per distinct pattern for a family.  A
@@ -58,7 +59,8 @@ fails.  The witness count and the collected literal polynomial walk each
 member once, one increasing ordering per group times the groups' factorials;
 the literal stream walks each member over every ordering of every slot; the
 reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone to
-the enumerator, an unpruned filter.
+the enumerator, an unpruned filter.  Every walk stops with CapExceeded once
+it has tried more candidates than the ls_walk cap allows.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
 from math import factorial, prod
-from typing import Callable, Iterator, NamedTuple, Sequence
+from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import cap_limit, check
 from .polynomials import Monomial, Powers, SparsePolynomial
@@ -199,7 +201,8 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: filter every witness tuple over S and its complement
     through ``spec.verifier``, unpruned and ignoring groups, stopping at the
     first hit.
-    Raises CapExceeded past the witness_slots, b_pool or brute_walk cap."""
+    Raises CapExceeded past the witness_slots, b_pool, brute_walk or ls_walk
+    cap."""
     u = universe_size(spec, inst)
     pools = _witness_pools(spec, inst.elements, u)
     limit = cap_limit("brute_walk")
@@ -231,28 +234,37 @@ def accepted_tuples(
     failing prefix is dropped with all its extensions.  Within each (start,
     stop) of ``groups`` only strictly increasing values are walked, which
     needs those slots' pools ascending.  Raises CapExceeded past the
-    witness_slots cap."""
+    witness_slots cap, and, while walking, once the candidates tried (each
+    node's whole pool) pass the ls_walk cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
     for start, stop in groups:
         chained[start + 1 : stop] = [True] * (stop - start - 1)
-    return _extend(pools, accept, prefix, chained, ())
+    return _extend(pools, accept, prefix, chained, (), cap_limit("ls_walk"))
 
 
-def _extend(pools, accept, prefix, chained, head: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+def _extend(
+    pools, accept, prefix, chained, head: tuple[int, ...], budget: int
+) -> Generator[tuple[int, ...], None, int]:
+    """Walk the extensions of ``head`` with ``budget`` candidates left to try;
+    return what is left of it."""
     depth = len(head)
     last = depth + 1 == len(pools)
     pool = pools[depth]
     if chained[depth]:
         pool = pool[bisect_right(pool, head[-1]) :]
+    budget -= len(pool)
+    if budget < 0:
+        check("ls_walk", cap_limit("ls_walk") - budget)
     for value in pool:
         extended = head + (value,)
         if prefix is not None and not prefix(extended):
             continue
         if not last:
-            yield from _extend(pools, accept, prefix, chained, extended)
+            budget = yield from _extend(pools, accept, prefix, chained, extended, budget)
         elif accept(*extended):
             yield extended
+    return budget
 
 
 # --- block comparison machinery ------------------------------------------
@@ -422,9 +434,10 @@ def _literal_tables(
     """The accepted candidate tuples of the size-s literal formulation, one
     walk per member, each with its weight, and the factor tables of the codes
     they hold, a-tables for codes in an a-slot and b-tables for codes in a
-    b-slot.  Unless ``grouped``, every ordering is walked with weight 1; when
-    ``grouped``, one increasing ordering per member group, weighted by the
-    groups' factorials.
+    b-slot.  A table lists gadgets, each a tuple of (index, 1) power pairs
+    built once per code.  Unless ``grouped``, every ordering is walked with
+    weight 1; when ``grouped``, one increasing ordering per member group,
+    weighted by the groups' factorials.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
     literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
@@ -459,9 +472,9 @@ def _literal_tables(
     b_values = {v for w, _ in witnesses for v in w[spec.alpha :]}
     blocks = {v: blocks_of(v, theta, length) for v in a_values | b_values}
 
-    def gadget(comparisons: Sequence[str], row: int, v: int) -> tuple[int, ...]:
+    def gadget(comparisons: Sequence[str], row: int, v: int) -> Powers:
         return tuple(
-            flat_variable_index(s, theta, length, c, row, q, block)
+            (flat_variable_index(s, theta, length, c, row, q, block), 1)
             for q, (c, block) in enumerate(zip(comparisons, blocks[v]), start=1)
         )
 
@@ -504,7 +517,7 @@ def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[M
     for witness, _ in witnesses:
         for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
             exponents: dict[int, int] = {}
-            for idx in chain.from_iterable(factors):
+            for idx, _ in chain.from_iterable(factors):
                 exponents[idx] = exponents.get(idx, 0) + 1
             yield Monomial(1, tuple(sorted(exponents.items())))
 
@@ -519,15 +532,15 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     b-slots another, so witnesses that differ only by a permutation within
     the a-slots or within the b-slots contribute the same monomials.  The
     weights are summed per multiset (sorted a-values, sorted b-values), and
-    each multiset is expanded once, one weight class at a time.  When no two
-    of a multiset's slot tables share a variable every product is
-    squarefree, and its power vector is the sorted concatenation of
-    (index, 1) pairs; otherwise a product is counted under its sorted tuple
-    of variable indices, which becomes a power vector once per class.  The
-    literal cap counts walked witnesses times their weights, the stream's
-    variable occurrences, so this raises CapExceeded on exactly the inputs
-    on which draining the stream does.  The stream is the reference this
-    collection is tested against.
+    each multiset is expanded once, one weight class at a time: every
+    product is counted under the sorted concatenation of its gadgets'
+    (index, 1) pairs.  When no two of a multiset's slot tables share a
+    variable, every such key is already a power vector; otherwise a key
+    may repeat a pair, and it collapses into (index, exponent) pairs once
+    per class.  The literal cap counts walked witnesses times their
+    weights, the stream's variable occurrences, so this raises CapExceeded
+    on exactly the inputs on which draining the stream does.  The stream is
+    the reference this collection is tested against.
     """
     witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, grouped=True)
     alpha = spec.alpha
@@ -538,29 +551,21 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     for key, weight in multisets.items():
         by_weight.setdefault(weight, []).append(key)
 
-    # Shared (index, 1) pairs for the terms with no repeated variable.
-    gadgets = chain(*a_factors.values(), *b_factors.values())
-    unit_powers = {i: (i, 1) for i in chain.from_iterable(gadgets)}
     terms: dict[Powers, int] = {}
     for weight, keys in by_weight.items():
         squarefree: Counter[Powers] = Counter()
-        counts: Counter[tuple[int, ...]] = Counter()
+        repeats: Counter[Powers] = Counter()
         for a_values, b_values in keys:
             tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
             reads = [set(chain.from_iterable(table)) for table in tables]
-            if len(set().union(*reads)) == sum(map(len, reads)):
-                pairs = [[tuple(map(unit_powers.__getitem__, g)) for g in t] for t in tables]
-                products = product(*pairs)
-                squarefree.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
-            else:
-                products = product(*tables)
-                counts.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
-        for indices, count in counts.items():
-            if len(set(indices)) == len(indices):
-                powers = tuple(map(unit_powers.__getitem__, indices))
-            else:
-                powers = tuple((i, len(list(run))) for i, run in groupby(indices))
-            terms[powers] = terms.get(powers, 0) + weight * count
+            disjoint = len(set().union(*reads)) == sum(map(len, reads))
+            counter = squarefree if disjoint else repeats
+            products = product(*tables)
+            counter.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
+        for pairs, count in repeats.items():
+            if len(set(pairs)) < len(pairs):
+                pairs = tuple((i, len(list(run))) for (i, _), run in groupby(pairs))
+            terms[pairs] = terms.get(pairs, 0) + weight * count
         for powers, count in squarefree.items():
             terms[powers] = terms.get(powers, 0) + weight * count
     return SparsePolynomial(variable_count(s, spec.r, theta), terms)

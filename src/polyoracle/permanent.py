@@ -33,8 +33,8 @@ and w is that product's bit length, so no lane carries into the next and
 every count stays exact.
 
 permanent_via_formulation is the whole chain: the signed sum of f_expand's
-terms, each counted by f_count_traces.  At theta = 1 a trace is one unflagged
-segment over all rows, so each term costs a single sweep.
+terms, each counted as f_count_traces counts it.  At theta = 1 a trace is one
+unflagged segment over all rows, so each term costs a single sweep.
 """
 
 from __future__ import annotations
@@ -238,19 +238,32 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     end and block, and the final segment is unflagged, so its count does not
     depend on row order and one sweep from row n down counts it for every
     start and block.  At theta = 2 that is two sweeps in all.  A sweep holds
-    2**|S1| lanes, so |S1| is bounded by the g_target cap.
+    2**|S1| lanes, so |S1| is bounded by the g_target cap.  The ordered
+    partitions of S1 into blocks depend only on (|S1|, theta), so
+    permanent_via_formulation builds them once for all its terms.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    n = matrix.n
-    size = (s_eq1 & ((1 << n) - 1)).bit_count()
+    size = (s_eq1 & ((1 << matrix.n) - 1)).bit_count()
+    return _count_traces(matrix, s_eq1, s_eq0, theta, _block_partitions(size, theta))
+
+
+def _block_partitions(size: int, theta: int) -> list[list[int]]:
+    """The ordered partitions of |S1| = size into the blocks of its quotas."""
     check("g_target", size)
-    quotas, flags = preimage_quotas(size, theta)
+    return list(_ordered_partitions(tuple(range(size)), preimage_quotas(size, theta)[0]))
+
+
+def _count_traces(
+    matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int, partitions: list[list[int]]
+) -> int:
+    """f_count_traces for disjoint masks, given the ``_block_partitions``."""
+    n = matrix.n
+    quotas, flags = preimage_quotas((s_eq1 & ((1 << n) - 1)).bit_count(), theta)
     segments = len(quotas)
     # Every segment blocks all of S1 and S0 outside its own block W.
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    partitions = list(_ordered_partitions(tuple(range(size)), quotas))
 
     backward = _sweep(matrix, range(n, 0, -1), s_eq1, free, 0)
     forward: dict[int, tuple[int, list[int]]] = {}
@@ -291,10 +304,11 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
     check("permanent_formulation", n)
     if n == 0:
         return 1
-    s_eq1 = (1 << ceil(alpha * n)) - 1
+    size = ceil(alpha * n)
+    partitions = _block_partitions(size, theta)
     total = 0
-    for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * f_count_traces(matrix, spec.eq1, spec.eq0, theta)
+    for sign, spec in f_expand(matrix, (1 << size) - 1, alpha):
+        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, partitions)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

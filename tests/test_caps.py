@@ -77,6 +77,8 @@ BOUNDARIES = {
     "brute_walk": (lambda: ls.brute_solve(_one_witness(1, 1), ls.ls_instance(5, [1])), 4),
     "b_pool": (lambda: ls.brute_solve(_one_witness(1, 1), ls.ls_instance(5, [1])), 4),
     "witness_slots": (lambda: list(ls.accepted_tuples([[1]] * 3, lambda *codes: True)), 3),
+    # Two candidates at the root, then two under each of them.
+    "ls_walk": (lambda: list(ls.accepted_tuples([[1, 2]] * 2, lambda *codes: True)), 6),
     # One witness of 3 monomials of degree 1 among 3 candidates.
     "literal": (lambda: ls.formulation_polynomial(_one_witness(1, 0), 3, 1), 3),
     "literal_candidates": (lambda: ls.formulation_polynomial(_one_witness(1, 0), 3, 1), 3),

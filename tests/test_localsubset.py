@@ -7,6 +7,7 @@ import time
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import permutations, product, zip_longest
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +17,7 @@ import polyoracle.localsubset as ls
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
 from oracles import family_witnesses, induced_witnesses, random_graph, random_weighted_graph
+from polyoracle import errors
 from polyoracle.errors import CapExceeded
 from routes import (
     SEED,
@@ -522,7 +524,10 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
     top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
     (member,) = spec.members
-    ungrouped = list(ls.accepted_tuples(pools, member.accept, member.prefix))
+    # The reference walk ignores the groups, so it may try more candidates
+    # than the ls_walk cap lets one library walk try.
+    with patch.dict(errors.CAPS, {"ls_walk": (10**9, errors.CAPS["ls_walk"][1])}):
+        ungrouped = list(ls.accepted_tuples(pools, member.accept, member.prefix))
     assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
     orbits = []
     for witness in ls.accepted_tuples(pools, member.accept, member.prefix, member.groups):
@@ -792,6 +797,16 @@ def test_collection_cap_counts_literal_monomials_with_b_slots(set_cap):
         ls.formulation_polynomial(spec, s, theta)
     with pytest.raises(CapExceeded, match="cap literal exceeded"):
         list(ls.formulation_monomials(spec, s, theta))
+
+
+def test_collection_collapses_repeated_variables():
+    """At s = 4, theta = 2 some of path3's multisets have slot tables that
+    share variables, so some of their products repeat one: the collection
+    collapses those into powers and still equals the summed stream."""
+    spec, s, theta = path3_spec(), 4, 2
+    terms = ls.formulation_polynomial(spec, s, theta).terms
+    assert terms == stream_sum(spec, s, theta)
+    assert any(exponent >= 2 for powers in terms for _, exponent in powers)
 
 
 def test_literal_tables_skip_unused_comparison_tuples():

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import time
+from itertools import combinations
 from types import SimpleNamespace
 
 import pytest
@@ -242,6 +243,48 @@ def test_cli_solve_b_pool_cap(tmp_path, capsys):
     path = write_json(tmp_path / "path.json", {"n": 3000, "edges": [[1, 2], [2, 3]]})
     assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 3
     assert "cap b_pool exceeded" in capsys.readouterr().err
+
+
+def _gnp(rng, n, p):
+    return [[u, v] for u, v in combinations(range(1, n + 1), 2) if rng.random() < p]
+
+
+STAR_5 = {"n": 6, "edges": [[1, v] for v in range(2, 7)]}
+K5 = {"n": 5, "edges": [list(pair) for pair in combinations(range(1, 6), 2)]}
+WALK_HEAVY = [
+    pytest.param(
+        "ksum",
+        lambda rng: {"k": 4, "sets": [rng.sample(range(1, 10**6), 60) for _ in range(4)]},
+        id="ksum-4x60",
+    ),
+    pytest.param(
+        "h-induced", lambda rng: {"n": 30, "edges": _gnp(rng, 30, 0.3), "H": STAR_5}, id="star5-G30"
+    ),
+    pytest.param(
+        "h-induced", lambda rng: {"n": 40, "edges": _gnp(rng, 40, 0.5), "H": K5}, id="k5-G40"
+    ),
+    pytest.param(
+        "min-weight-clique",
+        lambda rng: {
+            "n": 30,
+            "edges": [[u, v, rng.randint(0, 9)] for u, v in _gnp(rng, 30, 0.6)],
+            "k": 5,
+            "threshold": -1,
+        },
+        id="light-5-clique-G30",
+    ),
+]
+
+
+@pytest.mark.parametrize("problem, build", WALK_HEAVY)
+def test_cli_ls_walks_are_bounded(tmp_path, capsys, problem, build):
+    """Inputs within every size cap whose formulation walk would try far more
+    candidates than one walk may stop at the ls_walk cap: a 4-SUM over
+    positive values, an induced 5-leaf star or k5 and a 5-clique of negative
+    weight, each on a seeded random graph."""
+    path = write_json(tmp_path / "input.json", build(random.Random(1)))
+    assert timed(lambda: run_cli(["solve", "--problem", problem, "--input", path])) == 3
+    assert "cap ls_walk exceeded" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("n", [5, 8])
