@@ -47,20 +47,20 @@ collected polynomial is tested against.
 A spec states acceptance as its ``members``: checks that each read every
 slot, one for a plain problem and one per distinct pattern for a family.  A
 tuple is a witness iff some member accepts it, and the formulation value sums
-the members' counts.  A member's ``prefix`` is the per-slot check every
-nonempty prefix of an accepted tuple passes, its ``accept`` the global check
-on the full tuple, and its ``groups`` the runs of slots whose order
-acceptance ignores.
+the members' counts.  A member's ``step`` checks one slot against the state
+the earlier slots left, its ``accept`` is the global check on the full
+tuple, and its ``groups`` the runs of slots whose order acceptance ignores.
 
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
-lexicographic backtracking walk over per-slot candidate pools that yields the
-accepted tuples in ``itertools.product`` order, never extending a prefix that
-fails.  The witness count and the collected literal polynomial walk each
-member once, one increasing ordering per group times the groups' factorials;
-the literal stream walks each member over every ordering of every slot; the
-reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone to
-the enumerator, an unpruned filter.  Every walk stops with CapExceeded once
-it has tried more candidates than the ls_walk cap allows.
+lexicographic backtracking walk over per-slot candidate pools that carries
+the step's state down each tuple and yields the accepted tuples in
+``itertools.product`` order, never extending a prefix a step rejects.  The
+witness count and the collected literal polynomial walk each member once,
+one increasing ordering per group times the groups' factorials; the
+literal stream walks each member over every ordering of every slot; the
+reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone
+to the enumerator, an unpruned filter.  Every walk stops with CapExceeded
+once it has tried more candidates than the ls_walk cap allows.
 """
 
 from __future__ import annotations
@@ -82,10 +82,10 @@ COMPARISONS = (LT, EQ, GT)
 
 class Member(NamedTuple):
     """One check of an ``LSProblemSpec`` on all alpha + beta slots: its
-    per-slot ``prefix`` (or None), its global ``accept`` and the ``groups``
+    per-slot ``step`` (or None), its global ``accept`` and the ``groups``
     of slots whose order it ignores."""
 
-    prefix: Callable[[tuple[int, ...]], bool] | None
+    step: Callable[[tuple, int, int], tuple | None] | None
     accept: Callable[..., bool]
     groups: tuple[tuple[int, int], ...] = ()
 
@@ -110,13 +110,12 @@ def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int) -> N
 class LSProblemSpec:
     """A local-subset problem: (alpha, beta, universe exponent r, members).
 
-    A ``Member`` accepts a tuple of alpha + beta universe codes when each
-    nonempty prefix, the full tuple included, passes its ``prefix`` (when
-    given) and the full tuple passes its ``accept``.  ``prefix`` is called on
-    ``codes[:1]``, ``codes[:2]``, ... in order and may assume every shorter
-    prefix passed; ``accept`` is called only on full tuples whose every
-    prefix passed.  Both are pure and must interpret a code the same way at
-    every instance size.  A tuple is a witness iff some member accepts it,
+    A ``Member`` accepts a tuple of alpha + beta universe codes when its
+    ``step`` (when given), folded along the tuple from the state () as
+    ``state = step(state, slot, code)``, never returns None, and the full
+    tuple passes its ``accept``, which is called only after every step
+    passed.  Both are pure and must interpret a code the same way at every
+    instance size.  A tuple is a witness iff some member accepts it,
     and the formulation value is the sum of the members' counts: a plain
     problem has one member, a pattern family one per distinct pattern.
 
@@ -129,7 +128,7 @@ class LSProblemSpec:
     count and over all of [1, top] for the literal polynomial:
 
     * every accepted tuple has distinct values within each group;
-    * reordering a group never changes whether each prefix passes or whether
+    * reordering a group never changes whether every step passes or whether
       ``accept`` passes.
     """
 
@@ -153,12 +152,15 @@ class LSProblemSpec:
 
     def verifier(self, *codes: int) -> bool:
         """The full acceptance predicate on alpha + beta codes: some member
-        accepts them."""
-        return any(
-            (prefix is None or all(prefix(codes[:k]) for k in range(1, len(codes) + 1)))
-            and accept(*codes)
-            for prefix, accept, _ in self.members
-        )
+        accepts them, its step folded once along them from the state ()."""
+        for step, accept, _ in self.members:
+            state = ()
+            for slot, code in enumerate(codes if step else ()):
+                if (state := step(state, slot, code)) is None:
+                    break
+            if state is not None and accept(*codes):
+                return True
+        return False
 
 
 @dataclass(frozen=True)
@@ -226,28 +228,28 @@ def _witness_pools(spec: LSProblemSpec, elements: Sequence[int], top: int) -> li
 def accepted_tuples(
     pools: Sequence[Sequence[int]],
     accept: Callable[..., bool],
-    prefix: Callable[[tuple[int, ...]], bool] | None = None,
+    step: Callable[[tuple, int, int], tuple | None] | None = None,
     groups: Sequence[tuple[int, int]] = (),
 ) -> Iterator[tuple[int, ...]]:
-    """Yield the tuples of ``product(*pools)`` whose every nonempty prefix
-    passes ``prefix`` and which ``accept`` accepts, in product order.  A
-    failing prefix is dropped with all its extensions.  Within each (start,
-    stop) of ``groups`` only strictly increasing values are walked, which
-    needs those slots' pools ascending.  Raises CapExceeded past the
+    """Yield the tuples of ``product(*pools)`` that every ``step`` passes and
+    ``accept`` accepts, in product order.  The state starts at () and each
+    candidate is stepped once; a rejected one is dropped with all its
+    extensions.  Within each (start, stop) of ``groups`` only strictly
+    increasing values are walked, which needs those slots' pools ascending.  Raises CapExceeded past the
     witness_slots cap, and, while walking, once the candidates tried (each
     node's whole pool) pass the ls_walk cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
     for start, stop in groups:
         chained[start + 1 : stop] = [True] * (stop - start - 1)
-    return _extend(pools, accept, prefix, chained, (), cap_limit("ls_walk"))
+    return _extend(pools, accept, step, chained, (), (), cap_limit("ls_walk"))
 
 
 def _extend(
-    pools, accept, prefix, chained, head: tuple[int, ...], budget: int
+    pools, accept, step, chained, head: tuple[int, ...], state: tuple, budget: int
 ) -> Generator[tuple[int, ...], None, int]:
-    """Walk the extensions of ``head`` with ``budget`` candidates left to try;
-    return what is left of it."""
+    """Walk the extensions of ``head``, which left ``state``, with ``budget``
+    candidates left to try; return what is left of it."""
     depth = len(head)
     last = depth + 1 == len(pools)
     pool = pools[depth]
@@ -257,11 +259,12 @@ def _extend(
     if budget < 0:
         check("ls_walk", cap_limit("ls_walk") - budget)
     for value in pool:
-        extended = head + (value,)
-        if prefix is not None and not prefix(extended):
+        after = state if step is None else step(state, depth, value)
+        if after is None:
             continue
+        extended = head + (value,)
         if not last:
-            budget = yield from _extend(pools, accept, prefix, chained, extended, budget)
+            budget = yield from _extend(pools, accept, step, chained, extended, after, budget)
         elif accept(*extended):
             yield extended
     return budget
@@ -459,11 +462,11 @@ def _literal_tables(
     candidates = [range(1, top + 1)] * slots
     witnesses = []
     walked = 0
-    for prefix, accept, groups in spec.members:
+    for step, accept, groups in spec.members:
         if not grouped:
             groups = ()
         weight = prod(factorial(stop - start) for start, stop in groups)
-        for witness in accepted_tuples(candidates, accept, prefix, groups):
+        for witness in accepted_tuples(candidates, accept, step, groups):
             witnesses.append((witness, weight))
             walked += weight
             if walked * per_witness > limit:
@@ -617,9 +620,9 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
     pools = _witness_pools(spec, x.rows[1:-1], top)
     return sum(
-        sum(1 for _ in accepted_tuples(pools, accept, prefix, groups))
+        sum(1 for _ in accepted_tuples(pools, accept, step, groups))
         * prod(factorial(stop - start) for start, stop in groups)
-        for prefix, accept, groups in spec.members
+        for step, accept, groups in spec.members
     )
 
 

@@ -20,9 +20,10 @@ nonempty) puts a loop at vertex 1 and shifts real vertices up by one, so
 
 Each encoder states acceptance as the spec's ``members``, each reading
 every slot: one ``Member``, or one per distinct pattern of a family.  A
-member writes every per-slot check once, in its ``prefix``: slot tags,
+member writes every per-slot check once, in its ``step``: slot tags,
 canonical pairs, w == 1, distinct pairs and at most |V(H)| (or k) vertices
-spanned.  Its ``accept`` keeps only the global check: the value sum, the
+spanned, the last two against the pairs earlier slots placed, the step's
+state.  Its ``accept`` keeps only the global check: the value sum, the
 cross product, the pattern isomorphism or the weight threshold.  A pattern
 on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
 canonical pairs on at most t vertices are all the pairs of exactly t
@@ -30,7 +31,7 @@ vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
 the declared vertices are the spanned ones.
 
 Where those checks read a run of slots as a set, the member declares the run
-in its ``groups``, and the prefix makes the run's values distinct: the three
+in its ``groups``, and the step makes the run's values distinct: the three
 collinear points, a pattern's edge slots and its non-edge slots, and a
 weighted pattern's or clique's edge, vertex and non-edge records.  k-SUM
 pins one tag per slot, so it declares none.
@@ -121,7 +122,7 @@ def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> b
     """True iff the vertices of ``pairs``, joined by its first |E(H)| pairs,
     form a copy of the pattern: a brute-force bijection check.
 
-    The caller's prefix has made the pairs distinct on at most |V(H)|
+    The caller's step has made the pairs distinct on at most |V(H)|
     vertices, and all but the self-pairs (v, v) canonical, so the canonical
     pairs after the first |E(H)| are exactly the copy's non-edges.
     """
@@ -139,28 +140,28 @@ def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> b
     return False
 
 
-def _pairs_fit(pairs: Sequence[tuple[int, int]], budget: int) -> bool:
-    """Distinct pairs spanning at most ``budget`` vertices: the pair check of
-    every graph encoder's prefix."""
-    return len(set(pairs)) == len(pairs) and len({x for p in pairs for x in p}) <= budget
+def _add_pair(pairs: tuple, u: int, v: int, budget: int) -> tuple | None:
+    """``pairs`` plus (u, v), or None if (u, v) repeats a pair or the pairs
+    would span more than ``budget`` vertices: every graph encoder's step."""
+    if len({u, v}.union(*pairs)) > budget or (u, v) in pairs:
+        return None
+    return pairs + ((u, v),)
 
 
-def _induced_checks(
-    pattern: PatternGraph, lowest: int = 1
-) -> tuple[Callable[[tuple[int, ...]], bool], Callable[..., bool]]:
-    """The prefix and accept of an induced copy of the pattern on |E(H)| edge
+def _induced_checks(pattern: PatternGraph, lowest: int = 1) -> tuple[Callable, Callable]:
+    """The step and accept of an induced copy of the pattern on |E(H)| edge
     slots followed by |nonedges(H)| non-edge slots: every pair canonical with
     both vertices at least ``lowest``, the pairs distinct on at most |V(H)|
     vertices, and the edge slots' pairs spanning a copy of H."""
 
-    def prefix(codes: tuple[int, ...]) -> bool:
-        u, v = decode_pair(codes[-1])
-        return lowest <= u < v and _pairs_fit([decode_pair(c) for c in codes], pattern.num_vertices)
+    def step(pairs: tuple, slot: int, code: int) -> tuple | None:
+        u, v = decode_pair(code)
+        return _add_pair(pairs, u, v, pattern.num_vertices) if lowest <= u < v else None
 
     def accept(*codes: int) -> bool:
         return _spans_pattern([decode_pair(c) for c in codes], pattern)
 
-    return prefix, accept
+    return step, accept
 
 
 def _slot_groups(*ranges: tuple[int, int]) -> tuple[tuple[int, int], ...]:
@@ -257,7 +258,7 @@ class WeightedGraphInput:
 def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     """k-SUM: universe [k] x [-W, W]; a witness picks one value per set index.
 
-    The prefix demands set indices exactly 1..k in order, so every solution
+    The step demands set indices exactly 1..k in order, so every solution
     corresponds to exactly one witness tuple.
     """
     k, w = inp.k, inp.magnitude
@@ -265,17 +266,17 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     def encode(tag: int, value: int) -> int:
         return (value + w) * k + tag
 
-    def prefix(codes: tuple[int, ...]) -> bool:
-        return (codes[-1] - 1) % k + 1 == len(codes)
+    def step(state: tuple, slot: int, code: int) -> tuple | None:
+        return state if (code - 1) % k == slot else None
 
-    # The prefix puts tag i in slot i, so code i is (value_i + w) * k + i and
+    # The step puts tag i in the i-th slot, so code i is (value_i + w) * k + i and
     # the values sum to zero iff the codes sum to this.
     zero_sum = k * k * w + k * (k + 1) // 2
 
     def accept(*codes: int) -> bool:
         return sum(codes) == zero_sum
 
-    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(prefix, accept),))
+    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(step, accept),))
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -290,14 +291,14 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         a, b = decode_pair(code)
         return a - shift, b - shift
 
-    def prefix(codes: tuple[int, ...]) -> bool:
-        return codes[-1] not in codes[:-1]
+    def step(seen: tuple, slot: int, code: int) -> tuple | None:
+        return None if code in seen else seen + (code,)
 
     def accept(c1: int, c2: int, c3: int) -> bool:
         (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
         return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
 
-    member = Member(prefix, accept, groups=((0, 3),))
+    member = Member(step, accept, groups=((0, 3),))
     spec = LSProblemSpec("collinearity", alpha=3, beta=0, r=2, members=(member,))
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
@@ -307,15 +308,15 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
     """H-induced subgraph: universe [n]^2, witnesses = |E(H)| edges plus
     |nonedges(H)| non-edges spanning an H-isomorph.
 
-    Edges are stored canonically (u < v); the prefix rejects any code whose
+    Edges are stored canonically (u < v); the step rejects any code whose
     pair is not canonical, so each edge or non-edge has exactly one code.
     """
     if pattern.num_edges < 1:
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
-    prefix, accept = _induced_checks(pattern)
+    step, accept = _induced_checks(pattern)
     alpha, beta = pattern.num_edges, pattern.num_nonedges
     groups = _slot_groups((0, alpha), (alpha, alpha + beta))
-    member = Member(prefix, accept, groups)
+    member = Member(step, accept, groups)
     spec = LSProblemSpec(f"induced-{pattern.name}", alpha, beta, r=2, members=(member,))
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -347,17 +348,17 @@ def encode_family_induced(
         edges, nonedges = pattern.num_edges, pattern.num_nonedges
         filler = dict.fromkeys(range(edges, alpha), encode_pair(1, 1))
         filler.update(dict.fromkeys(range(alpha + nonedges, alpha + beta), encode_pair(1, 2)))
-        induced_prefix, induced_accept = _induced_checks(pattern, lowest=2)
+        induced_step, induced_accept = _induced_checks(pattern, lowest=2)
 
-        def prefix(codes: tuple[int, ...]) -> bool:
-            if len(codes) - 1 in filler:
-                return codes[-1] == filler[len(codes) - 1]
-            return induced_prefix(tuple(c for i, c in enumerate(codes) if i not in filler))
+        def step(pairs: tuple, slot: int, code: int) -> tuple | None:
+            if slot in filler:
+                return pairs if code == filler[slot] else None
+            return induced_step(pairs, slot, code)
 
         def accept(*codes: int) -> bool:
             return induced_accept(*(c for i, c in enumerate(codes) if i not in filler))
 
-        return Member(prefix, accept, _slot_groups((0, edges), (alpha, alpha + nonedges)))
+        return Member(step, accept, _slot_groups((0, edges), (alpha, alpha + nonedges)))
 
     name = "family-induced-" + "+".join(p.name for p in family)
     members = tuple(map(member, dict.fromkeys(family)))
@@ -403,30 +404,24 @@ def _tagged_universe_exponent(n: int, num_tags: int, span: int) -> int:
     return r
 
 
-def _record_prefix(
+def _record_step(
     decode: Callable[[int], tuple[int, int, int, int]],
     threshold_slot: int,
     fits_slot: Callable[[int, int, int, int, int], bool],
     budget: int,
-) -> Callable[[tuple[int, ...]], bool]:
-    """Prefix predicate for tagged-record witnesses.
+) -> Callable[[tuple, int, int], tuple | None]:
+    """Step for tagged-record witnesses: each record must pass
+    ``fits_slot(slot, tag, u, v, w)``, the encoder's per-slot tag and pair
+    check, and every record outside the threshold slot adds its (u, v) to
+    the pairs placed so far through ``_add_pair``."""
 
-    The newest record must pass ``fits_slot(slot, tag, u, v, w)``, the
-    encoder's per-slot tag and pair check; the (u, v) of every record outside
-    the threshold slot must be distinct and span at most ``budget`` vertices.
-    """
-
-    def prefix(codes: tuple[int, ...]) -> bool:
-        slot = len(codes) - 1
-        tag, u, v, w = decode(codes[-1])
+    def step(pairs: tuple, slot: int, code: int) -> tuple | None:
+        tag, u, v, w = decode(code)
         if not fits_slot(slot, tag, u, v, w):
-            return False
-        if slot == threshold_slot:
-            return True
-        pairs = [decode(c)[1:3] for i, c in enumerate(codes) if i != threshold_slot]
-        return _pairs_fit(pairs, budget)
+            return None
+        return pairs if slot == threshold_slot else _add_pair(pairs, u, v, budget)
 
-    return prefix
+    return step
 
 
 def encode_min_weight_kclique(
@@ -435,7 +430,7 @@ def encode_min_weight_kclique(
     """Minimum-weight k-clique, decision form: some k-clique of weight <= threshold.
 
     Records are (1, u, v, weight) for edges and (2, 1, 1, threshold); the tag
-    pattern lets the prefix tell edges from the threshold record.
+    pattern lets the step tell edges from the threshold record.
     """
     if k < 2:
         raise ValueOutOfRange("k must be >= 2")
@@ -454,8 +449,8 @@ def encode_min_weight_kclique(
             return tag == 2 and u == 1 and v == 1
         return tag == 1 and u < v
 
-    prefix = _record_prefix(decode, pair_count, fits_slot, k)
-    member = Member(prefix, accept, _slot_groups((0, pair_count)))
+    step = _record_step(decode, pair_count, fits_slot, k)
+    member = Member(step, accept, _slot_groups((0, pair_count)))
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -518,8 +513,8 @@ def encode_max_h_subgraph(
 
     alpha = threshold_slot + 1
     groups = _slot_groups((0, ne), (ne, threshold_slot), (alpha, alpha + beta))
-    prefix = _record_prefix(decode, threshold_slot, fits_slot, nv)
-    member = Member(prefix, accept, groups)
+    step = _record_step(decode, threshold_slot, fits_slot, nv)
+    member = Member(step, accept, groups)
     spec = LSProblemSpec(f"max-{pattern.name}-subgraph-{mode}", alpha, beta, r, members=(member,))
     elements = []
     for (u, v), w in inp.edge_weights:

@@ -293,6 +293,40 @@ def circuit_values(circuit: ArithmeticCircuit, points, modulus: int | None = Non
     return out
 
 
+def circuit_verdicts(circuit: ArithmeticCircuit, targets, delta: int) -> list[tuple[bool, str]]:
+    """(accepted, reason) per target: whether the circuit's expansion,
+    truncated at degree ``delta``, has the target's variable count and terms.
+
+    Each gate is held as a dict from sorted tuples of input indices, one
+    index per degree, to coefficients; a product drops its pairs whose
+    degrees sum above ``delta``, which is exact as no term has negative
+    degree.
+    """
+    gates: list[Counter[tuple[int, ...]]] = []
+    for gate in circuit.gates:
+        terms: Counter[tuple[int, ...]] = Counter()
+        if isinstance(gate, InputGate):
+            terms[(gate.index,)] = 1
+        elif isinstance(gate, ConstGate):
+            terms[()] = gate.value
+        elif isinstance(gate, MulGate):
+            for (a, x), (b, y) in product(gates[gate.left].items(), gates[gate.right].items()):
+                if len(a) + len(b) <= delta:
+                    terms[tuple(sorted(a + b))] += x * y
+        else:
+            terms.update(gates[gate.left])
+            terms.update(gates[gate.right])
+        gates.append(Counter({key: c for key, c in terms.items() if c}))
+    verdicts = []
+    for target in targets:
+        expected = {
+            tuple(i for i, e in powers for _ in range(e)): c for powers, c in target.terms.items()
+        }
+        match = circuit.num_inputs == target.num_vars and gates[circuit.output] == expected
+        verdicts.append((True, "match") if match else (False, "mismatch"))
+    return verdicts
+
+
 def independent_prime(n: int) -> bool:
     """Primality by trial division."""
     if n < 2:

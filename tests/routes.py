@@ -29,6 +29,7 @@ import polyoracle.problems as pr
 import polyoracle.setcover as sc
 from oracles import (
     circuit_values,
+    circuit_verdicts,
     collinear_witnesses,
     f_counts,
     family_witnesses,
@@ -406,8 +407,8 @@ def literal_ksum_draws():
         yield (ksum_case((values(), values()), w),), (1, 2, 3)
 
 
-def has_prefix(cases, _):
-    return all(m.prefix is not None for (case,), _ in cases for m in case.spec.members)
+def has_step(cases, _):
+    return all(m.step is not None for (case,), _ in cases for m in case.spec.members)
 
 
 def pruned_count_draws(name):
@@ -455,7 +456,7 @@ LS_COUNT = Quantity(
             f"{name} pruned vs unpruned": Inputs(
                 pruned_count_draws(name),
                 ("direct", "evaluate_formulation", "unpruned product"),
-                has_prefix,
+                has_step,
                 max_examples=40,
             )
             for name in (
@@ -858,6 +859,9 @@ def benchmark_op_draws():
 
 CIRCUIT_VERDICTS = Quantity(
     routes={
+        "truncated expansion": Route(
+            lambda c, targets, _, delta: circuit_verdicts(c, targets, delta), independent=True
+        ),
         "homogenize then expand": Route(
             lambda c, targets, _, delta: [reference_verdict(c, t, delta) for t in targets]
         ),
@@ -898,7 +902,4 @@ QUANTITIES = {
 }
 
 # (quantity, row) -> why the row has no independent route yet.
-NO_INDEPENDENT_ROUTE = dict.fromkeys(
-    [("circuit-verdicts", "truncation"), ("circuit-verdicts", "benchmark ops")],
-    "homogenize then expand shares _expand_terms with verify_circuit; ROADMAP item 6",
-)
+NO_INDEPENDENT_ROUTE: dict[tuple[str, str], str] = {}

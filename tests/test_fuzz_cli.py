@@ -3,7 +3,9 @@ ends with a documented exit code (0-3), lets no exception escape and answers
 within a few seconds."""
 
 import json
+import random
 import time
+from itertools import combinations
 
 import pytest
 from hypothesis import example, given, settings
@@ -134,6 +136,50 @@ def test_solve(workdir, problem, method, theta, data):
     code = run(argv + ["--theta", str(theta)])
     if not isinstance(payload, dict):
         assert code == 2
+
+
+def walk_heavy(problem, rnd):
+    """A well-formed input of a shape with a long witness walk, drawn from
+    ``rnd``: k-SUM over up to 6 sets of up to 80 values, or patterns on up
+    to 6 vertices on a random graph of up to 30 vertices."""
+    if problem == "ksum":
+        k, size = rnd.randint(1, 6), rnd.randint(1, 80)
+        values = range(-(w := rnd.choice([size, 10**3, 10**6])), w + 1)
+        return {"k": k, "sets": [rnd.sample(values, size) for _ in range(k)]}
+
+    def gnp(n):
+        p = rnd.random()
+        return [[u, v] for u, v in combinations(range(1, n + 1), 2) if rnd.random() < p]
+
+    def pattern():
+        return {"n": (t := rnd.randint(2, 6)), "edges": gnp(t)}
+
+    n = rnd.randint(2, 30)
+    data = {"n": n, "edges": gnp(n)}
+    if problem == "family-induced":
+        data["family"] = [pattern() for _ in range(rnd.randint(1, 3))]
+    else:
+        data["H"] = pattern()
+    if problem == "max-h-subgraph":
+        data["edges"] = [[u, v, rnd.randint(-5, 5)] for u, v in data["edges"]]
+        data["vertex_weights"] = [rnd.randint(-5, 5) for _ in range(n)]
+        data["threshold"] = rnd.randint(-20, 20)
+        data["mode"] = rnd.choice(["edge-weights", "vertex-weights"])
+    return data
+
+
+# Fewer examples than FUZZ: a drawn walk often runs up to the ls_walk cap.
+@settings(FUZZ, max_examples=60)
+@given(
+    problem=st.sampled_from(["ksum", "h-induced", "family-induced", "max-h-subgraph"]),
+    method=st.sampled_from(["brute", "formulation"]),
+    theta=st.integers(1, 3),
+    seed=st.integers(0, 2**32),
+)
+def test_solve_walk_heavy(workdir, problem, method, theta, seed):
+    payload = walk_heavy(problem, random.Random(seed))
+    path = write(workdir / "heavy.json", json.dumps(payload))
+    run(["solve", "--problem", problem, "--input", path, "--method", method, "--theta", str(theta)])
 
 
 @FUZZ

@@ -460,7 +460,7 @@ def test_union_count_equals_product_filter_on_hand_built_members():
     accepts a tuple iff some member does, and ``brute_solve`` agrees."""
     increasing = ls.Member(None, lambda a, b, c, d: a < b)
     even_sum = ls.Member(
-        lambda codes: len(codes) == 1 or codes[-1] not in codes[1:-1],
+        lambda seen, slot, code: seen if slot == 0 else None if code in seen else seen + (code,),
         lambda a, b, c, d: (b + c + d) % 2 == 0,
         ((2, 4),),
     )
@@ -527,10 +527,10 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
     # The reference walk ignores the groups, so it may try more candidates
     # than the ls_walk cap lets one library walk try.
     with patch.dict(errors.CAPS, {"ls_walk": (10**9, errors.CAPS["ls_walk"][1])}):
-        ungrouped = list(ls.accepted_tuples(pools, member.accept, member.prefix))
+        ungrouped = list(ls.accepted_tuples(pools, member.accept, member.step))
     assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
     orbits = []
-    for witness in ls.accepted_tuples(pools, member.accept, member.prefix, member.groups):
+    for witness in ls.accepted_tuples(pools, member.accept, member.step, member.groups):
         for orders in product(*(permutations(witness[a:b]) for a, b in member.groups)):
             reordered = list(witness)
             for (a, b), order in zip(member.groups, orders):
@@ -605,14 +605,47 @@ def test_brute_solve_never_consults_prefix():
         answer = ls.brute_solve(recording, inst)
         assert answer == bool(hits)
         assert calls == tuples[: hits[0] + 1 if hits else len(tuples)]
-    # the prefix is part of the definition: the reversed pairs of a triangle
-    # pass ``accept`` alone but fail the canonical-pair prefix
+    # the step is part of the definition: the reversed pairs of a triangle
+    # pass ``accept`` alone but fail the canonical-pair step
     reversed_codes = [pr.encode_pair(v, u) for u, v in sorted(triangle.edges)]
     (member,) = spec.members
     assert member.accept(*reversed_codes) and not spec.verifier(*reversed_codes)
     inst = ls.ls_instance(3, reversed_codes)
     assert not ls.brute_solve(spec, inst)
-    assert ls.brute_solve(replace(spec, members=(member._replace(prefix=None),)), inst)
+    assert ls.brute_solve(replace(spec, members=(member._replace(step=None),)), inst)
+
+
+def test_verifier_steps_each_slot_at_most_once():
+    """``spec.verifier``, and so ``brute_solve``, folds a member's ``step`` once
+    along a candidate: at most alpha + beta calls per tuple, on an h-induced
+    spec and a max-H-subgraph spec whose brute walks cross every tuple, some
+    of them passing every step but not ``accept``."""
+    steps_per_tuple = []
+
+    class CountingSpec(ls.LSProblemSpec):
+        def verifier(self, *codes):
+            steps_per_tuple.append(0)
+            return super().verifier(*codes)
+
+    def counted(step):
+        def wrapped(state, slot, code):
+            steps_per_tuple[-1] += 1
+            return step(state, slot, code)
+
+        return wrapped
+
+    paw = pr.GraphInput(4, frozenset({(1, 2), (1, 3), (2, 3), (3, 4)}))
+    weighted_path = pr.WeightedGraphInput(3, (((1, 2), 1), ((2, 3), 2)), 2)
+    for spec, inst in (
+        pr.encode_h_induced(paw, pr.H_PRESETS["c4"]),
+        pr.encode_max_h_subgraph(weighted_path, pr.H_PRESETS["path3"], 9, "edge-weights"),
+    ):
+        members = tuple(member._replace(step=counted(member.step)) for member in spec.members)
+        counting = CountingSpec(**{f.name: getattr(spec, f.name) for f in fields(spec)})
+        steps_per_tuple.clear()
+        assert not ls.brute_solve(replace(counting, members=members), inst)
+        assert len(steps_per_tuple) == inst.m**spec.alpha * (inst.n**spec.r - inst.m) ** spec.beta
+        assert max(steps_per_tuple) == spec.alpha + spec.beta
 
 
 def test_accepted_tuples_in_product_order():
@@ -620,8 +653,9 @@ def test_accepted_tuples_in_product_order():
     accept = lambda a, b, c: (a + b + c) % 2 == 0  # noqa: E731
     expected = [t for t in product(*pools) if accept(*t)]
     assert list(ls.accepted_tuples(pools, accept)) == expected
-    # a prefix that drops first slots holding 1 removes exactly those tuples
-    pruned = ls.accepted_tuples(pools, accept, prefix=lambda t: t[0] != 1)
+    # a step that drops first slots holding 1 removes exactly those tuples
+    step = lambda state, slot, code: None if (slot, code) == (0, 1) else state  # noqa: E731
+    pruned = ls.accepted_tuples(pools, accept, step=step)
     assert list(pruned) == [t for t in expected if t[0] != 1]
 
 

@@ -189,15 +189,15 @@ def test_build_problem_registry():
 )
 def test_prefix_is_sound_exhaustively(spec, inst):
     """Over the whole candidate range, each member's pruned walk on its
-    ``accept`` and ``prefix`` yields exactly the product tuples it accepts, in
+    ``accept`` and ``step`` yields exactly the product tuples it accepts, in
     product order, and together they are the tuples ``spec.verifier`` accepts."""
     pools = [range(1, inst.n**spec.r + 1)] * (spec.alpha + spec.beta)
     accepted = [t for t in product(*pools) if spec.verifier(*t)]
     walked = set()
     for member in spec.members:
         alone = replace(spec, members=(member,))
-        assert member.prefix is not None
-        walk = list(ls.accepted_tuples(pools, member.accept, member.prefix))
+        assert member.step is not None
+        walk = list(ls.accepted_tuples(pools, member.accept, member.step))
         assert walk == [t for t in accepted if alone.verifier(*t)]
         walked.update(walk)
     assert accepted and sorted(walked) == accepted
