@@ -130,6 +130,12 @@ class LSProblemSpec:
     * every accepted tuple has distinct values within each group;
     * reordering a group never changes whether every step passes or whether
       ``accept`` passes.
+
+    A member that ``problems`` derives from a slot declaration meets the
+    first condition and the step half of the second by construction: each
+    group is a run of slots with one check, and the step rejects a repeated
+    pair and counts the vertices of the pairs placed as a set.  That
+    ``accept`` ignores the order within each run stays the encoder's duty.
     """
 
     name: str
@@ -235,9 +241,9 @@ def accepted_tuples(
     ``accept`` accepts, in product order.  The state starts at () and each
     candidate is stepped once; a rejected one is dropped with all its
     extensions.  Within each (start, stop) of ``groups`` only strictly
-    increasing values are walked, which needs those slots' pools ascending.  Raises CapExceeded past the
-    witness_slots cap, and, while walking, once the candidates tried (each
-    node's whole pool) pass the ls_walk cap."""
+    increasing values are walked, which needs those slots' pools ascending.
+    Raises CapExceeded past the witness_slots cap, and, while walking, once
+    the candidates tried (each node's whole pool) pass the ls_walk cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
     for start, stop in groups:

@@ -20,30 +20,31 @@ nonempty) puts a loop at vertex 1 and shifts real vertices up by one, so
 
 Each encoder states acceptance as the spec's ``members``, each reading
 every slot: one ``Member``, or one per distinct pattern of a family.  A
-member writes every per-slot check once, in its ``step``: slot tags,
-canonical pairs, w == 1, distinct pairs and at most |V(H)| (or k) vertices
-spanned, the last two against the pairs earlier slots placed, the step's
-state.  Its ``accept`` keeps only the global check: the value sum, the
-cross product, the pattern isomorphism or the weight threshold.  A pattern
-on t >= 2 vertices fills C(t, 2) pair slots, and that many distinct
-canonical pairs on at most t vertices are all the pairs of exactly t
-vertices; so a clique's ``accept`` needs no vertex count, and in vertex mode
-the declared vertices are the spanned ones.
-
-Where those checks read a run of slots as a set, the member declares the run
-in its ``groups``, and the step makes the run's values distinct: the three
-collinear points, a pattern's edge slots and its non-edge slots, and a
-weighted pattern's or clique's edge, vertex and non-edge records.  k-SUM
-pins one tag per slot, so it declares none.
+graph or record encoder declares a member's slots once, as ordered ``Run``s
+of alike slots, each with a record tag, a pair shape (a canonical edge, a
+vertex (v, v) or one fixed pair) and whether its weight must be 1.  The
+member's ``step`` is derived from that declaration: it checks each slot
+against its run, and its state, the pairs placed and a bitmask of the
+vertices they span, rejects a repeated pair or more than |V(H)| (or k)
+vertices.  Its groups are derived too: the runs of two or more edge or
+vertex slots, whose order the step ignores.  ``accept`` keeps only the
+global check: the value sum, the cross product, the pattern isomorphism or
+the weight threshold.  A pattern on t >= 2 vertices fills C(t, 2) pair
+slots, and that many distinct canonical pairs on at most t vertices are all
+the pairs of exactly t vertices; so a clique's ``accept`` needs no vertex
+count, and in vertex mode the declared vertices are the spanned ones.
+k-SUM pins one tag per slot, and collinearity makes its three points
+distinct and declares them one group, each in a two-line step.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import permutations
+from itertools import accumulate, permutations
 from math import isqrt
-from typing import Callable, Iterable, Literal, Sequence
+from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from . import polynomials
 from .errors import ValueOutOfRange, check
@@ -140,34 +141,71 @@ def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> b
     return False
 
 
-def _add_pair(pairs: tuple, u: int, v: int, budget: int) -> tuple | None:
-    """``pairs`` plus (u, v), or None if (u, v) repeats a pair or the pairs
-    would span more than ``budget`` vertices: every graph encoder's step."""
-    if len({u, v}.union(*pairs)) > budget or (u, v) in pairs:
-        return None
-    return pairs + ((u, v),)
+class Run(NamedTuple):
+    """``count`` alike slots of a member's declaration, each holding a record
+    of ``tag`` whose pair is a canonical edge u < v at or above the member's
+    lowest vertex (``shape`` "edge"), a vertex (v, v) ("vertex") or the one
+    pair ``shape``, and whose weight is 1 where ``unit``."""
+
+    count: int
+    tag: int
+    shape: Literal["edge", "vertex"] | tuple[int, int]
+    unit: bool = False
 
 
-def _induced_checks(pattern: PatternGraph, lowest: int = 1) -> tuple[Callable, Callable]:
-    """The step and accept of an induced copy of the pattern on |E(H)| edge
-    slots followed by |nonedges(H)| non-edge slots: every pair canonical with
-    both vertices at least ``lowest``, the pairs distinct on at most |V(H)|
-    vertices, and the edge slots' pairs spanning a copy of H."""
+@lru_cache(maxsize=None)
+def _pair_record(code: int) -> tuple[int, int, int, int]:
+    """A pair code read as the record (1, u, v, 1)."""
+    return (1, *decode_pair(code), 1)
 
-    def step(pairs: tuple, slot: int, code: int) -> tuple | None:
-        u, v = decode_pair(code)
-        return _add_pair(pairs, u, v, pattern.num_vertices) if lowest <= u < v else None
+
+def _declared_member(
+    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, lowest: int = 1
+) -> Member:
+    """The member of a run declaration: its step checks a slot's record, as
+    ``decode`` reads it, against the slot's run and adds each edge or vertex
+    to the state (pairs placed, bitmask of vertices spanned), rejecting a
+    repeated pair or more than ``budget`` vertices; its groups are the runs
+    of two or more edge or vertex slots."""
+    runs = [run for run in runs if run.count]
+    starts = list(accumulate((run.count for run in runs), initial=0))
+    groups = tuple(
+        (start, start + count)
+        for start, (count, _, shape, _) in zip(starts, runs)
+        if count >= 2 and isinstance(shape, str)
+    )
+
+    def step(state: tuple, slot: int, code: int) -> tuple | None:
+        _, tag, shape, unit = runs[bisect_right(starts, slot) - 1]
+        t, u, v, w = decode(code)
+        if t != tag or (unit and w != 1):
+            return None
+        if not isinstance(shape, str):
+            return state if (u, v) == shape else None
+        if not (lowest <= u < v if shape == "edge" else u == v):
+            return None
+        pairs, mask = state or ((), 0)
+        mask |= 1 << u | 1 << v
+        if mask.bit_count() > budget or (u, v) in pairs:
+            return None
+        return pairs + ((u, v),), mask
+
+    return Member(step, accept, groups)
+
+
+def _induced_member(pattern: PatternGraph, alpha: int, beta: int, lowest: int = 1) -> Member:
+    """An induced copy of the pattern on its |E(H)| leading a-slots and
+    |nonedges(H)| leading b-slots, on vertices at least ``lowest``; any
+    other a-slot holds the loop (1, 1) and any other b-slot the pair (1, 2)."""
+    edges, nonedges = pattern.num_edges, pattern.num_nonedges
+    runs = (Run(edges, 1, "edge"), Run(alpha - edges, 1, (1, 1)))
+    runs += (Run(nonedges, 1, "edge"), Run(beta - nonedges, 1, (1, 2)))
 
     def accept(*codes: int) -> bool:
-        return _spans_pattern([decode_pair(c) for c in codes], pattern)
+        pairs = codes[:edges] + codes[alpha : alpha + nonedges]
+        return _spans_pattern([decode_pair(c) for c in pairs], pattern)
 
-    return step, accept
-
-
-def _slot_groups(*ranges: tuple[int, int]) -> tuple[tuple[int, int], ...]:
-    """The (start, stop) slot ranges holding at least two slots: a spec's
-    ``groups``, for ranges of slots its checks read as a set."""
-    return tuple((start, stop) for start, stop in ranges if stop - start >= 2)
+    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, lowest)
 
 
 # --- natural inputs -------------------------------------------------------
@@ -313,10 +351,8 @@ def encode_h_induced(inp: GraphInput, pattern: PatternGraph) -> tuple[LSProblemS
     """
     if pattern.num_edges < 1:
         raise ValueOutOfRange("pattern needs at least one edge to be encodable")
-    step, accept = _induced_checks(pattern)
     alpha, beta = pattern.num_edges, pattern.num_nonedges
-    groups = _slot_groups((0, alpha), (alpha, alpha + beta))
-    member = Member(step, accept, groups)
+    member = _induced_member(pattern, alpha, beta)
     spec = LSProblemSpec(f"induced-{pattern.name}", alpha, beta, r=2, members=(member,))
     elements = [encode_pair(u, v) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n, elements=elements)
@@ -341,27 +377,10 @@ def encode_family_induced(
     beta = max(p.num_nonedges for p in family)
     if alpha < 1:
         raise ValueOutOfRange("family needs a member with at least one edge")
-    # Refused before the members list their filler slots, as many as alpha + beta.
+    # Refused here, as every walk over the slots would be.
     check("witness_slots", alpha + beta)
-
-    def member(pattern: PatternGraph) -> Member:
-        edges, nonedges = pattern.num_edges, pattern.num_nonedges
-        filler = dict.fromkeys(range(edges, alpha), encode_pair(1, 1))
-        filler.update(dict.fromkeys(range(alpha + nonedges, alpha + beta), encode_pair(1, 2)))
-        induced_step, induced_accept = _induced_checks(pattern, lowest=2)
-
-        def step(pairs: tuple, slot: int, code: int) -> tuple | None:
-            if slot in filler:
-                return pairs if code == filler[slot] else None
-            return induced_step(pairs, slot, code)
-
-        def accept(*codes: int) -> bool:
-            return induced_accept(*(c for i, c in enumerate(codes) if i not in filler))
-
-        return Member(step, accept, _slot_groups((0, edges), (alpha, alpha + nonedges)))
-
     name = "family-induced-" + "+".join(p.name for p in family)
-    members = tuple(map(member, dict.fromkeys(family)))
+    members = tuple(_induced_member(p, alpha, beta, lowest=2) for p in dict.fromkeys(family))
     spec = LSProblemSpec(name, alpha, beta, r=2, members=members)
     elements = [encode_pair(1, 1)] + [encode_pair(u + 1, v + 1) for u, v in inp.edges]
     return spec, ls_instance(n=inp.n + 1, elements=elements)
@@ -404,26 +423,6 @@ def _tagged_universe_exponent(n: int, num_tags: int, span: int) -> int:
     return r
 
 
-def _record_step(
-    decode: Callable[[int], tuple[int, int, int, int]],
-    threshold_slot: int,
-    fits_slot: Callable[[int, int, int, int, int], bool],
-    budget: int,
-) -> Callable[[tuple, int, int], tuple | None]:
-    """Step for tagged-record witnesses: each record must pass
-    ``fits_slot(slot, tag, u, v, w)``, the encoder's per-slot tag and pair
-    check, and every record outside the threshold slot adds its (u, v) to
-    the pairs placed so far through ``_add_pair``."""
-
-    def step(pairs: tuple, slot: int, code: int) -> tuple | None:
-        tag, u, v, w = decode(code)
-        if not fits_slot(slot, tag, u, v, w):
-            return None
-        return pairs if slot == threshold_slot else _add_pair(pairs, u, v, budget)
-
-    return step
-
-
 def encode_min_weight_kclique(
     inp: WeightedGraphInput, k: int, threshold: int
 ) -> tuple[LSProblemSpec, LSInstance]:
@@ -444,13 +443,7 @@ def encode_min_weight_kclique(
         total = sum(decode(code)[3] - shift for code in codes[:-1])
         return total <= decode(codes[-1])[3] - shift
 
-    def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
-        if slot == pair_count:
-            return tag == 2 and u == 1 and v == 1
-        return tag == 1 and u < v
-
-    step = _record_step(decode, pair_count, fits_slot, k)
-    member = Member(step, accept, _slot_groups((0, pair_count)))
+    member = _declared_member((Run(pair_count, 1, "edge"), Run(1, 2, (1, 1))), decode, k, accept)
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -491,16 +484,12 @@ def encode_max_h_subgraph(
     beta = pattern.num_nonedges
 
     threshold_slot = ne if edge_mode else ne + nv
-
-    def fits_slot(slot: int, tag: int, u: int, v: int, w: int) -> bool:
-        if slot == threshold_slot:
-            return tag == 3 and u == 1 and v == 1
-        if edge_mode:
-            return (tag == 1 and u < v) if slot < ne else (tag == 2 and u < v and w == 1)
-        if ne <= slot < threshold_slot:
-            return tag == 2 and u == v
-        return tag == 1 and u < v and w == 1
-
+    threshold_run = Run(1, 3, (1, 1))
+    if edge_mode:
+        runs = (Run(ne, 1, "edge"), threshold_run, Run(beta, 2, "edge", unit=True))
+    else:
+        edges, nonedges = Run(ne, 1, "edge", unit=True), Run(beta, 1, "edge", unit=True)
+        runs = (edges, Run(nv, 2, "vertex"), threshold_run, nonedges)
     weighted_slots = range(ne) if edge_mode else range(ne, threshold_slot)
 
     def accept(*codes: int) -> bool:
@@ -511,11 +500,9 @@ def encode_max_h_subgraph(
         pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
         return _spans_pattern(pairs, pattern)
 
-    alpha = threshold_slot + 1
-    groups = _slot_groups((0, ne), (ne, threshold_slot), (alpha, alpha + beta))
-    step = _record_step(decode, threshold_slot, fits_slot, nv)
-    member = Member(step, accept, groups)
-    spec = LSProblemSpec(f"max-{pattern.name}-subgraph-{mode}", alpha, beta, r, members=(member,))
+    member = _declared_member(runs, decode, nv, accept)
+    name = f"max-{pattern.name}-subgraph-{mode}"
+    spec = LSProblemSpec(name, threshold_slot + 1, beta, r, members=(member,))
     elements = []
     for (u, v), w in inp.edge_weights:
         if edge_mode:

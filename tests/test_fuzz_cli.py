@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from polyoracle.cli import run_cli
 from polyoracle.problems import H_PRESETS, PROBLEMS
+from routes import timed
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -204,6 +205,49 @@ def test_verify_circuit(workdir, circuit, target, delta):
     )
     if not isinstance(circuit, dict) or not isinstance(target, dict):
         assert code == 2
+
+
+def sum_power(k, d, squaring):
+    """The circuit (x_0 + ... + x_{k-1})**d: the sum left-folded, the power
+    left-folded or by repeated squaring."""
+    gates = [{"op": "input", "i": i} for i in range(k)]
+
+    def emit(op, left, right):
+        gates.append({"op": op, "l": left, "r": right})
+        return len(gates) - 1
+
+    base = 0
+    for i in range(1, k):
+        base = emit("add", base, i)
+    if not squaring:
+        power = base
+        for _ in range(d - 1):
+            power = emit("mul", power, base)
+    else:
+        power = None
+        while d:
+            if d & 1:
+                power = base if power is None else emit("mul", power, base)
+            d >>= 1
+            if d:
+                base = emit("mul", base, base)
+    return {"num_inputs": k, "gates": gates, "output": power}
+
+
+@settings(FUZZ, max_examples=50)
+@example(k=250, d=6, squaring=True, delta=8)
+@example(k=37, d=4, squaring=True, delta=8)
+@given(
+    k=st.integers(1, 250), d=st.integers(1, 6), squaring=st.booleans(), delta=st.integers(1, 8)
+)
+def test_verify_sum_power_circuits(workdir, k, d, squaring, delta):
+    """A sum power against the zero polynomial answers within 2 s: its
+    truncation at delta >= d is nonzero, so that run rejects, by mismatch or
+    at a cap; below d it matches unless a cap stops the expansion first."""
+    circuit = write(workdir / "power.json", json.dumps(sum_power(k, d, squaring)))
+    zero = write(workdir / "zero.json", json.dumps({"num_vars": k, "monomials": []}))
+    argv = ["verify-circuit", "--circuit", circuit, "--poly", zero, "--delta", str(delta)]
+    assert timed(lambda: run_cli(argv)) in ((0, 1) if delta < d else (1,))
 
 
 MATRIX = st.integers(0, 12).flatmap(

@@ -486,7 +486,11 @@ ONE_EDGE_4 = pr.PatternGraph("one-edge-4", 4, frozenset({(1, 2)}))
 
 def declaring_encoding(name, rng):
     """random_encoding's inputs for an encoder that declares groups, and
-    patterns with two or more non-edges, whose non-edge slots form a group."""
+    patterns with two or more non-edges, whose non-edge slots form a group,
+    alone or in a family."""
+    if name == "family-nonedges":
+        family = [pr.H_PRESETS["c4"], ONE_EDGE_4]
+        return pr.encode_family_induced(random_graph(rng, rng.randint(3, 5), 5), family)
     if name == "h-induced-nonedges":
         pattern = rng.choice([pr.H_PRESETS["c4"], ONE_EDGE_3, ONE_EDGE_4])
         return pr.encode_h_induced(random_graph(rng, rng.randint(3, 5), 5), pattern)
@@ -504,9 +508,11 @@ def declaring_encoding(name, rng):
 DECLARING_NAMES = (
     "collinearity",
     "h-induced",
+    "family-induced",
     "min-weight-clique",
     "max-h-subgraph",
     "h-induced-nonedges",
+    "family-nonedges",
     "max-h-nonedges",
 )
 
@@ -514,30 +520,32 @@ DECLARING_NAMES = (
 @settings(max_examples=150, deadline=None)
 @given(st.sampled_from(DECLARING_NAMES), st.integers(0, 2**32), st.integers(1, 3))
 def test_grouped_count_equals_ungrouped_count(name, seed, theta):
-    """Both exactness conditions of a member's ``groups``: the reorderings of the
-    grouped walk's witnesses are exactly the ungrouped walk's witnesses, each
-    once, and every one of them passes ``spec.verifier``."""
+    """Both exactness conditions of each member's ``groups``: the reorderings
+    of the member's grouped walk's witnesses are exactly its ungrouped walk's
+    witnesses, each once, and every one of them passes the member's verifier;
+    the count is the sum of the members' ungrouped walks."""
     spec, inst = declaring_encoding(name, random.Random(seed))
     if inst.size < 2:
         return
     x = ls.compute_assignment(spec, inst, theta)
     top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
-    (member,) = spec.members
-    # The reference walk ignores the groups, so it may try more candidates
+    # The reference walks ignore the groups, so one may try more candidates
     # than the ls_walk cap lets one library walk try.
     with patch.dict(errors.CAPS, {"ls_walk": (10**9, errors.CAPS["ls_walk"][1])}):
-        ungrouped = list(ls.accepted_tuples(pools, member.accept, member.step))
-    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == len(ungrouped)
-    orbits = []
-    for witness in ls.accepted_tuples(pools, member.accept, member.step, member.groups):
-        for orders in product(*(permutations(witness[a:b]) for a, b in member.groups)):
-            reordered = list(witness)
-            for (a, b), order in zip(member.groups, orders):
-                reordered[a:b] = order
-            assert spec.verifier(*reordered)
-            orbits.append(tuple(reordered))
-    assert sorted(orbits) == ungrouped
+        ungrouped = [list(ls.accepted_tuples(pools, m.accept, m.step)) for m in spec.members]
+    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == sum(map(len, ungrouped))
+    for member, walk in zip(spec.members, ungrouped):
+        alone = replace(spec, members=(member,))
+        orbits = []
+        for witness in ls.accepted_tuples(pools, member.accept, member.step, member.groups):
+            for orders in product(*(permutations(witness[a:b]) for a, b in member.groups)):
+                reordered = list(witness)
+                for (a, b), order in zip(member.groups, orders):
+                    reordered[a:b] = order
+                assert alone.verifier(*reordered)
+                orbits.append(tuple(reordered))
+        assert sorted(orbits) == walk
 
 
 EDGELESS_3 = pr.PatternGraph("edgeless-3", 3, frozenset())

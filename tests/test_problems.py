@@ -184,6 +184,30 @@ def test_build_problem_registry():
         pr.build_problem("nonsense", {})
 
 
+def test_member_groups_are_pinned():
+    """Each graph and record encoder's groups, derived from its slot
+    declaration: its edge and vertex runs of two or more slots, never a run
+    of fixed-pair slots (the family's fillers, the threshold record)."""
+    graph = pr.GraphInput(4, frozenset())
+    weighted = pr.WeightedGraphInput(4, (((1, 2), 1),), 2, (1, 1, 1, 1))
+    path3 = pr.H_PRESETS["path3"]
+    family = [path3, pr.H_PRESETS["triangle"], pr.H_PRESETS["edge"]]
+    specs = {
+        "h-induced c4": pr.encode_h_induced(graph, pr.H_PRESETS["c4"]),
+        "family": pr.encode_family_induced(graph, family),
+        "4-clique": pr.encode_min_weight_kclique(weighted, 4, 0),
+        "max-H edge": pr.encode_max_h_subgraph(weighted, path3, 0, "edge-weights"),
+        "max-H vertex": pr.encode_max_h_subgraph(weighted, path3, 0, "vertex-weights"),
+    }
+    assert {name: [m.groups for m in spec.members] for name, (spec, _) in specs.items()} == {
+        "h-induced c4": [((0, 4), (4, 6))],
+        "family": [((0, 2),), ((0, 3),), ()],
+        "4-clique": [((0, 6),)],
+        "max-H edge": [((0, 2),)],
+        "max-H vertex": [((0, 2), (2, 5))],
+    }
+
+
 @pytest.mark.parametrize(
     "spec, inst", [pytest.param(spec, inst, id=spec.name) for spec, inst in tiny_encodings()]
 )
