@@ -24,12 +24,12 @@ graph or record encoder declares a member's slots once, as ordered ``Run``s
 of alike slots, each with a record tag, a pair shape (a canonical edge, a
 vertex (v, v) or one fixed pair) and whether its weight must be 1.  The
 member's ``step`` is derived from that declaration: it checks each slot
-against its run, and its state, the pairs placed and a bitmask of the
-vertices they span, rejects a repeated pair or more than |V(H)| (or k)
-vertices.  Its groups are derived too: the runs of two or more edge or
-vertex slots, whose order the step ignores.  ``accept`` keeps only the
-global check: the value sum, the cross product, the pattern isomorphism or
-the weight threshold.  A pattern on t >= 2 vertices fills C(t, 2) pair
+against its run, and its state, the pairs placed and the vertices they
+span, rejects a repeated pair or more than |V(H)| (or k) vertices.  Its
+groups are derived too: the runs of two or more edge or vertex slots,
+whose order the step ignores.  ``accept`` keeps only the global check: the
+value sum, the cross product, the pattern isomorphism or the weight
+threshold.  A pattern on t >= 2 vertices fills C(t, 2) pair
 slots, and that many distinct canonical pairs on at most t vertices are all
 the pairs of exactly t vertices; so a clique's ``accept`` needs no vertex
 count, and in vertex mode the declared vertices are the spanned ones.
@@ -164,9 +164,10 @@ def _declared_member(
 ) -> Member:
     """The member of a run declaration: its step checks a slot's record, as
     ``decode`` reads it, against the slot's run and adds each edge or vertex
-    to the state (pairs placed, bitmask of vertices spanned), rejecting a
-    repeated pair or more than ``budget`` vertices; its groups are the runs
-    of two or more edge or vertex slots."""
+    to the state (pairs placed, vertices spanned), rejecting a repeated pair
+    or more than ``budget`` vertices, so a step's work is bounded by the
+    budget, not by the walk's depth or the vertex labels; its groups are the
+    runs of two or more edge or vertex slots."""
     runs = [run for run in runs if run.count]
     starts = list(accumulate((run.count for run in runs), initial=0))
     groups = tuple(
@@ -184,11 +185,14 @@ def _declared_member(
             return state if (u, v) == shape else None
         if not (lowest <= u < v if shape == "edge" else u == v):
             return None
-        pairs, mask = state or ((), 0)
-        mask |= 1 << u | 1 << v
-        if mask.bit_count() > budget or (u, v) in pairs:
+        pairs, spanned = state or ((), ())
+        if u not in spanned:
+            spanned += (u,)
+        if v not in spanned:
+            spanned += (v,)
+        if len(spanned) > budget or (u, v) in pairs:
             return None
-        return pairs + ((u, v),), mask
+        return pairs + ((u, v),), spanned
 
     return Member(step, accept, groups)
 

@@ -2,9 +2,11 @@
 ends with a documented exit code (0-3), lets no exception escape and answers
 within a few seconds."""
 
+import io
 import json
 import random
 import time
+from contextlib import redirect_stdout
 from itertools import combinations
 
 import pytest
@@ -247,7 +249,12 @@ def test_verify_sum_power_circuits(workdir, k, d, squaring, delta):
     circuit = write(workdir / "power.json", json.dumps(sum_power(k, d, squaring)))
     zero = write(workdir / "zero.json", json.dumps({"num_vars": k, "monomials": []}))
     argv = ["verify-circuit", "--circuit", circuit, "--poly", zero, "--delta", str(delta)]
-    assert timed(lambda: run_cli(argv)) in ((0, 1) if delta < d else (1,))
+    out = io.StringIO()
+    with redirect_stdout(out):
+        code = timed(lambda: run_cli(argv))
+    reason = out.getvalue().split()[-1]
+    assert reason in {"match" if delta < d else "mismatch", "cap_exceeded"}
+    assert code == (0 if reason == "match" else 1)
 
 
 MATRIX = st.integers(0, 12).flatmap(

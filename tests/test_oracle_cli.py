@@ -287,6 +287,18 @@ def test_cli_ls_walks_are_bounded(tmp_path, capsys, problem, build):
     assert "cap ls_walk exceeded" in capsys.readouterr().err
 
 
+def test_cli_walk_cost_ignores_vertex_labels(tmp_path, capsys):
+    """A step's work is bounded by the pattern, not by the vertex labels: an
+    induced triangle in G(40, 0.3) relabelled to the top of [10**6] answers
+    within 2 s, yes as on labels 1..40."""
+    edges = _gnp(random.Random(1), 40, 0.3)
+    for n in (40, 10**6):
+        shifted = [[u + n - 40, v + n - 40] for u, v in edges]
+        path = write_json(tmp_path / "input.json", {"n": n, "edges": shifted, "H": "triangle"})
+        assert timed(lambda: run_cli(["solve", "--problem", "h-induced", "--input", path])) == 0
+        assert ": yes" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("n", [5, 8])
 def test_cli_solve_sparse_pattern_walks_one_ordering(tmp_path, capsys, monkeypatch, n):
     """A one-edge pattern on 5 vertices has 9 interchangeable non-edge slots:
