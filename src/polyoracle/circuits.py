@@ -229,10 +229,11 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     Each gate is a dict of its nonzero terms.  Truncation T commutes with the
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
-    delta drops pairs.  Raises CapExceeded as soon as any gate's map passes
-    the gate_terms cap, and before the gate that takes the running total of
-    term pairs formed by products plus terms copied by sums, over all gates
-    so far, past the gate_pairs cap forms a pair or copies a term.
+    delta drops pairs, and it neither forms nor counts them.  Raises
+    CapExceeded as soon as any gate's map passes the gate_terms cap, and
+    before the gate that takes the running total of term pairs formed by
+    products plus terms copied by sums, over all gates so far, past the
+    gate_pairs cap forms a pair or copies a term.
     """
     limit, pair_limit = cap_limit("gate_terms"), cap_limit("gate_pairs")
     work = 0
@@ -257,10 +258,13 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
                 if last_read[operand] == gate_id:
                     expanded[operand] = None
             if isinstance(gate, MulGate):
-                work += len(left) * len(right)
+                bound = delta if degrees is not None and degrees[gate_id] > delta else None
+                if bound is None:
+                    work += len(left) * len(right)
+                else:
+                    work += poly._pair_count(left, right, bound)
                 if work > pair_limit:
                     check("gate_pairs", work)
-                bound = delta if degrees is not None and degrees[gate_id] > delta else None
                 terms = poly._multiply_terms(left, right, bound)
             elif last_read[gate.left] == gate_id and gate.left != gate.right:
                 terms = poly._add_into(left, right)

@@ -34,7 +34,10 @@ every count stays exact.
 
 permanent_via_formulation is the whole chain: the signed sum of f_expand's
 terms, each counted as f_count_traces counts it.  At theta = 1 a trace is one
-unflagged segment over all rows, so each term costs a single sweep.
+unflagged segment over all rows, so each term costs a single sweep.  S1 is
+the same for every term, so the positions of each row's S1 columns
+(``_row_positions``) are built once per call, by f_count_traces and by
+permanent_via_formulation alike, and every sweep of the call reads them.
 """
 
 from __future__ import annotations
@@ -139,10 +142,19 @@ def f_expand(matrix: BinaryMatrix, s_eq1: int, alpha: float) -> list[tuple[int, 
     return terms
 
 
+def _row_positions(matrix: BinaryMatrix, s_eq1: int) -> tuple[int, list[list[int]]]:
+    """(|S1|, positions): positions[u - 1] lists the positions 0..|S1|-1, in
+    S1's columns taken in increasing order, of the S1 columns row u covers."""
+    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
+    positions = [[p for p, b in enumerate(bits) if mask >> b & 1] for mask in matrix.row_masks]
+    return len(bits), positions
+
+
 def _sweep(
-    matrix: BinaryMatrix, rows: Sequence[int], s_eq1: int, free: Sequence[int], flag: int
+    rows: Sequence[int], s1: tuple[int, list[list[int]]], free: Sequence[int], flag: int
 ) -> tuple[int, list[int]]:
-    """One subset DP over all of S1 = s_eq1 along ``rows``, packed into ints.
+    """One subset DP over all of S1 along ``rows``, packed into ints; ``s1``
+    is ``_row_positions`` of S1.
 
     Returns (w, counts).  Lane C of counts[i] -- bits C*w up to (C+1)*w,
     where C is a subset of the positions 0..|S1|-1 of S1's columns in
@@ -158,14 +170,13 @@ def _sweep(
     lane exceeds the product of the rows' choice counts, and w is that
     product's bit length, so lanes never carry into each other.
     """
-    masks = matrix.row_masks
-    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
-    covs = [[p for p, b in enumerate(bits) if masks[u - 1] >> b & 1] for u in rows]
+    size, positions = s1
+    covs = [positions[u - 1] for u in rows]
     bound = 1
     for u, cov in zip(rows, covs):
         bound *= free[u - 1] + len(cov) or 1
     width = bound.bit_length()
-    total = width << len(bits)
+    total = width << size
     # lack[p]: all-ones lanes where position p is uncovered, built by doubling.
     lack = {}
     for p in {p for cov in covs for p in cov}:
@@ -244,8 +255,8 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    size = (s_eq1 & ((1 << matrix.n) - 1)).bit_count()
-    return _count_traces(matrix, s_eq1, s_eq0, theta, _block_partitions(size, theta))
+    s1 = _row_positions(matrix, s_eq1)
+    return _count_traces(matrix, s_eq1, s_eq0, theta, s1, _block_partitions(s1[0], theta))
 
 
 def _block_partitions(size: int, theta: int) -> list[list[int]]:
@@ -255,17 +266,23 @@ def _block_partitions(size: int, theta: int) -> list[list[int]]:
 
 
 def _count_traces(
-    matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int, partitions: list[list[int]]
+    matrix: BinaryMatrix,
+    s_eq1: int,
+    s_eq0: int,
+    theta: int,
+    s1: tuple[int, list[list[int]]],
+    partitions: list[list[int]],
 ) -> int:
-    """f_count_traces for disjoint masks, given the ``_block_partitions``."""
+    """f_count_traces for disjoint masks, given S1's ``_row_positions`` and
+    ``_block_partitions``."""
     n = matrix.n
-    quotas, flags = preimage_quotas((s_eq1 & ((1 << n) - 1)).bit_count(), theta)
+    quotas, flags = preimage_quotas(s1[0], theta)
     segments = len(quotas)
     # Every segment blocks all of S1 and S0 outside its own block W.
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
 
-    backward = _sweep(matrix, range(n, 0, -1), s_eq1, free, 0)
+    backward = _sweep(range(n, 0, -1), s1, free, 0)
     forward: dict[int, tuple[int, list[int]]] = {}
     total = 0
     for cuts in combinations(range(1, n + 1), segments - 1):
@@ -277,7 +294,7 @@ def _count_traces(
         for j in range(segments - 1):
             start = bounds[j]
             if start not in forward:
-                forward[start] = _sweep(matrix, range(start + 1, n + 1), s_eq1, free, flags[j])
+                forward[start] = _sweep(range(start + 1, n + 1), s1, free, flags[j])
             width, counts = forward[start]
             tables.append((counts[bounds[j + 1] - start], width))
         width, counts = backward
@@ -304,11 +321,12 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
     check("permanent_formulation", n)
     if n == 0:
         return 1
-    size = ceil(alpha * n)
-    partitions = _block_partitions(size, theta)
+    s_eq1 = (1 << ceil(alpha * n)) - 1
+    s1 = _row_positions(matrix, s_eq1)
+    partitions = _block_partitions(s1[0], theta)
     total = 0
-    for sign, spec in f_expand(matrix, (1 << size) - 1, alpha):
-        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, partitions)
+    for sign, spec in f_expand(matrix, s_eq1, alpha):
+        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, s1, partitions)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import gc
 import json
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
@@ -186,19 +187,34 @@ def _merge_powers(a: Powers, b: Powers) -> Powers:
     return tuple(out)
 
 
+def _pair_count(left: Mapping[Powers, int], right: Mapping[Powers, int], max_degree: int) -> int:
+    """The pairs ``_multiply_terms`` forms under ``max_degree``: those whose
+    degrees sum to at most it."""
+    lefts, rights = Counter(map(_degree, left)), Counter(map(_degree, right))
+    return sum(
+        count * other
+        for degree, count in lefts.items()
+        for partner, other in rights.items()
+        if degree + partner <= max_degree
+    )
+
+
 def _multiply_terms(
     left: Mapping[Powers, int], right: Mapping[Powers, int], max_degree: int | None = None
 ) -> dict[Powers, int]:
     """Product of two term maps of nonzero coefficients; cancelled terms are
-    dropped, and so is every pair whose degrees sum above ``max_degree``."""
+    dropped, and so is every pair whose degrees sum above ``max_degree``,
+    which is never formed: the right operand is bucketed by degree."""
     out: dict[Powers, int] = {}
     partners = right.items()
     if max_degree is not None:
-        graded = [(b, cb, sum(e for _, e in b)) for b, cb in partners]
+        buckets: dict[int, list[tuple[Powers, int]]] = {}
+        for b, cb in partners:
+            buckets.setdefault(_degree(b), []).append((b, cb))
     for a, ca in left.items():
         if max_degree is not None:
-            room = max_degree - sum(e for _, e in a)
-            partners = [(b, cb) for b, cb, degree in graded if degree <= room]
+            room = max_degree - _degree(a)
+            partners = [pair for d, bucket in buckets.items() if d <= room for pair in bucket]
         for b, cb in partners:
             powers = _merge_powers(a, b)
             out[powers] = out.get(powers, 0) + ca * cb

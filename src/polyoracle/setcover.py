@@ -21,14 +21,19 @@ The decision chain for "is there a k-cover?":
                          where each B_j is the family set that pushes the
                          running union past n/theta (the final block may
                          fall short).  Per block, y counts indices equal to
-                         B_j and a min-pivot subset DP counts partitions of
-                         A_j by sets whose minima precede min(B_j).  B_j is
-                         looked up only among the sets whose minimum is the
-                         least element left outside A_j: any other B_j
-                         would leave that element to a later block, whose
-                         elements must all follow min(B_j).  One table, the
+                         B_j and a min-pivot subset DP, z, counts partitions
+                         of A_j by sets whose minima precede min(B_j).  The
+                         next block is found by b = min(B_j), in increasing
+                         order: A_j holds exactly the elements left under b
+                         (any other B_j would leave one of them to a later
+                         block, whose elements must all follow b), so b
+                         stops once those outnumber n/theta.  A final
+                         block's A_j is what B_j leaves; a non-final
+                         block's A_j is one of the unions that a min-pivot
+                         walk over the elements under b reaches, the only
+                         A_j whose z can be nonzero.  One table, the
                          distinct set values with their multiplicities by
-                         minimum, serves both y and z.
+                         minimum, serves y, z and the walk.
                          One recursion gives the count for every k up to a
                          bound, packed into one int with a fixed-width lane
                          per number of sets: multiplying a block's y*z
@@ -144,7 +149,14 @@ class _PartitionCounter:
     def traces(self, remaining: int, blocks_used: int) -> int:
         """Lane k, for k = 0..k_max: the sum of per-trace products over
         partitions of ``remaining`` into k sets, after ``blocks_used`` greedy
-        blocks."""
+        blocks.
+
+        The next block (A, B) is found by b = min(B), in increasing order
+        over ``remaining``.  A holds every element of ``remaining`` under b
+        (any other B would leave one of them to a later block, whose
+        elements must all follow b), so the loop stops once those alone
+        outnumber n // theta.  ``blocks`` lists each b's candidates, and
+        z(A, b) counts A's partitions."""
         if remaining == 0:
             return self.empty_choices
         if blocks_used >= 2 * self.theta:
@@ -153,43 +165,81 @@ class _PartitionCounter:
         cached = self.trace_memo.get(key)
         if cached is not None:
             return cached
-        n, theta = self.n, self.theta
-        a_cap = n // theta
-        pivot = remaining & -remaining
+        a_cap = self.n // self.theta
         # Lanes count the sets other than B until one shift adds B at the end.
-        # Tail block with empty prefix: B alone consumes everything left.
-        total = sum(
-            count * self.empty_choices
-            for b_mask, count in self.by_pivot.get(pivot, ())
-            if b_mask == remaining
-        )
-        # Blocks with a nonempty prefix A containing the pivot element: A's
-        # partition times the tail's.  B's minimum is the least element
-        # outside A: any other B would leave that element to a later block,
-        # whose elements must all follow min(B).
-        rest = remaining ^ pivot
-        sub = rest
-        while True:
-            a_mask = sub | pivot
-            outside = remaining ^ a_mask
-            if a_mask.bit_count() <= a_cap and outside:
-                b_min_bit = outside & -outside
-                for b_mask, count in self.by_pivot.get(b_min_bit, ()):
-                    if b_mask & ~outside:
-                        continue
-                    after = outside ^ b_mask
-                    # A non-final block must overshoot n/theta.
-                    if after and theta * (a_mask | b_mask).bit_count() <= n:
-                        continue
-                    zs = self.z(a_mask, b_min_bit)
-                    if zs:
-                        total += count * zs * self.traces(after, blocks_used + 1)
-            if sub == 0:
+        total = 0
+        rest = remaining
+        while rest:
+            b_min_bit = rest & -rest
+            if (remaining & (b_min_bit - 1)).bit_count() > a_cap:
                 break
-            sub = (sub - 1) & rest
+            for a_mask, b_mask, count in self.blocks(remaining, b_min_bit):
+                zs = self.z(a_mask, b_min_bit)
+                if zs:
+                    after = remaining ^ a_mask ^ b_mask
+                    total += count * zs * self.traces(after, blocks_used + 1)
+            rest ^= b_min_bit
         total = (total << self.width) & self.k_mask
         self.trace_memo[key] = total
         return total
+
+    def blocks(self, remaining: int, b_min_bit: int) -> list[tuple[int, int, int]]:
+        """The blocks (A, B, multiplicity of B) that may start a trace of
+        ``remaining`` with min(B) = b: B a family set with minimum b inside
+        ``remaining``, and A inside ``remaining`` - B, holding ``below``
+        (the elements of ``remaining`` under b), with |A| <= n // theta.
+        A final block's A is ``remaining`` - B, empty when B is all of it.
+        A non-final block's A | B must pass n / theta and leave an element
+        for a later block; its A is one of the unions ``covers`` reaches, the
+        only A whose z(A, b) can be nonzero, and that walk runs only when
+        some B admits such an A."""
+        a_cap = self.n // self.theta
+        below = remaining & (b_min_bit - 1)
+        low, left = below.bit_count(), remaining.bit_count()
+        found = []
+        # Each B's size range for a non-final A: past n / theta with B, and
+        # leaving an element for a later block.
+        spans = []
+        for b_mask, count in self.by_pivot.get(b_min_bit, ()):
+            if b_mask & ~remaining:
+                continue
+            size = b_mask.bit_count()
+            if left - size <= a_cap:
+                found.append((remaining ^ b_mask, b_mask, count))
+            least, most = max(low, a_cap + 1 - size), min(a_cap, left - size - 1)
+            if least <= most:
+                spans.append((b_mask, count, least, most))
+        if spans:
+            cap = max(most for _, _, _, most in spans)
+            for a_mask in self.covers(below, remaining ^ b_min_bit, cap):
+                size = a_mask.bit_count()
+                for b_mask, count, least, most in spans:
+                    if least <= size <= most and not a_mask & b_mask:
+                        found.append((a_mask, b_mask, count))
+        return found
+
+    def covers(self, below: int, inside: int, cap: int) -> list[int]:
+        """Every union of at most ``cap`` elements of disjoint family sets
+        inside ``inside``, each with its minimum in ``below``, that covers
+        ``below``: the min-pivot walk adds a set whose minimum is the least
+        element of ``below`` not yet covered, and visits each union once."""
+        found = []
+        seen = {0}
+        stack = [0]
+        while stack:
+            union = stack.pop()
+            open_ = below & ~union
+            if not open_:
+                found.append(union)
+                continue
+            for mask, _ in self.by_pivot.get(open_ & -open_, ()):
+                if mask & ~inside or mask & union:
+                    continue
+                grown = union | mask
+                if grown not in seen and grown.bit_count() <= cap:
+                    seen.add(grown)
+                    stack.append(grown)
+        return found
 
 
 def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:

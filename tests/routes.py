@@ -544,7 +544,7 @@ def g_count_dp(matrix, rows, s_eq1, s_eq0, flag):
     the last row mapped into s_eq1."""
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    width, counts = pm._sweep(matrix, rows, s_eq1, free, flag)
+    width, counts = pm._sweep(rows, pm._row_positions(matrix, s_eq1), free, flag)
     return counts[-1] >> ((1 << s_eq1.bit_count()) - 1) * width
 
 

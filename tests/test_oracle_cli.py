@@ -483,6 +483,30 @@ def test_cli_verify_circuit_bounds_a_product_before_forming_it(tmp_path, capsys)
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
 
 
+@pytest.mark.parametrize("squaring", [False, True])
+def test_cli_verify_circuit_charges_only_the_pairs_a_truncation_keeps(tmp_path, capsys, squaring):
+    """(x0 + ... + x39)**4 at delta = 2 against the zero polynomial: every
+    pair past s**2 has degree above 2, so no build forms one and both the
+    left-folded build and the square of a square match.  Charging the
+    square's 820 * 820 dropped pairs would pass the gate_pairs cap."""
+    gates = [ci.InputGate(i) for i in range(40)]
+    total = 0
+    for i in range(1, 40):
+        gates.append(ci.AddGate(total, i))
+        total = len(gates) - 1
+    gates.append(ci.MulGate(total, total))
+    if squaring:
+        gates.append(ci.MulGate(total + 1, total + 1))
+    else:
+        gates += [ci.MulGate(total + 1, total), ci.MulGate(total + 2, total)]
+    circuit = ci.ArithmeticCircuit(40, tuple(gates), len(gates) - 1)
+    circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
+    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(40, {})))
+    argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "2"]
+    assert timed(lambda: run_cli(argv)) == 0
+    assert capsys.readouterr().out.strip() == "verify: match"
+
+
 @pytest.mark.parametrize("inputs", [32, 42])
 def test_cli_verify_circuit_bounds_the_pairs_of_all_products(tmp_path, capsys, inputs):
     """Five product gates each square s**2, s = x0 + ... + x_{inputs-1}, then

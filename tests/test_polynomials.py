@@ -197,6 +197,9 @@ def test_evaluation_homomorphism(p, q, x, max_degree):
     assert poly.eval_over_integers(product, x) == ev_p * ev_q
     truncated = P(4, poly._multiply_terms(p.terms, q.terms, max_degree))
     assert poly.eval_over_integers(truncated, x) == truncated_product_value(p, q, x, max_degree)
+    degrees_p, degrees_q = map(poly._degree, p.terms), list(map(poly._degree, q.terms))
+    kept = sum(a + b <= max_degree for a in degrees_p for b in degrees_q)
+    assert poly._pair_count(p.terms, q.terms, max_degree) == kept
 
 
 @settings(max_examples=200, deadline=None)

@@ -11,7 +11,7 @@ import polyoracle.permanent as pm
 import polyoracle.setcover as sc
 from polyoracle.errors import CapExceeded, PreconditionViolated, ValueOutOfRange
 from oracles import hcv_count, setpartition_count
-from routes import random_family, z_var_dp
+from routes import planted_lists, random_family, z_var_dp
 
 
 def test_setpartition_brute_known_values():
@@ -140,6 +140,52 @@ def test_partition_trace_uniqueness_audit():
             for a_mask, b_mask, k_j in trace:
                 expected *= value_counts[b_mask] * z_var_dp(family, a_mask, b_mask, k_j - 1)
             assert expected == bucket
+
+
+def test_trace_blocks_are_every_block_the_full_scan_counts():
+    """At every (remaining, b) the trace recursion reaches, the blocks listed
+    with a nonzero z are, once each, those of the scan over every A: A inside
+    remaining - {b}, holding every element of remaining under b, with
+    |A| <= n // theta and z(A, b) != 0, and B a family set with minimum b
+    inside remaining - A that ends the trace or takes A | B past n / theta."""
+    rng = random.Random(28)
+    for _ in range(100):
+        theta = rng.choice([1, 2, 3])
+        n = rng.randint(2 * theta, 10)
+        lists = planted_lists(rng, n, n // (2 * theta), partitions=2, extra=n)
+        family = sc.family_from_lists(n, lists + [[]])
+        counter = sc._PartitionCounter(family, theta, len(family.sets))
+        counter.traces(family.full_mask, 0)
+        a_cap = n // theta
+        for remaining, _ in list(counter.trace_memo):
+            for b in range(n):
+                b_bit = 1 << b
+                below = remaining & (b_bit - 1)
+                if not remaining & b_bit or below.bit_count() > a_cap:
+                    continue
+                listed = [
+                    (a_mask, b_mask)
+                    for a_mask, b_mask, _ in counter.blocks(remaining, b_bit)
+                    if counter.z(a_mask, b_bit)
+                ]
+                expected = []
+                inside = remaining ^ b_bit
+                for a_mask in range(inside + 1):
+                    if (
+                        a_mask & ~inside
+                        or below & ~a_mask
+                        or a_mask.bit_count() > a_cap
+                        or not counter.z(a_mask, b_bit)
+                    ):
+                        continue
+                    for b_mask, _ in counter.by_pivot.get(b_bit, ()):
+                        after = remaining ^ a_mask ^ b_mask
+                        if b_mask & ~(remaining ^ a_mask):
+                            continue
+                        if after and theta * (a_mask | b_mask).bit_count() <= n:
+                            continue
+                        expected.append((a_mask, b_mask))
+                assert sorted(listed) == sorted(expected)
 
 
 def test_hcv_brute_known_values():
