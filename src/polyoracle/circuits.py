@@ -33,6 +33,7 @@ golden files reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import MappingProxyType
 from typing import Sequence, Union
 
 from . import polynomials as poly
@@ -71,6 +72,14 @@ Gate = Union[InputGate, ConstGate, AddGate, MulGate]
 
 @dataclass(frozen=True)
 class ArithmeticCircuit:
+    """Gates in topological order; ``output`` is a gate id.
+
+    The constructor (and so ``from_json_dict``) checks every gate id and
+    input index.  Circuits the library builds itself, by
+    ``build_circuit_from_polynomial`` and ``homogenize``, are valid by
+    construction and are not checked again.
+    """
+
     num_inputs: int
     gates: tuple[Gate, ...]
     output: int
@@ -91,7 +100,8 @@ class ArithmeticCircuit:
 
 @dataclass(frozen=True)
 class PrimeModulus:
-    """A prime p, checked prime on construction."""
+    """A prime p, checked prime by the constructor; ``find_prime``, which
+    has just tested it, builds one unchecked."""
 
     p: int
 
@@ -162,12 +172,13 @@ def _gate_degrees(circuit: ArithmeticCircuit, ceiling: int) -> list[int]:
     exact degrees double along a chain of squarings."""
     degrees: list[int] = []
     for gate in circuit.gates:
-        if isinstance(gate, MulGate):
+        kind = type(gate)
+        if kind is MulGate:
             degrees.append(min(ceiling, degrees[gate.left] + degrees[gate.right]))
-        elif isinstance(gate, AddGate):
+        elif kind is AddGate:
             degrees.append(max(degrees[gate.left], degrees[gate.right]))
         else:
-            degrees.append(1 if isinstance(gate, InputGate) else 0)
+            degrees.append(1 if kind is InputGate else 0)
     return degrees
 
 
@@ -219,7 +230,9 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     output = builder.sum_all(components[circuit.output])
     if output is None:
         output = builder.emit(ConstGate(0))
-    return ArithmeticCircuit(circuit.num_inputs, tuple(builder.gates), output)
+    return poly._unchecked(
+        ArithmeticCircuit, num_inputs=circuit.num_inputs, gates=tuple(builder.gates), output=output
+    )
 
 
 def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers, int]:
@@ -243,21 +256,23 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     # sum of n terms holds O(n) entries rather than O(n**2).
     last_read = [-1] * len(circuit.gates)
     for gate_id, gate in enumerate(circuit.gates):
-        if isinstance(gate, (AddGate, MulGate)):
+        kind = type(gate)
+        if kind is MulGate or kind is AddGate:
             last_read[gate.left] = last_read[gate.right] = gate_id
     last_read[circuit.output] = len(circuit.gates)
     expanded: list[dict[Powers, int] | None] = []
     for gate_id, gate in enumerate(circuit.gates):
-        if isinstance(gate, InputGate):
+        kind = type(gate)
+        if kind is InputGate:
             terms = {((gate.index, 1),): 1}
-        elif isinstance(gate, ConstGate):
+        elif kind is ConstGate:
             terms = {(): gate.value} if gate.value else {}
         else:
             left, right = expanded[gate.left], expanded[gate.right]
             for operand in (gate.left, gate.right):
                 if last_read[operand] == gate_id:
                     expanded[operand] = None
-            if isinstance(gate, MulGate):
+            if kind is MulGate:
                 bound = delta if degrees is not None and degrees[gate_id] > delta else None
                 if bound is None:
                     work += len(left) * len(right)
@@ -288,7 +303,11 @@ def expand_to_polynomial(circuit: ArithmeticCircuit) -> SparsePolynomial:
     gate_pairs cap admits, signalling that the circuit is not effectively
     constant-degree at these caps.
     """
-    return SparsePolynomial(circuit.num_inputs, _expand_terms(circuit, None))
+    return poly._unchecked(
+        SparsePolynomial,
+        num_vars=circuit.num_inputs,
+        terms=MappingProxyType(_expand_terms(circuit, None)),
+    )
 
 
 @dataclass(frozen=True)
@@ -333,7 +352,7 @@ def find_prime(bound: int) -> PrimeModulus:
     candidate = lower
     while candidate <= upper:
         if is_prime(candidate):
-            return PrimeModulus(candidate)
+            return poly._unchecked(PrimeModulus, p=candidate)
         candidate += 1
     raise AssertionError("no prime in [2M, 4M]; Bertrand's postulate violated")
 
@@ -371,7 +390,9 @@ def build_circuit_from_polynomial(target: SparsePolynomial) -> ArithmeticCircuit
     output = builder.sum_all(term_ids)
     if output is None:
         output = builder.emit(ConstGate(0))
-    return ArithmeticCircuit(n, tuple(builder.gates), output)
+    return poly._unchecked(
+        ArithmeticCircuit, num_inputs=n, gates=tuple(builder.gates), output=output
+    )
 
 
 # --- JSON wire format ---------------------------------------------------

@@ -71,10 +71,11 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from itertools import chain, groupby, product
 from math import factorial, prod
+from types import MappingProxyType
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
 
 from .errors import cap_limit, check
-from .polynomials import Monomial, Powers, SparsePolynomial
+from .polynomials import Monomial, Powers, SparsePolynomial, _unchecked
 
 LT, EQ, GT = "<", "=", ">"
 COMPARISONS = (LT, EQ, GT)
@@ -549,7 +550,9 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     per class.  The literal cap counts walked witnesses times their
     weights, the stream's variable occurrences, so this raises CapExceeded
     on exactly the inputs on which draining the stream does.  The stream is
-    the reference this collection is tested against.
+    the reference this collection is tested against.  Every coefficient is
+    a positive count and every key a power vector over the declared
+    variables, so the map is wrapped without a second check.
     """
     witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, grouped=True)
     alpha = spec.alpha
@@ -577,7 +580,9 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
             terms[pairs] = terms.get(pairs, 0) + weight * count
         for powers, count in squarefree.items():
             terms[powers] = terms.get(powers, 0) + weight * count
-    return SparsePolynomial(variable_count(s, spec.r, theta), terms)
+    return _unchecked(
+        SparsePolynomial, num_vars=variable_count(s, spec.r, theta), terms=MappingProxyType(terms)
+    )
 
 
 def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> int:

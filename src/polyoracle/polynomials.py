@@ -6,7 +6,10 @@ vector to nonzero arbitrary-precision integer coefficient,
     Powers = ((variable_index, exponent), ...)   indices strictly increasing,
                                                  every exponent >= 1
 
-validated once when the polynomial is built.  The zero polynomial has an
+validated where a term map enters the library: the ``SparsePolynomial``
+constructor, ``polynomial()`` and ``from_json_dict``.  A map the library
+builds itself (a circuit's expansion, a formulation polynomial) is valid by
+construction and is wrapped as it is, unchecked.  The zero polynomial has an
 empty map.  Each power vector appears once, so two polynomials are equal
 exactly when their variable counts and term maps are; the order in which the
 terms were inserted plays no part.  Polynomials are not hashable.
@@ -46,6 +49,16 @@ def _powers_key(powers: Powers) -> tuple:
     # Ascending degree first; the flattened (index, -exponent) pairs linearize
     # descending dense-lexicographic order within a degree class.
     return (_degree(powers), *[x for i, e in powers for x in (i, -e)])
+
+
+def _unchecked(cls, **fields):
+    """A frozen ``cls`` holding ``fields`` as given, built without
+    ``__post_init__``: for values the library builds valid by construction.
+    A ``SparsePolynomial``'s ``terms`` must be passed read-only."""
+    value = object.__new__(cls)
+    for name, field in fields.items():
+        object.__setattr__(value, name, field)
+    return value
 
 
 def _check_powers(powers: Powers) -> None:
@@ -204,7 +217,18 @@ def _multiply_terms(
 ) -> dict[Powers, int]:
     """Product of two term maps of nonzero coefficients; cancelled terms are
     dropped, and so is every pair whose degrees sum above ``max_degree``,
-    which is never formed: the right operand is bucketed by degree."""
+    which is never formed: the right operand is bucketed by degree.
+
+    A one-term operand is a relabelling: it maps distinct terms to distinct
+    terms and cancels none, so the product is formed in one pass."""
+    if len(left) == 1 or len(right) == 1:
+        if len(left) != 1:
+            left, right = right, left
+        ((a, ca),) = left.items()
+        if max_degree is None:
+            return {_merge_powers(a, b): ca * cb for b, cb in right.items()}
+        room = max_degree - _degree(a)
+        return {_merge_powers(a, b): ca * cb for b, cb in right.items() if _degree(b) <= room}
     out: dict[Powers, int] = {}
     partners = right.items()
     if max_degree is not None:

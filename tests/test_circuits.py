@@ -10,6 +10,8 @@ from itertools import combinations_with_replacement
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
@@ -164,6 +166,25 @@ def test_built_circuit_gates_are_pinned():
         ci.AddGate(0, 3), ci.AddGate(10, 6), ci.AddGate(11, 9),
     )
     assert built.output == 12
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.randoms(use_true_random=False), st.integers(1, 4))
+def test_library_built_values_pass_the_strict_constructors(rng, delta):
+    """build_circuit_from_polynomial, homogenize, expand_to_polynomial and
+    find_prime build their values without the constructors' checks; each
+    value re-passes its strict constructor and compares equal."""
+    target = random_polynomial(rng, rng.randint(1, 4))
+    built = ci.build_circuit_from_polynomial(target)
+    drawn = random_circuit(rng, rng.randint(1, 4), 8)
+    for c in (built, ci.homogenize(built, delta), ci.homogenize(drawn, delta)):
+        assert ci.ArithmeticCircuit(c.num_inputs, c.gates, c.output) == c
+        expanded = ci.expand_to_polynomial(c)
+        assert poly.SparsePolynomial(expanded.num_vars, dict(expanded.terms)) == expanded
+        with pytest.raises(TypeError):
+            expanded.terms[()] = 1  # type: ignore[index]
+    modulus = ci.find_prime(poly.value_bound(target, rng.randint(1, 30)))
+    assert ci.PrimeModulus(modulus.p) == modulus
 
 
 def test_verify_rejects_distinct_polynomial():

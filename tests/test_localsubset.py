@@ -6,7 +6,7 @@ import random
 import time
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import permutations, product, zip_longest
+from itertools import combinations, permutations, product, zip_longest
 from unittest.mock import patch
 
 import pytest
@@ -800,6 +800,35 @@ def test_collected_polynomials_are_pinned():
         digest.update(poly.dumps(ls.formulation_polynomial(spec, s, theta)).encode())
     assert len(cases) == 27
     assert digest.hexdigest() == "40ec8f685b4a61fe9385d54ee79bac179c34ab051dd0cbb08e8b9f920e0c5d4e"
+
+
+# The ls-literal benchmark's shapes: (problem, k-SUM k or graph n,
+# k-SUM (magnitude, set size) or edge count m, theta).
+LITERAL_SHAPES = [
+    ("ksum", 1, (1, 3), 1), ("ksum", 1, (1, 2), 2), ("ksum", 2, (0, 1), 2),
+    ("ksum", 2, (1, 1), 1), ("path3", 3, 0, 2), ("path3", 3, 1, 1), ("path3", 3, 1, 2),
+    ("path3", 3, 2, 1), ("triangle", 3, 1, 2), ("triangle", 3, 2, 1), ("triangle", 3, 2, 2),
+    ("triangle", 3, 3, 1), ("triangle", 4, 0, 2), ("triangle", 4, 1, 1),
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LITERAL_SHAPES), st.randoms(use_true_random=False))
+def test_collected_polynomials_pass_the_strict_constructor(shape, rng):
+    """formulation_polynomial wraps its term map without the constructor's
+    checks; the map re-passes them and compares equal."""
+    problem, a, b, theta = shape
+    if problem == "ksum":
+        w, size = b
+        sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(a))
+        spec, inst = pr.encode_ksum(pr.KSumInput(a, sets, w))
+    else:
+        edges = rng.sample(list(combinations(range(1, a + 1), 2)), b)
+        spec, inst = pr.encode_h_induced(pr.GraphInput(a, frozenset(edges)), pr.H_PRESETS[problem])
+    p = ls.formulation_polynomial(spec, inst.size, theta)
+    assert poly.SparsePolynomial(p.num_vars, dict(p.terms)) == p
+    with pytest.raises(TypeError):
+        p.terms[()] = 1  # type: ignore[index]
 
 
 def test_collection_cap_counts_literal_monomials(set_cap):

@@ -1,6 +1,7 @@
 """Sparse polynomial core: term maps, the sum and product kernels, bounds, JSON."""
 
 import json
+import random
 from dataclasses import FrozenInstanceError
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
 from polyoracle.errors import ArityMismatch, CapExceeded, NotPrime
+from routes import random_polynomial
 
 
 def P(num_vars, terms):
@@ -238,11 +240,40 @@ def test_json_round_trip(p):
     assert poly.from_json_dict(json.loads(poly.dumps(p))) == p
 
 
+def test_one_term_product_is_a_relabelling():
+    """A one-term operand, on either side, maps the other operand's terms to
+    distinct terms and cancels none: at max_degree None the product has
+    every pair's term, and under a bound exactly the pairs _pair_count
+    charges.  Seeded cases mix signs and repeat variables."""
+    rng = random.Random(29)
+    negative = repeated = 0
+    for _ in range(300):
+        one = random_polynomial(rng, 4, max_terms=1)
+        while len(one.terms) != 1:
+            one = random_polynomial(rng, 4, max_terms=1)
+        other = random_polynomial(rng, 4)
+        x = [rng.randint(-9, 9) for _ in range(4)]
+        ((powers, coeff),) = one.terms.items()
+        negative += coeff < 0
+        shared = {i for i, _ in powers} & {i for q in other.terms for i, _ in q}
+        repeated += bool(shared) or any(e > 1 for _, e in powers)
+        for p, q in ((one, other), (other, one)):
+            for max_degree in (None, *range(7)):
+                terms = poly._multiply_terms(p.terms, q.terms, max_degree)
+                # the strict constructor rejects a cancelled coefficient
+                value = poly.eval_over_integers(poly.SparsePolynomial(4, terms), x)
+                if max_degree is None:
+                    assert len(terms) == len(p.terms) * len(q.terms)
+                    assert value == poly.eval_over_integers(p, x) * poly.eval_over_integers(q, x)
+                else:
+                    assert len(terms) == poly._pair_count(p.terms, q.terms, max_degree)
+                    assert value == truncated_product_value(p, q, x, max_degree)
+    assert negative >= 100 and repeated >= 100
+
+
 def test_invariants_on_1000_seeded_cases():
     """Homomorphism, value-bound soundness, and modular agreement, 1000 times;
     the truncated product cycles max_degree through 0..6."""
-    import random
-
     rng = random.Random(99)
 
     def rand_poly():
