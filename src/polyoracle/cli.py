@@ -61,7 +61,8 @@ def _cmd_formulate(args: argparse.Namespace) -> int:
     spec, _ = build_problem(args.problem, data)
     poly = localsubset.formulation_polynomial(spec, args.size, args.theta)
     with open(args.out, "w", encoding="utf-8") as handle:
-        handle.write(polynomials.dumps(poly) + "\n")
+        polynomials.dump(poly, handle)
+        handle.write("\n")
     print(f"wrote {len(poly.terms)} monomials over {poly.num_vars} variables to {args.out}")
     return 0
 

@@ -17,9 +17,10 @@ terms were inserted plays no part.  Polynomials are not hashable.
 Evaluation, bounds and identity checks do not depend on term order.  Order
 is a derived view: ``monomials`` lists the terms in canonical graded
 lexicographic order (ascending total degree, then descending
-dense-lexicographic on the exponent vector).  Within the package only the
-JSON wire format (and so ``formulate``'s output) and the gate order of
-``circuits.build_circuit_from_polynomial`` read that view.
+dense-lexicographic on the exponent vector).  ``dump`` writes the JSON wire
+format (and so ``formulate``'s output) in that order, one term at a time,
+and ``circuits.build_circuit_from_polynomial`` reads the ``monomials`` view
+for its gate order.
 
 All arithmetic is exact.  Evaluation never densifies the power vector, so the
 number of declared variables may be large (formulations routinely declare
@@ -28,13 +29,12 @@ millions of variables while each monomial touches only a handful).
 
 from __future__ import annotations
 
-import gc
-import json
+import io
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping, Sequence
+from typing import Mapping, Sequence, TextIO
 
 from .errors import ArityMismatch, NotPrime, check
 
@@ -247,27 +247,29 @@ def _multiply_terms(
 
 # --- JSON wire format ---------------------------------------------------
 #
-# {"num_vars": s, "monomials": [{"coeff": "<decimal>", "powers": [[i, e], ...]}, ...]}
+# {"monomials": [{"coeff": "<decimal>", "powers": [[i, e], ...]}, ...], "num_vars": s}
 #
 # Coefficients travel as decimal strings so readers without big integers do
 # not silently overflow.
 
 
-def to_json_dict(p: SparsePolynomial) -> dict:
-    # Sorting and listing allocate a few small containers per term, none in a
-    # cycle; with the cyclic collector running they trigger repeated passes
-    # over the live term map, so it is paused here and restored after.
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        monomials = [
-            {"coeff": str(p.terms[powers]), "powers": [[i, e] for i, e in powers]}
-            for powers in sorted(p.terms, key=_powers_key)
-        ]
-    finally:
-        if enabled:
-            gc.enable()
-    return {"num_vars": p.num_vars, "monomials": monomials}
+def dump(p: SparsePolynomial, handle: TextIO) -> None:
+    """Write the wire format to ``handle`` one term at a time, in canonical
+    order, as ``json.dumps(..., sort_keys=True)`` lays it out.  Every value is
+    an int or an int's decimal string, so nothing needs escaping."""
+    handle.write('{"monomials": [')
+    separator = ""
+    for powers in sorted(p.terms, key=_powers_key):
+        pairs = ", ".join(f"[{i}, {e}]" for i, e in powers)
+        handle.write(f'{separator}{{"coeff": "{p.terms[powers]}", "powers": [{pairs}]}}')
+        separator = ", "
+    handle.write(f'], "num_vars": {p.num_vars}}}')
+
+
+def dumps(p: SparsePolynomial) -> str:
+    buffer = io.StringIO()
+    dump(p, buffer)
+    return buffer.getvalue()
 
 
 def _json_int(value: object) -> int:
@@ -290,10 +292,6 @@ def from_json_dict(data: dict) -> SparsePolynomial:
         powers = tuple((_json_int(i), _json_int(e)) for i, e in entry["powers"])
         terms[powers] = terms.get(powers, 0) + _json_int(entry["coeff"])
     return polynomial(_json_int(data["num_vars"]), terms)
-
-
-def dumps(p: SparsePolynomial) -> str:
-    return json.dumps(to_json_dict(p), sort_keys=True)
 
 
 # --- deterministic primality --------------------------------------------

@@ -296,7 +296,7 @@ def test_verify_long_squaring_chain_in_bounded_memory(tmp_path):
     circuit_path = tmp_path / "chain.json"
     circuit_path.write_text(json.dumps({"num_inputs": 1, "gates": gates, "output": size - 1}))
     poly_path = tmp_path / "x.json"
-    poly_path.write_text(json.dumps(poly.to_json_dict(poly.polynomial(1, {((0, 1),): 1}))))
+    poly_path.write_text(poly.dumps(poly.polynomial(1, {((0, 1),): 1})))
     child = (
         "import resource, sys\n"
         "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"

@@ -144,6 +144,11 @@ def write_json(path, data):
     return str(path)
 
 
+def write_poly(path, p):
+    path.write_text(poly.dumps(p))
+    return str(path)
+
+
 def test_cli_solve_triangle(tmp_path, capsys):
     k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
     report = tmp_path / "report.json"
@@ -433,7 +438,7 @@ def test_cli_formulate(tmp_path):
 def test_cli_verify_circuit(tmp_path):
     target = poly.polynomial(2, {((0, 1), (1, 1)): 2, (): -3})
     good = ci.build_circuit_from_polynomial(target)
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(target))
+    poly_path = write_poly(tmp_path / "p.json", target)
     good_path = write_json(tmp_path / "good.json", ci.to_json_dict(good))
     assert run_cli(
         ["verify-circuit", "--circuit", good_path, "--poly", poly_path, "--delta", "3"]
@@ -455,7 +460,7 @@ def test_cli_verify_circuit_clamps_delta(tmp_path):
     circuit_path = write_json(
         tmp_path / "c.json", ci.to_json_dict(ci.build_circuit_from_polynomial(target))
     )
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(target))
+    poly_path = write_poly(tmp_path / "p.json", target)
     start = time.perf_counter()
     code = run_cli(
         ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path,
@@ -477,7 +482,7 @@ def test_cli_verify_circuit_bounds_a_product_before_forming_it(tmp_path, capsys)
     gates += [ci.MulGate(total, total), ci.MulGate(total + 1, total + 1)]
     circuit = ci.ArithmeticCircuit(100, tuple(gates), total + 2)
     circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(100, {})))
+    poly_path = write_poly(tmp_path / "p.json", poly.polynomial(100, {}))
     argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "4"]
     assert timed(lambda: run_cli(argv)) == 1
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
@@ -501,7 +506,7 @@ def test_cli_verify_circuit_charges_only_the_pairs_a_truncation_keeps(tmp_path, 
         gates += [ci.MulGate(total + 1, total), ci.MulGate(total + 2, total)]
     circuit = ci.ArithmeticCircuit(40, tuple(gates), len(gates) - 1)
     circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(40, {})))
+    poly_path = write_poly(tmp_path / "p.json", poly.polynomial(40, {}))
     argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "2"]
     assert timed(lambda: run_cli(argv)) == 0
     assert capsys.readouterr().out.strip() == "verify: match"
@@ -528,7 +533,7 @@ def test_cli_verify_circuit_bounds_the_pairs_of_all_products(tmp_path, capsys, i
         total = len(gates) - 1
     circuit = ci.ArithmeticCircuit(inputs, tuple(gates), total)
     circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(inputs, {})))
+    poly_path = write_poly(tmp_path / "p.json", poly.polynomial(inputs, {}))
     argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "4"]
     assert timed(lambda: run_cli(argv)) == 1
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"
@@ -547,7 +552,7 @@ def test_cli_verify_circuit_bounds_the_terms_sums_copy(tmp_path, capsys):
     gates += [ci.AddGate(total, i) for i in range(inputs)]
     circuit = ci.ArithmeticCircuit(inputs, tuple(gates), len(gates) - 1)
     circuit_path = write_json(tmp_path / "c.json", ci.to_json_dict(circuit))
-    poly_path = write_json(tmp_path / "p.json", poly.to_json_dict(poly.polynomial(inputs, {})))
+    poly_path = write_poly(tmp_path / "p.json", poly.polynomial(inputs, {}))
     argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "2"]
     assert timed(lambda: run_cli(argv)) == 1
     assert capsys.readouterr().out.strip() == "verify: cap_exceeded"

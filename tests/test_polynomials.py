@@ -1,17 +1,23 @@
 """Sparse polynomial core: term maps, the sum and product kernels, bounds, JSON."""
 
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
 from polyoracle.errors import ArityMismatch, CapExceeded, NotPrime
 from routes import random_polynomial
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def P(num_vars, terms):
@@ -145,13 +151,12 @@ def test_canonical_order_is_graded_lex():
 
 # --- randomized properties -------------------------------------------------
 
-exponent_entries = st.lists(
-    st.tuples(st.integers(0, 3), st.integers(1, 3)), min_size=0, max_size=3
-)
-
-
 @st.composite
-def polynomials_(draw, num_vars=4):
+def polynomials_(draw, num_vars=4, coefficients=st.integers(-20, 20)):
+    exponent_entries = st.lists(
+        st.tuples(st.integers(0, max(num_vars - 1, 0)), st.integers(1, 3)),
+        max_size=3 if num_vars else 0,
+    )
     terms = {}
     for _ in range(draw(st.integers(0, 6))):
         entries = draw(exponent_entries)
@@ -159,7 +164,7 @@ def polynomials_(draw, num_vars=4):
         for index, exponent in entries:
             powers[index] = powers.get(index, 0) + exponent
         key = tuple(sorted(powers.items()))
-        terms[key] = terms.get(key, 0) + draw(st.integers(-20, 20))
+        terms[key] = terms.get(key, 0) + draw(coefficients)
     return poly.polynomial(num_vars, terms)
 
 
@@ -234,10 +239,61 @@ def test_arithmetic_stays_canonical(p, q, max_degree):
         assert rebuilt == result
 
 
+def nested_json_layout(p):
+    """The wire format as nested dicts and lists, for ``json.dumps`` to lay out."""
+    return {
+        "num_vars": p.num_vars,
+        "monomials": [
+            {"coeff": str(m.coefficient), "powers": [[i, e] for i, e in m.powers]}
+            for m in p.monomials
+        ],
+    }
+
+
 @settings(max_examples=100, deadline=None)
-@given(polynomials_())
+@given(
+    st.integers(0, 5).flatmap(
+        lambda n: polynomials_(n, st.integers(-20, 20) | st.integers(-(2**80), 2**80))
+    )
+)
+@example(P(0, {}))
+@example(P(0, {(): -(2**64) - 1}))
+@example(P(3, {(): 2**64 + 1, ((0, 2), (2, 1)): -5, ((1, 3),): 7}))
 def test_json_round_trip(p):
-    assert poly.from_json_dict(json.loads(poly.dumps(p))) == p
+    text = poly.dumps(p)
+    assert text == json.dumps(nested_json_layout(p), sort_keys=True)
+    assert poly.from_json_dict(json.loads(text)) == p
+
+
+def test_dump_adds_less_memory_than_the_polynomial_it_writes():
+    """Writing path3's s = 9 formulation polynomial term by term adds less
+    to the peak resident set than building it did.  A fresh interpreter
+    measures both; since Linux carries the launching process's peak across
+    exec into ru_maxrss, it measures in a fork of itself, whose count starts
+    from the interpreter's own size."""
+    child = (
+        "import os, resource, sys\n"
+        "from polyoracle import localsubset, polynomials, problems\n"
+        "if os.fork():\n"
+        "    sys.exit(os.waitstatus_to_exitcode(os.wait()[1]))\n"
+        "def peak():\n"
+        "    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss\n"
+        "start = peak()\n"
+        "spec, _ = problems.build_problem('path3', problems.PROBLEMS['path3'].default_input)\n"
+        "p = localsubset.formulation_polynomial(spec, 9, 1)\n"
+        "built = peak()\n"
+        "with open(os.devnull, 'w', encoding='utf-8') as handle:\n"
+        "    polynomials.dump(p, handle)\n"
+        "print(start, built, peak())\n"
+    )
+    paths = [str(ROOT / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    result = subprocess.run(
+        [sys.executable, "-c", child], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    start, built, written = map(int, result.stdout.split())
+    assert written - built < built - start, (start, built, written)
 
 
 def test_one_term_product_is_a_relabelling():
