@@ -166,6 +166,52 @@ def test_cli_solve_triangle(tmp_path, capsys):
     assert data["total_oracle_cost"] == data["calls"][0]["size"]
 
 
+K3_REPORT = """{
+  "answer": true,
+  "calls": [
+    {
+      "charged_cost": 336,
+      "magnitude_flagged": false,
+      "max_arg_magnitude": "1",
+      "result_nonzero": true,
+      "size": 336
+    }
+  ],
+  "instance_digest": "c70952f7360edd84",
+  "problem": "induced-triangle",
+  "total_oracle_cost": 336,
+  "wall_time_seconds": WALL
+}
+"""
+
+K3_BRUTE_REPORT = """{
+  "answer": true,
+  "calls": [],
+  "instance_digest": "c70952f7360edd84",
+  "problem": "induced-triangle",
+  "total_oracle_cost": 0,
+  "wall_time_seconds": WALL
+}
+"""
+
+
+@pytest.mark.parametrize(
+    "method, expected", [("formulation", K3_REPORT), ("brute", K3_BRUTE_REPORT)]
+)
+def test_cli_solve_report_text_is_pinned(tmp_path, method, expected):
+    """The whole ``--report`` file, byte for byte, with only the wall time masked."""
+    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
+    report = tmp_path / "report.json"
+    argv = ["solve", "--problem", "triangle", "--input", k3, "--method", method,
+            "--theta", "2", "--report", str(report)]
+    assert run_cli(argv) == 0
+    text = report.read_text()
+    wall = json.loads(text)["wall_time_seconds"]
+    assert isinstance(wall, float) and wall >= 0 and wall == round(wall, 6)
+    masked = text.replace(f'"wall_time_seconds": {json.dumps(wall)}\n', '"wall_time_seconds": WALL\n')
+    assert masked == expected
+
+
 def test_cli_solve_no_instance(tmp_path):
     path = write_json(tmp_path / "path.json", {"n": 3, "edges": [[1, 2], [2, 3]]})
     assert run_cli(["solve", "--problem", "triangle", "--input", path]) == 1
