@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
@@ -25,24 +26,16 @@ def _load_json(path: str) -> dict:
 def _cmd_solve(args: argparse.Namespace) -> int:
     spec, inst = build_problem(args.problem, _load_json(args.input))
     log = oracle.OracleCallLog()
+    start = time.perf_counter()
     if args.method == "brute":
-        answer, wall = oracle.timed(lambda: localsubset.brute_solve(spec, inst))
+        answer = localsubset.brute_solve(spec, inst)
     else:
         wrapped = oracle.logging_oracle(localsubset.exact_evaluation_oracle, log)
-        answer, wall = oracle.timed(
-            lambda: localsubset.solve_via_oracle(spec, inst, args.theta, wrapped)
-        )
+        answer = localsubset.solve_via_oracle(spec, inst, args.theta, wrapped)
+    wall = time.perf_counter() - start
     if args.report:
-        report = oracle.RunReport(
-            problem=spec.name,
-            instance_digest=oracle.instance_digest(spec.name, inst),
-            answer=answer,
-            total_oracle_cost=log.total_cost,
-            calls=list(log.records),
-            wall_time_seconds=wall,
-        )
         with open(args.report, "w", encoding="utf-8") as handle:
-            handle.write(report.dumps())
+            oracle.dump_report(handle, spec.name, inst, answer, log, wall)
     print(f"{spec.name}: {'yes' if answer else 'no'} (oracle cost {log.total_cost})")
     return 0 if answer else 1
 

@@ -60,6 +60,10 @@ CAPS: dict[str, tuple[int, str]] = {
     "g_target": (20, "|S1| of f_count_traces's subset DP"),  # test_cap_boundary[g_target]
     # test_cap_boundary[setpartition_universe]
     "setpartition_universe": (12, "set-partition universe n, or setcover_min's branched m"),
+    # Far below CPython's recursion limit of 1000: the brute cover walk recurses
+    # once per set.  Tier-1 and the benchmark hand it at most 9 sets.
+    # test_oracle_cli.py::test_cli_setcover_brute_set_cap
+    "setcover_brute": (256, "sets in the family of setcover_min's brute walk"),
     "hcv_branch": (20, "n - m branched elements"),  # test_cap_boundary[hcv_branch]
     "hcv_overlap": (20, "|S & [m]| of an expanded set"),  # test_cap_boundary[hcv_overlap]
     # test_circuits.py::test_expand_cap

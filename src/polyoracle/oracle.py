@@ -1,4 +1,4 @@
-"""Oracle-call cost accounting, scaling benchmarks, machine-readable reports.
+"""Oracle-call cost accounting, scaling benchmarks, and the solve report.
 
 The cost model charges each size-s oracle call exactly s, the declared
 evaluation price of the size-s member of the polynomial family; wall time is
@@ -7,8 +7,11 @@ magnitudes, read from the query's point x, above a fixed bound of the call
 size are flagged, not rejected.  Every query ``solve_via_oracle`` builds is
 the 0/1 point phi(inst), so the flag fires only for a query built by hand.
 The default bound 2**ceil(s**0.9) is a documented finite stand-in for the
-family's asymptotic magnitude discipline, decided by bit length so the bound
-itself is never built.
+family's asymptotic magnitude discipline, decided in integers from the
+magnitude's bit length, so neither the bound nor s**0.9 is ever built.
+
+``OracleCallLog`` is the one record of a solve's calls; ``dump_report``
+writes ``solve --report`` straight from it (its layout is in the README).
 """
 
 from __future__ import annotations
@@ -16,9 +19,8 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-import time
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence, TextIO
 
 from .errors import ValueOutOfRange
 from .localsubset import FormulationQuery, LSInstance, Oracle, instance_to_json_dict, variable_count
@@ -27,9 +29,11 @@ from .problems import PROBLEMS
 
 def exceeds_magnitude_bound(magnitude: int, size: int) -> bool:
     """magnitude > 2**ceil(s**0.9), the finite stand-in for the oracle
-    magnitude discipline, compared by bit length: for magnitude >= 1,
-    magnitude > 2**e iff magnitude - 1 needs more than e bits."""
-    return magnitude > 0 and (magnitude - 1).bit_length() > math.ceil(size**0.9)
+    magnitude discipline, decided in integers: for magnitude >= 1,
+    magnitude > 2**e iff b = (magnitude - 1).bit_length() > e, and for an
+    integer b >= 1, b - 1 >= ceil(s**0.9) iff (b - 1)**10 >= s**9."""
+    bits = (magnitude - 1).bit_length()
+    return magnitude > 1 and (bits - 1) ** 10 >= size**9
 
 
 @dataclass(frozen=True)
@@ -37,12 +41,16 @@ class OracleCallRecord:
     size: int
     max_arg_magnitude: int
     result_nonzero: bool
-    magnitude_flagged: bool = False
 
     @property
     def charged_cost(self) -> int:
         """Each size-s call is charged exactly s."""
         return self.size
+
+    @property
+    def magnitude_flagged(self) -> bool:
+        """Whether the call's largest argument passes the default bound."""
+        return exceeds_magnitude_bound(self.max_arg_magnitude, self.size)
 
 
 @dataclass
@@ -61,23 +69,11 @@ class OracleCallLog:
 
 
 def logging_oracle(inner: Oracle, log: OracleCallLog) -> Oracle:
-    """Wrap an oracle so every call lands in the log with its POTIME charge.
-
-    A call is flagged when its max argument magnitude exceeds
-    2**ceil(size**0.9).
-    """
+    """Wrap an oracle so every call lands in the log with its POTIME charge."""
 
     def wrapped(query: FormulationQuery) -> int:
         result = inner(query)
-        magnitude = query.max_abs_value
-        log.records.append(
-            OracleCallRecord(
-                size=query.size,
-                max_arg_magnitude=magnitude,
-                result_nonzero=result != 0,
-                magnitude_flagged=exceeds_magnitude_bound(magnitude, query.size),
-            )
-        )
+        log.records.append(OracleCallRecord(query.size, query.max_abs_value, result != 0))
         return result
 
     return wrapped
@@ -117,69 +113,33 @@ def bench_vars(problem: str, theta: int, sizes: Sequence[int], r: int | None = N
     return BenchResult(problem=problem, theta=theta, rows=rows, slope=slope)
 
 
-@dataclass
-class RunReport:
-    """One solve, serialized deterministically for golden-file comparison."""
-
-    problem: str
-    instance_digest: str
-    answer: bool
-    total_oracle_cost: int
-    calls: list[OracleCallRecord]
-    wall_time_seconds: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "answer": self.answer,
-            "calls": [
-                {
-                    "charged_cost": record.charged_cost,
-                    "magnitude_flagged": record.magnitude_flagged,
-                    "max_arg_magnitude": str(record.max_arg_magnitude),
-                    "result_nonzero": record.result_nonzero,
-                    "size": record.size,
-                }
-                for record in self.calls
-            ],
-            "instance_digest": self.instance_digest,
-            "problem": self.problem,
-            "total_oracle_cost": self.total_oracle_cost,
-            "wall_time_seconds": round(self.wall_time_seconds, 6),
-        }
-
-    def dumps(self) -> str:
-        return json.dumps(self.to_json_dict(), sort_keys=True, indent=2) + "\n"
-
-    @staticmethod
-    def from_json_dict(data: dict) -> "RunReport":
-        calls = []
-        for c in data["calls"]:
-            if int(c["charged_cost"]) != int(c["size"]):
-                raise ValueOutOfRange("charged cost must equal call size")
-            calls.append(
-                OracleCallRecord(
-                    size=int(c["size"]),
-                    max_arg_magnitude=int(c["max_arg_magnitude"]),
-                    result_nonzero=bool(c["result_nonzero"]),
-                    magnitude_flagged=bool(c["magnitude_flagged"]),
-                )
-            )
-        return RunReport(
-            problem=data["problem"],
-            instance_digest=data["instance_digest"],
-            answer=bool(data["answer"]),
-            total_oracle_cost=int(data["total_oracle_cost"]),
-            calls=calls,
-            wall_time_seconds=float(data["wall_time_seconds"]),
-        )
-
-
 def instance_digest(problem: str, inst: LSInstance) -> str:
     payload = json.dumps(instance_to_json_dict(problem, inst), sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
-def timed(fn: Callable[[], bool]) -> tuple[bool, float]:
-    start = time.perf_counter()
-    answer = fn()
-    return answer, time.perf_counter() - start
+def dump_report(
+    handle: TextIO, problem: str, inst: LSInstance, answer: bool, log: OracleCallLog, wall: float
+) -> None:
+    """Write one solve's report from its call log as sorted-key JSON indented
+    by 2, with a trailing newline; the wall time is rounded to 6 places."""
+    calls = [
+        {
+            "charged_cost": record.charged_cost,
+            "magnitude_flagged": record.magnitude_flagged,
+            "max_arg_magnitude": str(record.max_arg_magnitude),
+            "result_nonzero": record.result_nonzero,
+            "size": record.size,
+        }
+        for record in log.records
+    ]
+    report = {
+        "answer": answer,
+        "calls": calls,
+        "instance_digest": instance_digest(problem, inst),
+        "problem": problem,
+        "total_oracle_cost": log.total_cost,
+        "wall_time_seconds": round(wall, 6),
+    }
+    json.dump(report, handle, sort_keys=True, indent=2)
+    handle.write("\n")

@@ -346,11 +346,12 @@ def setcover_min(
 ) -> int | None:
     """Minimum number of sets covering [n]; None when [n] is not coverable.
 
-    The reduction route runs the full chain: expansion, branching down to
-    m = max(2*theta*maxsize, n - MAX_BRANCH) elements, and trace-counted set
-    partitions.  Each branch instance is counted once for every k up to the
-    size of a greedy cover, which bounds the minimum from above; the first k
-    with a positive signed total is the minimum.
+    The brute route recurses once per set, so it refuses a family past the
+    setcover_brute cap.  The reduction route runs the full chain: expansion,
+    branching down to m = max(2*theta*maxsize, n - MAX_BRANCH) elements, and
+    trace-counted set partitions.  Each branch instance is counted once for
+    every k up to the size of a greedy cover, which bounds the minimum from
+    above; the first k with a positive signed total is the minimum.
     """
     if method not in ("brute", "reduction"):
         raise ValueOutOfRange(f"unknown method {method!r}")
@@ -367,6 +368,7 @@ def setcover_min(
         return None
     full = family.full_mask
     if method == "brute":
+        check("setcover_brute", len(family.sets))
         unions = list(accumulate(reversed(family.sets), or_))[::-1]
         for k in range(1, len(family.sets) + 1):
             if _has_cover(family.sets, unions, full, k):

@@ -10,6 +10,7 @@ first route a row lists is its reference; ``test_routes.py`` runs the rows.
 The test helpers that several test modules share live here too, so that no
 test module imports another.
 """
+import json
 import math
 import random
 import sys
@@ -57,6 +58,27 @@ def timed(fn):
     elapsed = time.perf_counter() - start
     assert elapsed < 2, f"took {elapsed:.2f} s, not under 2 s"
     return result
+
+
+def report_matches_log(text, problem, answer, log):
+    """Whether a ``solve --report`` text states the problem, the answer and
+    exactly the log's calls, each charged its size, with the total their sum."""
+    data = json.loads(text)
+    written = [
+        (c["size"], c["charged_cost"], int(c["max_arg_magnitude"]), c["result_nonzero"],
+         c["magnitude_flagged"])
+        for c in data["calls"]
+    ]
+    logged = [
+        (r.size, r.size, r.max_arg_magnitude, r.result_nonzero, r.magnitude_flagged)
+        for r in log.records
+    ]
+    return (
+        data["problem"] == problem
+        and data["answer"] is answer
+        and written == logged
+        and data["total_oracle_cost"] == sum(r.size for r in log.records)
+    )
 
 
 # --- shared input generators -------------------------------------------------
@@ -476,6 +498,9 @@ LS_COUNT = Quantity(
 
 # Permanent cases are ((matrix,), (alpha, theta) pairs).
 
+CHAIN_SETTINGS = ((0.5, 2), (0.5, 1))
+VARIANT_SETTINGS = ((0.25, 2), (0.5, 3), (0.75, 1), (1.0, 2))
+
 
 def matrix_draws(seed, count, max_n, settings=((0.5, 2),)):
     def draws():
@@ -501,6 +526,12 @@ def past_the_cap_matrix_draws():
             yield (random_matrix(rng, n, density=0.6),), ((0.5, theta),)
 
 
+def bit_matrix_case(n, bits, setting):
+    """The n x n 0/1 matrix whose entry (i, j) is bit n*i + j of ``bits``."""
+    rows = [[bits >> (n * i + j) & 1 for j in range(n)] for i in range(n)]
+    return (pm.matrix_from_rows(rows),), (setting,)
+
+
 def signed_f_sum(matrix, alpha):
     """The f_expand terms' signed sum, each term counted by ``f_counts``."""
     terms = pm.f_expand(matrix, (1 << math.ceil(alpha * matrix.n)) - 1, alpha)
@@ -519,12 +550,22 @@ PERMANENT = Quantity(
     },
     inputs={
         "chain": Inputs(
-            matrix_draws(7, 120, 6, ((0.5, 2), (0.5, 1))),
+            matrix_draws(7, 120, 6, CHAIN_SETTINGS),
             ("ryser", "permanent_brute", "permanent_via_formulation"),
         ),
         "alpha-theta variants": Inputs(
-            matrix_draws(8, 40, 6, ((0.25, 2), (0.5, 3), (0.75, 1), (1.0, 2))),
+            matrix_draws(8, 40, 6, VARIANT_SETTINGS),
             ("ryser", "permanent_brute", "permanent_via_formulation"),
+        ),
+        "hypothesis": Inputs(
+            st.builds(
+                bit_matrix_case,
+                st.integers(1, 6),
+                st.integers(0, 2**36 - 1),
+                st.sampled_from(CHAIN_SETTINGS + VARIANT_SETTINGS),
+            ),
+            ("ryser", "permanent_brute", "permanent_via_formulation"),
+            max_examples=120,
         ),
         "n <= 8": Inputs(ryser_draws, ("ryser", "permanent_brute")),
         "past the cap": Inputs(

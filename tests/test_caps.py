@@ -90,6 +90,10 @@ BOUNDARIES = {
         lambda: sc.setpartition_via_traces(sc.family_from_lists(4, [[1, 2], [3, 4]]), 2, 1),
         4,
     ),
+    "setcover_brute": (
+        lambda: sc.setcover_min(sc.family_from_lists(2, [[1], [2], [1, 2]]), method="brute"),
+        3,
+    ),
     "hcv_branch": (lambda: sc.hcv_branch(sc.family_from_lists(4, [[1, 4]]), 4, 1, 1), 3),
     "hcv_overlap": (
         lambda: sc.hcv_expand_setcover(sc.family_from_lists(4, [[1, 2, 3]]), 3),

@@ -1,5 +1,6 @@
 """Harness: call logging, reports, benchmarks, and the CLI surface."""
 
+import io
 import json
 import math
 import random
@@ -13,10 +14,10 @@ import polyoracle.localsubset as ls
 import polyoracle.oracle as orc
 import polyoracle.problems as pr
 from polyoracle.cli import run_cli
-from polyoracle.errors import CapExceeded, PolyOracleError, ValueOutOfRange
+from polyoracle.errors import CapExceeded, PolyOracleError
 from polyoracle import circuits as ci, errors, polynomials as poly
 from oracles import has_induced_pattern, induced_copies
-from routes import timed
+from routes import report_matches_log, timed
 
 
 def triangle_instance():
@@ -46,17 +47,23 @@ def test_logging_oracle_empty_log():
 
 
 def test_default_magnitude_flag_is_the_power_of_two_bound():
-    """Flagged iff magnitude > 2**ceil(size**0.9), at and around every power of two."""
-    size = 5
-    bound = 2 ** math.ceil(size**0.9)
-    magnitudes = [0] + [2**k + d for k in range(12) for d in (-1, 0, 1)]
-    for magnitude in magnitudes:
-        log = orc.OracleCallLog()
-        query = SimpleNamespace(size=size, max_abs_value=magnitude)
-        orc.logging_oracle(lambda q: 0, log)(query)
-        assert log.records[0].magnitude_flagged == (magnitude > bound), magnitude
+    """Flagged iff magnitude > 2**ceil(size**0.9), at and around small powers of
+    two and the bound's own; at size k**10 the exponent is exactly k**9, where
+    a float ceil(size**0.9) comes out one too high."""
+    for size, exponent in [(5, math.ceil(5**0.9))] + [(k**10, k**9) for k in (2, 3, 4)]:
+        bound = 2**exponent
+        powers = list(range(12)) + [exponent - 1, exponent, exponent + 1]
+        magnitudes = [0] + [2**k + d for k in powers for d in (-1, 0, 1)]
+        for magnitude in magnitudes:
+            log = orc.OracleCallLog()
+            query = SimpleNamespace(size=size, max_abs_value=magnitude)
+            orc.logging_oracle(lambda q: 0, log)(query)
+            assert log.records[0].magnitude_flagged == (magnitude > bound), (size, magnitude)
+    assert orc.exceeds_magnitude_bound(2**512 + 1, 1024)
     # a benchmark-sized call: the 2**(2.4e8) bound is never built
     assert not orc.exceeds_magnitude_bound(1, 2_013_265_920)
+    # a size past the largest float
+    assert not orc.exceeds_magnitude_bound(2**64, 10**400)
 
 
 def test_cost_example_size_18():
@@ -78,30 +85,23 @@ def test_call_size_example_816():
     assert [record.size for record in log.records] == [816]
 
 
-def test_report_round_trip():
+def test_report_is_written_from_the_call_log():
     spec, inst = triangle_instance()
     log = orc.OracleCallLog()
-    answer, wall = orc.timed(
-        lambda: ls.solve_via_oracle(
-            spec, inst, 2, orc.logging_oracle(ls.exact_evaluation_oracle, log)
-        )
+    answer = ls.solve_via_oracle(
+        spec, inst, 2, orc.logging_oracle(ls.exact_evaluation_oracle, log)
     )
-    report = orc.RunReport(
-        problem=spec.name,
-        instance_digest=orc.instance_digest(spec.name, inst),
-        answer=answer,
-        total_oracle_cost=log.total_cost,
-        calls=list(log.records),
-        wall_time_seconds=wall,
-    )
-    parsed = orc.RunReport.from_json_dict(json.loads(report.dumps()))
-    assert parsed == orc.RunReport.from_json_dict(json.loads(parsed.dumps()))
-    assert parsed.total_oracle_cost == sum(c.size for c in parsed.calls)
-    assert all(c.charged_cost == c.size for c in parsed.calls)
-    tampered = json.loads(report.dumps())
-    tampered["calls"][0]["charged_cost"] += 1
-    with pytest.raises(ValueOutOfRange):
-        orc.RunReport.from_json_dict(tampered)
+    # A second, hand-logged call: a flagged magnitude too wide for a float.
+    log.records.append(orc.OracleCallRecord(5, 10**400, False))
+    buffer = io.StringIO()
+    orc.dump_report(buffer, spec.name, inst, answer, log, 0.1234567)
+    text = buffer.getvalue()
+    assert report_matches_log(text, spec.name, answer, log)
+    data = json.loads(text)
+    assert [c["magnitude_flagged"] for c in data["calls"]] == [False, True]
+    assert data["instance_digest"] == orc.instance_digest(spec.name, inst)
+    assert data["wall_time_seconds"] == 0.123457
+    assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
 
 
 def test_instance_digest_is_pinned():
@@ -280,12 +280,19 @@ def test_cli_cap_errors(tmp_path, capsys):
     assert "cap brute_walk exceeded" in capsys.readouterr().err
 
 
-def test_cli_solve_huge_theta(tmp_path, capsys):
-    """The candidate top is decided without building 2**(theta * L)."""
+@pytest.mark.parametrize("theta", [10**12, 10**400], ids=["1e12", "1e400"])
+@pytest.mark.parametrize("report", [False, True])
+def test_cli_solve_huge_theta(tmp_path, capsys, theta, report):
+    """The candidate top is decided without building 2**(theta * L), and a
+    call size past the largest float is charged and flag-checked in integers."""
     k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
-    argv = ["solve", "--problem", "triangle", "--input", k3, "--theta", "1000000000000"]
-    assert timed(lambda: run_cli(argv)) == 0
+    argv = ["solve", "--problem", "triangle", "--input", k3, "--theta", str(theta)]
+    out = tmp_path / "report.json"
+    assert timed(lambda: run_cli(argv + ["--report", str(out)] * report)) == 0
     assert "yes" in capsys.readouterr().out
+    if report:
+        (call,) = json.loads(out.read_text())["calls"]
+        assert call["size"] > theta and not call["magnitude_flagged"]
 
 
 def test_cli_solve_b_pool_cap(tmp_path, capsys):
@@ -453,6 +460,13 @@ def test_cli_setcover_huge_universe(tmp_path, capsys):
     path = write_json(tmp_path / "f.json", {"n": 10**12, "sets": [[1]]})
     assert timed(lambda: run_cli(["setcover", "--input", path])) == 1
     assert capsys.readouterr().out.strip() == "uncoverable"
+
+
+def test_cli_setcover_brute_set_cap(tmp_path, capsys):
+    """1 501 sets would recurse past CPython's limit; the cap refuses them first."""
+    path = write_json(tmp_path / "f.json", {"n": 1, "sets": [[]] * 1500 + [[1]]})
+    assert timed(lambda: run_cli(["setcover", "--input", path, "--method", "brute"])) == 3
+    assert "cap setcover_brute exceeded: 1501 > 256" in capsys.readouterr().err
 
 
 def test_cli_setcover_refuses_a_wide_branched_universe_before_expanding(tmp_path, capsys):
