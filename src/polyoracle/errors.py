@@ -42,11 +42,16 @@ CAPS: dict[str, tuple[int, str]] = {
     # Far below CPython's recursion limit of 1000: the walk recurses once per slot.
     # test_localsubset.py::test_walk_depth_is_capped
     "witness_slots": (256, "alpha + beta slots of the witness walk"),
-    # Checked per node of accepted_tuples's walk, a whole pool at a time.
-    # Tier-1 library walks try at most 266 801 candidates, the ls-decide and
-    # ls-literal benchmark ops at most 3 330.
+    # Checked per node of accepted_tuples's walk, a whole pool (or a pool
+    # hook's draw) at a time.  Tier-1 library walks try at most 263 280
+    # candidates, the ls-decide and ls-literal benchmark ops (seeds 1-10) at
+    # most 1 170.
     # test_oracle_cli.py::test_cli_ls_walks_are_bounded
     "ls_walk": (5 * 10**5, "candidates tried by one LS walk"),
+    # Keeps a call's size printable: CPython turns an int into text only up to
+    # 4 300 decimal digits (about 14 284 bits) by default.
+    # test_oracle_cli.py::test_cli_solve_refuses_unprintable_call_size
+    "call_bits": (10**4, "bits of one oracle call's size, the variables of its grid"),
     # Counts variable occurrences, alike for the stream and the collected polynomial.
     # test_localsubset.py::test_collection_cap_counts_literal_monomials
     "literal": (10**7, "literal variable occurrences, monomials * degree"),

@@ -49,14 +49,18 @@ slot, one for a plain problem and one per distinct pattern for a family.  A
 tuple is a witness iff some member accepts it, and the formulation value sums
 the members' counts.  A member's ``step`` checks one slot against the state
 the earlier slots left, its ``accept`` is the global check on the full
-tuple, and its ``groups`` the runs of slots whose order acceptance ignores.
+tuple, its ``groups`` the runs of slots whose order acceptance ignores, and
+its optional ``pool`` hook narrows each node's candidates to those the step
+could pass from the node's state.
 
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
 lexicographic backtracking walk over per-slot candidate pools that carries
 the step's state down each tuple and yields the accepted tuples in
 ``itertools.product`` order, never extending a prefix a step rejects.  The
-witness count and the collected literal polynomial walk each member once,
-one increasing ordering per group times the groups' factorials; the
+witness count walks each member once, one increasing ordering per group
+times the groups' factorials, each node drawing from the member's hook, so
+its work follows the witnesses rather than |S|**alpha; the collected
+literal polynomial walks the same orderings over every candidate code; the
 literal stream walks each member over every ordering of every slot; the
 reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone
 to the enumerator, an unpruned filter.  Every walk stops with CapExceeded
@@ -79,16 +83,21 @@ from .polynomials import Monomial, Powers, SparsePolynomial, _unchecked
 
 LT, EQ, GT = "<", "=", ">"
 COMPARISONS = (LT, EQ, GT)
+Draw = Callable[[tuple, int], Sequence[int]]  # a pool hook's draw(state, slot)
 
 
 class Member(NamedTuple):
     """One check of an ``LSProblemSpec`` on all alpha + beta slots: its
-    per-slot ``step`` (or None), its global ``accept`` and the ``groups``
-    of slots whose order it ignores."""
+    per-slot ``step`` (or None), its global ``accept``, the ``groups`` of
+    slots whose order it ignores and its optional ``pool`` hook.  Called once
+    per walk with the base pools, ``pool`` returns None or draw(state, slot):
+    an ascending part of pools[slot] holding every candidate the walk would
+    try there that ``step`` passes from ``state``."""
 
     step: Callable[[tuple, int, int], tuple | None] | None
     accept: Callable[..., bool]
     groups: tuple[tuple[int, int], ...] = ()
+    pool: Callable[[Sequence[Sequence[int]]], Draw | None] | None = None
 
 
 def _check_groups(groups: Sequence[tuple[int, int]], size: int, alpha: int) -> None:
@@ -160,7 +169,7 @@ class LSProblemSpec:
     def verifier(self, *codes: int) -> bool:
         """The full acceptance predicate on alpha + beta codes: some member
         accepts them, its step folded once along them from the state ()."""
-        for step, accept, _ in self.members:
+        for step, accept, *_ in self.members:
             state = ()
             for slot, code in enumerate(codes if step else ()):
                 if (state := step(state, slot, code)) is None:
@@ -237,29 +246,34 @@ def accepted_tuples(
     accept: Callable[..., bool],
     step: Callable[[tuple, int, int], tuple | None] | None = None,
     groups: Sequence[tuple[int, int]] = (),
+    pool: Callable[[Sequence[Sequence[int]]], Draw | None] | None = None,
 ) -> Iterator[tuple[int, ...]]:
     """Yield the tuples of ``product(*pools)`` that every ``step`` passes and
     ``accept`` accepts, in product order.  The state starts at () and each
     candidate is stepped once; a rejected one is dropped with all its
     extensions.  Within each (start, stop) of ``groups`` only strictly
     increasing values are walked, which needs those slots' pools ascending.
-    Raises CapExceeded past the witness_slots cap, and, while walking, once
-    the candidates tried (each node's whole pool) pass the ls_walk cap."""
+    A ``pool`` hook that does not decline narrows each node's pool to its
+    draw; every candidate drawn is stepped as before, so the same tuples
+    come out.  Raises CapExceeded past the witness_slots cap, and, while
+    walking, once the candidates tried (each node's whole pool or draw) pass
+    the ls_walk cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
     for start, stop in groups:
         chained[start + 1 : stop] = [True] * (stop - start - 1)
-    return _extend(pools, accept, step, chained, (), (), cap_limit("ls_walk"))
+    draw = pool(pools) if pool else None
+    return _extend(pools, draw, accept, step, chained, (), (), cap_limit("ls_walk"))
 
 
 def _extend(
-    pools, accept, step, chained, head: tuple[int, ...], state: tuple, budget: int
+    pools, draw, accept, step, chained, head: tuple[int, ...], state: tuple, budget: int
 ) -> Generator[tuple[int, ...], None, int]:
     """Walk the extensions of ``head``, which left ``state``, with ``budget``
     candidates left to try; return what is left of it."""
     depth = len(head)
     last = depth + 1 == len(pools)
-    pool = pools[depth]
+    pool = pools[depth] if draw is None else draw(state, depth)
     if chained[depth]:
         pool = pool[bisect_right(pool, head[-1]) :]
     budget -= len(pool)
@@ -269,11 +283,11 @@ def _extend(
         after = state if step is None else step(state, depth, value)
         if after is None:
             continue
-        extended = head + (value,)
+        longer = head + (value,)
         if not last:
-            budget = yield from _extend(pools, accept, step, chained, extended, after, budget)
-        elif accept(*extended):
-            yield extended
+            budget = yield from _extend(pools, draw, accept, step, chained, longer, after, budget)
+        elif accept(*longer):
+            yield longer
     return budget
 
 
@@ -414,6 +428,7 @@ def compute_assignment(spec: LSProblemSpec, inst: LSInstance, theta: int) -> Blo
     s = inst.size
     if s < 2:
         raise ValueError("instance size must be >= 2")
+    check("call_bits", variable_count(s, spec.r, theta).bit_length())
     return BlockVariableAssignment(
         s=s,
         theta=theta,
@@ -469,7 +484,7 @@ def _literal_tables(
     candidates = [range(1, top + 1)] * slots
     witnesses = []
     walked = 0
-    for step, accept, groups in spec.members:
+    for step, accept, groups, _ in spec.members:
         if not grouped:
             groups = ()
         weight = prod(factorial(stop - start) for start, stop in groups)
@@ -631,9 +646,9 @@ def exact_evaluation_oracle(query: FormulationQuery) -> int:
     top = _candidate_top(x.rows[-1] - 1, x.theta, x.block_len)
     pools = _witness_pools(spec, x.rows[1:-1], top)
     return sum(
-        sum(1 for _ in accepted_tuples(pools, accept, step, groups))
+        sum(1 for _ in accepted_tuples(pools, accept, step, groups, pool))
         * prod(factorial(stop - start) for start, stop in groups)
-        for step, accept, groups in spec.members
+        for step, accept, groups, pool in spec.members
     )
 
 

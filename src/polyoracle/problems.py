@@ -28,13 +28,16 @@ against its run, and its state, the pairs placed and the vertices they
 span, rejects a repeated pair or more than |V(H)| (or k) vertices.  Its
 groups are derived too: the runs of two or more edge or vertex slots,
 whose order the step ignores.  ``accept`` keeps only the global check: the
-value sum, the cross product, the pattern isomorphism or the weight
-threshold.  A pattern on t >= 2 vertices fills C(t, 2) pair
-slots, and that many distinct canonical pairs on at most t vertices are all
-the pairs of exactly t vertices; so a clique's ``accept`` needs no vertex
-count, and in vertex mode the declared vertices are the spanned ones.
-k-SUM pins one tag per slot, and collinearity makes its three points
-distinct and declares them one group, each in a two-line step.
+pattern isomorphism or the weight threshold.  A pattern on t >= 2 vertices
+fills C(t, 2) pair slots, and that many distinct canonical pairs on at most
+t vertices are all the pairs of exactly t vertices; so a clique's
+``accept`` needs no vertex count, and in vertex mode the declared vertices
+are the spanned ones.  k-SUM's step pins one tag per slot and carries the
+code sum, which its last slot must close; collinearity's keeps its three
+points distinct, one group, and its third on the line of the first two.
+Each member's pool hook draws only what its step can pass: k-SUM's a slot's
+own tag and the one closing code, collinearity's the third point from an
+index of S's lines, a declared member's the codes at the spanned vertices.
 """
 
 from __future__ import annotations
@@ -42,13 +45,13 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, permutations
-from math import isqrt
+from itertools import accumulate, combinations_with_replacement, permutations
+from math import gcd, isqrt
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from . import polynomials
 from .errors import ValueOutOfRange, check
-from .localsubset import LSInstance, LSProblemSpec, Member, ls_instance
+from .localsubset import Draw, LSInstance, LSProblemSpec, Member, ls_instance
 
 
 # --- shell pair codec -----------------------------------------------------
@@ -160,14 +163,17 @@ def _pair_record(code: int) -> tuple[int, int, int, int]:
 
 
 def _declared_member(
-    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, lowest: int = 1
+    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, alpha: int, lowest=1
 ) -> Member:
     """The member of a run declaration: its step checks a slot's record, as
     ``decode`` reads it, against the slot's run and adds each edge or vertex
     to the state (pairs placed, vertices spanned), rejecting a repeated pair
     or more than ``budget`` vertices, so a step's work is bounded by the
     budget, not by the walk's depth or the vertex labels; its groups are the
-    runs of two or more edge or vertex slots."""
+    runs of two or more edge or vertex slots.  Its pool hook indexes the
+    ``alpha`` a-slots' codes by (tag, vertex) and (tag, u, v): with room for
+    one fresh vertex an edge slot draws the codes at the spanned vertices,
+    with none an edge or vertex slot draws the codes of the pairs among them."""
     runs = [run for run in runs if run.count]
     starts = list(accumulate((run.count for run in runs), initial=0))
     groups = tuple(
@@ -194,7 +200,35 @@ def _declared_member(
             return None
         return pairs + ((u, v),), spanned
 
-    return Member(step, accept, groups)
+    def pool(pools: Sequence[Sequence[int]]) -> Draw | None:
+        if len(pools[0]) < 16:  # a draw would cost more than the steps it saves
+            return None
+        index: dict[tuple, list[int]] = {}  # codes by (tag, vertex) and by (tag, u, v)
+        for code in pools[0]:
+            t, u, v, _ = decode(code)
+            for key in {(t, u), (t, v), (t, u, v)}:
+                index.setdefault(key, []).append(code)
+        if budget * max(map(len, index.values()), default=0) >= len(pools[0]):
+            return None  # a draw could hold as many codes as the pool
+
+        @lru_cache(maxsize=256)  # a subtree of the walk keeps its spanned vertices
+        def near(tag: int, spanned: tuple) -> list[int]:
+            if len(spanned) < budget:  # room for one fresh vertex
+                return sorted(set().union(*[index.get((tag, x), ()) for x in spanned]))
+            pairs = combinations_with_replacement(sorted(spanned), 2)
+            return sorted([c for u, v in pairs for c in index.get((tag, u, v), ())])
+
+        def draw(state: tuple, slot: int) -> Sequence[int]:
+            _, tag, shape, _ = runs[bisect_right(starts, slot) - 1]
+            spanned = state[1] if state else ()
+            room = budget - len(spanned)
+            if slot >= alpha or not isinstance(shape, str) or room > (shape == "edge"):
+                return pools[slot]
+            return near(tag, spanned)
+
+        return draw
+
+    return Member(step, accept, groups, pool)
 
 
 def _induced_member(pattern: PatternGraph, alpha: int, beta: int, lowest: int = 1) -> Member:
@@ -209,7 +243,7 @@ def _induced_member(pattern: PatternGraph, alpha: int, beta: int, lowest: int = 
         pairs = codes[:edges] + codes[alpha : alpha + nonedges]
         return _spans_pattern([decode_pair(c) for c in pairs], pattern)
 
-    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, lowest)
+    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, alpha, lowest)
 
 
 # --- natural inputs -------------------------------------------------------
@@ -308,17 +342,23 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
     def encode(tag: int, value: int) -> int:
         return (value + w) * k + tag
 
-    def step(state: tuple, slot: int, code: int) -> tuple | None:
-        return state if (code - 1) % k == slot else None
-
     # The step puts tag i in the i-th slot, so code i is (value_i + w) * k + i and
     # the values sum to zero iff the codes sum to this.
     zero_sum = k * k * w + k * (k + 1) // 2
 
-    def accept(*codes: int) -> bool:
-        return sum(codes) == zero_sum
+    def step(state: tuple, slot: int, code: int) -> tuple | None:
+        total = code + (state[0] if state else 0)  # the running code sum
+        if (code - 1) % k != slot or (slot == k - 1 and total != zero_sum):
+            return None
+        return (total,)
 
-    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(Member(step, accept),))
+    def pool(pools: Sequence[Sequence[int]]) -> Draw:
+        tagged = [[code for code in pools[0] if (code - 1) % k == tag] for tag in range(k)]
+        closing = {zero_sum - code: (code,) for code in tagged[-1]}  # by the sum before it
+        return lambda state, slot: tagged[slot] if slot < k - 1 else closing.get(sum(state), ())
+
+    member = Member(step, lambda *codes: True, pool=pool)
+    spec = LSProblemSpec(f"{k}-sum", k, 0, r=1, members=(member,))
     elements = [encode(tag, value) for tag, values in enumerate(inp.sets, 1) for value in values]
     return spec, ls_instance(n=k * (2 * w + 1), elements=elements)
 
@@ -334,13 +374,30 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         return a - shift, b - shift
 
     def step(seen: tuple, slot: int, code: int) -> tuple | None:
-        return None if code in seen else seen + (code,)
+        if code in seen:
+            return None
+        if slot == 2:
+            (x1, y1), (x2, y2), (x3, y3) = map(decode_point, (*seen, code))
+            if (x2 - x1) * (y3 - y1) != (x3 - x1) * (y2 - y1):
+                return None
+        return seen + (code,)
 
-    def accept(c1: int, c2: int, c3: int) -> bool:
-        (x1, y1), (x2, y2), (x3, y3) = decode_point(c1), decode_point(c2), decode_point(c3)
-        return (x2 - x1) * (y3 - y1) - (x3 - x1) * (y2 - y1) == 0
+    def pool(pools: Sequence[Sequence[int]]) -> Draw:
+        """Each pair's later points on its line, S's lines keyed by their
+        first point and reduced direction."""
+        points = [(code, *decode_point(code)) for code in pools[2]]
+        lines: dict[tuple[int, int, int], list[int]] = {}
+        for i, (first, x1, y1) in enumerate(points):
+            for later, x2, y2 in points[i + 1 :]:
+                dx, dy = x2 - x1, y2 - y1
+                g = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
+                lines.setdefault((first, dx // g, dy // g), []).append(later)
+        tails = {
+            (a, b): run[i + 1 :] for (a, *_), run in lines.items() for i, b in enumerate(run[:-1])
+        }
+        return lambda seen, slot: pools[slot] if slot < 2 else tails.get(seen, ())
 
-    member = Member(step, accept, groups=((0, 3),))
+    member = Member(step, lambda *codes: True, groups=((0, 3),), pool=pool)
     spec = LSProblemSpec("collinearity", alpha=3, beta=0, r=2, members=(member,))
     elements = {encode_pair(x + shift, y + shift) for x, y in inp.points}
     return spec, ls_instance(n=2 * w + 1, elements=sorted(elements))
@@ -447,7 +504,8 @@ def encode_min_weight_kclique(
         total = sum(decode(code)[3] - shift for code in codes[:-1])
         return total <= decode(codes[-1])[3] - shift
 
-    member = _declared_member((Run(pair_count, 1, "edge"), Run(1, 2, (1, 1))), decode, k, accept)
+    runs = (Run(pair_count, 1, "edge"), Run(1, 2, (1, 1)))
+    member = _declared_member(runs, decode, k, accept, pair_count + 1)
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -504,7 +562,7 @@ def encode_max_h_subgraph(
         pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
         return _spans_pattern(pairs, pattern)
 
-    member = _declared_member(runs, decode, nv, accept)
+    member = _declared_member(runs, decode, nv, accept, threshold_slot + 1)
     name = f"max-{pattern.name}-subgraph-{mode}"
     spec = LSProblemSpec(name, threshold_slot + 1, beta, r, members=(member,))
     elements = []

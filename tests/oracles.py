@@ -61,6 +61,23 @@ def ksum_witnesses(sets: tuple[tuple[int, ...], ...]) -> int:
     return sum(1 for choice in product(*sets) if sum(choice) == 0)
 
 
+def zero_sum_triples(sets) -> int:
+    """Choices of one value from each of three sets that sum to 0, each pair
+    of the first two sets closed by a hash lookup in the third."""
+    third = set(sets[2])
+    return sum(1 for a in sets[0] for b in sets[1] if -a - b in third)
+
+
+def triangle_count(graph: GraphInput) -> int:
+    """Triangles of the graph: each edge's common neighbours, by intersecting
+    the adjacency sets of its ends, each triangle seen from its 3 edges."""
+    adjacent: dict[int, set[int]] = {v: set() for v in range(1, graph.n + 1)}
+    for u, v in graph.edges:
+        adjacent[u].add(v)
+        adjacent[v].add(u)
+    return sum(len(adjacent[u] & adjacent[v]) for u, v in graph.edges) // 3
+
+
 def collinear_witnesses(points) -> int:
     return factorial(3) * sum(
         1

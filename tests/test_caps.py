@@ -83,6 +83,8 @@ BOUNDARIES = {
     "literal": (lambda: ls.formulation_polynomial(_one_witness(1, 0), 3, 1), 3),
     "literal_candidates": (lambda: ls.formulation_polynomial(_one_witness(1, 0), 3, 1), 3),
     "grid_bits": (lambda: ls.block_length(4, 3, 1), 6),
+    # s = 3, L = 2: 3 * (s + 1) * theta * 2**L = 48 variables, 6 bits.
+    "call_bits": (lambda: ls.compute_assignment(_one_witness(1, 0), ls.ls_instance(2, [1]), 1), 6),
     "permanent_brute": (lambda: pm.permanent_brute(_matrix(3)), 3),
     "permanent_formulation": (lambda: pm.permanent_via_formulation(_matrix(3)), 3),
     "g_target": (lambda: pm.f_count_traces(_matrix(3), 0b111, 0, 1), 3),

@@ -506,6 +506,7 @@ def declaring_encoding(name, rng):
 
 
 DECLARING_NAMES = (
+    "ksum",
     "collinearity",
     "h-induced",
     "family-induced",
@@ -523,7 +524,8 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
     """Both exactness conditions of each member's ``groups``: the reorderings
     of the member's grouped walk's witnesses are exactly its ungrouped walk's
     witnesses, each once, and every one of them passes the member's verifier;
-    the count is the sum of the members' ungrouped walks."""
+    the count, which walks each member's pool hook, is the sum of the
+    members' unhooked, ungrouped walks."""
     spec, inst = declaring_encoding(name, random.Random(seed))
     if inst.size < 2:
         return
@@ -546,6 +548,75 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
                 assert alone.verifier(*reordered)
                 orbits.append(tuple(reordered))
         assert sorted(orbits) == walk
+
+
+def hooked_encoding(name, rng):
+    """An instance of an encoder with a pool hook: ``random_encoding``'s for
+    k-SUM and collinearity, and a graph on 12-30 vertices with 16-40 edges,
+    sparse enough for the graph hooks to draw, for the graph encoders.  The
+    max-H-subgraph patterns have no non-edge, whose b-slot would range over
+    the whole record universe."""
+    if name in ("ksum", "collinearity"):
+        case = random_encoding(name, rng)
+        return case.spec, case.inst
+    n = rng.randint(12, 30)
+    pairs = rng.sample(list(combinations(range(1, n + 1), 2)), rng.randint(16, 40))
+    presets = [pr.H_PRESETS[p] for p in ("edge", "path3", "triangle", "c4", "k4")]
+    if name == "h-induced":
+        return pr.encode_h_induced(pr.GraphInput(n, frozenset(pairs)), rng.choice(presets))
+    if name == "family-induced":
+        family = rng.sample(presets, rng.randint(1, 3))
+        return pr.encode_family_induced(pr.GraphInput(n, frozenset(pairs)), family)
+    weights = tuple(rng.randint(-5, 5) for _ in range(n))
+    graph = pr.WeightedGraphInput(n, tuple((p, rng.randint(-5, 5)) for p in pairs), 5, weights)
+    if name == "min-weight-clique":
+        return pr.encode_min_weight_kclique(graph, rng.choice([3, 4]), rng.randint(-10, 10))
+    mode, pattern = rng.choice([("edge-weights", "triangle"), ("vertex-weights", "edge")])
+    return pr.encode_max_h_subgraph(graph, pr.H_PRESETS[pattern], rng.randint(-10, 10), mode)
+
+
+HOOKED_NAMES = (
+    "ksum",
+    "collinearity",
+    "h-induced",
+    "family-induced",
+    "min-weight-clique",
+    "max-h-subgraph",
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(HOOKED_NAMES), st.integers(0, 2**32), st.integers(1, 3))
+def test_pool_hook_draws_every_candidate_the_step_passes(name, seed, theta):
+    """The pool hook's contract, at every node of each member's grouped
+    walk: the draw is ascending, lies in the base pool and holds every
+    candidate of it the walk would try (above the previous slot of a group)
+    that the step passes; and the hooked count equals the unhooked one."""
+    spec, inst = hooked_encoding(name, random.Random(seed))
+    x = ls.compute_assignment(spec, inst, theta)
+    top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
+    pools = ls._witness_pools(spec, x.rows[1:-1], top)
+    unhooked = 0
+    for member in spec.members:
+        groups = member.groups
+        walk = ls.accepted_tuples(pools, member.accept, member.step, groups)
+        orders = math.prod(math.factorial(stop - start) for start, stop in groups)
+        unhooked += sum(1 for _ in walk) * orders
+        draw = member.pool(pools)
+        chained = {slot for start, stop in groups for slot in range(start + 1, stop)}
+        nodes = [((), ())] if draw else []
+        while nodes:
+            head, state = nodes.pop()
+            slot = len(head)
+            drawn = list(draw(state, slot))
+            assert drawn == sorted(set(drawn)) and set(drawn) <= set(pools[slot])
+            tried = [v for v in pools[slot] if slot not in chained or v > head[-1]]
+            steps = [(v, member.step(state, slot, v)) for v in tried]
+            passed = [(v, after) for v, after in steps if after is not None]
+            assert {v for v, _ in passed} <= set(drawn)
+            if slot + 1 < len(pools):
+                nodes += [(head + (v,), after) for v, after in passed]
+    assert ls.exact_evaluation_oracle(ls.FormulationQuery(spec, x)) == unhooked
 
 
 EDGELESS_3 = pr.PatternGraph("edgeless-3", 3, frozenset())

@@ -16,7 +16,7 @@ import polyoracle.problems as pr
 from polyoracle.cli import run_cli
 from polyoracle.errors import CapExceeded, PolyOracleError
 from polyoracle import circuits as ci, errors, polynomials as poly
-from oracles import has_induced_pattern, induced_copies
+from oracles import has_induced_pattern, induced_copies, triangle_count, zero_sum_triples
 from routes import report_matches_log, timed
 
 
@@ -295,6 +295,19 @@ def test_cli_solve_huge_theta(tmp_path, capsys, theta, report):
         assert call["size"] > theta and not call["magnitude_flagged"]
 
 
+@pytest.mark.parametrize("report", [False, True])
+def test_cli_solve_refuses_unprintable_call_size(tmp_path, capsys, report):
+    """At theta = 10**4299 the call size has more digits than CPython turns
+    into text by default: the solve exits 3 before it walks, and no report
+    file is started."""
+    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
+    argv = ["solve", "--problem", "triangle", "--input", k3, "--theta", str(10**4299)]
+    out = tmp_path / "report.json"
+    assert timed(lambda: run_cli(argv + ["--report", str(out)] * report)) == 3
+    assert "cap call_bits exceeded" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_solve_b_pool_cap(tmp_path, capsys):
     """path3's b-slots range over the n**2 - 2 codes outside S: at n = 3000
     that pool passes the b_pool cap and is refused before it is built."""
@@ -312,8 +325,8 @@ K5 = {"n": 5, "edges": [list(pair) for pair in combinations(range(1, 6), 2)]}
 WALK_HEAVY = [
     pytest.param(
         "ksum",
-        lambda rng: {"k": 4, "sets": [rng.sample(range(1, 10**6), 60) for _ in range(4)]},
-        id="ksum-4x60",
+        lambda rng: {"k": 4, "sets": [rng.sample(range(1, 10**6), 100) for _ in range(4)]},
+        id="ksum-4x100",
     ),
     pytest.param(
         "h-induced", lambda rng: {"n": 30, "edges": _gnp(rng, 30, 0.3), "H": STAR_5}, id="star5-G30"
@@ -337,12 +350,55 @@ WALK_HEAVY = [
 @pytest.mark.parametrize("problem, build", WALK_HEAVY)
 def test_cli_ls_walks_are_bounded(tmp_path, capsys, problem, build):
     """Inputs within every size cap whose formulation walk would try far more
-    candidates than one walk may stop at the ls_walk cap: a 4-SUM over
-    positive values, an induced 5-leaf star or k5 and a 5-clique of negative
-    weight, each on a seeded random graph."""
+    candidates than one walk may stop at the ls_walk cap: a 4-SUM over four
+    sets of 100 positive values, an induced 5-leaf star or k5 and a 5-clique
+    of negative weight, each on a seeded random graph."""
     path = write_json(tmp_path / "input.json", build(random.Random(1)))
     assert timed(lambda: run_cli(["solve", "--problem", problem, "--input", path])) == 3
     assert "cap ls_walk exceeded" in capsys.readouterr().err
+
+
+def _sparse_graph(rng, n, m):
+    edges = set()
+    while len(edges) < m:
+        edges.add(tuple(sorted(rng.sample(range(1, n + 1), 2))))
+    return [list(edge) for edge in sorted(edges)]
+
+
+HEADLINE = [
+    pytest.param(
+        "triangle",
+        lambda rng: {"n": 5000, "edges": _sparse_graph(rng, 5000, 10**4)},
+        id="triangle-5000v-10000e",
+    ),
+    pytest.param(
+        "ksum",
+        lambda rng: {"k": 3, "sets": [rng.sample(range(-(10**6), 10**6), 300) for _ in range(3)]},
+        id="3sum-3x300",
+    ),
+]
+
+
+@pytest.mark.parametrize("problem, build", HEADLINE)
+def test_cli_solve_answers_headline_sizes(tmp_path, capsys, problem, build):
+    """The paper's headline problems past toy sizes, under the unchanged
+    caps: triangle detection on a seeded sparse graph of 5 000 vertices and
+    10**4 edges, and 3-SUM over three sets of 300 values, each answers yes
+    within 1 s.  The count is checked against a reference that shares no
+    code with the library: adjacency-set intersection times the 3! edge
+    orderings, or hash lookup of the value closing each pair."""
+    data = build(random.Random(1))
+    path = write_json(tmp_path / "input.json", data)
+    start = time.perf_counter()
+    assert run_cli(["solve", "--problem", problem, "--input", path]) == 0
+    assert time.perf_counter() - start < 1
+    assert ": yes" in capsys.readouterr().out
+    spec, inst = pr.build_problem(problem, data)
+    if problem == "triangle":
+        expected = 6 * triangle_count(pr.graph_from_json(data))
+    else:
+        expected = zero_sum_triples(data["sets"])
+    assert ls.evaluate_formulation(spec, inst, 2) == expected > 0
 
 
 def test_cli_walk_cost_ignores_vertex_labels(tmp_path, capsys):
