@@ -42,12 +42,14 @@ CAPS: dict[str, tuple[int, str]] = {
     # Far below CPython's recursion limit of 1000: the walk recurses once per slot.
     # test_localsubset.py::test_walk_depth_is_capped
     "witness_slots": (256, "alpha + beta slots of the witness walk"),
-    # Checked per node of accepted_tuples's walk, a whole pool (or a pool
-    # hook's draw) at a time.  Tier-1 library walks try at most 263 280
-    # candidates, the ls-decide and ls-literal benchmark ops (seeds 1-10) at
-    # most 1 170.
+    # Checked per node of accepted_tuples's walk: one for the node and one for
+    # each candidate of its whole pool (or its pool hook's draw).  A hooked
+    # node steps nearly every candidate it draws, so a hooked walk reaches the
+    # cap in about twice an unhooked one's time (k5 in G(40, 0.5): 0.47 s,
+    # against 0.21 s unhooked).  Tier-1 library walks charge at most 276 561,
+    # the ls-decide and ls-literal benchmark ops (seeds 1-10) at most 1 246.
     # test_oracle_cli.py::test_cli_ls_walks_are_bounded
-    "ls_walk": (5 * 10**5, "candidates tried by one LS walk"),
+    "ls_walk": (5 * 10**5, "nodes visited plus candidates tried by one LS walk"),
     # Keeps a call's size printable: CPython turns an int into text only up to
     # 4 300 decimal digits (about 14 284 bits) by default.
     # test_oracle_cli.py::test_cli_solve_refuses_unprintable_call_size

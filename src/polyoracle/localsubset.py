@@ -50,21 +50,20 @@ tuple is a witness iff some member accepts it, and the formulation value sums
 the members' counts.  A member's ``step`` checks one slot against the state
 the earlier slots left, its ``accept`` is the global check on the full
 tuple, its ``groups`` the runs of slots whose order acceptance ignores, and
-its optional ``pool`` hook narrows each node's candidates to those the step
-could pass from the node's state.
+its optional ``pool`` hook narrows each node's candidates to what ``step`` passes.
 
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
 lexicographic backtracking walk over per-slot candidate pools that carries
 the step's state down each tuple and yields the accepted tuples in
 ``itertools.product`` order, never extending a prefix a step rejects.  The
 witness count walks each member once, one increasing ordering per group
-times the groups' factorials, each node drawing from the member's hook, so
-its work follows the witnesses rather than |S|**alpha; the collected
-literal polynomial walks the same orderings over every candidate code; the
+times the groups' factorials, drawing from its hook, so its work follows
+the witnesses rather than |S|**alpha; the collected literal polynomial
+walks the same orderings over every candidate code; the
 literal stream walks each member over every ordering of every slot; the
 reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone
 to the enumerator, an unpruned filter.  Every walk stops with CapExceeded
-once it has tried more candidates than the ls_walk cap allows.
+once its nodes and the candidates they tried pass the ls_walk cap.
 """
 
 from __future__ import annotations
@@ -254,10 +253,9 @@ def accepted_tuples(
     extensions.  Within each (start, stop) of ``groups`` only strictly
     increasing values are walked, which needs those slots' pools ascending.
     A ``pool`` hook that does not decline narrows each node's pool to its
-    draw; every candidate drawn is stepped as before, so the same tuples
-    come out.  Raises CapExceeded past the witness_slots cap, and, while
-    walking, once the candidates tried (each node's whole pool or draw) pass
-    the ls_walk cap."""
+    draw, each candidate drawn stepped as before, so the same tuples come
+    out.  Raises CapExceeded past the witness_slots cap, and, while walking,
+    once the nodes and the candidates they tried pass the ls_walk cap."""
     check("witness_slots", len(pools))
     chained = [False] * len(pools)
     for start, stop in groups:
@@ -270,13 +268,13 @@ def _extend(
     pools, draw, accept, step, chained, head: tuple[int, ...], state: tuple, budget: int
 ) -> Generator[tuple[int, ...], None, int]:
     """Walk the extensions of ``head``, which left ``state``, with ``budget``
-    candidates left to try; return what is left of it."""
+    nodes and candidates left; return what is left of it."""
     depth = len(head)
     last = depth + 1 == len(pools)
     pool = pools[depth] if draw is None else draw(state, depth)
     if chained[depth]:
         pool = pool[bisect_right(pool, head[-1]) :]
-    budget -= len(pool)
+    budget -= len(pool) + 1  # the node itself and each candidate it tries
     if budget < 0:
         check("ls_walk", cap_limit("ls_walk") - budget)
     for value in pool:

@@ -35,9 +35,9 @@ t vertices are all the pairs of exactly t vertices; so a clique's
 are the spanned ones.  k-SUM's step pins one tag per slot and carries the
 code sum, which its last slot must close; collinearity's keeps its three
 points distinct, one group, and its third on the line of the first two.
-Each member's pool hook draws only what its step can pass: k-SUM's a slot's
-own tag and the one closing code, collinearity's the third point from an
-index of S's lines, a declared member's the codes at the spanned vertices.
+Each pool hook draws only what its step can pass: k-SUM's a slot's own tag
+or the closing code, collinearity's the third point from the lines through
+the first, a declared member's the codes at the spanned vertices.
 """
 
 from __future__ import annotations
@@ -163,17 +163,16 @@ def _pair_record(code: int) -> tuple[int, int, int, int]:
 
 
 def _declared_member(
-    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, alpha: int, lowest=1
+    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, lowest: int = 1
 ) -> Member:
     """The member of a run declaration: its step checks a slot's record, as
     ``decode`` reads it, against the slot's run and adds each edge or vertex
     to the state (pairs placed, vertices spanned), rejecting a repeated pair
     or more than ``budget`` vertices, so a step's work is bounded by the
     budget, not by the walk's depth or the vertex labels; its groups are the
-    runs of two or more edge or vertex slots.  Its pool hook indexes the
-    ``alpha`` a-slots' codes by (tag, vertex) and (tag, u, v): with room for
-    one fresh vertex an edge slot draws the codes at the spanned vertices,
-    with none an edge or vertex slot draws the codes of the pairs among them."""
+    runs of two or more edge or vertex slots.  Its pool hook indexes the a-slot
+    pool by (tag, vertex) and (tag, u, v): a slot on it with room for one
+    fresh vertex, or none, draws the codes at, or among, the spanned ones."""
     runs = [run for run in runs if run.count]
     starts = list(accumulate((run.count for run in runs), initial=0))
     groups = tuple(
@@ -201,7 +200,7 @@ def _declared_member(
         return pairs + ((u, v),), spanned
 
     def pool(pools: Sequence[Sequence[int]]) -> Draw | None:
-        if len(pools[0]) < 16:  # a draw would cost more than the steps it saves
+        if len(pools[0]) < 16:  # indexing would cost more than a whole walk of them
             return None
         index: dict[tuple, list[int]] = {}  # codes by (tag, vertex) and by (tag, u, v)
         for code in pools[0]:
@@ -211,7 +210,7 @@ def _declared_member(
         if budget * max(map(len, index.values()), default=0) >= len(pools[0]):
             return None  # a draw could hold as many codes as the pool
 
-        @lru_cache(maxsize=256)  # a subtree of the walk keeps its spanned vertices
+        @lru_cache(maxsize=256)  # siblings that add no vertex share a draw
         def near(tag: int, spanned: tuple) -> list[int]:
             if len(spanned) < budget:  # room for one fresh vertex
                 return sorted(set().union(*[index.get((tag, x), ()) for x in spanned]))
@@ -222,9 +221,9 @@ def _declared_member(
             _, tag, shape, _ = runs[bisect_right(starts, slot) - 1]
             spanned = state[1] if state else ()
             room = budget - len(spanned)
-            if slot >= alpha or not isinstance(shape, str) or room > (shape == "edge"):
-                return pools[slot]
-            return near(tag, spanned)
+            if pools[slot] is pools[0] and isinstance(shape, str) and room <= (shape == "edge"):
+                return near(tag, spanned)
+            return pools[slot]  # a b-slot, a fixed pair or room for two fresh vertices
 
         return draw
 
@@ -243,7 +242,7 @@ def _induced_member(pattern: PatternGraph, alpha: int, beta: int, lowest: int = 
         pairs = codes[:edges] + codes[alpha : alpha + nonedges]
         return _spans_pattern([decode_pair(c) for c in pairs], pattern)
 
-    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, alpha, lowest)
+    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, lowest)
 
 
 # --- natural inputs -------------------------------------------------------
@@ -364,7 +363,7 @@ def encode_ksum(inp: KSumInput) -> tuple[LSProblemSpec, LSInstance]:
 
 
 def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
-    """Collinearity: universe [-W, W]^2; exact cross-product test, no floats."""
+    """Collinearity: universe [-W, W]^2; exact integer directions, no floats."""
     w = inp.magnitude
     shift = w + 1
 
@@ -373,29 +372,34 @@ def encode_collinearity(inp: PointSetInput) -> tuple[LSProblemSpec, LSInstance]:
         a, b = decode_pair(code)
         return a - shift, b - shift
 
+    def direction(a: int, b: int) -> tuple[int, int]:  # from a to b, reduced, sign fixed
+        (x1, y1), (x2, y2) = decode_point(a), decode_point(b)
+        dx, dy = x2 - x1, y2 - y1
+        g = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
+        return dx // g, dy // g
+
     def step(seen: tuple, slot: int, code: int) -> tuple | None:
-        if code in seen:
+        if code in seen or slot == 2 and direction(*seen) != direction(seen[0], code):
             return None
-        if slot == 2:
-            (x1, y1), (x2, y2), (x3, y3) = map(decode_point, (*seen, code))
-            if (x2 - x1) * (y3 - y1) != (x3 - x1) * (y2 - y1):
-                return None
         return seen + (code,)
 
     def pool(pools: Sequence[Sequence[int]]) -> Draw:
-        """Each pair's later points on its line, S's lines keyed by their
-        first point and reduced direction."""
-        points = [(code, *decode_point(code)) for code in pools[2]]
-        lines: dict[tuple[int, int, int], list[int]] = {}
-        for i, (first, x1, y1) in enumerate(points):
-            for later, x2, y2 in points[i + 1 :]:
-                dx, dy = x2 - x1, y2 - y1
-                g = gcd(dx, dy) if dx > 0 or (dx == 0 and dy > 0) else -gcd(dx, dy)
-                lines.setdefault((first, dx // g, dy // g), []).append(later)
-        tails = {
-            (a, b): run[i + 1 :] for (a, *_), run in lines.items() for i, b in enumerate(run[:-1])
-        }
-        return lambda seen, slot: pools[slot] if slot < 2 else tails.get(seen, ())
+        # Each point b after a, with its line's points after a and where b's
+        # successors start: O(|S|) per a, as is a's slot-1 pool the walk charged.
+        @lru_cache(maxsize=1)  # the walk takes each a's pairs in turn
+        def lines(a: int) -> dict[int, tuple[list[int], int]]:
+            later: dict[tuple[int, int], list[int]] = {}
+            for b in pools[2][bisect_right(pools[2], a) :]:
+                later.setdefault(direction(a, b), []).append(b)
+            return {b: (line, i + 1) for line in later.values() for i, b in enumerate(line)}
+
+        def draw(seen: tuple, slot: int) -> Sequence[int]:
+            if slot < 2:
+                return pools[slot]
+            line, after = lines(seen[0])[seen[1]]
+            return line[after:]
+
+        return draw
 
     member = Member(step, lambda *codes: True, groups=((0, 3),), pool=pool)
     spec = LSProblemSpec("collinearity", alpha=3, beta=0, r=2, members=(member,))
@@ -504,8 +508,7 @@ def encode_min_weight_kclique(
         total = sum(decode(code)[3] - shift for code in codes[:-1])
         return total <= decode(codes[-1])[3] - shift
 
-    runs = (Run(pair_count, 1, "edge"), Run(1, 2, (1, 1)))
-    member = _declared_member(runs, decode, k, accept, pair_count + 1)
+    member = _declared_member((Run(pair_count, 1, "edge"), Run(1, 2, (1, 1))), decode, k, accept)
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -562,7 +565,7 @@ def encode_max_h_subgraph(
         pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
         return _spans_pattern(pairs, pattern)
 
-    member = _declared_member(runs, decode, nv, accept, threshold_slot + 1)
+    member = _declared_member(runs, decode, nv, accept)
     name = f"max-{pattern.name}-subgraph-{mode}"
     spec = LSProblemSpec(name, threshold_slot + 1, beta, r, members=(member,))
     elements = []

@@ -344,6 +344,14 @@ WALK_HEAVY = [
         },
         id="light-5-clique-G30",
     ),
+    pytest.param(
+        "collinearity", lambda rng: {"points": [[x, x] for x in range(2000)]}, id="collinear-2000"
+    ),
+    pytest.param(
+        "collinearity",
+        lambda rng: {"points": [[x, rng.randint(-(10**6), 10**6)] for x in range(10**4)]},
+        id="points-10000",
+    ),
 ]
 
 
@@ -352,7 +360,9 @@ def test_cli_ls_walks_are_bounded(tmp_path, capsys, problem, build):
     """Inputs within every size cap whose formulation walk would try far more
     candidates than one walk may stop at the ls_walk cap: a 4-SUM over four
     sets of 100 positive values, an induced 5-leaf star or k5 and a 5-clique
-    of negative weight, each on a seeded random graph."""
+    of negative weight, each on a seeded random graph, and collinearity on
+    2 000 points of one line or 10**4 seeded points, whose line index is
+    built one first point at a time as the walk reaches it."""
     path = write_json(tmp_path / "input.json", build(random.Random(1)))
     assert timed(lambda: run_cli(["solve", "--problem", problem, "--input", path])) == 3
     assert "cap ls_walk exceeded" in capsys.readouterr().err
