@@ -8,6 +8,7 @@ Exit codes: 0 success (and "yes" where the subcommand is a decision);
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import sys
 import time
@@ -34,8 +35,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
         answer = localsubset.solve_via_oracle(spec, inst, args.theta, wrapped)
     wall = time.perf_counter() - start
     if args.report:
+        report = io.StringIO()  # written in full, so a failure leaves no file behind
+        oracle.dump_report(report, spec.name, inst, answer, log, wall)
         with open(args.report, "w", encoding="utf-8") as handle:
-            oracle.dump_report(handle, spec.name, inst, answer, log, wall)
+            handle.write(report.getvalue())
     print(f"{spec.name}: {'yes' if answer else 'no'} (oracle cost {log.total_cost})")
     return 0 if answer else 1
 

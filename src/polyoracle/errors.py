@@ -37,17 +37,17 @@ class PreconditionViolated(PolyOracleError):
 CAPS: dict[str, tuple[int, str]] = {
     # test_oracle_cli.py::test_cli_cap_errors
     "brute_walk": (10**6, "|S|**alpha * |S-bar|**beta brute walk tuples"),
-    # test_oracle_cli.py::test_cli_solve_b_pool_cap
-    "b_pool": (10**6, "codes in a b-slot candidate pool"),
     # Far below CPython's recursion limit of 1000: the walk recurses once per slot.
     # test_localsubset.py::test_walk_depth_is_capped
     "witness_slots": (256, "alpha + beta slots of the witness walk"),
     # Checked per node of accepted_tuples's walk: one for the node and one for
-    # each candidate of its whole pool (or its pool hook's draw).  A hooked
-    # node steps nearly every candidate it draws, so a hooked walk reaches the
-    # cap in about twice an unhooked one's time (k5 in G(40, 0.5): 0.47 s,
-    # against 0.21 s unhooked).  Tier-1 library walks charge at most 276 561,
-    # the ls-decide and ls-literal benchmark ops (seeds 1-10) at most 1 246.
+    # each candidate of its whole pool (or its pool hook's draw), before the
+    # first is tried, so a b-slot left with the whole complement of S is
+    # refused by its length.  A hooked node steps nearly every candidate it
+    # draws, so a hooked walk reaches the cap in about twice an unhooked one's
+    # time (k5 in G(40, 0.5): 0.47 s, against 0.21 s unhooked).  Tier-1
+    # library walks charge at most 276 561, the ls-decide benchmark ops
+    # (seeds 1-10) at most 347 and the ls-literal ones at most 1 246.
     # test_oracle_cli.py::test_cli_ls_walks_are_bounded
     "ls_walk": (5 * 10**5, "nodes visited plus candidates tried by one LS walk"),
     # Keeps a call's size printable: CPython turns an int into text only up to

@@ -51,6 +51,7 @@ the members' counts.  A member's ``step`` checks one slot against the state
 the earlier slots left, its ``accept`` is the global check on the full
 tuple, its ``groups`` the runs of slots whose order acceptance ignores, and
 its optional ``pool`` hook narrows each node's candidates to what ``step`` passes.
+The b-slots' base pool, the complement of S, is a lazy view, never listed.
 
 Every tuple loop goes through one enumerator, ``accepted_tuples``: a
 lexicographic backtracking walk over per-slot candidate pools that carries
@@ -63,16 +64,17 @@ walks the same orderings over every candidate code; the
 literal stream walks each member over every ordering of every slot; the
 reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone
 to the enumerator, an unpruned filter.  Every walk stops with CapExceeded
-once its nodes and the candidates they tried pass the ls_walk cap.
+once its nodes and the candidates they tried pass the ls_walk cap, a node
+charging its whole pool, or its draw, before it tries the first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, product
+from itertools import chain, groupby, pairwise, product
 from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
@@ -218,26 +220,63 @@ def brute_solve(spec: LSProblemSpec, inst: LSInstance) -> bool:
     """Reference decision: filter every witness tuple over S and its complement
     through ``spec.verifier``, unpruned and ignoring groups, stopping at the
     first hit.
-    Raises CapExceeded past the witness_slots, b_pool, brute_walk or ls_walk
-    cap."""
+    Raises CapExceeded past the witness_slots or brute_walk cap, both checked
+    before any pool is built, or past the ls_walk cap."""
+    check("witness_slots", spec.alpha + spec.beta)
     u = universe_size(spec, inst)
-    pools = _witness_pools(spec, inst.elements, u)
     limit = cap_limit("brute_walk")
     walk = _capped_power(inst.m, spec.alpha, limit) * _capped_power(u - inst.m, spec.beta, limit)
     check("brute_walk", walk)
+    pools = _witness_pools(spec, inst.elements, u)
     return next(accepted_tuples(pools, spec.verifier), None) is not None
 
 
-def _witness_pools(spec: LSProblemSpec, elements: Sequence[int], top: int) -> list[list[int]]:
-    """Per-slot candidates up to ``top``: the elements of S for each a-slot and
-    the rest of [1, top] for each b-slot.  Raises CapExceeded rather than
-    build pools past the witness_slots or b_pool cap."""
+def _witness_pools(spec: LSProblemSpec, elements: Sequence[int], top: int) -> list[Sequence[int]]:
+    """Per-slot candidates up to ``top``: the elements of S for each a-slot
+    and one ``_Complement`` view of the rest of [1, top], never listed, for
+    each b-slot.  Raises CapExceeded rather than build pools past the
+    witness_slots cap."""
     check("witness_slots", spec.alpha + spec.beta)
     inside = [v for v in elements if v <= top]
-    check("b_pool", top - len(inside) if spec.beta else 0)
-    member = set(inside)
-    outside = [v for v in range(1, top + 1) if v not in member] if spec.beta else []
-    return [inside] * spec.alpha + [outside] * spec.beta
+    return [inside] * spec.alpha + [_Complement(inside, 1, top)] * spec.beta
+
+
+class _Complement(Sequence):
+    """The ascending codes of [low, top] outside the ascending list ``inside``,
+    whose elements are at most ``top``, never listed: its length is O(1), it
+    iterates over the ranges between consecutive elements of ``inside``, and
+    it finds a position, a tail slice or a member by bisection."""
+
+    def __init__(self, inside: list[int], low: int, top: int) -> None:
+        self.inside, self.low, self.top = inside, low, top
+        self.first = bisect_left(inside, low)  # inside[first:] lie in [low, top]
+        self.size = top - low + 1 - (len(inside) - self.first)
+
+    def __len__(self) -> int:
+        return self.size
+
+    def __iter__(self) -> Iterator[int]:
+        later = map(self.inside.__getitem__, range(self.first, len(self.inside)))
+        bounds = pairwise(chain([self.low - 1], later, [self.top + 1]))
+        return chain.from_iterable(range(a + 1, b) for a, b in bounds)
+
+    def __contains__(self, code: object) -> bool:
+        at = bisect_left(self.inside, code, self.first)
+        return self.low <= code <= self.top and self.inside[at : at + 1] != [code]
+
+    def __getitem__(self, position):
+        if isinstance(position, slice):
+            start, stop, step = position.indices(self.size)
+            if (stop, step) != (self.size, 1):
+                raise ValueError("a complement view slices only its tails")
+            return _Complement(self.inside, self[start] if start < stop else self.top + 1, self.top)
+        if not 0 <= position < self.size:
+            raise IndexError("complement view index out of range")
+        # inside[k] lies below the code iff inside[k] - 1 - k, the codes of
+        # [1, inside[k]) outside ``inside``, is at most those of [1, code).
+        inside, rank = self.inside, self.low - 1 - self.first + position
+        members = bisect_right(range(len(inside)), rank, self.first, key=lambda k: inside[k] - 1 - k)
+        return rank + 1 + members
 
 
 def accepted_tuples(

@@ -37,7 +37,9 @@ code sum, which its last slot must close; collinearity's keeps its three
 points distinct, one group, and its third on the line of the first two.
 Each pool hook draws only what its step can pass: k-SUM's a slot's own tag
 or the closing code, collinearity's the third point from the lines through
-the first, a declared member's the codes at the spanned vertices.
+the first, a declared member's the codes at the spanned vertices, and, for
+a b-slot, the codes outside S of its fixed pair or of the pairs among the
+spanned vertices, so β > 0 walks follow the pattern, not the universe.
 """
 
 from __future__ import annotations
@@ -45,12 +47,12 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations_with_replacement, permutations
+from itertools import accumulate, combinations, combinations_with_replacement, permutations
 from math import gcd, isqrt
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
 from . import polynomials
-from .errors import ValueOutOfRange, check
+from .errors import ValueOutOfRange, cap_limit, check
 from .localsubset import Draw, LSInstance, LSProblemSpec, Member, ls_instance
 
 
@@ -163,18 +165,25 @@ def _pair_record(code: int) -> tuple[int, int, int, int]:
 
 
 def _declared_member(
-    runs: Sequence[Run], decode: Callable, budget: int, accept: Callable, lowest: int = 1
+    runs: Sequence[Run], codec: tuple, budget: int, accept: Callable, lowest: int = 1
 ) -> Member:
-    """The member of a run declaration: its step checks a slot's record, as
-    ``decode`` reads it, against the slot's run and adds each edge or vertex
-    to the state (pairs placed, vertices spanned), rejecting a repeated pair
-    or more than ``budget`` vertices, so a step's work is bounded by the
-    budget, not by the walk's depth or the vertex labels; its groups are the
-    runs of two or more edge or vertex slots.  Its pool hook indexes the a-slot
-    pool by (tag, vertex) and (tag, u, v): a slot on it with room for one
-    fresh vertex, or none, draws the codes at, or among, the spanned ones."""
+    """The member of a run declaration, its records read and written by the
+    ``codec`` (encode, decode): its step checks a slot's record against the
+    slot's run and adds each edge or vertex to the state (pairs placed,
+    vertices spanned), rejecting a repeated pair or more than ``budget``
+    vertices, so a step's work is bounded by the budget, not by the walk's
+    depth or the vertex labels; its groups are the runs of two or more edge
+    or vertex slots.  Its pool hook draws a b-slot of a ``unit`` run from its
+    records of weight 1 outside S: a fixed pair's, or, with no room for a
+    fresh vertex, the pairs' among the spanned ones.  An a-slot with room
+    for one fresh vertex, or none, draws the codes at, or among, the spanned
+    ones from an index of the a-slot pool by (tag, vertex) and (tag, u, v),
+    which declines small or dense pools."""
+    encode, decode = codec
     runs = [run for run in runs if run.count]
-    starts = list(accumulate((run.count for run in runs), initial=0))
+    limit = cap_limit("witness_slots")  # no walk steps a slot past it
+    slot_runs = [run for run in runs for _ in range(min(run.count, limit))][:limit]
+    starts = accumulate((run.count for run in runs), initial=0)
     groups = tuple(
         (start, start + count)
         for start, (count, _, shape, _) in zip(starts, runs)
@@ -182,7 +191,7 @@ def _declared_member(
     )
 
     def step(state: tuple, slot: int, code: int) -> tuple | None:
-        _, tag, shape, unit = runs[bisect_right(starts, slot) - 1]
+        _, tag, shape, unit = slot_runs[slot]
         t, u, v, w = decode(code)
         if t != tag or (unit and w != 1):
             return None
@@ -200,15 +209,18 @@ def _declared_member(
         return pairs + ((u, v),), spanned
 
     def pool(pools: Sequence[Sequence[int]]) -> Draw | None:
-        if len(pools[0]) < 16:  # indexing would cost more than a whole walk of them
+        a_pool, outside = pools[0], pools[-1]  # the b-slots' pool, or a_pool when beta = 0
+        index: dict[tuple, list[int]] | None = None  # a_pool by (tag, vertex) and (tag, u, v)
+        if len(a_pool) >= 16:  # below, indexing would cost more than a whole walk of them
+            index = {}
+            for code in a_pool:
+                t, u, v, _ = decode(code)
+                for key in {(t, u), (t, v), (t, u, v)}:
+                    index.setdefault(key, []).append(code)
+            if budget * max(map(len, index.values()), default=0) >= len(a_pool):
+                index = None  # a draw could hold as many codes as the pool
+        if index is None and outside is a_pool:
             return None
-        index: dict[tuple, list[int]] = {}  # codes by (tag, vertex) and by (tag, u, v)
-        for code in pools[0]:
-            t, u, v, _ = decode(code)
-            for key in {(t, u), (t, v), (t, u, v)}:
-                index.setdefault(key, []).append(code)
-        if budget * max(map(len, index.values()), default=0) >= len(pools[0]):
-            return None  # a draw could hold as many codes as the pool
 
         @lru_cache(maxsize=256)  # siblings that add no vertex share a draw
         def near(tag: int, spanned: tuple) -> list[int]:
@@ -217,13 +229,24 @@ def _declared_member(
             pairs = combinations_with_replacement(sorted(spanned), 2)
             return sorted([c for u, v in pairs for c in index.get((tag, u, v), ())])
 
+        @lru_cache(maxsize=256)  # every b-slot below a full budget shares a draw
+        def among(tag: int, spanned: tuple) -> list[int]:
+            codes = [encode(tag, u, v, 1) for u, v in combinations(sorted(spanned), 2)]
+            return sorted(code for code in codes if code in outside)
+
         def draw(state: tuple, slot: int) -> Sequence[int]:
-            _, tag, shape, _ = runs[bisect_right(starts, slot) - 1]
+            _, tag, shape, unit = slot_runs[slot]
             spanned = state[1] if state else ()
             room = budget - len(spanned)
-            if pools[slot] is pools[0] and isinstance(shape, str) and room <= (shape == "edge"):
-                return near(tag, spanned)
-            return pools[slot]  # a b-slot, a fixed pair or room for two fresh vertices
+            if pools[slot] is a_pool:
+                if index is not None and isinstance(shape, str) and room <= (shape == "edge"):
+                    return near(tag, spanned)
+            elif unit and not isinstance(shape, str):
+                code = encode(tag, *shape, 1)
+                return (code,) if code in outside else ()
+            elif unit and shape == "edge" and not room:
+                return among(tag, spanned)
+            return pools[slot]  # no index, room to spare or no unit b-run
 
         return draw
 
@@ -233,16 +256,18 @@ def _declared_member(
 def _induced_member(pattern: PatternGraph, alpha: int, beta: int, lowest: int = 1) -> Member:
     """An induced copy of the pattern on its |E(H)| leading a-slots and
     |nonedges(H)| leading b-slots, on vertices at least ``lowest``; any
-    other a-slot holds the loop (1, 1) and any other b-slot the pair (1, 2)."""
+    other a-slot holds the loop (1, 1) and any other b-slot the pair (1, 2).
+    A pair record weighs 1, so its b-runs are declared ``unit`` and drawn."""
     edges, nonedges = pattern.num_edges, pattern.num_nonedges
     runs = (Run(edges, 1, "edge"), Run(alpha - edges, 1, (1, 1)))
-    runs += (Run(nonedges, 1, "edge"), Run(beta - nonedges, 1, (1, 2)))
+    runs += (Run(nonedges, 1, "edge", True), Run(beta - nonedges, 1, (1, 2), True))
 
     def accept(*codes: int) -> bool:
         pairs = codes[:edges] + codes[alpha : alpha + nonedges]
         return _spans_pattern([decode_pair(c) for c in pairs], pattern)
 
-    return _declared_member(runs, _pair_record, pattern.num_vertices, accept, lowest)
+    pair_codec = (lambda tag, u, v, w: encode_pair(u, v), _pair_record)
+    return _declared_member(runs, pair_codec, pattern.num_vertices, accept, lowest)
 
 
 # --- natural inputs -------------------------------------------------------
@@ -508,7 +533,8 @@ def encode_min_weight_kclique(
         total = sum(decode(code)[3] - shift for code in codes[:-1])
         return total <= decode(codes[-1])[3] - shift
 
-    member = _declared_member((Run(pair_count, 1, "edge"), Run(1, 2, (1, 1))), decode, k, accept)
+    runs = (Run(pair_count, 1, "edge"), Run(1, 2, (1, 1)))
+    member = _declared_member(runs, (encode, decode), k, accept)
     spec = LSProblemSpec(f"min-weight-{k}-clique", pair_count + 1, 0, r, members=(member,))
     elements = [encode(1, u, v, w + shift) for (u, v), w in inp.edge_weights]
     elements.append(encode(2, 1, 1, threshold + shift))
@@ -565,7 +591,7 @@ def encode_max_h_subgraph(
         pairs = [(u, v) for slot, (_, u, v, _) in enumerate(records) if slot != threshold_slot]
         return _spans_pattern(pairs, pattern)
 
-    member = _declared_member(runs, decode, nv, accept)
+    member = _declared_member(runs, (encode, decode), nv, accept)
     name = f"max-{pattern.name}-subgraph-{mode}"
     spec = LSProblemSpec(name, threshold_slot + 1, beta, r, members=(member,))
     elements = []

@@ -78,6 +78,13 @@ def triangle_count(graph: GraphInput) -> int:
     return sum(len(adjacent[u] & adjacent[v]) for u, v in graph.edges) // 3
 
 
+def induced_path3_count(graph: GraphInput) -> int:
+    """Induced paths u - v - w: each vertex v's pairs of neighbours, less the
+    three pairs of every triangle, whose ends are adjacent."""
+    degrees = Counter(x for edge in graph.edges for x in edge)
+    return sum(comb(d, 2) for d in degrees.values()) - 3 * triangle_count(graph)
+
+
 def collinear_witnesses(points) -> int:
     return factorial(3) * sum(
         1

@@ -4,6 +4,7 @@ import hashlib
 import math
 import random
 import time
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import fields, replace
 from itertools import combinations, permutations, product, zip_longest
@@ -106,7 +107,8 @@ def test_brute_solve_triangle_path():
 
 def test_brute_solve_universe_cap():
     """A beta = 0 walk never touches the universe, so W = 10**6 is answered;
-    a beta > 0 complement past 10**6 is refused before its pool is built."""
+    a beta > 0 brute walk over a complement of about 10**6 codes is refused
+    by brute_walk before any pool is built."""
     spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 10**6))
     start = time.perf_counter()
     assert ls.brute_solve(spec, inst) is True
@@ -114,7 +116,7 @@ def test_brute_solve_universe_cap():
     assert ls.solve_via_oracle(spec, inst, theta=1) is True
     path = pr.GraphInput(1001, frozenset({(1, 2), (2, 3)}))
     spec, inst = pr.encode_h_induced(path, pr.H_PRESETS["path3"])
-    with pytest.raises(CapExceeded, match="cap b_pool exceeded"):
+    with pytest.raises(CapExceeded, match="cap brute_walk exceeded"):
         ls.brute_solve(spec, inst)
 
 
@@ -553,12 +555,20 @@ def test_grouped_count_equals_ungrouped_count(name, seed, theta):
 def hooked_encoding(name, rng):
     """An instance of an encoder with a pool hook: ``random_encoding``'s for
     k-SUM and collinearity, and a graph on 12-30 vertices with 16-40 edges,
-    sparse enough for the graph hooks to draw, for the graph encoders.  The
-    max-H-subgraph patterns have no non-edge, whose b-slot would range over
-    the whole record universe."""
+    sparse enough for the graph hooks to draw, for the graph encoders.  Its
+    h-induced and family patterns have non-edges, drawn by the b-slot side
+    of the hook; so have the max-H-subgraph patterns of "max-h-nonedges"
+    (path3 or c4, either mode), on 5-8 vertices with weights within 2 and a
+    threshold within 4, so that the record universe each b-slot is drawn
+    from holds at most 8**4 codes."""
     if name in ("ksum", "collinearity"):
         case = random_encoding(name, rng)
         return case.spec, case.inst
+    if name == "max-h-nonedges":
+        graph = random_weighted_graph(rng, rng.randint(5, 8), 2, 10, with_vertex_weights=True)
+        pattern = pr.H_PRESETS[rng.choice(["path3", "c4"])]
+        mode = rng.choice(["edge-weights", "vertex-weights"])
+        return pr.encode_max_h_subgraph(graph, pattern, rng.randint(-4, 4), mode)
     n = rng.randint(12, 30)
     pairs = rng.sample(list(combinations(range(1, n + 1), 2)), rng.randint(16, 40))
     presets = [pr.H_PRESETS[p] for p in ("edge", "path3", "triangle", "c4", "k4")]
@@ -582,6 +592,7 @@ HOOKED_NAMES = (
     "family-induced",
     "min-weight-clique",
     "max-h-subgraph",
+    "max-h-nonedges",
 )
 
 
@@ -589,13 +600,15 @@ HOOKED_NAMES = (
 @given(st.sampled_from(HOOKED_NAMES), st.integers(0, 2**32), st.integers(1, 3))
 def test_pool_hook_draws_every_candidate_the_step_passes(name, seed, theta):
     """The pool hook's contract, at every node of each member's grouped
-    walk: the draw is ascending, lies in the base pool and holds every
-    candidate of it the walk would try (above the previous slot of a group)
-    that the step passes; and the hooked count equals the unhooked one."""
+    walk, a-slots and b-slots alike: the draw is ascending, lies in the base
+    pool and holds every candidate of it the walk would try (above the
+    previous slot of a group) that the step passes; and the hooked count
+    equals the unhooked one."""
     spec, inst = hooked_encoding(name, random.Random(seed))
     x = ls.compute_assignment(spec, inst, theta)
     top = ls._candidate_top(x.rows[-1] - 1, theta, x.block_len)
     pools = ls._witness_pools(spec, x.rows[1:-1], top)
+    bases = [set(pool) for pool in pools]
     unhooked = 0
     for member in spec.members:
         groups = member.groups
@@ -609,7 +622,7 @@ def test_pool_hook_draws_every_candidate_the_step_passes(name, seed, theta):
             head, state = nodes.pop()
             slot = len(head)
             drawn = list(draw(state, slot))
-            assert drawn == sorted(set(drawn)) and set(drawn) <= set(pools[slot])
+            assert drawn == sorted(set(drawn)) and set(drawn) <= bases[slot]
             tried = [v for v in pools[slot] if slot not in chained or v > head[-1]]
             steps = [(v, member.step(state, slot, v)) for v in tried]
             passed = [(v, after) for v, after in steps if after is not None]
@@ -736,6 +749,27 @@ def test_accepted_tuples_in_product_order():
     step = lambda state, slot, code: None if (slot, code) == (0, 1) else state  # noqa: E731
     pruned = ls.accepted_tuples(pools, accept, step=step)
     assert list(pruned) == [t for t in expected if t[0] != 1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 60), st.integers(0, 2**32))
+def test_complement_view_matches_the_listed_complement(top, seed):
+    """A b-slot's ``_Complement`` view of [low, top] outside a sorted S has
+    the listed complement's length, codes, positions, members and the tails
+    a chained group takes after a bisection."""
+    rng = random.Random(seed)
+    inside = sorted(rng.sample(range(1, top + 1), rng.randint(0, top)))
+    low = rng.randint(1, top + 1)
+    view = ls._Complement(inside, low, top)
+    listed = [code for code in range(low, top + 1) if code not in inside]
+    assert len(view) == len(listed) and list(view) == listed
+    assert [view[i] for i in range(len(listed))] == listed
+    assert [code for code in range(-1, top + 3) if code in view] == listed
+    for code in range(top + 2):
+        tail = view[bisect_right(view, code) :]
+        assert len(tail) == len(listed[bisect_right(listed, code) :]) and list(tail) == [
+            v for v in listed if v > code
+        ]
 
 
 def test_walk_depth_is_capped():

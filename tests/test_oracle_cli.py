@@ -16,7 +16,15 @@ import polyoracle.problems as pr
 from polyoracle.cli import run_cli
 from polyoracle.errors import CapExceeded, PolyOracleError
 from polyoracle import circuits as ci, errors, polynomials as poly
-from oracles import has_induced_pattern, induced_copies, triangle_count, zero_sum_triples
+from oracles import (
+    has_induced_pattern,
+    heavy_pattern_witnesses,
+    induced_copies,
+    induced_path3_count,
+    random_weighted_graph,
+    triangle_count,
+    zero_sum_triples,
+)
 from routes import report_matches_log, timed
 
 
@@ -308,12 +316,27 @@ def test_cli_solve_refuses_unprintable_call_size(tmp_path, capsys, report):
     assert not out.exists()
 
 
-def test_cli_solve_b_pool_cap(tmp_path, capsys):
-    """path3's b-slots range over the n**2 - 2 codes outside S: at n = 3000
-    that pool passes the b_pool cap and is refused before it is built."""
+def test_cli_solve_b_slots_past_a_million_codes(tmp_path, capsys):
+    """path3's b-slot ranges over the n**2 - 2 codes outside S: at n = 3000
+    the declared member draws the one non-edge among the path's vertices
+    instead, so the solve answers without listing the complement."""
     path = write_json(tmp_path / "path.json", {"n": 3000, "edges": [[1, 2], [2, 3]]})
-    assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 3
-    assert "cap b_pool exceeded" in capsys.readouterr().err
+    assert timed(lambda: run_cli(["solve", "--problem", "path3", "--input", path])) == 0
+    assert ": yes" in capsys.readouterr().out
+
+
+def test_cli_solve_brute_report_needs_a_printable_instance(tmp_path, capsys):
+    """k-SUM whose n has more than 4 300 decimal digits: the brute route
+    answers, but the report's instance digest cannot print n, so the solve
+    exits 2, with no traceback, before the report file is opened."""
+    data = {"k": 2, "sets": [[0], [0]], "magnitude": "9" + "0" * 4299}
+    path = write_json(tmp_path / "ksum.json", data)
+    out = tmp_path / "report.json"
+    argv = ["solve", "--problem", "ksum", "--input", path, "--method", "brute"]
+    assert timed(lambda: run_cli(argv + ["--report", str(out)])) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
 
 
 def _gnp(rng, n, p):
@@ -352,6 +375,11 @@ WALK_HEAVY = [
         lambda rng: {"points": [[x, rng.randint(-(10**6), 10**6)] for x in range(10**4)]},
         id="points-10000",
     ),
+    pytest.param(
+        "h-induced",
+        lambda rng: {"n": 3000, "edges": [[1, 2]], "H": {"n": 3, "edges": [[1, 2]]}},
+        id="isolated-vertex-3000",
+    ),
 ]
 
 
@@ -362,7 +390,10 @@ def test_cli_ls_walks_are_bounded(tmp_path, capsys, problem, build):
     sets of 100 positive values, an induced 5-leaf star or k5 and a 5-clique
     of negative weight, each on a seeded random graph, and collinearity on
     2 000 points of one line or 10**4 seeded points, whose line index is
-    built one first point at a time as the walk reaches it."""
+    built one first point at a time as the walk reaches it, and a one-edge
+    pattern with an isolated vertex on 3 000 vertices, whose first non-edge
+    slot, with room for a fresh vertex, falls back to the complement of
+    about 9 * 10**6 codes and is refused by its length before it is walked."""
     path = write_json(tmp_path / "input.json", build(random.Random(1)))
     assert timed(lambda: run_cli(["solve", "--problem", problem, "--input", path])) == 3
     assert "cap ls_walk exceeded" in capsys.readouterr().err
@@ -409,6 +440,52 @@ def test_cli_solve_answers_headline_sizes(tmp_path, capsys, problem, build):
     else:
         expected = zero_sum_triples(data["sets"])
     assert ls.evaluate_formulation(spec, inst, 2) == expected > 0
+
+
+def test_cli_solve_sparse_path3_on_2000_vertices(tmp_path, capsys):
+    """Induced path3 on a seeded sparse graph of 2 000 vertices and 4 000
+    edges, whose b-slot complement holds about 4 * 10**6 codes, answers yes
+    within 1 s.  The count is checked against a reference sharing no code
+    with the library: the paths u - v - w, sum over v of C(deg v, 2), less
+    the three such paths inside each triangle, times the 2! edge orderings."""
+    data = {"n": 2000, "edges": _sparse_graph(random.Random(1), 2000, 4000)}
+    path = write_json(tmp_path / "input.json", data)
+    start = time.perf_counter()
+    assert run_cli(["solve", "--problem", "path3", "--input", path]) == 0
+    assert time.perf_counter() - start < 1
+    assert ": yes" in capsys.readouterr().out
+    spec, inst = pr.build_problem("path3", data)
+    expected = 2 * induced_path3_count(pr.graph_from_json(data))
+    assert ls.evaluate_formulation(spec, inst, 2) == expected > 0
+
+
+@pytest.mark.parametrize("threshold", [0, 20])
+@pytest.mark.parametrize("mode", ["edge-weights", "vertex-weights"])
+def test_cli_solve_max_h_c4_on_ten_vertices(tmp_path, capsys, mode, threshold):
+    """Induced c4 of weight >= threshold on a seeded 10-vertex graph of 17
+    weighted edges, theta = 2, answers within 0.5 s in both modes; at
+    threshold 20 the records need r = 5, so each b-slot's complement holds
+    about 10**5 codes.  The count is checked against
+    ``heavy_pattern_witnesses``."""
+    graph = random_weighted_graph(random.Random(10), 10, 5, 20, True)
+    data = {
+        "n": graph.n,
+        "edges": [[u, v, w] for (u, v), w in graph.edge_weights],
+        "vertex_weights": list(graph.vertex_weights),
+        "magnitude": graph.magnitude,
+        "H": "c4",
+        "threshold": threshold,
+        "mode": mode,
+    }
+    path = write_json(tmp_path / "input.json", data)
+    expected = heavy_pattern_witnesses(graph, pr.H_PRESETS["c4"], threshold, mode)
+    argv = ["solve", "--problem", "max-h-subgraph", "--input", path]
+    start = time.perf_counter()
+    assert run_cli(argv) == (0 if expected else 1)
+    assert time.perf_counter() - start < 0.5
+    spec, inst = pr.build_problem("max-h-subgraph", data)
+    assert ls.evaluate_formulation(spec, inst, 2) == expected
+    assert f": {'yes' if expected else 'no'} (" in capsys.readouterr().out
 
 
 def test_cli_walk_cost_ignores_vertex_labels(tmp_path, capsys):
