@@ -8,11 +8,14 @@ identity of polynomials (monomial by monomial), never pointwise agreement.
 The verification pipeline accepts a candidate circuit C against a target
 polynomial P iff the degree-<=delta truncation of C is identical to P:
 
-    1. truncated expansion     -- gate-by-gate symbolic expansion, each gate
-                                  a dict of its nonzero terms of degree
-                                  <= delta; a product drops the pairs above
-                                  delta, which truncation allows since it
-                                  commutes with + and x.  A cap on each
+    1. truncated expansion     -- one pass of gate-by-gate symbolic
+                                  expansion, each gate a dict of its
+                                  nonzero terms of degree <= delta beside
+                                  its syntactic degree; a product drops the
+                                  pairs above delta, which truncation allows
+                                  since it commutes with + and x, and a
+                                  product of two one-term maps is formed
+                                  directly as one term.  A cap on each
                                   original gate's nonzero monomials, and
                                   one on the operand pairs of all products
                                   together, make non-constant-degree
@@ -32,6 +35,7 @@ golden files reproducible.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Sequence, Union
@@ -74,10 +78,10 @@ Gate = Union[InputGate, ConstGate, AddGate, MulGate]
 class ArithmeticCircuit:
     """Gates in topological order; ``output`` is a gate id.
 
-    The constructor (and so ``from_json_dict``) checks every gate id and
-    input index.  Circuits the library builds itself, by
-    ``build_circuit_from_polynomial`` and ``homogenize``, are valid by
-    construction and are not checked again.
+    The constructor (and so ``from_json_dict``) checks the input count,
+    every gate id and every input index.  Circuits the library builds
+    itself, by ``build_circuit_from_polynomial`` and ``homogenize``, are
+    valid by construction and are not checked again.
     """
 
     num_inputs: int
@@ -85,6 +89,8 @@ class ArithmeticCircuit:
     output: int
 
     def __post_init__(self) -> None:
+        if self.num_inputs < 0:
+            raise ValueError("num_inputs must be nonnegative")
         if not self.gates:
             raise ValueError("circuit needs at least one gate")
         if not 0 <= self.output < len(self.gates):
@@ -169,7 +175,8 @@ class _CircuitBuilder:
 def _gate_degrees(circuit: ArithmeticCircuit, ceiling: int) -> list[int]:
     """Syntactic degree of every gate, saturated at ``ceiling``: input 1,
     constant 0, + max, x sum.  Saturation keeps each entry a small int, where
-    exact degrees double along a chain of squarings."""
+    exact degrees double along a chain of squarings.  ``homogenize`` reads
+    it; the expansion keeps the same degrees inline."""
     degrees: list[int] = []
     for gate in circuit.gates:
         kind = type(gate)
@@ -236,21 +243,26 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
 
 
 def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers, int]:
-    """The output's term map, expanded gate by gate and, when ``delta`` is
-    given, truncated at degree delta.
+    """The output's term map, expanded gate by gate in one pass (after a scan
+    for each map's last reader) and, when ``delta`` is given, truncated at
+    degree delta.
 
     Each gate is a dict of its nonzero terms.  Truncation T commutes with the
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
-    delta drops pairs, and it neither forms nor counts them.  Raises
-    CapExceeded as soon as any gate's map passes the gate_terms cap, and
-    before the gate that takes the running total of term pairs formed by
+    delta drops pairs, and it neither forms nor counts them.  Each gate's
+    syntactic degree is kept beside its map, saturated at delta + 1 as
+    ``_gate_degrees`` computes it.  A product of two one-term maps that is not
+    truncated is the one term of the two monomials' product, formed directly.
+    Raises CapExceeded as soon as any gate's map passes the gate_terms cap,
+    and before the gate that takes the running total of term pairs formed by
     products plus terms copied by sums, over all gates so far, past the
     gate_pairs cap forms a pair or copies a term.
     """
     limit, pair_limit = cap_limit("gate_terms"), cap_limit("gate_pairs")
     work = 0
-    degrees = None if delta is None else _gate_degrees(circuit, delta + 1)
+    # With no delta nothing saturates and no product is truncated.
+    ceiling = math.inf if delta is None else delta + 1
     # A map is dropped after its last reader, and a sum extends its left
     # operand's map in place when that reader is the sum itself, so a folded
     # sum of n terms holds O(n) entries rather than O(n**2).
@@ -261,36 +273,54 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
             last_read[gate.left] = last_read[gate.right] = gate_id
     last_read[circuit.output] = len(circuit.gates)
     expanded: list[dict[Powers, int] | None] = []
+    degrees: list[int] = []
     for gate_id, gate in enumerate(circuit.gates):
         kind = type(gate)
         if kind is InputGate:
             terms = {((gate.index, 1),): 1}
+            degree = 1
         elif kind is ConstGate:
             terms = {(): gate.value} if gate.value else {}
+            degree = 0
         else:
-            left, right = expanded[gate.left], expanded[gate.right]
-            for operand in (gate.left, gate.right):
-                if last_read[operand] == gate_id:
-                    expanded[operand] = None
+            left_id, right_id = gate.left, gate.right
+            left, right = expanded[left_id], expanded[right_id]
+            if last_read[left_id] == gate_id:
+                expanded[left_id] = None
+            if last_read[right_id] == gate_id:
+                expanded[right_id] = None
             if kind is MulGate:
-                bound = delta if degrees is not None and degrees[gate_id] > delta else None
-                if bound is None:
-                    work += len(left) * len(right)
+                degree = degrees[left_id] + degrees[right_id]
+                if degree < ceiling:
+                    left_size, right_size = len(left), len(right)
+                    work += left_size * right_size
+                    if work > pair_limit:
+                        check("gate_pairs", work)
+                    if left_size == 1 == right_size:
+                        ((a, ca),) = left.items()
+                        ((b, cb),) = right.items()
+                        terms = {poly._merge_powers(a, b): ca * cb}
+                    else:
+                        terms = poly._multiply_terms(left, right)
                 else:
-                    work += poly._pair_count(left, right, bound)
-                if work > pair_limit:
-                    check("gate_pairs", work)
-                terms = poly._multiply_terms(left, right, bound)
-            elif last_read[gate.left] == gate_id and gate.left != gate.right:
-                terms = poly._add_into(left, right)
+                    degree = ceiling
+                    work += poly._pair_count(left, right, delta)
+                    if work > pair_limit:
+                        check("gate_pairs", work)
+                    terms = poly._multiply_terms(left, right, delta)
             else:
-                work += len(left)
-                if work > pair_limit:
-                    check("gate_pairs", work)
-                terms = poly._add_into(dict(left), right)
+                degree = max(degrees[left_id], degrees[right_id])
+                if last_read[left_id] == gate_id and left_id != right_id:
+                    terms = poly._add_into(left, right)
+                else:
+                    work += len(left)
+                    if work > pair_limit:
+                        check("gate_pairs", work)
+                    terms = poly._add_into(dict(left), right)
         if len(terms) > limit:
             check("gate_terms", len(terms))
         expanded.append(terms)
+        degrees.append(degree)
     return expanded[circuit.output]
 
 

@@ -180,6 +180,14 @@ def _add_into(out: dict[Powers, int], right: Mapping[Powers, int]) -> dict[Power
 
 
 def _merge_powers(a: Powers, b: Powers) -> Powers:
+    """The power vector of the product of two monomials.  When the index
+    ranges do not interleave (either is empty, or every index of one lies
+    below every index of the other) it is the concatenation, lower range
+    first; only interleaved or shared indices take the two-pointer merge."""
+    if not a or not b or a[-1][0] < b[0][0]:
+        return a + b
+    if b[-1][0] < a[0][0]:
+        return b + a
     out: list[tuple[int, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):

@@ -898,6 +898,26 @@ def benchmark_op_draws():
             yield (c, [target], op.expected["accepted"]), (delta,)
 
 
+def drawn_verdict_case(rng, kind, delta):
+    """A small random circuit (with cancellations appended, for kind
+    "cancelling") or the circuit built from a random polynomial, against its
+    degree-<=delta truncation, the truncation with its constant changed, and
+    its whole expansion."""
+    if kind == "built":
+        c = ci.build_circuit_from_polynomial(
+            random_polynomial(rng, rng.randint(1, 4), max_degree=5)
+        )
+    else:
+        c = random_circuit(rng, rng.randint(1, 4), 8, max_syntactic_degree=6)
+        if kind == "cancelling":
+            c = with_cancellations(rng, c)
+    reference = ci.expand_to_polynomial(ci.homogenize(c, delta))
+    changed = dict(reference.terms)
+    changed[()] = changed.get((), 0) + 1
+    targets = [reference, poly.polynomial(c.num_inputs, changed), ci.expand_to_polynomial(c)]
+    return (c, targets, None), (delta,)
+
+
 CIRCUIT_VERDICTS = Quantity(
     routes={
         "truncated expansion": Route(
@@ -919,6 +939,15 @@ CIRCUIT_VERDICTS = Quantity(
             check=lambda cases, _: sum(
                 syntactic_degree(c) > delta for (c, _, _), (delta,) in cases
             ) >= 100,
+        ),
+        "hypothesis": Inputs(
+            st.builds(
+                drawn_verdict_case,
+                st.randoms(use_true_random=False),
+                st.sampled_from(["random", "cancelling", "built"]),
+                st.integers(1, 5),
+            ),
+            max_examples=120,
         ),
         # Each op also carries the verdict the benchmark expects.
         "benchmark ops": Inputs(

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 import polyoracle.circuits as ci
 import polyoracle.polynomials as poly
-from oracles import independent_prime
+from oracles import circuit_verdicts, independent_prime
 from polyoracle.errors import ArityMismatch, CapExceeded
 from routes import random_circuit, random_polynomial, reference_verdict, syntactic_degree
 
@@ -187,6 +187,29 @@ def test_library_built_values_pass_the_strict_constructors(rng, delta):
     assert ci.PrimeModulus(modulus.p) == modulus
 
 
+def test_verify_built_circuits_at_every_delta():
+    """A built circuit folds one-term chains, each step a product of two
+    one-term maps.  At every delta from 1 to deg p + 1 the chains are cut at
+    a different step, and verify_circuit agrees with the independent
+    expansion against p and against p's truncation, which it matches."""
+    rng = random.Random(34)
+    cut_chains = 0
+    for _ in range(150):
+        p = random_polynomial(rng, rng.randint(1, 5), max_terms=8, max_degree=5)
+        c = ci.build_circuit_from_polynomial(p)
+        top = max(map(poly._degree, p.terms), default=0)
+        for delta in range(1, top + 2):
+            kept = {q: v for q, v in p.terms.items() if poly._degree(q) <= delta}
+            targets = [p, poly.polynomial(p.num_vars, kept)]
+            results = [ci.verify_circuit(c, t, delta) for t in targets]
+            verdicts = [(r.accepted, r.reason) for r in results]
+            assert verdicts == circuit_verdicts(c, targets, delta)
+            assert verdicts[1] == (True, "match")
+            assert verdicts[0][0] == (delta >= top)
+            cut_chains += delta < top
+    assert cut_chains >= 200
+
+
 def test_verify_rejects_distinct_polynomial():
     x_plus_y = poly.polynomial(2, {((0, 1),): 1, ((1, 1),): 1})
     x_times_y = poly.polynomial(2, {((0, 1), (1, 1)): 1})
@@ -236,6 +259,33 @@ def test_verify_cap_reason(set_cap):
     set_cap("gate_terms", 5)
     result = ci.verify_circuit(c, poly.polynomial(2, {}), 16)
     assert not result and result.reason == "cap_exceeded"
+
+
+def test_one_term_products_charge_one_pair_each(set_cap):
+    """Each step of a built circuit's chains multiplies two one-term maps: one
+    pair toward gate_pairs when its degree is at most delta, none when it is
+    truncated, and the folded sum copies no term.  The cap admits that total
+    at every delta and refuses one less."""
+    p = poly.polynomial(
+        3, {((0, 2), (2, 1)): 4, ((1, 1),): -3, ((0, 1), (1, 1), (2, 2)): 5, (): 7}
+    )
+    c = ci.build_circuit_from_polynomial(p)
+    degrees = []
+    for g in c.gates:
+        if isinstance(g, ci.MulGate):
+            degrees.append(degrees[g.left] + degrees[g.right])
+        elif isinstance(g, ci.AddGate):
+            degrees.append(max(degrees[g.left], degrees[g.right]))
+        else:
+            degrees.append(int(isinstance(g, ci.InputGate)))
+    for delta in range(1, 6):
+        kept = {q: v for q, v in p.terms.items() if poly._degree(q) <= delta}
+        target = poly.polynomial(3, kept)
+        pairs = sum(isinstance(g, ci.MulGate) and d <= delta for g, d in zip(c.gates, degrees))
+        set_cap("gate_pairs", pairs)
+        assert ci.verify_circuit(c, target, delta).reason == "match"
+        set_cap("gate_pairs", pairs - 1)
+        assert ci.verify_circuit(c, target, delta).reason == "cap_exceeded"
 
 
 def test_verify_cap_bounds_each_original_gate(set_cap):

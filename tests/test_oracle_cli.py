@@ -790,6 +790,22 @@ def test_cli_verify_circuit_malformed_json(tmp_path, circuit_data, poly_data):
     assert verify(circuit_data, poly_data) == 2
 
 
+def test_cli_verify_circuit_rejects_a_negative_input_count(tmp_path, capsys):
+    """A circuit declaring -1 inputs is refused as input, as a polynomial
+    declaring -1 variables is, rather than compared and found to differ."""
+    circuit_path = write_json(
+        tmp_path / "c.json",
+        {"num_inputs": -1, "gates": [{"op": "const", "v": "1"}], "output": 0},
+    )
+    poly_path = write_poly(tmp_path / "p.json", poly.polynomial(0, {(): 1}))
+    argv = ["verify-circuit", "--circuit", circuit_path, "--poly", poly_path, "--delta", "1"]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert "num_inputs" in captured.err and "Traceback" not in captured.err + captured.out
+    with pytest.raises(ValueError):
+        ci.ArithmeticCircuit(-1, (ci.ConstGate(1),), 0)
+
+
 def test_cli_permanent(tmp_path, capsys):
     matrix = tmp_path / "m.txt"
     matrix.write_text("110\n011\n101\n")

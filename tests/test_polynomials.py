@@ -5,6 +5,7 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import FrozenInstanceError
 from pathlib import Path
 
@@ -237,6 +238,44 @@ def test_arithmetic_stays_canonical(p, q, max_degree):
             result.num_vars, {m.powers: m.coefficient for m in result.monomials}
         )
         assert rebuilt == result
+
+
+power_vectors = st.dictionaries(st.integers(0, 9), st.integers(1, 4), max_size=4).map(
+    lambda powers: tuple(sorted(powers.items()))
+)
+
+
+def laid_out(a, b, layout):
+    """(a, b) as drawn, or with one moved wholly above the other's indices."""
+    def above(low, high):
+        shift = 1 + max((i for i, _ in low), default=-1)
+        return tuple((i + shift, e) for i, e in high)
+
+    if layout == "b above a":
+        return a, above(a, b)
+    if layout == "a above b":
+        return above(b, a), b
+    return a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(power_vectors, power_vectors, st.sampled_from(["as drawn", "b above a", "a above b"]))
+@example((), (), "as drawn")
+@example((), ((0, 1),), "as drawn")
+@example(((2, 3),), (), "as drawn")
+@example(((0, 1), (1, 2)), ((2, 1),), "as drawn")
+@example(((5, 1),), ((0, 2), (3, 1)), "as drawn")
+@example(((0, 1), (2, 1)), ((1, 1), (3, 1)), "as drawn")
+@example(((0, 1), (2, 1)), ((2, 3),), "as drawn")
+@example(((0, 2),), ((0, 1),), "as drawn")
+def test_merge_powers_adds_exponents(a, b, layout):
+    """The merged power vector is the Counter sum of the two, in ascending
+    index order, whether the index ranges are disjoint (in either order),
+    interleave, share indices, touch at one shared index, or are empty."""
+    a, b = laid_out(a, b, layout)
+    expected = tuple(sorted((Counter(dict(a)) + Counter(dict(b))).items()))
+    assert poly._merge_powers(a, b) == expected
+    assert poly._merge_powers(b, a) == expected
 
 
 def nested_json_layout(p):
