@@ -23,7 +23,10 @@ Pipeline (desk scale throughout):
                      (two sweeps in all at theta = 2).  A non-final
                      segment's flag forces its last vertex to be a
                      preimage, which pins the greedy breakpoints and makes
-                     traces disjoint.
+                     traces disjoint.  The traces are summed by a DP over
+                     (breakpoint, S1 blocks used so far) that advances one
+                     non-final segment at a time and skips zero lanes; the
+                     final sweep closes each state with the unused block.
 
 The sweep (``_sweep``) runs the subset DP over every subset C of S1 at once,
 in one Python int: lane C, a fixed width of w bits, counts the mappings of
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
 from math import ceil
-from typing import Iterator, Sequence
+from typing import Sequence
 
 from .errors import ValueOutOfRange, check
 
@@ -222,20 +225,6 @@ def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, 
     return tuple(flagged) + (remaining,), (1,) * len(flagged) + (0,)
 
 
-def _ordered_partitions(bits: tuple[int, ...], sizes: Sequence[int]) -> Iterator[list[int]]:
-    """Ordered partitions of ``bits`` into parts of the given sizes, as masks;
-    the sizes sum to len(bits), so the last part is whatever is left."""
-    head, *tail = sizes
-    if not tail:
-        yield [sum(1 << b for b in bits)]
-        return
-    for chosen in combinations(bits, head):
-        mask = sum(1 << b for b in chosen)
-        rest = tuple(b for b in bits if not mask >> b & 1)
-        for others in _ordered_partitions(rest, tail):
-            yield [mask, *others]
-
-
 def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> int:
     """|F(S1, S0, {})| as a sum over traces of products of segment counts.
 
@@ -248,67 +237,61 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     sweep from each distinct start of a non-final segment counts it for every
     end and block, and the final segment is unflagged, so its count does not
     depend on row order and one sweep from row n down counts it for every
-    start and block.  At theta = 2 that is two sweeps in all.  A sweep holds
-    2**|S1| lanes, so |S1| is bounded by the g_target cap.  The ordered
-    partitions of S1 into blocks depend only on (|S1|, theta), so
-    permanent_via_formulation builds them once for all its terms.
+    start and block.  At theta = 2 that is two sweeps in all.  The traces
+    are summed by a DP over (breakpoint, S1 blocks used so far), one
+    non-final segment at a time, so no trace is listed.  A sweep holds
+    2**|S1| lanes, so |S1| is bounded by the g_target cap.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    s1 = _row_positions(matrix, s_eq1)
-    return _count_traces(matrix, s_eq1, s_eq0, theta, s1, _block_partitions(s1[0], theta))
-
-
-def _block_partitions(size: int, theta: int) -> list[list[int]]:
-    """The ordered partitions of |S1| = size into the blocks of its quotas."""
-    check("g_target", size)
-    return list(_ordered_partitions(tuple(range(size)), preimage_quotas(size, theta)[0]))
+    check("g_target", s_eq1.bit_count())
+    return _count_traces(matrix, s_eq1, s_eq0, theta, _row_positions(matrix, s_eq1))
 
 
 def _count_traces(
-    matrix: BinaryMatrix,
-    s_eq1: int,
-    s_eq0: int,
-    theta: int,
-    s1: tuple[int, list[list[int]]],
-    partitions: list[list[int]],
+    matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int, s1: tuple[int, list[list[int]]]
 ) -> int:
-    """f_count_traces for disjoint masks, given S1's ``_row_positions`` and
-    ``_block_partitions``."""
-    n = matrix.n
-    quotas, flags = preimage_quotas(s1[0], theta)
-    segments = len(quotas)
+    """f_count_traces for disjoint masks, given S1's ``_row_positions``."""
+    n, size = matrix.n, s1[0]
+    quotas = preimage_quotas(size, theta)[0]
     # Every segment blocks all of S1 and S0 outside its own block W.
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
 
-    backward = _sweep(range(n, 0, -1), s1, free, 0)
     forward: dict[int, tuple[int, list[int]]] = {}
-    total = 0
-    for cuts in combinations(range(1, n + 1), segments - 1):
-        bounds = (0, *cuts, n)
-        if any(bounds[j + 1] - bounds[j] < quotas[j] for j in range(segments)):
-            continue
-        # Segment j's packed counts over every block, and their lane width.
-        tables = []
-        for j in range(segments - 1):
-            start = bounds[j]
+    # states[(b, used)]: the mappings of rows 1..b into the non-final
+    # segments so far, whose blocks together are the S1 positions ``used``.
+    states = {(0, 0): 1}
+    for j, quota in enumerate(quotas[:-1]):
+        # Later segments need at least their quotas' rows.
+        last = n - sum(quotas[j + 1 :])
+        reached: dict[tuple[int, int], int] = {}
+        blocks: dict[int, list[int]] = {}  # the segment's blocks outside each ``used``
+        for (start, used), ways in states.items():
             if start not in forward:
-                forward[start] = _sweep(range(start + 1, n + 1), s1, free, flags[j])
+                forward[start] = _sweep(range(start + 1, n + 1), s1, free, 1)
             width, counts = forward[start]
-            tables.append((counts[bounds[j + 1] - start], width))
-        width, counts = backward
-        tables.append((counts[n - bounds[-2]], width))
-        if not all(packed for packed, _ in tables):
-            continue
-        for blocks in partitions:
-            product = 1
-            for (packed, width), block in zip(tables, blocks):
-                product *= (packed >> block * width) & ((1 << width) - 1)
-                if not product:
-                    break
-            total += product
-    return total
+            lane = (1 << width) - 1
+            if used not in blocks:
+                unused = [p for p in range(size) if not used >> p & 1]
+                blocks[used] = [sum(1 << p for p in c) for c in combinations(unused, quota)]
+            for end in range(start + quota, last + 1):
+                packed = counts[end - start]
+                if not packed:
+                    continue
+                for block in blocks[used]:
+                    count = packed >> block * width & lane
+                    if count:
+                        key = end, used | block
+                        reached[key] = reached.get(key, 0) + ways * count
+        states = reached
+    # The final segment's block is whatever the others left.
+    width, counts = _sweep(range(n, 0, -1), s1, free, 0)
+    full, lane = (1 << size) - 1, (1 << width) - 1
+    return sum(
+        ways * (counts[n - end] >> (full ^ used) * width & lane)
+        for (end, used), ways in states.items()
+    )
 
 
 def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: int = 2) -> int:
@@ -322,11 +305,11 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
     if n == 0:
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1
+    check("g_target", s_eq1.bit_count())
     s1 = _row_positions(matrix, s_eq1)
-    partitions = _block_partitions(s1[0], theta)
     total = 0
     for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, s1, partitions)
+        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, s1)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

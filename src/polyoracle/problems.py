@@ -58,8 +58,12 @@ from .localsubset import Draw, LSInstance, LSProblemSpec, Member, ls_instance
 
 # --- shell pair codec -----------------------------------------------------
 
+# Entries in each process-wide pair memo: bounded, so repeated solves on
+# large graphs do not grow the process without limit.
+_PAIR_MEMO = 1 << 16
 
-@lru_cache(maxsize=None)
+
+@lru_cache(maxsize=_PAIR_MEMO)
 def encode_pair(u: int, v: int) -> int:
     """Shell code of an ordered pair of positive integers; max(u, v) = shell."""
     if u < 1 or v < 1:
@@ -73,7 +77,7 @@ def encode_pair(u: int, v: int) -> int:
     return k * k  # u == v == k
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_MEMO)
 def decode_pair(code: int) -> tuple[int, int]:
     if code < 1:
         raise ValueOutOfRange("pair code must be positive")
@@ -158,7 +162,7 @@ class Run(NamedTuple):
     unit: bool = False
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_PAIR_MEMO)
 def _pair_record(code: int) -> tuple[int, int, int, int]:
     """A pair code read as the record (1, u, v, 1)."""
     return (1, *decode_pair(code), 1)

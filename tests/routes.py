@@ -520,10 +520,12 @@ def ryser_draws():
 
 
 def past_the_cap_matrix_draws():
+    """Per n, one matrix per theta 1-3; the theta = 3 matrix serves theta = 4 too."""
     rng = random.Random(22)
     for n in (11, 12, 13):
         for theta in (1, 2, 3):
-            yield (random_matrix(rng, n, density=0.6),), ((0.5, theta),)
+            settings = ((0.5, 3), (0.5, 4)) if theta == 3 else ((0.5, theta),)
+            yield (random_matrix(rng, n, density=0.6),), settings
 
 
 def bit_matrix_case(n, bits, setting):
@@ -604,6 +606,15 @@ def mask_draws():
         yield (m, (pm.FSpec(eq1, eq0, 0),)), (theta,)
 
 
+def f_count_case(n, bits, eq1, eq0, theta):
+    """The n x n matrix of ``bits`` with S1 = eq1 and S0 = eq0 outside S1,
+    both cut to its n columns."""
+    (matrix,), _ = bit_matrix_case(n, bits, None)
+    full = (1 << n) - 1
+    eq1 &= full
+    return (matrix, (pm.FSpec(eq1, eq0 & full & ~eq1, 0),)), (theta,)
+
+
 def one_segment_draws():
     """Every f_expand term of a matrix at five alphas, traced at theta = 1."""
     rng = random.Random(19)
@@ -629,6 +640,17 @@ F_COUNTS = Quantity(
     inputs={
         "random masks": Inputs(mask_draws),
         "one-segment f_expand terms": Inputs(one_segment_draws),
+        "hypothesis": Inputs(
+            st.builds(
+                f_count_case,
+                st.integers(1, 6),
+                st.integers(0, 2**36 - 1),
+                st.integers(0, 63),
+                st.integers(0, 63),
+                st.integers(1, 5),
+            ),
+            max_examples=120,
+        ),
     },
 )
 

@@ -271,7 +271,7 @@ def test_all_ones_lane_width_boundary():
 
 def test_sweeps_per_f_count_traces(monkeypatch):
     """One backward sweep plus one forward sweep per distinct start of a
-    non-final segment: two at theta = 2, at most n + 1 at theta = 3."""
+    non-final segment: two at theta = 2, at most n + 1 at theta = 3 and 4."""
     calls = []
     sweep = pm._sweep
 
@@ -287,7 +287,8 @@ def test_sweeps_per_f_count_traces(monkeypatch):
             calls.clear()
             pm.f_count_traces(m, spec.eq1, spec.eq0, 2)
             assert len(calls) == 2
-            calls.clear()
-            pm.f_count_traces(m, spec.eq1, spec.eq0, 3)
-            assert len(calls) <= n + 1
+            for theta in (3, 4):
+                calls.clear()
+                pm.f_count_traces(m, spec.eq1, spec.eq0, theta)
+                assert len(calls) <= n + 1
 

@@ -35,6 +35,13 @@ def test_pair_codec_shell_top_is_self_pair():
         assert pr.encode_pair(n, n) == n * n
 
 
+def test_pair_memos_are_bounded():
+    """The process-wide pair memos hold a bounded number of entries, so
+    repeated solves on large graphs do not grow the process without limit."""
+    for memo in (pr.encode_pair, pr.decode_pair, pr._pair_record):
+        assert memo.cache_parameters()["maxsize"] is not None
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 10**6))
 def test_pair_codec_decode_total(code):
