@@ -40,9 +40,10 @@ permutation within the a-slots or within the b-slots contribute the same
 product: ``formulation_polynomial`` walks one ordering per group, weights
 each walked tuple by the orderings it stands for, and expands each witness
 multiset once with its summed weight, collapsing repeated pairs into powers.
-The literal monomial stream ``formulation_monomials`` still walks every
-ordering, emits every product term one by one and is the reference the
-collected polynomial is tested against.
+It is the one walk of the literal polynomial; ``formulation_monomials`` is a
+view that lists its terms one unit of coefficient at a time.  The tests
+check the collected terms against a reference built from this definition
+alone, every ordering of every slot walked and multiplied out.
 
 A spec states acceptance as its ``members``: checks that each read every
 slot, one for a plain problem and one per distinct pattern for a family.  A
@@ -59,13 +60,12 @@ the step's state down each tuple and yields the accepted tuples in
 ``itertools.product`` order, never extending a prefix a step rejects.  The
 witness count walks each member once, one increasing ordering per group
 times the groups' factorials, drawing from its hook, so its work follows
-the witnesses rather than |S|**alpha; the collected literal polynomial
-walks the same orderings over every candidate code; the
-literal stream walks each member over every ordering of every slot; the
-reference ``brute_solve`` hands the full predicate ``spec.verifier`` alone
-to the enumerator, an unpruned filter.  Every walk stops with CapExceeded
-once its nodes and the candidates they tried pass the ls_walk cap, a node
-charging its whole pool, or its draw, before it tries the first.
+the witnesses rather than |S|**alpha; the literal polynomial walks the same
+orderings over every candidate code; the reference ``brute_solve`` hands
+the full predicate ``spec.verifier`` alone to the enumerator, an unpruned
+filter.  Every walk stops with CapExceeded once its nodes and the
+candidates they tried pass the ls_walk cap, a node charging its whole pool,
+or its draw, before it tries the first.
 """
 
 from __future__ import annotations
@@ -74,7 +74,7 @@ from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain, groupby, pairwise, product
+from itertools import chain, groupby, pairwise, product, repeat
 from math import factorial, prod
 from types import MappingProxyType
 from typing import Callable, Generator, Iterator, NamedTuple, Sequence
@@ -491,15 +491,14 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
 
 
 def _literal_tables(
-    spec: LSProblemSpec, s: int, theta: int, grouped: bool = False
+    spec: LSProblemSpec, s: int, theta: int
 ) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, list], dict[int, list]]:
     """The accepted candidate tuples of the size-s literal formulation, one
-    walk per member, each with its weight, and the factor tables of the codes
+    walk per member in one increasing ordering per member group, each with
+    its weight, the groups' factorials; and the factor tables of the codes
     they hold, a-tables for codes in an a-slot and b-tables for codes in a
     b-slot.  A table lists gadgets, each a tuple of (index, 1) power pairs
-    built once per code.  Unless ``grouped``, every ordering is walked with
-    weight 1; when ``grouped``, one increasing ordering per member group,
-    weighted by the groups' factorials.
+    built once per code.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
     literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
@@ -522,8 +521,6 @@ def _literal_tables(
     witnesses = []
     walked = 0
     for step, accept, groups, _ in spec.members:
-        if not grouped:
-            groups = ()
         weight = prod(factorial(stop - start) for start, stop in groups)
         for witness in accepted_tuples(candidates, accept, step, groups):
             witnesses.append((witness, weight))
@@ -559,34 +556,29 @@ def _literal_tables(
 
 
 def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[Monomial]:
-    """Stream the literal monomials of the size-s formulation polynomial.
+    """The literal monomials of the size-s formulation polynomial, as a view
+    of ``formulation_polynomial``: each term once per unit of its
+    coefficient, as a Monomial with coefficient 1 and total degree exactly
+    theta * (alpha + 2 * beta).  That is the multiset of the product terms
+    of every ordering of every accepted tuple, so it raises CapExceeded,
+    before its first monomial, on exactly the inputs on which the collection
+    does.
 
-    The outer sum ranges over accepted candidate tuples from
-    [1, s**r], every ordering of every slot; per slot holding v, a_factors[v]
-    lists the all-equal gadgets on rows i in [1, s] and b_factors[v] the
-    C_lt(row j) * C_gt(row j + 1) gadgets over j in [0, s-1].  Every emitted
-    monomial has coefficient 1 and total degree exactly theta * (alpha + 2 *
-    beta); duplicates across outer terms are emitted separately, one
-    validated Monomial each.  This stream is the reference that
-    formulation_polynomial is tested against.
-
-    The stream depends only on (spec, s, theta) -- not on any instance --
-    and raises CapExceeded, before its first monomial, when its variable
-    occurrences would pass the literal cap (see errors.CAPS).
+    It stays only because perfbench's traced ls-literal op drains it; ROADMAP
+    item 1 step B, which runs that op as the plain collection under a
+    library trace, deletes it.
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
-    slot_tables = [a_factors] * spec.alpha + [b_factors] * spec.beta
-    for witness, _ in witnesses:
-        for factors in product(*[table[v] for table, v in zip(slot_tables, witness)]):
-            exponents: dict[int, int] = {}
-            for idx, _ in chain.from_iterable(factors):
-                exponents[idx] = exponents.get(idx, 0) + 1
-            yield Monomial(1, tuple(sorted(exponents.items())))
+    terms = formulation_polynomial(spec, s, theta).terms
+    return chain.from_iterable(repeat(Monomial(1, p), count) for p, count in terms.items())
 
 
 def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePolynomial:
-    """The size-s formulation polynomial: formulation_monomials summed per
-    power vector, collected once per witness multiset.
+    """The size-s formulation polynomial: the sum over the accepted candidate
+    tuples from [1, s**r], every ordering of every slot, of the product of
+    the slots' factors.  Per slot holding v, a_factors[v] lists the
+    all-equal gadgets on rows i in [1, s] and b_factors[v] the C_lt(row j) *
+    C_gt(row j + 1) gadgets over j in [0, s-1].  The polynomial depends
+    only on (spec, s, theta), not on any instance.
 
     Each member is walked in one increasing ordering per group, and each
     representative weighs the product of its groups' factorials: the
@@ -600,13 +592,13 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     variable, every such key is already a power vector; otherwise a key
     may repeat a pair, and it collapses into (index, exponent) pairs once
     per class.  The literal cap counts walked witnesses times their
-    weights, the stream's variable occurrences, so this raises CapExceeded
-    on exactly the inputs on which draining the stream does.  The stream is
-    the reference this collection is tested against.  Every coefficient is
-    a positive count and every key a power vector over the declared
-    variables, so the map is wrapped without a second check.
+    weights times the monomials each contributes times their degree, the
+    variable occurrences of the terms listed one unit of coefficient at a
+    time, and raises CapExceeded before any factor table is built.  Every
+    coefficient is a positive count and every key a power vector over the
+    declared variables, so the map is wrapped without a second check.
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta, grouped=True)
+    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
     alpha = spec.alpha
     multisets: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
     for witness, weight in witnesses:

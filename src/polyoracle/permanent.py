@@ -201,8 +201,8 @@ def _sweep(
     return width, counts
 
 
-def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-segment preimage quotas and flags for splitting |S1| = size.
+def preimage_quotas(size: int, theta: int) -> tuple[int, ...]:
+    """Per-segment preimage quotas for splitting |S1| = size.
 
     Non-final segments take ceil(size / theta) preimages and carry the
     endpoint flag; the final segment takes the remainder unflagged.  Flagged
@@ -212,7 +212,7 @@ def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, 
     if theta < 1:
         raise ValueOutOfRange("theta must be >= 1")
     if size == 0 or theta == 1:
-        return (size,), (0,)
+        return (size,)
     quota = -(-size // theta)
     flagged: list[int] = []
     remaining = size
@@ -222,7 +222,7 @@ def preimage_quotas(size: int, theta: int) -> tuple[tuple[int, ...], tuple[int, 
             break
         flagged.append(take)
         remaining -= take
-    return tuple(flagged) + (remaining,), (1,) * len(flagged) + (0,)
+    return tuple(flagged) + (remaining,)
 
 
 def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> int:
@@ -253,7 +253,7 @@ def _count_traces(
 ) -> int:
     """f_count_traces for disjoint masks, given S1's ``_row_positions``."""
     n, size = matrix.n, s1[0]
-    quotas = preimage_quotas(size, theta)[0]
+    quotas = preimage_quotas(size, theta)
     # Every segment blocks all of S1 and S0 outside its own block W.
     blocked = s_eq1 | s_eq0
     free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]

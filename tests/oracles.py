@@ -9,7 +9,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from itertools import combinations, permutations, product
+from functools import cache
+from itertools import chain, combinations, groupby, permutations, product
 from math import comb, factorial
 from typing import Iterator
 
@@ -123,6 +124,88 @@ def heavy_pattern_witnesses(
 def family_witnesses(graph: GraphInput, family) -> int:
     """The induced witnesses of each distinct pattern of the family, summed."""
     return sum(induced_witnesses(graph, pattern) for pattern in dict.fromkeys(family))
+
+
+# The literal polynomial of a local-subset spec at size s, from the
+# definition in the ``localsubset`` module docstring: the grid x[c][i][q][a]
+# flattened in the order (c, i, q, a) with c in (<, =, >), theta blocks of L
+# bits each, the leading block absorbing the bits above, and candidate codes
+# [1, min(s**r, 2**(theta*L) - 1)].  A spec is read only through its alpha,
+# beta, r and ``verifier``.
+
+
+def _literal_grid(spec, s: int, theta: int) -> tuple[int, int]:
+    """(L, top): L = ceil(r * ceil(log2 s) / theta) and the largest candidate code."""
+    log2_s = 0
+    while 1 << log2_s < s:
+        log2_s += 1
+    length = -(-spec.r * log2_s // theta)
+    return length, min(s**spec.r, 2 ** (theta * length) - 1)
+
+
+@cache
+def literal_witnesses(spec, s: int, theta: int) -> tuple[tuple[int, ...], ...]:
+    """Every ordered tuple of alpha + beta candidate codes that
+    ``spec.verifier`` accepts, in ``itertools.product`` order; memoised, as
+    a spec is immutable and the product filter is the reference's slow part."""
+    _, top = _literal_grid(spec, s, theta)
+    codes = range(1, top + 1)
+    return tuple(w for w in product(codes, repeat=spec.alpha + spec.beta) if spec.verifier(*w))
+
+
+def literal_polynomial(spec, s: int, theta: int) -> dict[tuple[tuple[int, int], ...], int]:
+    """The size-s literal polynomial as a power vector -> coefficient map.
+
+    Each accepted tuple contributes the product of one factor per slot.  An
+    a-slot holding v contributes the sum over rows i in [1, s] of the
+    all-equal gadget of v on row i; a b-slot holding v the sum over rows j in
+    [0, s - 1] of (the C_lt gadgets of v on row j) times (the C_gt gadgets of
+    v on row j + 1).  The gadget of an outcome tuple c on row i is the
+    product over blocks q of x[c_q][i][q][block q of v].  C_lt and C_gt are
+    the outcome tuples of {<, =, >}**theta whose leftmost non-equal outcome
+    is < and > respectively.  A factor is a list of gadgets, each a list of
+    variable indices; the products are counted as sorted index tuples, then
+    each tuple's repeated indices are collapsed into powers."""
+    length, _ = _literal_grid(spec, s, theta)
+    order = "<=>"
+
+    def index(c: str, i: int, q: int, a: int) -> int:
+        return ((order.index(c) * (s + 1) + i) * theta + q - 1) * 2**length + a
+
+    def blocks(v: int) -> list[int]:
+        low = [v >> (length * (theta - q)) & (2**length - 1) for q in range(2, theta + 1)]
+        return [v >> (length * (theta - 1))] + low
+
+    def gadget(outcome, i: int, v: int) -> list[int]:
+        return [index(c, i, q, a) for q, (c, a) in enumerate(zip(outcome, blocks(v)), start=1)]
+
+    def leftmost(outcome) -> str:
+        return next((c for c in outcome if c != "="), "=")
+
+    outcomes = list(product(order, repeat=theta))
+    c_lt = [c for c in outcomes if leftmost(c) == "<"]
+    c_gt = [c for c in outcomes if leftmost(c) == ">"]
+
+    def a_factor(v: int) -> list[list[int]]:
+        return [gadget("=" * theta, i, v) for i in range(1, s + 1)]
+
+    def b_factor(v: int) -> list[list[int]]:
+        return [
+            gadget(lt, j, v) + gadget(gt, j + 1, v)
+            for j in range(s)
+            for lt in c_lt
+            for gt in c_gt
+        ]
+
+    counts: Counter[tuple[int, ...]] = Counter()
+    for w in literal_witnesses(spec, s, theta):
+        factors = [a_factor(v) for v in w[: spec.alpha]] + [b_factor(v) for v in w[spec.alpha :]]
+        for choice in product(*factors):
+            counts[tuple(sorted(chain.from_iterable(choice)))] += 1
+    return {
+        tuple((i, len(list(run))) for i, run in groupby(indices)): count
+        for indices, count in counts.items()
+    }
 
 
 def random_graph(rng: random.Random, n: int, max_edges: int | None = None) -> GraphInput:

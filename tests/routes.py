@@ -217,7 +217,7 @@ def tiny_encodings():
 
 
 def small_stream_instances(rng):
-    """Instances with s <= 8 whose literal streams fit the cap."""
+    """Instances with s <= 8 whose literal polynomials fit the cap."""
     cases = []
     for k, w in ((1, 0), (1, 1), (2, 0), (2, 1)):
         for _ in range(4):
@@ -456,11 +456,11 @@ LS_DECISION = Quantity(
         "min-weight-clique": Inputs(min_weight_clique_draws),
         "max-h-subgraph": Inputs(max_h_draws),
         "multi-slot records": Inputs(multi_slot_draws, ("direct", "solve_via_oracle")),
-        "literal-stream graphs": Inputs(literal_graph_draws),
+        "literal-polynomial graphs": Inputs(literal_graph_draws),
     },
 )
 
-LITERAL = ("direct", "evaluate_formulation", "literal stream")
+LITERAL = ("direct", "evaluate_formulation", "literal polynomial")
 LS_COUNT = Quantity(
     routes={
         "direct": Route(lambda c, _: c.direct(*c.args), independent=True),
@@ -471,7 +471,7 @@ LS_COUNT = Quantity(
         "unpruned product": Route(
             lambda c, theta: unpruned_count(c.spec, c.inst, theta, 2 * 10**4)
         ),
-        "literal stream": Route(lambda c, theta: literal_value(c.spec, c.inst, theta)),
+        "literal polynomial": Route(lambda c, theta: literal_value(c.spec, c.inst, theta)),
     },
     inputs={
         **{
@@ -490,8 +490,8 @@ LS_COUNT = Quantity(
                 "family-induced",
             )
         },
-        "literal-stream 2-sum": Inputs(literal_ksum_draws, LITERAL),
-        "literal-stream graphs": Inputs(literal_graph_draws, LITERAL),
+        "literal-polynomial 2-sum": Inputs(literal_ksum_draws, LITERAL),
+        "literal-polynomial graphs": Inputs(literal_graph_draws, LITERAL),
     },
 )
 

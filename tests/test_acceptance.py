@@ -139,7 +139,7 @@ def test_criterion_2_witness_identity():
     elapsed = time.perf_counter() - start
     _report(
         2,
-        f"witness identity (literal stream == witness count on {checked} evaluations)",
+        f"witness identity (literal polynomial == witness count on {checked} evaluations)",
         exact and checked >= 40,
         elapsed,
         60,
@@ -158,7 +158,8 @@ def test_criterion_3_formula_reproduction():
     ]
     for (spec, inst), thetas in zip(probes, ((1, 2, 3), (1, 2))):
         for theta in thetas:
-            degrees = {m.degree for m in ls.formulation_monomials(spec, inst.size, theta)}
+            terms = ls.formulation_polynomial(spec, inst.size, theta).terms
+            degrees = {poly._degree(powers) for powers in terms}
             ok = ok and degrees == {theta * (spec.alpha + 2 * spec.beta)}
     # assignment-table size is exactly 3 (s+1) theta 2**L
     for spec, inst in probes:

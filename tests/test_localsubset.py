@@ -7,7 +7,8 @@ import time
 from bisect import bisect_right
 from collections import Counter
 from dataclasses import fields, replace
-from itertools import combinations, permutations, product, zip_longest
+from functools import cache
+from itertools import combinations, permutations, product
 from unittest.mock import patch
 
 import pytest
@@ -17,7 +18,14 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.polynomials as poly
 import polyoracle.problems as pr
-from oracles import family_witnesses, induced_witnesses, random_graph, random_weighted_graph
+from oracles import (
+    family_witnesses,
+    induced_witnesses,
+    literal_polynomial,
+    literal_witnesses,
+    random_graph,
+    random_weighted_graph,
+)
 from polyoracle import errors
 from polyoracle.errors import CapExceeded
 from routes import (
@@ -30,9 +38,15 @@ from routes import (
 )
 
 
+@cache
 def ksum_spec(k=3, w=20):
     spec, _ = pr.encode_ksum(pr.KSumInput(k, tuple((0,) for _ in range(k)), w))
     return spec
+
+
+# The literal polynomial from its definition, built once per (spec, s, theta)
+# across the rows that read it; the spec helpers are memoised to share it.
+reference = cache(literal_polynomial)
 
 
 def test_comparison_sets_theta_1():
@@ -237,18 +251,21 @@ def test_formulation_monomial_degrees_and_coefficients():
     s = inst.size
     for theta in (1, 2):
         degree = theta * (spec.alpha + 2 * spec.beta)
-        for mono in ls.formulation_monomials(spec, s, theta):
-            assert mono.coefficient == 1
-            assert mono.degree == degree
+        terms = ls.formulation_polynomial(spec, s, theta).terms
+        assert terms and all(count > 0 for count in terms.values())
+        assert {poly._degree(powers) for powers in terms} == {degree}
 
 
 def test_formulation_hand_enumeration_2sum():
-    """k-SUM with k = 2 at s = 3, theta = 1: the stream is exactly the nine
-    row-pair monomials of the single accepted candidate pair (codes 1, 2)."""
+    """k-SUM with k = 2 at s = 3, theta = 1: the polynomial is exactly the
+    nine row-pair monomials of the single accepted candidate pair (codes 1,
+    2), each once."""
     spec, _ = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 0))
     s, theta = 3, 1
     length = ls.block_length(s, spec.r, theta)
-    got = {m.powers for m in ls.formulation_monomials(spec, s, theta)}
+    terms = ls.formulation_polynomial(spec, s, theta).terms
+    assert set(terms.values()) == {1}
+    got = set(terms)
     expected = set()
     block_1 = ls.blocks_of(1, theta, length)[0]
     block_2 = ls.blocks_of(2, theta, length)[0]
@@ -260,21 +277,12 @@ def test_formulation_hand_enumeration_2sum():
     assert got == expected and len(got) == 9
 
 
+@cache
 def path3_spec():
     spec, _ = pr.encode_h_induced(
         pr.GraphInput(3, frozenset({(1, 2), (2, 3)})), pr.H_PRESETS["path3"]
     )
     return spec
-
-
-def accepted_witnesses(spec, s, theta):
-    length = ls.block_length(s, spec.r, theta)
-    top = min(s**spec.r, 2 ** (theta * length) - 1)
-    return [
-        w
-        for w in product(range(1, top + 1), repeat=spec.alpha + spec.beta)
-        if spec.verifier(*w)
-    ]
 
 
 def test_formulation_hand_enumeration_path3():
@@ -288,12 +296,12 @@ def test_formulation_hand_enumeration_path3():
         return ls.flat_variable_index(s, theta, length, comparison, row, 1, value)
 
     expected = Counter()
-    witnesses = accepted_witnesses(spec, s, theta)
+    witnesses = literal_witnesses(spec, s, theta)
     for a1, a2, b in witnesses:
         for i1, i2, j in product(range(1, s + 1), range(1, s + 1), range(s)):
             factors = Counter([x("=", i1, a1), x("=", i2, a2), x("<", j, b), x(">", j + 1, b)])
             expected[tuple(sorted(factors.items()))] += 1
-    got = Counter(m.powers for m in ls.formulation_monomials(spec, s, theta))
+    got = ls.formulation_polynomial(spec, s, theta).terms
     assert witnesses and got == expected
 
 
@@ -302,29 +310,37 @@ def test_formulation_hand_enumeration_path3():
     "spec, s",
     [pytest.param(ksum_spec(k=2, w=1), 5, id="2-sum"), pytest.param(path3_spec(), 4, id="path3")],
 )
-def test_formulation_stream_count(spec, s, theta):
-    """#accepted * s**alpha * (s * |C_lt| * |C_gt|)**beta monomials, one per
-    row and comparison-tuple choice."""
+def test_formulation_coefficient_sum(spec, s, theta):
+    """The coefficients sum to #accepted * s**alpha * (s * |C_lt| *
+    |C_gt|)**beta, one literal monomial per row and comparison-tuple choice."""
     _, c_lt, c_gt = ls.comparison_tuple_sets(theta)
     per_witness = s**spec.alpha * (s * len(c_lt) * len(c_gt)) ** spec.beta
-    emitted = sum(1 for _ in ls.formulation_monomials(spec, s, theta))
-    assert emitted == len(accepted_witnesses(spec, s, theta)) * per_witness
+    total = sum(ls.formulation_polynomial(spec, s, theta).terms.values())
+    assert total == len(literal_witnesses(spec, s, theta)) * per_witness
 
 
 def test_formulation_beta_degree():
-    monos = list(ls.formulation_monomials(path3_spec(), 5, 2))
-    assert monos
-    assert {m.degree for m in monos} == {2 * (2 + 2 * 1)}
+    terms = ls.formulation_polynomial(path3_spec(), 5, 2).terms
+    assert terms
+    assert {poly._degree(powers) for powers in terms} == {2 * (2 + 2 * 1)}
 
 
-def test_stream_cap_environment(set_cap):
-    spec, inst = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 1))
+def test_monomial_view_lists_each_term_once_per_unit(set_cap):
+    """formulation_monomials is a view of formulation_polynomial: each term
+    once per unit of its coefficient, with coefficient 1; under the literal
+    cap it raises before the first monomial, as the collection does."""
+    spec, s, theta = path3_spec(), 4, 1
+    terms = ls.formulation_polynomial(spec, s, theta).terms
+    monomials = list(ls.formulation_monomials(spec, s, theta))
+    assert {m.coefficient for m in monomials} == {1}
+    assert Counter(m.powers for m in monomials) == terms
+    assert max(terms.values()) > 1 and len(monomials) == sum(terms.values())
     set_cap("literal", 1)
-    with pytest.raises(CapExceeded):
-        list(ls.formulation_monomials(spec, inst.size, 1))
+    with pytest.raises(CapExceeded, match="cap literal exceeded"):
+        next(iter(ls.formulation_monomials(spec, s, theta)))
 
 
-def test_literal_stream_theta_3_with_nonedges():
+def test_literal_polynomial_theta_3_with_nonedges():
     """theta = 3 exercises multi-block inequality gadgets on the b-slots: the
     polynomial is far from zero as a polynomial, yet the row and sentinel
     logic zeroes it on a no-instance encoding."""
@@ -782,32 +798,27 @@ def test_walk_depth_is_capped():
         ls.accepted_tuples(deepest + [[1]], accept)
 
 
-def test_stream_unchanged_by_pruning():
+def test_collection_unchanged_by_pruning():
     """On the (spec, s, theta) of acceptance criteria 2 and 3, the pruned
-    literal stream emits the unpruned stream's monomials in the same order."""
+    spec and the unpruned one, whose single member is ``spec.verifier``,
+    both collect to the literal polynomial of the definition."""
     cases = criteria_stream_cases()
     assert len(cases) == 27
     for s, theta, spec in cases:
-        pruned = ls.formulation_monomials(spec, s, theta)
-        whole = ls.Member(None, spec.verifier)
-        unpruned_spec = replace(spec, members=(whole,))
-        unpruned = ls.formulation_monomials(unpruned_spec, s, theta)
-        assert all(a == b for a, b in zip_longest(pruned, unpruned))
+        expected = reference(spec, s, theta)
+        assert expected
+        assert ls.formulation_polynomial(spec, s, theta).terms == expected
+        unpruned_spec = replace(spec, members=(ls.Member(None, spec.verifier),))
+        assert ls.formulation_polynomial(unpruned_spec, s, theta).terms == expected
 
 
-def stream_sum(spec, s, theta):
-    """The literal stream summed per power vector, one monomial at a time."""
-    terms = Counter()
-    for mono in ls.formulation_monomials(spec, s, theta):
-        terms[mono.powers] += mono.coefficient
-    return dict(terms)
-
-
+@cache
 def triangle_spec():
     spec, _ = pr.encode_h_induced(pr.GraphInput(3, frozenset()), pr.H_PRESETS["triangle"])
     return spec
 
 
+@cache
 def edge_and_vertex_spec():
     """Induced edge plus an isolated vertex: alpha = 1, beta = 2."""
     pattern = pr.PatternGraph("edge-and-vertex", 3, frozenset({(1, 2)}))
@@ -815,8 +826,8 @@ def edge_and_vertex_spec():
     return spec
 
 
-# Sizes below the encoding's own at which the literal stream is nonempty and
-# at most about 10**6 monomials long.
+# Sizes below the encoding's own at which the literal polynomial is nonempty
+# and its coefficients sum to at most about 10**6.
 LITERAL_SIZES = {
     "collinearity": 4,
     "family-induced-path3+triangle": 4,
@@ -839,20 +850,21 @@ LITERAL_SIZES = {
         pytest.param(edge_and_vertex_spec(), 3, id="edge-and-vertex"),
     ],
 )
-def test_collected_polynomial_equals_stream_sum(spec, s, theta):
+def test_collected_polynomial_equals_reference(spec, s, theta):
     """Grouping witnesses by multiset and counting sorted index tuples gives
-    the plain per-power-vector sum of the literal stream."""
-    expected = stream_sum(spec, s, theta)
+    the literal polynomial of the definition, every ordering of every
+    accepted tuple multiplied out."""
+    expected = reference(spec, s, theta)
     collected = ls.formulation_polynomial(spec, s, theta)
     assert expected
     assert collected.num_vars == ls.variable_count(s, spec.r, theta)
     assert collected.terms == expected
 
 
-# The (spec, s) cases of test_collected_polynomial_equals_stream_sum.
+# The (spec, s) cases of test_collected_polynomial_equals_reference.
 LITERAL_CASES = next(
     mark.args[1]
-    for mark in test_collected_polynomial_equals_stream_sum.pytestmark
+    for mark in test_collected_polynomial_equals_reference.pytestmark
     if mark.args[0] == "spec, s"
 )
 
@@ -862,21 +874,20 @@ LITERAL_CASES = next(
 def test_grouped_literal_walk_weighs_each_multiset_by_its_orderings(spec, s, theta):
     """The collection's walk, one increasing ordering per group weighted by
     the groups' factorials, sums per (sorted a-values, sorted b-values) to
-    the multiset counts of the stream's walk over every ordering: each
-    encoder's group contract holds over every candidate code in [1, top],
-    not only over S and its complement."""
+    the multiset counts of every accepted ordering of the product filter:
+    each encoder's group contract holds over every candidate code in
+    [1, top], not only over S and its complement."""
 
-    def multisets(grouped):
-        witnesses, _, _ = ls._literal_tables(spec, s, theta, grouped=grouped)
+    def multisets(weighted):
         counts = Counter()
-        for witness, weight in witnesses:
+        for witness, weight in weighted:
             a_values, b_values = witness[: spec.alpha], witness[spec.alpha :]
             counts[tuple(sorted(a_values)), tuple(sorted(b_values))] += weight
         return counts
 
-    every_ordering = multisets(False)
+    every_ordering = multisets((w, 1) for w in literal_witnesses(spec, s, theta))
     assert every_ordering
-    assert multisets(True) == every_ordering
+    assert multisets(ls._literal_tables(spec, s, theta)[0]) == every_ordering
 
 
 def criteria_stream_cases():
@@ -917,38 +928,77 @@ LITERAL_SHAPES = [
 ]
 
 
+def shape_encoding(shape, rng):
+    """A seeded encoding of one of ``LITERAL_SHAPES``."""
+    problem, a, b, _ = shape
+    if problem == "ksum":
+        w, size = b
+        sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(a))
+        return pr.encode_ksum(pr.KSumInput(a, sets, w))
+    edges = rng.sample(list(combinations(range(1, a + 1), 2)), b)
+    return pr.encode_h_induced(pr.GraphInput(a, frozenset(edges)), pr.H_PRESETS[problem])
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(LITERAL_SHAPES), st.randoms(use_true_random=False))
 def test_collected_polynomials_pass_the_strict_constructor(shape, rng):
     """formulation_polynomial wraps its term map without the constructor's
     checks; the map re-passes them and compares equal."""
-    problem, a, b, theta = shape
-    if problem == "ksum":
-        w, size = b
-        sets = tuple(tuple(rng.sample(range(-w, w + 1), size)) for _ in range(a))
-        spec, inst = pr.encode_ksum(pr.KSumInput(a, sets, w))
-    else:
-        edges = rng.sample(list(combinations(range(1, a + 1), 2)), b)
-        spec, inst = pr.encode_h_induced(pr.GraphInput(a, frozenset(edges)), pr.H_PRESETS[problem])
-    p = ls.formulation_polynomial(spec, inst.size, theta)
+    spec, inst = shape_encoding(shape, rng)
+    p = ls.formulation_polynomial(spec, inst.size, shape[3])
     assert poly.SparsePolynomial(p.num_vars, dict(p.terms)) == p
     with pytest.raises(TypeError):
         p.terms[()] = 1  # type: ignore[index]
 
 
+@cache
+def shape_case(shape):
+    """One ``LITERAL_SHAPES`` entry's (spec, s): the literal polynomial does
+    not read the instance, so one seeded encoding stands for every draw."""
+    spec, inst = shape_encoding(shape, random.Random(SEED))
+    return spec, inst.size
+
+
+# Every shape at theta 1-2, and the beta = 0 shapes at theta 3 too: a b-slot
+# holds s * |C_lt| * |C_gt| gadgets, which |C_lt| = 13 at theta 3 makes slow
+# for the reference.
+LITERAL_ROWS = [
+    (shape, theta)
+    for shape in LITERAL_SHAPES
+    for theta in (1, 2, 3)
+    if theta < 3 or shape_case(shape)[0].beta == 0
+]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(LITERAL_ROWS))
+def test_collected_polynomial_equals_reference_on_benchmark_shapes(row):
+    """The collection equals the literal polynomial of the definition on the
+    ls-literal benchmark's shapes."""
+    shape, theta = row
+    spec, s = shape_case(shape)
+    expected = reference(spec, s, theta)
+    assert expected and ls.formulation_polynomial(spec, s, theta).terms == expected
+
+
+def occurrences(terms):
+    """The variable occurrences of ``terms`` listed one unit of coefficient at a time."""
+    return sum(count * poly._degree(powers) for powers, count in terms.items())
+
+
 def test_collection_cap_counts_literal_monomials(set_cap):
     """Every witness multiset of this triangle spec has multiplicity 6, and
-    the cap counts the stream's variable occurrences: the collection succeeds
-    at N * d, for N monomials of degree d, and raises at N * d - 1."""
+    the cap counts the literal polynomial's variable occurrences, its terms
+    listed once per unit of coefficient: the collection succeeds at N * d,
+    for N such monomials of degree d, and raises at N * d - 1."""
     spec, s, theta = triangle_spec(), 4, 1
-    multisets = Counter(tuple(sorted(w)) for w in accepted_witnesses(spec, s, theta))
+    multisets = Counter(tuple(sorted(w)) for w in literal_witnesses(spec, s, theta))
     assert set(multisets.values()) == {6}
-    degrees = [m.degree for m in ls.formulation_monomials(spec, s, theta)]
-    assert set(degrees) == {3}
-    occurrences = sum(degrees)
-    set_cap("literal", occurrences)
-    assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
-    set_cap("literal", occurrences - 1)
+    expected = reference(spec, s, theta)
+    assert {poly._degree(powers) for powers in expected} == {3}
+    set_cap("literal", occurrences(expected))
+    assert ls.formulation_polynomial(spec, s, theta).terms == expected
+    set_cap("literal", occurrences(expected) - 1)
     with pytest.raises(CapExceeded, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
 
@@ -956,19 +1006,20 @@ def test_collection_cap_counts_literal_monomials(set_cap):
 def test_collection_cap_counts_literal_monomials_with_b_slots(set_cap):
     """path3 walks one ordering of its two edge slots, so every witness
     multiset has multiplicity 2, and it has one b-slot.  The cap still
-    counts the stream's variable occurrences: the collection succeeds at
-    their number and, like the drained stream, raises one below it."""
+    counts the literal polynomial's variable occurrences: the collection
+    succeeds at their number and, like the monomial view, raises one below
+    it."""
     spec, s, theta = path3_spec(), 4, 1
     assert [member.groups for member in spec.members] == [((0, 2),)] and spec.beta == 1
     multisets = Counter(
         (tuple(sorted(w[: spec.alpha])), w[spec.alpha :])
-        for w in accepted_witnesses(spec, s, theta)
+        for w in literal_witnesses(spec, s, theta)
     )
     assert set(multisets.values()) == {2}
-    occurrences = sum(m.degree for m in ls.formulation_monomials(spec, s, theta))
-    set_cap("literal", occurrences)
-    assert ls.formulation_polynomial(spec, s, theta).terms == stream_sum(spec, s, theta)
-    set_cap("literal", occurrences - 1)
+    expected = reference(spec, s, theta)
+    set_cap("literal", occurrences(expected))
+    assert ls.formulation_polynomial(spec, s, theta).terms == expected
+    set_cap("literal", occurrences(expected) - 1)
     with pytest.raises(CapExceeded, match="cap literal exceeded"):
         ls.formulation_polynomial(spec, s, theta)
     with pytest.raises(CapExceeded, match="cap literal exceeded"):
@@ -978,10 +1029,11 @@ def test_collection_cap_counts_literal_monomials_with_b_slots(set_cap):
 def test_collection_collapses_repeated_variables():
     """At s = 4, theta = 2 some of path3's multisets have slot tables that
     share variables, so some of their products repeat one: the collection
-    collapses those into powers and still equals the summed stream."""
+    collapses those into powers and still equals the literal polynomial of
+    the definition."""
     spec, s, theta = path3_spec(), 4, 2
     terms = ls.formulation_polynomial(spec, s, theta).terms
-    assert terms == stream_sum(spec, s, theta)
+    assert terms == reference(spec, s, theta)
     assert any(exponent >= 2 for powers in terms for _, exponent in powers)
 
 

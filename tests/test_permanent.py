@@ -158,21 +158,19 @@ def test_g_count_dp_band_at_the_g_target_cap():
 
 
 def test_preimage_quotas():
-    assert pm.preimage_quotas(0, 3) == ((0,), (0,))
-    assert pm.preimage_quotas(4, 1) == ((4,), (0,))
-    assert pm.preimage_quotas(4, 2) == ((2, 2), (1, 0))
-    assert pm.preimage_quotas(4, 3) == ((2, 2, 0), (1, 1, 0))
-    assert pm.preimage_quotas(5, 4) == ((2, 2, 1, 0), (1, 1, 1, 0))
-    assert pm.preimage_quotas(2, 4) == ((1, 1, 0), (1, 1, 0))
+    assert pm.preimage_quotas(0, 3) == (0,)
+    assert pm.preimage_quotas(4, 1) == (4,)
+    assert pm.preimage_quotas(4, 2) == (2, 2)
+    assert pm.preimage_quotas(4, 3) == (2, 2, 0)
+    assert pm.preimage_quotas(5, 4) == (2, 2, 1, 0)
+    assert pm.preimage_quotas(2, 4) == (1, 1, 0)
 
 
 def test_per_trace_factor_count_is_theta():
     """With theta dividing |S1|, every trace contributes exactly theta
     segment factors: theta - 1 flagged plus the final unflagged one."""
     for size, theta in ((4, 2), (6, 3), (6, 2), (3, 3)):
-        quotas, flags = pm.preimage_quotas(size, theta)
-        assert len(quotas) == theta
-        assert flags == (1,) * (theta - 1) + (0,)
+        assert len(pm.preimage_quotas(size, theta)) == theta
 
 
 def test_f_count_traces_empty_target_theta_1():
@@ -221,7 +219,8 @@ def test_trace_uniqueness_audit():
         eq1 = rng.randint(1, full)
         eq0 = rng.randint(0, full) & ~eq1
         theta = rng.choice([2, 3])
-        quotas, flags = pm.preimage_quotas(bin(eq1).count("1"), theta)
+        quotas = pm.preimage_quotas(bin(eq1).count("1"), theta)
+        flags = (1,) * (len(quotas) - 1) + (0,)  # every non-final segment is flagged
         pools = [
             [1 << b for b in range(n) if m.row_masks[u] >> b & 1] for u in range(n)
         ]
