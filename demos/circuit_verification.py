@@ -4,9 +4,8 @@ The verifier expands each gate of a circuit straight into its degree-<=delta
 truncation and accepts only when the output's truncation is the target
 polynomial monomial for monomial, so a one-off constant perturbation is
 always caught; the gate_terms cap on each original gate's truncated expansion
-bounds the work.  Strassen homogenization, printed below for its size, builds
-the same truncation as an explicit circuit.  Modular evaluation with a prime
-from [2M, 4M] recovers exact integer values through centered residues."""
+bounds the work.  Modular evaluation with a prime from [2M, 4M] recovers
+exact integer values through centered residues."""
 
 import random
 
@@ -30,10 +29,6 @@ for i, gate in enumerate(mutated_gates):
 mutant = ci.ArithmeticCircuit(circuit.num_inputs, tuple(mutated_gates), circuit.output)
 result = ci.verify_circuit(mutant, target, delta=2)
 print(f"verify(mutant):   accepted={result.accepted} reason={result.reason}")
-
-homogenized = ci.homogenize(circuit, delta=2)
-print(f"homogenized size: {ci.circuit_size(homogenized)} edges "
-      f"(bound {ci.HOMOGENIZE_SIZE_FACTOR} * delta**2 * size)")
 
 rng = random.Random(0)
 rho = 10

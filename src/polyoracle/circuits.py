@@ -25,8 +25,9 @@ polynomial P iff the degree-<=delta truncation of C is identical to P:
                                   are identical.
 
 homogenize(C, delta) is the explicit Strassen construction of the same
-truncation as a circuit; expanding it is the reference the pipeline is
-tested against.
+truncation as a circuit.  It stays for perfbench's traced circuit op and for
+the "homogenize then expand" test route; the first-principles reference for
+the pipeline's verdicts is ``oracles.circuit_verdicts`` in the test suite.
 
 Prime selection for modular evaluation picks the smallest prime in [2M, 4M]
 (one exists by Bertrand's postulate); smallest rather than arbitrary keeps
@@ -37,17 +38,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import zip_longest
 from types import MappingProxyType
 from typing import Sequence, Union
 
 from . import polynomials as poly
 from .errors import ArityMismatch, CapExceeded, cap_limit, check
 from .polynomials import Powers, SparsePolynomial, is_prime
-
-# Homogenization emits at most this factor times delta**2 times the original
-# size; asserted by the test suite on random circuits.
-HOMOGENIZE_SIZE_FACTOR = 6
-
 
 @dataclass(frozen=True)
 class InputGate:
@@ -172,23 +169,6 @@ class _CircuitBuilder:
         return acc
 
 
-def _gate_degrees(circuit: ArithmeticCircuit, ceiling: int) -> list[int]:
-    """Syntactic degree of every gate, saturated at ``ceiling``: input 1,
-    constant 0, + max, x sum.  Saturation keeps each entry a small int, where
-    exact degrees double along a chain of squarings.  ``homogenize`` reads
-    it; the expansion keeps the same degrees inline."""
-    degrees: list[int] = []
-    for gate in circuit.gates:
-        kind = type(gate)
-        if kind is MulGate:
-            degrees.append(min(ceiling, degrees[gate.left] + degrees[gate.right]))
-        elif kind is AddGate:
-            degrees.append(max(degrees[gate.left], degrees[gate.right]))
-        else:
-            degrees.append(1 if kind is InputGate else 0)
-    return degrees
-
-
 def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     """Strassen homogenization truncated at degree ``delta``.
 
@@ -203,29 +183,27 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
-    # Every component above a gate's syntactic degree is None, so truncating
-    # there emits the same gates and bounds the work by the circuit itself.
-    # Degrees saturated at delta + 1 give the same min(delta, max(1, D)).
-    delta = min(delta, max(1, max(_gate_degrees(circuit, delta + 1))))
     builder = _CircuitBuilder()
+    # Each gate's component list ends at its syntactic degree, capped at
+    # delta, so the work is bounded by the circuit itself, not by delta.
     components: list[list[int | None]] = []
     for gate in circuit.gates:
-        comps: list[int | None] = [None] * (delta + 1)
         if isinstance(gate, InputGate):
-            comps[1] = builder.emit(InputGate(gate.index))
+            comps: list[int | None] = [None, builder.emit(InputGate(gate.index))]
         elif isinstance(gate, ConstGate):
-            if gate.value != 0:
-                comps[0] = builder.emit(ConstGate(gate.value))
+            comps = [builder.emit(ConstGate(gate.value)) if gate.value != 0 else None]
         elif isinstance(gate, AddGate):
             comps = [
                 builder.add(lg, rg)
-                for lg, rg in zip(components[gate.left], components[gate.right])
+                for lg, rg in zip_longest(components[gate.left], components[gate.right])
             ]
         else:
             # l_i * r_j over the nonzero components only, grouped by degree
             # i + j in ascending i, then emitted and summed degree by degree
-            left_parts = [(i, g) for i, g in enumerate(components[gate.left]) if g is not None]
-            right_parts = [(j, g) for j, g in enumerate(components[gate.right]) if g is not None]
+            left, right = components[gate.left], components[gate.right]
+            comps = [None] * min(delta + 1, len(left) + len(right) - 1)
+            left_parts = [(i, g) for i, g in enumerate(left) if g is not None]
+            right_parts = [(j, g) for j, g in enumerate(right) if g is not None]
             pairs: dict[int, list[tuple[int, int]]] = {}
             for i, lg in left_parts:
                 for j, rg in right_parts:
@@ -251,9 +229,10 @@ def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers,
     gates, T(l + r) = T(l) + T(r) and T(l * r) = T(T(l) * T(r)) as degrees are
     nonnegative, so only a product whose operands' syntactic degrees sum above
     delta drops pairs, and it neither forms nor counts them.  Each gate's
-    syntactic degree is kept beside its map, saturated at delta + 1 as
-    ``_gate_degrees`` computes it.  A product of two one-term maps that is not
-    truncated is the one term of the two monomials' product, formed directly.
+    syntactic degree (input 1, constant 0, + max, x sum) is kept beside its
+    map, saturated at delta + 1 to stay small where exact degrees double
+    along a chain of squarings.  A product of two one-term maps that is not truncated is the
+    one term of the two monomials' product, formed directly.
     Raises CapExceeded as soon as any gate's map passes the gate_terms cap,
     and before the gate that takes the running total of term pairs formed by
     products plus terms copied by sums, over all gates so far, past the

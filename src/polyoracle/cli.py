@@ -85,7 +85,14 @@ def _cmd_permanent(args: argparse.Namespace) -> int:
 def _cmd_setcover(args: argparse.Namespace) -> int:
     data = _json_object(_load_json(args.input))
     sets = [_int_list(elements) for elements in _json_list(data["sets"])]
-    family = setcover.family_from_lists(_json_int(data["n"]), sets)
+    n = _json_int(data["n"])
+    if len(setcover.distinct_elements(n, sets)) < n:
+        # Fewer than n distinct elements cannot cover [n].  An empty family
+        # over [n] stands in, as its sets' masks could take more memory than
+        # the input; it has the same answer and the same method errors.
+        family = setcover.SetFamily(n, ())
+    else:
+        family = setcover.family_from_lists(n, sets)
     minimum = setcover.setcover_min(family, method=args.method, theta=args.theta)
     if minimum is None:
         print("uncoverable")

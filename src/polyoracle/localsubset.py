@@ -70,6 +70,7 @@ or its draw, before it tries the first.
 
 from __future__ import annotations
 
+import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
@@ -245,7 +246,8 @@ class _Complement(Sequence):
     """The ascending codes of [low, top] outside the ascending list ``inside``,
     whose elements are at most ``top``, never listed: its length is O(1), it
     iterates over the ranges between consecutive elements of ``inside``, and
-    it finds a position, a tail slice or a member by bisection."""
+    it finds a position, a tail slice or a member by bisection.  ``len()``
+    saturates at sys.maxsize, the most CPython can report; ``size`` is exact."""
 
     def __init__(self, inside: list[int], low: int, top: int) -> None:
         self.inside, self.low, self.top = inside, low, top
@@ -253,7 +255,7 @@ class _Complement(Sequence):
         self.size = top - low + 1 - (len(inside) - self.first)
 
     def __len__(self) -> int:
-        return self.size
+        return min(self.size, sys.maxsize)
 
     def __iter__(self) -> Iterator[int]:
         later = map(self.inside.__getitem__, range(self.first, len(self.inside)))
@@ -492,13 +494,14 @@ def _capped_power(base: int, exponent: int, cap: int) -> int:
 
 def _literal_tables(
     spec: LSProblemSpec, s: int, theta: int
-) -> tuple[list[tuple[tuple[int, ...], int]], dict[int, list], dict[int, list]]:
-    """The accepted candidate tuples of the size-s literal formulation, one
-    walk per member in one increasing ordering per member group, each with
-    its weight, the groups' factorials; and the factor tables of the codes
-    they hold, a-tables for codes in an a-slot and b-tables for codes in a
-    b-slot.  A table lists gadgets, each a tuple of (index, 1) power pairs
-    built once per code.
+) -> tuple[Counter[tuple[tuple[int, ...], tuple[int, ...]]], dict[int, list], dict[int, list]]:
+    """The accepted candidate tuples of the size-s literal formulation as
+    multisets (sorted a-values, sorted b-values), each counting the
+    orderings it stands for: one walk per member, in one increasing ordering
+    per member group, adds each tuple's weight, the groups' factorials, as
+    it walks.  And the factor tables of the codes they hold, a-tables for
+    codes in an a-slot and b-tables for codes in a b-slot.  A table lists
+    gadgets, each a tuple of (index, 1) power pairs built once per code.
 
     Each witness contributes exactly s**alpha * (s * |C_lt| * |C_gt|)**beta
     literal monomials of degree theta * (alpha + 2 * beta), |C_lt| = |C_gt| =
@@ -518,17 +521,18 @@ def _literal_tables(
     per_witness = theta * (spec.alpha + 2 * spec.beta) * _capped_power(s, spec.alpha, limit)
     per_witness *= _capped_power(s * half * half, spec.beta, limit)
     candidates = [range(1, top + 1)] * slots
-    witnesses = []
+    alpha = spec.alpha
+    multisets = Counter()
     walked = 0
     for step, accept, groups, _ in spec.members:
         weight = prod(factorial(stop - start) for start, stop in groups)
         for witness in accepted_tuples(candidates, accept, step, groups):
-            witnesses.append((witness, weight))
+            multisets[tuple(sorted(witness[:alpha])), tuple(sorted(witness[alpha:]))] += weight
             walked += weight
             if walked * per_witness > limit:
                 check("literal", walked * per_witness)
-    a_values = {v for w, _ in witnesses for v in w[: spec.alpha]}
-    b_values = {v for w, _ in witnesses for v in w[spec.alpha :]}
+    a_values = {v for a, _ in multisets for v in a}
+    b_values = {v for _, b in multisets for v in b}
     blocks = {v: blocks_of(v, theta, length) for v in a_values | b_values}
 
     def gadget(comparisons: Sequence[str], row: int, v: int) -> Powers:
@@ -552,7 +556,7 @@ def _literal_tables(
             ]
             for v in b_values
         }
-    return witnesses, a_factors, b_factors
+    return multisets, a_factors, b_factors
 
 
 def formulation_monomials(spec: LSProblemSpec, s: int, theta: int) -> Iterator[Monomial]:
@@ -585,24 +589,20 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     orderings it stands for.  All a-slots share one factor table and all
     b-slots another, so witnesses that differ only by a permutation within
     the a-slots or within the b-slots contribute the same monomials.  The
-    weights are summed per multiset (sorted a-values, sorted b-values), and
-    each multiset is expanded once, one weight class at a time: every
-    product is counted under the sorted concatenation of its gadgets'
-    (index, 1) pairs.  When no two of a multiset's slot tables share a
-    variable, every such key is already a power vector; otherwise a key
-    may repeat a pair, and it collapses into (index, exponent) pairs once
-    per class.  The literal cap counts walked witnesses times their
+    walk returns the weights summed per multiset (sorted a-values, sorted
+    b-values), and each multiset is expanded once, one weight class at a
+    time: every product is counted under the sorted concatenation of its
+    gadgets' (index, 1) pairs.  When no two of a multiset's slot tables
+    share a variable, every such key is already a power vector; otherwise
+    a key may repeat a pair, and it collapses into (index, exponent) pairs
+    once per class.  The literal cap counts walked witnesses times their
     weights times the monomials each contributes times their degree, the
     variable occurrences of the terms listed one unit of coefficient at a
     time, and raises CapExceeded before any factor table is built.  Every
     coefficient is a positive count and every key a power vector over the
     declared variables, so the map is wrapped without a second check.
     """
-    witnesses, a_factors, b_factors = _literal_tables(spec, s, theta)
-    alpha = spec.alpha
-    multisets: Counter[tuple[tuple[int, ...], tuple[int, ...]]] = Counter()
-    for witness, weight in witnesses:
-        multisets[tuple(sorted(witness[:alpha])), tuple(sorted(witness[alpha:]))] += weight
+    multisets, a_factors, b_factors = _literal_tables(spec, s, theta)
     by_weight: dict[int, list] = {}
     for key, weight in multisets.items():
         by_weight.setdefault(weight, []).append(key)

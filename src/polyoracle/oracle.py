@@ -19,6 +19,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import statistics
 from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
@@ -81,8 +82,6 @@ def logging_oracle(inner: Oracle, log: OracleCallLog) -> Oracle:
 
 @dataclass(frozen=True)
 class BenchResult:
-    problem: str
-    theta: int
     rows: tuple[tuple[int, int], ...]  # (size, variable count)
     slope: float
 
@@ -104,13 +103,10 @@ def bench_vars(problem: str, theta: int, sizes: Sequence[int], r: int | None = N
             )
         r = definition.bench_r
     rows = tuple((s, variable_count(s, r, theta)) for s in sizes)
-    xs = [math.log(s) for s, _ in rows]
-    ys = [math.log(count) for _, count in rows]
-    x_mean, y_mean = sum(xs) / len(xs), sum(ys) / len(ys)
-    slope = sum((x - x_mean) * (y - y_mean) for x, y in zip(xs, ys)) / sum(
-        (x - x_mean) ** 2 for x in xs
+    slope, _ = statistics.linear_regression(
+        [math.log(s) for s, _ in rows], [math.log(count) for _, count in rows]
     )
-    return BenchResult(problem=problem, theta=theta, rows=rows, slope=slope)
+    return BenchResult(rows=rows, slope=slope)
 
 
 def instance_digest(problem: str, inst: LSInstance) -> str:

@@ -84,16 +84,23 @@ class SetFamily:
         return (1 << self.n) - 1
 
 
-def family_from_lists(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
-    masks = []
+def distinct_elements(n: int, lists: Sequence[Sequence[int]]) -> set[int]:
+    """The distinct elements of the lists; raises ValueOutOfRange for one
+    outside [1, n].  It builds no mask, whose bits follow the largest
+    element, so fewer than n of them decide an uncoverable [n] in memory
+    that follows the input."""
+    distinct: set[int] = set()
     for elements in lists:
-        mask = 0
         for e in elements:
             if not 1 <= e <= n:
                 raise ValueOutOfRange(f"element {e} outside [1, {n}]")
-            mask |= 1 << (e - 1)
-        masks.append(mask)
-    return SetFamily(n, tuple(masks))
+        distinct.update(elements)
+    return distinct
+
+
+def family_from_lists(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
+    distinct_elements(n, lists)
+    return SetFamily(n, tuple(sum(1 << (e - 1) for e in set(elements)) for elements in lists))
 
 
 class _PartitionCounter:

@@ -62,13 +62,35 @@ KEYS = {
 }
 
 
-def shaped(command):
+def shaped(command, fields=FIELDS):
     """Dicts with the keys ``command``'s input reads, holding small values."""
     keys = KEYS.get(command, ("n", "edges"))
     return st.fixed_dictionaries(
-        {key: FIELDS[key] for key in keys if key not in OPTIONAL},
-        optional={key: FIELDS[key] for key in keys if key in OPTIONAL},
+        {key: fields[key] for key in keys if key not in OPTIONAL},
+        optional={key: fields[key] for key in keys if key in OPTIONAL},
     )
+
+
+# Just past a signed 32-bit int, just past sys.maxsize, and 10**12, whose
+# square is past sys.maxsize.
+HUGE = st.sampled_from([2**31, 2**63, 10**12])
+EDGE_AND_ISOLATED = {"n": 3, "edges": [[1, 2]]}
+
+
+def huge_shaped(command):
+    """``command``'s shape with a HUGE vertex count, beside an edge plus an
+    isolated vertex as the pattern, whose b-slot then ranges over the huge
+    complement; for set cover, a universe or elements that may be HUGE."""
+    fields = {
+        **FIELDS,
+        "n": HUGE,
+        "H": st.just(EDGE_AND_ISOLATED),
+        "family": st.just([EDGE_AND_ISOLATED]),
+    }
+    if command == "setcover":
+        fields["n"] = SMALL | HUGE
+        fields["sets"] = st.lists(st.lists(SMALL | HUGE, max_size=3), max_size=5)
+    return shaped(command, fields)
 
 
 POLY = st.fixed_dictionaries(
@@ -133,7 +155,7 @@ def run(argv):
     data=st.data(),
 )
 def test_solve(workdir, problem, method, theta, data):
-    payload = data.draw(shaped(problem) | ANY_JSON)
+    payload = data.draw(shaped(problem) | huge_shaped(problem) | ANY_JSON)
     path = write(workdir / "solve.json", json.dumps(payload))
     argv = ["solve", "--problem", problem, "--input", path, "--method", method]
     code = run(argv + ["--theta", str(theta)])
@@ -280,7 +302,7 @@ def test_permanent(workdir, text, method, alpha, theta):
 @FUZZ
 @given(method=st.sampled_from(["brute", "reduction"]), theta=FLAG, data=st.data())
 def test_setcover(workdir, method, theta, data):
-    payload = data.draw(shaped("setcover") | ANY_JSON)
+    payload = data.draw(shaped("setcover") | huge_shaped("setcover") | ANY_JSON)
     path = write(workdir / "family.json", json.dumps(payload))
     code = run(["setcover", "--input", path, "--method", method, "--theta", str(theta)])
     if not isinstance(payload, dict):

@@ -873,21 +873,17 @@ LITERAL_CASES = next(
 @pytest.mark.parametrize("spec, s", LITERAL_CASES)
 def test_grouped_literal_walk_weighs_each_multiset_by_its_orderings(spec, s, theta):
     """The collection's walk, one increasing ordering per group weighted by
-    the groups' factorials, sums per (sorted a-values, sorted b-values) to
-    the multiset counts of every accepted ordering of the product filter:
-    each encoder's group contract holds over every candidate code in
-    [1, top], not only over S and its complement."""
-
-    def multisets(weighted):
-        counts = Counter()
-        for witness, weight in weighted:
-            a_values, b_values = witness[: spec.alpha], witness[spec.alpha :]
-            counts[tuple(sorted(a_values)), tuple(sorted(b_values))] += weight
-        return counts
-
-    every_ordering = multisets((w, 1) for w in literal_witnesses(spec, s, theta))
+    the groups' factorials, counts per (sorted a-values, sorted b-values)
+    the multisets of every accepted ordering of the product filter: each
+    encoder's group contract holds over every candidate code in [1, top],
+    not only over S and its complement."""
+    alpha = spec.alpha
+    every_ordering = Counter(
+        (tuple(sorted(w[:alpha])), tuple(sorted(w[alpha:])))
+        for w in literal_witnesses(spec, s, theta)
+    )
     assert every_ordering
-    assert multisets(ls._literal_tables(spec, s, theta)[0]) == every_ordering
+    assert ls._literal_tables(spec, s, theta)[0] == every_ordering
 
 
 def criteria_stream_cases():

@@ -325,6 +325,26 @@ def test_cli_solve_b_slots_past_a_million_codes(tmp_path, capsys):
     assert ": yes" in capsys.readouterr().out
 
 
+EDGE_AND_ISOLATED = {"n": 3, "edges": [[1, 2]]}
+
+
+@pytest.mark.parametrize(
+    "problem, data",
+    [
+        ("h-induced", {"n": 10**12, "edges": [[1, 2]], "H": EDGE_AND_ISOLATED}),
+        ("family-induced", {"n": 10**12, "edges": [[1, 2]], "family": [EDGE_AND_ISOLATED]}),
+    ],
+    ids=["h-induced", "family-induced"],
+)
+def test_cli_solve_b_slots_past_sys_maxsize(tmp_path, capsys, problem, data):
+    """The isolated vertex's b-slot ranges over the n**2 - 1 codes outside S,
+    more than sys.maxsize at n = 10**12, a length len() cannot report: the
+    walk is refused at the ls_walk cap, with no traceback."""
+    path = write_json(tmp_path / "graph.json", data)
+    assert timed(lambda: run_cli(["solve", "--problem", problem, "--input", path])) == 3
+    assert "cap ls_walk exceeded" in capsys.readouterr().err
+
+
 def test_cli_solve_brute_report_needs_a_printable_instance(tmp_path, capsys):
     """k-SUM whose n has more than 4 300 decimal digits: the brute route
     answers, but the report's instance digest cannot print n, so the solve
@@ -601,6 +621,14 @@ def test_cli_solve_at_slot_count_cap(tmp_path, capsys, last_set, answer):
 
 def test_cli_setcover_huge_universe(tmp_path, capsys):
     path = write_json(tmp_path / "f.json", {"n": 10**12, "sets": [[1]]})
+    assert timed(lambda: run_cli(["setcover", "--input", path])) == 1
+    assert capsys.readouterr().out.strip() == "uncoverable"
+
+
+def test_cli_setcover_huge_element(tmp_path, capsys):
+    """One element cannot cover [10**11]; that is decided before the set's
+    mask, of as many bits as its element, would take 12.5 GB."""
+    path = write_json(tmp_path / "f.json", {"n": 10**11, "sets": [[10**11]]})
     assert timed(lambda: run_cli(["setcover", "--input", path])) == 1
     assert capsys.readouterr().out.strip() == "uncoverable"
 
