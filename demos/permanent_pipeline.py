@@ -2,8 +2,9 @@
 
 The expansion step rewrites the permanent as 2**(n - |S1|) signed
 mapping-count terms; the formulation route counts each term as a sum over
-traces of per-segment DP products, and at theta = 1 a trace is a single
-subset DP over all rows.
+traces of products of segment counts, summed by one sweep over the rows
+with a packed state per segment.  At theta = 1 a trace is a single segment,
+and the sweep is one subset DP over all rows.
 """
 
 import random

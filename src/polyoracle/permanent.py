@@ -16,40 +16,34 @@ Pipeline (desk scale throughout):
                      segments, each owning a fixed quota of S1-preimages;
                      a trace (segment breakpoints + preimage block
                      assignment) classifies every mapping uniquely, and the
-                     per-trace count is a product of segment counts, each
-                     read as one lane of a packed sweep: one flagged sweep
-                     per distinct start of a non-final segment, plus one
-                     unflagged sweep from row n down for the final segment
-                     (two sweeps in all at theta = 2).  A non-final
-                     segment's flag forces its last vertex to be a
-                     preimage, which pins the greedy breakpoints and makes
-                     traces disjoint.  The traces are summed by a DP over
-                     (breakpoint, S1 blocks used so far) that advances one
-                     non-final segment at a time and skips zero lanes; the
-                     final sweep closes each state with the unused block.
+                     per-trace count is a product of segment counts.  A
+                     non-final segment's flag forces its last vertex to be
+                     a preimage, which pins the greedy breakpoints and makes
+                     traces disjoint.  The sum over traces is one sweep over
+                     the rows with one packed state per segment; no segment
+                     count is ever read out on its own.
 
-The sweep (``_sweep``) runs the subset DP over every subset C of S1 at once,
-in one Python int: lane C, a fixed width of w bits, counts the mappings of
-the rows swept so far that cover exactly C once.  A lane never exceeds the
-product of the swept rows' choice counts (each at most the row's degree),
-and w is that product's bit length, so no lane carries into the next and
-every count stays exact.
+A state runs the subset DP over every subset D of S1 at once, in one Python
+int: lane D, a fixed width of w bits, counts the mappings of the rows swept
+so far that cover exactly D once.  A lane never exceeds the product of the
+row degrees, and w is that product's bit length, so no lane carries into the
+next and every count stays exact.
 
 permanent_via_formulation is the whole chain: the signed sum of f_expand's
-terms, each counted as f_count_traces counts it.  At theta = 1 a trace is one
-unflagged segment over all rows, so each term costs a single sweep.  S1 is
-the same for every term, so the positions of each row's S1 columns
-(``_row_positions``) are built once per call, by f_count_traces and by
-permanent_via_formulation alike, and every sweep of the call reads them.
+terms, each counted as f_count_traces counts it.  The sweep's tables (each
+row's S1 positions with their lane masks, the lane width and the segment-end
+masks) depend on S1 and theta but not on S0, so they are built once per call
+(``_trace_tables``), by f_count_traces and by permanent_via_formulation
+alike, and every term's sweep reads them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate
 from math import ceil
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ValueOutOfRange, check
 
@@ -145,62 +139,6 @@ def f_expand(matrix: BinaryMatrix, s_eq1: int, alpha: float) -> list[tuple[int, 
     return terms
 
 
-def _row_positions(matrix: BinaryMatrix, s_eq1: int) -> tuple[int, list[list[int]]]:
-    """(|S1|, positions): positions[u - 1] lists the positions 0..|S1|-1, in
-    S1's columns taken in increasing order, of the S1 columns row u covers."""
-    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
-    positions = [[p for p, b in enumerate(bits) if mask >> b & 1] for mask in matrix.row_masks]
-    return len(bits), positions
-
-
-def _sweep(
-    rows: Sequence[int], s1: tuple[int, list[list[int]]], free: Sequence[int], flag: int
-) -> tuple[int, list[int]]:
-    """One subset DP over all of S1 along ``rows``, packed into ints; ``s1``
-    is ``_row_positions`` of S1.
-
-    Returns (w, counts).  Lane C of counts[i] -- bits C*w up to (C+1)*w,
-    where C is a subset of the positions 0..|S1|-1 of S1's columns in
-    increasing order -- is the segment count G_K of ``rows[:i]`` with block
-    C: mappings covering C exactly once and otherwise only the ``free[u - 1]``
-    columns open to row u; flagged, the last row of the prefix maps into C.
-    Per row, ``moved`` shifts every lane lacking a position p the row covers
-    up by 2**p lanes, and ``dp = dp * free + moved``; the flagged count is
-    ``moved`` alone.
-
-    A row's choice count is its free columns plus its columns in S1, at most
-    its degree (taken as 1 when zero: every lane is 0 after such a row).  No
-    lane exceeds the product of the rows' choice counts, and w is that
-    product's bit length, so lanes never carry into each other.
-    """
-    size, positions = s1
-    covs = [positions[u - 1] for u in rows]
-    bound = 1
-    for u, cov in zip(rows, covs):
-        bound *= free[u - 1] + len(cov) or 1
-    width = bound.bit_length()
-    total = width << size
-    # lack[p]: all-ones lanes where position p is uncovered, built by doubling.
-    lack = {}
-    for p in {p for cov in covs for p in cov}:
-        period = width << p
-        mask, span = (1 << period) - 1, 2 * period
-        while span < total:
-            mask |= mask << span
-            span *= 2
-        lack[p] = mask
-    # No rows: nothing to flag, and only the empty block is covered.
-    dp = 1
-    counts = [0 if flag else dp]
-    for u, cov in zip(rows, covs):
-        moved = 0
-        for p in cov:
-            moved += (dp & lack[p]) << (width << p)
-        dp = dp * free[u - 1] + moved
-        counts.append(moved if flag else dp)
-    return width, counts
-
-
 def preimage_quotas(size: int, theta: int) -> tuple[int, ...]:
     """Per-segment preimage quotas for splitting |S1| = size.
 
@@ -233,65 +171,96 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
     mapping has exactly one trace (greedy minimal breakpoints, enforced by
     the endpoint flag), so the per-trace products sum to the total.
 
-    Every segment count is a lane of a packed sweep (``_sweep``): one flagged
-    sweep from each distinct start of a non-final segment counts it for every
-    end and block, and the final segment is unflagged, so its count does not
-    depend on row order and one sweep from row n down counts it for every
-    start and block.  At theta = 2 that is two sweeps in all.  The traces
-    are summed by a DP over (breakpoint, S1 blocks used so far), one
-    non-final segment at a time, so no trace is listed.  A sweep holds
-    2**|S1| lanes, so |S1| is bounded by the g_target cap.
+    The sum is one row sweep with one packed state per segment
+    (``_count_traces``), over tables built once per call (``_trace_tables``).
+    A state holds 2**|S1| lanes, so |S1| is bounded by the g_target cap.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
     check("g_target", s_eq1.bit_count())
-    return _count_traces(matrix, s_eq1, s_eq0, theta, _row_positions(matrix, s_eq1))
+    return _count_traces(matrix, s_eq1, s_eq0, _trace_tables(matrix, s_eq1, theta))
 
 
-def _count_traces(
-    matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int, s1: tuple[int, list[list[int]]]
-) -> int:
-    """f_count_traces for disjoint masks, given S1's ``_row_positions``."""
-    n, size = matrix.n, s1[0]
-    quotas = preimage_quotas(size, theta)
-    # Every segment blocks all of S1 and S0 outside its own block W.
+class _Tables(NamedTuple):
+    # moves[u - 1]: (lack[p], width << p) for each S1 position p row u covers.
+    moves: list[list[tuple[int, int]]]
+    # ends[j]: the lanes whose popcount is the quotas of segments 0..j summed.
+    ends: list[int]
+    # Bit offset of the lane covering all of S1.
+    top: int
+
+
+def _trace_tables(matrix: BinaryMatrix, s_eq1: int, theta: int) -> _Tables:
+    """The sweep's tables for S1 = ``s_eq1``, whatever S0 is.
+
+    Lane D of a state -- bits D*w up to (D+1)*w, D a subset of the positions
+    0..|S1|-1 of S1's columns in increasing order -- counts mappings of the
+    rows swept so far.  One segment's state counts each such mapping at most
+    once (its earlier breakpoints are fixed), and a row has at most its
+    degree of choices, so w, the bit length of the product of the row
+    degrees (a zero degree taken as 1), keeps every lane exact: no lane
+    carries into the next.  The popcount masks are built by doubling over
+    positions, as ``lack`` is, in O(|S1|**2) big-int operations.
+    """
+    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
+    size, quotas = len(bits), preimage_quotas(len(bits), theta)
+    bound = 1
+    for mask in matrix.row_masks:
+        bound *= mask.bit_count() or 1
+    width = bound.bit_length()
+    total = width << size
+    # lack[p]: all-ones lanes where position p is uncovered.
+    lack = []
+    for p in range(size):
+        period = width << p
+        mask, span = (1 << period) - 1, 2 * period
+        while span < total:
+            mask |= mask << span
+            span *= 2
+        lack.append(mask)
+    # pop[k]: all-ones lanes of popcount k, over the positions doubled in so far.
+    goals = list(accumulate(quotas[:-1]))
+    keep = max(goals, default=0) + 1
+    pop = [(1 << width) - 1]
+    for p in range(size):
+        pop = [a | b << (width << p) for a, b in zip(pop + [0], [0] + pop)][:keep]
+    moves = [
+        [(lack[p], width << p) for p, b in enumerate(bits) if mask >> b & 1]
+        for mask in matrix.row_masks
+    ]
+    return _Tables(moves, [pop[goal] for goal in goals], ((1 << size) - 1) * width)
+
+
+def _count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, tables: _Tables) -> int:
+    """f_count_traces for disjoint masks, given ``_trace_tables`` of S1.
+
+    One sweep over the rows keeps a packed state per segment: lane D of
+    states[j] counts the mappings of the rows so far whose segments before j
+    have ended, covering the S1 positions D exactly once and otherwise only
+    columns outside S1 and S0.  Per row, each segment from last to first
+    steps as the one-segment subset DP does: ``moved`` shifts every lane
+    lacking a position p the row covers up by 2**p lanes, and ``h = h * free
+    + moved``.  A non-final segment ends at a row that maps into S1 and
+    brings its popcount to its summed quotas -- the endpoint flag -- so
+    ``moved & ends[j]`` starts the next segment's state, whose step for this
+    row is already done.  The count is the final state's all-of-S1 lane.
+    """
+    moves, ends = tables.moves, tables.ends
     blocked = s_eq1 | s_eq0
-    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-
-    forward: dict[int, tuple[int, list[int]]] = {}
-    # states[(b, used)]: the mappings of rows 1..b into the non-final
-    # segments so far, whose blocks together are the S1 positions ``used``.
-    states = {(0, 0): 1}
-    for j, quota in enumerate(quotas[:-1]):
-        # Later segments need at least their quotas' rows.
-        last = n - sum(quotas[j + 1 :])
-        reached: dict[tuple[int, int], int] = {}
-        blocks: dict[int, list[int]] = {}  # the segment's blocks outside each ``used``
-        for (start, used), ways in states.items():
-            if start not in forward:
-                forward[start] = _sweep(range(start + 1, n + 1), s1, free, 1)
-            width, counts = forward[start]
-            lane = (1 << width) - 1
-            if used not in blocks:
-                unused = [p for p in range(size) if not used >> p & 1]
-                blocks[used] = [sum(1 << p for p in c) for c in combinations(unused, quota)]
-            for end in range(start + quota, last + 1):
-                packed = counts[end - start]
-                if not packed:
-                    continue
-                for block in blocks[used]:
-                    count = packed >> block * width & lane
-                    if count:
-                        key = end, used | block
-                        reached[key] = reached.get(key, 0) + ways * count
-        states = reached
-    # The final segment's block is whatever the others left.
-    width, counts = _sweep(range(n, 0, -1), s1, free, 0)
-    full, lane = (1 << size) - 1, (1 << width) - 1
-    return sum(
-        ways * (counts[n - end] >> (full ^ used) * width & lane)
-        for (end, used), ways in states.items()
-    )
+    states = [1] + [0] * len(ends)
+    for nbr, row in zip(matrix.row_masks, moves):
+        free = (nbr & ~blocked).bit_count()
+        for j in range(len(ends), -1, -1):
+            h = states[j]
+            if not h:
+                continue
+            moved = 0
+            for lack, shift in row:
+                moved += (h & lack) << shift
+            states[j] = h * free + moved
+            if j < len(ends):
+                states[j + 1] += moved & ends[j]
+    return states[-1] >> tables.top
 
 
 def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: int = 2) -> int:
@@ -306,10 +275,10 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1
     check("g_target", s_eq1.bit_count())
-    s1 = _row_positions(matrix, s_eq1)
+    tables = _trace_tables(matrix, s_eq1, theta)
     total = 0
     for sign, spec in f_expand(matrix, s_eq1, alpha):
-        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, theta, s1)
+        total += sign * _count_traces(matrix, spec.eq1, spec.eq0, tables)
     if total < 0:
         raise AssertionError("signed permanent chain produced a negative total")
     return total

@@ -346,6 +346,30 @@ def _greedy_cover_size(sets: Sequence[int], full: int) -> int:
     return size
 
 
+def _check_method(method: str, theta: int) -> None:
+    if method not in ("brute", "reduction"):
+        raise ValueOutOfRange(f"unknown method {method!r}")
+    if method == "reduction" and theta not in SETPARTITION_THETAS:
+        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
+
+
+def _branched_universe(n: int, num_sets: int, maxsize: int, method: str, theta: int) -> int:
+    """setcover_min's refusals of a coverable [n], n >= 1, decided from the
+    number of sets and the largest set's size alone; returns the universe m
+    the reduction branches down to (n for the brute route)."""
+    if method == "brute":
+        check("setcover_brute", num_sets)
+        return n
+    m = max(2 * theta * maxsize, n - MAX_BRANCH)
+    if m > n:
+        raise PreconditionViolated(
+            f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
+        )
+    # Before the expansion splits each set into up to 2**|S & [m]| sets.
+    check("setpartition_universe", m)
+    return m
+
+
 def setcover_min(
     family: SetFamily,
     method: str = "brute",
@@ -360,10 +384,7 @@ def setcover_min(
     every k up to the size of a greedy cover, which bounds the minimum from
     above; the first k with a positive signed total is the minimum.
     """
-    if method not in ("brute", "reduction"):
-        raise ValueOutOfRange(f"unknown method {method!r}")
-    if method == "reduction" and theta not in SETPARTITION_THETAS:
-        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
+    _check_method(method, theta)
     n = family.n
     if n == 0:
         return 0
@@ -374,21 +395,14 @@ def setcover_min(
     if union.bit_count() != n:
         return None
     full = family.full_mask
+    maxsize = max(mask.bit_count() for mask in family.sets)
+    m = _branched_universe(n, len(family.sets), maxsize, method, theta)
     if method == "brute":
-        check("setcover_brute", len(family.sets))
         unions = list(accumulate(reversed(family.sets), or_))[::-1]
         for k in range(1, len(family.sets) + 1):
             if _has_cover(family.sets, unions, full, k):
                 return k
         return None
-    maxsize = max((mask.bit_count() for mask in family.sets), default=0)
-    m = max(2 * theta * maxsize, n - MAX_BRANCH)
-    if m > n:
-        raise PreconditionViolated(
-            f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
-        )
-    # Before the expansion splits each set into up to 2**|S & [m]| sets.
-    check("setpartition_universe", m)
     k_max = _greedy_cover_size(family.sets, full)
     totals = [0] * (k_max + 1)
     for sign, instance in hcv_branch(hcv_expand_setcover(family, m), n, m, 0):
@@ -400,3 +414,24 @@ def setcover_min(
         if totals[k] > 0:
             return k
     raise AssertionError("signed #HCV totals vanish up to the greedy cover size")
+
+
+def setcover_min_of_lists(
+    n: int, lists: Sequence[Sequence[int]], method: str = "brute", theta: int = 1
+) -> int | None:
+    """setcover_min of the family of ``lists`` over [n].
+
+    A set's mask has as many bits as its largest element, so all that needs
+    no mask is decided from the lists first, in setcover_min's order: the
+    method, coverage (fewer than n distinct elements cannot cover [n]) and
+    the refusals by size.  An input that is uncoverable or refused then
+    takes memory that follows its own size.
+    """
+    distinct = distinct_elements(n, lists)
+    _check_method(method, theta)
+    if n == 0:
+        return 0
+    if len(distinct) < n:
+        return None
+    _branched_universe(n, len(lists), max(len(set(s)) for s in lists), method, theta)
+    return setcover_min(family_from_lists(n, lists), method, theta)

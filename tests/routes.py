@@ -582,13 +582,35 @@ PERMANENT = Quantity(
 
 
 def g_count_dp(matrix, rows, s_eq1, s_eq0, flag):
-    """Segment count G_K, the full lane of one packed sweep: mappings from
-    ``rows`` covering s_eq1 exactly once and avoiding s_eq0, flagged with
-    the last row mapped into s_eq1."""
+    """Segment count G_K: mappings from ``rows`` covering s_eq1 exactly once
+    and avoiding s_eq0, flagged with the last row mapped into s_eq1.
+
+    The one-segment subset DP over every subset C of s_eq1 at once, packed
+    into one int: lane C, of w bits, counts the mappings of the rows so far
+    that cover exactly C once.  Per row, ``moved`` shifts every lane lacking
+    a column the row covers in s_eq1 up by that column's lane offset, and
+    ``dp = dp * free + moved``; the flagged count is the last row's
+    ``moved``.  No lane exceeds the product of the rows' choice counts, whose
+    bit length is w.  It shares no code with f_count_traces."""
+    bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
+    rows = list(rows)
     blocked = s_eq1 | s_eq0
-    free = [(nbr & ~blocked).bit_count() for nbr in matrix.row_masks]
-    width, counts = pm._sweep(rows, pm._row_positions(matrix, s_eq1), free, flag)
-    return counts[-1] >> ((1 << s_eq1.bit_count()) - 1) * width
+    free = {u: (matrix.row_masks[u - 1] & ~blocked).bit_count() for u in rows}
+    covs = {u: [p for p, b in enumerate(bits) if matrix.row_masks[u - 1] >> b & 1] for u in rows}
+    width = math.prod(free[u] + len(covs[u]) or 1 for u in rows).bit_length()
+    total = width << len(bits)
+    lack = {}  # lack[p]: all-ones lanes where position p is uncovered, built by doubling
+    for p in range(len(bits)):
+        mask, span = (1 << (width << p)) - 1, 2 * width << p
+        while span < total:
+            mask |= mask << span
+            span *= 2
+        lack[p] = mask
+    dp, moved = 1, 0  # no rows: only the empty block is covered, and nothing is flagged
+    for u in rows:
+        moved = sum((dp & lack[p]) << (width << p) for p in covs[u])
+        dp = dp * free[u] + moved
+    return (moved if flag else dp) >> ((1 << len(bits)) - 1) * width
 
 
 # f-count cases are ((matrix, FSpecs), thetas); each value lists |F(eq1, eq0, {})| per FSpec.

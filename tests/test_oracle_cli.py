@@ -5,6 +5,7 @@ import json
 import math
 import random
 import time
+import tracemalloc
 from itertools import combinations
 from types import SimpleNamespace
 
@@ -649,6 +650,29 @@ def test_cli_setcover_refuses_a_wide_branched_universe_before_expanding(tmp_path
     path = write_json(tmp_path / "f.json", {"n": 40, "sets": sets})
     assert timed(lambda: run_cli(["setcover", "--input", path])) == 3
     assert "cap setpartition_universe exceeded: 40 > 12" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "method, message",
+    [
+        ("brute", "cap setcover_brute exceeded: 40001 > 256"),
+        ("reduction", "reduction needs a universe of at least 2*theta*maxsize = 80000"),
+    ],
+)
+def test_cli_setcover_refuses_by_size_before_building_masks(tmp_path, capsys, method, message):
+    """n = 40 000: one full set plus 40 000 copies of [40000].  Both refusals
+    are decided from the lists' sizes, before 40 001 masks of 40 000 bits
+    each (about 200 MB) are built, so the command allocates under 50 MB."""
+    n = 40_000
+    path = write_json(tmp_path / "f.json", {"n": n, "sets": [list(range(1, n + 1))] + [[n]] * n})
+    tracemalloc.start()
+    try:
+        code = run_cli(["setcover", "--input", path, "--method", method])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3 and message in capsys.readouterr().err
+    assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_cli_formulate(tmp_path):

@@ -9,7 +9,7 @@ import pytest
 
 import polyoracle.permanent as pm
 from polyoracle.errors import CapExceeded, ValueOutOfRange
-from oracles import f_count, mapping_coverages
+from oracles import f_count, mapping_coverages, permanent_ryser
 from routes import g_count_dp, random_matrix
 
 
@@ -268,26 +268,45 @@ def test_all_ones_lane_width_boundary():
             assert pm.permanent_via_formulation(ones, 0.5, theta) == math.factorial(n)
 
 
-def test_sweeps_per_f_count_traces(monkeypatch):
-    """One backward sweep plus one forward sweep per distinct start of a
-    non-final segment: two at theta = 2, at most n + 1 at theta = 3 and 4."""
-    calls = []
-    sweep = pm._sweep
+def test_trace_tables_built_once_per_call(monkeypatch):
+    """The sweep's tables (lane width, lane masks, segment-end masks) depend
+    on S1 and theta alone: permanent_via_formulation builds them once for
+    all its 2**(n - |S1|) terms, and f_count_traces once per call."""
+    builds, sweeps = [], []
+    build, sweep = pm._trace_tables, pm._count_traces
 
-    def counted(*args):
-        calls.append(args)
+    def counted_build(*args):
+        builds.append(args)
+        return build(*args)
+
+    def counted_sweep(*args):
+        sweeps.append(args)
         return sweep(*args)
 
-    monkeypatch.setattr(pm, "_sweep", counted)
+    monkeypatch.setattr(pm, "_trace_tables", counted_build)
+    monkeypatch.setattr(pm, "_count_traces", counted_sweep)
     rng = random.Random(20)
     for n in range(2, 9):
         m = random_matrix(rng, n, density=0.6)
-        for _, spec in pm.f_expand(m, (1 << -(-n // 2)) - 1, 0.5):
-            calls.clear()
-            pm.f_count_traces(m, spec.eq1, spec.eq0, 2)
-            assert len(calls) == 2
-            for theta in (3, 4):
-                calls.clear()
+        for theta in (1, 2, 3, 4):
+            builds.clear()
+            sweeps.clear()
+            assert pm.permanent_via_formulation(m, 0.5, theta) == pm.permanent_brute(m)
+            assert len(builds) == 1 and len(sweeps) == 2 ** (n - -(-n // 2))
+            for _, spec in pm.f_expand(m, (1 << -(-n // 2)) - 1, 0.5):
+                builds.clear()
                 pm.f_count_traces(m, spec.eq1, spec.eq0, theta)
-                assert len(calls) <= n + 1
+                assert len(builds) == 1
 
+
+def test_formulation_past_the_cap_at_n16(set_cap):
+    """With permanent_formulation lifted to 16 in this test only, a seeded
+    16 x 16 matrix (55% ones per row, alpha = 0.5, theta = 3) equals Ryser's
+    formula, and the formulation takes under 1 s."""
+    set_cap("permanent_formulation", 16)
+    m = random_matrix(random.Random(16), 16, density=0.55)
+    start = time.perf_counter()
+    value = pm.permanent_via_formulation(m, 0.5, 3)
+    elapsed = time.perf_counter() - start
+    assert value == permanent_ryser(m) > 0
+    assert elapsed < 1, f"took {elapsed:.2f} s"
