@@ -168,6 +168,16 @@ class _CircuitBuilder:
             acc = self.add(acc, part)
         return acc
 
+    def circuit(self, num_inputs: int, parts: list[int | None]) -> ArithmeticCircuit:
+        """The gates so far, with output the sum of ``parts`` (a zero
+        constant when every part is zero)."""
+        output = self.sum_all(parts)
+        if output is None:
+            output = self.emit(ConstGate(0))
+        return poly._unchecked(
+            ArithmeticCircuit, num_inputs=num_inputs, gates=tuple(self.gates), output=output
+        )
+
 
 def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
     """Strassen homogenization truncated at degree ``delta``.
@@ -212,12 +222,7 @@ def homogenize(circuit: ArithmeticCircuit, delta: int) -> ArithmeticCircuit:
             for d in sorted(pairs):
                 comps[d] = builder.sum_all([builder.emit(MulGate(lg, rg)) for lg, rg in pairs[d]])
         components.append(comps)
-    output = builder.sum_all(components[circuit.output])
-    if output is None:
-        output = builder.emit(ConstGate(0))
-    return poly._unchecked(
-        ArithmeticCircuit, num_inputs=circuit.num_inputs, gates=tuple(builder.gates), output=output
-    )
+    return builder.circuit(circuit.num_inputs, components[circuit.output])
 
 
 def _expand_terms(circuit: ArithmeticCircuit, delta: int | None) -> dict[Powers, int]:
@@ -381,7 +386,6 @@ def build_circuit_from_polynomial(target: SparsePolynomial) -> ArithmeticCircuit
     terms are folded with additions in canonical order.
     """
     builder = _CircuitBuilder()
-    n = target.num_vars
     input_ids: dict[int, int] = {}
 
     def input_gate(index: int) -> int:
@@ -396,12 +400,7 @@ def build_circuit_from_polynomial(target: SparsePolynomial) -> ArithmeticCircuit
             for _ in range(exponent):
                 acc = builder.emit(MulGate(acc, input_gate(index)))
         term_ids.append(acc)
-    output = builder.sum_all(term_ids)
-    if output is None:
-        output = builder.emit(ConstGate(0))
-    return poly._unchecked(
-        ArithmeticCircuit, num_inputs=n, gates=tuple(builder.gates), output=output
-    )
+    return builder.circuit(target.num_vars, term_ids)
 
 
 # --- JSON wire format ---------------------------------------------------

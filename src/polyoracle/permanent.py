@@ -173,11 +173,9 @@ def f_count_traces(matrix: BinaryMatrix, s_eq1: int, s_eq0: int, theta: int) -> 
 
     The sum is one row sweep with one packed state per segment
     (``_count_traces``), over tables built once per call (``_trace_tables``).
-    A state holds 2**|S1| lanes, so |S1| is bounded by the g_target cap.
     """
     if s_eq1 & s_eq0:
         raise ValueOutOfRange("constraint masks must be disjoint")
-    check("g_target", s_eq1.bit_count())
     return _count_traces(matrix, s_eq1, s_eq0, _trace_tables(matrix, s_eq1, theta))
 
 
@@ -191,7 +189,8 @@ class _Tables(NamedTuple):
 
 
 def _trace_tables(matrix: BinaryMatrix, s_eq1: int, theta: int) -> _Tables:
-    """The sweep's tables for S1 = ``s_eq1``, whatever S0 is.
+    """The sweep's tables for S1 = ``s_eq1``, whatever S0 is.  A state
+    holds 2**|S1| lanes, so |S1| is bounded by the g_target cap.
 
     Lane D of a state -- bits D*w up to (D+1)*w, D a subset of the positions
     0..|S1|-1 of S1's columns in increasing order -- counts mappings of the
@@ -202,6 +201,7 @@ def _trace_tables(matrix: BinaryMatrix, s_eq1: int, theta: int) -> _Tables:
     carries into the next.  The popcount masks are built by doubling over
     positions, as ``lack`` is, in O(|S1|**2) big-int operations.
     """
+    check("g_target", s_eq1.bit_count())
     bits = [b for b in range(matrix.n) if s_eq1 >> b & 1]
     size, quotas = len(bits), preimage_quotas(len(bits), theta)
     bound = 1
@@ -274,7 +274,6 @@ def permanent_via_formulation(matrix: BinaryMatrix, alpha: float = 0.5, theta: i
     if n == 0:
         return 1
     s_eq1 = (1 << ceil(alpha * n)) - 1
-    check("g_target", s_eq1.bit_count())
     tables = _trace_tables(matrix, s_eq1, theta)
     total = 0
     for sign, spec in f_expand(matrix, s_eq1, alpha):

@@ -39,12 +39,16 @@ The decision chain for "is there a k-cover?":
                          per number of sets: multiplying a block's y*z
                          factor by the tail's packed count convolves them
                          over part counts in one big-integer product.
+                         No block count is kept: a non-final block holds
+                         over n/theta elements, so at most theta - 1 of
+                         them precede the final one.
   setcover_min        -- counts every branch instance once, for all k up to
                          the size of a greedy cover (an upper bound on the
                          minimum), and returns the first k whose signed
-                         total is positive.  The branched universe m is
-                         held to the setpartition_universe cap before the
-                         expansion runs.
+                         total is positive.  It shares one body with
+                         setcover_min_of_lists, which decides every refusal
+                         from n, the number of covered elements and the set
+                         sizes before any mask is built or expanded.
 
 Counts are exact big integers; signed intermediate sums must come out
 nonnegative and are asserted to.
@@ -54,10 +58,11 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
 from math import comb
 from operator import or_
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .errors import PreconditionViolated, ValueOutOfRange, cap_limit, check
 
@@ -100,6 +105,11 @@ def distinct_elements(n: int, lists: Sequence[Sequence[int]]) -> set[int]:
 
 def family_from_lists(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
     distinct_elements(n, lists)
+    return _masks_of(n, lists)
+
+
+def _masks_of(n: int, lists: Sequence[Sequence[int]]) -> SetFamily:
+    """The family of ``lists``, whose elements are known to lie in [1, n]."""
     return SetFamily(n, tuple(sum(1 << (e - 1) for e in set(elements)) for elements in lists))
 
 
@@ -124,7 +134,7 @@ class _PartitionCounter:
         for mask, count in Counter(filter(None, family.sets)).items():
             self.by_pivot.setdefault(mask & -mask, []).append((mask, count))
         self.memo: dict[tuple[int, int], int] = {}
-        self.trace_memo: dict[tuple[int, int], int] = {}
+        self.trace_memo: dict[int, int] = {}
 
     def lane(self, packed: int, index: int) -> int:
         return packed >> index * self.width & self.lane_mask
@@ -153,10 +163,9 @@ class _PartitionCounter:
         self.memo[key] = result
         return result
 
-    def traces(self, remaining: int, blocks_used: int) -> int:
+    def traces(self, remaining: int) -> int:
         """Lane k, for k = 0..k_max: the sum of per-trace products over
-        partitions of ``remaining`` into k sets, after ``blocks_used`` greedy
-        blocks.
+        partitions of ``remaining`` into k sets.
 
         The next block (A, B) is found by b = min(B), in increasing order
         over ``remaining``.  A holds every element of ``remaining`` under b
@@ -166,10 +175,7 @@ class _PartitionCounter:
         z(A, b) counts A's partitions."""
         if remaining == 0:
             return self.empty_choices
-        if blocks_used >= 2 * self.theta:
-            return 0
-        key = (remaining, blocks_used)
-        cached = self.trace_memo.get(key)
+        cached = self.trace_memo.get(remaining)
         if cached is not None:
             return cached
         a_cap = self.n // self.theta
@@ -184,10 +190,10 @@ class _PartitionCounter:
                 zs = self.z(a_mask, b_min_bit)
                 if zs:
                     after = remaining ^ a_mask ^ b_mask
-                    total += count * zs * self.traces(after, blocks_used + 1)
+                    total += count * zs * self.traces(after)
             rest ^= b_min_bit
         total = (total << self.width) & self.k_mask
-        self.trace_memo[key] = total
+        self.trace_memo[remaining] = total
         return total
 
     def blocks(self, remaining: int, b_min_bit: int) -> list[tuple[int, int, int]]:
@@ -265,7 +271,7 @@ def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
                 f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
             )
     counter = _PartitionCounter(family, theta, k_max)
-    counts = counter.traces(family.full_mask, 0)
+    counts = counter.traces(family.full_mask)
     return [counter.lane(counts, k) for k in range(k_max + 1)]
 
 
@@ -346,35 +352,7 @@ def _greedy_cover_size(sets: Sequence[int], full: int) -> int:
     return size
 
 
-def _check_method(method: str, theta: int) -> None:
-    if method not in ("brute", "reduction"):
-        raise ValueOutOfRange(f"unknown method {method!r}")
-    if method == "reduction" and theta not in SETPARTITION_THETAS:
-        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
-
-
-def _branched_universe(n: int, num_sets: int, maxsize: int, method: str, theta: int) -> int:
-    """setcover_min's refusals of a coverable [n], n >= 1, decided from the
-    number of sets and the largest set's size alone; returns the universe m
-    the reduction branches down to (n for the brute route)."""
-    if method == "brute":
-        check("setcover_brute", num_sets)
-        return n
-    m = max(2 * theta * maxsize, n - MAX_BRANCH)
-    if m > n:
-        raise PreconditionViolated(
-            f"reduction needs a universe of at least 2*theta*maxsize = {2 * theta * maxsize}"
-        )
-    # Before the expansion splits each set into up to 2**|S & [m]| sets.
-    check("setpartition_universe", m)
-    return m
-
-
-def setcover_min(
-    family: SetFamily,
-    method: str = "brute",
-    theta: int = 1,
-) -> int | None:
+def setcover_min(family: SetFamily, method: str = "brute", theta: int = 1) -> int | None:
     """Minimum number of sets covering [n]; None when [n] is not coverable.
 
     The brute route recurses once per set, so it refuses a family past the
@@ -384,26 +362,58 @@ def setcover_min(
     every k up to the size of a greedy cover, which bounds the minimum from
     above; the first k with a positive signed total is the minimum.
     """
-    _check_method(method, theta)
-    n = family.n
+    # Every mask lies inside [n], so the union covers [n] iff it has n bits.
+    covered = reduce(or_, family.sets, 0).bit_count()
+    sizes = [mask.bit_count() for mask in family.sets]
+    return _setcover_min(family.n, covered, sizes, lambda: family, method, theta)
+
+
+def setcover_min_of_lists(
+    n: int, lists: Sequence[Sequence[int]], method: str = "brute", theta: int = 1
+) -> int | None:
+    """setcover_min of the family of ``lists`` over [n].
+
+    A set's mask has as many bits as its largest element, so the masks are
+    built only once every refusal has passed: an input that is uncoverable
+    (fewer than n distinct elements) or refused takes memory that follows
+    its own size.
+    """
+    covered = len(distinct_elements(n, lists))
+    sizes = [len(set(elements)) for elements in lists]
+    return _setcover_min(n, covered, sizes, lambda: _masks_of(n, lists), method, theta)
+
+
+def _setcover_min(
+    n: int, covered: int, sizes: Sequence[int], build: Callable[[], SetFamily], method: str,
+    theta: int,
+) -> int | None:
+    """setcover_min of the family ``build()`` returns, whose sets cover
+    ``covered`` elements of [n] and have the given sizes.  Every refusal is
+    decided from these alone, before ``build`` runs once."""
+    if method not in ("brute", "reduction"):
+        raise ValueOutOfRange(f"unknown method {method!r}")
+    if method == "reduction" and theta not in SETPARTITION_THETAS:
+        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
     if n == 0:
         return 0
-    union = 0
-    for mask in family.sets:
-        union |= mask
-    # Every mask lies inside [n], so the union covers [n] iff it has n bits.
-    if union.bit_count() != n:
+    if covered < n:
         return None
-    full = family.full_mask
-    maxsize = max(mask.bit_count() for mask in family.sets)
-    m = _branched_universe(n, len(family.sets), maxsize, method, theta)
     if method == "brute":
-        unions = list(accumulate(reversed(family.sets), or_))[::-1]
-        for k in range(1, len(family.sets) + 1):
-            if _has_cover(family.sets, unions, full, k):
-                return k
-        return None
-    k_max = _greedy_cover_size(family.sets, full)
+        check("setcover_brute", len(sizes))
+        sets = build().sets
+        unions = list(accumulate(reversed(sets), or_))[::-1]
+        full = (1 << n) - 1
+        return next(k for k in range(1, len(sets) + 1) if _has_cover(sets, unions, full, k))
+    least = 2 * theta * max(sizes)
+    m = max(least, n - MAX_BRANCH)
+    if m > n:
+        raise PreconditionViolated(
+            f"reduction needs a universe of at least 2*theta*maxsize = {least}"
+        )
+    # Before the expansion splits each set into up to 2**|S & [m]| sets.
+    check("setpartition_universe", m)
+    family = build()
+    k_max = _greedy_cover_size(family.sets, family.full_mask)
     totals = [0] * (k_max + 1)
     for sign, instance in hcv_branch(hcv_expand_setcover(family, m), n, m, 0):
         for k, count in enumerate(_partition_counts(instance, k_max, theta)):
@@ -414,24 +424,3 @@ def setcover_min(
         if totals[k] > 0:
             return k
     raise AssertionError("signed #HCV totals vanish up to the greedy cover size")
-
-
-def setcover_min_of_lists(
-    n: int, lists: Sequence[Sequence[int]], method: str = "brute", theta: int = 1
-) -> int | None:
-    """setcover_min of the family of ``lists`` over [n].
-
-    A set's mask has as many bits as its largest element, so all that needs
-    no mask is decided from the lists first, in setcover_min's order: the
-    method, coverage (fewer than n distinct elements cannot cover [n]) and
-    the refusals by size.  An input that is uncoverable or refused then
-    takes memory that follows its own size.
-    """
-    distinct = distinct_elements(n, lists)
-    _check_method(method, theta)
-    if n == 0:
-        return 0
-    if len(distinct) < n:
-        return None
-    _branched_universe(n, len(lists), max(len(set(s)) for s in lists), method, theta)
-    return setcover_min(family_from_lists(n, lists), method, theta)

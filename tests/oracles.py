@@ -134,7 +134,7 @@ def family_witnesses(graph: GraphInput, family) -> int:
 # beta, r and ``verifier``.
 
 
-def _literal_grid(spec, s: int, theta: int) -> tuple[int, int]:
+def literal_grid(spec, s: int, theta: int) -> tuple[int, int]:
     """(L, top): L = ceil(r * ceil(log2 s) / theta) and the largest candidate code."""
     log2_s = 0
     while 1 << log2_s < s:
@@ -143,12 +143,25 @@ def _literal_grid(spec, s: int, theta: int) -> tuple[int, int]:
     return length, min(s**spec.r, 2 ** (theta * length) - 1)
 
 
+def literal_index(s: int, theta: int, length: int, c: str, i: int, q: int, a: int) -> int:
+    """The flat index of x[c][i][q][a]: comparison c in "<=>" order, then
+    row i in [0, s], block q in [1, theta], block value a in [0, 2**L)."""
+    return (("<=>".index(c) * (s + 1) + i) * theta + q - 1) * 2**length + a
+
+
+def literal_blocks(v: int, theta: int, length: int) -> list[int]:
+    """Code v split into theta blocks, most significant first: blocks
+    2..theta hold L bits each and block 1 holds the rest."""
+    low = [v >> (length * (theta - q)) & (2**length - 1) for q in range(2, theta + 1)]
+    return [v >> (length * (theta - 1))] + low
+
+
 @cache
 def literal_witnesses(spec, s: int, theta: int) -> tuple[tuple[int, ...], ...]:
     """Every ordered tuple of alpha + beta candidate codes that
     ``spec.verifier`` accepts, in ``itertools.product`` order; memoised, as
     a spec is immutable and the product filter is the reference's slow part."""
-    _, top = _literal_grid(spec, s, theta)
+    _, top = literal_grid(spec, s, theta)
     codes = range(1, top + 1)
     return tuple(w for w in product(codes, repeat=spec.alpha + spec.beta) if spec.verifier(*w))
 
@@ -166,23 +179,19 @@ def literal_polynomial(spec, s: int, theta: int) -> dict[tuple[tuple[int, int], 
     is < and > respectively.  A factor is a list of gadgets, each a list of
     variable indices; the products are counted as sorted index tuples, then
     each tuple's repeated indices are collapsed into powers."""
-    length, _ = _literal_grid(spec, s, theta)
-    order = "<=>"
-
-    def index(c: str, i: int, q: int, a: int) -> int:
-        return ((order.index(c) * (s + 1) + i) * theta + q - 1) * 2**length + a
-
-    def blocks(v: int) -> list[int]:
-        low = [v >> (length * (theta - q)) & (2**length - 1) for q in range(2, theta + 1)]
-        return [v >> (length * (theta - 1))] + low
+    length, _ = literal_grid(spec, s, theta)
 
     def gadget(outcome, i: int, v: int) -> list[int]:
-        return [index(c, i, q, a) for q, (c, a) in enumerate(zip(outcome, blocks(v)), start=1)]
+        blocks = literal_blocks(v, theta, length)
+        return [
+            literal_index(s, theta, length, c, i, q, a)
+            for q, (c, a) in enumerate(zip(outcome, blocks), start=1)
+        ]
 
     def leftmost(outcome) -> str:
         return next((c for c in outcome if c != "="), "=")
 
-    outcomes = list(product(order, repeat=theta))
+    outcomes = list(product("<=>", repeat=theta))
     c_lt = [c for c in outcomes if leftmost(c) == "<"]
     c_gt = [c for c in outcomes if leftmost(c) == ">"]
 

@@ -775,6 +775,13 @@ def hcv_draws():
         yield (family, m, rng.randint(0, len(family.sets))), (None,)
 
 
+def hcv_case(n, m, raw_sets, k):
+    """A family over [n] of at most 8 sets, as hcv_draws' are, with m <= n
+    and k at most the number of sets."""
+    lists = [list(dict.fromkeys(e for e in s if e <= n)) for s in raw_sets]
+    return (sc.family_from_lists(n, lists), min(m, n), min(k, len(lists))), (None,)
+
+
 HCV_COUNT = Quantity(
     routes={
         "enumeration": Route(lambda f, m, k, _: hcv_count(f, m, k), independent=True),
@@ -790,6 +797,16 @@ HCV_COUNT = Quantity(
             check=lambda cases, _: all(
                 len(sc.hcv_branch(f, f.n, m, k)) == 2 ** (f.n - m) for (f, m, k), _ in cases
             ),
+        ),
+        "hypothesis": Inputs(
+            st.builds(
+                hcv_case,
+                st.integers(1, 7),
+                st.integers(0, 7),
+                st.lists(st.lists(st.integers(1, 7), max_size=7), max_size=8),
+                st.integers(0, 8),
+            ),
+            max_examples=120,
         ),
     },
 )
@@ -828,6 +845,17 @@ def large_cover_draws():
             yield (uncoverable,), (theta,)
 
 
+def cover_case(n, raw_sets):
+    """A family over [n] of at most 9 sets of size <= min(3, n // 2), as
+    cover_draws' are."""
+    lists = [list(dict.fromkeys(e for e in s if e <= n))[: min(3, n // 2)] for s in raw_sets]
+    return (sc.family_from_lists(n, lists),), (1,)
+
+
+def element_lists(family):
+    return [[e + 1 for e in range(family.n) if mask >> e & 1] for mask in family.sets]
+
+
 def greedy_gaps(cases, minima):
     return any(
         minimum is not None and sc._greedy_cover_size(f.sets, f.full_mask) > minimum
@@ -840,17 +868,31 @@ COVER_MIN = Quantity(
         "bhk": Route(lambda f, _: setcover_min_bhk(f), independent=True),
         "brute": Route(lambda f, _: sc.setcover_min(f, method="brute")),
         "reduction": Route(lambda f, theta: sc.setcover_min(f, method="reduction", theta=theta)),
+        # setcover_min_of_lists, the CLI's entry point, on the family's element lists.
+        "brute of lists": Route(lambda f, _: sc.setcover_min_of_lists(f.n, element_lists(f))),
+        "reduction of lists": Route(
+            lambda f, theta: sc.setcover_min_of_lists(f.n, element_lists(f), "reduction", theta)
+        ),
     },
     inputs={
         "n <= 8": Inputs(cover_draws),
+        "hypothesis": Inputs(
+            st.builds(
+                cover_case,
+                st.integers(2, 8),
+                st.lists(st.lists(st.integers(1, 8), max_size=3), max_size=9),
+            ),
+            max_examples=120,
+        ),
         "benchmark-shaped": Inputs(benchmark_shaped_cover_draws, check=greedy_gaps),
         "n 13-14": Inputs(
             large_cover_draws,
-            ("bhk", "reduction"),
+            ("bhk", "reduction", "reduction of lists"),
             lambda cases, minima: minima[3::4] == [None] * 6 and len(set(minima) - {None}) > 2,
         ),
         "bhk references": Inputs(
-            lambda: (((family,), (1,)) for family, _ in bhk_draws()), ("bhk", "brute")
+            lambda: (((family,), (1,)) for family, _ in bhk_draws()),
+            ("bhk", "brute", "brute of lists"),
         ),
     },
 )

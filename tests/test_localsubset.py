@@ -21,6 +21,9 @@ import polyoracle.problems as pr
 from oracles import (
     family_witnesses,
     induced_witnesses,
+    literal_blocks,
+    literal_grid,
+    literal_index,
     literal_polynomial,
     literal_witnesses,
     random_graph,
@@ -262,17 +265,17 @@ def test_formulation_hand_enumeration_2sum():
     2), each once."""
     spec, _ = pr.encode_ksum(pr.KSumInput(2, ((0,), (0,)), 0))
     s, theta = 3, 1
-    length = ls.block_length(s, spec.r, theta)
+    length, _ = literal_grid(spec, s, theta)
     terms = ls.formulation_polynomial(spec, s, theta).terms
     assert set(terms.values()) == {1}
     got = set(terms)
     expected = set()
-    block_1 = ls.blocks_of(1, theta, length)[0]
-    block_2 = ls.blocks_of(2, theta, length)[0]
+    block_1 = literal_blocks(1, theta, length)[0]
+    block_2 = literal_blocks(2, theta, length)[0]
     for i1 in range(1, s + 1):
         for i2 in range(1, s + 1):
-            v1 = ls.flat_variable_index(s, theta, length, "=", i1, 1, block_1)
-            v2 = ls.flat_variable_index(s, theta, length, "=", i2, 1, block_2)
+            v1 = literal_index(s, theta, length, "=", i1, 1, block_1)
+            v2 = literal_index(s, theta, length, "=", i2, 1, block_2)
             expected.add(tuple(sorted({v1: 1, v2: 1}.items())))
     assert got == expected and len(got) == 9
 
@@ -290,10 +293,10 @@ def test_formulation_hand_enumeration_path3():
     (a1, a2, b) contributes x[=,i1,a1] x[=,i2,a2] x[<,j,b] x[>,j+1,b] for
     every i1, i2 in [1, s] and j in [0, s-1], with multiplicity."""
     spec, s, theta = path3_spec(), 4, 1
-    length = ls.block_length(s, spec.r, theta)
+    length, _ = literal_grid(spec, s, theta)
 
     def x(comparison, row, value):
-        return ls.flat_variable_index(s, theta, length, comparison, row, 1, value)
+        return literal_index(s, theta, length, comparison, row, 1, value)
 
     expected = Counter()
     witnesses = literal_witnesses(spec, s, theta)

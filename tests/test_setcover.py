@@ -9,7 +9,7 @@ import pytest
 
 import polyoracle.permanent as pm
 import polyoracle.setcover as sc
-from polyoracle.errors import CapExceeded, PreconditionViolated, ValueOutOfRange
+from polyoracle.errors import CapExceeded, PolyOracleError, PreconditionViolated, ValueOutOfRange
 from oracles import hcv_count, setpartition_count
 from routes import planted_lists, random_family, z_var_dp
 
@@ -107,8 +107,9 @@ def greedy_partition_trace(masks, n, theta):
 
 
 def test_partition_trace_uniqueness_audit():
-    """Each brute partition lands in exactly one trace, and every trace's
-    y * z * binomial product reproduces its histogram bucket."""
+    """Each brute partition lands in exactly one trace of at most theta
+    blocks, and every trace's y * z * binomial product reproduces its
+    histogram bucket."""
     rng = random.Random(8)
     for _ in range(60):
         theta = rng.choice([1, 2, 3])
@@ -131,6 +132,7 @@ def test_partition_trace_uniqueness_audit():
             if not ok or union != family.full_mask:
                 continue
             trace = greedy_partition_trace([family.sets[i] for i in indices], n, theta)
+            assert len(trace) <= theta
             histogram[trace] = histogram.get(trace, 0) + 1
         total = sc.setpartition_via_traces(family, k, theta)
         assert sum(histogram.values()) == total
@@ -155,9 +157,9 @@ def test_trace_blocks_are_every_block_the_full_scan_counts():
         lists = planted_lists(rng, n, n // (2 * theta), partitions=2, extra=n)
         family = sc.family_from_lists(n, lists + [[]])
         counter = sc._PartitionCounter(family, theta, len(family.sets))
-        counter.traces(family.full_mask, 0)
+        counter.traces(family.full_mask)
         a_cap = n // theta
-        for remaining, _ in list(counter.trace_memo):
+        for remaining in list(counter.trace_memo):
             for b in range(n):
                 b_bit = 1 << b
                 below = remaining & (b_bit - 1)
@@ -284,6 +286,88 @@ def test_setcover_min_reduction_precondition():
     family = sc.family_from_lists(3, [[1, 2, 3]])
     with pytest.raises(PreconditionViolated):
         sc.setcover_min(family, method="reduction")  # needs m >= 6 > n
+
+
+def outcome(call):
+    """A call's value, or the class and message of the library error it raised."""
+    try:
+        return call()
+    except PolyOracleError as error:
+        return type(error), str(error)
+
+
+TRIPLES = [[i, i + 1, i + 2] for i in range(1, 19, 3)]
+# (n, lists, method, theta), each with the value or the refusal (class and
+# the start of its message) that it is drawn for.
+REFUSAL_DRAWS = [
+    ((3, [[1, 2], [3]], "bogus", 1), (ValueOutOfRange, "unknown method 'bogus'")),
+    ((3, [[1, 2], [3]], "reduction", 4), (ValueOutOfRange, "theta must be one of (1, 2, 3)")),
+    ((0, [[], []], "reduction", 0), (ValueOutOfRange, "theta must be one of (1, 2, 3)")),
+    ((0, [[], []], "reduction", 2), 0),
+    ((0, [], "brute", 1), 0),
+    ((4, [[1, 2], [2, 3], [3]], "reduction", 1), None),
+    ((2, [[1], [2]] * 129, "reduction", 1), 2),
+    ((2, [[1], [2]] * 129, "brute", 1), (CapExceeded, "cap setcover_brute exceeded: 258 > 256")),
+    ((2, [[1], [3]], "brute", 1), (ValueOutOfRange, "element 3 outside [1, 2]")),
+    (
+        (5, [[1, 2, 2], [3, 4, 5]], "reduction", 1),
+        (PreconditionViolated, "reduction needs a universe of at least 2*theta*maxsize = 6"),
+    ),
+    (
+        (19, TRIPLES + [[17, 18, 19]], "reduction", 1),
+        (CapExceeded, "cap setpartition_universe exceeded: 13 > 12"),
+    ),
+    ((19, TRIPLES + [[17, 18, 19]], "brute", 1), 7),
+]
+
+
+def entry_point_draws():
+    """Planted partitions of [n] plus random sets, n 1-9, every method and
+    theta 0-4; a list now and then repeats an element or, rarely, holds n + 1."""
+    rng = random.Random(39)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        size_cap = rng.randint(1, min(n, 3))
+        lists = planted_lists(rng, n, size_cap, rng.randint(0, 1), rng.randint(0, 6))
+        for elements in lists:
+            if rng.random() < 0.1:
+                elements.append(rng.choice(elements) if rng.random() < 0.9 else n + 1)
+        method = rng.choice(["brute", "reduction", "reduction", "bogus"])
+        yield n, lists, method, rng.choice([0, 1, 1, 1, 2, 3, 4])
+
+
+def test_setcover_entry_points_agree():
+    """setcover_min_of_lists equals setcover_min of family_from_lists, value
+    for value and refusal for refusal, on the drawn refusals and on random
+    lists (with repeated elements, empty lists, elements past n, every
+    method and theta 0-4)."""
+    for (n, lists, method, theta), expected in REFUSAL_DRAWS:
+        got = outcome(lambda: sc.setcover_min_of_lists(n, lists, method, theta))
+        if isinstance(expected, tuple):
+            assert got[0] is expected[0] and got[1].startswith(expected[1]), got
+        else:
+            assert got == expected
+    kinds = set()
+    for draw in [draw for draw, _ in REFUSAL_DRAWS] + list(entry_point_draws()):
+        n, lists, method, theta = draw
+        of_lists = outcome(lambda: sc.setcover_min_of_lists(n, lists, method, theta))
+        of_family = outcome(lambda: sc.setcover_min(sc.family_from_lists(n, lists), method, theta))
+        assert of_lists == of_family, draw
+        kinds.add(of_lists[0] if isinstance(of_lists, tuple) else type(of_lists))
+    assert kinds == {int, type(None), ValueOutOfRange, CapExceeded, PreconditionViolated}
+
+
+def test_lists_build_their_masks_once_past_every_refusal(monkeypatch):
+    """setcover_min_of_lists builds the masks once for an input it answers
+    by counting, and never for one that is refused, uncoverable or empty."""
+    builds = []
+    build = sc._masks_of
+    monkeypatch.setattr(sc, "_masks_of", lambda n, lists: builds.append(n) or build(n, lists))
+    for (n, lists, method, theta), expected in REFUSAL_DRAWS:
+        builds.clear()
+        outcome(lambda: sc.setcover_min_of_lists(n, lists, method, theta))
+        answered = isinstance(expected, int) and expected > 0
+        assert builds == ([n] if answered else []), (n, method, expected)
 
 
 def test_counting_chain_leaves_no_reference_cycles():
