@@ -21,7 +21,10 @@ from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, 
 
 def _load_json(path: str) -> dict:
     with open(path, "r", encoding="utf-8") as handle:
-        return json.load(handle)
+        try:
+            return json.load(handle)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply to read") from None
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:

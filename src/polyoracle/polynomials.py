@@ -180,14 +180,11 @@ def _add_into(out: dict[Powers, int], right: Mapping[Powers, int]) -> dict[Power
 
 
 def _merge_powers(a: Powers, b: Powers) -> Powers:
-    """The power vector of the product of two monomials.  When the index
-    ranges do not interleave (either is empty, or every index of one lies
-    below every index of the other) it is the concatenation, lower range
-    first; only interleaved or shared indices take the two-pointer merge."""
+    """The power vector of the product of two monomials.  When either is
+    empty, or every index of ``a`` lies below every index of ``b``, it is the
+    concatenation ``a + b``; any other pair takes the two-pointer merge."""
     if not a or not b or a[-1][0] < b[0][0]:
         return a + b
-    if b[-1][0] < a[0][0]:
-        return b + a
     out: list[tuple[int, int]] = []
     i = j = 0
     while i < len(a) and j < len(b):
@@ -225,18 +222,7 @@ def _multiply_terms(
 ) -> dict[Powers, int]:
     """Product of two term maps of nonzero coefficients; cancelled terms are
     dropped, and so is every pair whose degrees sum above ``max_degree``,
-    which is never formed: the right operand is bucketed by degree.
-
-    A one-term operand is a relabelling: it maps distinct terms to distinct
-    terms and cancels none, so the product is formed in one pass."""
-    if len(left) == 1 or len(right) == 1:
-        if len(left) != 1:
-            left, right = right, left
-        ((a, ca),) = left.items()
-        if max_degree is None:
-            return {_merge_powers(a, b): ca * cb for b, cb in right.items()}
-        room = max_degree - _degree(a)
-        return {_merge_powers(a, b): ca * cb for b, cb in right.items() if _degree(b) <= room}
+    which is never formed: the right operand is bucketed by degree."""
     out: dict[Powers, int] = {}
     partners = right.items()
     if max_degree is not None:

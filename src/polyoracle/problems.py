@@ -47,7 +47,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement, permutations
+from itertools import accumulate, combinations, combinations_with_replacement
 from math import gcd, isqrt
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
@@ -130,24 +130,58 @@ H_PRESETS: dict[str, PatternGraph] = {
 
 def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> bool:
     """True iff the vertices of ``pairs``, joined by its first |E(H)| pairs,
-    form a copy of the pattern: a brute-force bijection check.
+    form a copy of the pattern.
+
+    The degree sequences are compared first.  Then a map onto the pattern's
+    vertices grows one vertex at a time, taking a neighbour of the mapped
+    ones where there is one.  Each goes to an unused pattern vertex of its
+    degree whose neighbours among the used ones are exactly the images of
+    its mapped neighbours; a map that cannot grow is undone a vertex at a
+    time.  Vertices are numbered by first appearance, and neighbourhoods are
+    bitmasks over those numbers, or over the pattern's vertices less one.
 
     The caller's step has made the pairs distinct on at most |V(H)|
-    vertices, and all but the self-pairs (v, v) canonical, so the canonical
-    pairs after the first |E(H)| are exactly the copy's non-edges.
+    vertices, the first |E(H)| canonical edges u < v and all later ones but
+    the self-pairs (v, v) canonical, so the canonical pairs after the first
+    |E(H)| are exactly the copy's non-edges.
     """
-    vertices = sorted({x for pair in pairs for x in pair})
-    if len(vertices) != pattern.num_vertices:
+    n = pattern.num_vertices
+    position: dict[int, int] = {}
+    for pair in pairs:
+        for x in pair:
+            position.setdefault(x, len(position))
+    if len(position) != n:
         return False
-    edge_pairs = pairs[: pattern.num_edges]
-    for image in permutations(range(1, pattern.num_vertices + 1)):
-        mapping = dict(zip(vertices, image))
-        mapped = {
-            (min(mapping[u], mapping[v]), max(mapping[u], mapping[v])) for u, v in edge_pairs
-        }
-        if mapped == pattern.edges:
+    ours, theirs = [0] * n, [0] * n  # neighbourhoods in the pairs and in the pattern
+    for u, v in pairs[: pattern.num_edges]:
+        ours[position[u]] |= 1 << position[v]
+        ours[position[v]] |= 1 << position[u]
+    for u, v in pattern.edges:
+        theirs[u - 1] |= 1 << (v - 1)
+        theirs[v - 1] |= 1 << (u - 1)
+    if sorted(map(int.bit_count, ours)) != sorted(map(int.bit_count, theirs)):
+        return False
+    image = [0] * n  # each mapped vertex's pattern vertex, as a bit
+
+    def grow(mapped: int, used: int, reached: int) -> bool:
+        if mapped == (1 << n) - 1:
             return True
-    return False
+        open_ = reached & ~mapped or ~mapped  # unmapped neighbours, else all unmapped
+        i = (open_ & -open_).bit_length() - 1
+        wanted, rest = 0, ours[i] & mapped
+        while rest:
+            wanted |= image[(rest & -rest).bit_length() - 1]
+            rest &= rest - 1
+        degree = ours[i].bit_count()
+        for t, around in enumerate(theirs):
+            bit = 1 << t
+            if not used & bit and around & used == wanted and around.bit_count() == degree:
+                image[i] = bit
+                if grow(mapped | (1 << i), used | bit, reached | ours[i]):
+                    return True
+        return False
+
+    return grow(0, 0, 0)
 
 
 class Run(NamedTuple):

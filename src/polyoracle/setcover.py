@@ -141,12 +141,8 @@ class _PartitionCounter:
 
     def z(self, a_mask: int, b_min_bit: int) -> int:
         """Lane c, for c = 0..|A|: partitions of A into c nonempty family
-        sets (by index), each with minimum element below B's minimum."""
-        # Only A's elements are compared with min(B), so min(B) may stand for
-        # the least element of A above it, which lets more calls share a memo
-        # entry; 0 when there is none, and then every part qualifies.
-        above = a_mask & -b_min_bit
-        b_min_bit = above & -above
+        sets (by index), each with minimum element below B's minimum; every
+        part qualifies when ``b_min_bit`` is 0."""
         key = (a_mask, b_min_bit)
         cached = self.memo.get(key)
         if cached is not None:
@@ -155,7 +151,7 @@ class _PartitionCounter:
         pivot = a_mask & -a_mask
         if a_mask == 0:
             result = 1
-        elif pivot != b_min_bit:  # that is, pivot < min(B)
+        elif pivot < b_min_bit or not b_min_bit:
             for mask, count in self.by_pivot.get(pivot, ()):
                 if not mask & ~a_mask:
                     result += count * self.z(a_mask ^ mask, b_min_bit)
@@ -257,19 +253,8 @@ class _PartitionCounter:
 
 def _partition_counts(family: SetFamily, k_max: int, theta: int) -> list[int]:
     """Entry k, for k = 0..k_max: #Set Partition into k sets, from one
-    trace count; empty when k_max < 0."""
-    n = family.n
-    check("setpartition_universe", n)
-    if theta not in SETPARTITION_THETAS:
-        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
-    if k_max < 0:
-        return []
-    size_cap = n // (2 * theta)
-    for mask in family.sets:
-        if mask and mask.bit_count() > size_cap:
-            raise PreconditionViolated(
-                f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
-            )
+    trace count.  The caller has checked the universe, theta and the set
+    sizes, as ``setpartition_via_traces`` does."""
     counter = _PartitionCounter(family, theta, k_max)
     counts = counter.traces(family.full_mask)
     return [counter.lane(counts, k) for k in range(k_max + 1)]
@@ -279,8 +264,19 @@ def setpartition_via_traces(family: SetFamily, k: int, theta: int) -> int:
     """#Set Partition into k sets: entry k of ``_partition_counts``, whose one
     trace recursion counts every number of sets up to k at once (see the
     module docstring); 0 when k < 0."""
-    counts = _partition_counts(family, k, theta)
-    return counts[k] if k >= 0 else 0
+    n = family.n
+    check("setpartition_universe", n)
+    if theta not in SETPARTITION_THETAS:
+        raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
+    if k < 0:
+        return 0
+    size_cap = n // (2 * theta)
+    for mask in family.sets:
+        if mask and mask.bit_count() > size_cap:
+            raise PreconditionViolated(
+                f"nonempty sets must have size <= floor(n / (2*theta)) = {size_cap}"
+            )
+    return _partition_counts(family, k, theta)[k]
 
 
 def hcv_branch(family: SetFamily, n: int, m: int, k: int) -> list[tuple[int, SetFamily]]:
@@ -410,7 +406,10 @@ def _setcover_min(
         raise PreconditionViolated(
             f"reduction needs a universe of at least 2*theta*maxsize = {least}"
         )
-    # Before the expansion splits each set into up to 2**|S & [m]| sets.
+    # Before the expansion splits each set into up to 2**|S & [m]| sets.  Each
+    # branch instance is over [m], and its sets, inside the input's, have at
+    # most maxsize <= m // (2*theta) elements: the checks setpartition_via_traces
+    # makes all pass.
     check("setpartition_universe", m)
     family = build()
     k_max = _greedy_cover_size(family.sets, family.full_mask)

@@ -207,6 +207,50 @@ def test_solve_walk_heavy(workdir, problem, method, theta, seed):
     run(["solve", "--problem", problem, "--input", path, "--method", method, "--theta", str(theta)])
 
 
+def tree(rnd, n, shape):
+    """Edges of a tree on 1..n: the path, the star at 1, or each vertex after
+    the first joined to a random earlier one."""
+    if shape == "path":
+        return [[v, v + 1] for v in range(1, n)]
+    return [[1 if shape == "star" else rnd.randint(1, v - 1), v] for v in range(2, n + 1)]
+
+
+def tree_pattern(problem, rnd):
+    """A tree or path on 7 to 12 vertices as the pattern, against a star or
+    another tree with as many edges as the graph: the walk's first tuples
+    span every vertex, so each reaches ``accept``."""
+    n = rnd.randint(7, 12)
+    graph = tree(rnd, n, rnd.choice(["star", "random"]))
+    pattern = {"n": n, "edges": tree(rnd, n, rnd.choice(["path", "random"]))}
+    rnd.shuffle(graph)
+    if problem == "h-induced":
+        return {"n": n, "edges": graph, "H": pattern}
+    if problem == "family-induced":
+        other = {"n": n, "edges": tree(rnd, n, "random")}
+        return {"n": n, "edges": graph, "family": [pattern, other][: rnd.randint(1, 2)]}
+    return {
+        "n": n,
+        "edges": [[u, v, rnd.randint(-3, 3)] for u, v in graph],
+        "H": pattern,
+        "threshold": rnd.randint(-6, 6),
+        "vertex_weights": [rnd.randint(-3, 3) for _ in range(n)],
+        "mode": rnd.choice(["edge-weights", "vertex-weights"]),
+    }
+
+
+# Few examples: a drawn walk often runs up to the ls_walk cap.
+@settings(FUZZ, max_examples=15)
+@given(
+    problem=st.sampled_from(["h-induced", "family-induced", "max-h-subgraph"]),
+    method=st.sampled_from(["brute", "formulation"]),
+    seed=st.integers(0, 2**32),
+)
+def test_solve_tree_patterns(workdir, problem, method, seed):
+    payload = tree_pattern(problem, random.Random(seed))
+    path = write(workdir / "tree.json", json.dumps(payload))
+    run(["solve", "--problem", problem, "--input", path, "--method", method])
+
+
 @FUZZ
 @given(problem=st.sampled_from(sorted(PROBLEMS)), size=FLAG, theta=FLAG, data=st.data())
 def test_formulate(workdir, problem, size, theta, data):
@@ -323,7 +367,15 @@ def test_bench_vars(problem, theta, sizes, r):
     run(argv + ([] if r is None else ["--r", str(r)]))
 
 
+# Past the JSON reader's recursion limit: 200 KB holding a 100 000-deep array.
+DEEP = "[" * 100_000 + "]" * 100_000
+
+
 @FUZZ
+@example(command="solve", text=DEEP)
+@example(command="formulate", text=DEEP)
+@example(command="verify-circuit", text=DEEP)
+@example(command="setcover", text=DEEP)
 @given(
     command=st.sampled_from(["solve", "formulate", "verify-circuit", "setcover"]),
     text=st.text(max_size=20).filter(lambda text: not _parses(text)),

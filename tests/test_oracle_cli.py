@@ -235,6 +235,35 @@ def test_cli_usage_errors(tmp_path):
     assert run_cli(["unknown-subcommand"]) == 2
 
 
+def deep_json_argv(path, good, out):
+    """Each JSON-reading subcommand, reading ``path`` where it reads JSON;
+    ``verify-circuit`` reads it as either file, ``good`` as the other."""
+    return {
+        "solve": ["solve", "--problem", "ksum", "--input", path],
+        "formulate": ["formulate", "--problem", "ksum", "--input", path, "--size", "4",
+                      "--out", out],
+        "verify-circuit --circuit": ["verify-circuit", "--circuit", path, "--poly", good,
+                                     "--delta", "1"],
+        "verify-circuit --poly": ["verify-circuit", "--circuit", good, "--poly", path,
+                                  "--delta", "1"],
+        "setcover": ["setcover", "--input", path],
+    }
+
+
+@pytest.mark.parametrize("command", list(deep_json_argv("", "", "")))
+def test_cli_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
+    """A 100 000-deep array (200 KB) passes the JSON reader's recursion
+    limit: an input error with one ``error:`` line, not a traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    good = write_json(tmp_path / "good.json", {"num_vars": 0, "monomials": []})
+    argv = deep_json_argv(str(path), good, str(tmp_path / "out.json"))[command]
+    assert timed(lambda: run_cli(argv)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+
+
 GRAPH = {"n": 4, "edges": [[1, 2], [2, 3]]}
 WEIGHTED = {"n": 4, "edges": [[1, 2, 1], [2, 3, -1]], "k": 3, "threshold": 0}
 POINTS = {"points": [[0, 0], [1, 1], [2, 2]]}
@@ -583,6 +612,46 @@ def test_cli_solve_family_refuses_a_pattern_on_one_vertex(tmp_path, capsys):
     path = write_json(tmp_path / "input.json", data)
     assert run_cli(["solve", "--problem", "family-induced", "--input", path]) == 2
     assert "two or more vertices" in capsys.readouterr().err
+
+
+def _path(n):
+    return [[v, v + 1] for v in range(1, n)]
+
+
+PRISM = [[v, v % 6 + 1] for v in range(1, 7)] + [[v + 6, v % 6 + 7] for v in range(1, 7)]
+PRISM += [[v, v + 6] for v in range(1, 7)]
+MOBIUS_LADDER = [[v, v % 12 + 1] for v in range(1, 13)] + [[v, v + 6] for v in range(1, 7)]
+
+
+@pytest.mark.parametrize(
+    "graph, pattern",
+    [
+        *(
+            pytest.param(
+                {"n": n, "edges": [[1, v] for v in range(2, n + 1)]},
+                {"n": n, "edges": _path(n)},
+                id=f"star-{n}-vs-P{n}",
+            )
+            for n in (9, 10, 11, 12)
+        ),
+        pytest.param(
+            {"n": 12, "edges": PRISM}, {"n": 12, "edges": MOBIUS_LADDER}, id="prism-vs-mobius"
+        ),
+    ],
+)
+def test_cli_solve_pattern_acceptance_is_not_a_permutation_search(
+    tmp_path, capsys, graph, pattern
+):
+    """The star K_{1,n-1} against the path P_n, and the hexagonal prism
+    against the Moebius ladder on 12 vertices: each pair has as many edges,
+    so the walk's first tuple spans every vertex and reaches ``accept``,
+    which must not try the pattern's n! bijections.  No copy exists; the
+    walk answers no or stops at its cap."""
+    path = write_json(tmp_path / "input.json", {**graph, "H": pattern})
+    code = timed(lambda: run_cli(["solve", "--problem", "h-induced", "--input", path]))
+    captured = capsys.readouterr()
+    assert code in (1, 3)
+    assert ": no" in captured.out if code == 1 else "cap ls_walk exceeded" in captured.err
 
 
 SLOT_HEAVY = [

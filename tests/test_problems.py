@@ -3,7 +3,7 @@
 import random
 import time
 from dataclasses import replace
-from itertools import combinations, product
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -89,6 +89,62 @@ def test_h_induced_examples():
     k4 = pr.GraphInput(4, frozenset(combinations(range(1, 5), 2)))
     spec, inst = pr.encode_h_induced(k4, pr.H_PRESETS["c4"])
     assert not ls.brute_solve(spec, inst)  # K4 has no induced 4-cycle
+
+
+def spans_by_bijections(pairs, pattern):
+    """From the definition: some bijection from the vertices of ``pairs`` onto
+    1..|V(H)| maps the set of its first |E(H)| pairs onto E(H)."""
+    vertices = sorted({x for pair in pairs for x in pair})
+    if len(vertices) != pattern.num_vertices:
+        return False
+    edges = pairs[: pattern.num_edges]
+    for image in permutations(range(1, pattern.num_vertices + 1)):
+        to = dict(zip(vertices, image))
+        if {tuple(sorted((to[u], to[v]))) for u, v in edges} == pattern.edges:
+            return True
+    return False
+
+
+def test_spans_pattern_agrees_with_every_bijection():
+    """Seeded patterns on 2 to 6 vertices against candidate copies on
+    vertices drawn from [1, 40]: the pattern relabelled, or a graph with as
+    many edges (two triangles against the 6-cycle among them, whose degrees
+    agree), laid out as the callers' steps lay them: the copy's edges, then
+    its non-edges, sometimes with its vertices' self-pairs among them, and
+    sometimes a vertex short or one too many."""
+    rng = random.Random(40)
+    two_triangles = [*combinations((1, 2, 3), 2), *combinations((4, 5, 6), 2)]
+    triangles = pr.PatternGraph("2K3", 6, frozenset(two_triangles))
+    cycle = pr.PatternGraph("C6", 6, frozenset({(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)}))
+    six = list(range(1, 7))
+    cases = [(triangles, cycle.edges, six), (cycle, triangles.edges, six)]
+    for _ in range(1500):
+        t = rng.randint(2, 6)
+        all_pairs = list(combinations(range(1, t + 1), 2))
+        edges = frozenset(pair for pair in all_pairs if rng.random() < 0.5)
+        pattern = pr.PatternGraph("drawn", t, edges)
+        if rng.random() < 0.5:
+            image = rng.sample(range(1, t + 1), t)
+            copy = {tuple(sorted((image[u - 1], image[v - 1]))) for u, v in edges}
+        else:
+            copy = set(rng.sample(all_pairs, len(edges)))
+        size = max(1, t + rng.choice([0, 0, 0, -1, 1]))
+        cases.append((pattern, copy, sorted(rng.sample(range(1, 41), size))))
+    answers = []
+    for pattern, copy, labels in cases:
+        t = len(labels)
+        named = [(labels[u - 1], labels[v - 1]) for u, v in copy if v <= t]
+        others = [(labels[u - 1], labels[v - 1]) for u, v in combinations(range(1, t + 1), 2)]
+        others = [pair for pair in others if pair not in named]
+        if rng.random() < 0.3:
+            others += [(x, x) for x in labels]
+        rng.shuffle(named)
+        rng.shuffle(others)
+        pairs = named + others
+        answers.append(pr._spans_pattern(pairs, pattern))
+        assert answers[-1] == spans_by_bijections(pairs, pattern), (pairs, pattern)
+    assert answers[:2] == [False, False]
+    assert answers.count(True) >= 500 and answers.count(False) >= 500
 
 
 def test_family_examples():
