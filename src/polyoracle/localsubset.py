@@ -74,7 +74,7 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from itertools import chain, groupby, pairwise, product, repeat
 from math import factorial, prod
 from types import MappingProxyType
@@ -385,7 +385,6 @@ def compare3(left: int, right: int) -> str:
     return GT
 
 
-@lru_cache(maxsize=None)
 def comparison_tuple_sets(
     theta: int,
 ) -> tuple[frozenset[tuple[str, ...]], frozenset[tuple[str, ...]], frozenset[tuple[str, ...]]]:
@@ -465,8 +464,6 @@ class BlockVariableAssignment:
 
 def compute_assignment(spec: LSProblemSpec, inst: LSInstance, theta: int) -> BlockVariableAssignment:
     s = inst.size
-    if s < 2:
-        raise ValueError("instance size must be >= 2")
     check("call_bits", variable_count(s, spec.r, theta).bit_length())
     return BlockVariableAssignment(
         s=s,
@@ -509,8 +506,6 @@ def _literal_tables(
     witness count before any table is built, and literal_candidates before
     the walk.
     """
-    if s < 2:
-        raise ValueError("size must be >= 2")
     length = block_length(s, spec.r, theta)
     top = _candidate_top(s**spec.r, theta, length)
     slots = spec.alpha + spec.beta
@@ -590,40 +585,30 @@ def formulation_polynomial(spec: LSProblemSpec, s: int, theta: int) -> SparsePol
     b-slots another, so witnesses that differ only by a permutation within
     the a-slots or within the b-slots contribute the same monomials.  The
     walk returns the weights summed per multiset (sorted a-values, sorted
-    b-values), and each multiset is expanded once, one weight class at a
-    time: every product is counted under the sorted concatenation of its
-    gadgets' (index, 1) pairs.  When no two of a multiset's slot tables
-    share a variable, every such key is already a power vector; otherwise
-    a key may repeat a pair, and it collapses into (index, exponent) pairs
-    once per class.  The literal cap counts walked witnesses times their
-    weights times the monomials each contributes times their degree, the
-    variable occurrences of the terms listed one unit of coefficient at a
-    time, and raises CapExceeded before any factor table is built.  Every
-    coefficient is a positive count and every key a power vector over the
-    declared variables, so the map is wrapped without a second check.
+    b-values), and each multiset is expanded once: every product is counted
+    under the sorted concatenation of its gadgets' (index, 1) pairs, and
+    each distinct key adds its count times the multiset's weight.  When no
+    two of a multiset's slot tables share a variable, every such key is
+    already a power vector; otherwise a key may repeat a pair, and it
+    collapses into (index, exponent) pairs.  The literal cap counts walked
+    witnesses times their weights times the monomials each contributes
+    times their degree, the variable occurrences of the terms listed one
+    unit of coefficient at a time, and raises CapExceeded before any factor
+    table is built.  Every coefficient is a positive count and every key a
+    power vector over the declared variables, so the map is wrapped without
+    a second check.
     """
     multisets, a_factors, b_factors = _literal_tables(spec, s, theta)
-    by_weight: dict[int, list] = {}
-    for key, weight in multisets.items():
-        by_weight.setdefault(weight, []).append(key)
-
     terms: dict[Powers, int] = {}
-    for weight, keys in by_weight.items():
-        squarefree: Counter[Powers] = Counter()
-        repeats: Counter[Powers] = Counter()
-        for a_values, b_values in keys:
-            tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
-            reads = [set(chain.from_iterable(table)) for table in tables]
-            disjoint = len(set().union(*reads)) == sum(map(len, reads))
-            counter = squarefree if disjoint else repeats
-            products = product(*tables)
-            counter.update(map(tuple, map(sorted, map(chain.from_iterable, products))))
-        for pairs, count in repeats.items():
-            if len(set(pairs)) < len(pairs):
+    for (a_values, b_values), weight in multisets.items():
+        tables = [a_factors[v] for v in a_values] + [b_factors[v] for v in b_values]
+        reads = [set(chain.from_iterable(table)) for table in tables]
+        disjoint = len(set().union(*reads)) == sum(map(len, reads))
+        counts = Counter(map(tuple, map(sorted, map(chain.from_iterable, product(*tables)))))
+        for pairs, count in counts.items():
+            if not disjoint and len(set(pairs)) < len(pairs):
                 pairs = tuple((i, len(list(run))) for (i, _), run in groupby(pairs))
             terms[pairs] = terms.get(pairs, 0) + weight * count
-        for powers, count in squarefree.items():
-            terms[powers] = terms.get(powers, 0) + weight * count
     return _unchecked(
         SparsePolynomial, num_vars=variable_count(s, spec.r, theta), terms=MappingProxyType(terms)
     )

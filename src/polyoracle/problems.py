@@ -132,13 +132,13 @@ def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> b
     """True iff the vertices of ``pairs``, joined by its first |E(H)| pairs,
     form a copy of the pattern.
 
-    The degree sequences are compared first.  Then a map onto the pattern's
-    vertices grows one vertex at a time, taking a neighbour of the mapped
-    ones where there is one.  Each goes to an unused pattern vertex of its
-    degree whose neighbours among the used ones are exactly the images of
-    its mapped neighbours; a map that cannot grow is undone a vertex at a
-    time.  Vertices are numbered by first appearance, and neighbourhoods are
-    bitmasks over those numbers, or over the pattern's vertices less one.
+    A map onto the pattern's vertices grows one vertex at a time, taking a
+    neighbour of the mapped ones where there is one.  Each goes to an unused
+    pattern vertex of its degree whose neighbours among the used ones are
+    exactly the images of its mapped neighbours; a map that cannot grow is
+    undone a vertex at a time.  Vertices are numbered by first appearance,
+    and neighbourhoods are bitmasks over those numbers, or over the
+    pattern's vertices less one.
 
     The caller's step has made the pairs distinct on at most |V(H)|
     vertices, the first |E(H)| canonical edges u < v and all later ones but
@@ -159,8 +159,6 @@ def _spans_pattern(pairs: Sequence[tuple[int, int]], pattern: PatternGraph) -> b
     for u, v in pattern.edges:
         theirs[u - 1] |= 1 << (v - 1)
         theirs[v - 1] |= 1 << (u - 1)
-    if sorted(map(int.bit_count, ours)) != sorted(map(int.bit_count, theirs)):
-        return False
     image = [0] * n  # each mapped vertex's pattern vertex, as a bit
 
     def grow(mapped: int, used: int, reached: int) -> bool:

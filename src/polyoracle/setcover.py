@@ -141,8 +141,8 @@ class _PartitionCounter:
 
     def z(self, a_mask: int, b_min_bit: int) -> int:
         """Lane c, for c = 0..|A|: partitions of A into c nonempty family
-        sets (by index), each with minimum element below B's minimum; every
-        part qualifies when ``b_min_bit`` is 0."""
+        sets (by index), each with minimum element below B's minimum
+        ``b_min_bit``."""
         key = (a_mask, b_min_bit)
         cached = self.memo.get(key)
         if cached is not None:
@@ -151,7 +151,7 @@ class _PartitionCounter:
         pivot = a_mask & -a_mask
         if a_mask == 0:
             result = 1
-        elif pivot < b_min_bit or not b_min_bit:
+        elif pivot < b_min_bit:
             for mask, count in self.by_pivot.get(pivot, ()):
                 if not mask & ~a_mask:
                     result += count * self.z(a_mask ^ mask, b_min_bit)
@@ -168,7 +168,8 @@ class _PartitionCounter:
         (any other B would leave one of them to a later block, whose
         elements must all follow b), so the loop stops once those alone
         outnumber n // theta.  ``blocks`` lists each b's candidates, and
-        z(A, b) counts A's partitions."""
+        z(A, b) counts A's partitions.  Only a final block's z can be 0, and
+        its remainder is empty, so such a block adds no memo state."""
         if remaining == 0:
             return self.empty_choices
         cached = self.trace_memo.get(remaining)
@@ -183,10 +184,8 @@ class _PartitionCounter:
             if (remaining & (b_min_bit - 1)).bit_count() > a_cap:
                 break
             for a_mask, b_mask, count in self.blocks(remaining, b_min_bit):
-                zs = self.z(a_mask, b_min_bit)
-                if zs:
-                    after = remaining ^ a_mask ^ b_mask
-                    total += count * zs * self.traces(after)
+                after = remaining ^ a_mask ^ b_mask
+                total += count * self.z(a_mask, b_min_bit) * self.traces(after)
             rest ^= b_min_bit
         total = (total << self.width) & self.k_mask
         self.trace_memo[remaining] = total
@@ -390,6 +389,8 @@ def _setcover_min(
         raise ValueOutOfRange(f"unknown method {method!r}")
     if method == "reduction" and theta not in SETPARTITION_THETAS:
         raise ValueOutOfRange(f"theta must be one of {SETPARTITION_THETAS}")
+    if n < 0:
+        raise ValueOutOfRange("universe size must be nonnegative")
     if n == 0:
         return 0
     if covered < n:

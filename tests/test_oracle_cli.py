@@ -744,6 +744,15 @@ def test_cli_setcover_refuses_by_size_before_building_masks(tmp_path, capsys, me
     assert peak < 50 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
+@pytest.mark.parametrize("method", ["brute", "reduction"])
+@pytest.mark.parametrize("sets", [[], [[]]])
+def test_cli_setcover_negative_universe_is_an_input_error(tmp_path, capsys, method, sets):
+    path = write_json(tmp_path / "f.json", {"n": -1, "sets": sets})
+    assert run_cli(["setcover", "--input", path, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: universe size must be nonnegative\n"
+
+
 def test_cli_formulate(tmp_path):
     graph = {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]}
     k3 = write_json(tmp_path / "k3.json", graph)

@@ -149,7 +149,9 @@ def test_trace_blocks_are_every_block_the_full_scan_counts():
     with a nonzero z are, once each, those of the scan over every A: A inside
     remaining - {b}, holding every element of remaining under b, with
     |A| <= n // theta and z(A, b) != 0, and B a family set with minimum b
-    inside remaining - A that ends the trace or takes A | B past n / theta."""
+    inside remaining - A that ends the trace or takes A | B past n / theta.
+    A listed block with z(A, b) = 0 is final (A | B = remaining), so the
+    recursion reaches no state through it."""
     rng = random.Random(28)
     for _ in range(100):
         theta = rng.choice([1, 2, 3])
@@ -170,6 +172,8 @@ def test_trace_blocks_are_every_block_the_full_scan_counts():
                     for a_mask, b_mask, _ in counter.blocks(remaining, b_bit)
                     if counter.z(a_mask, b_bit)
                 ]
+                for a_mask, b_mask, _ in counter.blocks(remaining, b_bit):
+                    assert counter.z(a_mask, b_bit) or a_mask | b_mask == remaining
                 expected = []
                 inside = remaining ^ b_bit
                 for a_mask in range(inside + 1):
@@ -318,6 +322,9 @@ REFUSAL_DRAWS = [
         (CapExceeded, "cap setpartition_universe exceeded: 13 > 12"),
     ),
     ((19, TRIPLES + [[17, 18, 19]], "brute", 1), 7),
+    ((-1, [], "reduction", 1), (ValueOutOfRange, "universe size must be nonnegative")),
+    ((-1, [[]], "reduction", 1), (ValueOutOfRange, "universe size must be nonnegative")),
+    ((-1, [[]] * 300, "brute", 1), (ValueOutOfRange, "universe size must be nonnegative")),
 ]
 
 
