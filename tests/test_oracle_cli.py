@@ -3,10 +3,14 @@
 import io
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from itertools import combinations
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
@@ -946,6 +950,20 @@ def test_cli_permanent(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == "2"
     assert run_cli(["permanent", "--matrix", str(matrix), "--method", "fsets"]) == 2
 
+
+def test_cli_runs_as_a_module(tmp_path):
+    """``python -m polyoracle`` and ``python -m polyoracle.cli`` run the
+    command line as the installed script does."""
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("110\n011\n101\n")
+    paths = [str(Path(__file__).parents[1] / "src"), os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(p for p in paths if p)}
+    for module in ("polyoracle", "polyoracle.cli"):
+        result = subprocess.run(
+            [sys.executable, "-m", module, "permanent", "--matrix", str(matrix)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (result.returncode, result.stdout) == (0, "2\n"), (module, result.stderr)
 
 def test_cli_setcover(tmp_path, capsys):
     data = write_json(tmp_path / "f.json", {"n": 6, "sets": [[1, 2, 3], [4, 5, 6], [1, 4]]})

@@ -269,15 +269,18 @@ def test_all_ones_lane_width_boundary():
 
 
 def test_trace_tables_built_once_per_call(monkeypatch):
-    """The sweep's tables (lane width, lane masks, segment-end masks) depend
-    on S1 and theta alone: permanent_via_formulation builds them once for
-    all its 2**(n - |S1|) terms, and f_count_traces once per call."""
+    """The sweep's tables (lane width, lane masks, segment-end masks, packed
+    columns) depend on S1, theta and the packing alone:
+    permanent_via_formulation builds them once and sweeps once per subset of
+    the columns of R - S1 it leaves unpacked -- all 2**(n - |S1|) of them
+    with packing off -- and f_count_traces builds them once and sweeps once,
+    packing nothing."""
     builds, sweeps = [], []
     build, sweep = pm._trace_tables, pm._count_traces
 
     def counted_build(*args):
-        builds.append(args)
-        return build(*args)
+        builds.append(build(*args))
+        return builds[-1]
 
     def counted_sweep(*args):
         sweeps.append(args)
@@ -288,15 +291,53 @@ def test_trace_tables_built_once_per_call(monkeypatch):
     rng = random.Random(20)
     for n in range(2, 9):
         m = random_matrix(rng, n, density=0.6)
+        s_eq1 = (1 << -(-n // 2)) - 1
         for theta in (1, 2, 3, 4):
-            builds.clear()
-            sweeps.clear()
-            assert pm.permanent_via_formulation(m, 0.5, theta) == pm.permanent_brute(m)
-            assert len(builds) == 1 and len(sweeps) == 2 ** (n - -(-n // 2))
-            for _, spec in pm.f_expand(m, (1 << -(-n // 2)) - 1, 0.5):
+            for pack_bits in (0, pm._PACK_BITS):
+                monkeypatch.setattr(pm, "_PACK_BITS", pack_bits)
                 builds.clear()
+                sweeps.clear()
+                assert pm.permanent_via_formulation(m, 0.5, theta) == pm.permanent_brute(m)
+                unpacked = ((1 << n) - 1) & ~builds[0].blocked
+                assert len(builds) == 1 and len(sweeps) == 2 ** unpacked.bit_count()
+                if not pack_bits:
+                    assert unpacked == ((1 << n) - 1) & ~s_eq1
+            for _, spec in pm.f_expand(m, s_eq1, 0.5):
+                builds.clear()
+                sweeps.clear()
                 pm.f_count_traces(m, spec.eq1, spec.eq0, theta)
-                assert len(builds) == 1
+                assert len(builds) == len(sweeps) == builds[0].groups == 1
+
+
+def test_every_packing_split_equals_ryser(monkeypatch):
+    """With the packing limit forced to pack none, some or all of the columns
+    of R - S1, permanent_via_formulation equals Ryser's formula on seeded
+    n <= 8 matrices, and each sweep's lane (t, S1) equals f_count_traces of
+    the f_expand term whose S0 is t joined to the sweep's unpacked columns."""
+    rng = random.Random(42)
+    for n in range(9):
+        m = random_matrix(rng, n, density=rng.choice([0.4, 0.6, 0.8]))
+        expected = permanent_ryser(m)
+        for alpha in (0, 0.5, 1):
+            s_eq1 = (1 << math.ceil(alpha * n)) - 1
+            rest = ((1 << n) - 1) & ~s_eq1
+            for theta in range(1, 5):
+                lone = pm._trace_tables(m, s_eq1, theta, 0)
+                for npacked in sorted({0, rest.bit_count() // 2, rest.bit_count()}):
+                    # The largest limit that packs exactly ``npacked`` columns.
+                    monkeypatch.setattr(pm, "_PACK_BITS", (lone.top + lone.width) << npacked)
+                    assert pm.permanent_via_formulation(m, alpha, theta) == expected
+                    tables = pm._trace_tables(m, s_eq1, theta, rest)
+                    assert tables.groups == 2**npacked
+                    packed = [b for b in range(n) if (tables.blocked & ~s_eq1) >> b & 1]
+                    lanes = {}
+                    for _, spec in pm.f_expand(m, s_eq1, alpha):
+                        t2 = spec.eq0 & ~tables.blocked
+                        if t2 not in lanes:
+                            lanes[t2] = pm._count_traces(m, t2, tables)
+                        t = sum(1 << i for i, b in enumerate(packed) if spec.eq0 >> b & 1)
+                        count = pm.f_count_traces(m, spec.eq1, spec.eq0, theta)
+                        assert lanes[t2][t] == count
 
 
 def test_formulation_past_the_cap_at_n16(set_cap):
