@@ -43,7 +43,8 @@ from types import MappingProxyType
 from typing import Sequence, Union
 
 from . import polynomials as poly
-from .errors import ArityMismatch, CapExceeded, cap_limit, check
+from .errors import ArityMismatch, CapExceeded, ValueOutOfRange, cap_limit, check
+from .errors import json_int, json_list, json_object
 from .polynomials import Powers, SparsePolynomial, is_prime
 
 @dataclass(frozen=True)
@@ -428,22 +429,22 @@ def to_json_dict(circuit: ArithmeticCircuit) -> dict:
 
 
 def from_json_dict(data: dict) -> ArithmeticCircuit:
-    if not isinstance(data, dict) or not isinstance(data.get("gates"), list):
-        raise ValueError("circuit JSON must be an object with a list of gates")
-    as_int = poly._json_int
+    """Parse the wire format.  ValueOutOfRange for a value of the wrong kind
+    or an unknown gate op, KeyError for a missing key, and the constructor's
+    ValueError for gates that form no circuit."""
+    data = json_object(data)
     gates: list[Gate] = []
-    for entry in data["gates"]:
-        if not isinstance(entry, dict):
-            raise ValueError(f"gate {entry!r} is not an object")
+    for entry in json_list(data["gates"]):
+        entry = json_object(entry)
         op = entry["op"]
         if op == "input":
-            gates.append(InputGate(as_int(entry["i"])))
+            gates.append(InputGate(json_int(entry["i"])))
         elif op == "const":
-            gates.append(ConstGate(as_int(entry["v"])))
+            gates.append(ConstGate(json_int(entry["v"])))
         elif op == "add":
-            gates.append(AddGate(as_int(entry["l"]), as_int(entry["r"])))
+            gates.append(AddGate(json_int(entry["l"]), json_int(entry["r"])))
         elif op == "mul":
-            gates.append(MulGate(as_int(entry["l"]), as_int(entry["r"])))
+            gates.append(MulGate(json_int(entry["l"]), json_int(entry["r"])))
         else:
-            raise ValueError(f"unknown gate op {op!r}")
-    return ArithmeticCircuit(as_int(data["num_inputs"]), tuple(gates), as_int(data["output"]))
+            raise ValueOutOfRange(f"unknown gate op {op!r}")
+    return ArithmeticCircuit(json_int(data["num_inputs"]), tuple(gates), json_int(data["output"]))

@@ -16,7 +16,8 @@ from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
 from .errors import CapExceeded, PolyOracleError, PreconditionViolated
-from .problems import PROBLEMS, _int_list, _json_int, _json_list, _json_object, build_problem
+from .errors import int_list, json_int, json_list, json_object
+from .problems import PROBLEMS, build_problem
 
 
 def _load_json(path: str) -> dict:
@@ -86,9 +87,9 @@ def _cmd_permanent(args: argparse.Namespace) -> int:
 
 
 def _cmd_setcover(args: argparse.Namespace) -> int:
-    data = _json_object(_load_json(args.input))
-    sets = [_int_list(elements) for elements in _json_list(data["sets"])]
-    n = _json_int(data["n"])
+    data = json_object(_load_json(args.input))
+    sets = [int_list(elements) for elements in json_list(data["sets"])]
+    n = json_int(data["n"])
     minimum = setcover.setcover_min_of_lists(n, sets, args.method, args.theta)
     if minimum is None:
         print("uncoverable")

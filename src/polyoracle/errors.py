@@ -1,8 +1,12 @@
-"""Exception types shared across the package, and the one table of size caps.
+"""Exception types shared across the package, the one table of size caps, and
+the JSON readers.
 
 Every size limit is an entry of ``CAPS``, and ``check`` is the one place that
 raises ``CapExceeded``, naming the entry.  Code that needs a limit itself reads it
-through ``cap_limit``.
+through ``cap_limit``.  Every JSON input reads its objects, lists and integers
+through ``json_object``, ``json_list``, ``json_int`` and ``int_list``: each
+raises ``ValueOutOfRange`` for a value of the wrong kind or a list of the wrong
+length.
 """
 
 from __future__ import annotations
@@ -99,3 +103,33 @@ def check(name: str, value: int) -> None:
     limit, bounds = CAPS[name]
     if value > limit:
         raise CapExceeded(f"cap {name} exceeded: {value} > {limit} ({bounds})")
+
+
+def json_object(value: object) -> dict:
+    if not isinstance(value, dict):
+        raise ValueOutOfRange(f"expected a JSON object, got {type(value).__name__}")
+    return value
+
+
+def json_list(value: object) -> list:
+    if not isinstance(value, list):
+        raise ValueOutOfRange(f"expected a list, got {value!r}")
+    return value
+
+
+def json_int(value: object) -> int:
+    """An int from a JSON integer or decimal string."""
+    if isinstance(value, bool) or not isinstance(value, (int, str)):
+        raise ValueOutOfRange(f"expected an integer, got {value!r}")
+    try:
+        return int(value)
+    except ValueError as exc:  # not decimal, or past int's digit limit
+        raise ValueOutOfRange(str(exc)) from None
+
+
+def int_list(value: object, shortest: int = 0, longest: int | None = None) -> list[int]:
+    """A JSON list of ``shortest`` to ``longest`` integers."""
+    items = json_list(value)
+    if len(items) < shortest or (longest is not None and len(items) > longest):
+        raise ValueOutOfRange(f"wrong number of integers in {value!r}")
+    return [json_int(item) for item in items]

@@ -343,6 +343,8 @@ def block_length(s: int, r: int, theta: int) -> int:
     """L = ceil(r * ceil(log2 s) / theta), within the grid_bits cap."""
     if theta < 1:
         raise ValueError("theta must be >= 1")
+    if r < 1:
+        raise ValueError("r must be >= 1")
     length = -(-r * ceil_log2(s) // theta)
     check("grid_bits", length)
     return length

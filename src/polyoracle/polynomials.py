@@ -36,7 +36,7 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence, TextIO
 
-from .errors import ArityMismatch, NotPrime, check
+from .errors import ArityMismatch, NotPrime, check, int_list, json_int, json_list, json_object
 
 Powers = tuple[tuple[int, int], ...]
 
@@ -266,26 +266,18 @@ def dumps(p: SparsePolynomial) -> str:
     return buffer.getvalue()
 
 
-def _json_int(value: object) -> int:
-    """An int from a JSON integer or decimal string; ValueError for anything else."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
-        raise ValueError(f"expected an integer, got {value!r}")
-    return int(value)
-
-
 def from_json_dict(data: dict) -> SparsePolynomial:
-    """Parse the wire format; entries sharing a power vector are summed."""
-    if not isinstance(data, dict) or not isinstance(data.get("monomials"), list):
-        raise ValueError("polynomial JSON must be an object with a list of monomials")
+    """Parse the wire format; entries sharing a power vector are summed.
+    ValueOutOfRange for a value of the wrong kind or a power that is not an
+    ``[index, exponent]`` pair, KeyError for a missing key, and the
+    constructor's ValueError for a term map that breaks the rules above."""
+    data = json_object(data)
     terms: dict[Powers, int] = {}
-    for entry in data["monomials"]:
-        if not isinstance(entry, dict) or not isinstance(entry.get("powers"), list):
-            raise ValueError(f"monomial {entry!r} is not an object with a list of powers")
-        if not all(isinstance(pair, list) and len(pair) == 2 for pair in entry["powers"]):
-            raise ValueError(f"monomial {entry!r} has a power that is not an [index, exponent] pair")
-        powers = tuple((_json_int(i), _json_int(e)) for i, e in entry["powers"])
-        terms[powers] = terms.get(powers, 0) + _json_int(entry["coeff"])
-    return polynomial(_json_int(data["num_vars"]), terms)
+    for entry in json_list(data["monomials"]):
+        entry = json_object(entry)
+        powers = tuple(tuple(int_list(pair, 2, 2)) for pair in json_list(entry["powers"]))
+        terms[powers] = terms.get(powers, 0) + json_int(entry["coeff"])
+    return polynomial(json_int(data["num_vars"]), terms)
 
 
 # --- deterministic primality --------------------------------------------

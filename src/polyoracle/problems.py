@@ -47,12 +47,11 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import gcd, isqrt
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from . import polynomials
-from .errors import ValueOutOfRange, cap_limit, check
+from .errors import ValueOutOfRange, cap_limit, check, int_list, json_int, json_list, json_object
 from .localsubset import Draw, LSInstance, LSProblemSpec, Member, ls_instance
 
 
@@ -645,76 +644,44 @@ def encode_max_h_subgraph(
 # --- natural-input JSON and the problem registry ---------------------------
 
 
-def _json_object(data: object) -> dict:
-    if not isinstance(data, dict):
-        raise ValueOutOfRange("input must be a JSON object")
-    return data
-
-
-def _json_list(value: object) -> list:
-    if not isinstance(value, list):
-        raise ValueOutOfRange(f"expected a list, got {value!r}")
-    return value
-
-
-def _json_int(value: object) -> int:
-    """An int from a JSON integer or decimal string."""
-    try:
-        return polynomials._json_int(value)
-    except ValueError as exc:
-        raise ValueOutOfRange(str(exc)) from None
-
-
-def _int_list(value: object, shortest: int = 0, longest: int | None = None) -> list[int]:
-    """A JSON list of ``shortest`` to ``longest`` integers."""
-    items = _json_list(value)
-    if len(items) < shortest or (longest is not None and len(items) > longest):
-        raise ValueOutOfRange(f"wrong number of integers in {value!r}")
-    return [_json_int(item) for item in items]
+def _magnitude(data: dict, values: Iterable[int]) -> int:
+    """The given ``magnitude``, raised to the largest |value|."""
+    return max([json_int(data.get("magnitude", 0)), *map(abs, values)])
 
 
 def graph_from_json(data: dict) -> GraphInput:
-    data = _json_object(data)
+    data = json_object(data)
     edges = frozenset(
-        tuple(sorted(_int_list(entry, 2)[:2])) for entry in _json_list(data["edges"])
+        tuple(sorted(int_list(entry, 2, 3)[:2])) for entry in json_list(data["edges"])
     )
-    return GraphInput(n=_json_int(data["n"]), edges=edges)
+    return GraphInput(n=json_int(data["n"]), edges=edges)
 
 
 def weighted_graph_from_json(data: dict) -> WeightedGraphInput:
-    data = _json_object(data)
+    data = json_object(data)
     edge_weights = []
-    magnitude = _json_int(data.get("magnitude", 0))
-    implied = 0
-    for entry in _json_list(data["edges"]):
-        u, v, *rest = _int_list(entry, 2)
-        w = rest[0] if rest else 0
-        implied = max(implied, abs(w))
-        edge_weights.append(((min(u, v), max(u, v)), w))
-    vertex_weights = tuple(_int_list(data.get("vertex_weights", [])))
-    implied = max([implied, *(abs(w) for w in vertex_weights)], default=implied)
+    for entry in json_list(data["edges"]):
+        u, v, *w = int_list(entry, 2, 3)
+        edge_weights.append(((min(u, v), max(u, v)), w[0] if w else 0))
+    vertex_weights = tuple(int_list(data.get("vertex_weights", [])))
     return WeightedGraphInput(
-        n=_json_int(data["n"]),
+        n=json_int(data["n"]),
         edge_weights=tuple(edge_weights),
-        magnitude=max(magnitude, implied),
+        magnitude=_magnitude(data, [*(w for _, w in edge_weights), *vertex_weights]),
         vertex_weights=vertex_weights,
     )
 
 
 def points_from_json(data: dict) -> PointSetInput:
-    data = _json_object(data)
-    points = tuple(tuple(_int_list(entry, 2, 2)) for entry in _json_list(data["points"]))
-    implied = max((max(abs(x), abs(y)) for x, y in points), default=0)
-    magnitude = _json_int(data.get("magnitude", 0))
-    return PointSetInput(points=points, magnitude=max(magnitude, implied))
+    data = json_object(data)
+    points = tuple(tuple(int_list(entry, 2, 2)) for entry in json_list(data["points"]))
+    return PointSetInput(points=points, magnitude=_magnitude(data, chain(*points)))
 
 
 def ksum_from_json(data: dict) -> KSumInput:
-    data = _json_object(data)
-    sets = tuple(tuple(_int_list(values)) for values in _json_list(data["sets"]))
-    implied = max((abs(v) for values in sets for v in values), default=0)
-    magnitude = _json_int(data.get("magnitude", 0))
-    return KSumInput(k=_json_int(data["k"]), sets=sets, magnitude=max(magnitude, implied))
+    data = json_object(data)
+    sets = tuple(tuple(int_list(values)) for values in json_list(data["sets"]))
+    return KSumInput(k=json_int(data["k"]), sets=sets, magnitude=_magnitude(data, chain(*sets)))
 
 
 def pattern_from_json(value) -> PatternGraph:
@@ -723,9 +690,9 @@ def pattern_from_json(value) -> PatternGraph:
             return H_PRESETS[value]
         except KeyError:
             raise ValueOutOfRange(f"unknown pattern preset {value!r}") from None
-    value = _json_object(value)
-    edges = [tuple(_int_list(entry, 2, 2)) for entry in _json_list(value["edges"])]
-    return _pattern(str(value.get("name", "custom")), _json_int(value["n"]), edges)
+    value = json_object(value)
+    edges = [tuple(int_list(entry, 2, 2)) for entry in json_list(value["edges"])]
+    return _pattern(str(value.get("name", "custom")), json_int(value["n"]), edges)
 
 
 @dataclass(frozen=True)
@@ -758,13 +725,13 @@ PROBLEMS: dict[str, ProblemDefinition] = {
     ),
     "family-induced": ProblemDefinition(
         lambda d: encode_family_induced(
-            graph_from_json(d), [pattern_from_json(p) for p in _json_list(d["family"])]
+            graph_from_json(d), [pattern_from_json(p) for p in json_list(d["family"])]
         ),
         bench_r=2,
     ),
     "min-weight-clique": ProblemDefinition(
         lambda d: encode_min_weight_kclique(
-            weighted_graph_from_json(d), _json_int(d["k"]), _json_int(d["threshold"])
+            weighted_graph_from_json(d), json_int(d["k"]), json_int(d["threshold"])
         ),
         bench_r=None,
     ),
@@ -772,7 +739,7 @@ PROBLEMS: dict[str, ProblemDefinition] = {
         lambda d: encode_max_h_subgraph(
             weighted_graph_from_json(d),
             pattern_from_json(d["H"]),
-            _json_int(d["threshold"]),
+            json_int(d["threshold"]),
             d.get("mode", "edge-weights"),
         ),
         bench_r=None,

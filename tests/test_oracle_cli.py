@@ -303,6 +303,24 @@ def test_cli_solve_malformed_json(tmp_path, problem, good, bad):
     assert solve(bad) == 2
 
 
+@pytest.mark.parametrize(
+    "problem, data",
+    [
+        pytest.param("triangle", {"n": 3, "edges": [[1, 2, 7, 8]]}, id="graph-four"),
+        pytest.param(
+            "min-weight-clique", {**WEIGHTED, "edges": [[1, 2, 5, 99, 100]]}, id="weighted-five"
+        ),
+    ],
+)
+def test_cli_solve_refuses_an_edge_entry_past_three_integers(tmp_path, capsys, problem, data):
+    """An edge entry is [u, v] or [u, v, w]; a longer one is refused, not cut."""
+    path = write_json(tmp_path / "input.json", data)
+    assert run_cli(["solve", "--problem", problem, "--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert captured.err.startswith("error: wrong number of integers")
+
+
 def test_size_errors_are_one_family():
     """Every cap raises the one size error, a package error."""
     sizes = [name for name in vars(errors) if name.endswith(("TooLarge", "Exceeded"))]
@@ -924,6 +942,26 @@ def test_cli_verify_circuit_malformed_json(tmp_path, circuit_data, poly_data):
     assert verify(circuit_data, poly_data) == 2
 
 
+@pytest.mark.parametrize("command", list(deep_json_argv("", "", "")))
+def test_cli_refuses_a_fraction_in_an_integer_field(tmp_path, capsys, command):
+    """Each JSON file the CLI reads refuses 1.5 where an integer belongs."""
+    bad = {
+        "solve": {**KSUM, "k": 1.5},
+        "formulate": {**KSUM, "k": 1.5},
+        "verify-circuit --circuit": {**GOOD_CIRCUIT, "num_inputs": 1.5},
+        "verify-circuit --poly": {**GOOD_POLY, "num_vars": 1.5},
+        "setcover": {"n": 1.5, "sets": [[1]]},
+    }[command]
+    good = GOOD_POLY if command == "verify-circuit --circuit" else GOOD_CIRCUIT
+    argv = deep_json_argv(
+        write_json(tmp_path / "bad.json", bad),
+        write_json(tmp_path / "good.json", good),
+        str(tmp_path / "out.json"),
+    )[command]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: expected an integer, got 1.5\n")
+
+
 def test_cli_verify_circuit_rejects_a_negative_input_count(tmp_path, capsys):
     """A circuit declaring -1 inputs is refused as input, as a polynomial
     declaring -1 variables is, rather than compared and found to differ."""
@@ -1012,6 +1050,14 @@ def test_cli_bench_vars(tmp_path, capsys):
     lines = out.read_text().splitlines()
     assert lines[0] == "s,variables"
     assert lines[1] == f"64,{ls.variable_count(64, 2, 8)}"
+
+
+@pytest.mark.parametrize("r", ["0", "-1"])
+def test_cli_bench_vars_refuses_r_below_one(capsys, r):
+    argv = ["bench-vars", "--problem", "triangle", "--theta", "8", "--sizes", "64,128,256,512",
+            "--r", r]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: r must be >= 1\n")
 
 
 def test_cli_lists_its_subcommands(capsys):

@@ -17,6 +17,18 @@ TEST_ONLY_ALLOWED = {
 }
 
 
+# Private names that one src/ module may read from another, each kept for a
+# stated reason.
+PRIVATE_CROSSINGS_ALLOWED = {
+    "polynomials._unchecked": "the constructor bypass for the term maps circuits and "
+    "localsubset build valid by construction",
+    "polynomials._add_into": "a term-map kernel of circuits._expand_terms",
+    "polynomials._merge_powers": "a term-map kernel of circuits._expand_terms",
+    "polynomials._multiply_terms": "a term-map kernel of circuits._expand_terms",
+    "polynomials._pair_count": "a term-map kernel of circuits._expand_terms",
+}
+
+
 def test_package_init_holds_only_its_docstring():
     found = [
         f"line {node.lineno}: {type(node).__name__}"
@@ -142,6 +154,21 @@ def test_public_names_have_a_non_test_caller():
     assert not unexpected, f"public names that only tests reach: {unexpected}"
     stale = sorted(set(TEST_ONLY_ALLOWED) - set(unreached))
     assert not stale, f"allowlisted names that are gone or now have a non-test caller: {stale}"
+
+
+def test_no_module_reads_another_modules_private_name():
+    """No src/ module imports or reads a private name of another package
+    module, except the names ``PRIVATE_CROSSINGS_ALLOWED`` gives reasons for."""
+    crossings = {}
+    for path in sorted(PACKAGE.glob("*.py")):
+        for module, name in _module_uses(ast.parse(path.read_text())):
+            if module != path.stem and name.startswith("_"):
+                crossings.setdefault(f"{module}.{name}", []).append(path.name)
+    unexpected = sorted(f"{name} in {', '.join(where)}" for name, where in crossings.items()
+                        if name not in PRIVATE_CROSSINGS_ALLOWED)
+    assert not unexpected, f"private names read across modules: {unexpected}"
+    stale = sorted(set(PRIVATE_CROSSINGS_ALLOWED) - set(crossings))
+    assert not stale, f"allowlisted crossings that no module makes: {stale}"
 
 
 def test_module_uses_resolve_each_import_form():

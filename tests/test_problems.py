@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import polyoracle.localsubset as ls
 import polyoracle.problems as pr
 from polyoracle.errors import CapExceeded, ValueOutOfRange
+from polyoracle.errors import int_list, json_int, json_list, json_object
 from oracles import induced_witnesses
 from routes import tiny_encodings
 
@@ -245,6 +246,29 @@ def test_build_problem_registry():
     assert spec.alpha == 4
     with pytest.raises(ValueOutOfRange):
         pr.build_problem("nonsense", {})
+
+
+def _int_pair(value):
+    return int_list(value, 2, 2)
+
+
+NOT_INTS = [True, 1.5, None, "0x1f", [1], {"v": 1}]
+
+
+@pytest.mark.parametrize(
+    "reader, value",
+    [(json_int, value) for value in NOT_INTS]
+    + [(json_object, value) for value in [True, 1.5, None, "{}", [1]]]
+    + [(json_list, value) for value in [True, 1.5, None, "[]", {"v": 1}]]
+    + [(_int_pair, value) for value in [True, 1.5, None, "[1, 2]", {"v": 1}, [1], [1, 2, 3]]]
+    + [(_int_pair, [value, 2]) for value in NOT_INTS],
+)
+def test_json_readers_refuse_each_malformed_value(reader, value):
+    """Every JSON input reads through these four: a bool, float, null or
+    non-decimal string, a container where an int belongs, or a list of the
+    wrong length is ValueOutOfRange."""
+    with pytest.raises(ValueOutOfRange):
+        reader(value)
 
 
 def test_member_groups_are_pinned():
