@@ -44,7 +44,7 @@ from typing import Sequence, Union
 
 from . import polynomials as poly
 from .errors import ArityMismatch, CapExceeded, ValueOutOfRange, cap_limit, check
-from .errors import json_int, json_list, json_object
+from .errors import json_field, json_int, json_list, json_object
 from .polynomials import Powers, SparsePolynomial, is_prime
 
 @dataclass(frozen=True)
@@ -429,22 +429,22 @@ def to_json_dict(circuit: ArithmeticCircuit) -> dict:
 
 
 def from_json_dict(data: dict) -> ArithmeticCircuit:
-    """Parse the wire format.  ValueOutOfRange for a value of the wrong kind
-    or an unknown gate op, KeyError for a missing key, and the constructor's
-    ValueError for gates that form no circuit."""
+    """Parse the wire format.  ValueOutOfRange for a value of the wrong kind,
+    an unknown gate op or a missing key, and the constructor's ValueError for
+    gates that form no circuit."""
     data = json_object(data)
     gates: list[Gate] = []
-    for entry in json_list(data["gates"]):
+    for entry in json_list(json_field(data, "gates")):
         entry = json_object(entry)
-        op = entry["op"]
+        op = json_field(entry, "op")
         if op == "input":
-            gates.append(InputGate(json_int(entry["i"])))
+            gates.append(InputGate(json_int(json_field(entry, "i"))))
         elif op == "const":
-            gates.append(ConstGate(json_int(entry["v"])))
-        elif op == "add":
-            gates.append(AddGate(json_int(entry["l"]), json_int(entry["r"])))
-        elif op == "mul":
-            gates.append(MulGate(json_int(entry["l"]), json_int(entry["r"])))
+            gates.append(ConstGate(json_int(json_field(entry, "v"))))
+        elif op in ("add", "mul"):
+            left, right = (json_int(json_field(entry, key)) for key in ("l", "r"))
+            gates.append((AddGate if op == "add" else MulGate)(left, right))
         else:
             raise ValueOutOfRange(f"unknown gate op {op!r}")
-    return ArithmeticCircuit(json_int(data["num_inputs"]), tuple(gates), json_int(data["output"]))
+    inputs, output = (json_int(json_field(data, key)) for key in ("num_inputs", "output"))
+    return ArithmeticCircuit(inputs, tuple(gates), output)

@@ -16,7 +16,7 @@ from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
 from .errors import CapExceeded, PolyOracleError, PreconditionViolated
-from .errors import int_list, json_int, json_list, json_object
+from .errors import int_list, json_field, json_int, json_list, json_object
 from .problems import PROBLEMS, build_problem
 
 
@@ -88,8 +88,8 @@ def _cmd_permanent(args: argparse.Namespace) -> int:
 
 def _cmd_setcover(args: argparse.Namespace) -> int:
     data = json_object(_load_json(args.input))
-    sets = [int_list(elements) for elements in json_list(data["sets"])]
-    n = json_int(data["n"])
+    sets = [int_list(elements) for elements in json_list(json_field(data, "sets"))]
+    n = json_int(json_field(data, "n"))
     minimum = setcover.setcover_min_of_lists(n, sets, args.method, args.theta)
     if minimum is None:
         print("uncoverable")
@@ -169,7 +169,7 @@ def run_cli(argv: Sequence[str] | None = None) -> int:
     except (CapExceeded, PreconditionViolated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (PolyOracleError, OSError, KeyError, ValueError) as exc:
+    except (PolyOracleError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

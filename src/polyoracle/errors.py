@@ -3,13 +3,15 @@ the JSON readers.
 
 Every size limit is an entry of ``CAPS``, and ``check`` is the one place that
 raises ``CapExceeded``, naming the entry.  Code that needs a limit itself reads it
-through ``cap_limit``.  Every JSON input reads its objects, lists and integers
-through ``json_object``, ``json_list``, ``json_int`` and ``int_list``: each
-raises ``ValueOutOfRange`` for a value of the wrong kind or a list of the wrong
-length.
+through ``cap_limit``.  Every JSON input reads its objects, required keys, lists
+and integers through ``json_object``, ``json_field``, ``json_list``,
+``json_int`` and ``int_list``: each raises ``ValueOutOfRange`` for a value of
+the wrong kind, a missing key or a list of the wrong length.
 """
 
 from __future__ import annotations
+
+import re
 
 
 class PolyOracleError(Exception):
@@ -117,13 +119,24 @@ def json_list(value: object) -> list:
     return value
 
 
+def json_field(data: dict, key: str) -> object:
+    """The value of a required ``key`` of the JSON object ``data``."""
+    try:
+        return data[key]
+    except KeyError:
+        raise ValueOutOfRange(f"missing key {key!r}") from None
+
+
 def json_int(value: object) -> int:
-    """An int from a JSON integer or decimal string."""
-    if isinstance(value, bool) or not isinstance(value, (int, str)):
+    """An int from a JSON integer or a decimal string: an optional ``-``
+    followed by ASCII digits, nothing else (no sign ``+``, space, ``_`` or
+    other script's digits, which ``int()`` alone would take)."""
+    decimal = isinstance(value, str) and re.fullmatch(r"-?[0-9]+", value)
+    if isinstance(value, bool) or not (isinstance(value, int) or decimal):
         raise ValueOutOfRange(f"expected an integer, got {value!r}")
     try:
         return int(value)
-    except ValueError as exc:  # not decimal, or past int's digit limit
+    except ValueError as exc:  # past int's digit limit
         raise ValueOutOfRange(str(exc)) from None
 
 

@@ -74,7 +74,6 @@ import sys
 from bisect import bisect_left, bisect_right
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, groupby, pairwise, product, repeat
 from math import factorial, prod
 from types import MappingProxyType
@@ -379,14 +378,6 @@ def blocks_of(value: int, theta: int, block_len: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def compare3(left: int, right: int) -> str:
-    if left < right:
-        return LT
-    if left == right:
-        return EQ
-    return GT
-
-
 def comparison_tuple_sets(
     theta: int,
 ) -> tuple[frozenset[tuple[str, ...]], frozenset[tuple[str, ...]], frozenset[tuple[str, ...]]]:
@@ -410,68 +401,46 @@ def comparison_tuple_sets(
 
 @dataclass(frozen=True)
 class BlockVariableAssignment:
-    """The point x = phi(inst): the 0/1 table x[c][i][q][a] of the encoding map.
+    """The point x = phi(inst): the 0/1 table x[c][i][q][a] of the encoding
+    map, ``num_vars`` entries in the grid order.
 
-    x is defined by ``rows`` = (s_0, ..., s_{m+1}) = (0, sorted S, n**r + 1)
-    and queried rather than materialized: entry (c, i, q, a) is 1 iff i <=
-    m + 1 and comparing block q of s_i against a yields c.
+    x is defined by ``rows`` = (s_0, ..., s_{m+1}) = (0, sorted S, n**r + 1):
+    entry (c, i, q, a) is 1 iff i <= m + 1 and comparing block q of s_i
+    against a yields c.  ``vector`` lists it, the one description of x.
     """
 
     s: int
     theta: int
     block_len: int
     rows: tuple[int, ...]
-
-    @property
-    def num_vars(self) -> int:
-        return 3 * (self.s + 1) * self.theta * (1 << self.block_len)
-
-    @property
-    def max_abs_value(self) -> int:
-        return 1
-
-    @cached_property
-    def row_blocks(self) -> tuple[tuple[int, ...], ...]:
-        """Blocks of s_0 .. s_{m+1}; rows beyond m + 1 are all-zero."""
-        return tuple(blocks_of(value, self.theta, self.block_len) for value in self.rows)
-
-    def value(self, comparison: str, i: int, q: int, a: int) -> int:
-        if not 0 <= i <= self.s:
-            raise ValueError("row index out of range")
-        if not 1 <= q <= self.theta:
-            raise ValueError("block index out of range")
-        if not 0 <= a < (1 << self.block_len):
-            raise ValueError("block value out of range")
-        if i >= len(self.rows):
-            return 0
-        return 1 if compare3(self.row_blocks[i][q - 1], a) == comparison else 0
-
-    def variable_index(self, comparison: str, i: int, q: int, a: int) -> int:
-        return flat_variable_index(self.s, self.theta, self.block_len, comparison, i, q, a)
+    num_vars: int
 
     def vector(self) -> list[int]:
         """Materialize the full grid; intended for small instances only."""
+        s, theta, length = self.s, self.theta, self.block_len
         out = [0] * self.num_vars
-        width = 1 << self.block_len
-        for i, blocks in enumerate(self.row_blocks):
-            for q, block in enumerate(blocks, start=1):
+        width = 1 << length
+        for i, value in enumerate(self.rows):
+            for q, block in enumerate(blocks_of(value, theta, length), start=1):
                 # Runs over a, clamped to the width since block 1 is unbounded.
                 runs = ((GT, 0, block), (EQ, block, block + 1), (LT, block + 1, width))
                 for comparison, low, high in runs:
                     low, high = min(low, width), min(high, width)
-                    base = self.variable_index(comparison, i, q, 0)
+                    base = flat_variable_index(s, theta, length, comparison, i, q, 0)
                     out[base + low : base + high] = [1] * (high - low)
         return out
 
 
 def compute_assignment(spec: LSProblemSpec, inst: LSInstance, theta: int) -> BlockVariableAssignment:
     s = inst.size
-    check("call_bits", variable_count(s, spec.r, theta).bit_length())
+    num_vars = variable_count(s, spec.r, theta)
+    check("call_bits", num_vars.bit_length())
     return BlockVariableAssignment(
         s=s,
         theta=theta,
         block_len=block_length(s, spec.r, theta),
         rows=(0, *inst.elements, universe_size(spec, inst) + 1),
+        num_vars=num_vars,
     )
 
 
@@ -622,14 +591,6 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
     return exact_evaluation_oracle(FormulationQuery(spec, compute_assignment(spec, inst, theta)))
 
 
-# LS instance wire format: {"problem": "<name>", "n": N, "elements": [codes...]}
-# with m inferred from the element list.
-
-
-def instance_to_json_dict(problem: str, inst: LSInstance) -> dict:
-    return {"problem": problem, "n": inst.n, "elements": list(inst.elements)}
-
-
 @dataclass(frozen=True)
 class FormulationQuery:
     """One oracle query (spec, x): evaluate the size-``size`` member of spec's
@@ -644,7 +605,8 @@ class FormulationQuery:
 
     @property
     def max_abs_value(self) -> int:
-        return self.assignment.max_abs_value
+        """1: phi(inst) is a 0/1 point, so no argument exceeds 1 in magnitude."""
+        return 1
 
 
 Oracle = Callable[[FormulationQuery], int]

@@ -4,8 +4,8 @@ The cost model charges each size-s oracle call exactly s, the declared
 evaluation price of the size-s member of the polynomial family; wall time is
 reported separately and never conflated with the charge.  Argument
 magnitudes, read from the query's point x, above a fixed bound of the call
-size are flagged, not rejected.  Every query ``solve_via_oracle`` builds is
-the 0/1 point phi(inst), so the flag fires only for a query built by hand.
+size are flagged, not rejected.  A ``FormulationQuery`` holds the 0/1 point
+phi(inst), so the flag fires only for another query object.
 The default bound 2**ceil(s**0.9) is a documented finite stand-in for the
 family's asymptotic magnitude discipline, decided in integers from the
 magnitude's bit length, so neither the bound nor s**0.9 is ever built.
@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence, TextIO
 
 from .errors import ValueOutOfRange
-from .localsubset import FormulationQuery, LSInstance, Oracle, instance_to_json_dict, variable_count
+from .localsubset import FormulationQuery, LSInstance, Oracle, variable_count
 from .problems import PROBLEMS
 
 
@@ -110,7 +110,10 @@ def bench_vars(problem: str, theta: int, sizes: Sequence[int], r: int | None = N
 
 
 def instance_digest(problem: str, inst: LSInstance) -> str:
-    payload = json.dumps(instance_to_json_dict(problem, inst), sort_keys=True)
+    """The first 16 hex digits of the SHA-256 of the instance as sorted-key
+    JSON {"problem", "n", "elements"}."""
+    instance = {"problem": problem, "n": inst.n, "elements": list(inst.elements)}
+    payload = json.dumps(instance, sort_keys=True)
     return hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 

@@ -36,7 +36,8 @@ from functools import cached_property
 from types import MappingProxyType
 from typing import Mapping, Sequence, TextIO
 
-from .errors import ArityMismatch, NotPrime, check, int_list, json_int, json_list, json_object
+from .errors import ArityMismatch, NotPrime, check, int_list, json_field, json_int, json_list
+from .errors import json_object
 
 Powers = tuple[tuple[int, int], ...]
 
@@ -268,16 +269,17 @@ def dumps(p: SparsePolynomial) -> str:
 
 def from_json_dict(data: dict) -> SparsePolynomial:
     """Parse the wire format; entries sharing a power vector are summed.
-    ValueOutOfRange for a value of the wrong kind or a power that is not an
-    ``[index, exponent]`` pair, KeyError for a missing key, and the
-    constructor's ValueError for a term map that breaks the rules above."""
+    ValueOutOfRange for a value of the wrong kind, a missing key or a power
+    that is not an ``[index, exponent]`` pair, and the constructor's
+    ValueError for a term map that breaks the rules above."""
     data = json_object(data)
     terms: dict[Powers, int] = {}
-    for entry in json_list(data["monomials"]):
+    for entry in json_list(json_field(data, "monomials")):
         entry = json_object(entry)
-        powers = tuple(tuple(int_list(pair, 2, 2)) for pair in json_list(entry["powers"]))
-        terms[powers] = terms.get(powers, 0) + json_int(entry["coeff"])
-    return polynomial(json_int(data["num_vars"]), terms)
+        pairs = json_list(json_field(entry, "powers"))
+        powers = tuple(tuple(int_list(pair, 2, 2)) for pair in pairs)
+        terms[powers] = terms.get(powers, 0) + json_int(json_field(entry, "coeff"))
+    return polynomial(json_int(json_field(data, "num_vars")), terms)
 
 
 # --- deterministic primality --------------------------------------------

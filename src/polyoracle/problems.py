@@ -51,7 +51,8 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from math import gcd, isqrt
 from typing import Callable, Iterable, Literal, NamedTuple, Sequence
 
-from .errors import ValueOutOfRange, cap_limit, check, int_list, json_int, json_list, json_object
+from .errors import ValueOutOfRange, cap_limit, check, int_list, json_field, json_int, json_list
+from .errors import json_object
 from .localsubset import Draw, LSInstance, LSProblemSpec, Member, ls_instance
 
 
@@ -652,20 +653,20 @@ def _magnitude(data: dict, values: Iterable[int]) -> int:
 def graph_from_json(data: dict) -> GraphInput:
     data = json_object(data)
     edges = frozenset(
-        tuple(sorted(int_list(entry, 2, 3)[:2])) for entry in json_list(data["edges"])
+        tuple(sorted(int_list(entry, 2, 3)[:2])) for entry in json_list(json_field(data, "edges"))
     )
-    return GraphInput(n=json_int(data["n"]), edges=edges)
+    return GraphInput(n=json_int(json_field(data, "n")), edges=edges)
 
 
 def weighted_graph_from_json(data: dict) -> WeightedGraphInput:
     data = json_object(data)
     edge_weights = []
-    for entry in json_list(data["edges"]):
+    for entry in json_list(json_field(data, "edges")):
         u, v, *w = int_list(entry, 2, 3)
         edge_weights.append(((min(u, v), max(u, v)), w[0] if w else 0))
     vertex_weights = tuple(int_list(data.get("vertex_weights", [])))
     return WeightedGraphInput(
-        n=json_int(data["n"]),
+        n=json_int(json_field(data, "n")),
         edge_weights=tuple(edge_weights),
         magnitude=_magnitude(data, [*(w for _, w in edge_weights), *vertex_weights]),
         vertex_weights=vertex_weights,
@@ -674,14 +675,15 @@ def weighted_graph_from_json(data: dict) -> WeightedGraphInput:
 
 def points_from_json(data: dict) -> PointSetInput:
     data = json_object(data)
-    points = tuple(tuple(int_list(entry, 2, 2)) for entry in json_list(data["points"]))
+    points = tuple(tuple(int_list(entry, 2, 2)) for entry in json_list(json_field(data, "points")))
     return PointSetInput(points=points, magnitude=_magnitude(data, chain(*points)))
 
 
 def ksum_from_json(data: dict) -> KSumInput:
     data = json_object(data)
-    sets = tuple(tuple(int_list(values)) for values in json_list(data["sets"]))
-    return KSumInput(k=json_int(data["k"]), sets=sets, magnitude=_magnitude(data, chain(*sets)))
+    sets = tuple(tuple(int_list(values)) for values in json_list(json_field(data, "sets")))
+    k = json_int(json_field(data, "k"))
+    return KSumInput(k=k, sets=sets, magnitude=_magnitude(data, chain(*sets)))
 
 
 def pattern_from_json(value) -> PatternGraph:
@@ -691,8 +693,8 @@ def pattern_from_json(value) -> PatternGraph:
         except KeyError:
             raise ValueOutOfRange(f"unknown pattern preset {value!r}") from None
     value = json_object(value)
-    edges = [tuple(int_list(entry, 2, 2)) for entry in json_list(value["edges"])]
-    return _pattern(str(value.get("name", "custom")), json_int(value["n"]), edges)
+    edges = [tuple(int_list(entry, 2, 2)) for entry in json_list(json_field(value, "edges"))]
+    return _pattern(str(value.get("name", "custom")), json_int(json_field(value, "n")), edges)
 
 
 @dataclass(frozen=True)
@@ -720,26 +722,28 @@ PROBLEMS: dict[str, ProblemDefinition] = {
         lambda d: encode_collinearity(points_from_json(d)), bench_r=2
     ),
     "h-induced": ProblemDefinition(
-        lambda d: encode_h_induced(graph_from_json(d), pattern_from_json(d["H"])),
+        lambda d: encode_h_induced(graph_from_json(d), pattern_from_json(json_field(d, "H"))),
         bench_r=2,
     ),
     "family-induced": ProblemDefinition(
         lambda d: encode_family_induced(
-            graph_from_json(d), [pattern_from_json(p) for p in json_list(d["family"])]
+            graph_from_json(d), [pattern_from_json(p) for p in json_list(json_field(d, "family"))]
         ),
         bench_r=2,
     ),
     "min-weight-clique": ProblemDefinition(
         lambda d: encode_min_weight_kclique(
-            weighted_graph_from_json(d), json_int(d["k"]), json_int(d["threshold"])
+            weighted_graph_from_json(d),
+            json_int(json_field(d, "k")),
+            json_int(json_field(d, "threshold")),
         ),
         bench_r=None,
     ),
     "max-h-subgraph": ProblemDefinition(
         lambda d: encode_max_h_subgraph(
             weighted_graph_from_json(d),
-            pattern_from_json(d["H"]),
-            json_int(d["threshold"]),
+            pattern_from_json(json_field(d, "H")),
+            json_int(json_field(d, "threshold")),
             d.get("mode", "edge-weights"),
         ),
         bench_r=None,

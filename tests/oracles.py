@@ -156,6 +156,26 @@ def literal_blocks(v: int, theta: int, length: int) -> list[int]:
     return [v >> (length * (theta - 1))] + low
 
 
+def literal_outcome(u: int, v: int) -> str:
+    """The outcome of comparing u against v: "<", "=" or ">"."""
+    return "<" if u < v else "=" if u == v else ">"
+
+
+def literal_point(spec, inst, theta: int) -> list[int]:
+    """x = phi(inst) as a table, entry by entry over the whole grid: rows
+    s_0..s_{m+1} are 0, the elements of S sorted and n**r + 1, and
+    x[c][i][q][a] is 1 iff row i exists and block q of s_i compares to a as c."""
+    s = inst.n + len(inst.elements)
+    length, _ = literal_grid(spec, s, theta)
+    rows = [0, *sorted(inst.elements), inst.n**spec.r + 1]
+    table = {}
+    for c, i, q, a in product("<=>", range(s + 1), range(1, theta + 1), range(2**length)):
+        block = literal_blocks(rows[i], theta, length)[q - 1] if i < len(rows) else None
+        held = block is not None and c == literal_outcome(block, a)
+        table[literal_index(s, theta, length, c, i, q, a)] = int(held)
+    return [table[index] for index in range(len(table))]
+
+
 @cache
 def literal_witnesses(spec, s: int, theta: int) -> tuple[tuple[int, ...], ...]:
     """Every ordered tuple of alpha + beta candidate codes that

@@ -24,6 +24,8 @@ from oracles import (
     literal_blocks,
     literal_grid,
     literal_index,
+    literal_outcome,
+    literal_point,
     literal_polynomial,
     literal_witnesses,
     random_graph,
@@ -52,6 +54,12 @@ def ksum_spec(k=3, w=20):
 reference = cache(literal_polynomial)
 
 
+def entries(assignment):
+    """x's entry (c, i, q, a), read from ``vector()`` at the reference's flat index."""
+    x, s, theta, length = assignment.vector(), assignment.s, assignment.theta, assignment.block_len
+    return lambda c, i, q, a: x[literal_index(s, theta, length, c, i, q, a)]
+
+
 def test_comparison_sets_theta_1():
     c_eq, c_lt, c_gt = ls.comparison_tuple_sets(1)
     assert c_eq == {("=",)} and c_lt == {("<",)} and c_gt == {(">",)}
@@ -75,10 +83,10 @@ def test_comparison_sets_partition(theta):
 def test_blockwise_comparison_matches_integer_comparison(u, v, theta, block_len):
     c_eq, c_lt, c_gt = ls.comparison_tuple_sets(theta)
     outcome = tuple(
-        ls.compare3(a, b)
+        literal_outcome(a, b)
         for a, b in zip(ls.blocks_of(u, theta, block_len), ls.blocks_of(v, theta, block_len))
     )
-    expected = {"<": c_lt, "=": c_eq, ">": c_gt}[ls.compare3(u, v)]
+    expected = {"<": c_lt, "=": c_eq, ">": c_gt}[literal_outcome(u, v)]
     assert outcome in expected
 
 
@@ -141,10 +149,11 @@ def test_assignment_empty_set_rows():
     spec = ksum_spec(k=2, w=1)
     inst = ls.ls_instance(6, [])  # universe [6], no members
     assignment = ls.compute_assignment(spec, inst, theta=2)
+    value = entries(assignment)
     width = 1 << assignment.block_len
     for i in range(assignment.s + 1):
         nonzero = any(
-            assignment.value(c, i, q, a)
+            value(c, i, q, a)
             for c in ls.COMPARISONS
             for q in (1, 2)
             for a in range(width)
@@ -156,21 +165,23 @@ def test_assignment_self_comparison():
     spec = ksum_spec(k=2, w=2)
     inst = ls.ls_instance(10, [3, 7, 9])
     assignment = ls.compute_assignment(spec, inst, theta=2)
+    value = entries(assignment)
     for i in range(1, inst.m + 1):
         blocks = ls.blocks_of(inst.elements[i - 1], 2, assignment.block_len)
         for q in (1, 2):
-            assert assignment.value("=", i, q, blocks[q - 1]) == 1
+            assert value("=", i, q, blocks[q - 1]) == 1
 
 
 def test_assignment_exactly_one_comparison_holds():
     spec = ksum_spec(k=2, w=2)
     inst = ls.ls_instance(10, [2, 5])
     assignment = ls.compute_assignment(spec, inst, theta=2)
+    value = entries(assignment)
     width = 1 << assignment.block_len
     for i in range(assignment.s + 1):
         for q in (1, 2):
             for a in range(width):
-                total = sum(assignment.value(c, i, q, a) for c in ls.COMPARISONS)
+                total = sum(value(c, i, q, a) for c in ls.COMPARISONS)
                 assert total == (1 if i <= inst.m + 1 else 0)
 
 
@@ -180,6 +191,7 @@ def test_assignment_full_table_rederivation():
     inst = ls.ls_instance(14, [2, 9, 13])
     theta = 2
     assignment = ls.compute_assignment(spec, inst, theta)
+    value = entries(assignment)
     length = assignment.block_len
     width = 1 << length
 
@@ -193,28 +205,25 @@ def test_assignment_full_table_rederivation():
         return blocks
 
     rows = {0: 0, 1: 2, 2: 9, 3: 13, 4: 14 + 1}
-    for i, value in rows.items():
-        expected_blocks = reference_blocks(value)
+    for i, row_value in rows.items():
+        expected_blocks = reference_blocks(row_value)
         for q in range(1, theta + 1):
             for a in range(width):
-                expected = ls.compare3(expected_blocks[q - 1], a)
+                expected = literal_outcome(expected_blocks[q - 1], a)
                 for c in ls.COMPARISONS:
-                    assert assignment.value(c, i, q, a) == (1 if c == expected else 0)
+                    assert value(c, i, q, a) == (1 if c == expected else 0)
 
 
 def test_vector_matches_value():
-    """Cell by cell; m = 0 at a power-of-two size puts the sentinel's block 1
-    past 2**L, where the runs must clamp."""
+    """The vector equals the reference's entry-by-entry table of x; m = 0 at
+    a power-of-two size puts the sentinel's block 1 past 2**L, where the runs
+    must clamp."""
     spec = ksum_spec(k=2, w=1)
     for (n, elements), theta in product([(6, [2, 5]), (4, []), (8, [1, 8])], (1, 2, 3)):
-        assignment = ls.compute_assignment(spec, ls.ls_instance(n, elements), theta)
+        inst = ls.ls_instance(n, elements)
+        assignment = ls.compute_assignment(spec, inst, theta)
         assert assignment.num_vars == ls.variable_count(assignment.s, spec.r, theta)
-        width = 1 << assignment.block_len
-        cells = product(ls.COMPARISONS, range(assignment.s + 1), range(1, theta + 1), range(width))
-        expected = [None] * assignment.num_vars
-        for c, i, q, a in cells:
-            expected[assignment.variable_index(c, i, q, a)] = assignment.value(c, i, q, a)
-        assert assignment.vector() == expected
+        assert assignment.vector() == literal_point(spec, inst, theta)
 
 
 def comp_polynomial_value(assignment, comparison, i, value, theta):
@@ -222,11 +231,12 @@ def comp_polynomial_value(assignment, comparison, i, value, theta):
     c_eq, c_lt, c_gt = ls.comparison_tuple_sets(theta)
     chosen = {"=": c_eq, "<": c_lt, ">": c_gt}[comparison]
     blocks = ls.blocks_of(value, theta, assignment.block_len)
+    entry = entries(assignment)
     total = 0
     for outcome in chosen:
         term = 1
         for q in range(1, theta + 1):
-            term *= assignment.value(outcome[q - 1], i, q, blocks[q - 1])
+            term *= entry(outcome[q - 1], i, q, blocks[q - 1])
             if not term:
                 break
         total += term
@@ -246,7 +256,7 @@ def test_comparison_gadget_value(theta):
                 for c in ls.COMPARISONS
             }
             assert sum(results.values()) == 1
-            assert results[ls.compare3(row_value, value)] == 1
+            assert results[literal_outcome(row_value, value)] == 1
 
 
 def test_formulation_monomial_degrees_and_coefficients():
@@ -372,7 +382,7 @@ def test_solve_via_oracle_contract():
     assert ls.solve_via_oracle(spec, inst, 2, oracle=recording)
     assert len(calls) == 1
     assert calls[0].size == ls.variable_count(inst.size, spec.r, 2)
-    assert calls[0].assignment.max_abs_value == 1
+    assert calls[0].max_abs_value == 1
 
 
 def test_formulation_query_holds_only_spec_and_x():
@@ -409,12 +419,6 @@ def test_generated_formulation_is_explicit():
     assert max(map(poly._degree, generated.terms), default=0) == degree
     bound = generated.num_vars**degree
     assert all(abs(coeff) <= bound for coeff in generated.terms.values())
-
-
-def test_instance_json_round_trip():
-    spec, inst = pr.encode_ksum(pr.KSumInput(2, ((1, -1), (1, -1)), 2))
-    data = ls.instance_to_json_dict(spec.name, inst)
-    assert data == {"problem": "2-sum", "n": inst.n, "elements": list(inst.elements)}
 
 
 def test_degenerate_full_and_empty_sets():

@@ -239,33 +239,42 @@ def test_cli_usage_errors(tmp_path):
     assert run_cli(["unknown-subcommand"]) == 2
 
 
-def deep_json_argv(path, good, out):
-    """Each JSON-reading subcommand, reading ``path`` where it reads JSON;
-    ``verify-circuit`` reads it as either file, ``good`` as the other."""
+def deep_json_argv(path, tmp_path, problem="ksum"):
+    """Each JSON-reading subcommand, reading ``path`` where it reads JSON,
+    as ``problem``'s input for solve and formulate; ``verify-circuit`` reads
+    it as either file and, as the other, a valid circuit or polynomial
+    written into ``tmp_path``."""
+    circuit = write_json(tmp_path / "good_circuit.json", GOOD_CIRCUIT)
+    polynomial = write_json(tmp_path / "good_poly.json", GOOD_POLY)
     return {
-        "solve": ["solve", "--problem", "ksum", "--input", path],
-        "formulate": ["formulate", "--problem", "ksum", "--input", path, "--size", "4",
-                      "--out", out],
-        "verify-circuit --circuit": ["verify-circuit", "--circuit", path, "--poly", good,
+        "solve": ["solve", "--problem", problem, "--input", path],
+        "formulate": ["formulate", "--problem", problem, "--input", path, "--size", "4",
+                      "--out", str(tmp_path / "out.json")],
+        "verify-circuit --circuit": ["verify-circuit", "--circuit", path, "--poly", polynomial,
                                      "--delta", "1"],
-        "verify-circuit --poly": ["verify-circuit", "--circuit", good, "--poly", path,
+        "verify-circuit --poly": ["verify-circuit", "--circuit", circuit, "--poly", path,
                                   "--delta", "1"],
         "setcover": ["setcover", "--input", path],
     }
 
 
-@pytest.mark.parametrize("command", list(deep_json_argv("", "", "")))
+JSON_COMMANDS = ["solve", "formulate", "verify-circuit --circuit", "verify-circuit --poly",
+                 "setcover"]
+
+
+@pytest.mark.parametrize("command", JSON_COMMANDS)
 def test_cli_deeply_nested_json_is_an_input_error(tmp_path, capsys, command):
     """A 100 000-deep array (200 KB) passes the JSON reader's recursion
-    limit: an input error with one ``error:`` line, not a traceback."""
+    limit: an input error with one ``error:`` line naming the nesting, not a
+    traceback."""
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)
-    good = write_json(tmp_path / "good.json", {"num_vars": 0, "monomials": []})
-    argv = deep_json_argv(str(path), good, str(tmp_path / "out.json"))[command]
+    argv = deep_json_argv(str(path), tmp_path)[command]
     assert timed(lambda: run_cli(argv)) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
     assert captured.err.count("\n") == 1 and captured.err.startswith("error: ")
+    assert captured.err.endswith("JSON nested too deeply to read\n")
 
 
 GRAPH = {"n": 4, "edges": [[1, 2], [2, 3]]}
@@ -942,7 +951,7 @@ def test_cli_verify_circuit_malformed_json(tmp_path, circuit_data, poly_data):
     assert verify(circuit_data, poly_data) == 2
 
 
-@pytest.mark.parametrize("command", list(deep_json_argv("", "", "")))
+@pytest.mark.parametrize("command", JSON_COMMANDS)
 def test_cli_refuses_a_fraction_in_an_integer_field(tmp_path, capsys, command):
     """Each JSON file the CLI reads refuses 1.5 where an integer belongs."""
     bad = {
@@ -952,14 +961,70 @@ def test_cli_refuses_a_fraction_in_an_integer_field(tmp_path, capsys, command):
         "verify-circuit --poly": {**GOOD_POLY, "num_vars": 1.5},
         "setcover": {"n": 1.5, "sets": [[1]]},
     }[command]
-    good = GOOD_POLY if command == "verify-circuit --circuit" else GOOD_CIRCUIT
-    argv = deep_json_argv(
-        write_json(tmp_path / "bad.json", bad),
-        write_json(tmp_path / "good.json", good),
-        str(tmp_path / "out.json"),
-    )[command]
+    argv = deep_json_argv(write_json(tmp_path / "bad.json", bad), tmp_path)[command]
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", "error: expected an integer, got 1.5\n")
+
+
+def without_each_key(payload, path=()):
+    """(path, a copy of ``payload`` lacking the key the path ends in) for
+    each key of each object in ``payload``, at any depth."""
+    if isinstance(payload, dict):
+        for key, value in payload.items():
+            yield (*path, key), {k: v for k, v in payload.items() if k != key}
+            for inner, smaller in without_each_key(value, (*path, key)):
+                yield inner, {**payload, key: smaller}
+    elif isinstance(payload, list):
+        for index, item in enumerate(payload):
+            for inner, smaller in without_each_key(item, (*path, str(index))):
+                yield inner, [*payload[:index], smaller, *payload[index + 1 :]]
+
+
+PATTERN = {"n": 2, "edges": [[1, 2]]}
+ALL_GATES = {
+    "num_inputs": 1,
+    "gates": [{"op": "input", "i": 0}, {"op": "const", "v": "2"},
+              {"op": "add", "l": 0, "r": 1}, {"op": "mul", "l": 2, "r": 0}],
+    "output": 3,
+}
+# Each JSON file the CLI reads, holding only keys it requires: (the
+# command, its problem for solve and formulate, a valid payload).
+REQUIRED_KEY_FILES = {
+    "solve ksum": ("solve", "ksum", KSUM),
+    "solve collinearity": ("solve", "collinearity", POINTS),
+    "solve triangle": ("solve", "triangle", GRAPH),
+    "solve h-induced": ("solve", "h-induced", {**GRAPH, "H": PATTERN}),
+    "solve family-induced": ("solve", "family-induced", {**GRAPH, "family": ["edge", PATTERN]}),
+    "solve min-weight-clique": ("solve", "min-weight-clique", WEIGHTED),
+    "solve max-h-subgraph": ("solve", "max-h-subgraph", {**GRAPH, "H": "edge", "threshold": 0}),
+    "formulate ksum": ("formulate", "ksum", KSUM),
+    "verify-circuit --circuit": ("verify-circuit --circuit", None, ALL_GATES),
+    "verify-circuit --poly": ("verify-circuit --poly", None, GOOD_POLY),
+    "setcover": ("setcover", None, {"n": 6, "sets": [[1, 2, 3], [4, 5, 6]]}),
+}
+
+
+@pytest.mark.parametrize(
+    "file, key, payload",
+    [
+        pytest.param(file, path[-1], payload, id=f"{file}-{'.'.join(path)}")
+        for file, (_, _, whole) in REQUIRED_KEY_FILES.items()
+        for path, payload in without_each_key(whole)
+    ],
+)
+def test_cli_names_each_missing_key(tmp_path, capsys, file, key, payload):
+    """Each JSON file the CLI reads, lacking one required key at any depth,
+    is an input error whose one line names the key; the whole file is not."""
+    command, problem, whole = REQUIRED_KEY_FILES[file]
+
+    def run(data):
+        path = write_json(tmp_path / "input.json", data)
+        return run_cli(deep_json_argv(path, tmp_path, problem or "ksum")[command])
+
+    assert run(whole) in (0, 1)
+    capsys.readouterr()
+    assert run(payload) == 2
+    assert capsys.readouterr() == ("", f"error: missing key {key!r}\n")
 
 
 def test_cli_verify_circuit_rejects_a_negative_input_count(tmp_path, capsys):
@@ -1031,6 +1096,7 @@ def test_cli_setcover(tmp_path, capsys):
         {"n": 4, "sets": [[True]]},
         {"n": 4, "sets": [["x"]]},
         {"n": 4},
+        {"n": "0_3", "sets": [["\u0663", " 2\n", "+1"]]},
     ],
 )
 def test_cli_setcover_malformed_json(tmp_path, payload):

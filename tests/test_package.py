@@ -55,19 +55,6 @@ def _public_definitions(tree, module):
                     yield f"{module}.{target.id}", target.id, node, False
 
 
-def _names_used(tree):
-    """Every bare name a tree reads: Name ids, Attribute attrs, import aliases."""
-    used = Counter()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name):
-            used[node.id] += 1
-        elif isinstance(node, ast.Attribute):
-            used[node.attr] += 1
-        elif isinstance(node, ast.alias):
-            used[node.name.rsplit(".", 1)[-1]] += 1
-    return used
-
-
 def _imported_from(node):
     """The package module an ImportFrom reads, "" for the package itself,
     None for anything else."""
@@ -78,29 +65,48 @@ def _imported_from(node):
     return None
 
 
+def _imports(tree):
+    """The package modules a tree imports, and the local names bound to them."""
+    modules, aliases = set(), {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                package, _, module = alias.name.partition(".")
+                if package == "polyoracle" and module:
+                    modules.add(module)
+                    if alias.asname:
+                        aliases[alias.asname] = module
+        elif isinstance(node, ast.ImportFrom) and (module := _imported_from(node)) is not None:
+            for alias in node.names:
+                modules.add(module or alias.name)
+                if not module:
+                    aliases[alias.asname or alias.name] = alias.name
+    return modules, aliases
+
+
 def _module_uses(tree, own=None):
     """(module, name) for each use of a package module's top-level name: an
     import of it, an attribute of an imported module, or, inside module
     ``own``, a bare name."""
-    modules, used = {}, Counter()
+    aliases, used = _imports(tree)[1], Counter()
     for node in ast.walk(tree):
-        if isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.startswith("polyoracle.") and alias.asname:
-                    modules[alias.asname] = alias.name.partition(".")[2]
-        elif isinstance(node, ast.ImportFrom) and _imported_from(node) is not None:
-            module = _imported_from(node)
-            for alias in node.names:
-                if module:
-                    used[module, alias.name] += 1
-                else:
-                    modules[alias.asname or alias.name] = alias.name
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in modules:
-            used[modules[node.value.id], node.attr] += 1
-        elif isinstance(node, ast.Name) and own and node.id not in modules:
+        if isinstance(node, ast.ImportFrom) and _imported_from(node):
+            used.update((_imported_from(node), alias.name) for alias in node.names)
+        elif isinstance(node, ast.Attribute) and getattr(node.value, "id", None) in aliases:
+            used[aliases[node.value.id], node.attr] += 1
+        elif isinstance(node, ast.Name) and own and node.id not in aliases:
             used[own, node.id] += 1
     return used
+
+
+def _attribute_uses(tree):
+    """The name of each attribute a tree reads, except a top-level name read
+    off an imported package module (``circuits.from_json_dict``)."""
+    aliases = _imports(tree)[1]
+    return Counter(
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) not in aliases
+    )
 
 
 def _script_uses():
@@ -118,32 +124,33 @@ def test_public_names_have_a_non_test_caller():
     perfbench/ or demos/ imports it from its module, reads it as an
     attribute of its imported module, or, in its own module, as a bare name;
     a ``[project.scripts]`` entry point counts as a caller.  A method or
-    property is reached by any other use of its bare name, so ``json.loads``
-    counts for a ``loads`` method, but a use that reads a package module's
-    top-level name (``circuits.from_json_dict``, an import of it, a bare name
-    in its own module) does not: the guard can miss a test-only method but
-    never flags one that code outside tests/ really uses.
+    property is reached only by an attribute of its name, outside its own
+    definition, read in its own module or in a src/, perfbench/ or demos/
+    module that imports its module; an attribute read off an imported
+    package module (``circuits.from_json_dict``) reaches no method.  So a
+    method that only tests call is flagged even when an unrelated class in
+    a module that never imports its own has a member of the same name.
     ``TEST_ONLY_ALLOWED`` must name exactly the public names that are still
     test-only."""
     files = sorted(PACKAGE.glob("*.py"))
     callers = sorted((ROOT / "perfbench").glob("*.py")) + sorted((ROOT / "demos").glob("*.py"))
     trees = {path: ast.parse(path.read_text()) for path in files + callers}
-    bare = sum((_names_used(tree) for tree in trees.values()), Counter())
+    imports = {path: _imports(tree)[0] for path, tree in trees.items()}
+    attributes = {path: _attribute_uses(tree) for path, tree in trees.items()}
     by_module = Counter()
     for path, tree in trees.items():
         by_module += _module_uses(tree, path.stem if path.parent == PACKAGE else None)
-    # A bare name that reads a module's top-level name reaches no method.
-    for (_, name), count in by_module.items():
-        bare[name] -= count
     by_module += _script_uses()
     unreached = {}
     for path in files:
+        readers = [other for other in trees if other == path or path.stem in imports[other]]
         for qualified, name, node, is_method in _public_definitions(trees[path], path.stem):
             if name.startswith("_"):
                 continue
             # Uses inside the definition itself (recursion) do not count.
             if is_method:
-                reached = bare[name] - _names_used(node)[name]
+                reached = sum(attributes[other][name] for other in readers)
+                reached -= _attribute_uses(node)[name]
             else:
                 inside = sum(getattr(n, "id", None) == name for n in ast.walk(node))
                 reached = by_module[path.stem, name] - inside

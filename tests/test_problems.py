@@ -252,7 +252,9 @@ def _int_pair(value):
     return int_list(value, 2, 2)
 
 
-NOT_INTS = [True, 1.5, None, "0x1f", [1], {"v": 1}]
+# Python's int() takes the last four strings: an underscore, surrounding
+# space, a plus sign and an Arabic-Indic digit three.
+NOT_INTS = [True, 1.5, None, "0x1f", [1], {"v": 1}, "0_3", " 2\n", "+1", "\u0663"]
 
 
 @pytest.mark.parametrize(
@@ -265,8 +267,8 @@ NOT_INTS = [True, 1.5, None, "0x1f", [1], {"v": 1}]
 )
 def test_json_readers_refuse_each_malformed_value(reader, value):
     """Every JSON input reads through these four: a bool, float, null or
-    non-decimal string, a container where an int belongs, or a list of the
-    wrong length is ValueOutOfRange."""
+    string other than an optional ``-`` and ASCII digits, a container where
+    an int belongs, or a list of the wrong length is ValueOutOfRange."""
     with pytest.raises(ValueOutOfRange):
         reader(value)
 
