@@ -15,7 +15,7 @@ import time
 from typing import Sequence
 
 from . import circuits, localsubset, oracle, permanent, polynomials, setcover
-from .errors import CapExceeded, PolyOracleError, PreconditionViolated
+from .errors import CapExceeded, PolyOracleError, PreconditionViolated, ValueOutOfRange
 from .errors import int_list, json_field, json_int, json_list, json_object
 from .problems import PROBLEMS, build_problem
 
@@ -53,11 +53,7 @@ def _cmd_formulate(args: argparse.Namespace) -> int:
     else:
         data = PROBLEMS[args.problem].default_input
         if data is None:
-            print(
-                f"problem {args.problem!r} needs --input to fix its parameters",
-                file=sys.stderr,
-            )
-            return 2
+            raise ValueOutOfRange(f"problem {args.problem!r} needs --input to fix its parameters")
     spec, _ = build_problem(args.problem, data)
     poly = localsubset.formulation_polynomial(spec, args.size, args.theta)
     with open(args.out, "w", encoding="utf-8") as handle:
@@ -148,7 +144,7 @@ def build_parser() -> argparse.ArgumentParser:
     cover.set_defaults(fn=_cmd_setcover)
 
     bench = sub.add_parser("bench-vars", help="variable-count scaling table")
-    bench.add_argument("--problem", required=True)
+    bench.add_argument("--problem", required=True, choices=sorted(PROBLEMS))
     bench.add_argument("--theta", type=int, required=True)
     bench.add_argument("--sizes", required=True, help="comma-separated ascending sizes")
     bench.add_argument("--r", type=int, default=None)

@@ -594,7 +594,8 @@ def evaluate_formulation(spec: LSProblemSpec, inst: LSInstance, theta: int) -> i
 @dataclass(frozen=True)
 class FormulationQuery:
     """One oracle query (spec, x): evaluate the size-``size`` member of spec's
-    formulation family at the point x = ``assignment``."""
+    formulation family at the point x = ``assignment``.  x = phi(inst) is a
+    0/1 point, so every argument of the call has magnitude at most 1."""
 
     spec: LSProblemSpec
     assignment: BlockVariableAssignment
@@ -602,11 +603,6 @@ class FormulationQuery:
     @property
     def size(self) -> int:
         return self.assignment.num_vars
-
-    @property
-    def max_abs_value(self) -> int:
-        """1: phi(inst) is a 0/1 point, so no argument exceeds 1 in magnitude."""
-        return 1
 
 
 Oracle = Callable[[FormulationQuery], int]

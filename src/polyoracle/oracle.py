@@ -2,13 +2,7 @@
 
 The cost model charges each size-s oracle call exactly s, the declared
 evaluation price of the size-s member of the polynomial family; wall time is
-reported separately and never conflated with the charge.  Argument
-magnitudes, read from the query's point x, above a fixed bound of the call
-size are flagged, not rejected.  A ``FormulationQuery`` holds the 0/1 point
-phi(inst), so the flag fires only for another query object.
-The default bound 2**ceil(s**0.9) is a documented finite stand-in for the
-family's asymptotic magnitude discipline, decided in integers from the
-magnitude's bit length, so neither the bound nor s**0.9 is ever built.
+reported separately and never conflated with the charge.
 
 ``OracleCallLog`` is the one record of a solve's calls; ``dump_report``
 writes ``solve --report`` straight from it (its layout is in the README).
@@ -28,30 +22,15 @@ from .localsubset import FormulationQuery, LSInstance, Oracle, variable_count
 from .problems import PROBLEMS
 
 
-def exceeds_magnitude_bound(magnitude: int, size: int) -> bool:
-    """magnitude > 2**ceil(s**0.9), the finite stand-in for the oracle
-    magnitude discipline, decided in integers: for magnitude >= 1,
-    magnitude > 2**e iff b = (magnitude - 1).bit_length() > e, and for an
-    integer b >= 1, b - 1 >= ceil(s**0.9) iff (b - 1)**10 >= s**9."""
-    bits = (magnitude - 1).bit_length()
-    return magnitude > 1 and (bits - 1) ** 10 >= size**9
-
-
 @dataclass(frozen=True)
 class OracleCallRecord:
     size: int
-    max_arg_magnitude: int
     result_nonzero: bool
 
     @property
     def charged_cost(self) -> int:
         """Each size-s call is charged exactly s."""
         return self.size
-
-    @property
-    def magnitude_flagged(self) -> bool:
-        """Whether the call's largest argument passes the default bound."""
-        return exceeds_magnitude_bound(self.max_arg_magnitude, self.size)
 
 
 @dataclass
@@ -66,7 +45,7 @@ class OracleCallLog:
 
     @property
     def total_cost(self) -> int:
-        return sum(record.size for record in self.records)
+        return sum(record.charged_cost for record in self.records)
 
 
 def logging_oracle(inner: Oracle, log: OracleCallLog) -> Oracle:
@@ -74,7 +53,7 @@ def logging_oracle(inner: Oracle, log: OracleCallLog) -> Oracle:
 
     def wrapped(query: FormulationQuery) -> int:
         result = inner(query)
-        log.records.append(OracleCallRecord(query.size, query.max_abs_value, result != 0))
+        log.records.append(OracleCallRecord(query.size, result != 0))
         return result
 
     return wrapped
@@ -125,8 +104,6 @@ def dump_report(
     calls = [
         {
             "charged_cost": record.charged_cost,
-            "magnitude_flagged": record.magnitude_flagged,
-            "max_arg_magnitude": str(record.max_arg_magnitude),
             "result_nonzero": record.result_nonzero,
             "size": record.size,
         }

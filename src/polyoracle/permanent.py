@@ -87,8 +87,10 @@ def matrix_from_rows(rows: Sequence[Sequence[int]]) -> BinaryMatrix:
 
 
 def matrix_from_text(text: str) -> BinaryMatrix:
-    """Parse the n-lines-of-n-characters format."""
+    """Parse the n-lines-of-n-characters format; each character is 0 or 1."""
     lines = [line.strip() for line in text.strip().splitlines() if line.strip()]
+    if any(c not in "01" for line in lines for c in line):
+        raise ValueOutOfRange("entries must be 0/1")
     return matrix_from_rows([[int(c) for c in line] for line in lines])
 
 

@@ -64,15 +64,8 @@ def report_matches_log(text, problem, answer, log):
     """Whether a ``solve --report`` text states the problem, the answer and
     exactly the log's calls, each charged its size, with the total their sum."""
     data = json.loads(text)
-    written = [
-        (c["size"], c["charged_cost"], int(c["max_arg_magnitude"]), c["result_nonzero"],
-         c["magnitude_flagged"])
-        for c in data["calls"]
-    ]
-    logged = [
-        (r.size, r.size, r.max_arg_magnitude, r.result_nonzero, r.magnitude_flagged)
-        for r in log.records
-    ]
+    written = [(c["size"], c["charged_cost"], c["result_nonzero"]) for c in data["calls"]]
+    logged = [(r.size, r.size, r.result_nonzero) for r in log.records]
     return (
         data["problem"] == problem
         and data["answer"] is answer

@@ -5,13 +5,13 @@ import json
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from itertools import combinations
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 
@@ -48,35 +48,13 @@ def test_logging_oracle_records_single_call():
     record = log.records[0]
     assert record.size == ls.variable_count(inst.size, spec.r, 2)
     assert record.charged_cost == record.size
-    assert record.max_arg_magnitude == 1
     assert record.result_nonzero
-    assert not record.magnitude_flagged
     assert log.total_cost == record.size
 
 
 def test_logging_oracle_empty_log():
     log = orc.OracleCallLog()
     assert log.total_cost == 0 and log.records == []
-
-
-def test_default_magnitude_flag_is_the_power_of_two_bound():
-    """Flagged iff magnitude > 2**ceil(size**0.9), at and around small powers of
-    two and the bound's own; at size k**10 the exponent is exactly k**9, where
-    a float ceil(size**0.9) comes out one too high."""
-    for size, exponent in [(5, math.ceil(5**0.9))] + [(k**10, k**9) for k in (2, 3, 4)]:
-        bound = 2**exponent
-        powers = list(range(12)) + [exponent - 1, exponent, exponent + 1]
-        magnitudes = [0] + [2**k + d for k in powers for d in (-1, 0, 1)]
-        for magnitude in magnitudes:
-            log = orc.OracleCallLog()
-            query = SimpleNamespace(size=size, max_abs_value=magnitude)
-            orc.logging_oracle(lambda q: 0, log)(query)
-            assert log.records[0].magnitude_flagged == (magnitude > bound), (size, magnitude)
-    assert orc.exceeds_magnitude_bound(2**512 + 1, 1024)
-    # a benchmark-sized call: the 2**(2.4e8) bound is never built
-    assert not orc.exceeds_magnitude_bound(1, 2_013_265_920)
-    # a size past the largest float
-    assert not orc.exceeds_magnitude_bound(2**64, 10**400)
 
 
 def test_cost_example_size_18():
@@ -104,14 +82,14 @@ def test_report_is_written_from_the_call_log():
     answer = ls.solve_via_oracle(
         spec, inst, 2, orc.logging_oracle(ls.exact_evaluation_oracle, log)
     )
-    # A second, hand-logged call: a flagged magnitude too wide for a float.
-    log.records.append(orc.OracleCallRecord(5, 10**400, False))
+    # A second, hand-logged call with a zero result.
+    log.records.append(orc.OracleCallRecord(5, False))
     buffer = io.StringIO()
     orc.dump_report(buffer, spec.name, inst, answer, log, 0.1234567)
     text = buffer.getvalue()
     assert report_matches_log(text, spec.name, answer, log)
     data = json.loads(text)
-    assert [c["magnitude_flagged"] for c in data["calls"]] == [False, True]
+    assert [c["result_nonzero"] for c in data["calls"]] == [True, False]
     assert data["instance_digest"] == orc.instance_digest(spec.name, inst)
     assert data["wall_time_seconds"] == 0.123457
     assert text == json.dumps(data, sort_keys=True, indent=2) + "\n"
@@ -184,8 +162,6 @@ K3_REPORT = """{
   "calls": [
     {
       "charged_cost": 336,
-      "magnitude_flagged": false,
-      "max_arg_magnitude": "1",
       "result_nonzero": true,
       "size": 336
     }
@@ -223,6 +199,20 @@ def test_cli_solve_report_text_is_pinned(tmp_path, method, expected):
     assert isinstance(wall, float) and wall >= 0 and wall == round(wall, 6)
     masked = text.replace(f'"wall_time_seconds": {json.dumps(wall)}\n', '"wall_time_seconds": WALL\n')
     assert masked == expected
+
+
+def test_readme_report_table_lists_every_key(tmp_path):
+    """The README's ``--report`` table names the keys ``dump_report`` writes,
+    at the top level and in each ``calls[]`` entry, no more and no fewer."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    table = readme.split("`solve --report PATH` writes", 1)[1].split("\n\n", 2)[1]
+    keys = re.findall(r"^\| `([\w\[\].]+)` \|", table, re.MULTILINE)
+    k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
+    report = tmp_path / "report.json"
+    assert run_cli(["solve", "--problem", "triangle", "--input", k3, "--report", str(report)]) == 0
+    data = json.loads(report.read_text())
+    assert sorted(k for k in keys if "." not in k) == sorted(data)
+    assert sorted(k[len("calls[]."):] for k in keys if "." in k) == sorted(data["calls"][0])
 
 
 def test_cli_solve_no_instance(tmp_path):
@@ -353,7 +343,7 @@ def test_cli_cap_errors(tmp_path, capsys):
 @pytest.mark.parametrize("report", [False, True])
 def test_cli_solve_huge_theta(tmp_path, capsys, theta, report):
     """The candidate top is decided without building 2**(theta * L), and a
-    call size past the largest float is charged and flag-checked in integers."""
+    call size past the largest float is charged in integers."""
     k3 = write_json(tmp_path / "k3.json", {"n": 3, "edges": [[1, 2], [1, 3], [2, 3]]})
     argv = ["solve", "--problem", "triangle", "--input", k3, "--theta", str(theta)]
     out = tmp_path / "report.json"
@@ -361,7 +351,7 @@ def test_cli_solve_huge_theta(tmp_path, capsys, theta, report):
     assert "yes" in capsys.readouterr().out
     if report:
         (call,) = json.loads(out.read_text())["calls"]
-        assert call["size"] > theta and not call["magnitude_flagged"]
+        assert call["size"] > theta and call["charged_cost"] == call["size"]
 
 
 @pytest.mark.parametrize("report", [False, True])
@@ -799,6 +789,16 @@ def test_cli_formulate(tmp_path):
     assert out.read_text() == poly.dumps(ls.formulation_polynomial(spec, 4, 1)) + "\n"
 
 
+def test_cli_formulate_parametrised_problem_needs_input(tmp_path, capsys):
+    """k-SUM has no default input: formulate without --input is an input
+    error with one ``error:`` line, and writes nothing."""
+    out = tmp_path / "poly.json"
+    argv = ["formulate", "--problem", "ksum", "--size", "4", "--out", str(out)]
+    assert run_cli(argv) == 2
+    assert capsys.readouterr() == ("", "error: problem 'ksum' needs --input to fix its parameters\n")
+    assert not out.exists()
+
+
 def test_cli_verify_circuit(tmp_path):
     target = poly.polynomial(2, {((0, 1), (1, 1)): 2, (): -3})
     good = ci.build_circuit_from_polynomial(target)
@@ -1124,6 +1124,15 @@ def test_cli_bench_vars_refuses_r_below_one(capsys, r):
             "--r", r]
     assert run_cli(argv) == 2
     assert capsys.readouterr() == ("", "error: r must be >= 1\n")
+
+
+@pytest.mark.parametrize("r", [[], ["--r", "2"]], ids=["no-r", "r-2"])
+def test_cli_bench_vars_refuses_an_unknown_problem(capsys, r):
+    argv = ["bench-vars", "--problem", "nonsense", "--theta", "1", "--sizes", "2,4,8,16", *r]
+    assert run_cli(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "argument --problem: invalid choice: 'nonsense'" in captured.err
 
 
 def test_cli_lists_its_subcommands(capsys):

@@ -44,8 +44,10 @@ def test_permanent_via_formulation_checks_theta_on_the_empty_matrix():
 def test_matrix_text_round_trip():
     m = pm.matrix_from_text("110\n011\n101\n")
     assert m.entries == ((1, 1, 0), (0, 1, 1), (1, 0, 1))
-    with pytest.raises(ValueOutOfRange):
-        pm.matrix_from_text("12\n34")
+    # "12" is not 0/1; neither are Arabic-Indic or fullwidth digits, though int() reads them.
+    for text in ["12\n34", "\u0661\u0660\n\u0660\u0661", "1\uff11\n11"]:
+        with pytest.raises(ValueOutOfRange, match="entries must be 0/1"):
+            pm.matrix_from_text(text)
 
 
 def test_f_count_unconstrained_is_degree_product():
